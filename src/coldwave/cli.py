@@ -6,8 +6,8 @@ solve-mixed, energy-check, illposedness.  Outputs are deterministic:
 identical configuration and seed give byte-identical files.
 
 Exit codes: 0 success; 1 invalid input or configuration; 2 numerical
-failure (singularity, factorization failure); 3 a check failed (energy
-ratio below bound, inadmissible boundary, symbol-check failure).
+failure (singularity, factorization, out of memory); 3 a check failed
+(energy ratio below bound, inadmissible boundary, symbol-check failure).
 """
 
 import argparse
@@ -465,6 +465,9 @@ def main(argv=None):
         return EXIT_INVALID
     except ColdwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

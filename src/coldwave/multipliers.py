@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 from .errors import SpecInvalid
 from .operators import apply_L, gradient
@@ -127,14 +128,12 @@ class EnergyReport:
         return self.ratio is not None and self.ratio >= self.bound
 
 
-def verify_energy_inequality(u, kappa, spec, grid, quad_allowance=0.0,
-                             decomp=None):
+def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
     """Quadrature check of (Mu, Lu) >= delta ||u||_{H1_0(K)}^2.
 
     ``u`` must vanish on the boundary nodes (discrete compact support).
     The pairing integral splits cells along the sonic curve because b
-    switches branch there.  ``quad_allowance`` loosens the reported
-    bound multiplicatively (bound = delta * (1 - quad_allowance)).
+    switches branch there.  The reported bound is ``spec.ratio_bound``.
     """
     u = np.asarray(u, dtype=float)
     if spec.regime == "kappa_high" and not 1.0 <= kappa <= 2.0:
@@ -160,8 +159,7 @@ def verify_energy_inequality(u, kappa, spec, grid, quad_allowance=0.0,
     norms = weighted_norms(u, grid, include_dual=False, decomp=decomp)
     rhs = norms.h1_weighted ** 2
     ratio = lhs / rhs if rhs > 0.0 else None
-    return EnergyReport(lhs, rhs, ratio,
-                        bound=spec.ratio_bound * (1.0 - quad_allowance),
+    return EnergyReport(lhs, rhs, ratio, bound=spec.ratio_bound,
                         warnings=spec.warnings)
 
 
@@ -175,11 +173,8 @@ def random_interior_bump(domain, rng, degree=3):
     def bump(x, y):
         X = (2.0 * x - (x0 + x1)) / (x1 - x0)
         Y = (2.0 * y - (y0 + y1)) / (y1 - y0)
-        poly = np.zeros_like(X)
-        for i in range(degree + 1):
-            for j in range(degree + 1):
-                poly = poly + coeffs[i, j] * X ** i * Y ** j
-        return (1.0 - X ** 2) ** 2 * (1.0 - Y ** 2) ** 2 * poly
+        return ((1.0 - X ** 2) ** 2 * (1.0 - Y ** 2) ** 2
+                * polyval2d(X, Y, coeffs))
 
     return bump
 

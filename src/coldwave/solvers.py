@@ -246,7 +246,6 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
         w2 = c * a + babs * b
         return w1 * w1 + w2 * w2
 
-    excluded = len(decomp.cut_cells) * decomp.cell_area
     proviso = integrate_uncut(decomp, proviso_density, (f1, f2))
 
     return DiscreteSolution(
@@ -256,7 +255,7 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
         rank=rank,
         norms={"hk_weighted": hk},
         diagnostics={"integrability_sampled": proviso,
-                     "excluded_measure": excluded,
+                     "excluded_measure": decomp.cut_area,
                      "forcing_norm": scale * float(np.linalg.norm(rhs))},
     )
 

@@ -199,6 +199,18 @@ class TestSubcommands:
         }))
         assert main(["--quiet", "solve-mixed", "--problem", str(path)]) == 3
 
+    def test_out_of_memory_is_numerical_failure(self, mixed_json,
+                                                monkeypatch, capsys):
+        import coldwave.cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.9 GiB")
+
+        monkeypatch.setattr(coldwave.cli, "solve_mixed", no_memory)
+        assert main(["--quiet", "solve-mixed", "--problem", mixed_json]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "out of memory" in err
+
     def test_energy_check(self, tmp_path):
         out = tmp_path / "energy.json"
         code = main(["--out", str(out), "energy-check", "--kappa", "1.0",

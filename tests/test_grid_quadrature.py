@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldwave import operators as ops
 from coldwave.errors import DualNormSingular
@@ -118,10 +119,60 @@ class TestDecomposition:
 
     def test_cut_cells_follow_parabola(self, square):
         dec = decompose_cells(square)
-        assert dec.cut_cells
-        for i, j, pieces in dec.cut_cells:
-            assert sum(a for _, a, _, _ in pieces) == pytest.approx(
-                dec.cell_area, rel=1e-12)
+        assert dec.cut_mask.any()
+        area = np.zeros(dec.cut_mask.shape)
+        np.add.at(area, (dec.piece_i, dec.piece_j), dec.piece_area)
+        assert area[dec.cut_mask] == pytest.approx(dec.cell_area, rel=1e-12)
+        assert not area[~dec.cut_mask].any()
+        for sign in (1, -1):
+            side = np.zeros(dec.cut_mask.shape, dtype=bool)
+            side[dec.piece_i[dec.piece_sign == sign],
+                 dec.piece_j[dec.piece_sign == sign]] = True
+            assert np.array_equal(side, dec.cut_mask)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(-10, 10), b=st.floats(-10, 10), c=st.floats(-10, 10),
+           nx=st.integers(8, 40), ny=st.integers(8, 40))
+    def test_affine_field_integrates_exactly(self, a, b, c, nx, ny):
+        # corner averages, bilinear interpolation and piece centroids are
+        # all exact for affine integrands
+        x0, x1, y0, y1 = -0.3, 1.2, -0.9, 0.7
+        g = Grid2D(Domain.rectangle(x0, x1, y0, y1), nx, ny)
+        dec = decompose_cells(g)
+        assert dec.cut_mask.any()
+        X, Y = g.meshgrid()
+        f = lambda x, y, v: v
+        got = integrate_signed(dec, f, f, (a + b * X + c * Y,))
+        area = (x1 - x0) * (y1 - y0)
+        exact = area * (a + b * 0.5 * (x0 + x1) + c * 0.5 * (y0 + y1))
+        scale = area * (abs(a) + abs(b) * max(abs(x0), abs(x1))
+                        + abs(c) * max(abs(y0), abs(y1)))
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-12 * scale)
+
+    def test_matches_cell_by_cell_reference(self, square):
+        # a non-bilinear field and different branches on the two sides,
+        # summed one cell and one piece at a time
+        g = square
+        X, Y = g.meshgrid()
+        u = np.sin(3.0 * X) * np.cos(2.0 * Y) + X * X
+        fp = lambda x, y, v: v * v + x
+        fm = lambda x, y, v: np.exp(v) - y
+        dec = decompose_cells(g)
+        ref = 0.0
+        for i, j in zip(*np.nonzero(dec.pos_cells | dec.neg_cells)):
+            fn = fp if dec.pos_cells[i, j] else fm
+            ref += dec.cell_area * fn(0.5 * (g.xs[i] + g.xs[i + 1]),
+                                      0.5 * (g.ys[j] + g.ys[j + 1]),
+                                      0.25 * u[i:i + 2, j:j + 2].sum())
+        for i, j, sign, area, x, y in zip(dec.piece_i, dec.piece_j,
+                                          dec.piece_sign, dec.piece_area,
+                                          dec.piece_x, dec.piece_y):
+            tx, ty = (x - g.xs[i]) / g.hx, (y - g.ys[j]) / g.hy
+            v = ((1 - tx) * (1 - ty) * u[i, j] + tx * (1 - ty) * u[i + 1, j]
+                 + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
+            ref += area * (fp if sign > 0 else fm)(x, y, v)
+        got = integrate_signed(dec, fp, fm, (u,))
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 class TestWeightedNorms:
@@ -148,7 +199,14 @@ class TestWeightedNorms:
 
     def test_dual_norm_raises_on_sonic_support(self, square):
         u = np.ones((33, 33))
-        with pytest.raises(DualNormSingular):
+        with pytest.raises(DualNormSingular, match=r"cell \(16, 12\)"):
+            weighted_norms(u, square)
+
+    def test_dual_norm_names_first_supported_cell(self, square):
+        # the first cut cell in row-major order on which u is nonzero
+        X, Y = square.meshgrid()
+        u = np.where((Y > 0.3) & (X > 0.2), 1.0, 0.0)
+        with pytest.raises(DualNormSingular, match=r"cell \(19, 22\)"):
             weighted_norms(u, square)
 
     def test_dual_norm_away_from_sonic(self):

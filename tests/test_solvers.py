@@ -4,6 +4,7 @@ import pytest
 from coldwave.errors import (InadmissibleBoundary, InsufficientLevels)
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import MixedMultiplierSpec
+from coldwave.quadrature import decompose_cells
 from coldwave.solvers import (ModelProblem, illposedness_diagnostic,
                               qr_least_squares, qr_min_norm,
                               solve_closed_dirichlet, solve_mixed)
@@ -177,6 +178,14 @@ class TestMixed:
         assert prob.kappa == 0.0
         sol = solve_mixed(prob, Grid2D(dom, 17, 17), spec)
         assert sol.rank > 0
+
+    def test_excluded_measure_is_cut_area(self, setup):
+        dom, spec, prob = setup
+        grid = Grid2D(dom, 17, 17)
+        sol = solve_mixed(prob, grid, spec)
+        cut_area = decompose_cells(grid).cut_area
+        assert cut_area > 0.0
+        assert sol.diagnostics["excluded_measure"] == cut_area
 
 
 class TestIllposednessDiagnostic:
