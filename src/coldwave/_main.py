@@ -1,8 +1,8 @@
 """Console entry point.
 
-COLDWAVE_THREADS caps internal parallelism (the BLAS pools behind the
-dense factorizations); it must take effect before numpy loads, so the
-heavy imports happen inside main().
+COLDWAVE_THREADS caps internal parallelism (the BLAS pools of numpy and
+SciPy); it must take effect before numpy loads, so the heavy imports
+happen inside main().
 """
 
 import os

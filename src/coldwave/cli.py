@@ -244,7 +244,7 @@ def cmd_solve(run):
     output.write_csv("x,y,u", _solution_rows(grid, [sol.values]), run.out)
     summary = {"residual_norm": sol.residual_norm,
                "condition_estimate": sol.condition_estimate,
-               "rank": sol.rank, **sol.norms}
+               "rank": sol.rank, **sol.norms, **sol.diagnostics}
     if run.options.get("summary"):
         output.write_json(summary, run.options["summary"])
     else:

@@ -49,7 +49,8 @@ class InadmissibleBoundary(ColdwaveError):
 
 
 class FactorizationFailure(ColdwaveError):
-    """Dense factorization produced non-finite values."""
+    """A grid solve failed: the matrix, factor or solution is non-finite,
+    or the LSMR fallback for a singular factor did not converge."""
 
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)

@@ -48,7 +48,8 @@ def apply_L_adjoint(u, grid, kappa):
 
 
 def assemble_dirichlet(grid, kappa):
-    """Dense matrix of L on interior unknowns with zero boundary values.
+    """Sparse (CSR) matrix of L on interior unknowns with zero boundary
+    values.
 
     Row k is the centered stencil of L at the k-th interior node;
     columns reference interior nodes only (boundary neighbors carry the
@@ -63,10 +64,9 @@ def assemble_dirichlet(grid, kappa):
     K = grid.type_values()
     hx2 = grid.hx * grid.hx
     hy2 = grid.hy * grid.hy
-    A = np.zeros((n, n))
     rows = np.arange(n)
     Kc = K[ii, jj]
-    A[rows, rows] = -2.0 * Kc / hx2 - 2.0 / hy2
+    triplets = [(rows, rows, -2.0 * Kc / hx2 - 2.0 / hy2)]
     for di, dj, coeff in (
         (1, 0, Kc / hx2 + kappa / (2.0 * grid.hx)),
         (-1, 0, Kc / hx2 - kappa / (2.0 * grid.hx)),
@@ -75,12 +75,22 @@ def assemble_dirichlet(grid, kappa):
     ):
         nb = idx[ii + di, jj + dj]
         has = nb >= 0
-        A[rows[has], nb[has]] = coeff[has]
-    return A, idx
+        triplets.append((rows[has], nb[has], coeff[has]))
+    return _csr(triplets, (n, n)), idx
+
+
+def _csr(triplets, shape):
+    """CSR matrix from (rows, cols, values) triplets; duplicates add up
+    and zero values are not stored."""
+    import scipy.sparse as sp
+
+    r, c, v = (np.concatenate(parts) for parts in zip(*triplets))
+    keep = v != 0.0
+    return sp.csr_array((v[keep], (r[keep], c[keep])), shape=shape)
 
 
 def assemble_mixed(grid, kappa, g_mask, offg_mask):
-    """Dense matrix of the first-order system
+    """Sparse (CSR) matrix of the first-order system
         K d_x u1 + d_y u2 + kappa u1 = f1
         d_y u1 - d_x u2             = f2
     with u1 = 0 on g_mask nodes and u2 = 0 on offg_mask nodes.
@@ -104,13 +114,14 @@ def assemble_mixed(grid, kappa, g_mask, offg_mask):
     ii, jj = np.nonzero(interior)
     n_int = ii.size
     K = grid.type_values()[ii, jj]
-    A = np.zeros((2 * n_int, n_unknown))
     r1 = 2 * np.arange(n_int)
     r2 = r1 + 1
+    triplets = []
 
     def add(rows, cols, coeff):
         has = cols >= 0
-        A[rows[has], cols[has]] += np.broadcast_to(coeff, rows.shape)[has]
+        triplets.append((rows[has], cols[has],
+                         np.broadcast_to(coeff, rows.shape)[has]))
 
     inv2hx = 1.0 / (2.0 * grid.hx)
     inv2hy = 1.0 / (2.0 * grid.hy)
@@ -125,4 +136,4 @@ def assemble_mixed(grid, kappa, g_mask, offg_mask):
     add(r2, idx1[ii, jj - 1], np.full(n_int, -inv2hy))
     add(r2, idx2[ii + 1, jj], np.full(n_int, -inv2hx))
     add(r2, idx2[ii - 1, jj], np.full(n_int, inv2hx))
-    return A, idx1, idx2
+    return _csr(triplets, (2 * n_int, n_unknown)), idx1, idx2

@@ -154,6 +154,16 @@ def integrate_signed(decomp, fn_pos, fn_neg, fields=()):
     return _integrate(decomp, fn_pos, fn_neg, fields, with_pieces=True)
 
 
+def _h1_density(x, y, a, b):
+    return np.abs(canonical_type_function(x, y)) * a * a + b * b
+
+
+def integrate_h1_density(decomp, a, b):
+    """Integral of |K| a^2 + b^2 for nodal fields a, b; with (a, b) the
+    gradient (u_x, u_y) it is the squared H1_0(K) seminorm of u."""
+    return integrate_signed(decomp, _h1_density, _h1_density, (a, b))
+
+
 @dataclass(frozen=True)
 class WeightedNorms:
     """Weighted norms of a grid field: L2(|K|), dual L2(1/|K|), and the
@@ -181,11 +191,8 @@ def weighted_norms(u, grid, include_dual=True, decomp=None):
     def absk_u2(x, y, uv):
         return np.abs(canonical_type_function(x, y)) * uv * uv
 
-    def h1_density(x, y, uxv, uyv):
-        return np.abs(canonical_type_function(x, y)) * uxv * uxv + uyv * uyv
-
     l2sq = integrate_signed(decomp, absk_u2, absk_u2, (u,))
-    h1sq = integrate_signed(decomp, h1_density, h1_density, (ux, uy))
+    h1sq = integrate_h1_density(decomp, ux, uy)
     dual = None
     if include_dual:
         A = np.abs(u)

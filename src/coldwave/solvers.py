@@ -1,15 +1,26 @@
-"""Least-squares solvers for the degenerate model operator.
+"""Sparse direct solvers for the degenerate model operator.
 
-Closed Dirichlet: minimize ||L_h u - f|| over interior unknowns with
-u = 0 imposed as eliminated boundary values, via rank-revealing
-(column-pivoted) QR; the condition estimate is the ratio of extreme
-diagonal entries of the triangular factor, which is also the
-ill-posedness diagnostic.  Mixed problem: min-norm least squares of the
-first-order system with component constraints on G and its complement.
+Every grid solve factors one square sparse matrix M with SuperLU
+(``scipy.sparse.linalg.splu``) and estimates its 1-norm condition number
+kappa_1 = ||M||_1 * est(||M^-1||_1), where est is the Higham-Tisseur
+block 1-norm estimator (SIAM J. Matrix Anal. Appl. 21, 2000) run with a
+single, deterministic start vector (t = 1).  kappa_1 is a lower bound on
+cond_1(M); it is the reported ``condition_estimate`` and, for the
+closed-Dirichlet matrix across refinements, the ill-posedness
+diagnostic.
+
+Closed Dirichlet: M is the square 5-point matrix of L_h on interior
+unknowns with u = 0 imposed as eliminated boundary values.  Mixed
+problem: the min-norm solution of the first-order system A x = f with
+component constraints on G and its complement, from the KKT matrix
+M = [[I, A^T], [A, 0]].  When the factor is exactly singular, when
+kappa_1 * eps >= 1, or when A has more rows than columns, LSMR (Fong &
+Saunders, SIAM J. Sci. Comput. 33, 2011) gives the min-norm
+least-squares solution instead.  ``diagnostics["method"]`` records
+which path ran ("splu" or "lsmr").
 """
 
 import numpy as np
-import scipy.linalg as sla
 from dataclasses import dataclass, field
 
 from .errors import (FactorizationFailure, InadmissibleBoundary,
@@ -17,11 +28,12 @@ from .errors import (FactorizationFailure, InadmissibleBoundary,
 from .grid import Grid2D
 from .multipliers import boundary_admissible
 from .operators import assemble_dirichlet, assemble_mixed
-from .quadrature import (decompose_cells, integrate_signed, integrate_uncut,
-                         weighted_norms)
+from .quadrature import (decompose_cells, integrate_h1_density,
+                         integrate_uncut, weighted_norms)
 from .typegeometry import canonical_type_function
 
 _EPS = np.finfo(float).eps
+_LSMR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,12 +73,15 @@ class DiscreteSolution:
 
     ``values`` is the scalar nodal field, or the (u1, u2) pair for the
     mixed problem; constrained/outside nodes carry the imposed zeros.
+    ``rank`` is the number of equations after a nonsingular factor and
+    None after the LSMR fallback; ``diagnostics["method"]`` names the
+    path ("splu" or "lsmr").
     """
 
     values: object
     residual_norm: float
     condition_estimate: float
-    rank: int
+    rank: int | None
     norms: dict
     diagnostics: dict = field(default_factory=dict)
 
@@ -76,56 +91,78 @@ def _check_finite(name, arr):
         raise FactorizationFailure(f"{name} contains non-finite values")
 
 
-def qr_least_squares(A, rhs):
-    """Rank-revealing least squares (m >= n): column-pivoted QR with
-    truncated back substitution (free pivots zero).  Returns
-    (x, condition_estimate, rank)."""
-    m, n = A.shape
-    _check_finite("matrix", A)
-    Q, R, piv = sla.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    _check_finite("triangular factor", diag)
-    dmax = float(diag.max()) if n else 0.0
-    rank = int(np.sum(diag > max(m, n) * _EPS * dmax)) if dmax > 0.0 else 0
-    y = Q.T @ rhs
-    xp = np.zeros(n)
-    if rank:
-        xp[:rank] = sla.solve_triangular(R[:rank, :rank], y[:rank])
-    x = np.empty(n)
-    x[piv] = xp
-    _check_finite("solution", x)
-    cond = float(diag[0] / diag[-1]) if diag[-1] > 0.0 else np.inf
-    return x, cond, rank
+def _factor(M):
+    """SuperLU factor of a square sparse matrix and its condition
+    estimate kappa_1 = ||M||_1 * onenormest(M^-1, t=1).
+
+    Returns (None, inf) when SuperLU finds the factor exactly singular.
+    ``t=1`` keeps the estimate deterministic: larger t draws random
+    start vectors from the global numpy generator.
+    """
+    import scipy.sparse.linalg as spla
+
+    M = M.tocsc()
+    _check_finite("matrix", M.data)
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None, np.inf
+
+    def solve_t(v):
+        return lu.solve(v, trans="T")
+
+    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, matmat=lu.solve,
+                                  rmatvec=solve_t, rmatmat=solve_t,
+                                  dtype=float)
+    norm1 = float(abs(M).sum(axis=0).max())
+    return lu, norm1 * float(spla.onenormest(inverse, t=1))
 
 
-def qr_min_norm(A, rhs):
-    """Minimum-norm solution of an underdetermined system (m <= n) via
-    QR of the transpose; escalates to the pivoted factorization when the
-    plain one looks rank-deficient."""
+def _lsmr(A, rhs):
+    """Min-norm least-squares solution of A x = rhs by LSMR from x = 0;
+    raises FactorizationFailure unless LSMR reports convergence."""
+    import scipy.sparse.linalg as spla
+
+    _check_finite("matrix", A.data)
+    x, istop, itn = spla.lsmr(A, rhs, atol=_LSMR_TOL, btol=_LSMR_TOL,
+                              conlim=0.0, maxiter=10 * max(A.shape))[:3]
+    if istop not in (0, 1, 2, 4, 5):   # 3, 6: too ill-conditioned; 7: maxiter
+        raise FactorizationFailure(
+            f"LSMR fallback did not converge (istop={istop} after {itn} "
+            "iterations)")
+    return x
+
+
+def _min_norm_solve(A, rhs, kkt):
+    """Min-norm least-squares solution of the sparse system A x = rhs.
+
+    Factors A itself (square A) or, with ``kkt``, the KKT matrix
+    [[I, A^T], [A, 0]], whose solution (x, y) has A x = rhs and
+    x = -A^T y, the min-norm solution.  Falls back to LSMR on A when
+    there is no usable factor.  Returns (x, condition_estimate, rank,
+    method); rank is the full row count after a nonsingular factor and
+    None after the fallback.
+    """
     m, n = A.shape
-    _check_finite("matrix", A)
-    Q, R = sla.qr(A.T, mode="economic")
-    diag = np.abs(np.diag(R))
-    _check_finite("triangular factor", diag)
-    dmax = float(diag.max()) if m else 0.0
-    if dmax > 0.0 and diag.min() > max(m, n) * _EPS * dmax:
-        z = sla.solve_triangular(R.T, rhs, lower=True)
-        x = Q @ z
-        _check_finite("solution", x)
-        return x, float(diag.max() / diag.min()), m
-    Qp, Rp, piv = sla.qr(A.T, mode="economic", pivoting=True)
-    dd = np.abs(np.diag(Rp))
-    _check_finite("triangular factor", dd)
-    dpmax = float(dd.max()) if m else 0.0
-    rank = int(np.sum(dd > max(m, n) * _EPS * dpmax)) if dpmax > 0.0 else 0
-    z = np.zeros(m)
-    if rank:
-        z[:rank] = sla.solve_triangular(Rp[:rank, :rank].T,
-                                        rhs[piv][:rank], lower=True)
-    x = Qp @ z
+    b = rhs
+    if not kkt:
+        lu, cond = _factor(A)
+    elif m <= n:
+        import scipy.sparse as sp
+
+        lu, cond = _factor(sp.block_array([[sp.eye_array(n), A.T],
+                                           [A, None]]))
+        b = np.concatenate((np.zeros(n), rhs))
+    else:
+        lu, cond = None, np.inf   # the KKT matrix is singular when m > n
+    if lu is not None and cond * _EPS < 1.0:
+        x, rank, method = lu.solve(b)[:n], m, "splu"
+    else:
+        x, rank, method = _lsmr(A, rhs), None, "lsmr"
     _check_finite("solution", x)
-    cond = float(dd[0] / dd[-1]) if dd[-1] > 0.0 else np.inf
-    return x, cond, rank
+    return x, cond, rank, method
 
 
 def _forcing_values(forcing, grid):
@@ -143,15 +180,16 @@ def _forcing_values(forcing, grid):
 
 
 def solve_closed_dirichlet(problem, grid):
-    """Least-squares solve of L_h u = f with u = 0 on the boundary.
+    """Solve L_h u = f with u = 0 on the boundary.
 
-    The system is square on the interior unknowns; rank deficiency and
-    ill conditioning are expected (and reported) on domains meeting the
-    sonic curve.  No uniqueness is implied by the returned minimizer.
+    The system is square on the interior unknowns; ill conditioning is
+    expected (and reported) on domains meeting the sonic curve, and a
+    singular factor falls back to the min-norm least-squares solution.
+    No uniqueness is implied by the returned solution.
     """
     A, idx = assemble_dirichlet(grid, problem.kappa)
     f = _forcing_values(problem.forcing, grid)[grid.interior]
-    x, cond, rank = qr_least_squares(A, f)
+    x, cond, rank, method = _min_norm_solve(A, f, kkt=False)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - f))
     values = np.zeros((grid.nx, grid.ny))
@@ -164,6 +202,7 @@ def solve_closed_dirichlet(problem, grid):
         rank=rank,
         norms={"l2_weighted": norms.l2_weighted,
                "h1_weighted": norms.h1_weighted},
+        diagnostics={"method": method},
     )
 
 
@@ -217,11 +256,7 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
     rhs[0::2] = f1[ii, jj]
     rhs[1::2] = f2[ii, jj]
 
-    m, n = A.shape
-    if m <= n:
-        x, cond, rank = qr_min_norm(A, rhs)
-    else:
-        x, cond, rank = qr_least_squares(A, rhs)
+    x, cond, rank, method = _min_norm_solve(A, rhs, kkt=True)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - rhs))
 
@@ -232,11 +267,7 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
 
     decomp = decompose_cells(grid)
 
-    def hk_density(x_, y_, a, b):
-        return np.abs(canonical_type_function(x_, y_)) * a * a + b * b
-
-    hk = np.sqrt(max(integrate_signed(decomp, hk_density, hk_density,
-                                      (u1, u2)), 0.0))
+    hk = np.sqrt(max(integrate_h1_density(decomp, u1, u2), 0.0))
 
     def proviso_density(x_, y_, a, b):
         K = canonical_type_function(x_, y_)
@@ -254,15 +285,17 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
         condition_estimate=cond,
         rank=rank,
         norms={"hk_weighted": hk},
-        diagnostics={"integrability_sampled": proviso,
+        diagnostics={"method": method,
+                     "integrability_sampled": proviso,
                      "excluded_measure": decomp.cut_area,
                      "forcing_norm": scale * float(np.linalg.norm(rhs))},
     )
 
 
 def illposedness_diagnostic(problem, levels):
-    """Condition estimates of the closed-Dirichlet assembly across
-    refinement levels (each level is a node count per axis).
+    """1-norm condition estimates kappa_1 of the closed-Dirichlet matrix
+    across refinement levels (each level is a node count per axis);
+    kappa_1 is inf where the factor is exactly singular.
 
     Returns [(h, condition_estimate)] in the given level order; at
     least three levels are required.  On origin-containing domains the
@@ -274,10 +307,6 @@ def illposedness_diagnostic(problem, levels):
     for n in levels:
         grid = Grid2D(problem.domain, int(n), int(n))
         A, _ = assemble_dirichlet(grid, problem.kappa)
-        _check_finite("matrix", A)
-        _, R, _ = sla.qr(A, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        _check_finite("triangular factor", diag)
-        cond = float(diag[0] / diag[-1]) if diag[-1] > 0.0 else np.inf
+        _, cond = _factor(A)
         out.append((max(grid.hx, grid.hy), cond))
     return out

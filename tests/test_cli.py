@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from coldwave.cli import main
@@ -177,6 +181,7 @@ class TestSubcommands:
         info = json.loads(summary.read_text())
         assert {"residual_norm", "condition_estimate", "rank",
                 "l2_weighted", "h1_weighted"} <= set(info)
+        assert info["method"] == "splu"
 
     def test_solve_mixed(self, mixed_json, tmp_path):
         out = tmp_path / "u12.csv"
@@ -187,6 +192,7 @@ class TestSubcommands:
         assert out.read_text().splitlines()[0] == "x,y,u1,u2"
         info = json.loads(summary.read_text())
         assert info["residual_norm"] <= 1e-6 * info["forcing_norm"]
+        assert info["method"] == "splu"
 
     def test_solve_mixed_inadmissible_exit(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -210,6 +216,34 @@ class TestSubcommands:
         assert main(["--quiet", "solve-mixed", "--problem", mixed_json]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "out of memory" in err
+
+    def test_non_finite_matrix_is_numerical_failure(self, problem_json,
+                                                    monkeypatch, capsys):
+        import coldwave.solvers
+
+        real = coldwave.solvers.assemble_dirichlet
+
+        def poisoned(grid, kappa):
+            A, idx = real(grid, kappa)
+            A.data[0] = np.nan
+            return A, idx
+
+        monkeypatch.setattr(coldwave.solvers, "assemble_dirichlet", poisoned)
+        assert main(["--quiet", "solve", "--problem", problem_json]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_cli_import_loads_no_scipy(self):
+        import coldwave
+
+        src = os.path.dirname(os.path.dirname(coldwave.__file__))
+        code = ("import sys, coldwave.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_energy_check(self, tmp_path):
         out = tmp_path / "energy.json"

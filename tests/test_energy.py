@@ -7,6 +7,7 @@ from coldwave.multipliers import (BoundaryReport, MixedMultiplierSpec,
                                   MultiplierSpec, boundary_admissible,
                                   random_interior_bump,
                                   verify_energy_inequality)
+from coldwave.quadrature import decompose_cells, weighted_norms
 
 
 @pytest.fixture
@@ -119,6 +120,39 @@ class TestVerifyEnergyInequality:
                 u = grid_bump(g, random_interior_bump(unit_square, rng))
                 rep = verify_energy_inequality(u, kappa, spec, g)
                 assert rep.ratio >= spec.ratio_bound * 0.9
+
+    def test_rhs_is_square_of_reported_seminorm(self, unit_square):
+        g = Grid2D(unit_square, 33, 33)
+        spec = MultiplierSpec.from_kappa(1.5, g)
+        u = grid_bump(g, random_interior_bump(unit_square,
+                                              np.random.default_rng(3)))
+        rep = verify_energy_inequality(u, 1.5, spec, g)
+        norms = weighted_norms(u, g, include_dual=False)
+        assert rep.rhs == norms.h1_weighted ** 2
+
+    def test_one_gradient_two_integrals_per_call(self, unit_square,
+                                                 monkeypatch):
+        import coldwave.multipliers
+        import coldwave.quadrature
+
+        calls = {"gradient": 0, "integrate_signed": 0}
+        for name in calls:
+            real = getattr(coldwave.quadrature, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (coldwave.multipliers, coldwave.quadrature):
+                monkeypatch.setattr(module, name, counted)
+        g = Grid2D(unit_square, 17, 17)
+        dec = decompose_cells(g)
+        spec = MultiplierSpec.from_kappa(1.5, g)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            u = grid_bump(g, random_interior_bump(unit_square, rng))
+            verify_energy_inequality(u, 1.5, spec, g, decomp=dec)
+        assert calls == {"gradient": 20, "integrate_signed": 40}
 
 
 class TestMixedMultiplierSpec:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from coldwave.errors import (InadmissibleBoundary, InsufficientLevels)
+from coldwave.errors import (FactorizationFailure, InadmissibleBoundary,
+                             InsufficientLevels)
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import MixedMultiplierSpec
+from coldwave.operators import assemble_dirichlet, assemble_mixed
 from coldwave.quadrature import decompose_cells
-from coldwave.solvers import (ModelProblem, illposedness_diagnostic,
-                              qr_least_squares, qr_min_norm,
+from coldwave.solvers import (ModelProblem, _factor, _min_norm_solve,
+                              _segment_node_mask, illposedness_diagnostic,
                               solve_closed_dirichlet, solve_mixed)
 
 
@@ -26,31 +29,165 @@ def manufactured_forcing(kappa):
     return ustar, f
 
 
-class TestQRHelpers:
-    def test_square_solve(self, rng):
-        A = rng.normal(size=(40, 40))
-        x_true = rng.normal(size=40)
-        x, cond, rank = qr_least_squares(A, A @ x_true)
-        assert rank == 40
-        assert np.allclose(x, x_true, atol=1e-8 * cond)
+def dense_dirichlet(grid, kappa):
+    """Dense 5-point matrix of L on interior unknowns, node by node."""
+    ii, jj = np.nonzero(grid.interior)
+    number = {(i, j): k for k, (i, j) in enumerate(zip(ii, jj))}
+    K = grid.type_values()
+    hx2, hy2 = grid.hx * grid.hx, grid.hy * grid.hy
+    A = np.zeros((ii.size, ii.size))
+    for (i, j), k in number.items():
+        Kc = K[i, j]
+        A[k, k] = -2.0 * Kc / hx2 - 2.0 / hy2
+        for nb, coeff in (((i + 1, j), Kc / hx2 + kappa / (2.0 * grid.hx)),
+                          ((i - 1, j), Kc / hx2 - kappa / (2.0 * grid.hx)),
+                          ((i, j + 1), 1.0 / hy2), ((i, j - 1), 1.0 / hy2)):
+            if nb in number:
+                A[k, number[nb]] = coeff
+    return A
 
-    def test_rank_deficient_least_squares(self, rng):
-        A = rng.normal(size=(30, 20))
-        A[:, -1] = A[:, 0]  # exact rank deficiency
-        b = rng.normal(size=30)
-        x, cond, rank = qr_least_squares(A, b)
-        assert rank == 19
-        assert np.isfinite(x).all()
 
-    def test_min_norm_solution(self, rng):
-        A = rng.normal(size=(15, 40))
+def dense_mixed(grid, kappa, idx1, idx2):
+    """Dense first-order system matrix, node by node (eq1 then eq2)."""
+    ii, jj = np.nonzero(grid.interior)
+    K = grid.type_values()
+    a, b = 1.0 / (2.0 * grid.hx), 1.0 / (2.0 * grid.hy)
+    A = np.zeros((2 * ii.size, int(max(idx1.max(), idx2.max())) + 1))
+    for k, (i, j) in enumerate(zip(ii, jj)):
+        for row, terms in (
+            (2 * k, ((idx1, i + 1, j, K[i, j] * a),
+                     (idx1, i - 1, j, -K[i, j] * a), (idx1, i, j, kappa),
+                     (idx2, i, j + 1, b), (idx2, i, j - 1, -b))),
+            (2 * k + 1, ((idx1, i, j + 1, b), (idx1, i, j - 1, -b),
+                         (idx2, i + 1, j, -a), (idx2, i - 1, j, a))),
+        ):
+            for idx, p, q, coeff in terms:
+                if idx[p, q] >= 0:
+                    A[row, idx[p, q]] += coeff
+    return A
+
+
+ORIGIN = Domain.rectangle(-1.05, 0.95, -1.02, 0.98)
+ELLIPTIC = Domain.rectangle(1.5, 2.5, -0.4, 0.4)
+UNION = Domain(((1.2, 2.2, -0.4, 0.4), (2.2, 3.2, -0.4, 0.0)))
+
+
+class TestSparsePath:
+    """The sparse assembly and factorization against dense oracles at
+    n <= 17."""
+
+    @pytest.mark.parametrize("dom,nx,ny", [(ORIGIN, 13, 13),
+                                           (ELLIPTIC, 9, 17),
+                                           (UNION, 17, 9)])
+    def test_dirichlet_assembly_matches_dense(self, dom, nx, ny):
+        g = Grid2D(dom, nx, ny)
+        A, idx = assemble_dirichlet(g, 0.5)
+        assert sp.issparse(A)
+        assert np.array_equal(A.toarray(), dense_dirichlet(g, 0.5))
+        assert np.array_equal(idx[g.interior], np.arange(A.shape[0]))
+
+    @pytest.mark.parametrize("kappa,G", [(0.0, ("top", "left")),
+                                         (0.7, ())])
+    def test_mixed_assembly_matches_dense(self, kappa, G):
+        dom = Domain.rectangle(-0.5, 1.0, -0.75, 0.75)
+        g = Grid2D(dom, 13, 11)
+        g_mask = _segment_node_mask(g, set(G))
+        off = _segment_node_mask(g, {"bottom", "top", "left", "right"}
+                                 - set(G))
+        A, idx1, idx2 = assemble_mixed(g, kappa, g_mask, off)
+        assert sp.issparse(A)
+        assert np.array_equal(A.toarray(), dense_mixed(g, kappa, idx1, idx2))
+
+    @pytest.mark.parametrize("dom", [ORIGIN, ELLIPTIC])
+    def test_dirichlet_matches_dense_solve(self, dom):
+        g = Grid2D(dom, 17, 17)
+        f = lambda x, y: np.exp(-x ** 2 - y ** 2) + x
+        sol = solve_closed_dirichlet(ModelProblem(0.5, dom, forcing=f), g)
+        A, _ = assemble_dirichlet(g, 0.5)
+        x = np.linalg.solve(A.toarray(), g.evaluate(f)[g.interior])
+        assert np.abs(sol.values[g.interior] - x).max() \
+            <= 1e-10 * np.abs(x).max()
+        assert sol.diagnostics["method"] == "splu"
+        assert sol.rank == A.shape[0]
+
+    def test_mixed_matches_min_norm_lstsq(self):
+        dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
+        spec = MixedMultiplierSpec.auto(dom)
+        f1 = lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * np.pi * y)
+        f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
+        prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed",
+                            G=("top", "left"))
+        g = Grid2D(dom, 17, 17)
+        sol = solve_mixed(prob, g, spec)
+        A, idx1, idx2 = assemble_mixed(
+            g, 0.0, _segment_node_mask(g, {"top", "left"}),
+            _segment_node_mask(g, {"bottom", "right"}))
+        rhs = np.empty(A.shape[0])
+        rhs[0::2] = g.evaluate(f1)[g.interior]
+        rhs[1::2] = g.evaluate(f2)[g.interior]
+        x = np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0]
+        u1, u2 = sol.values
+        got = np.empty_like(x)
+        got[idx1[idx1 >= 0]] = u1[idx1 >= 0]
+        got[idx2[idx2 >= 0]] = u2[idx2 >= 0]
+        assert np.abs(got - x).max() <= 1e-10 * np.abs(x).max()
+        assert sol.diagnostics["method"] == "splu"
+        assert sol.rank == A.shape[0]
+
+    @pytest.mark.parametrize("n", [9, 13, 17])
+    @pytest.mark.parametrize("dom", [ORIGIN, ELLIPTIC])
+    def test_condition_estimate_brackets_cond1(self, dom, n):
+        A, _ = assemble_dirichlet(Grid2D(dom, n, n), 0.5)
+        cond1 = np.linalg.cond(A.toarray(), 1)
+        _, est = _factor(A)
+        assert cond1 / 3.0 <= est <= cond1 * (1.0 + 1e-12)
+        assert _factor(A)[1] == est
+
+    @pytest.mark.parametrize("column", [2, None])
+    def test_singular_matrix_takes_lsmr(self, rng, column):
+        # a duplicated column leaves an ill-conditioned factor, an empty
+        # one an exactly singular factor
+        M = rng.normal(size=(12, 12))
+        M[:, 5] = M[:, column] if column is not None else 0.0
+        A = sp.csr_array(M)
+        b = rng.normal(size=12)
+        lu, cond = _factor(A)
+        assert lu is None or cond * np.finfo(float).eps >= 1.0
+        x, cond, rank, method = _min_norm_solve(A, b, kkt=False)
+        assert (rank, method) == (None, "lsmr")
+        x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+    def test_tall_system_takes_lsmr(self, rng):
+        M = rng.normal(size=(15, 8))
         b = rng.normal(size=15)
-        x, cond, rank = qr_min_norm(A, b)
-        assert rank == 15
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-        # min-norm: orthogonal to the null space direction of any other sol
-        x2 = np.linalg.lstsq(A, b, rcond=None)[0]
-        assert np.linalg.norm(x) <= np.linalg.norm(x2) * (1 + 1e-10)
+        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b,
+                                                kkt=True)
+        assert (cond, rank, method) == (np.inf, None, "lsmr")
+        x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+    def test_lsmr_not_converged_raises(self, rng, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        real = spla.lsmr
+
+        def stalled(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return (out[0], 7) + out[2:]   # istop 7: iteration limit
+
+        monkeypatch.setattr(spla, "lsmr", stalled)
+        M = rng.normal(size=(6, 6))
+        M[:, 1] = M[:, 0]
+        with pytest.raises(FactorizationFailure):
+            _min_norm_solve(sp.csr_array(M), rng.normal(size=6), kkt=False)
+
+    def test_non_finite_matrix_raises(self):
+        A = sp.csr_array(np.array([[1.0, 0.0], [np.nan, 2.0]]))
+        with pytest.raises(FactorizationFailure):
+            _min_norm_solve(A, np.ones(2), kkt=False)
+        with pytest.raises(FactorizationFailure):
+            _min_norm_solve(A, np.ones(2), kkt=True)
 
 
 class TestModelProblem:
@@ -179,6 +316,12 @@ class TestMixed:
         sol = solve_mixed(prob, Grid2D(dom, 17, 17), spec)
         assert sol.rank > 0
 
+    def test_acceptance_14_problem_at_129(self, setup):
+        dom, spec, prob = setup
+        sol = solve_mixed(prob, Grid2D(dom, 129, 129), spec)
+        assert sol.residual_norm < 1e-6 * sol.diagnostics["forcing_norm"]
+        assert sol.diagnostics["method"] == "splu"
+
     def test_excluded_measure_is_cut_area(self, setup):
         dom, spec, prob = setup
         grid = Grid2D(dom, 17, 17)
@@ -207,3 +350,12 @@ class TestIllposednessDiagnostic:
         out = illposedness_diagnostic(prob, [9, 17, 33])
         conds = [c for _, c in out]
         assert conds[0] <= conds[1] <= conds[2]
+
+    def test_origin_growth_monotone_and_ahead_of_elliptic(self):
+        levels = [13, 33, 49, 65, 97, 129]
+        co = [c for _, c in
+              illposedness_diagnostic(ModelProblem(0.5, ORIGIN), levels)]
+        ce = [c for _, c in
+              illposedness_diagnostic(ModelProblem(0.5, ELLIPTIC), levels)]
+        assert all(a <= b for a, b in zip(co, co[1:]))
+        assert all(o > e for o, e in zip(co, ce))
