@@ -6,7 +6,8 @@ solve-mixed, energy-check, illposedness.  Outputs are deterministic:
 identical configuration and seed give byte-identical files.
 
 Exit codes: 0 success; 1 invalid input or configuration; 2 numerical
-failure (singularity, factorization, out of memory); 3 a check failed
+failure (singularity, factorization, out of memory) or an unexpected
+internal error; 3 a check failed
 (energy ratio below bound, inadmissible boundary, symbol-check failure).
 """
 
@@ -93,13 +94,10 @@ def cmd_dispersion(run):
         raise ValueError("omega and theta grids must be nonempty")
     if min(omegas) <= 0.0:
         raise ValueError("omega grid values must be positive")
-    rows = dispersion.dispersion_scan(pl, omegas, thetas,
-                                      resonance_rtol=run.tol)
-    output.write_csv(
-        dispersion.SCAN_HEADER,
-        [(r.omega, r.theta, r.A, r.B, r.C, r.F2, r.n2_plus, r.n2_minus,
-          r.class_plus, r.class_minus, r.flag) for r in rows],
-        run.out)
+    columns = dispersion.dispersion_scan(pl, omegas, thetas,
+                                         resonance_rtol=run.tol)
+    output.write_csv(dispersion.SCAN_HEADER,
+                     output.column_rows(*columns.values()), run.out)
     return EXIT_OK
 
 
@@ -134,21 +132,18 @@ def cmd_typemap(run):
     k33 = cfg.parse_field(data.get("K33"), default=1.0)
     x0, x1, z0, z1 = _box(run.options["box"])
     nx, nz = run.options["nx"], run.options["nz"]
-    xs = np.linspace(x0, x1, nx)
-    zs = np.linspace(z0, z1, nz)
-    rows = []
-    k33_min = np.inf
-    for x in xs:
-        for z in zs:
-            v11 = float(np.real(k11(x, z)))
-            v33 = float(np.real(k33(x, z)))
-            k33_min = min(k33_min, v33)
-            rows.append((x, z, v11, v33,
-                         electrostatics.type_from_product(v11, v33)))
+    X, Z = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(z0, z1, nz),
+                       indexing="ij")
+    v11, v33 = (np.broadcast_to(np.real(k(X, Z)), X.shape).astype(float)
+                for k in (k11, k33))
+    kinds = electrostatics.type_from_product(v11, v33)
+    # NaN samples are skipped, as a running min() would skip them
+    k33_min = np.min(v33, initial=np.inf, where=~np.isnan(v33))
     if k33_min <= 0.0:
         _note(run, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
                    "assumes strictly positive K33")
-    output.write_csv("x,z,K11,K33,type", rows, run.out)
+    output.write_csv("x,z,K11,K33,type", output.column_rows(
+        *(a.ravel() for a in (X, Z, v11, v33, kinds))), run.out)
     return EXIT_OK
 
 
@@ -472,6 +467,11 @@ def main(argv=None):
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def _parser_fail(parser, message):

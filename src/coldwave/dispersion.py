@@ -1,20 +1,24 @@
 """Cold-plasma dispersion relation (wave-normal surface).
 
 Builds the quadratic-in-n^2 coefficients A, B, C, solves for the squared
-refractive indices, and scans frequency brackets for cutoffs (C=0 via
-p=0, R=0, L=0) and hybrid resonances (s=0).
+refractive indices, evaluates whole (omega, theta) grids in array form,
+and scans frequency brackets for cutoffs (C=0 via p=0, R=0, L=0) and
+hybrid resonances (s=0).
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import rootscan
-from .errors import CyclotronResonance, DegenerateQuartic
+from .errors import DegenerateQuartic
 from .plasma import (
     RESONANCE_RTOL,
     cyclotron_frequency,
+    near_cyclotron,
     plasma_frequency_squared,
-    stix_parameters,
+    stix_arrays,
 )
 
 SCAN_HEADER = "omega,theta,A,B,C,F2,n2_plus,n2_minus,class_plus,class_minus,flag"
@@ -51,6 +55,26 @@ class DispersionSolution:
     complex_roots: bool = False
 
 
+def _coefficients(s, d, p, sin2, cos2):
+    """(A, B, C, F^2) from plain arithmetic, so that (s, d, p) may be
+    column arrays over omega and (sin2, cos2) row arrays over theta.
+    Every product keeps its left-to-right order, and the square of
+    RL - ps is Python's float power per entry, so each grid point
+    matches the scalar evaluation bit for bit."""
+    rl = s * s - d * d
+    A = s * sin2 + p * cos2
+    B = rl * sin2 + p * s * (1.0 + cos2)
+    C = p * rl
+    F2 = _square(rl - p * s) * sin2 * sin2 + 4.0 * p * p * d * d * cos2
+    return A, B, C, F2
+
+
+def _square(x):
+    if isinstance(x, np.ndarray):
+        return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+    return x ** 2
+
+
 def wave_normal_coefficients(stix, theta):
     """Wave-normal surface coefficients at angle theta [rad] from B0.
 
@@ -62,13 +86,8 @@ def wave_normal_coefficients(stix, theta):
     """
     sin2 = math.sin(theta) ** 2
     cos2 = math.cos(theta) ** 2
-    s, d, p = stix.s, stix.d, stix.p
-    rl = s * s - d * d
-    A = s * sin2 + p * cos2
-    B = rl * sin2 + p * s * (1.0 + cos2)
-    C = p * rl
-    F2 = (rl - p * s) ** 2 * sin2 * sin2 + 4.0 * p * p * d * d * cos2
-    return WaveNormalCoefficients(A, B, C, F2, theta)
+    return WaveNormalCoefficients(
+        *_coefficients(stix.s, stix.d, stix.p, sin2, cos2), theta)
 
 
 def f_squared_alternate(stix, theta):
@@ -146,37 +165,9 @@ def resonance_angle(stix):
     return math.atan(math.sqrt(ratio))
 
 
-def _species_tables(plasma):
-    return [
-        (plasma_frequency_squared(sp), cyclotron_frequency(sp, plasma.B0),
-         sp.charge_sign)
-        for sp in plasma.species
-    ]
-
-
-def _stix_p(tables):
-    def p(w):
-        return 1.0 - sum(pi2 for pi2, _, _ in tables) / (w * w)
-    return p
-
-
-def _stix_R(tables):
-    def R(w):
-        return 1.0 - sum(pi2 / (w * (w + sgn * Om)) for pi2, Om, sgn in tables)
-    return R
-
-
-def _stix_L(tables):
-    def L(w):
-        return 1.0 - sum(pi2 / (w * (w - sgn * Om)) for pi2, Om, sgn in tables)
-    return L
-
-
-def _stix_s(tables):
-    R, L = _stix_R(tables), _stix_L(tables)
-    def s(w):
-        return 0.5 * (R(w) + L(w))
-    return s
+def _poles(plasma):
+    poles = (cyclotron_frequency(sp, plasma.B0) for sp in plasma.species)
+    return [Om for Om in poles if Om > 0.0]
 
 
 def cutoff_frequencies(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
@@ -189,11 +180,10 @@ def cutoff_frequencies(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
     a, b = omega_bracket
     if not 0.0 < a < b:
         raise ValueError("omega bracket must satisfy 0 < a < b")
-    tables = _species_tables(plasma)
-    poles = [Om for _, Om, _ in tables if Om > 0.0]
+    poles = _poles(plasma)
     found = []
-    for fn, label in ((_stix_p(tables), "P"), (_stix_R(tables), "R"),
-                      (_stix_L(tables), "L")):
+    for index, label in ((4, "P"), (0, "R"), (1, "L")):
+        fn = lambda w, index=index: stix_arrays(plasma, w)[index]
         for w in rootscan.scan_roots(fn, a, b, poles, n_grid=n_grid, rtol=rtol):
             found.append((w, label))
     found.sort()
@@ -216,9 +206,8 @@ def hybrid_resonances(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
     a, b = omega_bracket
     if not 0.0 < a < b:
         raise ValueError("omega bracket must satisfy 0 < a < b")
-    tables = _species_tables(plasma)
-    poles = [Om for _, Om, _ in tables if Om > 0.0]
-    roots = tuple(rootscan.scan_roots(_stix_s(tables), a, b, poles,
+    roots = tuple(rootscan.scan_roots(lambda w: stix_arrays(plasma, w)[2],
+                                      a, b, _poles(plasma),
                                       n_grid=n_grid, rtol=rtol))
     estimate = None
     electron_sp = plasma.electron_species()
@@ -231,67 +220,98 @@ def hybrid_resonances(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
     return HybridResonances(roots, estimate)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One dispersion-scan grid point; mirrors SCAN_HEADER order."""
+# Labels of the scan's class and flag columns.  The array solve works on
+# codes into this table; the columns hold the label objects themselves.
+_LABELS = np.array(["", "cutoff", "propagating", "evanescent", "complex",
+                    "resonance", "degenerate", "cyclotron_resonance"],
+                   dtype=object)
+_CODE = {label: code for code, label in enumerate(_LABELS)}
 
-    omega: float
-    theta: float
-    A: float = math.nan
-    B: float = math.nan
-    C: float = math.nan
-    F2: float = math.nan
-    n2_plus: float = math.nan
-    n2_minus: float = math.nan
-    class_plus: str = ""
-    class_minus: str = ""
-    flag: str = ""
+
+def _classify_codes(value, scale):
+    """Array form of :func:`_classify` (``max`` spelt as Python's)."""
+    cutoff = np.abs(value) <= 1e-14 * np.where(scale > 1.0, scale, 1.0)
+    return np.where(cutoff, _CODE["cutoff"],
+                    np.where(value > 0.0, _CODE["propagating"],
+                             _CODE["evanescent"]))
+
+
+def _solve_grid(A, B, C, F2, branch_rtol=RESONANCE_BRANCH_RTOL):
+    """Array form of :func:`refractive_indices` with masked branches.
+
+    Returns (n2_plus, n2_minus, class_plus, class_minus, flag): each
+    point takes the branch, the roundings and the classification of the
+    scalar solve, and a complex pair carries its real parts.  The last
+    three are codes into ``_LABELS``.
+    """
+    scale = np.abs(A) + np.abs(B) + np.abs(C)
+    a_tol = branch_rtol * np.where(1e-300 > scale, 1e-300, scale)
+    on_branch = np.abs(A) <= a_tol
+    degenerate = on_branch & (np.abs(B) <= a_tol)
+    resonance = on_branch & ~degenerate
+    pair = ~on_branch & (F2 < 0.0)
+    real = ~on_branch & ~pair
+    with np.errstate(all="ignore"):
+        F = np.sqrt(F2)
+        upper = B >= 0.0
+        q = np.where(upper, 0.5 * (B + F), 0.5 * (B - F))
+        zero = q == 0.0
+        big = np.where(zero, 0.0, q / A)
+        small = np.where(zero, 0.0, C / q)
+        r0 = np.where(upper, big, small)
+        r1 = np.where(upper, small, big)
+        scale_r = np.where(np.abs(r1) > np.abs(r0), np.abs(r1), np.abs(r0))
+        root = C / B
+        re = B / (2.0 * A)
+    n2_plus = np.where(real, r0, np.where(resonance, root,
+                                          np.where(pair, re, math.nan)))
+    n2_minus = np.where(real, r1, np.where(pair, re, math.nan))
+    other = np.where(pair, _CODE["complex"], _CODE[""])
+    class_plus = np.where(real, _classify_codes(r0, scale_r),
+                          np.where(resonance,
+                                   _classify_codes(root, np.abs(root)), other))
+    class_minus = np.where(real, _classify_codes(r1, scale_r),
+                           np.where(resonance, _CODE["resonance"], other))
+    flag = np.where(degenerate, _CODE["degenerate"],
+                    np.where(resonance, _CODE["resonance"], other))
+    return n2_plus, n2_minus, class_plus, class_minus, flag
 
 
 def dispersion_scan(plasma, omega_grid, theta_grid,
                     resonance_rtol=RESONANCE_RTOL):
     """Evaluate the dispersion relation over an (omega, theta) grid.
 
-    One row per grid point in omega-major order.  Rows never abort the
-    scan: cyclotron-resonant frequencies, complex pairs, the resonance
-    branch and the degenerate case are flagged per row.  For a complex
-    pair the n2 columns carry the (equal) real parts; the conjugate
-    imaginary part is recoverable from A, B, F2.
+    Returns a dict of 1-D arrays keyed by the SCAN_HEADER names, in that
+    order, with one entry per grid point in omega-major order.  The Stix
+    parameters come from one :func:`stix_arrays` call over the omega
+    grid and the quadratic is solved with masked branches over the whole
+    grid; each point equals the scalar composition :func:`stix_parameters`
+    -> :func:`wave_normal_coefficients` -> :func:`refractive_indices`.
+    Points never abort the scan: cyclotron-resonant frequencies, complex
+    pairs, the resonance branch and the degenerate case are flagged.  For
+    a complex pair the n2 columns carry the (equal) real parts; the
+    conjugate imaginary part is recoverable from A, B, F2.
     """
-    rows = []
-    for omega in omega_grid:
-        try:
-            stix = stix_parameters(plasma, omega, resonance_rtol)
-        except CyclotronResonance:
-            rows.extend(
-                ScanRow(omega, theta, flag="cyclotron_resonance")
-                for theta in theta_grid
-            )
-            continue
-        for theta in theta_grid:
-            coeffs = wave_normal_coefficients(stix, theta)
-            base = dict(omega=omega, theta=theta, A=coeffs.A, B=coeffs.B,
-                        C=coeffs.C, F2=coeffs.F_squared)
-            try:
-                sol = refractive_indices(coeffs)
-            except DegenerateQuartic:
-                rows.append(ScanRow(**base, flag="degenerate"))
-                continue
-            if sol.resonance:
-                rows.append(ScanRow(
-                    **base, n2_plus=sol.n_squared[0],
-                    class_plus=sol.classifications[0],
-                    class_minus="resonance", flag="resonance"))
-            elif sol.complex_roots:
-                rows.append(ScanRow(
-                    **base, n2_plus=sol.n_squared[0].real,
-                    n2_minus=sol.n_squared[1].real,
-                    class_plus="complex", class_minus="complex",
-                    flag="complex"))
-            else:
-                rows.append(ScanRow(
-                    **base, n2_plus=sol.n_squared[0],
-                    n2_minus=sol.n_squared[1],
-                    class_plus=sol.classifications[0],
-                    class_minus=sol.classifications[1]))
-    return rows
+    omegas = np.asarray(omega_grid, dtype=float)
+    thetas = np.asarray(theta_grid, dtype=float)
+    if np.any(omegas <= 0.0):
+        raise ValueError("omega must be > 0")
+    shape = (omegas.size, thetas.size)
+    resonant = np.broadcast_to(
+        near_cyclotron(plasma, omegas, resonance_rtol), omegas.shape)
+    sin2 = np.array([math.sin(t) ** 2 for t in thetas.tolist()])
+    cos2 = np.array([math.cos(t) ** 2 for t in thetas.tolist()])
+    with np.errstate(all="ignore"):  # inf/nan as the scalar chain gives
+        _, _, s, d, p = (np.where(resonant, math.nan, v)[:, None]
+                         for v in stix_arrays(plasma, omegas))
+        coeffs = [np.broadcast_to(c, shape)
+                  for c in _coefficients(s, d, p, sin2, cos2)]
+    n2_plus, n2_minus, *codes = _solve_grid(*coeffs)
+    resonant = np.broadcast_to(resonant[:, None], shape)
+    marks = (_CODE[""], _CODE[""], _CODE["cyclotron_resonance"])
+    labels = [_LABELS[np.where(resonant, mark, code)]
+              for code, mark in zip(codes, marks)]
+    columns = (np.repeat(omegas, thetas.size), np.tile(thetas, omegas.size),
+               *coeffs, n2_plus, n2_minus, *labels)
+    return {name: np.ravel(col)
+            for name, col in zip(SCAN_HEADER.split(","), columns)}

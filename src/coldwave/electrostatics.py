@@ -142,11 +142,12 @@ def pde_coefficients(tensor, k2, x, z):
 
 def type_from_product(K11, K33, tol=TYPE_PRODUCT_TOL):
     """Equation type from the sign of K11*K33: 'elliptic' (> 0),
-    'hyperbolic' (< 0), or 'parabolic' (zero within tol)."""
-    product = K11 * K33
-    if abs(product) <= tol:
-        return "parabolic"
-    return "elliptic" if product > 0.0 else "hyperbolic"
+    'hyperbolic' (< 0), or 'parabolic' (zero within tol).  For array
+    arguments the result is an array of these names."""
+    product = np.multiply(K11, K33)
+    kind = np.where(np.abs(product) <= tol, "parabolic",
+                    np.where(product > 0.0, "elliptic", "hyperbolic"))
+    return kind if kind.ndim else str(kind)
 
 
 def sonic_condition(K, eta, theta, tol=SONIC_TOL):

@@ -5,10 +5,16 @@ so that repeated runs with identical inputs are byte-identical and
 values round-trip exactly.
 """
 
+import contextlib
+import functools
+import itertools
 import math
 import sys
 
 import numpy as np
+
+# Rows converted, formatted and written per step of write_csv/column_rows.
+BLOCK_ROWS = 4096
 
 
 def fmt_float(x):
@@ -21,19 +27,38 @@ def fmt_float(x):
     return format(x, ".16e")
 
 
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+@functools.lru_cache(maxsize=256)
+def _row_format(types):
+    """One %-format for a row whose cells have these types: floats as
+    fmt_float writes them (%.16e also spells nan, inf, -inf), integers
+    (bool included) as %d, anything else as str()."""
+    return ",".join(
+        "%.16e" if issubclass(t, (float, np.floating))
+        else "%d" if issubclass(t, (int, np.integer))
+        else "%s"
+        for t in types)
+
+
+def _csv_rows(rows):
+    for row in rows:
+        row = tuple(row)
+        yield _row_format(tuple(map(type, row))) % row
 
 
 def csv_lines(header, rows):
     """Header plus comma-joined rows with deterministic formatting."""
-    lines = [header]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return lines
+    return [header, *_csv_rows(rows)]
+
+
+def column_rows(*columns):
+    """Rows (tuples of Python values) of equal-length 1-D arrays.
+
+    Columns are converted BLOCK_ROWS rows at a time, so no full-length
+    list of Python values is ever held.
+    """
+    n = len(columns[0]) if columns else 0
+    for k in range(0, n, BLOCK_ROWS):
+        yield from zip(*(col[k:k + BLOCK_ROWS].tolist() for col in columns))
 
 
 def json_text(obj, indent=0):
@@ -74,21 +99,31 @@ def json_text(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _write(pieces, out):
+    """Write text pieces to the given path, or stdout when out is None,
+    and end with a newline unless the text already does."""
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="\n")) as fh:
+        last = ""
+        for piece in pieces:
+            fh.write(piece)
+            last = piece or last
+        if not last.endswith("\n"):
+            fh.write("\n")
+
+
 def write_text(text, out=None):
     """Write to the given path, or stdout when out is None."""
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+    _write([text], out)
 
 
 def write_csv(header, rows, out=None):
-    write_text("\n".join(csv_lines(header, rows)), out)
+    """Write the text of ``csv_lines(header, rows)``, formatting and
+    writing BLOCK_ROWS rows at a time."""
+    lines = _csv_rows(rows)
+    blocks = iter(lambda: list(itertools.islice(lines, BLOCK_ROWS)), [])
+    _write(itertools.chain([header], ("\n" + "\n".join(b) for b in blocks)),
+           out)
 
 
 def write_json(obj, out=None):

@@ -147,6 +147,17 @@ def plasma_frequency_squared(species):
     return species.density * q * q / (EPSILON_0 * species.mass)
 
 
+def near_cyclotron(plasma, omega, rtol=RESONANCE_RTOL):
+    """True where omega lies within rtol (relative) of a cyclotron
+    frequency.  omega may be a float or an ndarray (boolean mask)."""
+    near = False
+    for sp in plasma.species:
+        Om = cyclotron_frequency(sp, plasma.B0)
+        if Om > 0.0:
+            near = near | (abs(omega - Om) < rtol * Om)
+    return near
+
+
 def _check_cyclotron(plasma, omega, rtol):
     """Raise if omega is within rtol (relative) of any cyclotron frequency."""
     for sp in plasma.species:
@@ -158,17 +169,15 @@ def _check_cyclotron(plasma, omega, rtol):
             )
 
 
-def stix_parameters(plasma, omega, resonance_rtol=RESONANCE_RTOL):
-    """Stix parameters of a plasma at angular frequency omega > 0.
+def stix_arrays(plasma, omega):
+    """The Stix quintuple (R, L, s, d, p) at angular frequency omega.
 
     R and L sum 1 - Pi^2 / (omega (omega +/- sign*Omega)) over species;
-    p = 1 - sum Pi^2/omega^2.  Raises CyclotronResonance if omega sits
-    within ``resonance_rtol`` of any species' cyclotron frequency, where
-    the cold model breaks down.
+    p = 1 - sum Pi^2/omega^2.  Plain arithmetic, so omega may be a float
+    (float results) or an ndarray (arrays of its shape; with no species
+    the results stay the scalar vacuum values).  Nothing is checked: see
+    :func:`stix_parameters` for the omega > 0 and cyclotron guards.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
-    _check_cyclotron(plasma, omega, resonance_rtol)
     R = 1.0
     L = 1.0
     p = 1.0
@@ -179,7 +188,20 @@ def stix_parameters(plasma, omega, resonance_rtol=RESONANCE_RTOL):
         R -= pi2 / (omega * (omega + sgn * Om))
         L -= pi2 / (omega * (omega - sgn * Om))
         p -= pi2 / (omega * omega)
-    return StixParameters(R, L, 0.5 * (R + L), 0.5 * (R - L), p)
+    return R, L, 0.5 * (R + L), 0.5 * (R - L), p
+
+
+def stix_parameters(plasma, omega, resonance_rtol=RESONANCE_RTOL):
+    """Stix parameters of a plasma at angular frequency omega > 0.
+
+    Scalar form of :func:`stix_arrays`.  Raises CyclotronResonance if
+    omega sits within ``resonance_rtol`` of any species' cyclotron
+    frequency, where the cold model breaks down.
+    """
+    if omega <= 0.0:
+        raise ValueError("omega must be > 0")
+    _check_cyclotron(plasma, omega, resonance_rtol)
+    return StixParameters(*stix_arrays(plasma, omega))
 
 
 def stix_approximate_RL(plasma, omega):

@@ -3,11 +3,13 @@
 The Stix functions R, L, s have simple poles at the cyclotron
 frequencies, so derivative-based root finders are unsafe.  The scanner
 splits a bracket at the known pole locations (with small guard gaps),
-samples each pole-free piece on a geometric grid, and bisects every sign
-change.
+samples each pole-free piece on a geometric grid in one array call, and
+bisects every sign change with scalar calls.
 """
 
 import math
+
+import numpy as np
 
 from .errors import BracketTooWide
 
@@ -75,28 +77,31 @@ def scan_roots(f, a, b, poles=(), n_grid=2048, rtol=1e-12):
     """All sign-change roots of f on [a, b], avoiding the given poles.
 
     Samples each pole-free piece on a geometric grid (a, b must be
-    positive) and bisects every bracketed sign change.  Returns roots in
-    increasing order; tangent (non-sign-changing) roots are not found.
+    positive) and bisects every bracketed sign change.  ``f`` must take
+    both a float and a 1-D array: each piece's samples are one call
+    f(xs) (a scalar result is broadcast to the samples), bisection calls
+    it on floats.  Returns roots in increasing order; tangent
+    (non-sign-changing) roots are not found.
     """
     if a <= 0.0:
         raise ValueError("bracket must be positive")
     roots = []
+
+    def add(r):
+        if not roots or abs(roots[-1] - r) > rtol * abs(r):
+            roots.append(r)
+
     for lo, hi in split_at_poles(a, b, poles):
         ratio = hi / lo
         n = max(8, min(n_grid, int(n_grid * math.log(ratio) / math.log(b / a)) if b > a else n_grid))
         xs = [lo * ratio ** (i / n) for i in range(n + 1)]
-        fs = [f(x) for x in xs]
-        for i in range(n):
-            f0, f1 = fs[i], fs[i + 1]
-            if f0 == 0.0:
-                if not roots or abs(roots[-1] - xs[i]) > rtol * xs[i]:
-                    roots.append(xs[i])
-                continue
-            if f0 * f1 < 0.0:
-                r = bisect(f, xs[i], xs[i + 1], rtol=rtol)
-                if not roots or abs(roots[-1] - r) > rtol * abs(r):
-                    roots.append(r)
+        fs = np.broadcast_to(f(np.array(xs)), (n + 1,))
+        f0, f1 = fs[:-1], fs[1:]
+        for i in np.flatnonzero((f0 == 0.0) | (f0 * f1 < 0.0)).tolist():
+            if fs[i] == 0.0:
+                add(xs[i])
+            else:
+                add(bisect(f, xs[i], xs[i + 1], rtol=rtol))
         if fs[-1] == 0.0:
-            if not roots or abs(roots[-1] - xs[-1]) > rtol * xs[-1]:
-                roots.append(xs[-1])
+            add(xs[-1])
     return roots

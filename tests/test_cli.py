@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from coldwave import config as cfg
+from coldwave import output
 from coldwave.cli import main
 
 
@@ -122,6 +124,46 @@ class TestSubcommands:
         kinds = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert {"elliptic", "hyperbolic"} <= kinds
 
+    @pytest.mark.parametrize("fields", [
+        {"K11": {"kind": "constant", "value": -0.5}},
+        {"K11": {"kind": "constant", "value": 0.0},
+         "K33": {"kind": "constant", "value": 2.0}},
+        {"K11": {"kind": "affine_quadratic", "a": 1.3, "b": -0.7},
+         "K33": {"kind": "constant", "value": 0.8}},
+        {"K11": {"kind": "expression-table", "xs": [-1.0, 0.0, 0.5, 1.0],
+                 "zs": [-1.0, 1.0],
+                 "values": [[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0],
+                            [2.0, 2.0]]},
+         "K33": {"kind": "affine_quadratic", "a": 1.5, "b": -0.7}},
+    ])
+    def test_typemap_matches_per_point_oracle(self, fields, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(fields))
+        out = tmp_path / "map.csv"
+        box, nx, nz = (-1.2, 1.3, -1.0, 1.0), 17, 12
+        assert main(["--out", str(out), "typemap", "--fields", str(path),
+                     "--box=" + ":".join(map(repr, box)),
+                     "--nx", str(nx), "--nz", str(nz)]) == 0
+        k11 = cfg.parse_field(fields["K11"])
+        k33 = cfg.parse_field(fields.get("K33"), default=1.0)
+        rows = []
+        for x in np.linspace(box[0], box[1], nx):
+            for z in np.linspace(box[2], box[3], nz):
+                v11 = float(np.real(k11(x, z)))
+                v33 = float(np.real(k33(x, z)))
+                product = v11 * v33
+                kind = ("parabolic" if abs(product) <= 1e-14 else
+                        "elliptic" if product > 0.0 else "hyperbolic")
+                rows.append((x, z, v11, v33, kind))
+        expected = output.csv_lines("x,z,K11,K33,type", rows)
+        assert out.read_text() == "\n".join(expected) + "\n"
+        k33_min = min(r[3] for r in rows)
+        err = capsys.readouterr().err
+        if k33_min <= 0.0:
+            assert f"warning: K33 reaches {k33_min:g} <= 0" in err
+        else:
+            assert err == ""
+
     def test_characteristics(self, tmp_path):
         out = tmp_path / "char.csv"
         code = main(["--quiet", "--out", str(out), "characteristics",
@@ -216,6 +258,26 @@ class TestSubcommands:
         assert main(["--quiet", "solve-mixed", "--problem", mixed_json]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "out of memory" in err
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch,
+                                                    capsys):
+        import coldwave.cli
+
+        def broken(run):
+            raise TypeError("unsupported operand\ntype(s)")
+
+        monkeypatch.setitem(coldwave.cli._COMMANDS, "origin-chars", broken)
+        assert main(["--quiet", "origin-chars"]) == 2
+        err = capsys.readouterr().err
+        assert err == "internal error: TypeError: unsupported operand type(s)\n"
+
+        def interrupted(run):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(coldwave.cli._COMMANDS, "origin-chars",
+                            interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--quiet", "origin-chars"])
 
     def test_non_finite_matrix_is_numerical_failure(self, problem_json,
                                                     monkeypatch, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldwave import config as cfg
 from coldwave import output
@@ -157,6 +158,34 @@ class TestForcingRegistry:
             cfg.vector_forcing("nope", dom)
 
 
+def cell_oracle(value):
+    """Per-cell CSV rule: floats through fmt_float, integers (bool
+    included) through int, anything else through str."""
+    if isinstance(value, (float, np.floating)):
+        return output.fmt_float(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                  5e-324, -5e-324, 2.2250738585072009e-308,
+                                  1.7976931348623157e308])
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   SPECIAL_FLOATS)
+CELLS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=5),
+    st.just(None),
+)
+
+
 class TestOutput:
     def test_fmt_float_roundtrip(self, rng):
         for _ in range(200):
@@ -169,6 +198,29 @@ class TestOutput:
         lines = output.csv_lines("a,b,c", [(1, 2.5, "x")])
         assert lines[0] == "a,b,c"
         assert lines[1] == "1,2.5000000000000000e+00,x"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(CELLS, max_size=6), max_size=8))
+    def test_csv_lines_match_per_cell_rule(self, rows):
+        # rows of different type patterns share one call
+        expected = ["h"] + [",".join(cell_oracle(v) for v in row)
+                            for row in rows]
+        assert output.csv_lines("h", rows) == expected
+        assert output.csv_lines("h", map(tuple, rows)) == expected
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [()],
+        [(k, 0.5 * k, "x") for k in range(2 * output.BLOCK_ROWS + 3)],
+        [(1.0, "ends with newline\n")],
+    ])
+    def test_write_csv_is_joined_lines(self, rows, tmp_path):
+        out = tmp_path / "t.csv"
+        output.write_csv("a,b", iter(rows), str(out))
+        text = "\n".join(output.csv_lines("a,b", rows))
+        if not text.endswith("\n"):
+            text += "\n"
+        assert out.read_bytes() == text.encode()
 
     def test_json_roundtrip(self):
         obj = {"a": 1, "b": [1.5, None, True], "c": {"d": "text"},

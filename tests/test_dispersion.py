@@ -1,10 +1,15 @@
 import math
+import os
+import tempfile
 
+import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from coldwave import dispersion, plasma, rootscan
-from coldwave.errors import BracketTooWide, DegenerateQuartic
+from coldwave import dispersion, output, plasma, rootscan
+from coldwave.errors import (BracketTooWide, CyclotronResonance,
+                             DegenerateQuartic)
 
 E = 1.602176634e-19
 ME = 9.1093837015e-31
@@ -57,6 +62,24 @@ class TestWaveNormalCoefficients:
             assert abs(c.F_squared - direct) <= 1e-10 * scale
             alt = dispersion.f_squared_alternate(st, theta)
             assert abs(c.F_squared - alt) <= 1e-13 * scale
+
+    def test_formulas_bit_for_bit(self, rng):
+        # the scan's CSV bytes rest on this exact arithmetic: each product
+        # left to right and the square as Python's float power
+        for _ in range(500):
+            st = random_stix(rng)
+            theta = rng.uniform(0.0, math.pi)
+            sin2 = math.sin(theta) ** 2
+            cos2 = math.cos(theta) ** 2
+            s, d, p = float(st.s), float(st.d), float(st.p)
+            rl = s * s - d * d
+            c = dispersion.wave_normal_coefficients(
+                plasma.StixParameters(st.R, st.L, s, d, p), theta)
+            assert c.A == s * sin2 + p * cos2
+            assert c.B == rl * sin2 + p * s * (1.0 + cos2)
+            assert c.C == p * rl
+            assert c.F_squared == ((rl - p * s) ** 2 * sin2 * sin2
+                                   + 4.0 * p * p * d * d * cos2)
 
     def test_f_squared_nonnegative_for_real_stix(self, rng):
         for _ in range(200):
@@ -241,7 +264,7 @@ class TestRootScan:
         assert pieces[0][1] < 2.0 < pieces[1][0]
 
     def test_scan_finds_all_roots(self):
-        roots = rootscan.scan_roots(lambda w: math.sin(w), 1.0, 10.0)
+        roots = rootscan.scan_roots(np.sin, 1.0, 10.0)
         assert len(roots) == 3
         for r, e in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
             assert r == pytest.approx(e, rel=1e-11)
@@ -249,34 +272,241 @@ class TestRootScan:
 
 class TestDispersionScan:
     def test_vacuum_rows(self, vacuum):
-        rows = dispersion.dispersion_scan(vacuum, [1e9, 2e9], [0.0, 0.5, 1.0])
-        assert len(rows) == 6
-        for r in rows:
-            assert r.n2_plus == pytest.approx(1.0)
-            assert r.n2_minus == pytest.approx(1.0)
-            assert r.flag == ""
+        cols = dispersion.dispersion_scan(vacuum, [1e9, 2e9], [0.0, 0.5, 1.0])
+        assert list(cols) == dispersion.SCAN_HEADER.split(",")
+        assert all(len(c) == 6 for c in cols.values())
+        assert cols["n2_plus"] == pytest.approx([1.0] * 6)
+        assert cols["n2_minus"] == pytest.approx([1.0] * 6)
+        assert cols["flag"].tolist() == [""] * 6
 
     def test_matches_direct_composition(self, hydrogen):
         omega, theta = 5e9, 0.7
-        rows = dispersion.dispersion_scan(hydrogen, [omega], [theta])
+        cols = dispersion.dispersion_scan(hydrogen, [omega], [theta])
         st = plasma.stix_parameters(hydrogen, omega)
         c = dispersion.wave_normal_coefficients(st, theta)
         sol = dispersion.refractive_indices(c)
-        row = rows[0]
-        assert (row.A, row.B, row.C) == (c.A, c.B, c.C)
-        assert {row.n2_plus, row.n2_minus} == set(sol.n_squared)
+        assert (cols["A"][0], cols["B"][0], cols["C"][0]) == (c.A, c.B, c.C)
+        assert {cols["n2_plus"][0], cols["n2_minus"][0]} == set(sol.n_squared)
 
     def test_cyclotron_rows_flagged(self, hydrogen):
         om_e = plasma.cyclotron_frequency(plasma.electron(), hydrogen.B0)
-        rows = dispersion.dispersion_scan(hydrogen, [om_e], [0.0, 1.0])
-        assert len(rows) == 2
-        for r in rows:
-            assert r.flag == "cyclotron_resonance"
-            assert math.isnan(r.A)
+        cols = dispersion.dispersion_scan(hydrogen, [om_e], [0.0, 1.0])
+        assert len(cols["flag"]) == 2
+        assert cols["flag"].tolist() == ["cyclotron_resonance"] * 2
+        assert np.isnan(cols["A"]).all()
 
     def test_row_count_and_order(self, hydrogen):
         omegas = [1e9, 2e9, 4e9]
         thetas = [0.0, 0.4]
-        rows = dispersion.dispersion_scan(hydrogen, omegas, thetas)
-        assert len(rows) == 6
-        assert [r.omega for r in rows] == [1e9, 1e9, 2e9, 2e9, 4e9, 4e9]
+        cols = dispersion.dispersion_scan(hydrogen, omegas, thetas)
+        assert len(cols["omega"]) == 6
+        assert cols["omega"].tolist() == [1e9, 1e9, 2e9, 2e9, 4e9, 4e9]
+        assert cols["theta"].tolist() == thetas * 3
+
+
+def three_species(n_e=1e19, frac_d=0.4, B0=2.0):
+    """Electron/proton/deuteron plasma of the benchmark scan."""
+    deuteron = plasma.Species("deuteron", 3.3435837724e-27, 1, 1,
+                              frac_d * n_e)
+    return plasma.PlasmaState(
+        (plasma.electron(n_e), plasma.proton((1.0 - frac_d) * n_e),
+         deuteron), B0)
+
+
+def oracle_rows(pl, omegas, thetas):
+    """Scan rows from the scalar chain stix_parameters ->
+    wave_normal_coefficients -> refractive_indices, point by point."""
+    nan = math.nan
+    rows = []
+    for omega in omegas:
+        try:
+            st = plasma.stix_parameters(pl, omega)
+        except CyclotronResonance:
+            rows.extend((omega, theta) + (nan,) * 6
+                        + ("", "", "cyclotron_resonance") for theta in thetas)
+            continue
+        for theta in thetas:
+            c = dispersion.wave_normal_coefficients(st, theta)
+            head = (omega, theta, c.A, c.B, c.C, c.F_squared)
+            try:
+                sol = dispersion.refractive_indices(c)
+            except DegenerateQuartic:
+                rows.append(head + (nan, nan, "", "", "degenerate"))
+                continue
+            if sol.resonance:
+                rows.append(head + (sol.n_squared[0], nan,
+                                    sol.classifications[0], "resonance",
+                                    "resonance"))
+            elif sol.complex_roots:
+                rows.append(head + (sol.n_squared[0].real,
+                                    sol.n_squared[1].real,
+                                    "complex", "complex", "complex"))
+            else:
+                rows.append(head + sol.n_squared + sol.classifications
+                            + ("",))
+    return rows
+
+
+def csv_bytes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.csv")
+        output.write_csv(dispersion.SCAN_HEADER, rows, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def assert_scan_matches_oracle(pl, omegas, thetas):
+    cols = dispersion.dispersion_scan(pl, omegas, thetas)
+    got = csv_bytes(zip(*(c.tolist() for c in cols.values())))
+    assert got == csv_bytes(oracle_rows(pl, omegas, thetas))
+    return cols
+
+
+def cyclotron_frequencies(pl):
+    return [plasma.cyclotron_frequency(sp, pl.B0) for sp in pl.species]
+
+
+class TestScanOracle:
+    """The columnar scan against the scalar chain, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["hydrogen", "three_species"])
+    def test_log_grid_with_cyclotron_rows(self, name, hydrogen):
+        pl = hydrogen if name == "hydrogen" else three_species()
+        poles = cyclotron_frequencies(pl)
+        omegas = sorted(np.geomspace(1e6, 1e14, 400).tolist() + poles)
+        thetas = [0.0, math.pi / 2] + np.linspace(0.01, 1.56, 23).tolist()
+        cols = assert_scan_matches_oracle(pl, omegas, thetas)
+        # F^2 is a sum of squares for real Stix parameters: no complex rows
+        assert set(cols["flag"].tolist()) \
+            <= {"", "cyclotron_resonance", "resonance"}
+        assert (cols["flag"] == "cyclotron_resonance").sum() \
+            == len(poles) * len(thetas)
+
+    @pytest.mark.parametrize("name", ["hydrogen", "three_species"])
+    def test_resonance_angles(self, name, hydrogen):
+        pl = hydrogen if name == "hydrogen" else three_species()
+        omegas, thetas = [], []
+        for omega in np.geomspace(1e7, 1e13, 60).tolist():
+            theta = dispersion.resonance_angle(
+                plasma.stix_parameters(pl, omega))
+            if theta is not None:
+                omegas.append(omega)
+                thetas.append(theta)
+        cols = assert_scan_matches_oracle(pl, omegas, thetas)
+        assert "resonance" in set(cols["flag"].tolist())
+
+    def test_f_squared_matches_alternate_form(self, hydrogen):
+        for pl in (hydrogen, three_species()):
+            omegas = np.geomspace(1e6, 1e14, 97).tolist()
+            thetas = np.linspace(0.0, math.pi / 2, 11).tolist()
+            cols = dispersion.dispersion_scan(pl, omegas, thetas)
+            k = 0
+            for omega in omegas:
+                st = plasma.stix_parameters(pl, omega)
+                for theta in thetas:
+                    alt = dispersion.f_squared_alternate(st, theta)
+                    sin2 = math.sin(theta) ** 2
+                    cos2 = math.cos(theta) ** 2
+                    # rounding scale: the terms before any cancellation
+                    scale = ((st.s ** 2 + st.d ** 2 + abs(st.p * st.s)) ** 2
+                             * sin2 * sin2
+                             + 4.0 * st.p ** 2 * st.d ** 2 * cos2)
+                    assert abs(cols["F2"][k] - alt) <= 1e-14 * scale
+                    k += 1
+
+    def test_masked_branches_match_scalar_solve(self):
+        # crafted coefficients reach every branch, the degenerate one too
+        cases = [(0.0, 0.0, 1.0, 0.0), (0.0, 2.0, 1.0, 4.0),
+                 (1.0, 0.0, 1.0, -4.0), (1.0, 2.0, 1.0, 0.0),
+                 (1.0, 0.0, 0.0, 0.0), (-1.0, -3.0, 2.0, 1.0),
+                 (2.0, 5.0, 1e-20, 25.0), (1e-13, 1.0, 1.0, 1.0),
+                 (1.0, -0.0, 0.0, -0.0), (1.0, math.nan, 1.0, 1.0)]
+        A, B, C, F2 = (np.array(c) for c in zip(*cases))
+        n2p, n2m, *codes = dispersion._solve_grid(A, B, C, F2)
+        cp, cm, flag = (dispersion._LABELS[c] for c in codes)
+        for k, (a, b, c, f2) in enumerate(cases):
+            coeffs = dispersion.WaveNormalCoefficients(a, b, c, f2, 0.0)
+            try:
+                sol = dispersion.refractive_indices(coeffs)
+            except DegenerateQuartic:
+                expected = (math.nan, math.nan, "", "", "degenerate")
+            else:
+                if sol.resonance:
+                    expected = (sol.n_squared[0], math.nan,
+                                sol.classifications[0], "resonance",
+                                "resonance")
+                elif sol.complex_roots:
+                    expected = (sol.n_squared[0].real, sol.n_squared[1].real,
+                                "complex", "complex", "complex")
+                else:
+                    expected = sol.n_squared + sol.classifications + ("",)
+            got = (n2p[k], n2m[k], cp[k], cm[k], flag[k])
+            assert output.csv_lines("", [got]) \
+                == output.csv_lines("", [expected]), (k, got, expected)
+
+
+SPECIES_KINDS = [("electron", 9.1093837015e-31, -1), ("proton",
+                 1.67262192369e-27, 1), ("deuteron", 3.3435837724e-27, 1),
+                 ("alpha", 6.6446573357e-27, 1)]
+
+
+@st.composite
+def plasmas(draw):
+    count = draw(st.integers(1, 3))
+    species = []
+    for k in range(count):
+        name, mass, sign = draw(st.sampled_from(SPECIES_KINDS))
+        species.append(plasma.Species(
+            f"{name}{k}", mass, sign, draw(st.integers(1, 2)),
+            10.0 ** draw(st.floats(14.0, 21.0))))
+    return plasma.PlasmaState(species, draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pl=plasmas(),
+       log_omegas=st.lists(st.floats(5.0, 15.0), min_size=1, max_size=8),
+       thetas=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=6))
+def test_scan_matches_oracle_on_random_plasmas(pl, log_omegas, thetas):
+    omegas = [10.0 ** v for v in log_omegas] + [
+        w for w in cyclotron_frequencies(pl) if w > 0.0]
+    assert_scan_matches_oracle(pl, omegas, thetas + [0.0, math.pi / 2])
+
+
+class TestArraySampling:
+    def test_one_call_per_piece(self, hydrogen):
+        calls = []
+
+        def f(w):
+            calls.append(np.ndim(w))
+            return np.cos(np.log(w))
+
+        poles = cyclotron_frequencies(hydrogen)
+        pieces = rootscan.split_at_poles(1e6, 1e14, poles)
+        assert len(pieces) == 3
+        roots = rootscan.scan_roots(f, 1e6, 1e14, poles)
+        assert roots
+        # one array call per pole-free piece; every other call is a
+        # scalar bisection step
+        assert calls.count(1) == len(pieces)
+        assert calls[:1] == [1]
+        assert set(calls) == {0, 1}
+
+    @pytest.mark.parametrize("name", ["hydrogen", "three_species"])
+    def test_roots_equal_scalar_sampling(self, name, hydrogen, monkeypatch):
+        pl = hydrogen if name == "hydrogen" else three_species()
+        bracket = (1e6, 1e15)
+        array_cut = dispersion.cutoff_frequencies(pl, bracket)
+        array_res = dispersion.hybrid_resonances(pl, bracket).roots
+        assert array_cut and array_res
+
+        def scalar_only(f):
+            # each sample its own scalar call, as a point-wise scan does
+            return lambda x: (np.array([f(v) for v in x.tolist()])
+                              if isinstance(x, np.ndarray) else f(x))
+
+        scan = rootscan.scan_roots
+        monkeypatch.setattr(
+            rootscan, "scan_roots",
+            lambda f, *args, **kw: scan(scalar_only(f), *args, **kw))
+        assert dispersion.cutoff_frequencies(pl, bracket) == array_cut
+        assert dispersion.hybrid_resonances(pl, bracket).roots == array_res

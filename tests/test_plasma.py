@@ -119,6 +119,52 @@ class TestStixParameters:
         with pytest.raises(ValueError):
             plasma.stix_parameters(state, -1.0)
 
+    def test_array_kernel_matches_scalar_calls(self, rng):
+        for _ in range(20):
+            state = plasma.PlasmaState(
+                tuple(random_species(rng) for _ in range(3)),
+                rng.uniform(0.1, 5.0))
+            omegas = 10.0 ** rng.uniform(6.0, 14.0, 64)
+            arrays = plasma.stix_arrays(state, omegas)
+            near = plasma.near_cyclotron(state, omegas)
+            for k, omega in enumerate(omegas.tolist()):
+                try:
+                    st = plasma.stix_parameters(state, omega)
+                except CyclotronResonance:
+                    assert near[k]
+                    continue
+                assert not near[k]
+                assert tuple(a[k] for a in arrays) \
+                    == (st.R, st.L, st.s, st.d, st.p)
+
+    def test_formula_bit_for_bit(self, rng):
+        # species by species, in order, as every scan and root search
+        # evaluates it
+        for _ in range(50):
+            state = plasma.PlasmaState(
+                tuple(random_species(rng) for _ in range(3)),
+                rng.uniform(0.1, 5.0))
+            omega = float(10.0 ** rng.uniform(6.0, 14.0))
+            R = L = p = 1.0
+            for sp in state.species:
+                pi2 = sp.density * sp.charge * sp.charge / (EPS0 * sp.mass)
+                Om = abs(sp.charge * state.B0 / sp.mass)
+                R -= pi2 / (omega * (omega + sp.charge_sign * Om))
+                L -= pi2 / (omega * (omega - sp.charge_sign * Om))
+                p -= pi2 / (omega * omega)
+            assert plasma.stix_arrays(state, omega) \
+                == (R, L, 0.5 * (R + L), 0.5 * (R - L), p)
+
+    def test_array_kernel_vacuum_and_cyclotron_mask(self, vacuum):
+        assert plasma.stix_arrays(vacuum, np.array([1e9, 2e9])) \
+            == (1.0, 1.0, 1.0, 0.0, 1.0)
+        state = plasma.PlasmaState((plasma.electron(1e19),), 1.0)
+        om_c = plasma.cyclotron_frequency(plasma.electron(), 1.0)
+        omegas = np.array([om_c * (1.0 - 2e-9), om_c, om_c * (1.0 + 1e-12)])
+        assert plasma.near_cyclotron(state, omegas).tolist() \
+            == [False, True, True]
+        assert plasma.near_cyclotron(state, om_c) is True
+
 
 class TestApproximateRL:
     def test_electron_only(self):
