@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-# Rows converted, formatted and written per step of write_csv/column_rows.
+# Rows converted from arrays to Python values per step of column_rows.
 BLOCK_ROWS = 4096
 
 
@@ -118,12 +118,9 @@ def write_text(text, out=None):
 
 
 def write_csv(header, rows, out=None):
-    """Write the text of ``csv_lines(header, rows)``, formatting and
-    writing BLOCK_ROWS rows at a time."""
-    lines = _csv_rows(rows)
-    blocks = iter(lambda: list(itertools.islice(lines, BLOCK_ROWS)), [])
-    _write(itertools.chain([header], ("\n" + "\n".join(b) for b in blocks)),
-           out)
+    """Write the text of ``csv_lines(header, rows)``, one row at a time."""
+    lines = ("\n" + line for line in _csv_rows(rows))
+    _write(itertools.chain([header], lines), out)
 
 
 def write_json(obj, out=None):

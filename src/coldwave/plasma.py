@@ -147,22 +147,28 @@ def plasma_frequency_squared(species):
     return species.density * q * q / (EPSILON_0 * species.mass)
 
 
+def _cyclotron_hits(plasma, omega, rtol):
+    """(species, Omega, hit) for each species with Omega > 0, where hit
+    is True where omega lies within rtol (relative) of Omega."""
+    for sp in plasma.species:
+        Om = cyclotron_frequency(sp, plasma.B0)
+        if Om > 0.0:
+            yield sp, Om, abs(omega - Om) < rtol * Om
+
+
 def near_cyclotron(plasma, omega, rtol=RESONANCE_RTOL):
     """True where omega lies within rtol (relative) of a cyclotron
     frequency.  omega may be a float or an ndarray (boolean mask)."""
     near = False
-    for sp in plasma.species:
-        Om = cyclotron_frequency(sp, plasma.B0)
-        if Om > 0.0:
-            near = near | (abs(omega - Om) < rtol * Om)
+    for _, _, hit in _cyclotron_hits(plasma, omega, rtol):
+        near = near | hit
     return near
 
 
 def _check_cyclotron(plasma, omega, rtol):
     """Raise if omega is within rtol (relative) of any cyclotron frequency."""
-    for sp in plasma.species:
-        Om = cyclotron_frequency(sp, plasma.B0)
-        if Om > 0.0 and abs(omega - Om) < rtol * Om:
+    for sp, Om, hit in _cyclotron_hits(plasma, omega, rtol):
+        if hit:
             raise CyclotronResonance(
                 f"omega={omega!r} within {rtol} (relative) of cyclotron "
                 f"frequency {Om!r} of species {sp.name!r}"

@@ -208,10 +208,18 @@ class TestOutput:
         assert output.csv_lines("h", rows) == expected
         assert output.csv_lines("h", map(tuple, rows)) == expected
 
+    @pytest.mark.parametrize("n", [0, 1, 2 * output.BLOCK_ROWS + 3])
+    def test_column_rows_are_zipped_columns(self, n):
+        a = np.arange(n, dtype=np.int64)
+        b = 0.5 * np.arange(n)
+        rows = list(output.column_rows(a, b))
+        assert rows == list(zip(a.tolist(), b.tolist()))
+        assert all(type(x) is int and type(y) is float for x, y in rows)
+
     @pytest.mark.parametrize("rows", [
         [],
         [()],
-        [(k, 0.5 * k, "x") for k in range(2 * output.BLOCK_ROWS + 3)],
+        [(k, 0.5 * k, "x") for k in range(10000)],
         [(1.0, "ends with newline\n")],
     ])
     def test_write_csv_is_joined_lines(self, rows, tmp_path):
