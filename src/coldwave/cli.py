@@ -5,15 +5,15 @@ typemap, characteristics, origin-chars, symbol-check, layered, solve,
 solve-mixed, energy-check, illposedness.  Outputs are deterministic:
 identical configuration and seed give byte-identical files.
 
-Exit codes: 0 success; 1 invalid input or configuration; 2 numerical
-failure (singularity, factorization, out of memory) or an unexpected
-internal error; 3 a check failed
-(energy ratio below bound, inadmissible boundary, symbol-check failure).
+Exit codes: 0 success; 1 usage error, invalid input or configuration;
+2 numerical failure (singularity, factorization, out of memory) or an
+unexpected internal error; 3 a check failed (energy ratio below bound,
+inadmissible boundary, symbol-check failure).
 """
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,27 +46,8 @@ _INVALID_ERRORS = (SpecInvalid, InsufficientLevels, MissingElectrons,
                    LengthMismatch)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    subcommand: str
-    out: str | None
-    fmt: str
-    seed: int
-    tol: float
-    quiet: bool
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("--tol must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
-
-
-def _note(run, message):
-    if not run.quiet:
+def _note(args, message):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -77,116 +58,111 @@ def _box(text):
     return tuple(parts)
 
 
-def cmd_stix(run):
-    pl = cfg.parse_plasma(cfg.load_json(run.options["plasma"]))
-    st = plasma.stix_parameters(pl, run.options["omega"],
-                                resonance_rtol=run.tol)
+def cmd_stix(args):
+    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    st = plasma.stix_parameters(pl, args.omega, resonance_rtol=args.tol)
     output.write_json(
-        {"R": st.R, "L": st.L, "s": st.s, "d": st.d, "p": st.p}, run.out)
+        {"R": st.R, "L": st.L, "s": st.s, "d": st.d, "p": st.p}, args.out)
     return EXIT_OK
 
 
-def cmd_dispersion(run):
-    pl = cfg.parse_plasma(cfg.load_json(run.options["plasma"]))
-    omegas = cfg.parse_grid_spec(run.options["omegas"])
-    thetas = cfg.parse_grid_spec(run.options["thetas"], angle=True)
+def cmd_dispersion(args):
+    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    omegas = cfg.parse_grid_spec(args.omegas)
+    thetas = cfg.parse_grid_spec(args.thetas, angle=True)
     if not omegas or not thetas:
         raise ValueError("omega and theta grids must be nonempty")
     if min(omegas) <= 0.0:
         raise ValueError("omega grid values must be positive")
     columns = dispersion.dispersion_scan(pl, omegas, thetas,
-                                         resonance_rtol=run.tol)
+                                         resonance_rtol=args.tol)
     output.write_csv(dispersion.SCAN_HEADER,
-                     output.column_rows(*columns.values()), run.out)
+                     output.column_rows(*columns.values()), args.out)
     return EXIT_OK
 
 
-def cmd_cutoffs(run):
-    pl = cfg.parse_plasma(cfg.load_json(run.options["plasma"]))
-    bracket = cfg.parse_bracket(run.options["bracket"])
+def cmd_cutoffs(args):
+    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    bracket = cfg.parse_bracket(args.bracket)
     found = dispersion.cutoff_frequencies(pl, bracket)
-    if run.fmt == "csv":
-        output.write_csv("omega,which", found, run.out)
+    if args.format == "csv":
+        output.write_csv("omega,which", found, args.out)
     else:
         output.write_json(
-            [{"omega": w, "which": which} for w, which in found], run.out)
+            [{"omega": w, "which": which} for w, which in found], args.out)
     return EXIT_OK
 
 
-def cmd_resonances(run):
-    pl = cfg.parse_plasma(cfg.load_json(run.options["plasma"]))
-    bracket = cfg.parse_bracket(run.options["bracket"])
+def cmd_resonances(args):
+    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    bracket = cfg.parse_bracket(args.bracket)
     res = dispersion.hybrid_resonances(pl, bracket)
-    if run.fmt == "csv":
-        output.write_csv("omega", [(w,) for w in res.roots], run.out)
+    if args.format == "csv":
+        output.write_csv("omega", [(w,) for w in res.roots], args.out)
     else:
         output.write_json(
             {"roots": list(res.roots),
-             "lower_hybrid_estimate": res.lower_hybrid_estimate}, run.out)
+             "lower_hybrid_estimate": res.lower_hybrid_estimate}, args.out)
     return EXIT_OK
 
 
-def cmd_typemap(run):
-    data = cfg.load_json(run.options["fields"])
+def cmd_typemap(args):
+    data = cfg.load_json(args.fields)
     k11 = cfg.parse_field(data.get("K11"))
     k33 = cfg.parse_field(data.get("K33"), default=1.0)
-    x0, x1, z0, z1 = _box(run.options["box"])
-    nx, nz = run.options["nx"], run.options["nz"]
-    X, Z = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(z0, z1, nz),
-                       indexing="ij")
+    x0, x1, z0, z1 = _box(args.box)
+    X, Z = np.meshgrid(np.linspace(x0, x1, args.nx),
+                       np.linspace(z0, z1, args.nz), indexing="ij")
     v11, v33 = (np.broadcast_to(np.real(k(X, Z)), X.shape).astype(float)
                 for k in (k11, k33))
     kinds = electrostatics.type_from_product(v11, v33)
     # NaN samples are skipped, as a running min() would skip them
     k33_min = np.min(v33, initial=np.inf, where=~np.isnan(v33))
     if k33_min <= 0.0:
-        _note(run, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
-                   "assumes strictly positive K33")
+        _note(args, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
+                    "assumes strictly positive K33")
     output.write_csv("x,z,K11,K33,type", output.column_rows(
-        *(a.ravel() for a in (X, Z, v11, v33, kinds))), run.out)
+        *(a.ravel() for a in (X, Z, v11, v33, kinds))), args.out)
     return EXIT_OK
 
 
-def cmd_characteristics(run):
-    x, y = (float(v) for v in run.options["start"].split(","))
-    branch = run.options["branch"]
-    domain = _box(run.options["box"]) if run.options.get("box") else None
+def cmd_characteristics(args):
+    x, y = (float(v) for v in args.start.split(","))
+    domain = _box(args.box) if args.box else None
     path = typegeometry.trace_characteristic(
-        (x, y), branch, run.options["step"], domain=domain,
-        max_steps=run.options["max_steps"])
+        (x, y), args.branch, args.step, domain=domain,
+        max_steps=args.max_steps)
     rows = [(path.branch, i, px, py)
             for i, (px, py) in enumerate(path.points)]
-    output.write_csv("branch,step,x,y", rows, run.out)
-    _note(run, f"termination: {path.termination} "
-               f"({len(path.points)} points)")
+    output.write_csv("branch,step,x,y", rows, args.out)
+    _note(args, f"termination: {path.termination} "
+                f"({len(path.points)} points)")
     return EXIT_OK
 
 
-def cmd_origin_chars(run):
+def cmd_origin_chars(args):
     oc = typegeometry.origin_characteristics()
     output.write_json({
         "coefficients": list(oc.polynomial),
         "roots": list(oc.roots),
         "count": oc.count,
-    }, run.out)
+    }, args.out)
     return EXIT_OK
 
 
-def cmd_symbol_check(run):
-    if run.options.get("plasma"):
-        pl = cfg.parse_plasma(cfg.load_json(run.options["plasma"]))
-        omega = run.options.get("omega")
-        if omega is None:
+def cmd_symbol_check(args):
+    if args.plasma:
+        pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+        if args.omega is None:
             raise ValueError("--omega is required with --plasma")
-        K = plasma.dielectric_tensor(plasma.stix_parameters(pl, omega))
+        K = plasma.dielectric_tensor(plasma.stix_parameters(pl, args.omega))
     else:
         K = plasma.dielectric_tensor(plasma.StixParameters.vacuum())
-    rng = np.random.default_rng(run.seed)
-    kmax = run.options["kmax"]
+    rng = np.random.default_rng(args.seed)
     records = []
     all_pass = True
-    for _ in range(run.options["trials"]):
-        k = rng.uniform(-kmax, kmax, 3)
+    for _ in range(args.trials):
+        k = rng.uniform(-args.kmax, args.kmax, 3)
         _, det = typegeometry.curl_curl_symbol(k)
         sigma = typegeometry.coulomb_gauge_symbol(K, k)
         sigma2 = typegeometry.coulomb_gauge_symbol(K, 2.0 * k)
@@ -198,92 +174,76 @@ def cmd_symbol_check(run):
         all_pass &= ok
         records.append({"k": list(k), "det": det,
                         "sigma": float(sigma.real), "pass": ok})
-    output.write_json(records, run.out)
+    output.write_json(records, args.out)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def cmd_layered(run):
-    data = cfg.load_json(run.options["layered"])
+def cmd_layered(args):
+    data = cfg.load_json(args.layered)
     f2d = cfg.parse_field(data.get("K11"))
     k11 = Field1D(lambda x: float(np.real(f2d(x, 0.0))),
                   lambda x: float(np.real(f2d.dx(x, 0.0))))
     problem = electrostatics.LayeredProblem(
         k11, float(data.get("sigma0", 0.0)), tuple(data["x_range"]))
-    re_im = [float(v) for v in run.options["psi0"].split(",")]
+    re_im = [float(v) for v in args.psi0.split(",")]
     psi0 = complex(re_im[0], re_im[1] if len(re_im) > 1 else 0.0)
-    sol = electrostatics.integrate_layered(
-        problem, psi0, run.options["x0"], run.options["x1"])
+    sol = electrostatics.integrate_layered(problem, psi0, args.x0, args.x1)
     rows = [(x, p.real, p.imag) for x, p in zip(sol.xs, sol.psi)]
-    output.write_csv("x,psi_re,psi_im", rows, run.out)
-    _note(run, f"accepted at {sol.steps} steps")
+    output.write_csv("x,psi_re,psi_im", rows, args.out)
+    _note(args, f"accepted at {sol.steps} steps")
     return EXIT_OK
 
 
-def _solution_rows(grid, arrays):
-    rows = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if grid.inside[i, j]:
-                rows.append((grid.xs[i], grid.ys[j],
-                             *(a[i, j] for a in arrays)))
-    return rows
+def _write_solution(args, header, grid, sol, arrays):
+    """Solution CSV, one row per inside node in row-major order, and the
+    run summary (to --summary, else a stderr note)."""
+    i, j = np.nonzero(grid.inside)
+    output.write_csv(header, output.column_rows(
+        grid.xs[i], grid.ys[j], *(a[i, j] for a in arrays)), args.out)
+    summary = {"residual_norm": sol.residual_norm,
+               "condition_estimate": sol.condition_estimate,
+               "rank": sol.rank, **sol.norms, **sol.diagnostics}
+    if args.summary:
+        output.write_json(summary, args.summary)
+    else:
+        _note(args, output.json_text(summary))
+    return EXIT_OK
 
 
-def cmd_solve(run):
-    problem, (nx, ny) = cfg.parse_problem(cfg.load_json(run.options["problem"]))
+def cmd_solve(args):
+    problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
     if problem.bc != "closed_dirichlet":
         raise ValueError("solve expects a closed_dirichlet problem; "
                          "use solve-mixed")
     grid = Grid2D(problem.domain, nx, ny)
     sol = solve_closed_dirichlet(problem, grid)
-    output.write_csv("x,y,u", _solution_rows(grid, [sol.values]), run.out)
-    summary = {"residual_norm": sol.residual_norm,
-               "condition_estimate": sol.condition_estimate,
-               "rank": sol.rank, **sol.norms, **sol.diagnostics}
-    if run.options.get("summary"):
-        output.write_json(summary, run.options["summary"])
-    else:
-        _note(run, output.json_text(summary))
-    return EXIT_OK
+    return _write_solution(args, "x,y,u", grid, sol, [sol.values])
 
 
-def cmd_solve_mixed(run):
-    problem, (nx, ny) = cfg.parse_problem(cfg.load_json(run.options["problem"]))
+def cmd_solve_mixed(args):
+    problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
     if problem.bc != "mixed":
         raise ValueError("solve-mixed expects a mixed problem")
-    spec = MixedMultiplierSpec.auto(problem.domain,
-                                    mu=run.options["mu"],
-                                    delta=run.options["mdelta"])
+    spec = MixedMultiplierSpec.auto(problem.domain, mu=args.mu,
+                                    delta=args.mdelta)
     grid = Grid2D(problem.domain, nx, ny)
     sol = solve_mixed(problem, grid, spec)
-    u1, u2 = sol.values
-    output.write_csv("x,y,u1,u2", _solution_rows(grid, [u1, u2]), run.out)
-    summary = {"residual_norm": sol.residual_norm,
-               "condition_estimate": sol.condition_estimate,
-               "rank": sol.rank, **sol.norms, **sol.diagnostics}
-    if run.options.get("summary"):
-        output.write_json(summary, run.options["summary"])
-    else:
-        _note(run, output.json_text(summary))
-    return EXIT_OK
+    return _write_solution(args, "x,y,u1,u2", grid, sol, sol.values)
 
 
-def cmd_energy_check(run):
-    kappa = run.options["kappa"]
-    delta = run.options["delta"]
-    box = _box(run.options["box"])
-    nx = run.options["nx"]
-    domain = Domain.rectangle(*box)
-    rng = np.random.default_rng(run.seed)
+def cmd_energy_check(args):
+    kappa, delta, nx = args.kappa, args.delta, args.nx
+    domain = Domain.rectangle(*_box(args.box))
+    rng = np.random.default_rng(args.seed)
     grids = [Grid2D(domain, nx, nx), Grid2D(domain, 2 * nx - 1, 2 * nx - 1)]
     decomps = [decompose_cells(g) for g in grids]
     specs = [MultiplierSpec.from_kappa(kappa, g, delta=delta,
-                                       delta_tilde=run.options["delta_tilde"])
+                                       delta_tilde=args.delta_tilde)
              for g in grids]
-    bound = delta * run.options["bound_factor"]
+    bound = delta * args.bound_factor
     ratios = []
     allowances = []
-    for _ in range(run.options["trials"]):
+    for _ in range(args.trials):
         bump = random_interior_bump(domain, rng)
         pair = []
         for g, dec, spec in zip(grids, decomps, specs):
@@ -296,23 +256,45 @@ def cmd_energy_check(run):
         allowances.append(abs(pair[0] - pair[1]))
     ok = bool(min(ratios) >= bound)
     output.write_json({
-        "kappa": kappa, "delta": delta, "trials": run.options["trials"],
+        "kappa": kappa, "delta": delta, "trials": args.trials,
         "bound": bound, "min_ratio": min(ratios),
         "max_two_resolution_gap": max(allowances),
         "warnings": list(specs[0].warnings),
         "pass": ok, "ratios": ratios,
-    }, run.out)
+    }, args.out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_illposedness(run):
-    problem, _ = cfg.parse_problem(cfg.load_json(run.options["problem"]))
-    levels = [int(v) for v in run.options["levels"].split(",")]
+def cmd_illposedness(args):
+    problem, _ = cfg.parse_problem(cfg.load_json(args.problem))
+    levels = [int(v) for v in args.levels.split(",")]
     if any(n < cfg.GRID_MIN for n in levels):
         raise ValueError(f"levels must be >= {cfg.GRID_MIN}")
     diag = illposedness_diagnostic(problem, levels)
-    output.write_json([{"h": h, "cond": c} for h, c in diag], run.out)
+    output.write_json([{"h": h, "cond": c} for h, c in diag], args.out)
     return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every usage error, before or after the subcommand name, prints the
+    usage and exits EXIT_INVALID (argparse's own code, 2, means a
+    numerical failure here).  Subparsers are built with this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
+def _positive_float(text):
+    """argparse type of --tol."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _add_global_flags(parser, suppress=False):
@@ -325,13 +307,15 @@ def _add_global_flags(parser, suppress=False):
                         default=d("json"),
                         help="output format where both are supported")
     parser.add_argument("--seed", type=int, default=d(42))
-    parser.add_argument("--tol", type=float, default=d(1e-9),
+    parser.add_argument("--tol", type=_positive_float, default=d(1e-9),
                         help="cyclotron-resonance guard (relative)")
     parser.add_argument("--quiet", action="store_true", default=d(False))
 
 
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The argument parser, built on first use and shared by every call."""
+    parser = _Parser(
         prog="coldwave",
         description="Cold-plasma wave numerics: Stix parameters, dispersion "
                     "scans, type geometry, and degenerate-operator solvers.")
@@ -436,19 +420,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    parser.error = lambda message: (_parser_fail(parser, message))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("out", "format", "seed", "tol", "quiet",
-                            "subcommand")}
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (EXIT_INVALID) or --help (0)
+        return exc.code
     try:
-        run = RunConfig(args.subcommand, args.out, args.format, args.seed,
-                        args.tol, args.quiet, options)
-        return _COMMANDS[args.subcommand](run)
+        return _COMMANDS[args.subcommand](args)
     except _CHECK_ERRORS as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -472,12 +449,6 @@ def main(argv=None):
         print(f"internal error: {type(exc).__name__}: {message}",
               file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def _parser_fail(parser, message):
-    parser.print_usage(sys.stderr)
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -71,16 +71,13 @@ class Domain:
 
     @property
     def contains_sonic_arc(self):
-        """Whether x - y^2 changes sign inside the domain (sampled)."""
-        x0, x1, y0, y1 = self.bounding_box
-        xs = np.linspace(x0, x1, 101)
-        ys = np.linspace(y0, y1, 101)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        inside = self.contains(X, Y)
-        if not inside.any():
-            return False
-        k = canonical_type_function(X[inside], Y[inside])
-        return bool(k.min() < 0.0 < k.max())
+        """Whether K = x - y^2 takes both signs on the domain, from its
+        exact extremes on each rectangle: max K = x1 - min y^2 (0 when
+        y0 <= 0 <= y1) and min K = x0 - max y^2."""
+        k_max = max(x1 - (0.0 if y0 <= 0.0 <= y1 else min(y0 * y0, y1 * y1))
+                    for _, x1, y0, y1 in self.rects)
+        k_min = min(x0 - max(y0 * y0, y1 * y1) for x0, _, y0, y1 in self.rects)
+        return k_min < 0.0 < k_max
 
     def boundary_segments(self):
         """The four counterclockwise edges of a single-rectangle domain,

@@ -8,7 +8,11 @@ import pytest
 
 from coldwave import config as cfg
 from coldwave import output
-from coldwave.cli import main
+from coldwave.cli import build_parser, main
+from coldwave.grid import Grid2D
+from coldwave.solvers import solve_closed_dirichlet
+
+SRC = os.path.dirname(os.path.dirname(cfg.__file__))
 
 
 @pytest.fixture
@@ -296,15 +300,12 @@ class TestSubcommands:
         assert err.count("\n") == 1 and "non-finite" in err
 
     def test_cli_import_loads_no_scipy(self):
-        import coldwave
-
-        src = os.path.dirname(os.path.dirname(coldwave.__file__))
         code = ("import sys, coldwave.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
+                             env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
 
     def test_energy_check(self, tmp_path):
@@ -342,26 +343,112 @@ class TestSubcommands:
 
 
 class TestConsoleScript:
+    def _run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=SRC, COLDWAVE_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "coldwave._main", *argv],
+                              env=env, capture_output=True, text=True)
+
     def test_entry_point_with_thread_cap(self, vacuum_json, tmp_path):
-        import os
-        import shutil
-        import subprocess
-        exe = shutil.which("coldwave")
-        if exe is None:
-            pytest.skip("console script not installed")
         out = tmp_path / "stix.json"
-        env = dict(os.environ, COLDWAVE_THREADS="1")
-        proc = subprocess.run(
-            [exe, "--out", str(out), "stix", "--plasma", vacuum_json,
-             "--omega", "1e9"], env=env, capture_output=True)
-        assert proc.returncode == 0
+        proc = self._run("--out", str(out), "stix", "--plasma", vacuum_json,
+                         "--omega", "1e9")
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["p"] == 1.0
+
+    def test_entry_point_usage_error_exits_1(self, vacuum_json):
+        proc = self._run("stix", "--plasma", vacuum_json, "--omega", "abc")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: coldwave stix")
+        assert "error: argument --omega: invalid float value: 'abc'" \
+            in proc.stderr
 
     def test_global_flags_after_subcommand(self, vacuum_json, tmp_path):
         out = tmp_path / "stix.json"
         assert main(["stix", "--plasma", vacuum_json, "--omega", "1e9",
                      "--out", str(out), "--seed", "7"]) == 0
         assert json.loads(out.read_text())["R"] == 1.0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, where", [
+        (["stix"], "stix"),
+        (["stix", "--plasma", "p.json", "--omega", "abc"], "stix"),
+        (["stix", "--format", "xml", "--plasma", "p.json", "--omega", "1"],
+         "stix"),
+        (["--tol", "0", "origin-chars"], ""),
+        (["origin-chars", "--tol", "0"], "origin-chars"),
+        (["--tol=-1e-9", "origin-chars"], ""),
+        (["origin-chars", "--tol", "nan"], "origin-chars"),
+        (["no-such-command"], ""),
+        ([], ""),
+    ], ids=["missing-required", "bad-float", "bad-format", "tol-before",
+            "tol-after", "tol-negative", "tol-nan", "unknown-command",
+            "no-arguments"])
+    def test_usage_error_exits_1(self, argv, where, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: coldwave {where}".rstrip())
+        assert "\nerror: " in err
+
+    def test_tol_message(self, capsys):
+        assert main(["origin-chars", "--tol", "0"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --tol: must be positive, got '0'\n")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["stix", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: coldwave stix")
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over(self, hydrogen_json, tmp_path, capsys):
+        cut = ["cutoffs", "--plasma", hydrogen_json, "--bracket", "1e9:1e13"]
+        first = tmp_path / "cut.csv"
+        assert main(["--quiet", "--format", "csv", "--out", str(first),
+                     *cut]) == 0
+        assert first.read_text().startswith("omega,which\n")
+        capsys.readouterr()
+        assert main(cut) == 0
+        out = capsys.readouterr().out
+        assert {c["which"] for c in json.loads(out)} == {"P", "R", "L"}
+        fresh = build_parser.__wrapped__()
+        for argv in (cut, ["--quiet", "--format", "csv", *cut]):
+            assert build_parser().parse_args(argv) == fresh.parse_args(argv)
+
+    def test_notes_after_quiet_call(self, tmp_path, capsys):
+        char = ["characteristics", "--start=-1,0.5", "--branch", "1",
+                "--step", "1e-2", "--out", str(tmp_path / "c.csv")]
+        assert main(["--quiet", *char]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(char) == 0
+        assert capsys.readouterr().err.startswith("termination: ")
+
+
+class TestSolutionCsv:
+    def test_l_shaped_domain_matches_node_loop(self, tmp_path):
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps({
+            "kappa": 0.5,
+            "domain": {"rects": [[-1.0, 1.0, -1.0, 0.0],
+                                 [-1.0, 0.0, 0.0, 1.0]]},
+            "grid": {"nx": 21, "ny": 17},
+            "bc": {"type": "closed_dirichlet"},
+            "forcing": {"kind": "sine_bump"},
+        }))
+        out = tmp_path / "u.csv"
+        assert main(["--quiet", "--out", str(out), "solve", "--problem",
+                     str(path)]) == 0
+        problem, (nx, ny) = cfg.parse_problem(cfg.load_json(str(path)))
+        grid = Grid2D(problem.domain, nx, ny)
+        u = solve_closed_dirichlet(problem, grid).values
+        assert not grid.inside.all()
+        rows = [(grid.xs[i], grid.ys[j], u[i, j])
+                for i in range(nx) for j in range(ny) if grid.inside[i, j]]
+        expected = "\n".join(output.csv_lines("x,y,u", rows)) + "\n"
+        assert out.read_bytes() == expected.encode()
 
 
 class TestDeterminism:

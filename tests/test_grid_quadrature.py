@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,28 @@ class TestGrid:
         elliptic = Domain.rectangle(1.5, 2.5, -0.4, 0.4)
         assert not elliptic.contains_origin
         assert not elliptic.contains_sonic_arc
+
+    def test_sonic_arc_between_samples(self):
+        # K(1e-5, 0) > 0, but no node of a 101 x 101 sample has K > 0
+        assert Domain.rectangle(-1, 1e-5, -0.5, 1.0).contains_sonic_arc
+        # K <= 0 everywhere, reaching 0 only at the origin: no sign change
+        assert not Domain.rectangle(-1, 0.0, -0.5, 1.0).contains_sonic_arc
+        assert Domain(((-2.0, -1.0, 0.0, 1.0),
+                       (1.0, 2.0, 0.5, 1.0))).contains_sonic_arc
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.lists(st.floats(-3, 3), min_size=2, max_size=2, unique=True),
+        st.lists(st.floats(-3, 3), min_size=2, max_size=2, unique=True)),
+        min_size=1, max_size=3))
+    def test_sonic_arc_whenever_samples_change_sign(self, pairs):
+        rects = [(*sorted(xs), *sorted(ys)) for xs, ys in pairs]
+        k = np.concatenate([
+            (x - y * y).ravel() for x, y in (
+                np.meshgrid(np.linspace(x0, x1, 41), np.linspace(y0, y1, 41))
+                for x0, x1, y0, y1 in rects)])
+        if k.min() < 0.0 < k.max():
+            assert Domain(tuple(rects)).contains_sonic_arc
 
     def test_boundary_segments_ccw(self):
         segs = Domain.rectangle(0, 2, 0, 1).boundary_segments()
@@ -147,7 +171,9 @@ class TestDecomposition:
         exact = area * (a + b * 0.5 * (x0 + x1) + c * 0.5 * (y0 + y1))
         scale = area * (abs(a) + abs(b) * max(abs(x0), abs(x1))
                         + abs(c) * max(abs(y0), abs(y1)))
-        assert got == pytest.approx(exact, rel=1e-12, abs=1e-12 * scale)
+        # floored: 1e-12 * scale underflows for subnormal coefficients
+        tol = max(1e-12 * scale, sys.float_info.min)
+        assert got == pytest.approx(exact, rel=1e-12, abs=tol)
 
     def test_matches_cell_by_cell_reference(self, square):
         # a non-bilinear field and different branches on the two sides,
