@@ -14,12 +14,18 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
 from .errors import SpecInvalid
-from .operators import apply_L, gradient
+from .operators import _d1, _d2, apply_L, gradient
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_signed)
 from .typegeometry import canonical_type_function
 
 SIGN_TOL = 1e-12
+
+# Polynomial degree per axis of the random bumps and of the Gram basis.
+BUMP_DEGREE = 3
+# Quadrature points per block of the Gram build: the block's
+# (points x basis) matrices, not the grid, set its scratch memory.
+GRAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,13 @@ class EnergyReport:
         return self.ratio is not None and self.ratio >= self.bound
 
 
+def _check_regime(spec, kappa):
+    if spec.regime == "kappa_high" and not 1.0 <= kappa <= 2.0:
+        raise SpecInvalid(f"kappa={kappa!r} outside [1, 2] for kappa_high")
+    if spec.regime == "kappa_low" and not 0.0 <= kappa < 1.0:
+        raise SpecInvalid(f"kappa={kappa!r} outside [0, 1) for kappa_low")
+
+
 def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
     """Quadrature check of (Mu, Lu) >= delta ||u||_{H1_0(K)}^2.
 
@@ -137,10 +150,7 @@ def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
     switches branch there.  The reported bound is ``spec.ratio_bound``.
     """
     u = np.asarray(u, dtype=float)
-    if spec.regime == "kappa_high" and not 1.0 <= kappa <= 2.0:
-        raise SpecInvalid(f"kappa={kappa!r} outside [1, 2] for kappa_high")
-    if spec.regime == "kappa_low" and not 0.0 <= kappa < 1.0:
-        raise SpecInvalid(f"kappa={kappa!r} outside [0, 1) for kappa_low")
+    _check_regime(spec, kappa)
     boundary_max = float(np.abs(u[grid.boundary]).max()) if grid.boundary.any() else 0.0
     if boundary_max != 0.0:
         raise ValueError("u must vanish on boundary nodes")
@@ -164,7 +174,7 @@ def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
                         warnings=spec.warnings)
 
 
-def random_interior_bump(domain, rng, degree=3):
+def random_interior_bump(domain, rng, degree=BUMP_DEGREE):
     """Random smooth field vanishing to second order on the bounding
     box boundary: (1-X^2)^2 (1-Y^2)^2 times a random polynomial in the
     box-normalized coordinates X, Y."""
@@ -178,6 +188,97 @@ def random_interior_bump(domain, rng, degree=3):
                 * polyval2d(X, Y, coeffs))
 
     return bump
+
+
+@dataclass(frozen=True)
+class BumpGram:
+    """The energy check restricted to the span of the bump basis
+    phi_k = (1-X^2)^2 (1-Y^2)^2 X^i Y^j, k = (BUMP_DEGREE + 1) i + j, on
+    one grid: the field sum_k alpha_k phi_k (zero on the boundary ring)
+    has (Mu, Lu) = alpha^T S alpha and ||u||_{H1_0(K)}^2 = alpha^T W alpha
+    under the quadrature of ``verify_energy_inequality``."""
+
+    S: np.ndarray
+    W: np.ndarray
+
+    def ratios(self, alphas):
+        """(Mu, Lu) / ||u||^2 for each coefficient array in ``alphas``
+        (leading axis: trials; the rest flattens in row-major order,
+        as ``random_interior_bump``'s coefficients[i, j] of X^i Y^j)."""
+        a = np.reshape(alphas, (len(alphas), -1))
+        return (np.einsum("ti,ij,tj->t", a, self.S, a)
+                / np.einsum("ti,ij,tj->t", a, self.W, a))
+
+    def span_minimum(self):
+        """The smallest ratio over the whole span and its coefficients,
+        scaled to max-abs 1 with the largest-magnitude entry positive:
+        the least eigenvalue of sym(S) x = lambda W x, from the Cholesky
+        factor W = L L^T and the eigenvalues of L^-1 sym(S) L^-T.
+        Raises numpy.linalg.LinAlgError when W is singular (on grids too
+        coarse to tell the basis functions apart)."""
+        linv = np.linalg.inv(np.linalg.cholesky(self.W))
+        vals, vecs = np.linalg.eigh(linv @ (0.5 * (self.S + self.S.T))
+                                    @ linv.T)
+        alpha = linv.T @ vecs[:, 0]
+        return float(vals[0]), alpha / alpha[np.argmax(np.abs(alpha))]
+
+
+def _bump_tables(coords, lo, hi, h):
+    """1-D bump factors (1 - X^2)^2 X^i on the lattice coordinates, zero
+    on the two end nodes (the boundary ring), with their _d1 and _d2
+    stencils; each is (nodes, BUMP_DEGREE + 1)."""
+    X = ((2.0 * coords - (lo + hi)) / (hi - lo))[:, None]
+    p = (1.0 - X ** 2) ** 2 * X ** np.arange(BUMP_DEGREE + 1)
+    p[[0, -1]] = 0.0
+    return p, _d1(p, h, 0), _d2(p, h, 0)
+
+
+def _outer(p, q):
+    """Row-wise outer products: basis column (BUMP_DEGREE+1) i + j holds
+    p[:, i] q[:, j]."""
+    return (p[:, :, None] * q[:, None, :]).reshape(len(p), -1)
+
+
+def bump_gram(grid, kappa, spec, decomp=None):
+    """S and W of ``BumpGram`` on a rectangle grid in one quadrature pass.
+
+    Every basis field, its stencil derivatives and L of it are sums of
+    products p(x) q(y) of 1-D tables (K = x - y^2 enters as x p'' q -
+    p'' y^2 q), and corner averages and bilinear values of such a
+    product are products of 1-D interpolations.  The (points x basis)
+    matrices are built GRAM_BLOCK points at a time.
+    """
+    if not grid.inside.all():
+        raise ValueError("bump_gram needs a rectangle domain")
+    _check_regime(spec, kappa)
+    if decomp is None:
+        decomp = decompose_cells(grid)
+    x0, x1, y0, y1 = grid.domain.bounding_box
+    p, p1, p2 = _bump_tables(grid.xs, x0, x1, grid.hx)
+    q, q1, q2 = _bump_tables(grid.ys, y0, y1, grid.hy)
+    xtab = np.hstack((p, p1, p2, grid.xs[:, None] * p2))
+    ytab = np.hstack((q, q1, q2, (grid.ys * grid.ys)[:, None] * q))
+    n = (BUMP_DEGREE + 1) ** 2
+    S = np.zeros((n, n))
+    W = np.zeros((n, n))
+    for pts in decomp.points:
+        for k in range(0, pts.x.size, GRAM_BLOCK):
+            b = slice(k, k + GRAM_BLOCK)
+            i, j, x, y = pts.i[b], pts.j[b], pts.x[b], pts.y[b]
+            tx, ty, w = pts.tx[b, None], pts.ty[b, None], pts.weight[b, None]
+            px, pdx, pdxx, xpdxx = np.hsplit(
+                (1.0 - tx) * xtab[i] + tx * xtab[i + 1], 4)
+            qy, qdy, qdyy, yyq = np.hsplit(
+                (1.0 - ty) * ytab[j] + ty * ytab[j + 1], 4)
+            u, ux, uy = _outer(px, qy), _outer(pdx, qy), _outer(px, qdy)
+            lu = (_outer(xpdxx, qy) - _outer(pdxx, yyq) + _outer(px, qdyy)
+                  + kappa * ux)
+            mu = (-u + spec.b(x, y, pts.sign)[:, None] * ux
+                  + spec.c(y)[:, None] * uy)
+            S += (w * mu).T @ lu
+            absk = np.abs(canonical_type_function(x, y))[:, None]
+            W += (w * absk * ux).T @ ux + (w * uy).T @ uy
+    return BumpGram(S, W)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ curve are split into polygonal pieces by linear interpolation of K along
 the cell edges, and each piece is integrated at its own centroid.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,42 +16,46 @@ from .operators import gradient
 from .typegeometry import canonical_type_function
 
 
-def _polygon_area_centroid(poly):
-    """Signed shoelace area and centroid of a simple polygon."""
-    x, y = np.array(poly).T
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    if area == 0.0:
-        return 0.0, x.mean(), y.mean()
-    cx = ((x + xn) * cross).sum() / (6.0 * area)
-    cy = ((y + yn) * cross).sum() / (6.0 * area)
-    return abs(area), cx, cy
+def _corners(F):
+    """Nodal values at the four corners of every cell."""
+    return F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]
 
 
-def _split_cell(corners, values):
-    """Split a ccw quad along the zero set of the linearly interpolated
-    corner values; yields (sign, area, cx, cy) pieces."""
-    pos, neg = [], []
-    for k in range(4):
-        p0, f0 = corners[k], values[k]
-        p1, f1 = corners[(k + 1) % 4], values[(k + 1) % 4]
-        if f0 >= 0.0:
-            pos.append(p0)
-        if f0 <= 0.0:
-            neg.append(p0)
-        if (f0 > 0.0 > f1) or (f0 < 0.0 < f1):
-            t = f0 / (f0 - f1)
-            crossing = (p0[0] + t * (p1[0] - p0[0]),
-                        p0[1] + t * (p1[1] - p0[1]))
-            pos.append(crossing)
-            neg.append(crossing)
-    for sign, poly in ((1, pos), (-1, neg)):
-        if len(poly) >= 3:
-            area, cx, cy = _polygon_area_centroid(poly)
-            if area > 0.0:
-                yield sign, area, cx, cy
+@dataclass(frozen=True)
+class SidePoints:
+    """Quadrature points on one side (sign = +-1) of K = 0.  The first
+    ``n_cells`` are the centres of uncut cells, where fields take their
+    corner averages; the rest are the centroids of cut-cell pieces,
+    where fields are interpolated bilinearly.  Point k lies in cell
+    (i[k], j[k]) at offsets (tx[k], ty[k]) in units of the cell sides
+    (1/2 at a centre), at (x[k], y[k]), with weight weight[k]."""
+
+    sign: int
+    n_cells: int
+    i: np.ndarray
+    j: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+
+    def cells(self):
+        """The uncut cells' points alone."""
+        k = self.n_cells
+        return replace(self, i=self.i[:k], j=self.j[:k], tx=self.tx[:k],
+                       ty=self.ty[:k], x=self.x[:k], y=self.y[:k],
+                       weight=self.weight[:k])
+
+    def values(self, F):
+        """A nodal field at the points: corner averages at the uncut
+        cells, bilinear values at the pieces."""
+        c, p = slice(None, self.n_cells), slice(self.n_cells, None)
+        i, j, tx, ty = self.i[p], self.j[p], self.tx[p], self.ty[p]
+        return np.concatenate((
+            (0.25 * sum(_corners(F)))[self.i[c], self.j[c]],
+            (1 - tx) * (1 - ty) * F[i, j] + tx * (1 - ty) * F[i + 1, j]
+            + (1 - tx) * ty * F[i, j + 1] + tx * ty * F[i + 1, j + 1]))
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,92 @@ class CellDecomposition:
         """Total area of the cells straddling K = 0."""
         return int(self.cut_mask.sum()) * self.cell_area
 
+    @functools.cached_property
+    def points(self):
+        """The quadrature points of the (K >= 0, K <= 0) sides, each a
+        ``SidePoints``: that side's uncut cells in row-major order, then
+        its cut-cell pieces.  Built on first use and kept."""
+        grid = self.grid
+        xc = 0.5 * (grid.xs[:-1] + grid.xs[1:])
+        yc = 0.5 * (grid.ys[:-1] + grid.ys[1:])
+        sides = []
+        for sign, mask in ((1, self.pos_cells), (-1, self.neg_cells)):
+            i, j = np.nonzero(mask)
+            p = self.piece_sign == sign
+            pi, pj = self.piece_i[p], self.piece_j[p]
+            px, py = self.piece_x[p], self.piece_y[p]
+            half = np.full(i.size, 0.5)
+            cells = (i, j, half, half, xc[i], yc[j],
+                     np.full(i.size, self.cell_area))
+            pieces = (pi, pj, (px - grid.xs[pi]) / grid.hx,
+                      (py - grid.ys[pj]) / grid.hy, px, py,
+                      self.piece_area[p])
+            sides.append(SidePoints(sign, i.size, *map(
+                np.concatenate, zip(cells, pieces))))
+        return tuple(sides)
 
-def _corners(F):
-    """Nodal values at the four corners of every cell."""
-    return F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]
+
+# Corners of a cell counterclockwise from node (i, j), as lattice offsets.
+_CCW_DI = np.array([0, 1, 1, 0])
+_CCW_DJ = np.array([0, 0, 1, 1])
+
+
+def _shoelace(vx, vy, keep):
+    """Per row, the polygon whose vertices are the kept entries of
+    (vx, vy) in order: its signed shoelace area, the centroid sums
+    sum (x + x') c and sum (y + y') c over its edge cross products c,
+    and its vertex count.  Sums run left to right over the real
+    vertices only, as numpy's sum over one short polygon does."""
+    order = np.argsort(~keep, axis=1, kind="stable")
+    x = np.take_along_axis(vx, order, axis=1)
+    y = np.take_along_axis(vy, order, axis=1)
+    m = keep.sum(axis=1)
+    area = sx = sy = np.zeros(m.size)
+    rows = np.arange(m.size)
+    for r in range(keep.shape[1]):
+        real = r < m
+        nxt = np.where(r + 1 < m, r + 1, 0)
+        xr, yr = x[:, r], y[:, r]
+        xn, yn = x[rows, nxt], y[rows, nxt]
+        cross = xr * yn - xn * yr
+        area = np.where(real, area + cross, area)
+        sx = np.where(real, sx + (xr + xn) * cross, sx)
+        sy = np.where(real, sy + (yr + yn) * cross, sy)
+    return 0.5 * area, sx, sy, m
+
+
+def _split_cut_cells(grid, K, cut):
+    """Split every cut cell along the zero set of K interpolated
+    linearly on its edges, all cells in one array pass.
+
+    Each side's polygon takes, in counterclockwise order, every corner
+    on that side (K = 0 counts for both) and every strict sign change
+    of an edge; polygons with fewer than three vertices or zero area
+    are dropped.  Returns (i, j, sign, area, x, y) of the pieces, cell
+    by cell in row-major order, the K >= 0 piece first.
+    """
+    ci, cj = np.nonzero(cut)
+    n = ci.size
+    ii, jj = ci[:, None] + _CCW_DI, cj[:, None] + _CCW_DJ
+    px, py, f = grid.xs[ii], grid.ys[jj], K[ii, jj]
+    px1, py1, f1 = (np.roll(a, -1, axis=1) for a in (px, py, f))
+    change = ((f > 0.0) & (0.0 > f1)) | ((f < 0.0) & (0.0 < f1))
+    t = np.divide(f, f - f1, out=np.zeros_like(f), where=change)
+    # candidate vertices: corner k, then the crossing on edge k
+    vx = np.stack((px, px + t * (px1 - px)), axis=2).reshape(n, 8)
+    vy = np.stack((py, py + t * (py1 - py)), axis=2).reshape(n, 8)
+    sides = []
+    for on_side in (f >= 0.0, f <= 0.0):
+        keep = np.stack((on_side, change), axis=2).reshape(n, 8)
+        area, sx, sy, m = _shoelace(vx, vy, keep)
+        valid = (m >= 3) & (area != 0.0)
+        safe = np.where(valid, 6.0 * area, 1.0)
+        sides.append((valid, np.abs(area), sx / safe, sy / safe))
+    valid, area, x, y = (np.stack(parts, axis=1) for parts in zip(*sides))
+    sign = np.broadcast_to([1.0, -1.0], valid.shape)
+    return (np.broadcast_to(ci[:, None], valid.shape)[valid],
+            np.broadcast_to(cj[:, None], valid.shape)[valid],
+            sign[valid], area[valid], x[valid], y[valid])
 
 
 def decompose_cells(grid):
@@ -93,47 +180,19 @@ def decompose_cells(grid):
     cut = cell_inside & (cmin < 0.0) & (cmax > 0.0)
     pos = cell_inside & ~cut & (cmin >= 0.0)
     neg = cell_inside & ~cut & ~pos
-    rows = []
-    xs, ys = grid.xs, grid.ys
-    for i, j in zip(*np.nonzero(cut)):
-        corners = ((xs[i], ys[j]), (xs[i + 1], ys[j]),
-                   (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]))
-        vals = (K[i, j], K[i + 1, j], K[i + 1, j + 1], K[i, j + 1])
-        rows.extend((i, j, *piece) for piece in _split_cell(corners, vals))
-    i, j, sign, area, x, y = np.array(rows, dtype=float).reshape(-1, 6).T
     return CellDecomposition(grid, pos, neg, cut, grid.hx * grid.hy,
-                             i.astype(np.intp), j.astype(np.intp),
-                             sign, area, x, y)
+                             *_split_cut_cells(grid, K, cut))
 
 
 def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):
-    """Per side of K = 0, one call of that side's integrand at the centres
-    of its uncut cells (corner-averaged fields) and, if ``with_pieces``,
-    the centroids of its cut-cell pieces (fields interpolated bilinearly)."""
-    grid = decomp.grid
-    XC, YC = np.meshgrid(0.5 * (grid.xs[:-1] + grid.xs[1:]),
-                         0.5 * (grid.ys[:-1] + grid.ys[1:]), indexing="ij")
-    centered = [0.25 * sum(_corners(F)) for F in fields]
+    """Per side of K = 0, one call of that side's integrand at that
+    side's quadrature points (uncut cells only unless ``with_pieces``)."""
     total = 0.0
-    for sign, mask, fn in ((1, decomp.pos_cells, fn_pos),
-                           (-1, decomp.neg_cells, fn_neg)):
-        x, y = XC[mask], YC[mask]
-        vals = [c[mask] for c in centered]
-        weights = np.full(x.size, decomp.cell_area)
-        if with_pieces:
-            p = decomp.piece_sign == sign
-            i, j = decomp.piece_i[p], decomp.piece_j[p]
-            px, py = decomp.piece_x[p], decomp.piece_y[p]
-            tx = (px - grid.xs[i]) / grid.hx
-            ty = (py - grid.ys[j]) / grid.hy
-            x, y = np.concatenate((x, px)), np.concatenate((y, py))
-            vals = [np.concatenate((v, (1 - tx) * (1 - ty) * F[i, j]
-                                    + tx * (1 - ty) * F[i + 1, j]
-                                    + (1 - tx) * ty * F[i, j + 1]
-                                    + tx * ty * F[i + 1, j + 1]))
-                    for v, F in zip(vals, fields)]
-            weights = np.concatenate((weights, decomp.piece_area[p]))
-        total += float(np.sum(weights * fn(x, y, *vals)))
+    for pts, fn in zip(decomp.points, (fn_pos, fn_neg)):
+        if not with_pieces:
+            pts = pts.cells()
+        vals = [pts.values(F) for F in fields]
+        total += float(np.sum(pts.weight * fn(pts.x, pts.y, *vals)))
     return total
 
 

@@ -9,7 +9,9 @@ import pytest
 from coldwave import config as cfg
 from coldwave import output
 from coldwave.cli import build_parser, main
-from coldwave.grid import Grid2D
+from coldwave.grid import Domain, Grid2D
+from coldwave.multipliers import (MultiplierSpec, random_interior_bump,
+                                  verify_energy_inequality)
 from coldwave.solvers import solve_closed_dirichlet
 
 SRC = os.path.dirname(os.path.dirname(cfg.__file__))
@@ -316,6 +318,67 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["pass"] is True
         assert report["min_ratio"] >= report["bound"]
+        minimizer = np.array(report["span_minimizer"])
+        assert minimizer.shape == (4, 4)
+        assert minimizer.flat[np.argmax(np.abs(minimizer))] == 1.0
+        assert report["span_min_ratio"] >= report["bound"]
+        assert report["span_min_ratio_refined"] >= report["bound"]
+
+    def test_energy_check_matches_per_field_trials(self, tmp_path):
+        # the same seeded bumps as random_interior_bump, each checked by
+        # verify_energy_inequality on the nx and 2nx-1 grids
+        out = tmp_path / "energy.json"
+        assert main(["--out", str(out), "--seed", "7", "energy-check",
+                     "--kappa", "0.5", "--trials", "4", "--nx", "17",
+                     "--box=-0.5:1:-0.8:0.6"]) == 0
+        report = json.loads(out.read_text())
+        domain = Domain.rectangle(-0.5, 1.0, -0.8, 0.6)
+        grids = [Grid2D(domain, 17, 17), Grid2D(domain, 33, 33)]
+        specs = [MultiplierSpec.from_kappa(0.5, g) for g in grids]
+        rng = np.random.default_rng(7)
+        pairs = []
+        for _ in range(4):
+            bump = random_interior_bump(domain, rng)
+            pair = []
+            for g, spec in zip(grids, specs):
+                u = g.evaluate(bump)
+                u[g.boundary] = 0.0
+                pair.append(verify_energy_inequality(u, 0.5, spec, g).ratio)
+            pairs.append(pair)
+        np.testing.assert_allclose(report["ratios"],
+                                   [min(p) for p in pairs], rtol=1e-12)
+        assert report["max_two_resolution_gap"] == pytest.approx(
+            max(abs(a - b) for a, b in pairs), rel=1e-10)
+
+    def test_energy_check_span_undefined_on_coarse_grid(self, tmp_path):
+        # on 5 x 5 nodes some bump vanishes at every node: W is singular
+        out = tmp_path / "energy.json"
+        assert main(["--out", str(out), "energy-check", "--kappa", "1.0",
+                     "--trials", "3", "--nx", "5"]) in (0, 3)
+        report = json.loads(out.read_text())
+        assert len(report["ratios"]) == 3
+        assert report["span_min_ratio"] is None
+        assert report["span_minimizer"] is None
+        assert report["span_min_ratio_refined"] is None
+
+    def test_energy_check_loads_no_scipy(self, tmp_path):
+        code = ("import sys; from coldwave.cli import main; "
+                "code = main(['--quiet', '--out', sys.argv[1], "
+                "'energy-check', '--kappa', '1.5', '--trials', '2', "
+                "'--nx', '17']); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "e.json")],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "0 []"
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_energy_check_trials_positive(self, trials, capsys):
+        assert main(["energy-check", "--kappa", "1.0",
+                     "--trials", trials]) == 1
+        assert "argument --trials: must be positive" in capsys.readouterr().err
 
     def test_illposedness(self, problem_json, tmp_path):
         out = tmp_path / "ill.json"
@@ -329,6 +392,14 @@ class TestSubcommands:
     def test_illposedness_too_few_levels(self, problem_json):
         assert main(["--quiet", "illposedness", "--problem", problem_json,
                      "--levels", "9,13"]) == 1
+
+    @pytest.mark.parametrize("levels", ["13,13,13", "9,17,13"])
+    def test_illposedness_levels_increasing(self, problem_json, levels,
+                                            capsys):
+        assert main(["illposedness", "--problem", problem_json,
+                     "--levels", levels]) == 1
+        err = capsys.readouterr().err
+        assert "argument --levels: levels must be strictly increasing" in err
 
     def test_invalid_kappa_exit(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -420,7 +491,8 @@ class TestParserReuse:
 
     def test_notes_after_quiet_call(self, tmp_path, capsys):
         char = ["characteristics", "--start=-1,0.5", "--branch", "1",
-                "--step", "1e-2", "--out", str(tmp_path / "c.csv")]
+                "--step", "1e-2", "--box=-2:2:-2:2",
+                "--out", str(tmp_path / "c.csv")]
         assert main(["--quiet", *char]) == 0
         assert capsys.readouterr().err == ""
         assert main(char) == 0

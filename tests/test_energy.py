@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from coldwave.errors import SpecInvalid
 from coldwave.grid import Domain, Grid2D
-from coldwave.multipliers import (BoundaryReport, MixedMultiplierSpec,
-                                  MultiplierSpec, boundary_admissible,
+from coldwave.multipliers import (BoundaryReport, BumpGram,
+                                  MixedMultiplierSpec, MultiplierSpec,
+                                  boundary_admissible, bump_gram,
                                   random_interior_bump,
                                   verify_energy_inequality)
 from coldwave.quadrature import decompose_cells, weighted_norms
@@ -153,6 +157,88 @@ class TestVerifyEnergyInequality:
             u = grid_bump(g, random_interior_bump(unit_square, rng))
             verify_energy_inequality(u, 1.5, spec, g, decomp=dec)
         assert calls == {"gradient": 20, "integrate_signed": 40}
+
+
+KAPPAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+class TestBumpGram:
+    @pytest.mark.parametrize("box, n", [
+        ((-1.0, 1.0, -1.0, 1.0), 17), ((-1.0, 1.0, -1.0, 1.0), 65),
+        ((-0.3, 1.2, -0.9, 0.7), 17)])
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_ratios_match_per_field_check(self, box, n, kappa):
+        # the same seed gives the same bumps both ways
+        domain = Domain.rectangle(*box)
+        g = Grid2D(domain, n, n)
+        dec = decompose_cells(g)
+        spec = MultiplierSpec.from_kappa(kappa, g)
+        rng = np.random.default_rng(19)
+        expected = [verify_energy_inequality(
+            grid_bump(g, random_interior_bump(domain, rng)),
+            kappa, spec, g, decomp=dec).ratio for _ in range(8)]
+        alphas = np.random.default_rng(19).uniform(-1.0, 1.0, (8, 4, 4))
+        got = bump_gram(g, kappa, spec, decomp=dec).ratios(alphas)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_span_minimum_is_the_minimizer_ratio(self, unit_square, kappa):
+        g = Grid2D(unit_square, 65, 65)
+        spec = MultiplierSpec.from_kappa(kappa, g)
+        gram = bump_gram(g, kappa, spec)
+        span_min, alpha = gram.span_minimum()
+        assert np.abs(alpha).max() == 1.0 == alpha.max()
+        trials = gram.ratios(
+            np.random.default_rng(4).uniform(-1.0, 1.0, (50, 4, 4)))
+        assert span_min <= trials.min()
+        u = grid_bump(g, lambda X, Y: (1 - X ** 2) ** 2 * (1 - Y ** 2) ** 2
+                      * polyval2d(X, Y, alpha.reshape(4, 4)))
+        rep = verify_energy_inequality(u, kappa, spec, g)
+        assert rep.ratio == pytest.approx(span_min, rel=1e-10)
+
+    def test_minimizer_sign_convention(self, unit_square):
+        # flipping basis signs flips the minimizer's entries alike; the
+        # reported coefficients keep their largest entry at +1 either way
+        g = Grid2D(unit_square, 33, 33)
+        gram = bump_gram(g, 0.5, MultiplierSpec.from_kappa(0.5, g))
+        span_min, alpha = gram.span_minimum()
+        rng = np.random.default_rng(2)
+        for _ in range(8):
+            d = rng.choice([-1.0, 1.0], alpha.size)
+            flipped = BumpGram(d[:, None] * gram.S * d,
+                               d[:, None] * gram.W * d).span_minimum()
+            expected = d * alpha / (d * alpha)[np.argmax(np.abs(alpha))]
+            assert flipped[0] == pytest.approx(span_min, rel=1e-12)
+            assert flipped[1].max() == 1.0
+            np.testing.assert_allclose(flipped[1], expected, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_span_minimum_clears_bound(self, unit_square, n, kappa):
+        g = Grid2D(unit_square, n, n)
+        spec = MultiplierSpec.from_kappa(kappa, g)
+        span_min, _ = bump_gram(g, kappa, spec).span_minimum()
+        assert span_min >= spec.ratio_bound
+
+    def test_build_memory_is_blocked(self, unit_square):
+        # the (points x 16) matrices of a 129^2 grid held at once peak
+        # near 14 MB; built GRAM_BLOCK points at a time, below 2 MB
+        g = Grid2D(unit_square, 129, 129)
+        spec = MultiplierSpec.from_kappa(1.5, g)
+        bump_gram(g, 1.5, spec)
+        tracemalloc.start()
+        try:
+            bump_gram(g, 1.5, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_rectangle_only(self):
+        dom = Domain(((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.5)))
+        g = Grid2D(dom, 21, 11)
+        with pytest.raises(ValueError):
+            bump_gram(g, 1.0, MultiplierSpec.from_kappa(1.0, g))
 
 
 class TestMixedMultiplierSpec:

@@ -11,6 +11,58 @@ from coldwave.quadrature import (decompose_cells, integrate_signed,
                                  weighted_norms)
 
 
+def _polygon_area_centroid(poly):
+    """Signed shoelace area and centroid of a simple polygon."""
+    x, y = np.array(poly).T
+    xn = np.roll(x, -1)
+    yn = np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * cross.sum()
+    if area == 0.0:
+        return 0.0, x.mean(), y.mean()
+    cx = ((x + xn) * cross).sum() / (6.0 * area)
+    cy = ((y + yn) * cross).sum() / (6.0 * area)
+    return abs(area), cx, cy
+
+
+def _split_cell(corners, values):
+    """Split a ccw quad along the zero set of the linearly interpolated
+    corner values; yields (sign, area, cx, cy) pieces."""
+    pos, neg = [], []
+    for k in range(4):
+        p0, f0 = corners[k], values[k]
+        p1, f1 = corners[(k + 1) % 4], values[(k + 1) % 4]
+        if f0 >= 0.0:
+            pos.append(p0)
+        if f0 <= 0.0:
+            neg.append(p0)
+        if (f0 > 0.0 > f1) or (f0 < 0.0 < f1):
+            t = f0 / (f0 - f1)
+            crossing = (p0[0] + t * (p1[0] - p0[0]),
+                        p0[1] + t * (p1[1] - p0[1]))
+            pos.append(crossing)
+            neg.append(crossing)
+    for sign, poly in ((1, pos), (-1, neg)):
+        if len(poly) >= 3:
+            area, cx, cy = _polygon_area_centroid(poly)
+            if area > 0.0:
+                yield sign, area, cx, cy
+
+
+def split_cells_one_by_one(grid, cut):
+    """The cut-cell pieces of ``decompose_cells``, one cell at a time."""
+    K = grid.type_values()
+    xs, ys = grid.xs, grid.ys
+    rows = []
+    for i, j in zip(*np.nonzero(cut)):
+        corners = ((xs[i], ys[j]), (xs[i + 1], ys[j]),
+                   (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]))
+        vals = (K[i, j], K[i + 1, j], K[i + 1, j + 1], K[i, j + 1])
+        rows.extend((i, j, *piece) for piece in _split_cell(corners, vals))
+    i, j, sign, area, x, y = np.array(rows, dtype=float).reshape(-1, 6).T
+    return i.astype(np.intp), j.astype(np.intp), sign, area, x, y
+
+
 @pytest.fixture
 def square():
     return Grid2D(Domain.rectangle(-1, 1, -1, 1), 33, 33)
@@ -140,6 +192,22 @@ class TestDecomposition:
         errs = [abs(v - 4.0 / 3.0) for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
+
+    @pytest.mark.parametrize("box", [
+        (-1.0, 1.0, -1.0, 1.0), (-1.05, 0.95, -1.02, 0.98),
+        (0.0, 1.0, 0.0, 0.75), (-0.3, 1.2, -0.9, 0.7)])
+    @pytest.mark.parametrize("n", [9, 17, 33, 65, 100, 129, 257])
+    def test_split_matches_cell_loop(self, box, n):
+        # corners with K = 0 exactly (origin box, first-quadrant box)
+        # put vertices on both sides and give degenerate pieces
+        g = Grid2D(Domain.rectangle(*box), n, n)
+        dec = decompose_cells(g)
+        expected = split_cells_one_by_one(g, dec.cut_mask)
+        got = (dec.piece_i, dec.piece_j, dec.piece_sign, dec.piece_area,
+               dec.piece_x, dec.piece_y)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
     def test_cut_cells_follow_parabola(self, square):
         dec = decompose_cells(square)
