@@ -27,7 +27,7 @@ from .errors import (BracketTooWide, ColdwaveError, CyclotronResonance,
 from .fields import Field1D
 from .grid import Domain, Grid2D
 from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
-                          bump_gram)
+                          bump_coefficients, bump_gram)
 from .solvers import (illposedness_diagnostic, solve_closed_dirichlet,
                       solve_mixed)
 
@@ -240,9 +240,7 @@ def cmd_energy_check(args):
              for g in grids]
     grams = [bump_gram(g, kappa, spec) for g, spec in zip(grids, specs)]
     bound = delta * args.bound_factor
-    # the bumps random_interior_bump would draw, one (i, j) array a trial
-    alphas = rng.uniform(-1.0, 1.0,
-                         (args.trials, BUMP_DEGREE + 1, BUMP_DEGREE + 1))
+    alphas = bump_coefficients(rng, args.trials)
     coarse, fine = (gram.ratios(alphas) for gram in grams)
     ratios = np.minimum(coarse, fine)
     try:
@@ -281,28 +279,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"error: {message}\n")
 
 
-def _positive_float(text):
-    """argparse type of --tol."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def _positive_int(text):
-    """argparse type of energy-check --trials."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _positive(kind):
+    """argparse type converting with ``kind`` (float for --tol, int for
+    energy-check --trials) and rejecting values that are not > 0."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+    return convert
 
 
 def _levels(text):
@@ -332,7 +322,7 @@ def _add_global_flags(parser, suppress=False):
                         default=d("json"),
                         help="output format where both are supported")
     parser.add_argument("--seed", type=int, default=d(42))
-    parser.add_argument("--tol", type=_positive_float, default=d(1e-9),
+    parser.add_argument("--tol", type=_positive(float), default=d(1e-9),
                         help="cyclotron-resonance guard (relative)")
     parser.add_argument("--quiet", action="store_true", default=d(False))
 
@@ -412,7 +402,7 @@ def build_parser():
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--delta-tilde", type=float, default=0.05)
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_positive(int), default=100)
     p.add_argument("--box", default="-1:1:-1:1")
     p.add_argument("--nx", type=int, default=65)
     p.add_argument("--bound-factor", type=float, default=0.9)

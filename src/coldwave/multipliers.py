@@ -174,12 +174,19 @@ def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
                         warnings=spec.warnings)
 
 
+def bump_coefficients(rng, trials, degree=BUMP_DEGREE):
+    """The polynomial coefficients of ``trials`` random bumps, shape
+    (trials, degree + 1, degree + 1); [t, i, j] multiplies X^i Y^j.
+    Drawing them all at once or one bump at a time gives the same bumps."""
+    return rng.uniform(-1.0, 1.0, size=(trials, degree + 1, degree + 1))
+
+
 def random_interior_bump(domain, rng, degree=BUMP_DEGREE):
     """Random smooth field vanishing to second order on the bounding
     box boundary: (1-X^2)^2 (1-Y^2)^2 times a random polynomial in the
     box-normalized coordinates X, Y."""
     x0, x1, y0, y1 = domain.bounding_box
-    coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
+    coeffs = bump_coefficients(rng, 1, degree)[0]
 
     def bump(x, y):
         X = (2.0 * x - (x0 + x1)) / (x1 - x0)
@@ -204,7 +211,7 @@ class BumpGram:
     def ratios(self, alphas):
         """(Mu, Lu) / ||u||^2 for each coefficient array in ``alphas``
         (leading axis: trials; the rest flattens in row-major order,
-        as ``random_interior_bump``'s coefficients[i, j] of X^i Y^j)."""
+        as ``bump_coefficients``' [t, i, j] of X^i Y^j)."""
         a = np.reshape(alphas, (len(alphas), -1))
         return (np.einsum("ti,ij,tj->t", a, self.S, a)
                 / np.einsum("ti,ij,tj->t", a, self.W, a))
@@ -239,7 +246,7 @@ def _outer(p, q):
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), -1)
 
 
-def bump_gram(grid, kappa, spec, decomp=None):
+def bump_gram(grid, kappa, spec):
     """S and W of ``BumpGram`` on a rectangle grid in one quadrature pass.
 
     Every basis field, its stencil derivatives and L of it are sums of
@@ -251,8 +258,7 @@ def bump_gram(grid, kappa, spec, decomp=None):
     if not grid.inside.all():
         raise ValueError("bump_gram needs a rectangle domain")
     _check_regime(spec, kappa)
-    if decomp is None:
-        decomp = decompose_cells(grid)
+    decomp = decompose_cells(grid)
     x0, x1, y0, y1 = grid.domain.bounding_box
     p, p1, p2 = _bump_tables(grid.xs, x0, x1, grid.hx)
     q, q1, q2 = _bump_tables(grid.ys, y0, y1, grid.hy)

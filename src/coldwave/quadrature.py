@@ -47,13 +47,13 @@ class SidePoints:
                        ty=self.ty[:k], x=self.x[:k], y=self.y[:k],
                        weight=self.weight[:k])
 
-    def values(self, F):
-        """A nodal field at the points: corner averages at the uncut
-        cells, bilinear values at the pieces."""
+    def values(self, F, centred):
+        """A nodal field F at the points: at the uncut cells, ``centred``,
+        F's corner average per cell; at the pieces, F's bilinear values."""
         c, p = slice(None, self.n_cells), slice(self.n_cells, None)
         i, j, tx, ty = self.i[p], self.j[p], self.tx[p], self.ty[p]
         return np.concatenate((
-            (0.25 * sum(_corners(F)))[self.i[c], self.j[c]],
+            centred[self.i[c], self.j[c]],
             (1 - tx) * (1 - ty) * F[i, j] + tx * (1 - ty) * F[i + 1, j]
             + (1 - tx) * ty * F[i, j + 1] + tx * ty * F[i + 1, j + 1]))
 
@@ -188,10 +188,11 @@ def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):
     """Per side of K = 0, one call of that side's integrand at that
     side's quadrature points (uncut cells only unless ``with_pieces``)."""
     total = 0.0
+    centred = [0.25 * sum(_corners(F)) for F in fields]
     for pts, fn in zip(decomp.points, (fn_pos, fn_neg)):
         if not with_pieces:
             pts = pts.cells()
-        vals = [pts.values(F) for F in fields]
+        vals = [pts.values(F, C) for F, C in zip(fields, centred)]
         total += float(np.sum(pts.weight * fn(pts.x, pts.y, *vals)))
     return total
 

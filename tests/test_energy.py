@@ -178,7 +178,7 @@ class TestBumpGram:
             grid_bump(g, random_interior_bump(domain, rng)),
             kappa, spec, g, decomp=dec).ratio for _ in range(8)]
         alphas = np.random.default_rng(19).uniform(-1.0, 1.0, (8, 4, 4))
-        got = bump_gram(g, kappa, spec, decomp=dec).ratios(alphas)
+        got = bump_gram(g, kappa, spec).ratios(alphas)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
