@@ -73,11 +73,29 @@ def cmd_dispersion(args):
         raise ValueError("omega and theta grids must be nonempty")
     if min(omegas) <= 0.0:
         raise ValueError("omega grid values must be positive")
-    columns = dispersion.dispersion_scan(pl, omegas, thetas,
-                                         resonance_rtol=args.tol)
     output.write_csv(dispersion.SCAN_HEADER,
-                     output.column_rows(*columns.values()), args.out)
+                     _scan_rows(pl, omegas, thetas, args.tol), args.out)
     return EXIT_OK
+
+
+def _scan_rows(pl, omegas, thetas, tol):
+    """Rows of the dispersion scan, computed a block of about BLOCK_ROWS
+    rows (whole omegas) at a time; the scan is elementwise, so each block
+    equals the same rows of one full scan.  omega and C depend on omega
+    only and theta on theta only, so their cells are formatted once per
+    distinct value."""
+    n_theta = len(thetas)
+    step = max(1, output.BLOCK_ROWS // n_theta)
+    theta_cells = output.float_cells(thetas)
+    for k in range(0, len(omegas), step):
+        block = omegas[k:k + step]
+        columns = dispersion.dispersion_scan(pl, block, thetas,
+                                             resonance_rtol=tol)
+        columns["omega"] = np.repeat(output.float_cells(block), n_theta)
+        columns["theta"] = np.tile(theta_cells, len(block))
+        columns["C"] = np.repeat(
+            output.float_cells(columns["C"][::n_theta]), n_theta)
+        yield from output.column_rows(*columns.values())
 
 
 def cmd_cutoffs(args):
@@ -110,8 +128,8 @@ def cmd_typemap(args):
     k11 = cfg.parse_field(data.get("K11"))
     k33 = cfg.parse_field(data.get("K33"), default=1.0)
     x0, x1, z0, z1 = _box(args.box)
-    X, Z = np.meshgrid(np.linspace(x0, x1, args.nx),
-                       np.linspace(z0, z1, args.nz), indexing="ij")
+    xs, zs = np.linspace(x0, x1, args.nx), np.linspace(z0, z1, args.nz)
+    X, Z = np.meshgrid(xs, zs, indexing="ij")
     v11, v33 = (np.broadcast_to(np.real(k(X, Z)), X.shape).astype(float)
                 for k in (k11, k33))
     kinds = electrostatics.type_from_product(v11, v33)
@@ -121,7 +139,9 @@ def cmd_typemap(args):
         _note(args, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
                     "assumes strictly positive K33")
     output.write_csv("x,z,K11,K33,type", output.column_rows(
-        *(a.ravel() for a in (X, Z, v11, v33, kinds))), args.out)
+        np.repeat(output.float_cells(xs), args.nz),
+        np.tile(output.float_cells(zs), args.nx),
+        *(a.ravel() for a in (v11, v33, kinds))), args.out)
     return EXIT_OK
 
 
@@ -198,7 +218,8 @@ def _write_solution(args, header, grid, sol, arrays):
     run summary (to --summary, else a stderr note)."""
     i, j = np.nonzero(grid.inside)
     output.write_csv(header, output.column_rows(
-        grid.xs[i], grid.ys[j], *(a[i, j] for a in arrays)), args.out)
+        output.float_cells(grid.xs)[i], output.float_cells(grid.ys)[j],
+        *(a[i, j] for a in arrays)), args.out)
     summary = {"residual_norm": sol.residual_norm,
                "condition_estimate": sol.condition_estimate,
                "rank": sol.rank, **sol.norms, **sol.diagnostics}

@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-# Rows converted from arrays to Python values per step of column_rows.
+# Rows converted from arrays to Python values per step of column_rows,
+# and about the rows of one block of the dispersion CSV.
 BLOCK_ROWS = 4096
 
 
@@ -39,6 +40,15 @@ def _row_format(types):
         for t in types)
 
 
+def float_cells(values):
+    """Object array of the CSV cells of 1-D float values, each formatted
+    once as a row format would write it ("%.16e").  A column that
+    repeats a few distinct values can take its cells from this table:
+    str cells are written as they are, so the bytes do not change."""
+    cells = ["%.16e" % v for v in np.asarray(values, dtype=float).tolist()]
+    return np.array(cells, dtype=object)
+
+
 def _csv_rows(rows):
     for row in rows:
         row = tuple(row)
@@ -53,8 +63,10 @@ def csv_lines(header, rows):
 def column_rows(*columns):
     """Rows (tuples of Python values) of equal-length 1-D arrays.
 
-    Columns are converted BLOCK_ROWS rows at a time, so no full-length
-    list of Python values is ever held.
+    A column may be an object array of preformatted cells (see
+    float_cells); they are written unchanged.  Columns are converted
+    BLOCK_ROWS rows at a time, so no full-length list of Python values
+    is ever held.
     """
     n = len(columns[0]) if columns else 0
     for k in range(0, n, BLOCK_ROWS):

@@ -1,7 +1,9 @@
 import json
 import os
+from collections import deque
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ import pytest
 from coldwave import config as cfg
 from coldwave import output
 from coldwave.cli import build_parser, main
+from coldwave.dispersion import SCAN_HEADER, dispersion_scan
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import (MultiplierSpec, random_interior_bump,
                                   verify_energy_inequality)
+from coldwave.plasma import cyclotron_frequency
 from coldwave.solvers import solve_closed_dirichlet
 
 SRC = os.path.dirname(os.path.dirname(cfg.__file__))
@@ -173,7 +177,8 @@ class TestSubcommands:
     def test_characteristics(self, tmp_path):
         out = tmp_path / "char.csv"
         code = main(["--quiet", "--out", str(out), "characteristics",
-                     "--start=-1,0.5", "--branch", "1", "--step", "1e-2"])
+                     "--start=-1,0.5", "--branch", "1", "--step", "1e-2",
+                     "--max-steps", "2000"])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "branch,step,x,y"
@@ -521,6 +526,79 @@ class TestSolutionCsv:
                 for i in range(nx) for j in range(ny) if grid.inside[i, j]]
         expected = "\n".join(output.csv_lines("x,y,u", rows)) + "\n"
         assert out.read_bytes() == expected.encode()
+
+
+class TestDispersionCsv:
+    """The dispersion CSV, written a block of omegas at a time with the
+    repeated omega/theta/C cells formatted once, equals the CSV of one
+    full scan byte for byte."""
+
+    @pytest.mark.parametrize("omegas,thetas", [
+        # n_theta divides BLOCK_ROWS; 150 omegas are not whole blocks
+        ("1e6:1e14:150:log", "0:1.5707963267948966:64"),
+        # n_theta does not divide BLOCK_ROWS
+        ("1e6:1e14:97:log", "0:1.5707963267948966:100"),
+        # n_theta > BLOCK_ROWS: one omega per block
+        ("1e6:1e14:3:log", f"0:1.5:{output.BLOCK_ROWS + 7}"),
+        ("1e6", "0:1.5707963267948966:100"),
+        ("1e9,2e9", "0,15deg,45deg,90deg"),
+    ])
+    def test_matches_full_scan(self, hydrogen_json, tmp_path, omegas,
+                               thetas):
+        self._check(hydrogen_json, tmp_path, omegas, thetas)
+
+    def test_cyclotron_rows(self, hydrogen_json, tmp_path):
+        pl = cfg.parse_plasma(cfg.load_json(hydrogen_json))
+        omegas = sorted(np.geomspace(1e6, 1e14, 85).tolist()
+                        + [cyclotron_frequency(sp, pl.B0)
+                           for sp in pl.species])
+        text = self._check(hydrogen_json, tmp_path,
+                           ",".join(map(repr, omegas)), "0:90deg:100")
+        flagged = [line for line in text.splitlines()
+                   if line.endswith(",cyclotron_resonance")]
+        assert len(flagged) == 2 * 100
+        assert all(",nan," in line for line in flagged)
+
+    @staticmethod
+    def _check(plasma_json, tmp_path, omegas, thetas):
+        out, oracle = tmp_path / "scan.csv", tmp_path / "oracle.csv"
+        assert main(["--out", str(out), "dispersion", "--plasma",
+                     plasma_json, "--omegas", omegas,
+                     "--thetas", thetas]) == 0
+        columns = dispersion_scan(
+            cfg.parse_plasma(cfg.load_json(plasma_json)),
+            cfg.parse_grid_spec(omegas),
+            cfg.parse_grid_spec(thetas, angle=True))
+        output.write_csv(SCAN_HEADER, output.column_rows(*columns.values()),
+                         str(oracle))
+        text = out.read_text()
+        got, want = text.splitlines(), oracle.read_text().splitlines()
+        # the first differing line, not a diff of 1e4-line texts
+        first = next(((k, a, b) for k, (a, b) in enumerate(zip(got, want))
+                      if a != b), None)
+        assert (first, len(got)) == (None, len(want))
+        same_bytes = out.read_bytes() == oracle.read_bytes()
+        assert same_bytes
+        return text
+
+    def test_memory_bounded_by_block(self, hydrogen_json, monkeypatch):
+        # one scan of 2000 x 100 points holds its 11 columns and the
+        # solve's temporaries at once, a 35 MB tracemalloc peak; a block
+        # of omegas at a time peaks near 1.3 MB.  The writer holds one
+        # row at a time, and formatting 2e5 rows under tracemalloc takes
+        # seconds, so the rows are drained here without being formatted.
+        monkeypatch.setattr(output, "write_csv",
+                            lambda header, rows, out=None: deque(rows, 0))
+        argv = ["dispersion", "--plasma", hydrogen_json,
+                "--omegas", "1e6:1e14:2000:log", "--thetas", "0:90deg:100"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestDeterminism:

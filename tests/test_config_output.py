@@ -230,6 +230,28 @@ class TestOutput:
             text += "\n"
         assert out.read_bytes() == text.encode()
 
+    @pytest.mark.parametrize("values", [
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+         2.2250738585072009e-308, 1.5, -1e300],
+        np.array([np.float64(0.1), np.float64(-2.0), np.float64(math.nan)]),
+        np.array([]),
+    ])
+    def test_float_cells(self, values):
+        cells = output.float_cells(values)
+        floats = np.asarray(values, dtype=float).tolist()
+        assert cells.dtype == object and cells.shape == (len(floats),)
+        assert cells.tolist() == ["%.16e" % v for v in floats]
+        assert cells.tolist() == [output.fmt_float(v) for v in floats]
+        # cells in place of the raw floats leave the CSV text unchanged
+        rows = [(k, v, v, "x") for k, v in enumerate(floats)]
+        mixed = [(k, cell, v, "x") for k, (cell, v)
+                 in enumerate(zip(cells.tolist(), floats))]
+        assert output.csv_lines("k,a,b,s", mixed) == \
+            output.csv_lines("k,a,b,s", rows)
+        column = np.asarray(floats)
+        assert output.csv_lines("a,b", output.column_rows(cells, column)) \
+            == output.csv_lines("a,b", output.column_rows(column, column))
+
     def test_json_roundtrip(self):
         obj = {"a": 1, "b": [1.5, None, True], "c": {"d": "text"},
                "e": float("inf")}
