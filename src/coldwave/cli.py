@@ -71,15 +71,17 @@ def cmd_dispersion(args):
     thetas = cfg.parse_grid_spec(args.thetas, angle=True)
     if not omegas or not thetas:
         raise ValueError("omega and theta grids must be nonempty")
-    if min(omegas) <= 0.0:
-        raise ValueError("omega grid values must be positive")
+    if not all(0.0 < w < np.inf for w in omegas):
+        raise ValueError("omega grid values must be finite and positive")
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta grid values must be finite")
     output.write_csv(dispersion.SCAN_HEADER,
-                     _scan_rows(pl, omegas, thetas, args.tol), args.out)
+                     _scan_blocks(pl, omegas, thetas, args.tol), args.out)
     return EXIT_OK
 
 
-def _scan_rows(pl, omegas, thetas, tol):
-    """Rows of the dispersion scan, computed a block of about BLOCK_ROWS
+def _scan_blocks(pl, omegas, thetas, tol):
+    """Column blocks of the dispersion scan, computed about BLOCK_ROWS
     rows (whole omegas) at a time; the scan is elementwise, so each block
     equals the same rows of one full scan.  omega and C depend on omega
     only and theta on theta only, so their cells are formatted once per
@@ -95,7 +97,7 @@ def _scan_rows(pl, omegas, thetas, tol):
         columns["theta"] = np.tile(theta_cells, len(block))
         columns["C"] = np.repeat(
             output.float_cells(columns["C"][::n_theta]), n_theta)
-        yield from output.column_rows(*columns.values())
+        yield tuple(columns.values())
 
 
 def cmd_cutoffs(args):
@@ -103,7 +105,9 @@ def cmd_cutoffs(args):
     bracket = cfg.parse_bracket(args.bracket)
     found = dispersion.cutoff_frequencies(pl, bracket)
     if args.format == "csv":
-        output.write_csv("omega,which", found, args.out)
+        omegas = np.array([w for w, _ in found], dtype=float)
+        labels = np.array([which for _, which in found], dtype=object)
+        output.write_csv("omega,which", [(omegas, labels)], args.out)
     else:
         output.write_json(
             [{"omega": w, "which": which} for w, which in found], args.out)
@@ -115,7 +119,7 @@ def cmd_resonances(args):
     bracket = cfg.parse_bracket(args.bracket)
     res = dispersion.hybrid_resonances(pl, bracket)
     if args.format == "csv":
-        output.write_csv("omega", [(w,) for w in res.roots], args.out)
+        output.write_csv("omega", [(np.array(res.roots, float),)], args.out)
     else:
         output.write_json(
             {"roots": list(res.roots),
@@ -138,10 +142,10 @@ def cmd_typemap(args):
     if k33_min <= 0.0:
         _note(args, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
                     "assumes strictly positive K33")
-    output.write_csv("x,z,K11,K33,type", output.column_rows(
+    output.write_csv("x,z,K11,K33,type", [(
         np.repeat(output.float_cells(xs), args.nz),
         np.tile(output.float_cells(zs), args.nx),
-        *(a.ravel() for a in (v11, v33, kinds))), args.out)
+        *(a.ravel() for a in (v11, v33, kinds)))], args.out)
     return EXIT_OK
 
 
@@ -151,11 +155,10 @@ def cmd_characteristics(args):
     path = typegeometry.trace_characteristic(
         (x, y), args.branch, args.step, domain=domain,
         max_steps=args.max_steps)
-    rows = [(path.branch, i, px, py)
-            for i, (px, py) in enumerate(path.points)]
-    output.write_csv("branch,step,x,y", rows, args.out)
-    _note(args, f"termination: {path.termination} "
-                f"({len(path.points)} points)")
+    n = len(path.points)
+    output.write_csv("branch,step,x,y", [(
+        np.full(n, path.branch), np.arange(n), *path.points.T)], args.out)
+    _note(args, f"termination: {path.termination} ({n} points)")
     return EXIT_OK
 
 
@@ -207,8 +210,8 @@ def cmd_layered(args):
     re_im = [float(v) for v in args.psi0.split(",")]
     psi0 = complex(re_im[0], re_im[1] if len(re_im) > 1 else 0.0)
     sol = electrostatics.integrate_layered(problem, psi0, args.x0, args.x1)
-    rows = [(x, p.real, p.imag) for x, p in zip(sol.xs, sol.psi)]
-    output.write_csv("x,psi_re,psi_im", rows, args.out)
+    output.write_csv("x,psi_re,psi_im",
+                     [(sol.xs, sol.psi.real, sol.psi.imag)], args.out)
     _note(args, f"accepted at {sol.steps} steps")
     return EXIT_OK
 
@@ -217,9 +220,9 @@ def _write_solution(args, header, grid, sol, arrays):
     """Solution CSV, one row per inside node in row-major order, and the
     run summary (to --summary, else a stderr note)."""
     i, j = np.nonzero(grid.inside)
-    output.write_csv(header, output.column_rows(
+    output.write_csv(header, [(
         output.float_cells(grid.xs)[i], output.float_cells(grid.ys)[j],
-        *(a[i, j] for a in arrays)), args.out)
+        *(a[i, j] for a in arrays))], args.out)
     summary = {"residual_norm": sol.residual_norm,
                "condition_estimate": sol.condition_estimate,
                "rank": sol.rank, **sol.norms, **sol.diagnostics}

@@ -294,7 +294,7 @@ def dispersion_scan(plasma, omega_grid, theta_grid,
     """
     omegas = np.asarray(omega_grid, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
-    if np.any(omegas <= 0.0):
+    if not (omegas > 0.0).all():
         raise ValueError("omega must be > 0")
     shape = (omegas.size, thetas.size)
     resonant = np.broadcast_to(

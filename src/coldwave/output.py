@@ -3,74 +3,73 @@
 All floating-point output uses 17-significant-digit scientific notation
 so that repeated runs with identical inputs are byte-identical and
 values round-trip exactly.
+
+CSV is written from columns.  write_csv takes blocks, each a tuple of
+equal-length 1-D arrays, and fixes each column's cell format once from
+its dtype: float as %.16e, integer and bool as %d, str as %s.  An object
+column may hold only str cells (the preformatted cells of float_cells,
+or labels); any other cell raises TypeError.  Every BLOCK_ROWS rows of
+a block are formatted by one % and written as one string.
 """
 
 import contextlib
-import functools
-import itertools
-import math
 import sys
 
 import numpy as np
 
-# Rows converted from arrays to Python values per step of column_rows,
-# and about the rows of one block of the dispersion CSV.
+# Rows formatted by one % and written as one string by write_csv, and
+# about the rows of one block of the dispersion CSV.
 BLOCK_ROWS = 4096
+
+# CSV cell format by column dtype kind (object: str cells only)
+_CELL_FORMATS = {"f": "%.16e", "i": "%d", "u": "%d", "b": "%d", "U": "%s",
+                 "O": "%s"}
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def fmt_float(x):
-    """Round-trip-safe scientific notation (17 significant digits)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".16e")
-
-
-@functools.lru_cache(maxsize=256)
-def _row_format(types):
-    """One %-format for a row whose cells have these types: floats as
-    fmt_float writes them (%.16e also spells nan, inf, -inf), integers
-    (bool included) as %d, anything else as str()."""
-    return ",".join(
-        "%.16e" if issubclass(t, (float, np.floating))
-        else "%d" if issubclass(t, (int, np.integer))
-        else "%s"
-        for t in types)
+    """Round-trip-safe scientific notation (17 significant digits);
+    %.16e spells nan, inf and -inf itself."""
+    return "%.16e" % float(x)
 
 
 def float_cells(values):
     """Object array of the CSV cells of 1-D float values, each formatted
-    once as a row format would write it ("%.16e").  A column that
+    once as write_csv formats a float column ("%.16e").  A column that
     repeats a few distinct values can take its cells from this table:
     str cells are written as they are, so the bytes do not change."""
     cells = ["%.16e" % v for v in np.asarray(values, dtype=float).tolist()]
     return np.array(cells, dtype=object)
 
 
-def _csv_rows(rows):
-    for row in rows:
-        row = tuple(row)
-        yield _row_format(tuple(map(type, row))) % row
+def _cell_format(column):
+    if column.dtype.kind not in _CELL_FORMATS:
+        raise TypeError(f"cannot write a CSV column of dtype {column.dtype}")
+    return _CELL_FORMATS[column.dtype.kind]
 
 
-def csv_lines(header, rows):
-    """Header plus comma-joined rows with deterministic formatting."""
-    return [header, *_csv_rows(rows)]
-
-
-def column_rows(*columns):
-    """Rows (tuples of Python values) of equal-length 1-D arrays.
-
-    A column may be an object array of preformatted cells (see
-    float_cells); they are written unchanged.  Columns are converted
-    BLOCK_ROWS rows at a time, so no full-length list of Python values
-    is ever held.
-    """
-    n = len(columns[0]) if columns else 0
-    for k in range(0, n, BLOCK_ROWS):
-        yield from zip(*(col[k:k + BLOCK_ROWS].tolist() for col in columns))
+def _csv_pieces(header, blocks):
+    """The header, then the text of each BLOCK_ROWS slice of each block
+    with every row led by a newline: the slice's cells fill an
+    (m, ncols) object table column by column, and one % formats it."""
+    yield header
+    for columns in blocks:
+        n = len(columns[0]) if columns else 0
+        if any(len(col) != n for col in columns):
+            raise ValueError("CSV columns differ in length")
+        row = "\n" + ",".join(map(_cell_format, columns))
+        objects = [j for j, col in enumerate(columns) if col.dtype == object]
+        for k in range(0, n, BLOCK_ROWS):
+            m = min(BLOCK_ROWS, n - k)
+            table = np.empty((m, len(columns)), dtype=object)
+            for j, col in enumerate(columns):
+                table[:, j] = col[k:k + m]
+            for j in objects:
+                found = set(map(type, table[:, j].tolist())) - {str}
+                if found:
+                    raise TypeError("an object CSV column may hold only str "
+                                    f"cells, not {found}")
+            yield row * m % tuple(table.ravel().tolist())
 
 
 def json_text(obj, indent=0):
@@ -85,12 +84,8 @@ def json_text(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return fmt_float(x)
+        text = fmt_float(obj)
+        return _JSON_FLOATS.get(text, text)
     if isinstance(obj, str):
         import json as _json
         return _json.dumps(obj)
@@ -129,10 +124,10 @@ def write_text(text, out=None):
     _write([text], out)
 
 
-def write_csv(header, rows, out=None):
-    """Write the text of ``csv_lines(header, rows)``, one row at a time."""
-    lines = ("\n" + line for line in _csv_rows(rows))
-    _write(itertools.chain([header], lines), out)
+def write_csv(header, blocks, out=None):
+    """Write the header line, then the rows of each block of columns in
+    turn (see the module docstring)."""
+    _write(_csv_pieces(header, blocks), out)
 
 
 def write_json(obj, out=None):

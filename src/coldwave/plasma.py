@@ -204,8 +204,8 @@ def stix_parameters(plasma, omega, resonance_rtol=RESONANCE_RTOL):
     omega sits within ``resonance_rtol`` of any species' cyclotron
     frequency, where the cold model breaks down.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
     _check_cyclotron(plasma, omega, resonance_rtol)
     return StixParameters(*stix_arrays(plasma, omega))
 
@@ -224,8 +224,8 @@ def stix_approximate_RL(plasma, omega):
     that sign).  Requires an electron species; with no ions both values
     are exactly 1.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
     el = plasma.electron_species()
     if el is None:
         raise MissingElectrons("approximate R/L needs an electron species")
@@ -267,8 +267,8 @@ def velocity_response(species, E, B0, omega, resonance_rtol=RESONANCE_RTOL):
 
     Raises CyclotronResonance when omega^2 is too close to Omega^2.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
     E = np.asarray(E, dtype=complex)
     q = species.charge
     m = species.mass
@@ -303,8 +303,8 @@ def displacement(E, j, omega):
     Consistency: with velocities from :func:`velocity_response` and
     current from :func:`plasma_current`, this equals eps0 K E.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
     E = np.asarray(E, dtype=complex)
     j = np.asarray(j, dtype=complex)
     return EPSILON_0 * E + (1j / omega) * j
@@ -319,8 +319,8 @@ def lower_hybrid_coefficients(plasma, omega, resonance_rtol=RESONANCE_RTOL):
 
     The operator is elliptic only where xi < 0.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
     _check_cyclotron(plasma, omega, resonance_rtol)
     xi = 1.0
     pi2_sum = 0.0

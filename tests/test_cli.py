@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from coldwave import config as cfg
-from coldwave import output
+from coldwave import dispersion, electrostatics, output, typegeometry
 from coldwave.cli import build_parser, main
 from coldwave.dispersion import SCAN_HEADER, dispersion_scan
+from coldwave.fields import Field1D
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import (MultiplierSpec, random_interior_bump,
                                   verify_energy_inequality)
 from coldwave.plasma import cyclotron_frequency
 from coldwave.solvers import solve_closed_dirichlet
+from test_config_output import assert_same_text, csv_oracle
 
 SRC = os.path.dirname(os.path.dirname(cfg.__file__))
 
@@ -83,6 +85,15 @@ class TestStix:
     def test_missing_file_invalid(self):
         assert main(["--quiet", "stix", "--plasma", "/nonexistent.json",
                      "--omega", "1e9"]) == 1
+
+    @pytest.mark.parametrize("command", ["stix", "symbol-check"])
+    @pytest.mark.parametrize("omega", ["nan", "-nan", "0", "-1e9"])
+    def test_omega_must_be_positive(self, hydrogen_json, command, omega,
+                                    capsys):
+        assert main([command, "--plasma", hydrogen_json,
+                     "--omega=" + omega]) == 1
+        assert capsys.readouterr().err.startswith(
+            "invalid input: omega must be > 0, got ")
 
 
 class TestSubcommands:
@@ -165,8 +176,7 @@ class TestSubcommands:
                 kind = ("parabolic" if abs(product) <= 1e-14 else
                         "elliptic" if product > 0.0 else "hyperbolic")
                 rows.append((x, z, v11, v33, kind))
-        expected = output.csv_lines("x,z,K11,K33,type", rows)
-        assert out.read_text() == "\n".join(expected) + "\n"
+        assert out.read_text() == csv_oracle("x,z,K11,K33,type", rows)
         k33_min = min(r[3] for r in rows)
         err = capsys.readouterr().err
         if k33_min <= 0.0:
@@ -524,8 +534,7 @@ class TestSolutionCsv:
         assert not grid.inside.all()
         rows = [(grid.xs[i], grid.ys[j], u[i, j])
                 for i in range(nx) for j in range(ny) if grid.inside[i, j]]
-        expected = "\n".join(output.csv_lines("x,y,u", rows)) + "\n"
-        assert out.read_bytes() == expected.encode()
+        assert out.read_bytes() == csv_oracle("x,y,u", rows).encode()
 
 
 class TestDispersionCsv:
@@ -561,7 +570,7 @@ class TestDispersionCsv:
 
     @staticmethod
     def _check(plasma_json, tmp_path, omegas, thetas):
-        out, oracle = tmp_path / "scan.csv", tmp_path / "oracle.csv"
+        out = tmp_path / "scan.csv"
         assert main(["--out", str(out), "dispersion", "--plasma",
                      plasma_json, "--omegas", omegas,
                      "--thetas", thetas]) == 0
@@ -569,26 +578,20 @@ class TestDispersionCsv:
             cfg.parse_plasma(cfg.load_json(plasma_json)),
             cfg.parse_grid_spec(omegas),
             cfg.parse_grid_spec(thetas, angle=True))
-        output.write_csv(SCAN_HEADER, output.column_rows(*columns.values()),
-                         str(oracle))
-        text = out.read_text()
-        got, want = text.splitlines(), oracle.read_text().splitlines()
-        # the first differing line, not a diff of 1e4-line texts
-        first = next(((k, a, b) for k, (a, b) in enumerate(zip(got, want))
-                      if a != b), None)
-        assert (first, len(got)) == (None, len(want))
-        same_bytes = out.read_bytes() == oracle.read_bytes()
-        assert same_bytes
+        oracle = csv_oracle(SCAN_HEADER, zip(*(col.tolist()
+                                              for col in columns.values())))
+        text = out.read_bytes().decode()
+        assert_same_text(text, oracle)
         return text
 
     def test_memory_bounded_by_block(self, hydrogen_json, monkeypatch):
         # one scan of 2000 x 100 points holds its 11 columns and the
         # solve's temporaries at once, a 35 MB tracemalloc peak; a block
-        # of omegas at a time peaks near 1.3 MB.  The writer holds one
-        # row at a time, and formatting 2e5 rows under tracemalloc takes
-        # seconds, so the rows are drained here without being formatted.
+        # of omegas at a time peaks near 1.3 MB.  Formatting 2e5 rows
+        # under tracemalloc takes seconds, so the column blocks are
+        # drained here without being written.
         monkeypatch.setattr(output, "write_csv",
-                            lambda header, rows, out=None: deque(rows, 0))
+                            lambda header, blocks, out=None: deque(blocks, 0))
         argv = ["dispersion", "--plasma", hydrogen_json,
                 "--omegas", "1e6:1e14:2000:log", "--thetas", "0:90deg:100"]
         assert main(argv) == 0
@@ -599,6 +602,84 @@ class TestDispersionCsv:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestNonFiniteGrids:
+    @pytest.mark.parametrize("omegas,thetas,grid", [
+        ("nan,1e9", "0", "omega"),
+        ("1e9,-nan", "0", "omega"),
+        ("1e9,inf", "0", "omega"),
+        ("1e9", "0,nan", "theta"),
+        ("1e9", "inf", "theta"),
+        ("1e9", "-infdeg", "theta"),
+    ])
+    def test_rejected_before_any_output(self, hydrogen_json, tmp_path,
+                                        capsys, omegas, thetas, grid):
+        out = tmp_path / "scan.csv"
+        assert main(["--out", str(out), "dispersion", "--plasma",
+                     hydrogen_json, "--omegas=" + omegas,
+                     "--thetas=" + thetas]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"invalid input: {grid} grid values must be finite")
+        assert not out.exists()
+
+    def test_scan_rejects_nan_omega(self, hydrogen):
+        with pytest.raises(ValueError, match="omega must be > 0"):
+            dispersion_scan(hydrogen, [1e9, float("nan")], [0.0])
+
+
+class TestCsvOracles:
+    """CSV commands the benchmark runs as JSON or not at all, byte for
+    byte against the per-cell rule over the rows of the library calls."""
+
+    @pytest.mark.parametrize("bracket", ["1e9:1e13", "1:2"])
+    def test_cutoffs_and_resonances(self, hydrogen_json, hydrogen, tmp_path,
+                                    bracket):
+        out = tmp_path / "cut.csv"
+        assert main(["--format", "csv", "--out", str(out), "cutoffs",
+                     "--plasma", hydrogen_json, "--bracket", bracket]) == 0
+        lo, hi = map(float, bracket.split(":"))
+        found = dispersion.cutoff_frequencies(hydrogen, (lo, hi))
+        assert out.read_text() == csv_oracle("omega,which", found)
+        assert main(["--format", "csv", "--out", str(out), "resonances",
+                     "--plasma", hydrogen_json, "--bracket", bracket]) == 0
+        roots = dispersion.hybrid_resonances(hydrogen, (lo, hi)).roots
+        assert out.read_text() == csv_oracle("omega", [(w,) for w in roots])
+        if bracket == "1:2":
+            assert not found and not roots
+        else:
+            assert len(found) == 3 and roots
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_characteristics(self, tmp_path, branch):
+        out = tmp_path / "char.csv"
+        assert main(["--quiet", "--out", str(out), "characteristics",
+                     "--start=-1,0.5", "--branch", str(branch),
+                     "--step", "1e-2", "--box=-2:2:-2:2"]) == 0
+        path = typegeometry.trace_characteristic(
+            (-1.0, 0.5), branch, 1e-2, domain=(-2.0, 2.0, -2.0, 2.0))
+        rows = [(path.branch, i, px, py)
+                for i, (px, py) in enumerate(path.points)]
+        assert len(rows) > 10
+        assert out.read_text() == csv_oracle("branch,step,x,y", rows)
+
+    def test_layered(self, tmp_path):
+        spec = {"K11": {"kind": "affine_quadratic", "a": 1.3, "b": 0.4},
+                "sigma0": 0.7, "x_range": [0.5, 1.5]}
+        path = tmp_path / "layered.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "psi.csv"
+        assert main(["--quiet", "--out", str(out), "layered", "--layered",
+                     str(path), "--psi0", "1,0.5", "--x0", "0.5",
+                     "--x1", "1.5"]) == 0
+        f2d = cfg.parse_field(spec["K11"])
+        k11 = Field1D(lambda x: float(np.real(f2d(x, 0.0))),
+                      lambda x: float(np.real(f2d.dx(x, 0.0))))
+        problem = electrostatics.LayeredProblem(k11, 0.7, (0.5, 1.5))
+        sol = electrostatics.integrate_layered(problem, 1 + 0.5j, 0.5, 1.5)
+        rows = [(x, p.real, p.imag) for x, p in zip(sol.xs, sol.psi)]
+        assert all(im != 0.0 for _, _, im in rows[1:])
+        assert out.read_text() == csv_oracle("x,psi_re,psi_im", rows)
 
 
 class TestDeterminism:

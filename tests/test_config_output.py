@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -168,22 +170,71 @@ def cell_oracle(value):
     return str(value)
 
 
+def csv_oracle(header, rows):
+    """CSV text of a header and row tuples, cell by cell, ending in one
+    newline unless the last row already does."""
+    text = "\n".join([header, *(",".join(map(cell_oracle, row))
+                                 for row in rows)])
+    return text if text.endswith("\n") else text + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, reported by the first differing line: pytest's diff
+    of two texts of 1e4 lines takes minutes, and Hypothesis builds one
+    for every failing example it shrinks."""
+    got, want = got.split("\n"), want.split("\n")
+    first = next(((k, a, b) for k, (a, b) in enumerate(zip(got, want))
+                  if a != b), None)
+    assert (first, len(got)) == (None, len(want))
+
+
+def csv_text(header, blocks):
+    """What write_csv writes to stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        output.write_csv(header, blocks)
+    return buf.getvalue()
+
+
+def columns_of(rows):
+    """One block holding these rows: str cells in an object column,
+    numbers in the dtype numpy gives them."""
+    return tuple(np.array(col, dtype=object if isinstance(col[0], str)
+                          else None) for col in zip(*rows))
+
+
 SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
                                   5e-324, -5e-324, 2.2250738585072009e-308,
                                   1.7976931348623157e308])
 FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                    SPECIAL_FLOATS)
-CELLS = st.one_of(
-    FLOATS,
-    FLOATS.map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.integers(-2 ** 70, 2 ** 70),
-    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    st.booleans(),
-    st.booleans().map(np.bool_),
-    st.text(max_size=5),
-    st.just(None),
-)
+# column dtype -> cell values; the str kinds cover object and numpy str
+COLUMN_CELLS = {
+    np.dtype(np.float64): FLOATS,
+    np.dtype(np.float32): st.floats(width=32),
+    np.dtype(np.int64): st.integers(-2 ** 63, 2 ** 63 - 1),
+    np.dtype(np.uint64): st.integers(0, 2 ** 64 - 1),
+    np.dtype(np.bool_): st.booleans(),
+    np.dtype(object): st.text(max_size=5),
+    np.dtype("U5"): st.text(st.characters(exclude_characters="\x00"),
+                            max_size=5),
+}
+BLOCK_LENGTHS = st.sampled_from([0, 1, 2, 3, 2 * output.BLOCK_ROWS + 3])
+
+
+@st.composite
+def column_blocks(draw):
+    """A block of 1-4 typed columns of one drawn length.  Each column
+    takes its cells from a drawn pool of up to 5 values in a seeded
+    order, so long columns are cheap to draw and to shrink."""
+    n = draw(BLOCK_LENGTHS)
+    order = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = []
+    for dtype in draw(st.lists(st.sampled_from(list(COLUMN_CELLS)),
+                               min_size=1, max_size=4)):
+        pool = draw(st.lists(COLUMN_CELLS[dtype], min_size=1, max_size=5))
+        block.append(np.array(pool, dtype=dtype)[order.integers(len(pool),
+                                                                size=n)])
+    return tuple(block)
 
 
 class TestOutput:
@@ -192,43 +243,66 @@ class TestOutput:
             x = float(rng.normal() * 10.0 ** rng.integers(-300, 300))
             assert float(output.fmt_float(x)) == x
         assert output.fmt_float(float("nan")) == "nan"
+        assert output.fmt_float(-float("nan")) == "nan"
         assert output.fmt_float(float("inf")) == "inf"
+        assert output.fmt_float(-float("inf")) == "-inf"
+        assert output.fmt_float(np.float32(0.1)) == "1.0000000149011612e-01"
 
     def test_csv_lines(self):
-        lines = output.csv_lines("a,b,c", [(1, 2.5, "x")])
-        assert lines[0] == "a,b,c"
-        assert lines[1] == "1,2.5000000000000000e+00,x"
+        lines = csv_text("a,b,c", [(np.array([1]), np.array([2.5]),
+                                    np.array(["x"], dtype=object))])
+        assert lines.split("\n") == ["a,b,c", "1,2.5000000000000000e+00,x",
+                                     ""]
 
-    @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.lists(CELLS, max_size=6), max_size=8))
-    def test_csv_lines_match_per_cell_rule(self, rows):
-        # rows of different type patterns share one call
-        expected = ["h"] + [",".join(cell_oracle(v) for v in row)
-                            for row in rows]
-        assert output.csv_lines("h", rows) == expected
-        assert output.csv_lines("h", map(tuple, rows)) == expected
+    @settings(max_examples=150, deadline=None)
+    @given(blocks=st.lists(column_blocks(), max_size=3))
+    def test_csv_lines_match_per_cell_rule(self, blocks):
+        # blocks of different dtype patterns share one call
+        rows = [row for block in blocks
+                for row in zip(*(col.tolist() for col in block))]
+        expected = csv_oracle("h", rows)
+        assert_same_text(csv_text("h", blocks), expected)
+        assert_same_text(csv_text("h", iter(blocks)), expected)
+
+    @pytest.mark.parametrize("cell", [1.5, np.float64(2.0), 3, True, None,
+                                      b"x", ("a",)])
+    @pytest.mark.parametrize("at", [0, output.BLOCK_ROWS + 1])
+    def test_object_column_takes_only_str(self, cell, at):
+        labels = np.full(output.BLOCK_ROWS + 2, "x", dtype=object)
+        labels[at] = cell
+        with pytest.raises(TypeError, match="only str"):
+            csv_text("a,b", [(np.arange(labels.size), labels)])
+
+    def test_unwritable_columns_raise(self):
+        with pytest.raises(TypeError, match="complex"):
+            csv_text("z", [(np.array([1j]),)])
+        with pytest.raises(ValueError, match="differ in length"):
+            csv_text("a,b", [(np.zeros(3), np.zeros(1))])
 
     @pytest.mark.parametrize("n", [0, 1, 2 * output.BLOCK_ROWS + 3])
     def test_column_rows_are_zipped_columns(self, n):
         a = np.arange(n, dtype=np.int64)
         b = 0.5 * np.arange(n)
-        rows = list(output.column_rows(a, b))
-        assert rows == list(zip(a.tolist(), b.tolist()))
+        rows = list(zip(a.tolist(), b.tolist()))
         assert all(type(x) is int and type(y) is float for x, y in rows)
+        text = csv_text("a,b", [(a, b)])
+        assert_same_text(text, csv_oracle("a,b", rows))
+        # consecutive blocks write the rows of the joined columns
+        cut = n // 3
+        assert_same_text(
+            csv_text("a,b", [(a[:cut], b[:cut]), (a[cut:], b[cut:])]), text)
 
     @pytest.mark.parametrize("rows", [
         [],
-        [()],
+        [("",)],
         [(k, 0.5 * k, "x") for k in range(10000)],
         [(1.0, "ends with newline\n")],
     ])
     def test_write_csv_is_joined_lines(self, rows, tmp_path):
         out = tmp_path / "t.csv"
-        output.write_csv("a,b", iter(rows), str(out))
-        text = "\n".join(output.csv_lines("a,b", rows))
-        if not text.endswith("\n"):
-            text += "\n"
-        assert out.read_bytes() == text.encode()
+        blocks = [columns_of(rows)] if rows else []
+        output.write_csv("a,b", iter(blocks), str(out))
+        assert_same_text(out.read_bytes().decode(), csv_oracle("a,b", rows))
 
     @pytest.mark.parametrize("values", [
         [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -243,14 +317,12 @@ class TestOutput:
         assert cells.tolist() == ["%.16e" % v for v in floats]
         assert cells.tolist() == [output.fmt_float(v) for v in floats]
         # cells in place of the raw floats leave the CSV text unchanged
-        rows = [(k, v, v, "x") for k, v in enumerate(floats)]
-        mixed = [(k, cell, v, "x") for k, (cell, v)
-                 in enumerate(zip(cells.tolist(), floats))]
-        assert output.csv_lines("k,a,b,s", mixed) == \
-            output.csv_lines("k,a,b,s", rows)
-        column = np.asarray(floats)
-        assert output.csv_lines("a,b", output.column_rows(cells, column)) \
-            == output.csv_lines("a,b", output.column_rows(column, column))
+        k, column = np.arange(len(floats)), np.asarray(floats)
+        labels = np.full(len(floats), "x", dtype=object)
+        rows = [(i, v, v, "x") for i, v in enumerate(floats)]
+        assert csv_text("k,a,b,s", [(k, cells, column, labels)]) \
+            == csv_text("k,a,b,s", [(k, column, column, labels)]) \
+            == csv_oracle("k,a,b,s", rows)
 
     def test_json_roundtrip(self):
         obj = {"a": 1, "b": [1.5, None, True], "c": {"d": "text"},

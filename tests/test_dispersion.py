@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from coldwave import dispersion, output, plasma, rootscan
 from coldwave.errors import (BracketTooWide, CyclotronResonance,
                              DegenerateQuartic)
+from test_config_output import assert_same_text, cell_oracle, csv_oracle
 
 E = 1.602176634e-19
 ME = 9.1093837015e-31
@@ -347,18 +348,17 @@ def oracle_rows(pl, omegas, thetas):
     return rows
 
 
-def csv_bytes(rows):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "scan.csv")
-        output.write_csv(dispersion.SCAN_HEADER, rows, path)
-        with open(path, "rb") as fh:
-            return fh.read()
-
-
 def assert_scan_matches_oracle(pl, omegas, thetas):
     cols = dispersion.dispersion_scan(pl, omegas, thetas)
-    got = csv_bytes(zip(*(c.tolist() for c in cols.values())))
-    assert got == csv_bytes(oracle_rows(pl, omegas, thetas))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.csv")
+        output.write_csv(dispersion.SCAN_HEADER, [tuple(cols.values())],
+                         path)
+        with open(path, "rb") as fh:
+            got = fh.read()
+    expected = csv_oracle(dispersion.SCAN_HEADER,
+                          oracle_rows(pl, omegas, thetas))
+    assert_same_text(got.decode(), expected)
     return cols
 
 
@@ -441,8 +441,8 @@ class TestScanOracle:
                 else:
                     expected = sol.n_squared + sol.classifications + ("",)
             got = (n2p[k], n2m[k], cp[k], cm[k], flag[k])
-            assert output.csv_lines("", [got]) \
-                == output.csv_lines("", [expected]), (k, got, expected)
+            assert list(map(cell_oracle, got)) \
+                == list(map(cell_oracle, expected)), (k, got, expected)
 
 
 SPECIES_KINDS = [("electron", 9.1093837015e-31, -1), ("proton",

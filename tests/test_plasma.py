@@ -119,6 +119,14 @@ class TestStixParameters:
         with pytest.raises(ValueError):
             plasma.stix_parameters(state, -1.0)
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"),
+                                       -float("nan"), np.float64("nan")])
+    def test_omega_must_be_positive(self, hydrogen, omega):
+        with pytest.raises(ValueError, match="omega must be > 0, got "):
+            plasma.stix_parameters(hydrogen, omega)
+        with pytest.raises(ValueError, match="omega must be > 0, got "):
+            plasma.stix_approximate_RL(hydrogen, omega)
+
     def test_array_kernel_matches_scalar_calls(self, rng):
         for _ in range(20):
             state = plasma.PlasmaState(
