@@ -13,6 +13,7 @@ inadmissible boundary, symbol-check failure).
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -150,10 +151,9 @@ def cmd_typemap(args):
 
 
 def cmd_characteristics(args):
-    x, y = (float(v) for v in args.start.split(","))
     domain = _box(args.box) if args.box else None
     path = typegeometry.trace_characteristic(
-        (x, y), args.branch, args.step, domain=domain,
+        args.start, args.branch, args.step, domain=domain,
         max_steps=args.max_steps)
     n = len(path.points)
     output.write_csv("branch,step,x,y", [(
@@ -304,8 +304,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(kind):
-    """argparse type converting with ``kind`` (float for --tol, int for
-    energy-check --trials) and rejecting values that are not > 0."""
+    """argparse type converting with ``kind`` (float for --tol,
+    characteristics --step and symbol-check --kmax, int for energy-check
+    --trials) and rejecting values that are not > 0 or not finite."""
     def convert(text):
         try:
             value = kind(text)
@@ -315,8 +316,26 @@ def _positive(kind):
         if not value > 0:
             raise argparse.ArgumentTypeError(
                 f"must be positive, got {text!r}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
     return convert
+
+
+def _point(text):
+    """argparse type of characteristics --start: 'x,y', two finite
+    floats."""
+    try:
+        point = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid point: {text!r}") from None
+    if len(point) != 2:
+        raise argparse.ArgumentTypeError(
+            f"must be 'x,y', got {text!r}")
+    if not all(map(math.isfinite, point)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return point
 
 
 def _levels(text):
@@ -387,9 +406,9 @@ def build_parser():
     p.add_argument("--nz", type=int, default=33)
 
     p = sub.add_parser("characteristics", help="trace one characteristic")
-    p.add_argument("--start", required=True, help="'x,y'")
+    p.add_argument("--start", type=_point, required=True, help="'x,y'")
     p.add_argument("--branch", type=int, choices=(-1, 1), required=True)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_positive(float), default=1e-3)
     p.add_argument("--box", help="stop box x0:x1:y0:y1")
     p.add_argument("--max-steps", type=int, default=200000)
 
@@ -399,7 +418,7 @@ def build_parser():
     p = sub.add_parser("symbol-check",
                        help="curl-curl degeneracy and gauge-symbol checks")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--kmax", type=float, default=10.0)
+    p.add_argument("--kmax", type=_positive(float), default=10.0)
     p.add_argument("--plasma")
     p.add_argument("--omega", type=float)
 

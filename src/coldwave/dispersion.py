@@ -27,6 +27,9 @@ SCAN_HEADER = "omega,theta,A,B,C,F2,n2_plus,n2_minus,class_plus,class_minus,flag
 # branch of the quadratic (n^2 -> infinity on one sheet).
 RESONANCE_BRANCH_RTOL = 1e-12
 
+# A root n^2 within this multiple of max(1, scale) of zero is a cutoff.
+CUTOFF_RTOL = 1e-14
+
 
 @dataclass(frozen=True)
 class WaveNormalCoefficients:
@@ -101,24 +104,24 @@ def f_squared_alternate(stix, theta):
 
 
 def _classify(value, scale):
-    if abs(value) <= 1e-14 * max(1.0, scale):
+    if abs(value) <= CUTOFF_RTOL * max(1.0, scale):
         return "cutoff"
     return "propagating" if value > 0.0 else "evanescent"
 
 
-def refractive_indices(coeffs, branch_rtol=RESONANCE_BRANCH_RTOL):
+def refractive_indices(coeffs):
     """Solve A n^4 - B n^2 + C = 0 for n^2.
 
     The quadratic is solved in the cancellation-free form (larger root
     from the sign-matched half of B +/- F, the other as C over that
     half).  Negative F^2 yields the conjugate complex pair, flagged
-    rather than raised.  |A| below ``branch_rtol`` times the coefficient
-    scale is the resonance branch: the single finite root C/B is
-    returned.  Raises DegenerateQuartic if A and B both vanish.
+    rather than raised.  |A| below RESONANCE_BRANCH_RTOL times the
+    coefficient scale is the resonance branch: the single finite root
+    C/B is returned.  Raises DegenerateQuartic if A and B both vanish.
     """
     A, B, C = coeffs.A, coeffs.B, coeffs.C
     scale = abs(A) + abs(B) + abs(C)
-    a_tol = branch_rtol * max(scale, 1e-300)
+    a_tol = RESONANCE_BRANCH_RTOL * max(scale, 1e-300)
     if abs(A) <= a_tol:
         if abs(B) <= a_tol:
             raise DegenerateQuartic(
@@ -170,7 +173,7 @@ def _poles(plasma):
     return [Om for Om in poles if Om > 0.0]
 
 
-def cutoff_frequencies(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
+def cutoff_frequencies(plasma, omega_bracket):
     """Cutoff frequencies in the bracket: roots of p, R, and L.
 
     Returns (omega, which) pairs sorted by omega, which in {"P","R","L"}.
@@ -184,7 +187,7 @@ def cutoff_frequencies(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
     found = []
     for index, label in ((4, "P"), (0, "R"), (1, "L")):
         fn = lambda w, index=index: stix_arrays(plasma, w)[index]
-        for w in rootscan.scan_roots(fn, a, b, poles, n_grid=n_grid, rtol=rtol):
+        for w in rootscan.scan_roots(fn, a, b, poles):
             found.append((w, label))
     found.sort()
     return found
@@ -200,15 +203,14 @@ class HybridResonances:
     lower_hybrid_estimate: float | None = None
 
 
-def hybrid_resonances(plasma, omega_bracket, n_grid=2048, rtol=1e-12):
+def hybrid_resonances(plasma, omega_bracket):
     """Hybrid resonance frequencies: sign-change roots of s in the
     bracket, pole-aware.  See :class:`HybridResonances`."""
     a, b = omega_bracket
     if not 0.0 < a < b:
         raise ValueError("omega bracket must satisfy 0 < a < b")
     roots = tuple(rootscan.scan_roots(lambda w: stix_arrays(plasma, w)[2],
-                                      a, b, _poles(plasma),
-                                      n_grid=n_grid, rtol=rtol))
+                                      a, b, _poles(plasma)))
     estimate = None
     electron_sp = plasma.electron_species()
     ions = plasma.ion_species()
@@ -230,13 +232,13 @@ _CODE = {label: code for code, label in enumerate(_LABELS)}
 
 def _classify_codes(value, scale):
     """Array form of :func:`_classify` (``max`` spelt as Python's)."""
-    cutoff = np.abs(value) <= 1e-14 * np.where(scale > 1.0, scale, 1.0)
+    cutoff = np.abs(value) <= CUTOFF_RTOL * np.where(scale > 1.0, scale, 1.0)
     return np.where(cutoff, _CODE["cutoff"],
                     np.where(value > 0.0, _CODE["propagating"],
                              _CODE["evanescent"]))
 
 
-def _solve_grid(A, B, C, F2, branch_rtol=RESONANCE_BRANCH_RTOL):
+def _solve_grid(A, B, C, F2):
     """Array form of :func:`refractive_indices` with masked branches.
 
     Returns (n2_plus, n2_minus, class_plus, class_minus, flag): each
@@ -245,7 +247,7 @@ def _solve_grid(A, B, C, F2, branch_rtol=RESONANCE_BRANCH_RTOL):
     three are codes into ``_LABELS``.
     """
     scale = np.abs(A) + np.abs(B) + np.abs(C)
-    a_tol = branch_rtol * np.where(1e-300 > scale, 1e-300, scale)
+    a_tol = RESONANCE_BRANCH_RTOL * np.where(1e-300 > scale, 1e-300, scale)
     on_branch = np.abs(A) <= a_tol
     degenerate = on_branch & (np.abs(B) <= a_tol)
     resonance = on_branch & ~degenerate

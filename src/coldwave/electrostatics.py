@@ -16,6 +16,17 @@ from .fields import Field1D
 
 TYPE_PRODUCT_TOL = 1e-14
 SONIC_TOL = 1e-12
+# Samples of K11 in _require_nonvanishing.
+NONVANISHING_SAMPLES = 257
+# integrate_layered: first-pass RK4 steps, acceptance tolerance, halvings.
+LAYERED_STEPS0 = 64
+LAYERED_RTOL = 1e-9
+LAYERED_MAX_HALVINGS = 14
+# singular_points_on_sonic_line: search cells per axis, Newton residual
+# tolerance and iteration limit.
+SONIC_SEARCH_CELLS = 64
+SONIC_RESIDUAL_TOL = 1e-8
+SONIC_MAX_NEWTON = 50
 
 
 def layered_sigma0(k2, k3, tensor, x, z=0.0):
@@ -41,8 +52,8 @@ class LayeredProblem:
         _require_nonvanishing(self.K11, x0, x1)
 
 
-def _require_nonvanishing(k11, x0, x1, n=257):
-    xs = np.linspace(x0, x1, n)
+def _require_nonvanishing(k11, x0, x1):
+    xs = np.linspace(x0, x1, NONVANISHING_SAMPLES)
     vals = np.array([k11(x) for x in xs], dtype=float)
     if np.any(vals == 0.0) or vals.min() < 0.0 < vals.max():
         raise SingularCoefficient(
@@ -63,12 +74,11 @@ class LayeredSolution:
         return self.psi[-1]
 
 
-def integrate_layered(problem, psi0, x0, x1, n0=64, rtol=1e-9,
-                      max_halvings=14):
+def integrate_layered(problem, psi0, x0, x1):
     """Integrate K11 psi' + (K11' + i sigma0) psi = 0 from x0 to x1.
 
     Classical fixed-step RK4 with step halving until the endpoint value
-    changes by less than ``rtol`` (relative).  Returns the solution
+    changes by less than LAYERED_RTOL (relative).  Returns the solution
     sampled at the accepted resolution.  Raises SingularCoefficient if
     K11 vanishes on [x0, x1]; the closed form is
     psi0 * K11(x0)/K11(x) * exp(-i sigma0 * integral dt/K11).
@@ -98,13 +108,13 @@ def integrate_layered(problem, psi0, x0, x1, n0=64, rtol=1e-9,
             psi[i + 1] = y
         return xs, psi
 
-    n = n0
+    n = LAYERED_STEPS0
     xs, psi = run(n)
-    for _ in range(max_halvings):
+    for _ in range(LAYERED_MAX_HALVINGS):
         n *= 2
         xs2, psi2 = run(n)
         ref = max(abs(psi2[-1]), abs(psi0), 1e-300)
-        if abs(psi2[-1] - psi[-1]) <= rtol * ref:
+        if abs(psi2[-1] - psi[-1]) <= LAYERED_RTOL * ref:
             return LayeredSolution(xs2, psi2, n)
         xs, psi = xs2, psi2
     return LayeredSolution(xs, psi, n)
@@ -140,23 +150,24 @@ def pde_coefficients(tensor, k2, x, z):
                            tensor.K11(x, z), tensor.K33(x, z))
 
 
-def type_from_product(K11, K33, tol=TYPE_PRODUCT_TOL):
+def type_from_product(K11, K33):
     """Equation type from the sign of K11*K33: 'elliptic' (> 0),
-    'hyperbolic' (< 0), or 'parabolic' (zero within tol).  For array
-    arguments the result is an array of these names."""
+    'hyperbolic' (< 0), or 'parabolic' (zero within TYPE_PRODUCT_TOL).
+    For array arguments the result is an array of these names."""
     product = np.multiply(K11, K33)
-    kind = np.where(np.abs(product) <= tol, "parabolic",
+    kind = np.where(np.abs(product) <= TYPE_PRODUCT_TOL, "parabolic",
                     np.where(product > 0.0, "elliptic", "hyperbolic"))
     return kind if kind.ndim else str(kind)
 
 
-def sonic_condition(K, eta, theta, tol=SONIC_TOL):
+def sonic_condition(K, eta, theta):
     """Which sonic alternative holds: 'sonic_K' if K = 0,
-    'sonic_angle' if K sin^2(theta) + eta cos^2(theta) = 0, else 'none'."""
-    if abs(K) <= tol:
+    'sonic_angle' if K sin^2(theta) + eta cos^2(theta) = 0, else 'none'
+    (zero meaning within SONIC_TOL)."""
+    if abs(K) <= SONIC_TOL:
         return "sonic_K"
     value = K * math.sin(theta) ** 2 + eta * math.cos(theta) ** 2
-    if abs(value) <= tol:
+    if abs(value) <= SONIC_TOL:
         return "sonic_angle"
     return "none"
 
@@ -172,16 +183,16 @@ class SonicPointSearch:
     degenerate: bool = False
 
 
-def singular_points_on_sonic_line(k11, box, grid=(64, 64), residual_tol=1e-8,
-                                  max_newton=50):
+def singular_points_on_sonic_line(k11, box):
     """Points in the box where K11 = 0 and K11_z = 0 simultaneously.
 
-    Candidate cells come from grid sign changes of both functions; each
-    is refined by damped 2D Newton until both residuals drop below
-    ``residual_tol``.  Duplicates within half a cell are merged.
+    Candidate cells come from sign changes of both functions on a
+    SONIC_SEARCH_CELLS-square grid; each is refined by damped 2D Newton
+    until both residuals drop below SONIC_RESIDUAL_TOL.  Duplicates
+    within half a cell are merged.
     """
     x0, x1, z0, z1 = box
-    nx, nz = grid
+    nx = nz = SONIC_SEARCH_CELLS
     xs = np.linspace(x0, x1, nx + 1)
     zs = np.linspace(z0, z1, nz + 1)
     f = np.array([[k11(x, z) for z in zs] for x in xs], dtype=float)
@@ -197,9 +208,10 @@ def singular_points_on_sonic_line(k11, box, grid=(64, 64), residual_tol=1e-8,
 
     def newton(x, z):
         h = 1e-6 * max(abs(x1 - x0), abs(z1 - z0))
-        for _ in range(max_newton):
+        for _ in range(SONIC_MAX_NEWTON):
             F = np.array([k11(x, z), k11.dz(x, z)])
-            if abs(F[0]) < residual_tol and abs(F[1]) < residual_tol:
+            if (abs(F[0]) < SONIC_RESIDUAL_TOL
+                    and abs(F[1]) < SONIC_RESIDUAL_TOL):
                 return x, z
             J = np.array([
                 [k11.dx(x, z), k11.dz(x, z)],
@@ -221,7 +233,7 @@ def singular_points_on_sonic_line(k11, box, grid=(64, 64), residual_tol=1e-8,
             else:
                 return None
         F = np.array([k11(x, z), k11.dz(x, z)])
-        if abs(F[0]) < residual_tol and abs(F[1]) < residual_tol:
+        if abs(F[0]) < SONIC_RESIDUAL_TOL and abs(F[1]) < SONIC_RESIDUAL_TOL:
             return x, z
         return None
 

@@ -52,10 +52,6 @@ class FactorizationFailure(ColdwaveError):
     """A grid solve failed: the matrix, factor or solution is non-finite,
     or the LSMR fallback for a singular factor did not converge."""
 
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
 
 class InsufficientLevels(ColdwaveError):
     """Diagnostic needs at least three refinement levels."""

@@ -20,6 +20,10 @@ from .quadrature import (decompose_cells, integrate_h1_density,
 from .typegeometry import canonical_type_function
 
 SIGN_TOL = 1e-12
+# Lattice points per axis of MixedMultiplierSpec.auto's positivity check.
+SPEC_SAMPLES = 101
+# Midpoint samples per boundary segment in boundary_admissible.
+BOUNDARY_SAMPLES = 256
 
 # Polynomial degree per axis of the random bumps and of the Gram basis.
 BUMP_DEGREE = 3
@@ -59,8 +63,9 @@ class MultiplierSpec:
 
         The exponential-branch bounds b <= Q1 on K>0 and b > Q2 on K<0
         hold only for delta below exp(mu2)/6; with larger delta they are
-        reported as warnings (the integral bound itself is what
-        ``verify_energy_inequality`` checks).
+        reported as warnings (the integral bound itself is what the
+        energy check measures: ``bump_gram`` for ``energy-check``, or
+        ``verify_energy_inequality`` for a single grid field).
         """
         if not 0.0 <= kappa <= 2.0:
             raise SpecInvalid(f"kappa={kappa!r} outside [0, 2]")
@@ -174,19 +179,21 @@ def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
                         warnings=spec.warnings)
 
 
-def bump_coefficients(rng, trials, degree=BUMP_DEGREE):
+def bump_coefficients(rng, trials):
     """The polynomial coefficients of ``trials`` random bumps, shape
-    (trials, degree + 1, degree + 1); [t, i, j] multiplies X^i Y^j.
-    Drawing them all at once or one bump at a time gives the same bumps."""
-    return rng.uniform(-1.0, 1.0, size=(trials, degree + 1, degree + 1))
+    (trials, BUMP_DEGREE + 1, BUMP_DEGREE + 1); [t, i, j] multiplies
+    X^i Y^j.  Drawing them all at once or one bump at a time gives the
+    same bumps."""
+    return rng.uniform(-1.0, 1.0,
+                       size=(trials, BUMP_DEGREE + 1, BUMP_DEGREE + 1))
 
 
-def random_interior_bump(domain, rng, degree=BUMP_DEGREE):
+def random_interior_bump(domain, rng):
     """Random smooth field vanishing to second order on the bounding
     box boundary: (1-X^2)^2 (1-Y^2)^2 times a random polynomial in the
     box-normalized coordinates X, Y."""
     x0, x1, y0, y1 = domain.bounding_box
-    coeffs = bump_coefficients(rng, 1, degree)[0]
+    coeffs = bump_coefficients(rng, 1)[0]
 
     def bump(x, y):
         X = (2.0 * x - (x0 + x1)) / (x1 - x0)
@@ -332,19 +339,18 @@ class MixedMultiplierSpec:
         return np.array([[b, c], [-K * c, b]])
 
     @classmethod
-    def auto(cls, domain, mu=1.0, delta=0.05, t=None, s_const=None,
-             samples=101):
+    def auto(cls, domain, mu=1.0, delta=0.05):
         """Choose t and s_const for the domain, then validate the
-        positivity requirements by dense sampling."""
+        positivity requirements by dense sampling (SPEC_SAMPLES points
+        per axis of the bounding box)."""
         x0, x1, y0, y1 = domain.bounding_box
-        xs = np.linspace(x0, x1, samples)
-        ys = np.linspace(y0, y1, samples)
+        xs = np.linspace(x0, x1, SPEC_SAMPLES)
+        ys = np.linspace(y0, y1, SPEC_SAMPLES)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         inside = domain.contains(X, Y)
         Xi, Yi = X[inside], Y[inside]
         K = canonical_type_function(Xi, Yi)
-        if t is None:
-            t = 1.0 + mu * max(0.0, float(Yi.max()))
+        t = 1.0 + mu * max(0.0, float(Yi.max()))
         c = mu * Yi - t
         m_mag = 0.5 * (mu + delta)
         need = np.maximum.reduce([
@@ -352,8 +358,7 @@ class MixedMultiplierSpec:
             2.0 * np.abs(c * Yi),
             np.abs(m_mag * K) + np.sqrt(np.maximum(-K, 0.0)) * np.abs(c),
         ])
-        if s_const is None:
-            s_const = 1.0 + 2.0 * float(need.max())
+        s_const = 1.0 + 2.0 * float(need.max())
         spec = cls(mu, t, s_const, delta)
         if float(spec.c(Yi).max()) >= 0.0:
             raise SpecInvalid("mu y - t must be negative on the domain")
@@ -387,30 +392,31 @@ class BoundaryReport:
     admissible: bool
 
 
-def boundary_admissible(domain, G, spec, n_quad=256, orientation=1,
-                        tol=SIGN_TOL):
-    """Check the mixed problem's boundary sign conditions per segment.
+def boundary_admissible(domain, G, spec, orientation=1):
+    """Check the mixed problem's boundary sign conditions per segment,
+    sampled at BOUNDARY_SAMPLES midpoints of each.
 
     On segments in G the requirement is b dy - c dx <= 0; elsewhere
-    K (b dy - c dx) >= 0, both to within ``tol``.  ``orientation`` = -1
+    K (b dy - c dx) >= 0, both to within SIGN_TOL.  ``orientation`` = -1
     traverses the boundary clockwise (flipping every sign).
     """
     G = set(G)
+    n = BOUNDARY_SAMPLES
+    ts = (np.arange(n) + 0.5) / n
     reports = []
     for seg in domain.boundary_segments():
         dx, dy = seg.delta
-        dx, dy = orientation * dx / n_quad, orientation * dy / n_quad
-        ts = (np.arange(n_quad) + 0.5) / n_quad
+        dx, dy = orientation * dx / n, orientation * dy / n
         x = seg.start[0] + ts * (seg.end[0] - seg.start[0])
         y = seg.start[1] + ts * (seg.end[1] - seg.start[1])
         q = spec.b(x, y) * dy - spec.c(y) * dx
         in_g = seg.name in G
         if in_g:
             vals = q
-            ok = bool(vals.max() <= tol)
+            ok = bool(vals.max() <= SIGN_TOL)
         else:
             vals = canonical_type_function(x, y) * q
-            ok = bool(vals.min() >= -tol)
+            ok = bool(vals.min() >= -SIGN_TOL)
         reports.append(SegmentReport(seg.name, in_g, float(vals.min()),
                                      float(vals.max()), ok))
     return BoundaryReport(tuple(reports), all(r.admissible for r in reports))

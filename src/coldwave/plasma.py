@@ -147,13 +147,20 @@ def plasma_frequency_squared(species):
     return species.density * q * q / (EPSILON_0 * species.mass)
 
 
+def _cyclotron_hit(species, B0, omega, rtol):
+    """(Omega, hit) of one species: its cyclotron frequency Omega, and
+    whether Omega > 0 and omega lies within rtol (relative) of it."""
+    Om = cyclotron_frequency(species, B0)
+    return Om, Om > 0.0 and abs(omega - Om) < rtol * Om
+
+
 def _cyclotron_hits(plasma, omega, rtol):
     """(species, Omega, hit) for each species with Omega > 0, where hit
     is True where omega lies within rtol (relative) of Omega."""
     for sp in plasma.species:
-        Om = cyclotron_frequency(sp, plasma.B0)
+        Om, hit = _cyclotron_hit(sp, plasma.B0, omega, rtol)
         if Om > 0.0:
-            yield sp, Om, abs(omega - Om) < rtol * Om
+            yield sp, Om, hit
 
 
 def near_cyclotron(plasma, omega, rtol=RESONANCE_RTOL):
@@ -256,7 +263,7 @@ def dielectric_tensor(stix):
     return DielectricTensor(K)
 
 
-def velocity_response(species, E, B0, omega, resonance_rtol=RESONANCE_RTOL):
+def velocity_response(species, E, B0, omega):
     """First-order velocity of one species driven by a plane-wave field E.
 
     Components perpendicular to B0 couple through the cyclotron motion:
@@ -265,15 +272,16 @@ def velocity_response(species, E, B0, omega, resonance_rtol=RESONANCE_RTOL):
         v2 = i q (omega E2 - i sign*Omega E1) / (m (omega^2 - Omega^2))
         v3 = i q E3 / (m omega)
 
-    Raises CyclotronResonance when omega^2 is too close to Omega^2.
+    Raises CyclotronResonance when omega lies within RESONANCE_RTOL
+    (relative) of Omega.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     E = np.asarray(E, dtype=complex)
     q = species.charge
     m = species.mass
-    Om = cyclotron_frequency(species, B0)
-    if Om > 0.0 and abs(omega - Om) < resonance_rtol * Om:
+    Om, hit = _cyclotron_hit(species, B0, omega, RESONANCE_RTOL)
+    if hit:
         raise CyclotronResonance(
             f"omega={omega!r} too close to cyclotron frequency {Om!r}"
         )
@@ -310,7 +318,7 @@ def displacement(E, j, omega):
     return EPSILON_0 * E + (1j / omega) * j
 
 
-def lower_hybrid_coefficients(plasma, omega, resonance_rtol=RESONANCE_RTOL):
+def lower_hybrid_coefficients(plasma, omega):
     """Coefficients (xi, zeta, mu) of the reduced wave operator.
 
     xi   = 1 + sum Pi^2 / (Omega^2 - omega^2)
@@ -321,7 +329,7 @@ def lower_hybrid_coefficients(plasma, omega, resonance_rtol=RESONANCE_RTOL):
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    _check_cyclotron(plasma, omega, resonance_rtol)
+    _check_cyclotron(plasma, omega, RESONANCE_RTOL)
     xi = 1.0
     pi2_sum = 0.0
     mu = 0.0

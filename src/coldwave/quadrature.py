@@ -236,7 +236,7 @@ class WeightedNorms:
     excluded_measure: float = 0.0
 
 
-def weighted_norms(u, grid, include_dual=True, decomp=None):
+def weighted_norms(u, grid, include_dual=True):
     """Quadrature of (int |K| u^2)^1/2, (int 1/|K| u^2)^1/2, and
     (int |K| u_x^2 + u_y^2)^1/2 with K = x - y^2.
 
@@ -244,8 +244,7 @@ def weighted_norms(u, grid, include_dual=True, decomp=None):
     reported) and raises DualNormSingular if u is supported there.
     """
     u = np.asarray(u, dtype=float)
-    if decomp is None:
-        decomp = decompose_cells(grid)
+    decomp = decompose_cells(grid)
     ux, uy = gradient(u, grid)
 
     def absk_u2(x, y, uv):

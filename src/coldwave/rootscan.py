@@ -15,9 +15,16 @@ from .errors import BracketTooWide
 
 MAX_SUBINTERVALS = 2 ** 16
 POLE_GUARD_RTOL = 1e-9
+# Bisection stops once a bracket is this narrow relative to its midpoint;
+# scan_roots merges roots this close (relative) into one.
+ROOT_RTOL = 1e-12
+BISECT_MAX_ITER = 200
+# Geometric samples over a whole bracket; a pole-free piece gets its
+# share by log length, but at least 8.
+SCAN_SAMPLES = 2048
 
 
-def bisect(f, a, b, rtol=1e-12, max_iter=200):
+def bisect(f, a, b):
     """Root of f in [a, b] by plain bisection; f(a) and f(b) must differ
     in sign (either may be zero)."""
     fa = f(a)
@@ -28,9 +35,9 @@ def bisect(f, a, b, rtol=1e-12, max_iter=200):
         return b
     if fa * fb > 0.0:
         raise ValueError("root is not bracketed")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         m = 0.5 * (a + b)
-        if b - a <= rtol * abs(m):
+        if b - a <= ROOT_RTOL * abs(m):
             return m
         fm = f(m)
         if fm == 0.0:
@@ -42,7 +49,7 @@ def bisect(f, a, b, rtol=1e-12, max_iter=200):
     return 0.5 * (a + b)
 
 
-def split_at_poles(a, b, poles, guard_rtol=POLE_GUARD_RTOL):
+def split_at_poles(a, b, poles):
     """Pole-free closed subintervals of [a, b].
 
     Each pole inside (a, b) is excised with a relative guard gap.  Raises
@@ -51,13 +58,15 @@ def split_at_poles(a, b, poles, guard_rtol=POLE_GUARD_RTOL):
     """
     if not a < b:
         raise ValueError("bracket endpoints must be increasing")
-    inside = sorted(p for p in poles if a - guard_rtol * abs(p) < p < b + guard_rtol * abs(p))
+    inside = sorted(p for p in poles
+                    if a - POLE_GUARD_RTOL * abs(p) < p
+                    < b + POLE_GUARD_RTOL * abs(p))
     if len(inside) + 1 > MAX_SUBINTERVALS:
         raise BracketTooWide(f"{len(inside)} poles inside bracket")
     pieces = []
     lo = a
     for p in inside:
-        gap = guard_rtol * abs(p)
+        gap = POLE_GUARD_RTOL * abs(p)
         hi = p - gap
         if hi <= lo:
             # pole guard swallows the whole piece (pole at/near an
@@ -73,7 +82,7 @@ def split_at_poles(a, b, poles, guard_rtol=POLE_GUARD_RTOL):
     return pieces
 
 
-def scan_roots(f, a, b, poles=(), n_grid=2048, rtol=1e-12):
+def scan_roots(f, a, b, poles=()):
     """All sign-change roots of f on [a, b], avoiding the given poles.
 
     Samples each pole-free piece on a geometric grid (a, b must be
@@ -88,12 +97,13 @@ def scan_roots(f, a, b, poles=(), n_grid=2048, rtol=1e-12):
     roots = []
 
     def add(r):
-        if not roots or abs(roots[-1] - r) > rtol * abs(r):
+        if not roots or abs(roots[-1] - r) > ROOT_RTOL * abs(r):
             roots.append(r)
 
     for lo, hi in split_at_poles(a, b, poles):
         ratio = hi / lo
-        n = max(8, min(n_grid, int(n_grid * math.log(ratio) / math.log(b / a)) if b > a else n_grid))
+        n = max(8, min(SCAN_SAMPLES, int(SCAN_SAMPLES * math.log(ratio)
+                                         / math.log(b / a))))
         xs = [lo * ratio ** (i / n) for i in range(n + 1)]
         fs = np.broadcast_to(f(np.array(xs)), (n + 1,))
         f0, f1 = fs[:-1], fs[1:]
@@ -101,7 +111,7 @@ def scan_roots(f, a, b, poles=(), n_grid=2048, rtol=1e-12):
             if fs[i] == 0.0:
                 add(xs[i])
             else:
-                add(bisect(f, xs[i], xs[i + 1], rtol=rtol))
+                add(bisect(f, xs[i], xs[i + 1]))
         if fs[-1] == 0.0:
             add(xs[-1])
     return roots

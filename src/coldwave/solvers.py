@@ -135,28 +135,29 @@ def _lsmr(A, rhs):
     return x
 
 
-def _min_norm_solve(A, rhs, kkt):
+def _min_norm_solve(A, rhs):
     """Min-norm least-squares solution of the sparse system A x = rhs.
 
-    Factors A itself (square A) or, with ``kkt``, the KKT matrix
-    [[I, A^T], [A, 0]], whose solution (x, y) has A x = rhs and
-    x = -A^T y, the min-norm solution.  Falls back to LSMR on A when
-    there is no usable factor.  Returns (x, condition_estimate, rank,
-    method); rank is the full row count after a nonsingular factor and
-    None after the fallback.
+    The path follows A's shape: a square A is factored itself, a wide A
+    through the KKT matrix [[I, A^T], [A, 0]], whose solution (x, y) has
+    A x = rhs and x = -A^T y, the min-norm solution, and a tall A (whose
+    KKT matrix is singular) goes to LSMR.  Falls back to LSMR on A too
+    when there is no usable factor.  Returns (x, condition_estimate,
+    rank, method); rank is the full row count after a nonsingular factor
+    and None after the fallback.
     """
     m, n = A.shape
     b = rhs
-    if not kkt:
+    if m == n:
         lu, cond = _factor(A)
-    elif m <= n:
+    elif m < n:
         import scipy.sparse as sp
 
         lu, cond = _factor(sp.block_array([[sp.eye_array(n), A.T],
                                            [A, None]]))
         b = np.concatenate((np.zeros(n), rhs))
     else:
-        lu, cond = None, np.inf   # the KKT matrix is singular when m > n
+        lu, cond = None, np.inf
     if lu is not None and cond * _EPS < 1.0:
         x, rank, method = lu.solve(b)[:n], m, "splu"
     else:
@@ -189,7 +190,7 @@ def solve_closed_dirichlet(problem, grid):
     """
     A, idx = assemble_dirichlet(grid, problem.kappa)
     f = _forcing_values(problem.forcing, grid)[grid.interior]
-    x, cond, rank, method = _min_norm_solve(A, f, kkt=False)
+    x, cond, rank, method = _min_norm_solve(A, f)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - f))
     values = np.zeros((grid.nx, grid.ny))
@@ -224,7 +225,7 @@ def _segment_node_mask(grid, segment_names):
     return mask & grid.boundary
 
 
-def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
+def solve_mixed(problem, grid, spec):
     """Min-norm least squares for the first-order mixed system.
 
     Imposes u1 = 0 on G and u2 = 0 on the complementary boundary, after
@@ -235,14 +236,12 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
     """
     if problem.bc != "mixed":
         raise ValueError("problem.bc must be 'mixed'")
-    if check_boundary:
-        report = boundary_admissible(problem.domain, problem.G, spec,
-                                     n_quad=n_quad)
-        if not report.admissible:
-            bad = [r.name for r in report.segments if not r.admissible]
-            raise InadmissibleBoundary(
-                f"boundary sign conditions fail on segments {bad}"
-            )
+    report = boundary_admissible(problem.domain, problem.G, spec)
+    if not report.admissible:
+        bad = [r.name for r in report.segments if not r.admissible]
+        raise InadmissibleBoundary(
+            f"boundary sign conditions fail on segments {bad}"
+        )
     g_mask = _segment_node_mask(grid, set(problem.G))
     all_names = {s.name for s in grid.domain.boundary_segments()}
     offg_mask = _segment_node_mask(grid, all_names - set(problem.G))
@@ -256,7 +255,7 @@ def solve_mixed(problem, grid, spec, check_boundary=True, n_quad=256):
     rhs[0::2] = f1[ii, jj]
     rhs[1::2] = f2[ii, jj]
 
-    x, cond, rank, method = _min_norm_solve(A, rhs, kkt=True)
+    x, cond, rank, method = _min_norm_solve(A, rhs)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - rhs))
 

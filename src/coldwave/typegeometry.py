@@ -37,15 +37,15 @@ class TypeChangeField:
                    lambda x, y: -2.0 * y)
 
 
-def canonical_case_classify(field, point, rtol=CLASSIFY_RTOL):
+def canonical_case_classify(field, point):
     """Classify a point against the sonic set of a type-change field.
 
     'not_on_sonic' when the field is nonzero there; on the sonic set,
     'keldysh_point' when the z-derivative vanishes too (degenerate
     tangency, weaker regularity expected) and 'tricomi_point' otherwise.
     ``field`` needs value/grad evaluators (a :class:`TypeChangeField` or
-    a Field2D-like object with dx/dz).  Tolerances scale with the local
-    gradient magnitude.
+    a Field2D-like object with dx/dz).  The tolerance is CLASSIFY_RTOL
+    scaled by the local gradient magnitude.
     """
     x, y = point
     if hasattr(field, "grad_x"):
@@ -54,7 +54,7 @@ def canonical_case_classify(field, point, rtol=CLASSIFY_RTOL):
     else:
         val = field(x, y)
         gx, gy = field.dx(x, y), field.dz(x, y)
-    tol = rtol * (1.0 + math.hypot(abs(gx), abs(gy)))
+    tol = CLASSIFY_RTOL * (1.0 + math.hypot(abs(gx), abs(gy)))
     if abs(val) > tol:
         return "not_on_sonic"
     if abs(gy) <= tol:
@@ -62,7 +62,7 @@ def canonical_case_classify(field, point, rtol=CLASSIFY_RTOL):
     return "tricomi_point"
 
 
-def characteristic_directions(point, tol=0.0):
+def characteristic_directions(point):
     """Unit tangents of the characteristics of (x-y^2) dy^2 + dx^2 = 0.
 
     Two directions (dx/dy = +/- sqrt(y^2-x)) in the hyperbolic region,
@@ -71,11 +71,11 @@ def characteristic_directions(point, tol=0.0):
     """
     x, y = point
     h2 = y * y - x
-    if h2 > tol:
+    if h2 > 0.0:
         slope = math.sqrt(h2)
         norm = math.hypot(slope, 1.0)
         return [(slope / norm, 1.0 / norm), (-slope / norm, 1.0 / norm)]
-    if h2 >= -tol:
+    if h2 == 0.0:
         return [(0.0, 1.0)]
     return []
 

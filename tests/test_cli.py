@@ -456,6 +456,8 @@ class TestConsoleScript:
 
 
 class TestUsageErrors:
+    CHAR = ["characteristics", "--branch", "1", "--max-steps", "50"]
+
     @pytest.mark.parametrize("argv, where", [
         (["stix"], "stix"),
         (["stix", "--plasma", "p.json", "--omega", "abc"], "stix"),
@@ -467,14 +469,32 @@ class TestUsageErrors:
         (["origin-chars", "--tol", "nan"], "origin-chars"),
         (["no-such-command"], ""),
         ([], ""),
+        (CHAR + ["--start=-1,0.5", "--step", "nan"], "characteristics"),
+        (CHAR + ["--start=-1,0.5", "--step", "inf"], "characteristics"),
+        (CHAR + ["--start=-1,0.5", "--step", "0"], "characteristics"),
+        (CHAR + ["--start=nan,0.5"], "characteristics"),
+        (CHAR + ["--start=-1,inf"], "characteristics"),
+        (CHAR + ["--start=-1"], "characteristics"),
+        (CHAR + ["--start=-1,0.5,2"], "characteristics"),
+        (CHAR + ["--start=a,0.5"], "characteristics"),
+        (["symbol-check", "--kmax", "nan"], "symbol-check"),
+        (["symbol-check", "--kmax", "inf"], "symbol-check"),
+        (["symbol-check", "--kmax", "0"], "symbol-check"),
     ], ids=["missing-required", "bad-float", "bad-format", "tol-before",
             "tol-after", "tol-negative", "tol-nan", "unknown-command",
-            "no-arguments"])
+            "no-arguments", "step-nan", "step-inf", "step-zero",
+            "start-nan", "start-inf", "start-one-value", "start-three-values",
+            "start-bad-float", "kmax-nan", "kmax-inf", "kmax-zero"])
     def test_usage_error_exits_1(self, argv, where, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: coldwave {where}".rstrip())
         assert "\nerror: " in err
+        # a rejected --step, --start or --kmax value names its flag
+        named = [a.partition("=")[0] for a in argv[-2:]
+                 if a.partition("=")[0] in ("--step", "--start", "--kmax")]
+        if named:
+            assert f"error: argument {named[0]}: " in err
 
     def test_tol_message(self, capsys):
         assert main(["origin-chars", "--tol", "0"]) == 1

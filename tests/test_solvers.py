@@ -153,7 +153,7 @@ class TestSparsePath:
         b = rng.normal(size=12)
         lu, cond = _factor(A)
         assert lu is None or cond * np.finfo(float).eps >= 1.0
-        x, cond, rank, method = _min_norm_solve(A, b, kkt=False)
+        x, cond, rank, method = _min_norm_solve(A, b)
         assert (rank, method) == (None, "lsmr")
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
@@ -161,8 +161,7 @@ class TestSparsePath:
     def test_tall_system_takes_lsmr(self, rng):
         M = rng.normal(size=(15, 8))
         b = rng.normal(size=15)
-        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b,
-                                                kkt=True)
+        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
         assert (cond, rank, method) == (np.inf, None, "lsmr")
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
@@ -180,14 +179,24 @@ class TestSparsePath:
         M = rng.normal(size=(6, 6))
         M[:, 1] = M[:, 0]
         with pytest.raises(FactorizationFailure):
-            _min_norm_solve(sp.csr_array(M), rng.normal(size=6), kkt=False)
+            _min_norm_solve(sp.csr_array(M), rng.normal(size=6))
+
+    def test_wide_system_takes_kkt_factor(self, rng):
+        M = rng.normal(size=(9, 16)) * (rng.random((9, 16)) < 0.4)
+        M[np.arange(9), np.arange(9)] += 4.0   # full row rank
+        b = rng.normal(size=9)
+        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
+        assert (rank, method) == (9, "splu")
+        x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
     def test_non_finite_matrix_raises(self):
         A = sp.csr_array(np.array([[1.0, 0.0], [np.nan, 2.0]]))
         with pytest.raises(FactorizationFailure):
-            _min_norm_solve(A, np.ones(2), kkt=False)
+            _min_norm_solve(A, np.ones(2))
+        wide = sp.csr_array(np.array([[1.0, 0.0, 3.0], [np.nan, 2.0, 0.0]]))
         with pytest.raises(FactorizationFailure):
-            _min_norm_solve(A, np.ones(2), kkt=True)
+            _min_norm_solve(wide, np.ones(2))
 
 
 class TestModelProblem:
