@@ -37,6 +37,10 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
+# Largest symbol-check --kmax: |k|^6, and 64 |k|^6 for the doubled k,
+# stay far below the float range.
+KMAX_LIMIT = 1e40
+
 _NUMERICAL_ERRORS = (CyclotronResonance, BracketTooWide,
                      SingularCoefficient, DegenerateQuartic,
                      FactorizationFailure, StartNotHyperbolic,
@@ -303,10 +307,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"error: {message}\n")
 
 
-def _positive(kind):
+def _positive(kind, limit=math.inf):
     """argparse type converting with ``kind`` (float for --tol,
-    characteristics --step and symbol-check --kmax, int for energy-check
-    --trials) and rejecting values that are not > 0 or not finite."""
+    characteristics --step, symbol-check --kmax and energy-check
+    --bound-factor; int for the counts --trials, --nx, --nz and
+    --max-steps) and rejecting values that are not > 0, not finite or
+    above ``limit``."""
     def convert(text):
         try:
             value = kind(text)
@@ -318,6 +324,9 @@ def _positive(kind):
                 f"must be positive, got {text!r}")
         if value == math.inf:
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit:g}, got {text!r}")
         return value
     return convert
 
@@ -402,23 +411,25 @@ def build_parser():
     p = sub.add_parser("typemap", help="elliptic/hyperbolic type map to CSV")
     p.add_argument("--fields", required=True, help="field-definition JSON")
     p.add_argument("--box", required=True, help="x0:x1:z0:z1")
-    p.add_argument("--nx", type=int, default=33)
-    p.add_argument("--nz", type=int, default=33)
+    p.add_argument("--nx", type=_positive(int), default=33)
+    p.add_argument("--nz", type=_positive(int), default=33)
 
     p = sub.add_parser("characteristics", help="trace one characteristic")
     p.add_argument("--start", type=_point, required=True, help="'x,y'")
     p.add_argument("--branch", type=int, choices=(-1, 1), required=True)
     p.add_argument("--step", type=_positive(float), default=1e-3)
     p.add_argument("--box", help="stop box x0:x1:y0:y1")
-    p.add_argument("--max-steps", type=int, default=200000)
+    p.add_argument("--max-steps", type=_positive(int), default=200000)
 
     sub.add_parser("origin-chars",
                    help="characteristic slopes through the origin")
 
     p = sub.add_parser("symbol-check",
                        help="curl-curl degeneracy and gauge-symbol checks")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--kmax", type=_positive(float), default=10.0)
+    p.add_argument("--trials", type=_positive(int), default=1000)
+    p.add_argument("--kmax", type=_positive(float, KMAX_LIMIT), default=10.0,
+                   help=f"components of k drawn from [-kmax, kmax]; at "
+                        f"most {KMAX_LIMIT:g}")
     p.add_argument("--plasma")
     p.add_argument("--omega", type=float)
 
@@ -447,8 +458,8 @@ def build_parser():
     p.add_argument("--delta-tilde", type=float, default=0.05)
     p.add_argument("--trials", type=_positive(int), default=100)
     p.add_argument("--box", default="-1:1:-1:1")
-    p.add_argument("--nx", type=int, default=65)
-    p.add_argument("--bound-factor", type=float, default=0.9)
+    p.add_argument("--nx", type=_positive(int), default=65)
+    p.add_argument("--bound-factor", type=_positive(float), default=0.9)
 
     p = sub.add_parser("illposedness",
                        help="condition growth across refinements")

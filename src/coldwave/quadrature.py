@@ -4,9 +4,11 @@ Integrands may take different branches on the two sides of K = x - y^2
 (the energy-inequality multipliers do); cells whose corners straddle the
 curve are split into polygonal pieces by linear interpolation of K along
 the cell edges, and each piece is integrated at its own centroid.
+``decompose_cells`` returns one point table per side of K = 0 (the
+uncut cells' centres, then the pieces' centroids), and every integral
+is one pass over each table.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,51 +62,20 @@ class SidePoints:
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """Grid cells sorted by the sign of K: uncut positive, uncut
-    negative, and cut cells, whose polygon pieces are flat arrays
-    (piece k: cell (piece_i[k], piece_j[k]), side piece_sign[k] = +-1,
-    area piece_area[k], centroid (piece_x[k], piece_y[k]))."""
+    """Domain cells (all four corners inside) split along K = 0.
+    ``points`` holds the quadrature points of the (K >= 0, K <= 0)
+    sides, each a ``SidePoints``: that side's uncut cells in row-major
+    order, then its cut-cell pieces; ``cut_mask`` marks the cells that
+    straddle K = 0."""
 
-    grid: object
-    pos_cells: np.ndarray
-    neg_cells: np.ndarray
+    points: tuple
     cut_mask: np.ndarray
     cell_area: float
-    piece_i: np.ndarray
-    piece_j: np.ndarray
-    piece_sign: np.ndarray
-    piece_area: np.ndarray
-    piece_x: np.ndarray
-    piece_y: np.ndarray
 
     @property
     def cut_area(self):
         """Total area of the cells straddling K = 0."""
         return int(self.cut_mask.sum()) * self.cell_area
-
-    @functools.cached_property
-    def points(self):
-        """The quadrature points of the (K >= 0, K <= 0) sides, each a
-        ``SidePoints``: that side's uncut cells in row-major order, then
-        its cut-cell pieces.  Built on first use and kept."""
-        grid = self.grid
-        xc = 0.5 * (grid.xs[:-1] + grid.xs[1:])
-        yc = 0.5 * (grid.ys[:-1] + grid.ys[1:])
-        sides = []
-        for sign, mask in ((1, self.pos_cells), (-1, self.neg_cells)):
-            i, j = np.nonzero(mask)
-            p = self.piece_sign == sign
-            pi, pj = self.piece_i[p], self.piece_j[p]
-            px, py = self.piece_x[p], self.piece_y[p]
-            half = np.full(i.size, 0.5)
-            cells = (i, j, half, half, xc[i], yc[j],
-                     np.full(i.size, self.cell_area))
-            pieces = (pi, pj, (px - grid.xs[pi]) / grid.hx,
-                      (py - grid.ys[pj]) / grid.hy, px, py,
-                      self.piece_area[p])
-            sides.append(SidePoints(sign, i.size, *map(
-                np.concatenate, zip(cells, pieces))))
-        return tuple(sides)
 
 
 # Corners of a cell counterclockwise from node (i, j), as lattice offsets.
@@ -143,8 +114,8 @@ def _split_cut_cells(grid, K, cut):
     Each side's polygon takes, in counterclockwise order, every corner
     on that side (K = 0 counts for both) and every strict sign change
     of an edge; polygons with fewer than three vertices or zero area
-    are dropped.  Returns (i, j, sign, area, x, y) of the pieces, cell
-    by cell in row-major order, the K >= 0 piece first.
+    are dropped.  Returns, per side (K >= 0 first), the (i, j, area,
+    x, y) of its pieces in row-major cell order.
     """
     ci, cj = np.nonzero(cut)
     n = ci.size
@@ -160,28 +131,38 @@ def _split_cut_cells(grid, K, cut):
     for on_side in (f >= 0.0, f <= 0.0):
         keep = np.stack((on_side, change), axis=2).reshape(n, 8)
         area, sx, sy, m = _shoelace(vx, vy, keep)
-        valid = (m >= 3) & (area != 0.0)
-        safe = np.where(valid, 6.0 * area, 1.0)
-        sides.append((valid, np.abs(area), sx / safe, sy / safe))
-    valid, area, x, y = (np.stack(parts, axis=1) for parts in zip(*sides))
-    sign = np.broadcast_to([1.0, -1.0], valid.shape)
-    return (np.broadcast_to(ci[:, None], valid.shape)[valid],
-            np.broadcast_to(cj[:, None], valid.shape)[valid],
-            sign[valid], area[valid], x[valid], y[valid])
+        v = (m >= 3) & (area != 0.0)
+        area6 = 6.0 * area[v]
+        sides.append((ci[v], cj[v], np.abs(area[v]), sx[v] / area6,
+                      sy[v] / area6))
+    return sides
 
 
 def decompose_cells(grid):
     """Classify every domain cell (all four corners inside) against the
-    sign of K = x - y^2 and split the straddling ones."""
+    sign of K = x - y^2, split the straddling ones, and tabulate each
+    side's quadrature points."""
     K = grid.type_values()
     cell_inside = np.logical_and.reduce(_corners(grid.inside))
     cmin = np.minimum.reduce(_corners(K))
     cmax = np.maximum.reduce(_corners(K))
     cut = cell_inside & (cmin < 0.0) & (cmax > 0.0)
     pos = cell_inside & ~cut & (cmin >= 0.0)
-    neg = cell_inside & ~cut & ~pos
-    return CellDecomposition(grid, pos, neg, cut, grid.hx * grid.hy,
-                             *_split_cut_cells(grid, K, cut))
+    xc = 0.5 * (grid.xs[:-1] + grid.xs[1:])
+    yc = 0.5 * (grid.ys[:-1] + grid.ys[1:])
+    cell_area = grid.hx * grid.hy
+    sides = []
+    for sign, uncut, (pi, pj, pa, px, py) in zip(
+            (1, -1), (pos, cell_inside & ~cut & ~pos),
+            _split_cut_cells(grid, K, cut)):
+        i, j = np.nonzero(uncut)
+        half = np.full(i.size, 0.5)
+        cells = (i, j, half, half, xc[i], yc[j], np.full(i.size, cell_area))
+        pieces = (pi, pj, (px - grid.xs[pi]) / grid.hx,
+                  (py - grid.ys[pj]) / grid.hy, px, py, pa)
+        sides.append(SidePoints(sign, i.size, *map(
+            np.concatenate, zip(cells, pieces))))
+    return CellDecomposition(tuple(sides), cut, cell_area)
 
 
 def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):

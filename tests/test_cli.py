@@ -10,7 +10,7 @@ import pytest
 
 from coldwave import config as cfg
 from coldwave import dispersion, electrostatics, output, typegeometry
-from coldwave.cli import build_parser, main
+from coldwave.cli import KMAX_LIMIT, build_parser, main
 from coldwave.dispersion import SCAN_HEADER, dispersion_scan
 from coldwave.fields import Field1D
 from coldwave.grid import Domain, Grid2D
@@ -480,21 +480,48 @@ class TestUsageErrors:
         (["symbol-check", "--kmax", "nan"], "symbol-check"),
         (["symbol-check", "--kmax", "inf"], "symbol-check"),
         (["symbol-check", "--kmax", "0"], "symbol-check"),
+        (["characteristics", "--start=-1,0.5", "--branch", "1",
+          "--max-steps", "-5"], "characteristics"),
+        (["typemap", "--fields", "f.json", "--box=-1:1:-1:1", "--nx", "0"],
+         "typemap"),
+        (["typemap", "--fields", "f.json", "--box=-1:1:-1:1", "--nz", "-3"],
+         "typemap"),
+        (["symbol-check", "--trials", "-3"], "symbol-check"),
+        (["symbol-check", "--kmax", "1e60"], "symbol-check"),
+        (["symbol-check", "--kmax", "1e308"], "symbol-check"),
+        (["energy-check", "--kappa", "1", "--bound-factor", "nan"],
+         "energy-check"),
+        (["energy-check", "--kappa", "1", "--nx", "0"], "energy-check"),
     ], ids=["missing-required", "bad-float", "bad-format", "tol-before",
             "tol-after", "tol-negative", "tol-nan", "unknown-command",
             "no-arguments", "step-nan", "step-inf", "step-zero",
             "start-nan", "start-inf", "start-one-value", "start-three-values",
-            "start-bad-float", "kmax-nan", "kmax-inf", "kmax-zero"])
+            "start-bad-float", "kmax-nan", "kmax-inf", "kmax-zero",
+            "max-steps-negative", "typemap-nx-zero", "typemap-nz-negative",
+            "symbol-trials-negative", "kmax-1e60", "kmax-1e308",
+            "bound-factor-nan", "energy-nx-zero"])
     def test_usage_error_exits_1(self, argv, where, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: coldwave {where}".rstrip())
         assert "\nerror: " in err
-        # a rejected --step, --start or --kmax value names its flag
+        # a rejected flag value names its flag
         named = [a.partition("=")[0] for a in argv[-2:]
-                 if a.partition("=")[0] in ("--step", "--start", "--kmax")]
+                 if a.partition("=")[0] in (
+                     "--step", "--start", "--kmax", "--max-steps", "--nx",
+                     "--nz", "--trials", "--bound-factor")]
         if named:
             assert f"error: argument {named[0]}: " in err
+
+    def test_kmax_limit(self, tmp_path, capsys):
+        assert main(["symbol-check", "--kmax", "1e41"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --kmax: must be at most {KMAX_LIMIT:g}, "
+            "got '1e41'\n")
+        out = tmp_path / "sym.json"
+        assert main(["--out", str(out), "symbol-check", "--trials", "50",
+                     "--kmax", repr(KMAX_LIMIT)]) == 0
+        assert all(r["pass"] for r in json.loads(out.read_text()))
 
     def test_tol_message(self, capsys):
         assert main(["origin-chars", "--tol", "0"]) == 1

@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
 from coldwave.errors import SpecInvalid
 from coldwave.grid import Domain, Grid2D
-from coldwave.multipliers import (BoundaryReport, BumpGram,
+from coldwave.multipliers import (SPEC_SAMPLES, BoundaryReport, BumpGram,
                                   MixedMultiplierSpec, MultiplierSpec,
                                   boundary_admissible, bump_gram,
                                   random_interior_bump,
@@ -255,6 +256,37 @@ class TestMixedMultiplierSpec:
         assert (2 * c * Y + spec.s_const > 0).all()
         assert (b * b + K * c * c > 0).all()
         assert (c < 0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(-1e15, 1e15), min_size=2, max_size=2,
+                       unique=True),
+           ys=st.lists(st.floats(-1e15, 1e15), min_size=2, max_size=2,
+                       unique=True),
+           mu=st.floats(1e-3, 8.0), frac=st.floats(1e-3, 0.999))
+    def test_auto_positive_by_construction(self, xs, ys, mu, frac):
+        # s_const = 1 + 2 max(need) over auto's sample lattice bounds the
+        # three quantities there; mu y1 < 2^53 keeps c < 0 as well
+        (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
+        dom = Domain.rectangle(x0, x1, y0, y1)
+        spec = MixedMultiplierSpec.auto(dom, mu=mu, delta=mu * frac)
+        X, Y = np.meshgrid(np.linspace(x0, x1, SPEC_SAMPLES),
+                           np.linspace(y0, y1, SPEC_SAMPLES), indexing="ij")
+        inside = dom.contains(X, Y)
+        X, Y = X[inside], Y[inside]
+        K = X - Y * Y
+        b, c = spec.b(X, Y), spec.c(Y)
+        assert (b >= 1.0).all()
+        assert (2.0 * c * Y + spec.s_const >= 1.0).all()
+        assert (b > np.sqrt(np.maximum(-K, 0.0)) * np.abs(c)).all()
+        assert (b * b + K * c * c > 0.0).all()
+        assert (c < 0.0).all()
+
+    def test_auto_rejects_rounded_t(self):
+        # 1 + mu * 1e16 rounds to mu * 1e16, so c = mu y - t is 0 at y1
+        with pytest.raises(SpecInvalid, match="mu y - t must be negative"):
+            MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 1e16))
+        assert MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 1e15)).t \
+            == 1.0 + 1e15
 
     def test_matrix_shape(self):
         spec = MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 0.75))

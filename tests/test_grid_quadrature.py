@@ -202,25 +202,28 @@ class TestDecomposition:
         # put vertices on both sides and give degenerate pieces
         g = Grid2D(Domain.rectangle(*box), n, n)
         dec = decompose_cells(g)
-        expected = split_cells_one_by_one(g, dec.cut_mask)
-        got = (dec.piece_i, dec.piece_j, dec.piece_sign, dec.piece_area,
-               dec.piece_x, dec.piece_y)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        i, j, sign, area, x, y = split_cells_one_by_one(g, dec.cut_mask)
+        for pts in dec.points:
+            side = sign == pts.sign
+            k = slice(pts.n_cells, None)
+            got = (pts.i[k], pts.j[k], pts.weight[k], pts.x[k], pts.y[k])
+            expected = (i[side], j[side], area[side], x[side], y[side])
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
 
     def test_cut_cells_follow_parabola(self, square):
         dec = decompose_cells(square)
         assert dec.cut_mask.any()
         area = np.zeros(dec.cut_mask.shape)
-        np.add.at(area, (dec.piece_i, dec.piece_j), dec.piece_area)
+        for pts in dec.points:
+            k = slice(pts.n_cells, None)
+            np.add.at(area, (pts.i[k], pts.j[k]), pts.weight[k])
+            side = np.zeros(dec.cut_mask.shape, dtype=bool)
+            side[pts.i[k], pts.j[k]] = True
+            assert np.array_equal(side, dec.cut_mask)
         assert area[dec.cut_mask] == pytest.approx(dec.cell_area, rel=1e-12)
         assert not area[~dec.cut_mask].any()
-        for sign in (1, -1):
-            side = np.zeros(dec.cut_mask.shape, dtype=bool)
-            side[dec.piece_i[dec.piece_sign == sign],
-                 dec.piece_j[dec.piece_sign == sign]] = True
-            assert np.array_equal(side, dec.cut_mask)
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-10, 10), b=st.floats(-10, 10), c=st.floats(-10, 10),
@@ -251,20 +254,30 @@ class TestDecomposition:
         u = np.sin(3.0 * X) * np.cos(2.0 * Y) + X * X
         fp = lambda x, y, v: v * v + x
         fm = lambda x, y, v: np.exp(v) - y
+        K = X - Y * Y
         dec = decompose_cells(g)
         ref = 0.0
-        for i, j in zip(*np.nonzero(dec.pos_cells | dec.neg_cells)):
-            fn = fp if dec.pos_cells[i, j] else fm
-            ref += dec.cell_area * fn(0.5 * (g.xs[i] + g.xs[i + 1]),
-                                      0.5 * (g.ys[j] + g.ys[j + 1]),
-                                      0.25 * u[i:i + 2, j:j + 2].sum())
-        for i, j, sign, area, x, y in zip(dec.piece_i, dec.piece_j,
-                                          dec.piece_sign, dec.piece_area,
-                                          dec.piece_x, dec.piece_y):
-            tx, ty = (x - g.xs[i]) / g.hx, (y - g.ys[j]) / g.hy
-            v = ((1 - tx) * (1 - ty) * u[i, j] + tx * (1 - ty) * u[i + 1, j]
-                 + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
-            ref += area * (fp if sign > 0 else fm)(x, y, v)
+        for i in range(g.nx - 1):
+            for j in range(g.ny - 1):
+                corners = K[i:i + 2, j:j + 2]
+                if corners.min() >= 0.0:
+                    fn = fp
+                elif corners.max() <= 0.0:
+                    fn = fm
+                else:   # straddles K = 0: its pieces follow
+                    continue
+                ref += dec.cell_area * fn(0.5 * (g.xs[i] + g.xs[i + 1]),
+                                          0.5 * (g.ys[j] + g.ys[j + 1]),
+                                          0.25 * u[i:i + 2, j:j + 2].sum())
+        for pts in dec.points:
+            k = slice(pts.n_cells, None)
+            for i, j, area, x, y in zip(pts.i[k], pts.j[k], pts.weight[k],
+                                        pts.x[k], pts.y[k]):
+                tx, ty = (x - g.xs[i]) / g.hx, (y - g.ys[j]) / g.hy
+                v = ((1 - tx) * (1 - ty) * u[i, j]
+                     + tx * (1 - ty) * u[i + 1, j]
+                     + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
+                ref += area * (fp if pts.sign > 0 else fm)(x, y, v)
         got = integrate_signed(dec, fp, fm, (u,))
         assert got == pytest.approx(ref, rel=1e-12)
 
