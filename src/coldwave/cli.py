@@ -22,15 +22,16 @@ from . import config as cfg
 from . import dispersion, electrostatics, output, plasma, typegeometry
 from .errors import (BracketTooWide, ColdwaveError, CyclotronResonance,
                      DegenerateQuartic, DualNormSingular,
-                     FactorizationFailure, InadmissibleBoundary,
-                     InsufficientLevels, LengthMismatch, MissingElectrons,
-                     SingularCoefficient, SpecInvalid, StartNotHyperbolic)
+                     FactorizationFailure, GridTooLarge,
+                     InadmissibleBoundary, InsufficientLevels,
+                     LengthMismatch, MissingElectrons, SingularCoefficient,
+                     SpecInvalid, StartNotHyperbolic)
 from .fields import Field1D
 from .grid import Domain, Grid2D
 from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
                           bump_coefficients, bump_gram)
-from .solvers import (illposedness_diagnostic, solve_closed_dirichlet,
-                      solve_mixed)
+from .solvers import (illposedness_diagnostic, require_memory,
+                      solve_closed_dirichlet, solve_mixed)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -44,7 +45,7 @@ KMAX_LIMIT = 1e40
 _NUMERICAL_ERRORS = (CyclotronResonance, BracketTooWide,
                      SingularCoefficient, DegenerateQuartic,
                      FactorizationFailure, StartNotHyperbolic,
-                     DualNormSingular)
+                     DualNormSingular, GridTooLarge)
 _CHECK_ERRORS = (InadmissibleBoundary,)
 _INVALID_ERRORS = (SpecInvalid, InsufficientLevels, MissingElectrons,
                    LengthMismatch)
@@ -242,6 +243,7 @@ def cmd_solve(args):
     if problem.bc != "closed_dirichlet":
         raise ValueError("solve expects a closed_dirichlet problem; "
                          "use solve-mixed")
+    require_memory(problem.bc, nx, ny)
     grid = Grid2D(problem.domain, nx, ny)
     sol = solve_closed_dirichlet(problem, grid)
     return _write_solution(args, "x,y,u", grid, sol, [sol.values])
@@ -251,6 +253,7 @@ def cmd_solve_mixed(args):
     problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
     if problem.bc != "mixed":
         raise ValueError("solve-mixed expects a mixed problem")
+    require_memory(problem.bc, nx, ny)
     spec = MixedMultiplierSpec.auto(problem.domain, mu=args.mu,
                                     delta=args.mdelta)
     grid = Grid2D(problem.domain, nx, ny)

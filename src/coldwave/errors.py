@@ -53,5 +53,10 @@ class FactorizationFailure(ColdwaveError):
     or the LSMR fallback for a singular factor did not converge."""
 
 
+class GridTooLarge(ColdwaveError):
+    """The fill model puts a grid solve's sparse factor above the memory
+    budget; raised before anything is assembled."""
+
+
 class InsufficientLevels(ColdwaveError):
     """Diagnostic needs at least three refinement levels."""

@@ -10,21 +10,32 @@ closed-Dirichlet matrix across refinements, the ill-posedness
 diagnostic.
 
 Closed Dirichlet: M is the square 5-point matrix of L_h on interior
-unknowns with u = 0 imposed as eliminated boundary values.  Mixed
-problem: the min-norm solution of the first-order system A x = f with
-component constraints on G and its complement, from the KKT matrix
-M = [[I, A^T], [A, 0]].  When the factor is exactly singular, when
-kappa_1 * eps >= 1, or when A has more rows than columns, LSMR (Fong &
-Saunders, SIAM J. Sci. Comput. 33, 2011) gives the min-norm
+unknowns with u = 0 imposed as eliminated boundary values, factored with
+SuperLU's defaults (COLAMD ordering, partial pivoting).  Mixed problem:
+the min-norm solution of the wide first-order system A x = f with
+component constraints on G and its complement, by corrected seminormal
+equations (Bjorck, Numerical Methods for Least Squares Problems, SIAM
+1996, sec. 6.6): M = A A^T, symmetric positive definite, is factored
+once (MMD ordering on M + M^T, diagonal pivots), x = A^T M^-1 f, and one
+correction step x += A^T M^-1 (f - A x).  Its kappa_1 is about the
+square of the conditioning of A.  When the factor is exactly singular,
+when kappa_1 * eps >= 1, or when A has more rows than columns, LSMR
+(Fong & Saunders, SIAM J. Sci. Comput. 33, 2011) gives the min-norm
 least-squares solution instead.  ``diagnostics["method"]`` records
-which path ran ("splu" or "lsmr").
+which path ran ("splu" or "lsmr"), beside the sizes ``unknowns``,
+``nnz`` (of A), ``lu_nnz`` (of L + U) and the SuperLU ``ordering``.
+
+The factor's memory is estimated before any assembly from one fill
+model, lu_nnz ~ FILL_C * m**FILL_P in the order m of M, and a grid
+whose estimate exceeds the machine's memory (physical memory, capped by
+RLIMIT_AS when that is set) raises GridTooLarge.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
-from .errors import (FactorizationFailure, InadmissibleBoundary,
-                     InsufficientLevels)
+from .errors import (FactorizationFailure, GridTooLarge,
+                     InadmissibleBoundary, InsufficientLevels)
 from .grid import Grid2D
 from .multipliers import boundary_admissible
 from .operators import assemble_dirichlet, assemble_mixed
@@ -34,6 +45,23 @@ from .typegeometry import canonical_type_function
 
 _EPS = np.finfo(float).eps
 _LSMR_TOL = 1e-12
+
+# SuperLU settings of the two factored matrices.  The square grid
+# operator is indefinite and keeps SuperLU's defaults, COLAMD with
+# partial pivoting (MMD_AT_PLUS_A with partial pivoting takes 8 s at
+# 129^2 against 0.07 s).  The symmetric positive definite A A^T of a
+# wide A is ordered on its symmetric pattern and pivots on the diagonal.
+_SPLU_SQUARE = {"permc_spec": "COLAMD"}
+_SPLU_NORMAL = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                "options": {"SymmetricMode": True}}
+
+# Fill model lu_nnz ~ FILL_C * m**FILL_P of both factored matrices, in
+# their order m, and the peak bytes of a solve per factor nonzero (L and
+# U values and indices, the matrices and the lattice arrays); fitted to
+# levels 65 to 513 of tools/bench_scale.py (BENCH_mixed_csne.json).
+FILL_C = 14.5
+FILL_P = 1.17
+BYTES_PER_FILL = 26.0
 
 
 @dataclass(frozen=True)
@@ -91,9 +119,47 @@ def _check_finite(name, arr):
         raise FactorizationFailure(f"{name} contains non-finite values")
 
 
-def _factor(M):
-    """SuperLU factor of a square sparse matrix and its condition
-    estimate kappa_1 = ||M||_1 * onenormest(M^-1, t=1).
+def factor_order(bc, nx, ny):
+    """Order m of the matrix a solve factors on an nx x ny grid: the
+    interior count (nx - 2)(ny - 2) for a closed Dirichlet problem (an
+    upper bound on a union of rectangles) and the row count of A, twice
+    that, for a mixed one."""
+    return (2 if bc == "mixed" else 1) * (nx - 2) * (ny - 2)
+
+
+def fill_estimate(m):
+    """Fill model: estimated nonzeros of L + U for a factored matrix of
+    order m."""
+    return FILL_C * m ** FILL_P
+
+
+def _memory_budget():
+    """Bytes a solve may use: physical memory, capped by RLIMIT_AS when
+    that is set."""
+    import os
+    import resource
+
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
+
+
+def require_memory(bc, nx, ny):
+    """Raise GridTooLarge, before any assembly, when the fill model puts
+    the solve of an nx x ny grid above the memory budget."""
+    need = BYTES_PER_FILL * fill_estimate(factor_order(bc, nx, ny))
+    budget = _memory_budget()
+    if need > budget:
+        raise GridTooLarge(
+            f"grid nx={nx}, ny={ny} needs an estimated {need / 1e6:.0f} MB "
+            f"for its sparse factor, above the {budget / 1e6:.0f} MB memory "
+            "budget")
+
+
+def _factor(M, settings):
+    """SuperLU factor of a square sparse matrix with the ``splu``
+    keywords ``settings`` (``_SPLU_SQUARE`` or ``_SPLU_NORMAL``) and its
+    condition estimate kappa_1 = ||M||_1 * onenormest(M^-1, t=1).
 
     Returns (None, inf) when SuperLU finds the factor exactly singular.
     ``t=1`` keeps the estimate deterministic: larger t draws random
@@ -104,7 +170,7 @@ def _factor(M):
     M = M.tocsc()
     _check_finite("matrix", M.data)
     try:
-        lu = spla.splu(M)
+        lu = spla.splu(M, **settings)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
@@ -135,33 +201,38 @@ def _lsmr(A, rhs):
     return x
 
 
-def _min_norm_solve(A, rhs):
+def _min_norm_solve(A, rhs, sizes=None):
     """Min-norm least-squares solution of the sparse system A x = rhs.
 
-    The path follows A's shape: a square A is factored itself, a wide A
-    through the KKT matrix [[I, A^T], [A, 0]], whose solution (x, y) has
-    A x = rhs and x = -A^T y, the min-norm solution, and a tall A (whose
-    KKT matrix is singular) goes to LSMR.  Falls back to LSMR on A too
-    when there is no usable factor.  Returns (x, condition_estimate,
-    rank, method); rank is the full row count after a nonsingular factor
-    and None after the fallback.
+    The path follows A's shape: a square A is factored itself; a wide A
+    goes by corrected seminormal equations, one factor of N = A A^T,
+    x = A^T N^-1 rhs and one correction x += A^T N^-1 (rhs - A x); a
+    tall A goes to LSMR.  Falls back to LSMR on A too when the factor is
+    exactly singular or kappa_1 * eps >= 1.  Returns (x,
+    condition_estimate, rank, method): kappa_1 of the factored matrix (A
+    or N), the full row count after a usable factor and None after the
+    fallback.  A dict ``sizes`` receives the factor's ``lu_nnz`` (None
+    without a factor) and its SuperLU ``ordering`` (None for a tall A).
     """
     m, n = A.shape
-    b = rhs
     if m == n:
-        lu, cond = _factor(A)
+        M, settings = A, _SPLU_SQUARE
     elif m < n:
-        import scipy.sparse as sp
-
-        lu, cond = _factor(sp.block_array([[sp.eye_array(n), A.T],
-                                           [A, None]]))
-        b = np.concatenate((np.zeros(n), rhs))
+        M, settings = A @ A.T, _SPLU_NORMAL
     else:
-        lu, cond = None, np.inf
-    if lu is not None and cond * _EPS < 1.0:
-        x, rank, method = lu.solve(b)[:n], m, "splu"
-    else:
+        M, settings = None, {}
+    lu, cond = _factor(M, settings) if M is not None else (None, np.inf)
+    if sizes is not None:
+        sizes["lu_nnz"] = None if lu is None else int(lu.nnz)
+        sizes["ordering"] = settings.get("permc_spec")
+    if lu is None or cond * _EPS >= 1.0:
         x, rank, method = _lsmr(A, rhs), None, "lsmr"
+    elif m == n:
+        x, rank, method = lu.solve(rhs), m, "splu"
+    else:
+        x = A.T @ lu.solve(rhs)
+        x += A.T @ lu.solve(rhs - A @ x)
+        rank, method = m, "splu"
     _check_finite("solution", x)
     return x, cond, rank, method
 
@@ -190,7 +261,8 @@ def solve_closed_dirichlet(problem, grid):
     """
     A, idx = assemble_dirichlet(grid, problem.kappa)
     f = _forcing_values(problem.forcing, grid)[grid.interior]
-    x, cond, rank, method = _min_norm_solve(A, f)
+    sizes = {"unknowns": A.shape[1], "nnz": A.nnz}
+    x, cond, rank, method = _min_norm_solve(A, f, sizes)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - f))
     values = np.zeros((grid.nx, grid.ny))
@@ -203,7 +275,7 @@ def solve_closed_dirichlet(problem, grid):
         rank=rank,
         norms={"l2_weighted": norms.l2_weighted,
                "h1_weighted": norms.h1_weighted},
-        diagnostics={"method": method},
+        diagnostics={"method": method, **sizes},
     )
 
 
@@ -255,7 +327,8 @@ def solve_mixed(problem, grid, spec):
     rhs[0::2] = f1[ii, jj]
     rhs[1::2] = f2[ii, jj]
 
-    x, cond, rank, method = _min_norm_solve(A, rhs)
+    sizes = {"unknowns": A.shape[1], "nnz": A.nnz}
+    x, cond, rank, method = _min_norm_solve(A, rhs, sizes)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - rhs))
 
@@ -287,7 +360,8 @@ def solve_mixed(problem, grid, spec):
         diagnostics={"method": method,
                      "integrability_sampled": proviso,
                      "excluded_measure": decomp.cut_area,
-                     "forcing_norm": scale * float(np.linalg.norm(rhs))},
+                     "forcing_norm": scale * float(np.linalg.norm(rhs)),
+                     **sizes},
     )
 
 
@@ -297,15 +371,19 @@ def illposedness_diagnostic(problem, levels):
     kappa_1 is inf where the factor is exactly singular.
 
     Returns [(h, condition_estimate)] in the given level order; at
-    least three levels are required.  On origin-containing domains the
-    estimates are expected to grow faster than on purely elliptic ones.
+    least three levels are required, and every level passes
+    ``require_memory`` before the first is assembled.  On
+    origin-containing domains the estimates are expected to grow faster
+    than on purely elliptic ones.
     """
     if len(levels) < 3:
         raise InsufficientLevels("need at least 3 refinement levels")
+    for n in levels:
+        require_memory("closed_dirichlet", int(n), int(n))
     out = []
     for n in levels:
         grid = Grid2D(problem.domain, int(n), int(n))
         A, _ = assemble_dirichlet(grid, problem.kappa)
-        _, cond = _factor(A)
+        _, cond = _factor(A, _SPLU_SQUARE)
         out.append((max(grid.hx, grid.hy), cond))
     return out

@@ -3,6 +3,7 @@ import os
 from collections import deque
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,9 @@ class TestSubcommands:
         assert {"residual_norm", "condition_estimate", "rank",
                 "l2_weighted", "h1_weighted"} <= set(info)
         assert info["method"] == "splu"
+        assert info["unknowns"] == info["rank"] == 11 * 11
+        assert info["ordering"] == "COLAMD"
+        assert info["unknowns"] < info["nnz"] < info["lu_nnz"]
 
     def test_solve_mixed(self, mixed_json, tmp_path):
         out = tmp_path / "u12.csv"
@@ -256,6 +260,8 @@ class TestSubcommands:
         info = json.loads(summary.read_text())
         assert info["residual_norm"] <= 1e-6 * info["forcing_norm"]
         assert info["method"] == "splu"
+        assert info["ordering"] == "MMD_AT_PLUS_A"
+        assert info["rank"] < info["unknowns"] < info["nnz"] < info["lu_nnz"]
 
     def test_solve_mixed_inadmissible_exit(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -279,6 +285,38 @@ class TestSubcommands:
         assert main(["--quiet", "solve-mixed", "--problem", mixed_json]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "out of memory" in err
+
+    @pytest.mark.parametrize("bc,forcing,argv", [
+        ({"type": "mixed", "G": ["top", "left"]}, "smooth2",
+         ["solve-mixed"]),
+        ({"type": "closed_dirichlet"}, "one", ["solve"]),
+        ({"type": "closed_dirichlet"}, "one",
+         ["illposedness", "--levels", "13,33,4097"]),
+    ])
+    def test_oversized_grid_refused_before_assembly(self, tmp_path, capsys,
+                                                    monkeypatch, bc, forcing,
+                                                    argv):
+        import resource
+
+        # an 8 GB address-space cap keeps the refusal independent of the
+        # machine's memory (4097^2 needs about 107 GB for solve)
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (8 << 30, resource.RLIM_INFINITY))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "kappa": 0.0, "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
+            "grid": {"nx": 4097, "ny": 4097}, "bc": bc,
+            "forcing": {"kind": forcing}}))
+        t0 = time.perf_counter()
+        code = main(["--out", str(tmp_path / "out"), argv[0], "--problem",
+                     str(path), *argv[1:]])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "nx=4097, ny=4097" in err and " MB " in err
+        assert elapsed < 1.0
+        assert not (tmp_path / "out").exists()
 
     def test_unexpected_exception_is_internal_error(self, monkeypatch,
                                                     capsys):
@@ -324,6 +362,21 @@ class TestSubcommands:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
+
+    def test_oversized_grid_refusal_loads_no_scipy(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "kappa": 0.5, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
+            "grid": {"nx": 8193, "ny": 8193}, "forcing": {"kind": "one"}}))
+        code = ("import sys; from coldwave.cli import main; "
+                "code = main(['--quiet', 'solve', '--problem', sys.argv[1]]); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, str(path)],
+                             check=True, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "2 []"
+        assert "nx=8193, ny=8193" in out.stderr
 
     def test_energy_check(self, tmp_path):
         out = tmp_path / "energy.json"

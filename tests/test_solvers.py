@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from coldwave.errors import (FactorizationFailure, InadmissibleBoundary,
-                             InsufficientLevels)
+from coldwave import solvers
+from coldwave.errors import (FactorizationFailure, GridTooLarge,
+                             InadmissibleBoundary, InsufficientLevels)
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import MixedMultiplierSpec
 from coldwave.operators import assemble_dirichlet, assemble_mixed
 from coldwave.quadrature import decompose_cells
-from coldwave.solvers import (ModelProblem, _factor, _min_norm_solve,
-                              _segment_node_mask, illposedness_diagnostic,
-                              solve_closed_dirichlet, solve_mixed)
+from coldwave.solvers import (_SPLU_SQUARE, ModelProblem, _factor,
+                              _min_norm_solve, _segment_node_mask,
+                              fill_estimate, illposedness_diagnostic,
+                              require_memory, solve_closed_dirichlet,
+                              solve_mixed)
 
 
 def manufactured_forcing(kappa):
@@ -67,6 +70,37 @@ def dense_mixed(grid, kappa, idx1, idx2):
     return A
 
 
+def kkt_factor(A):
+    """SuperLU factor of the KKT matrix [[I, A^T], [A, 0]] of a wide A,
+    with SuperLU's defaults."""
+    import scipy.sparse.linalg as spla
+
+    n = A.shape[1]
+    return spla.splu(sp.block_array([[sp.eye_array(n), A.T], [A, None]],
+                                    format="csc"))
+
+
+def kkt_solve(A, rhs):
+    """Min-norm solution of a wide A x = rhs from the KKT system, whose
+    solution (x, y) has A x = rhs and x = -A^T y."""
+    n = A.shape[1]
+    return kkt_factor(A).solve(np.concatenate((np.zeros(n), rhs)))[:n]
+
+
+def mixed_system(n):
+    """A and a smooth right-hand side of the acceptance-14 problem
+    (kappa 0, G = top, left) on an n x n grid."""
+    g = Grid2D(MIXED, n, n)
+    A, _, _ = assemble_mixed(g, 0.0, _segment_node_mask(g, {"top", "left"}),
+                             _segment_node_mask(g, {"bottom", "right"}))
+    X, Y = (v[g.interior] for v in g.meshgrid())
+    rhs = np.empty(A.shape[0])
+    rhs[0::2] = np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
+    rhs[1::2] = np.cos(np.pi * X) * np.sin(np.pi * Y) + 0.3
+    return A, rhs
+
+
+MIXED = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
 ORIGIN = Domain.rectangle(-1.05, 0.95, -1.02, 0.98)
 ELLIPTIC = Domain.rectangle(1.5, 2.5, -0.4, 0.4)
 UNION = Domain(((1.2, 2.2, -0.4, 0.4), (2.2, 3.2, -0.4, 0.0)))
@@ -111,7 +145,7 @@ class TestSparsePath:
         assert sol.rank == A.shape[0]
 
     def test_mixed_matches_min_norm_lstsq(self):
-        dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
+        dom = MIXED
         spec = MixedMultiplierSpec.auto(dom)
         f1 = lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * np.pi * y)
         f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
@@ -139,9 +173,9 @@ class TestSparsePath:
     def test_condition_estimate_brackets_cond1(self, dom, n):
         A, _ = assemble_dirichlet(Grid2D(dom, n, n), 0.5)
         cond1 = np.linalg.cond(A.toarray(), 1)
-        _, est = _factor(A)
+        _, est = _factor(A, _SPLU_SQUARE)
         assert cond1 / 3.0 <= est <= cond1 * (1.0 + 1e-12)
-        assert _factor(A)[1] == est
+        assert _factor(A, _SPLU_SQUARE)[1] == est
 
     @pytest.mark.parametrize("column", [2, None])
     def test_singular_matrix_takes_lsmr(self, rng, column):
@@ -151,7 +185,7 @@ class TestSparsePath:
         M[:, 5] = M[:, column] if column is not None else 0.0
         A = sp.csr_array(M)
         b = rng.normal(size=12)
-        lu, cond = _factor(A)
+        lu, cond = _factor(A, _SPLU_SQUARE)
         assert lu is None or cond * np.finfo(float).eps >= 1.0
         x, cond, rank, method = _min_norm_solve(A, b)
         assert (rank, method) == (None, "lsmr")
@@ -190,6 +224,46 @@ class TestSparsePath:
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
+    @pytest.mark.parametrize("n", [17, 33, 65])
+    def test_wide_system_matches_kkt_and_lstsq(self, n):
+        A, rhs = mixed_system(n)
+        x, cond, rank, method = _min_norm_solve(A, rhs)
+        assert (rank, method) == (A.shape[0], "splu")
+        oracles = [kkt_solve(A, rhs)]
+        if n <= 33:   # dense lstsq at 65^2 is a 7938 x 8192 SVD
+            oracles.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
+        for x_ref in oracles:
+            assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_correction_step_on_ill_conditioned_wide_system(self, rng):
+        # cond(A) = 1e5: x = A^T (A A^T)^-1 b alone is off by 1.4e-7
+        # (about cond(A)^2 eps); the correction step gives 3e-12
+        U = np.linalg.qr(rng.normal(size=(30, 30)))[0]
+        V = np.linalg.qr(rng.normal(size=(50, 30)))[0]
+        M = (U * np.logspace(0.0, -5.0, 30)) @ V.T
+        b = rng.normal(size=30)
+        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
+        assert (rank, method) == (30, "splu")
+        x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+    def test_rank_deficient_wide_system_takes_lsmr(self, rng):
+        M = rng.normal(size=(9, 16)) * (rng.random((9, 16)) < 0.4)
+        M[np.arange(9), np.arange(9)] += 4.0
+        M[8] = M[3]   # duplicated row: A A^T is singular
+        b = rng.normal(size=9)
+        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
+        assert (rank, method) == (None, "lsmr")
+        x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+    def test_normal_factor_fills_less_than_kkt(self):
+        A, rhs = mixed_system(129)
+        sizes = {}
+        _min_norm_solve(A, rhs, sizes)
+        assert sizes["ordering"] == "MMD_AT_PLUS_A"
+        assert sizes["lu_nnz"] < 0.5 * kkt_factor(A).nnz
+
     def test_non_finite_matrix_raises(self):
         A = sp.csr_array(np.array([[1.0, 0.0], [np.nan, 2.0]]))
         with pytest.raises(FactorizationFailure):
@@ -197,6 +271,39 @@ class TestSparsePath:
         wide = sp.csr_array(np.array([[1.0, 0.0, 3.0], [np.nan, 2.0, 0.0]]))
         with pytest.raises(FactorizationFailure):
             _min_norm_solve(wide, np.ones(2))
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_fill_model_within_factor_two(self, n):
+        A, rhs = mixed_system(n)
+        sizes = {}
+        _min_norm_solve(A, rhs, sizes)
+        D, _ = assemble_dirichlet(Grid2D(ORIGIN, n, n), 0.5)
+        square = {}
+        _min_norm_solve(D, np.ones(D.shape[0]), square)
+        for bc, got in (("mixed", sizes), ("closed_dirichlet", square)):
+            estimate = fill_estimate(solvers.factor_order(bc, n, n))
+            assert 0.5 <= estimate / got["lu_nnz"] <= 2.0
+
+    def test_budget_capped_by_address_space_limit(self, monkeypatch):
+        import resource
+
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (100_000_000, resource.RLIM_INFINITY))
+        assert solvers._memory_budget() == 100_000_000
+        require_memory("mixed", 65, 65)
+        with pytest.raises(GridTooLarge, match="nx=257, ny=129"):
+            require_memory("mixed", 257, 129)
+
+    def test_illposedness_checks_every_level_first(self, monkeypatch):
+        assembled = []
+        monkeypatch.setattr(solvers, "assemble_dirichlet",
+                            lambda *args: assembled.append(args))
+        with pytest.raises(GridTooLarge, match="nx=4097, ny=4097"):
+            illposedness_diagnostic(ModelProblem(0.5, ORIGIN),
+                                    [13, 33, 4097])
+        assert assembled == []
 
 
 class TestModelProblem:

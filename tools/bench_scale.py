@@ -1,0 +1,160 @@
+"""Time and size the grid solves from 65^2 to 513^2, and fit the fill model.
+
+Usage: python3 tools/bench_scale.py [--pairs PARENT_CHECKOUT N] > BENCH.json
+
+Each level of ``solve-mixed`` (the acceptance-14 box [0,1]x[0,0.75],
+kappa 0, G = top,left, ``smooth2`` forcing) and of ``solve`` (the origin
+box [-1.05,0.95]x[-1.02,0.98], kappa 0.5, ``sine_bump`` forcing) runs in
+a fresh interpreter that calls ``coldwave.cli.main`` once and reports
+the wall time of that call and its ``ru_maxrss``.  The run's
+``--summary`` gives the sizes: unknowns, nnz of A, lu_nnz of the
+factor and the SuperLU ordering.  Beside them stand the fill model's
+estimate ``solvers.fill_estimate(m)`` for the order m of the factored
+matrix and the memory estimate that ``solvers.require_memory`` compares
+with the budget.  ``fit`` is the least-squares line of log lu_nnz
+against log m over every level of both commands, and ``bytes_per_fill``
+the largest peak RSS per factor nonzero at 257 and above, where the
+factor dominates: the sources of ``solvers.FILL_C``, ``FILL_P`` and
+``BYTES_PER_FILL``.
+
+With ``--pairs PARENT N``, ``perfbench/run.py --workload bvp`` runs N
+times in PARENT and in this checkout (seed 7, 8 s each), in pairs whose
+first side alternates, starting with the parent; every run and the
+medians of each end-to-end metric are recorded under ``bvp_pairs``.
+The JSON goes to stdout.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+import scipy
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+LEVELS = (65, 129, 257, 513)
+COMMANDS = {
+    "solve-mixed": {"kappa": 0.0,
+                    "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
+                    "bc": {"type": "mixed", "G": ["top", "left"]},
+                    "forcing": {"kind": "smooth2"}},
+    "solve": {"kappa": 0.5,
+              "domain": {"rects": [[-1.05, 0.95, -1.02, 0.98]]},
+              "bc": {"type": "closed_dirichlet"},
+              "forcing": {"kind": "sine_bump"}},
+}
+BVP_SEED = 7
+BVP_SECONDS = 8
+
+# Runs in the child: one CLI call, then its wall time and peak RSS.
+CHILD = """
+import json, resource, sys, time
+sys.dont_write_bytecode = True
+from coldwave.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+wall = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"exit": code, "wall_s": wall, "ru_maxrss_mb": rss / 1024}))
+"""
+
+
+def run_level(command, n, workdir):
+    from coldwave import solvers
+
+    problem = dict(COMMANDS[command], grid={"nx": n, "ny": n})
+    cfg = os.path.join(workdir, "problem.json")
+    summary = os.path.join(workdir, "summary.json")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(problem, fh)
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, "--quiet", "--out", os.devnull,
+         command, "--problem", cfg, "--summary", summary],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    row = {"command": command, "n": n, **json.loads(out.stdout)}
+    with open(summary, encoding="utf-8") as fh:
+        info = json.load(fh)
+    m = solvers.factor_order(problem["bc"]["type"], n, n)
+    row.update({k: info[k] for k in ("method", "unknowns", "nnz", "lu_nnz",
+                                     "ordering")})
+    row["order"] = m
+    row["fill_estimate"] = solvers.fill_estimate(m)
+    row["fill_ratio"] = row["fill_estimate"] / info["lu_nnz"]
+    row["memory_estimate_mb"] = solvers.BYTES_PER_FILL * row[
+        "fill_estimate"] / 1e6
+    return row
+
+
+def fit(rows):
+    """Least-squares lu_nnz = c m^p over rows, and the largest peak bytes
+    per factor nonzero at 257 and above."""
+    logm = np.log([r["order"] for r in rows])
+    logf = np.log([r["lu_nnz"] for r in rows])
+    p, logc = np.polyfit(logm, logf, 1)
+    per_fill = max(r["ru_maxrss_mb"] * 1024 * 1024 / r["lu_nnz"]
+                   for r in rows if r["n"] >= 257)
+    return {"c": math.exp(logc), "p": p, "bytes_per_fill": per_fill}
+
+
+def bvp_once(checkout):
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "bvp", "--seed",
+         str(BVP_SEED), "--seconds", str(BVP_SECONDS), "--trace", "0"],
+        cwd=checkout, check=True, capture_output=True, text=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return {k: v["value"] for k, v in result["metrics"].items()}, \
+        result["failed"]
+
+
+def bvp_pairs(parent, pairs):
+    runs = {"parent": [], "change": []}
+    failed = 0
+    sides = [("parent", parent), ("change", ROOT)]
+    for k in range(pairs):
+        for side, checkout in sides if k % 2 == 0 else sides[::-1]:
+            metrics, bad = bvp_once(checkout)
+            runs[side].append(metrics)
+            failed += bad
+    wins = sum(c["wall_ref_s"] < p["wall_ref_s"]
+               for p, c in zip(runs["parent"], runs["change"]))
+    return {"seed": BVP_SEED, "seconds": BVP_SECONDS, "pairs": pairs,
+            "order": "parent first in pairs 0, 2, ...; change first in "
+                     "pairs 1, 3, ...", "failed": failed,
+            "wall_ref_s_change_wins": wins, "runs": runs,
+            "median": {side: {k: statistics.median(r[k] for r in rs)
+                              for k in rs[0]} for side, rs in runs.items()}}
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--pairs", nargs=2, metavar=("PARENT", "N"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, SRC)
+    rows = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for command in COMMANDS:
+            for n in LEVELS:
+                rows.append(run_level(command, n, workdir))
+                print(f"{command} {n}: {rows[-1]['wall_s']:.2f} s, "
+                      f"{rows[-1]['ru_maxrss_mb']:.0f} MB", file=sys.stderr)
+    report = {"machine": {"nproc": os.cpu_count(),
+                          "python": platform.python_version(),
+                          "numpy": np.__version__, "scipy": scipy.__version__},
+              "levels": rows, "fit": fit(rows)}
+    if args.pairs:
+        report["bvp_pairs"] = bvp_pairs(args.pairs[0], int(args.pairs[1]))
+    json.dump(report, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
