@@ -5,10 +5,10 @@ typemap, characteristics, origin-chars, symbol-check, layered, solve,
 solve-mixed, energy-check, illposedness.  Outputs are deterministic:
 identical configuration and seed give byte-identical files.
 
-Exit codes: 0 success; 1 usage error, invalid input or configuration;
-2 numerical failure (singularity, factorization, out of memory) or an
-unexpected internal error; 3 a check failed (energy ratio below bound,
-inadmissible boundary, symbol-check failure).
+Exit codes: 0 success; 1 a usage error, invalid input or an
+InvalidConfiguration; 2 a NumericalFailure, out of memory or an internal
+error; 3 a CheckFailed, or a failed symbol-check or energy-check.  The
+kind of a toolkit error (``errors``) sets its stderr prefix and code.
 """
 
 import argparse
@@ -20,12 +20,8 @@ import numpy as np
 
 from . import config as cfg
 from . import dispersion, electrostatics, output, plasma, typegeometry
-from .errors import (BracketTooWide, ColdwaveError, CyclotronResonance,
-                     DegenerateQuartic, DualNormSingular,
-                     FactorizationFailure, GridTooLarge,
-                     InadmissibleBoundary, InsufficientLevels,
-                     LengthMismatch, MissingElectrons, SingularCoefficient,
-                     SpecInvalid, StartNotHyperbolic)
+from .errors import (EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_NUMERICAL,
+                     EXIT_OK, ColdwaveError)
 from .fields import Field1D
 from .grid import Domain, Grid2D
 from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
@@ -33,22 +29,9 @@ from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
 from .solvers import (illposedness_diagnostic, require_memory,
                       solve_closed_dirichlet, solve_mixed)
 
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_NUMERICAL = 2
-EXIT_CHECK_FAILED = 3
-
 # Largest symbol-check --kmax: |k|^6, and 64 |k|^6 for the doubled k,
 # stay far below the float range.
 KMAX_LIMIT = 1e40
-
-_NUMERICAL_ERRORS = (CyclotronResonance, BracketTooWide,
-                     SingularCoefficient, DegenerateQuartic,
-                     FactorizationFailure, StartNotHyperbolic,
-                     DualNormSingular, GridTooLarge)
-_CHECK_ERRORS = (InadmissibleBoundary,)
-_INVALID_ERRORS = (SpecInvalid, InsufficientLevels, MissingElectrons,
-                   LengthMismatch)
 
 
 def _note(args, message):
@@ -212,9 +195,8 @@ def cmd_layered(args):
                   lambda x: float(np.real(f2d.dx(x, 0.0))))
     problem = electrostatics.LayeredProblem(
         k11, float(data.get("sigma0", 0.0)), tuple(data["x_range"]))
-    re_im = [float(v) for v in args.psi0.split(",")]
-    psi0 = complex(re_im[0], re_im[1] if len(re_im) > 1 else 0.0)
-    sol = electrostatics.integrate_layered(problem, psi0, args.x0, args.x1)
+    sol = electrostatics.integrate_layered(problem, complex(*args.psi0),
+                                           args.x0, args.x1)
     output.write_csv("x,psi_re,psi_im",
                      [(sol.xs, sol.psi.real, sol.psi.imag)], args.out)
     _note(args, f"accepted at {sol.steps} steps")
@@ -311,11 +293,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(kind, limit=math.inf):
-    """argparse type converting with ``kind`` (float for --tol,
-    characteristics --step, symbol-check --kmax and energy-check
-    --bound-factor; int for the counts --trials, --nx, --nz and
-    --max-steps) and rejecting values that are not > 0, not finite or
-    above ``limit``."""
+    """argparse type converting with ``kind`` (float, or int for counts)
+    and rejecting values that are not > 0, not finite or above ``limit``."""
     def convert(text):
         try:
             value = kind(text)
@@ -335,8 +314,8 @@ def _positive(kind, limit=math.inf):
 
 
 def _point(text):
-    """argparse type of characteristics --start: 'x,y', two finite
-    floats."""
+    """argparse type of characteristics --start ('x,y') and layered
+    --psi0 ('re,im'): two finite floats."""
     try:
         point = tuple(float(v) for v in text.split(","))
     except ValueError:
@@ -439,7 +418,7 @@ def build_parser():
     p = sub.add_parser("layered", help="integrate the plane-layered ODE")
     p.add_argument("--layered", required=True,
                    help="JSON with K11, sigma0, x_range")
-    p.add_argument("--psi0", default="1,0", help="'re,im'")
+    p.add_argument("--psi0", type=_point, default="1,0", help="'re,im'")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--x1", type=float, required=True)
 
@@ -450,8 +429,8 @@ def build_parser():
     p = sub.add_parser("solve-mixed", help="mixed-problem least squares")
     p.add_argument("--problem", required=True)
     p.add_argument("--summary")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--mdelta", type=float, default=0.05,
+    p.add_argument("--mu", type=_positive(float), default=1.0)
+    p.add_argument("--mdelta", type=_positive(float), default=0.05,
                    help="multiplier delta (piecewise m)")
 
     p = sub.add_parser("energy-check",
@@ -498,18 +477,9 @@ def main(argv=None):
         return exc.code
     try:
         return _COMMANDS[args.subcommand](args)
-    except _CHECK_ERRORS as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _INVALID_ERRORS as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ColdwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

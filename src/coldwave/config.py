@@ -233,13 +233,15 @@ def parse_field(entry, default=None):
 
 
 def parse_bracket(text):
-    """'W0:W1' -> (float, float) with ordering enforced."""
+    """'W0:W1' -> (W0, W1), finite with 0 < W0 < W1."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"bracket {text!r} must be 'low:high'")
     lo, hi = float(parts[0]), float(parts[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket {text!r} must satisfy 0 < low < high")
+    if hi == math.inf:
+        raise ValueError(f"bracket {text!r} must have finite bounds")
     return lo, hi
 
 

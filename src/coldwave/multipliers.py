@@ -53,8 +53,6 @@ class MultiplierSpec:
     N: float = 0.0
     Q1: float = 1.0
     Q2: float = 1.0
-    mu1: float = 0.0
-    mu2: float = 0.0
     warnings: tuple = ()
 
     @classmethod
@@ -71,6 +69,8 @@ class MultiplierSpec:
             raise SpecInvalid(f"kappa={kappa!r} outside [0, 2]")
         if not 0.0 < delta < 0.5:
             raise SpecInvalid(f"delta={delta!r} outside (0, 0.5)")
+        if not delta_tilde > 0.0:
+            raise SpecInvalid(f"delta_tilde={delta_tilde!r} must be positive")
         K = grid.type_values()[grid.inside]
         kpos = K[K > 0.0]
         kneg = K[K < 0.0]
@@ -86,8 +86,7 @@ class MultiplierSpec:
                     f"{delta!r} (needs delta < exp(mu2)/6 = {Q2 / 6.0!r})"
                 )
             return cls("kappa_high", kappa, delta, delta_tilde,
-                       Q1=Q1, Q2=Q2, mu1=mu1, mu2=mu2,
-                       warnings=tuple(warnings))
+                       Q1=Q1, Q2=Q2, warnings=tuple(warnings))
         lo = (1.0 + delta_tilde) / (3.0 - kappa)
         hi = (1.0 - delta_tilde) / (kappa + 1.0)
         if not lo < hi:
@@ -310,13 +309,13 @@ class MixedMultiplierSpec:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise SpecInvalid("mu must be positive")
-        if self.t <= 0.0:
+        if not self.t > 0.0:
             raise SpecInvalid("t must be positive")
-        if self.s_const <= 0.0:
+        if not self.s_const > 0.0:
             raise SpecInvalid("s_const must be positive")
-        if self.delta <= 0.0 or self.delta >= self.mu:
+        if not 0.0 < self.delta < self.mu:
             raise SpecInvalid("delta must be in (0, mu)")
 
     def m(self, sign):

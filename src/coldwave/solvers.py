@@ -78,8 +78,6 @@ class ModelProblem:
     forcing: object = None
     bc: str = "closed_dirichlet"
     G: tuple = ()
-    contains_origin: bool = field(init=False)
-    contains_sonic_arc: bool = field(init=False)
 
     def __post_init__(self):
         if self.bc not in ("closed_dirichlet", "mixed"):
@@ -89,10 +87,6 @@ class ModelProblem:
         if self.bc == "mixed" and not 0.0 <= self.kappa <= 1.0:
             raise ValueError("mixed problem needs kappa in [0, 1]")
         object.__setattr__(self, "G", tuple(self.G))
-        object.__setattr__(self, "contains_origin",
-                           self.domain.contains_origin)
-        object.__setattr__(self, "contains_sonic_arc",
-                           self.domain.contains_sonic_arc)
 
 
 @dataclass(frozen=True)
@@ -376,6 +370,8 @@ def illposedness_diagnostic(problem, levels):
     origin-containing domains the estimates are expected to grow faster
     than on purely elliptic ones.
     """
+    if problem.bc != "closed_dirichlet":
+        raise ValueError("problem.bc must be 'closed_dirichlet'")
     if len(levels) < 3:
         raise InsufficientLevels("need at least 3 refinement levels")
     for n in levels:

@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coldwave import cli
 from coldwave import config as cfg
-from coldwave import dispersion, electrostatics, output, typegeometry
+from coldwave import dispersion, electrostatics, errors, output, typegeometry
 from coldwave.cli import KMAX_LIMIT, build_parser, main
 from coldwave.dispersion import SCAN_HEADER, dispersion_scan
 from coldwave.fields import Field1D
@@ -508,8 +509,113 @@ class TestConsoleScript:
         assert json.loads(out.read_text())["R"] == 1.0
 
 
+# Exit code and stderr prefix of each toolkit error, as main reported
+# them when the classification was kept in three tuples of classes.
+FAILURE_TABLE = {
+    "CyclotronResonance": (2, "numerical failure"),
+    "BracketTooWide": (2, "numerical failure"),
+    "SingularCoefficient": (2, "numerical failure"),
+    "DegenerateQuartic": (2, "numerical failure"),
+    "FactorizationFailure": (2, "numerical failure"),
+    "StartNotHyperbolic": (2, "numerical failure"),
+    "DualNormSingular": (2, "numerical failure"),
+    "GridTooLarge": (2, "numerical failure"),
+    "InadmissibleBoundary": (3, "check failed"),
+    "SpecInvalid": (1, "invalid configuration"),
+    "InsufficientLevels": (1, "invalid configuration"),
+    "MissingElectrons": (1, "invalid configuration"),
+    "LengthMismatch": (1, "invalid configuration"),
+}
+KINDS = ("InvalidConfiguration", "NumericalFailure", "CheckFailed")
+
+
+def concrete_errors():
+    """Every ColdwaveError subclass in coldwave.errors but the kinds."""
+    return [c for name, c in sorted(vars(errors).items())
+            if isinstance(c, type) and issubclass(c, errors.ColdwaveError)
+            and name not in ("ColdwaveError", *KINDS)]
+
+
+class TestFailureTable:
+    def _fail_with(self, exc, monkeypatch, capsys):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "origin-chars", failing)
+        code = main(["origin-chars"])
+        return code, capsys.readouterr().err
+
+    def test_table_names_every_error(self):
+        assert sorted(c.__name__ for c in concrete_errors()) \
+            == sorted(FAILURE_TABLE)
+
+    @pytest.mark.parametrize("cls", concrete_errors(),
+                             ids=lambda c: c.__name__)
+    def test_exit_code_and_stderr(self, cls, monkeypatch, capsys):
+        code, prefix = FAILURE_TABLE[cls.__name__]
+        assert self._fail_with(cls("kappa=0.5 at 3 nodes"), monkeypatch,
+                               capsys) \
+            == (code, f"{prefix}: kappa=0.5 at 3 nodes\n")
+
+    @pytest.mark.parametrize("cls", concrete_errors(),
+                             ids=lambda c: c.__name__)
+    def test_one_kind_each(self, cls):
+        kinds = [getattr(errors, k) for k in KINDS]
+        (kind,) = [k for k in kinds if issubclass(cls, k)]
+        assert (kind.exit_code, kind.prefix) == FAILURE_TABLE[cls.__name__]
+
+    @pytest.mark.parametrize("exc, expected", [
+        (errors.ColdwaveError("bare"), (2, "error: bare\n")),
+        (MemoryError("7.9 GiB"),
+         (2, "numerical failure: out of memory: 7.9 GiB\n")),
+        (ValueError("bad value"), (1, "invalid input: bad value\n")),
+        (KeyError("x_range"), (1, "invalid input: 'x_range'\n")),
+        (OSError("no such file"), (1, "invalid input: no such file\n")),
+        (TypeError("unsupported\noperand"),
+         (2, "internal error: TypeError: unsupported operand\n")),
+    ], ids=["ColdwaveError", "MemoryError", "ValueError", "KeyError",
+            "OSError", "TypeError"])
+    def test_other_exceptions(self, exc, expected, monkeypatch, capsys):
+        assert self._fail_with(exc, monkeypatch, capsys) == expected
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("kappa", ["0.5", "1.5"])
+    @pytest.mark.parametrize("delta_tilde", ["-0.5", "0"])
+    def test_delta_tilde_positive(self, kappa, delta_tilde, tmp_path,
+                                  capsys):
+        # a margin <= 0 would widen the admissible N interval at kappa < 1
+        out = tmp_path / "e.json"
+        assert main(["--out", str(out), "energy-check", "--kappa", kappa,
+                     "--nx", "9", "--trials", "2",
+                     f"--delta-tilde={delta_tilde}"]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid configuration: delta_tilde={float(delta_tilde)!r} "
+            "must be positive\n")
+        assert not out.exists()
+
+    def test_illposedness_refuses_mixed_problem(self, mixed_json, tmp_path,
+                                                capsys):
+        out = tmp_path / "ill.json"
+        assert main(["--out", str(out), "illposedness", "--problem",
+                     mixed_json, "--levels", "9,13,17"]) == 1
+        assert capsys.readouterr().err \
+            == "invalid input: problem.bc must be 'closed_dirichlet'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, bracket", [
+        ("cutoffs", "1:inf"), ("resonances", "1e6:inf")])
+    def test_infinite_bracket(self, hydrogen_json, command, bracket, capsys):
+        assert main([command, "--plasma", hydrogen_json,
+                     "--bracket", bracket]) == 1
+        assert capsys.readouterr().err \
+            == f"invalid input: bracket {bracket!r} must have finite bounds\n"
+
+
 class TestUsageErrors:
     CHAR = ["characteristics", "--branch", "1", "--max-steps", "50"]
+    MIXED = ["solve-mixed", "--problem", "p.json"]
+    LAYERED = ["layered", "--layered", "l.json", "--x0", "0", "--x1", "1"]
 
     @pytest.mark.parametrize("argv, where", [
         (["stix"], "stix"),
@@ -545,6 +651,13 @@ class TestUsageErrors:
         (["energy-check", "--kappa", "1", "--bound-factor", "nan"],
          "energy-check"),
         (["energy-check", "--kappa", "1", "--nx", "0"], "energy-check"),
+        (MIXED + ["--mu", "nan"], "solve-mixed"),
+        (MIXED + ["--mu", "inf"], "solve-mixed"),
+        (MIXED + ["--mdelta", "nan"], "solve-mixed"),
+        (LAYERED + ["--psi0", "nan,0"], "layered"),
+        (LAYERED + ["--psi0", "inf,0"], "layered"),
+        (LAYERED + ["--psi0", "1,2,3"], "layered"),
+        (LAYERED + ["--psi0", "1"], "layered"),
     ], ids=["missing-required", "bad-float", "bad-format", "tol-before",
             "tol-after", "tol-negative", "tol-nan", "unknown-command",
             "no-arguments", "step-nan", "step-inf", "step-zero",
@@ -552,7 +665,9 @@ class TestUsageErrors:
             "start-bad-float", "kmax-nan", "kmax-inf", "kmax-zero",
             "max-steps-negative", "typemap-nx-zero", "typemap-nz-negative",
             "symbol-trials-negative", "kmax-1e60", "kmax-1e308",
-            "bound-factor-nan", "energy-nx-zero"])
+            "bound-factor-nan", "energy-nx-zero", "mu-nan", "mu-inf",
+            "mdelta-nan", "psi0-nan", "psi0-inf", "psi0-three-values",
+            "psi0-one-value"])
     def test_usage_error_exits_1(self, argv, where, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -562,7 +677,8 @@ class TestUsageErrors:
         named = [a.partition("=")[0] for a in argv[-2:]
                  if a.partition("=")[0] in (
                      "--step", "--start", "--kmax", "--max-steps", "--nx",
-                     "--nz", "--trials", "--bound-factor")]
+                     "--nz", "--trials", "--bound-factor", "--mu",
+                     "--mdelta", "--psi0")]
         if named:
             assert f"error: argument {named[0]}: " in err
 

@@ -301,6 +301,13 @@ class TestMixedMultiplierSpec:
         with pytest.raises(SpecInvalid):
             MixedMultiplierSpec(mu=1.0, t=1.0, s_const=1.0, delta=2.0)
 
+    @pytest.mark.parametrize("name", ["mu", "t", "s_const", "delta"])
+    def test_nan_rejected(self, name):
+        values = {"mu": 1.0, "t": 1.0, "s_const": 1.0, "delta": 0.05,
+                  name: float("nan")}
+        with pytest.raises(SpecInvalid):
+            MixedMultiplierSpec(**values)
+
 
 class TestBoundaryAdmissible:
     def test_first_quadrant_box(self):

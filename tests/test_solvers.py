@@ -314,12 +314,6 @@ class TestModelProblem:
         with pytest.raises(ValueError):
             ModelProblem(1.5, dom, bc="mixed")
 
-    def test_domain_flags_computed(self):
-        p = ModelProblem(0.5, Domain.rectangle(-1, 1, -1, 1))
-        assert p.contains_origin and p.contains_sonic_arc
-        q = ModelProblem(0.5, Domain.rectangle(1.5, 2.5, -0.4, 0.4))
-        assert not q.contains_origin and not q.contains_sonic_arc
-
 
 class TestClosedDirichlet:
     def test_zero_forcing_zero_solution(self):

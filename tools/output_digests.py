@@ -14,9 +14,16 @@ with ``-`` for a file the step did not write.  The ``coldwave`` that
 runs is whichever ``PYTHONPATH`` selects, so two checkouts are compared
 byte for byte by running ``diff`` on the output of each.  Nothing is
 written inside the checkout, bytecode caches included.
+
+What each step writes to stderr gives one more line, with
+``stderr.<step index>`` in place of the file name and the digest of the
+text (empty text included), so that messages, notes and summaries
+printed there are compared as well.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -37,15 +44,19 @@ def _sha256(path):
 
 
 def digests(seed, workload):
-    """(file, exit code, sha256) of every output of one workload."""
+    """(file, exit code, sha256) of every output of one workload, and of
+    every step's stderr."""
     with tempfile.TemporaryDirectory() as workdir:
         out = os.path.join(workdir, "out")
         os.mkdir(out)
         rows = []
-        for step in workloads.build(workload, seed, workdir):
-            code = cli.main([a.replace("{out}", out) for a in step.argv])
+        for k, step in enumerate(workloads.build(workload, seed, workdir)):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main([a.replace("{out}", out) for a in step.argv])
             rows.extend((name, code, _sha256(os.path.join(out, name)))
                         for name in step.outputs)
+            rows.append((f"stderr.{k}", code, hashlib.sha256(
+                err.getvalue().encode()).hexdigest()))
         return rows
 
 
