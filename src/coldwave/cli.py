@@ -39,13 +39,6 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
-def _box(text):
-    parts = [float(v) for v in text.split(":")]
-    if len(parts) != 4 or not (parts[0] < parts[1] and parts[2] < parts[3]):
-        raise ValueError(f"box {text!r} must be x0:x1:y0:y1 with x0<x1, y0<y1")
-    return tuple(parts)
-
-
 def cmd_stix(args):
     pl = cfg.parse_plasma(cfg.load_json(args.plasma))
     st = plasma.stix_parameters(pl, args.omega, resonance_rtol=args.tol)
@@ -72,21 +65,11 @@ def cmd_dispersion(args):
 def _scan_blocks(pl, omegas, thetas, tol):
     """Column blocks of the dispersion scan, computed about BLOCK_ROWS
     rows (whole omegas) at a time; the scan is elementwise, so each block
-    equals the same rows of one full scan.  omega and C depend on omega
-    only and theta on theta only, so their cells are formatted once per
-    distinct value."""
-    n_theta = len(thetas)
-    step = max(1, output.BLOCK_ROWS // n_theta)
-    theta_cells = output.float_cells(thetas)
+    equals the same rows of one full scan."""
+    step = max(1, output.BLOCK_ROWS // len(thetas))
     for k in range(0, len(omegas), step):
-        block = omegas[k:k + step]
-        columns = dispersion.dispersion_scan(pl, block, thetas,
-                                             resonance_rtol=tol)
-        columns["omega"] = np.repeat(output.float_cells(block), n_theta)
-        columns["theta"] = np.tile(theta_cells, len(block))
-        columns["C"] = np.repeat(
-            output.float_cells(columns["C"][::n_theta]), n_theta)
-        yield tuple(columns.values())
+        yield tuple(dispersion.dispersion_scan(
+            pl, omegas[k:k + step], thetas, resonance_rtol=tol).values())
 
 
 def cmd_cutoffs(args):
@@ -120,7 +103,7 @@ def cmd_typemap(args):
     data = cfg.load_json(args.fields)
     k11 = cfg.parse_field(data.get("K11"))
     k33 = cfg.parse_field(data.get("K33"), default=1.0)
-    x0, x1, z0, z1 = _box(args.box)
+    x0, x1, z0, z1 = args.box
     xs, zs = np.linspace(x0, x1, args.nx), np.linspace(z0, z1, args.nz)
     X, Z = np.meshgrid(xs, zs, indexing="ij")
     v11, v33 = (np.broadcast_to(np.real(k(X, Z)), X.shape).astype(float)
@@ -131,17 +114,14 @@ def cmd_typemap(args):
     if k33_min <= 0.0:
         _note(args, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
                     "assumes strictly positive K33")
-    output.write_csv("x,z,K11,K33,type", [(
-        np.repeat(output.float_cells(xs), args.nz),
-        np.tile(output.float_cells(zs), args.nx),
-        *(a.ravel() for a in (v11, v33, kinds)))], args.out)
+    output.write_csv("x,z,K11,K33,type", [
+        tuple(a.ravel() for a in (X, Z, v11, v33, kinds))], args.out)
     return EXIT_OK
 
 
 def cmd_characteristics(args):
-    domain = _box(args.box) if args.box else None
     path = typegeometry.trace_characteristic(
-        args.start, args.branch, args.step, domain=domain,
+        args.start, args.branch, args.step, domain=args.box,
         max_steps=args.max_steps)
     n = len(path.points)
     output.write_csv("branch,step,x,y", [(
@@ -208,8 +188,7 @@ def _write_solution(args, header, grid, sol, arrays):
     run summary (to --summary, else a stderr note)."""
     i, j = np.nonzero(grid.inside)
     output.write_csv(header, [(
-        output.float_cells(grid.xs)[i], output.float_cells(grid.ys)[j],
-        *(a[i, j] for a in arrays))], args.out)
+        grid.xs[i], grid.ys[j], *(a[i, j] for a in arrays))], args.out)
     summary = {"residual_norm": sol.residual_norm,
                "condition_estimate": sol.condition_estimate,
                "rank": sol.rank, **sol.norms, **sol.diagnostics}
@@ -245,7 +224,7 @@ def cmd_solve_mixed(args):
 
 def cmd_energy_check(args):
     kappa, delta, nx = args.kappa, args.delta, args.nx
-    domain = Domain.rectangle(*_box(args.box))
+    domain = Domain.rectangle(*args.box)
     rng = np.random.default_rng(args.seed)
     grids = [Grid2D(domain, nx, nx), Grid2D(domain, 2 * nx - 1, 2 * nx - 1)]
     specs = [MultiplierSpec.from_kappa(kappa, g, delta=delta,
@@ -329,6 +308,24 @@ def _point(text):
     return point
 
 
+def _box(text):
+    """argparse type of --box ('x0:x1:y0:y1'): four finite floats with
+    x0 < x1 and y0 < y1."""
+    try:
+        box = tuple(float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid box: {text!r}") from None
+    if len(box) != 4:
+        raise argparse.ArgumentTypeError(
+            f"must be x0:x1:y0:y1, got {text!r}")
+    if not all(map(math.isfinite, box)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if not (box[0] < box[1] and box[2] < box[3]):
+        raise argparse.ArgumentTypeError(
+            f"must have x0 < x1 and y0 < y1, got {text!r}")
+    return box
+
+
 def _levels(text):
     """argparse type of illposedness --levels: strictly increasing grid
     sizes, each at least config.GRID_MIN."""
@@ -392,7 +389,7 @@ def build_parser():
 
     p = sub.add_parser("typemap", help="elliptic/hyperbolic type map to CSV")
     p.add_argument("--fields", required=True, help="field-definition JSON")
-    p.add_argument("--box", required=True, help="x0:x1:z0:z1")
+    p.add_argument("--box", type=_box, required=True, help="x0:x1:z0:z1")
     p.add_argument("--nx", type=_positive(int), default=33)
     p.add_argument("--nz", type=_positive(int), default=33)
 
@@ -400,7 +397,7 @@ def build_parser():
     p.add_argument("--start", type=_point, required=True, help="'x,y'")
     p.add_argument("--branch", type=int, choices=(-1, 1), required=True)
     p.add_argument("--step", type=_positive(float), default=1e-3)
-    p.add_argument("--box", help="stop box x0:x1:y0:y1")
+    p.add_argument("--box", type=_box, help="stop box x0:x1:y0:y1")
     p.add_argument("--max-steps", type=_positive(int), default=200000)
 
     sub.add_parser("origin-chars",
@@ -439,7 +436,7 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--delta-tilde", type=float, default=0.05)
     p.add_argument("--trials", type=_positive(int), default=100)
-    p.add_argument("--box", default="-1:1:-1:1")
+    p.add_argument("--box", type=_box, default="-1:1:-1:1")
     p.add_argument("--nx", type=_positive(int), default=65)
     p.add_argument("--bound-factor", type=_positive(float), default=0.9)
 

@@ -237,7 +237,11 @@ def parse_bracket(text):
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"bracket {text!r} must be 'low:high'")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(
+            f"bracket {text!r} must have numeric bounds") from None
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket {text!r} must satisfy 0 < low < high")
     if hi == math.inf:

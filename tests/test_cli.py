@@ -611,6 +611,14 @@ class TestInputChecks:
         assert capsys.readouterr().err \
             == f"invalid input: bracket {bracket!r} must have finite bounds\n"
 
+    @pytest.mark.parametrize("bracket", ["abc:1", "1:2e"])
+    def test_bracket_bound_not_a_number(self, hydrogen_json, bracket,
+                                        capsys):
+        assert main(["cutoffs", "--plasma", hydrogen_json,
+                     "--bracket", bracket]) == 1
+        assert capsys.readouterr().err \
+            == f"invalid input: bracket {bracket!r} must have numeric bounds\n"
+
 
 class TestUsageErrors:
     CHAR = ["characteristics", "--branch", "1", "--max-steps", "50"]
@@ -658,6 +666,11 @@ class TestUsageErrors:
         (LAYERED + ["--psi0", "inf,0"], "layered"),
         (LAYERED + ["--psi0", "1,2,3"], "layered"),
         (LAYERED + ["--psi0", "1"], "layered"),
+        (["typemap", "--fields", "f.json", "--box=0:inf:0:1"], "typemap"),
+        (["typemap", "--fields", "f.json", "--box=abc:1:0:1"], "typemap"),
+        (CHAR + ["--box=-2:2:nan:2", "--start=-1,0.5"], "characteristics"),
+        (["energy-check", "--kappa", "0.5", "--box=0:inf:0:1"],
+         "energy-check"),
     ], ids=["missing-required", "bad-float", "bad-format", "tol-before",
             "tol-after", "tol-negative", "tol-nan", "unknown-command",
             "no-arguments", "step-nan", "step-inf", "step-zero",
@@ -667,7 +680,8 @@ class TestUsageErrors:
             "symbol-trials-negative", "kmax-1e60", "kmax-1e308",
             "bound-factor-nan", "energy-nx-zero", "mu-nan", "mu-inf",
             "mdelta-nan", "psi0-nan", "psi0-inf", "psi0-three-values",
-            "psi0-one-value"])
+            "psi0-one-value", "typemap-box-inf", "typemap-box-not-a-number",
+            "characteristics-box-nan", "energy-box-inf"])
     def test_usage_error_exits_1(self, argv, where, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -678,7 +692,7 @@ class TestUsageErrors:
                  if a.partition("=")[0] in (
                      "--step", "--start", "--kmax", "--max-steps", "--nx",
                      "--nz", "--trials", "--bound-factor", "--mu",
-                     "--mdelta", "--psi0")]
+                     "--mdelta", "--psi0", "--box")]
         if named:
             assert f"error: argument {named[0]}: " in err
 

@@ -311,18 +311,17 @@ class TestOutput:
         np.array([]),
     ])
     def test_float_cells(self, values):
-        cells = output.float_cells(values)
-        floats = np.asarray(values, dtype=float).tolist()
-        assert cells.dtype == object and cells.shape == (len(floats),)
-        assert cells.tolist() == ["%.16e" % v for v in floats]
-        assert cells.tolist() == [output.fmt_float(v) for v in floats]
-        # cells in place of the raw floats leave the CSV text unchanged
-        k, column = np.arange(len(floats)), np.asarray(floats)
-        labels = np.full(len(floats), "x", dtype=object)
-        rows = [(i, v, v, "x") for i, v in enumerate(floats)]
-        assert csv_text("k,a,b,s", [(k, cells, column, labels)]) \
-            == csv_text("k,a,b,s", [(k, column, column, labels)]) \
-            == csv_oracle("k,a,b,s", rows)
+        # a plain float column, float64 or float32, is written cell by
+        # cell as fmt_float writes each value
+        column = np.asarray(values, dtype=float)
+        k = np.arange(column.size)
+        labels = np.full(column.size, "x", dtype=object)
+        with np.errstate(over="ignore"):
+            narrow = column.astype(np.float32)
+        for col in (column, narrow):
+            lines = csv_text("k,a,s", [(k, col, labels)]).split("\n")
+            assert lines == ["k,a,s", *(f"{i},{output.fmt_float(v)},x"
+                                        for i, v in enumerate(col)), ""]
 
     def test_json_roundtrip(self):
         obj = {"a": 1, "b": [1.5, None, True], "c": {"d": "text"},
@@ -337,3 +336,53 @@ class TestOutput:
         a = output.json_text({"x": 1.0, "y": 2.0})
         b = output.json_text({"x": 1.0, "y": 2.0})
         assert a == b
+
+
+def float_lines(values):
+    """The cells write_csv writes for one float64 column of values."""
+    return csv_text("v", [(np.asarray(values, dtype=np.float64),)]).split(
+        "\n")[1:-1]
+
+
+def hard_floats():
+    """Values where a 17-digit formatter goes wrong most easily."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    # halves, quarters and eighths in [1e14, 1e17]: the quarters near 1e15
+    # and eighths near 1e14 are exact ties at the 17th digit
+    steps = np.arange(0, 2 ** 20, 97)
+    fractions = np.concatenate([1e15 + steps + 0.5, 1e15 + steps + 0.25,
+                                1e14 + steps + 0.125, 1e16 + 2 * steps,
+                                1e17 - 16 * steps])
+    # 9.99...95e5-style values, whose 17 digits may carry into 1.0e6
+    nines = np.array([float(f"9.99999999999999{d}e{e}") for d in (5, 9)
+                      for e in range(-300, 301, 7)])
+    edges = np.array([1e-280, 1e280, 1e-281, 1e281, 1.7976931348623157e308,
+                      2.2250738585072009e-308, 0.5, 1.0, 0.1, 1 / 3])
+    subnormals = np.ldexp(np.arange(1, 2 ** 20, 4099), -1074)
+    values = np.concatenate([tens, twos, fractions, nines, edges,
+                             subnormals])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([values, np.nextafter(values, np.inf),
+                                 np.nextafter(values, -np.inf)])
+    return np.concatenate([values, -values, [0.0, -0.0, math.nan, math.inf,
+                                             -math.inf]])
+
+
+class TestFloatKernel:
+    def test_hard_cases(self):
+        values = hard_floats()
+        assert float_lines(values) == ["%.16e" % v for v in values.tolist()]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(
+            0, 2 ** 64, 200_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert float_lines(values) == ["%.16e" % v for v in values.tolist()]
+
+    def test_float32_upcast(self):
+        bits = np.random.default_rng(21).integers(
+            0, 2 ** 32, 20_000, dtype=np.uint32, endpoint=False)
+        values = bits.view(np.float32)
+        lines = csv_text("v", [(values,)]).split("\n")[1:-1]
+        assert lines == ["%.16e" % v for v in values.tolist()]

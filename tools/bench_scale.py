@@ -1,6 +1,7 @@
 """Time and size the grid solves from 65^2 to 513^2, and fit the fill model.
 
-Usage: python3 tools/bench_scale.py [--pairs PARENT_CHECKOUT N] > BENCH.json
+Usage: python3 tools/bench_scale.py [--pairs PARENT_CHECKOUT N]
+           [--workload W] [--seed S] > BENCH.json
 
 Each level of ``solve-mixed`` (the acceptance-14 box [0,1]x[0,0.75],
 kappa 0, G = top,left, ``smooth2`` forcing) and of ``solve`` (the origin
@@ -17,11 +18,15 @@ the largest peak RSS per factor nonzero at 257 and above, where the
 factor dominates: the sources of ``solvers.FILL_C``, ``FILL_P`` and
 ``BYTES_PER_FILL``.
 
-With ``--pairs PARENT N``, ``perfbench/run.py --workload bvp`` runs N
-times in PARENT and in this checkout (seed 7, 8 s each), in pairs whose
-first side alternates, starting with the parent; every run and the
-medians of each end-to-end metric are recorded under ``bvp_pairs``.
-The JSON goes to stdout.
+With ``--pairs PARENT N`` (N >= 2), ``perfbench/run.py --workload W``
+(``--workload``, default ``bvp``) runs N times in PARENT and in this
+checkout (``--seed``, default 7, 8 s each), in pairs whose first side
+alternates, starting with the parent.  Every run's end-to-end metrics
+and command medians (``dispersion_s``, ``solve_s``, ...), and the
+quartiles of each over the runs of each side, are recorded under
+``<W>_pairs``.  The level sweep measures the grid solves that only
+``bvp`` runs, so pairs of another workload are recorded alone.  The
+JSON goes to stdout.
 """
 
 import argparse
@@ -50,8 +55,8 @@ COMMANDS = {
               "bc": {"type": "closed_dirichlet"},
               "forcing": {"kind": "sine_bump"}},
 }
-BVP_SEED = 7
-BVP_SECONDS = 8
+PAIR_SEED = 7
+PAIR_SECONDS = 8
 
 # Runs in the child: one CLI call, then its wall time and peak RSS.
 CHILD = """
@@ -104,53 +109,67 @@ def fit(rows):
     return {"c": math.exp(logc), "p": p, "bytes_per_fill": per_fill}
 
 
-def bvp_once(checkout):
+def run_once(checkout, workload, seed):
+    """End-to-end metrics and command medians of one benchmark run, and
+    its failed command count."""
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "bvp", "--seed",
-         str(BVP_SEED), "--seconds", str(BVP_SECONDS), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(PAIR_SECONDS), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    return {k: v["value"] for k, v in result["metrics"].items()}, \
-        result["failed"]
+    with open(os.path.join(checkout, ".perfbench", "results",
+                           f"{workload}-seed{seed}-trace0.json"),
+              encoding="utf-8") as fh:
+        commands = json.load(fh)["commands"]
+    return ({**{k: v["value"] for k, v in result["metrics"].items()},
+             **{k: v["median_s"] for k, v in commands.items()}},
+            result["failed"])
 
 
-def bvp_pairs(parent, pairs):
+def run_pairs(parent, pairs, workload, seed):
     runs = {"parent": [], "change": []}
     failed = 0
     sides = [("parent", parent), ("change", ROOT)]
     for k in range(pairs):
         for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-            metrics, bad = bvp_once(checkout)
+            metrics, bad = run_once(checkout, workload, seed)
             runs[side].append(metrics)
             failed += bad
     wins = sum(c["wall_ref_s"] < p["wall_ref_s"]
                for p, c in zip(runs["parent"], runs["change"]))
-    return {"seed": BVP_SEED, "seconds": BVP_SECONDS, "pairs": pairs,
+    return {"workload": workload, "seed": seed, "seconds": PAIR_SECONDS,
+            "pairs": pairs,
             "order": "parent first in pairs 0, 2, ...; change first in "
                      "pairs 1, 3, ...", "failed": failed,
             "wall_ref_s_change_wins": wins, "runs": runs,
-            "median": {side: {k: statistics.median(r[k] for r in rs)
-                              for k in rs[0]} for side, rs in runs.items()}}
+            "quartiles": {side: {k: statistics.quantiles(
+                [r[k] for r in rs], n=4) for k in rs[0]}
+                for side, rs in runs.items()}}
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pairs", nargs=2, metavar=("PARENT", "N"))
+    parser.add_argument("--workload", default="bvp")
+    parser.add_argument("--seed", type=int, default=PAIR_SEED)
     args = parser.parse_args(argv)
     sys.path.insert(0, SRC)
-    rows = []
-    with tempfile.TemporaryDirectory() as workdir:
-        for command in COMMANDS:
-            for n in LEVELS:
-                rows.append(run_level(command, n, workdir))
-                print(f"{command} {n}: {rows[-1]['wall_s']:.2f} s, "
-                      f"{rows[-1]['ru_maxrss_mb']:.0f} MB", file=sys.stderr)
     report = {"machine": {"nproc": os.cpu_count(),
                           "python": platform.python_version(),
-                          "numpy": np.__version__, "scipy": scipy.__version__},
-              "levels": rows, "fit": fit(rows)}
+                          "numpy": np.__version__, "scipy": scipy.__version__}}
+    if not args.pairs or args.workload == "bvp":
+        rows = []
+        with tempfile.TemporaryDirectory() as workdir:
+            for command in COMMANDS:
+                for n in LEVELS:
+                    rows.append(run_level(command, n, workdir))
+                    print(f"{command} {n}: {rows[-1]['wall_s']:.2f} s, "
+                          f"{rows[-1]['ru_maxrss_mb']:.0f} MB",
+                          file=sys.stderr)
+        report.update(levels=rows, fit=fit(rows))
     if args.pairs:
-        report["bvp_pairs"] = bvp_pairs(args.pairs[0], int(args.pairs[1]))
+        report[f"{args.workload}_pairs"] = run_pairs(
+            args.pairs[0], int(args.pairs[1]), args.workload, args.seed)
     json.dump(report, sys.stdout, indent=1)
     print()
     return 0

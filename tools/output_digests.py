@@ -19,21 +19,54 @@ What each step writes to stderr gives one more line, with
 ``stderr.<step index>`` in place of the file name and the digest of the
 text (empty text included), so that messages, notes and summaries
 printed there are compared as well.
+
+Every benchmark step succeeds, so the commands of ``FAILING`` run last,
+once, on fixed inputs: a non-finite or unparsable ``--box``, an
+unparsable ``--bracket`` and a NaN dispersion grid.  Each gives the line
+of its output file and of its stderr, with ``-`` for the seed and
+``errors`` for the workload, so that error text and exit codes are
+compared too.  ``COLUMNS`` is fixed at 80, since argparse wraps its
+usage text to the terminal width.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 
 sys.dont_write_bytecode = True
+os.environ["COLUMNS"] = "80"
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 
 import workloads  # noqa: E402
 from coldwave import cli  # noqa: E402
+
+# name -> argv of a command that must fail ({in} is the input directory)
+FAILING = {
+    "typemap-box-inf": ["typemap", "--fields", "{in}/fields.json",
+                        "--box=0:inf:0:1", "--nx", "3", "--nz", "2"],
+    "typemap-box-not-a-number": ["typemap", "--fields", "{in}/fields.json",
+                                 "--box=abc:1:0:1"],
+    "characteristics-box-nan": ["characteristics", "--start=0.5,0.5",
+                                "--branch", "1", "--box=0:1:nan:1"],
+    "energy-check-box-inf": ["energy-check", "--kappa", "0.5", "--nx", "9",
+                             "--trials", "2", "--box=0:inf:0:1"],
+    "cutoffs-bracket-not-a-number": ["cutoffs", "--plasma",
+                                     "{in}/plasma.json", "--bracket",
+                                     "abc:1"],
+    "dispersion-nan-grid": ["dispersion", "--plasma", "{in}/plasma.json",
+                            "--omegas", "1e8,nan", "--thetas", "0,1"],
+}
+FAILING_INPUTS = {
+    "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
+    "plasma.json": {"B0": 1.0, "species": [
+        {"name": "electron", "density_m3": 1e19},
+        {"name": "proton", "density_m3": 1e19}]},
+}
 
 
 def _sha256(path):
@@ -41,6 +74,31 @@ def _sha256(path):
         return "-"
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _run(argv):
+    """Exit code and stderr digest of one CLI call."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    return code, hashlib.sha256(err.getvalue().encode()).hexdigest()
+
+
+def failing_digests():
+    """(name, exit code, sha256) of the output and the stderr of every
+    command of FAILING."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, data in FAILING_INPUTS.items():
+            with open(os.path.join(workdir, name), "w",
+                      encoding="utf-8") as fh:
+                json.dump(data, fh)
+        rows = []
+        for name, argv in FAILING.items():
+            out = os.path.join(workdir, f"{name}.out")
+            code, err = _run(["--out", out]
+                             + [a.replace("{in}", workdir) for a in argv])
+            rows += [(f"{name}.out", code, _sha256(out)),
+                     (f"stderr.{name}", code, err)]
+        return rows
 
 
 def digests(seed, workload):
@@ -51,12 +109,10 @@ def digests(seed, workload):
         os.mkdir(out)
         rows = []
         for k, step in enumerate(workloads.build(workload, seed, workdir)):
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                code = cli.main([a.replace("{out}", out) for a in step.argv])
+            code, err = _run([a.replace("{out}", out) for a in step.argv])
             rows.extend((name, code, _sha256(os.path.join(out, name)))
                         for name in step.outputs)
-            rows.append((f"stderr.{k}", code, hashlib.sha256(
-                err.getvalue().encode()).hexdigest()))
+            rows.append((f"stderr.{k}", code, err))
         return rows
 
 
@@ -67,6 +123,8 @@ def main(argv):
         for workload in workloads.WORKLOADS:
             for name, code, digest in digests(seed, workload):
                 print(seed, workload, name, code, digest, flush=True)
+    for name, code, digest in failing_digests():
+        print("-", "errors", name, code, digest, flush=True)
     return 0
 
 
