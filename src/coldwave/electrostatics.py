@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularCoefficient
+from .errors import LayeredNotConverged, SingularCoefficient
 from .fields import Field1D
 
 TYPE_PRODUCT_TOL = 1e-14
@@ -22,6 +22,9 @@ NONVANISHING_SAMPLES = 257
 LAYERED_STEPS0 = 64
 LAYERED_RTOL = 1e-9
 LAYERED_MAX_HALVINGS = 14
+# integrate_layered: steps per block of array evaluations of K11, which
+# bounds the per-step tables the RK4 loop reads as Python numbers.
+LAYERED_BLOCK = 4096
 # singular_points_on_sonic_line: search cells per axis, Newton residual
 # tolerance and iteration limit.
 SONIC_SEARCH_CELLS = 64
@@ -53,8 +56,8 @@ class LayeredProblem:
 
 
 def _require_nonvanishing(k11, x0, x1):
-    xs = np.linspace(x0, x1, NONVANISHING_SAMPLES)
-    vals = np.array([k11(x) for x in xs], dtype=float)
+    vals = np.asarray(k11(np.linspace(x0, x1, NONVANISHING_SAMPLES)),
+                      dtype=float)
     if np.any(vals == 0.0) or vals.min() < 0.0 < vals.max():
         raise SingularCoefficient(
             f"K11 vanishes on [{x0!r}, {x1!r}]"
@@ -80,44 +83,54 @@ def integrate_layered(problem, psi0, x0, x1):
     Classical fixed-step RK4 with step halving until the endpoint value
     changes by less than LAYERED_RTOL (relative).  Returns the solution
     sampled at the accepted resolution.  Raises SingularCoefficient if
-    K11 vanishes on [x0, x1]; the closed form is
-    psi0 * K11(x0)/K11(x) * exp(-i sigma0 * integral dt/K11).
+    K11 vanishes on [x0, x1], and LayeredNotConverged if the endpoint
+    still changes after LAYERED_MAX_HALVINGS halvings; the closed form
+    is psi0 * K11(x0)/K11(x) * exp(-i sigma0 * integral dt/K11).
     """
     lo, hi = problem.x_range
     if not (lo <= x0 < x1 <= hi):
         raise ValueError("[x0, x1] must lie inside the problem's x_range")
     _require_nonvanishing(problem.K11, x0, x1)
-    k11, s0 = problem.K11, problem.sigma0
-
-    def rhs(x, psi):
-        return -(k11.dx(x) + 1j * s0) * psi / k11(x)
+    k11, i_s0 = problem.K11, 1j * problem.sigma0
 
     def run(n):
+        # psi' = g psi / f with f = K11 and g = -(K11' + i sigma0), both
+        # evaluated as arrays at x, x + h/2 and x + h of every step
         h = (x1 - x0) / n
         xs = np.linspace(x0, x1, n + 1)
         psi = np.empty(n + 1, dtype=complex)
-        psi[0] = psi0
-        y = complex(psi0)
-        for i in range(n):
-            x = xs[i]
-            k1 = rhs(x, y)
-            k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(x + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            psi[i + 1] = y
+        psi[0] = y = complex(psi0)
+        for start in range(0, n, LAYERED_BLOCK):
+            x = xs[start:min(start + LAYERED_BLOCK, n)]
+            tables = []
+            for at in (x, x + 0.5 * h, x + h):
+                tables.append(np.asarray(k11(at)).tolist())
+                tables.append([-(d + i_s0)
+                               for d in np.asarray(k11.dx(at)).tolist()])
+            block = []
+            for f0, g0, fm, gm, f1, g1 in zip(*tables):
+                k1 = g0 * y / f0
+                k2 = gm * (y + 0.5 * h * k1) / fm
+                k3 = gm * (y + 0.5 * h * k2) / fm
+                k4 = g1 * (y + h * k3) / f1
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                block.append(y)
+            psi[start + 1:start + 1 + len(block)] = block
         return xs, psi
 
     n = LAYERED_STEPS0
-    xs, psi = run(n)
+    end = run(n)[1][-1]
     for _ in range(LAYERED_MAX_HALVINGS):
         n *= 2
-        xs2, psi2 = run(n)
-        ref = max(abs(psi2[-1]), abs(psi0), 1e-300)
-        if abs(psi2[-1] - psi[-1]) <= LAYERED_RTOL * ref:
-            return LayeredSolution(xs2, psi2, n)
-        xs, psi = xs2, psi2
-    return LayeredSolution(xs, psi, n)
+        xs, psi = run(n)
+        ref = max(abs(psi[-1]), abs(psi0), 1e-300)
+        change = abs(psi[-1] - end)
+        if change <= LAYERED_RTOL * ref:
+            return LayeredSolution(xs, psi, n)
+        end = psi[-1]
+    raise LayeredNotConverged(
+        f"layered RK4 did not converge (relative end-value change "
+        f"{change / ref:.3e} at {n} steps, tolerance {LAYERED_RTOL:g})")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,11 @@ class SingularCoefficient(NumericalFailure):
     """Leading ODE coefficient vanishes inside the integration interval."""
 
 
+class LayeredNotConverged(NumericalFailure):
+    """The plane-layered RK4 endpoint still changes by more than its
+    tolerance after the last allowed step halving."""
+
+
 class StartNotHyperbolic(NumericalFailure):
     """Characteristic tracing must start strictly inside the hyperbolic
     region."""

@@ -12,8 +12,18 @@ import numpy as np
 FD_STEP_FACTOR = 1e-6
 
 
+def _broadcast(value, x):
+    """An evaluator's value at x, a scalar result (a constant field's)
+    broadcast to the shape of an array x."""
+    return value if np.ndim(x) == 0 else np.broadcast_to(value, np.shape(x))
+
+
 class Field1D:
-    """Scalar function of one variable with a derivative evaluator."""
+    """Scalar function of one variable with a derivative evaluator.
+
+    The field and its derivative take a float or an ndarray, evaluated
+    elementwise, and so must ``fn`` and ``dfdx``; a scalar result, such
+    as a constant field's, is broadcast to the array's shape."""
 
     def __init__(self, fn, dfdx=None, scale=1.0):
         self._fn = fn
@@ -21,13 +31,13 @@ class Field1D:
         self.scale = float(scale)
 
     def __call__(self, x):
-        return self._fn(x)
+        return _broadcast(self._fn(x), x)
 
     def dx(self, x):
         if self._dfdx is not None:
-            return self._dfdx(x)
+            return _broadcast(self._dfdx(x), x)
         h = FD_STEP_FACTOR * self.scale
-        return (self._fn(x + h) - self._fn(x - h)) / (2.0 * h)
+        return _broadcast((self._fn(x + h) - self._fn(x - h)) / (2.0 * h), x)
 
     @classmethod
     def constant(cls, value):

@@ -27,9 +27,6 @@ BOUNDARY_SAMPLES = 256
 
 # Polynomial degree per axis of the random bumps and of the Gram basis.
 BUMP_DEGREE = 3
-# Quadrature points per block of the Gram build: the block's
-# (points x basis) matrices, not the grid, set its scratch memory.
-GRAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -247,9 +244,28 @@ def _bump_tables(coords, lo, hi, h):
 
 
 def _outer(p, q):
-    """Row-wise outer products: basis column (BUMP_DEGREE+1) i + j holds
+    """Row-wise outer products: column q.shape[1] i + j holds
     p[:, i] q[:, j]."""
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), -1)
+
+
+def _shared_row_sum(C, diag, terms):
+    """sum_p c_p (a_p (x) b_p)(e_p (x) f_p)^T over a point set, summed
+    over the terms (a, e, b, f) of x row tables a, e and y row tables
+    b, f: X^T [[C, 0], [0, diag(diag)]] Y with X = a (x) e and
+    Y = b (x) f row by row, entry [(i, k), (j, l)] in place of
+    [(i, j), (k, l)].  The first m x rows and n y rows, C of shape
+    (m, n), are shared: C[r, s] sums the coefficients of the points on
+    x row r and y row s.  Each later x row pairs with the y row as far
+    down, both serving one point whose coefficient is its entry of
+    ``diag``."""
+    m, n = C.shape
+    total = 0.0
+    for a, e, b, f in terms:
+        X, Y = _outer(a, e), _outer(b, f)
+        total = (total + X[:m].T @ (C @ Y[:n])
+                 + X[m:].T @ (diag[:, None] * Y[n:]))
+    return total
 
 
 def bump_gram(grid, kappa, spec):
@@ -258,38 +274,74 @@ def bump_gram(grid, kappa, spec):
     Every basis field, its stencil derivatives and L of it are sums of
     products p(x) q(y) of 1-D tables (K = x - y^2 enters as x p'' q -
     p'' y^2 q), and corner averages and bilinear values of such a
-    product are products of 1-D interpolations.  The (points x basis)
-    matrices are built GRAM_BLOCK points at a time.
+    product are products of 1-D interpolations.  Every uncut cell's
+    centre takes the x row of its cell column and the y row of its cell
+    row; each cut-cell piece has a row of its own.  So each term
+    sum_p c_p (a (x) b)(e (x) f)^T of S and W is X^T (C Y) with C the
+    (cell columns x cell rows) matrix of the term's coefficients c_p
+    (-w, w b, w c, w |K| or w) summed per cell, diagonal in the pieces
+    (``_shared_row_sum``): its cost grows as cells x basis, not as
+    points x basis^2.
     """
     if not grid.inside.all():
         raise ValueError("bump_gram needs a rectangle domain")
     _check_regime(spec, kappa)
-    decomp = decompose_cells(grid)
+    sides = decompose_cells(grid).points
     x0, x1, y0, y1 = grid.domain.bounding_box
     p, p1, p2 = _bump_tables(grid.xs, x0, x1, grid.hx)
     q, q1, q2 = _bump_tables(grid.ys, y0, y1, grid.hy)
     xtab = np.hstack((p, p1, p2, grid.xs[:, None] * p2))
     ytab = np.hstack((q, q1, q2, (grid.ys * grid.ys)[:, None] * q))
-    n = (BUMP_DEGREE + 1) ** 2
-    S = np.zeros((n, n))
-    W = np.zeros((n, n))
-    for pts in decomp.points:
-        for k in range(0, pts.x.size, GRAM_BLOCK):
-            b = slice(k, k + GRAM_BLOCK)
-            i, j, x, y = pts.i[b], pts.j[b], pts.x[b], pts.y[b]
-            tx, ty, w = pts.tx[b, None], pts.ty[b, None], pts.weight[b, None]
-            px, pdx, pdxx, xpdxx = np.hsplit(
-                (1.0 - tx) * xtab[i] + tx * xtab[i + 1], 4)
-            qy, qdy, qdyy, yyq = np.hsplit(
-                (1.0 - ty) * ytab[j] + ty * ytab[j + 1], 4)
-            u, ux, uy = _outer(px, qy), _outer(pdx, qy), _outer(px, qdy)
-            lu = (_outer(xpdxx, qy) - _outer(pdxx, yyq) + _outer(px, qdyy)
-                  + kappa * ux)
-            mu = (-u + spec.b(x, y, pts.sign)[:, None] * ux
-                  + spec.c(y)[:, None] * uy)
-            S += (w * mu).T @ lu
-            absk = np.abs(canonical_type_function(x, y))[:, None]
-            W += (w * absk * ux).T @ ux + (w * uy).T @ uy
+    mx, my = grid.nx - 1, grid.ny - 1
+
+    def split(values):
+        """One array per side -> (the uncut cells' entries, the pieces'
+        entries), side by side."""
+        return (np.concatenate([v[:pts.n_cells]
+                                for v, pts in zip(values, sides)]),
+                np.concatenate([v[pts.n_cells:]
+                                for v, pts in zip(values, sides)]))
+
+    ci, pi = split([pts.i for pts in sides])
+    cj, pj = split([pts.j for pts in sides])
+    cell = ci * my + cj
+
+    def rows(tab, cols, k, t):
+        """tab at each cell column's (row's) centre, then at each
+        piece, split into its four 1-D tables."""
+        k = np.concatenate((np.arange(cols), k))
+        t = np.concatenate((np.full(cols, 0.5), t))[:, None]
+        return np.hsplit((1.0 - t) * tab[k] + t * tab[k + 1], 4)
+
+    px, pdx, pdxx, xpdxx = rows(xtab, mx, pi,
+                                split([pts.tx for pts in sides])[1])
+    qy, qdy, qdyy, yyq = rows(ytab, my, pj,
+                              split([pts.ty for pts in sides])[1])
+    d = BUMP_DEGREE + 1
+
+    def gram(parts):
+        """Sum of _shared_row_sum over (coefficient, terms) parts, the
+        coefficient summed per uncut cell and kept per piece; permuted
+        from [(i, k), (j, l)] to [(i, j), (k, l)]."""
+        G = 0.0
+        for fn, terms in parts:
+            C, diag = split([fn(pts) for pts in sides])
+            C = np.bincount(cell, C, minlength=mx * my).reshape(mx, my)
+            G = G + _shared_row_sum(C, diag, terms)
+        return G.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d,
+                                                                   d * d)
+
+    # L u = (x p'' + kappa p') q - p'' (y^2 q) + p q'' and M u = -u +
+    # b u_x + c u_y; each term of S pairs a factor of M u with one of L u
+    lu = ((xpdxx + kappa * pdx, qy), (-pdxx, yyq), (px, qdyy))
+    mu = ((lambda s: -s.weight, px, qy),
+          (lambda s: s.weight * spec.b(s.x, s.y, s.sign), pdx, qy),
+          (lambda s: s.weight * spec.c(s.y), px, qdy))
+    S = gram([(fn, [(a, la, b, lb) for la, lb in lu]) for fn, a, b in mu])
+    W = gram([
+        (lambda s: s.weight * np.abs(canonical_type_function(s.x, s.y)),
+         [(pdx, pdx, qy, qy)]),
+        (lambda s: s.weight, [(px, px, qdy, qdy)])])
     return BumpGram(S, W)
 
 

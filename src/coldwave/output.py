@@ -9,7 +9,8 @@ equal-length 1-D arrays, and every cell follows one rule fixed by its
 column's dtype: a float cell is "%.16e" % x (float32 and other widths
 upcast to float64 first), an integer or bool cell its decimal digits
 (as %d), a str cell its UTF-8 text.  An object column may hold only str
-cells; any other cell raises TypeError.
+cells; any other cell raises TypeError.  A str cell with no UTF-8
+encoding (a lone surrogate such as U+D800) raises UnicodeEncodeError.
 
 Every BLOCK_ROWS rows of a block are built as one (rows, width) uint8
 table and written in one piece: each row is "\n" and its cells joined

@@ -111,10 +111,6 @@ def trace_characteristic(start, branch, h, domain=None, max_steps=200000):
         raise StartNotHyperbolic(f"start {start!r} has x >= y^2")
 
     direction = -1.0 if y > 0.0 else 1.0
-
-    def slope(yv, xv):
-        return branch * math.sqrt(max(yv * yv - xv, 0.0))
-
     pts = [(x, y)]
     termination = "step_limit"
     for _ in range(max_steps):
@@ -130,14 +126,17 @@ def trace_characteristic(start, branch, h, domain=None, max_steps=200000):
             if not (x0 <= x <= x1 and y0 <= y <= y1):
                 termination = "reached_boundary"
                 break
-        # shrink the step while the sonic line is close
-        step = direction * min(h, 0.5 * gap / (abs(slope(y, x)) + h))
-        k1 = slope(y, x)
-        k2 = slope(y + 0.5 * step, x + 0.5 * step * k1)
-        k3 = slope(y + 0.5 * step, x + 0.5 * step * k2)
-        k4 = slope(y + step, x + step * k3)
+        # slopes branch sqrt(max(y^2 - x, 0)); the step shrinks while
+        # the sonic line is close
+        k1 = branch * math.sqrt(gap)
+        step = direction * min(h, 0.5 * gap / (abs(k1) + h))
+        ym = y + 0.5 * step
+        k2 = branch * math.sqrt(max(ym * ym - (x + 0.5 * step * k1), 0.0))
+        k3 = branch * math.sqrt(max(ym * ym - (x + 0.5 * step * k2), 0.0))
+        y_next = y + step
+        k4 = branch * math.sqrt(max(y_next * y_next - (x + step * k3), 0.0))
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = y + step
+        y = y_next
         pts.append((x, y))
     return CharacteristicPath(np.array(pts), branch, termination)
 

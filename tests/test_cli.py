@@ -236,6 +236,25 @@ class TestSubcommands:
                      "--psi0", "1,0", "--x0", "-0.5", "--x1", "0.5"])
         assert code == 2
 
+    def test_layered_unconverged_exit(self, tmp_path, monkeypatch, capsys):
+        # an end value still moving at the halving cap is not accepted
+        monkeypatch.setattr(electrostatics, "LAYERED_MAX_HALVINGS", 2)
+        layered = tmp_path / "layered.json"
+        layered.write_text(json.dumps({
+            "K11": {"kind": "affine_quadratic", "a": 1.0, "b": 1.0},
+            "sigma0": 30.0,
+            "x_range": [1e-4, 1.0],
+        }))
+        out = tmp_path / "psi.csv"
+        code = main(["--out", str(out), "layered", "--layered",
+                     str(layered), "--psi0", "1,0", "--x0", "1e-4",
+                     "--x1", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("numerical failure: layered RK4 did not "
+                              "converge (relative end-value change ")
+        assert err.endswith(" at 256 steps, tolerance 1e-09)\n")
+
     def test_solve_and_summary(self, problem_json, tmp_path):
         out = tmp_path / "u.csv"
         summary = tmp_path / "summary.json"
@@ -518,6 +537,7 @@ FAILURE_TABLE = {
     "DegenerateQuartic": (2, "numerical failure"),
     "FactorizationFailure": (2, "numerical failure"),
     "StartNotHyperbolic": (2, "numerical failure"),
+    "LayeredNotConverged": (2, "numerical failure"),
     "DualNormSingular": (2, "numerical failure"),
     "GridTooLarge": (2, "numerical failure"),
     "InadmissibleBoundary": (3, "check failed"),
@@ -903,8 +923,8 @@ class TestCsvOracles:
                      str(path), "--psi0", "1,0.5", "--x0", "0.5",
                      "--x1", "1.5"]) == 0
         f2d = cfg.parse_field(spec["K11"])
-        k11 = Field1D(lambda x: float(np.real(f2d(x, 0.0))),
-                      lambda x: float(np.real(f2d.dx(x, 0.0))))
+        k11 = Field1D(lambda x: np.real(f2d(x, 0.0)),
+                      lambda x: np.real(f2d.dx(x, 0.0)))
         problem = electrostatics.LayeredProblem(k11, 0.7, (0.5, 1.5))
         sol = electrostatics.integrate_layered(problem, 1 + 0.5j, 0.5, 1.5)
         rows = [(x, p.real, p.imag) for x, p in zip(sol.xs, sol.psi)]

@@ -162,12 +162,15 @@ class TestForcingRegistry:
 
 def cell_oracle(value):
     """Per-cell CSV rule: floats through fmt_float, integers (bool
-    included) through int, anything else through str."""
+    included) through int, a str as itself; a str with no UTF-8
+    encoding (a lone surrogate) raises UnicodeEncodeError."""
     if isinstance(value, (float, np.floating)):
         return output.fmt_float(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    text.encode()
+    return text
 
 
 def csv_oracle(header, rows):
@@ -260,9 +263,22 @@ class TestOutput:
         # blocks of different dtype patterns share one call
         rows = [row for block in blocks
                 for row in zip(*(col.tolist() for col in block))]
-        expected = csv_oracle("h", rows)
+        try:
+            expected = csv_oracle("h", rows)
+        except UnicodeEncodeError:
+            for given_blocks in (blocks, iter(blocks)):
+                with pytest.raises(UnicodeEncodeError):
+                    csv_text("h", given_blocks)
+            return
         assert_same_text(csv_text("h", blocks), expected)
         assert_same_text(csv_text("h", iter(blocks)), expected)
+
+    @pytest.mark.parametrize("dtype", ["U5", object])
+    def test_str_cell_without_utf8_raises(self, dtype):
+        with pytest.raises(UnicodeEncodeError):
+            cell_oracle("\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            csv_text("a", [(np.array(["x", "a\ud800"], dtype=dtype),)])
 
     @pytest.mark.parametrize("cell", [1.5, np.float64(2.0), 3, True, None,
                                       b"x", ("a",)])

@@ -6,7 +6,7 @@ import scipy.integrate
 
 from coldwave import electrostatics as es
 from coldwave import plasma
-from coldwave.errors import SingularCoefficient
+from coldwave.errors import LayeredNotConverged, SingularCoefficient
 from coldwave.fields import Field1D, Field2D, TensorField2D
 
 
@@ -52,6 +52,33 @@ class TestIntegrateLayered:
             Field1D(lambda x: 1.0 + x, lambda x: 1.0), 0.0, (0.0, 1.0))
         sol = es.integrate_layered(prob, 2.0, 0.0, 1.0)
         assert sol.end_value == pytest.approx(1.0, rel=1e-9)
+
+    def test_unconverged_halving_raises(self, monkeypatch):
+        # psi oscillates as exp(-30 i ln x): 256 steps cannot resolve it
+        monkeypatch.setattr(es, "LAYERED_MAX_HALVINGS", 2)
+        prob = es.LayeredProblem(Field1D(lambda x: x, lambda x: 1.0), 30.0,
+                                 (1e-4, 1.0))
+        with pytest.raises(LayeredNotConverged,
+                           match=r"change \S+ at 256 steps, tolerance 1e-09"):
+            es.integrate_layered(prob, 1.0, 1e-4, 1.0)
+
+    def test_blocks_join_exactly(self, rng, monkeypatch):
+        prob = es.LayeredProblem(smooth_nonvanishing_k11(rng), 1.3,
+                                 (0.0, 1.0))
+        whole = es.integrate_layered(prob, 1.0 - 0.5j, 0.1, 0.9)
+        monkeypatch.setattr(es, "LAYERED_BLOCK", 5)
+        blocks = es.integrate_layered(prob, 1.0 - 0.5j, 0.1, 0.9)
+        assert blocks.steps == whole.steps > es.LAYERED_STEPS0
+        np.testing.assert_array_equal(blocks.psi, whole.psi)
+
+    def test_scalar_fields_broadcast(self):
+        k11 = Field1D.constant(2.0)
+        x = np.linspace(0.0, 1.0, 5)
+        assert k11(0.5) == 2.0 and k11.dx(0.5) == 0.0
+        np.testing.assert_array_equal(k11(x), np.full(5, 2.0))
+        np.testing.assert_array_equal(k11.dx(x), np.zeros(5))
+        fd = Field1D(lambda t: t * t)
+        np.testing.assert_array_equal(fd.dx(x), [fd.dx(t) for t in x])
 
     def test_vanishing_leading_coefficient(self):
         with pytest.raises(SingularCoefficient):

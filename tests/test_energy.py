@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
+from coldwave import multipliers
 from coldwave.errors import SpecInvalid
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import (SPEC_SAMPLES, BoundaryReport, BumpGram,
@@ -12,7 +13,9 @@ from coldwave.multipliers import (SPEC_SAMPLES, BoundaryReport, BumpGram,
                                   boundary_admissible, bump_gram,
                                   random_interior_bump,
                                   verify_energy_inequality)
+from coldwave.operators import apply_L, gradient
 from coldwave.quadrature import decompose_cells, weighted_norms
+from coldwave.typegeometry import canonical_type_function
 
 
 @pytest.fixture
@@ -163,7 +166,64 @@ class TestVerifyEnergyInequality:
 KAPPAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
+def gram_reference(grid, kappa, spec):
+    """S and W of bump_gram summed point by point: every basis field,
+    its gradient and L of it on the lattice, valued at every quadrature
+    point as verify_energy_inequality values them, with no 1-D rows
+    shared between points."""
+    d = multipliers.BUMP_DEGREE + 1
+    x0, x1, y0, y1 = grid.domain.bounding_box
+    X, Y = grid.meshgrid()
+    X = (2.0 * X - (x0 + x1)) / (x1 - x0)
+    Y = (2.0 * Y - (y0 + y1)) / (y1 - y0)
+    fields = []
+    for i in range(d):
+        for j in range(d):
+            u = (1.0 - X ** 2) ** 2 * (1.0 - Y ** 2) ** 2 * X ** i * Y ** j
+            u[grid.boundary] = 0.0
+            fields.append((u, *gradient(u, grid), apply_L(u, grid, kappa)))
+    S = W = 0.0
+    for pts in decompose_cells(grid).points:
+        u, ux, uy, lu = (np.array([pts.values(
+            F, 0.25 * (F[:-1, :-1] + F[1:, :-1] + F[:-1, 1:] + F[1:, 1:]))
+            for F in basis]) for basis in zip(*fields))
+        w = pts.weight
+        mu = (-u + spec.b(pts.x, pts.y, pts.sign) * ux
+              + spec.c(pts.y) * uy)
+        absk = np.abs(canonical_type_function(pts.x, pts.y))
+        S = S + (w * mu) @ lu.T
+        W = W + (w * absk * ux) @ ux.T + (w * uy) @ uy.T
+    return S, W
+
+
+def assert_gram_matches_reference(grid, kappa):
+    spec = MultiplierSpec.from_kappa(kappa, grid)
+    gram = bump_gram(grid, kappa, spec)
+    for got, want in zip((gram.S, gram.W), gram_reference(grid, kappa, spec)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestBumpGram:
+    @pytest.mark.parametrize("box, nx, ny, sides", [
+        ((-1.0, 1.0, -1.0, 1.0), 33, 33, (True, True)),
+        ((1.5, 2.5, -0.4, 0.4), 33, 33, (True, False)),
+        ((-3.0, -2.0, -0.5, 0.5), 33, 33, (False, True)),
+        ((-1.0, 1.0, -1.0, 1.0), 33, 21, (True, True)),
+        ((-1.0, 1.0, -1.0, 1.0), 17, 40, (True, True))])
+    @pytest.mark.parametrize("kappa", [0.5, 1.5])
+    def test_matches_point_by_point_sum(self, box, nx, ny, sides, kappa):
+        g = Grid2D(Domain.rectangle(*box), nx, ny)
+        assert tuple(pts.x.size > 0
+                     for pts in decompose_cells(g).points) == sides
+        assert_gram_matches_reference(g, kappa)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.5])
+    def test_matches_point_by_point_sum_degree_5(self, kappa, monkeypatch):
+        monkeypatch.setattr(multipliers, "BUMP_DEGREE", 5)
+        assert_gram_matches_reference(
+            Grid2D(Domain.rectangle(-0.3, 1.2, -0.9, 0.7), 29, 35), kappa)
+
     @pytest.mark.parametrize("box, n", [
         ((-1.0, 1.0, -1.0, 1.0), 17), ((-1.0, 1.0, -1.0, 1.0), 65),
         ((-0.3, 1.2, -0.9, 0.7), 17)])
@@ -223,7 +283,9 @@ class TestBumpGram:
 
     def test_build_memory_is_blocked(self, unit_square):
         # the (points x 16) matrices of a 129^2 grid held at once peak
-        # near 14 MB; built GRAM_BLOCK points at a time, below 2 MB
+        # near 14 MB; through shared 1-D rows the build holds per-cell
+        # coefficients and (rows x 16) products, and the peak, below
+        # 2 MB, is the cell decomposition's
         g = Grid2D(unit_square, 129, 129)
         spec = MultiplierSpec.from_kappa(1.5, g)
         bump_gram(g, 1.5, spec)
