@@ -61,21 +61,15 @@ class DispersionSolution:
 def _coefficients(s, d, p, sin2, cos2):
     """(A, B, C, F^2) from plain arithmetic, so that (s, d, p) may be
     column arrays over omega and (sin2, cos2) row arrays over theta.
-    Every product keeps its left-to-right order, and the square of
-    RL - ps is Python's float power per entry, so each grid point
-    matches the scalar evaluation bit for bit."""
+    Every product keeps its left-to-right order and every square is
+    x * x, so a grid point and a 0-d call round alike."""
     rl = s * s - d * d
+    g = rl - p * s
     A = s * sin2 + p * cos2
     B = rl * sin2 + p * s * (1.0 + cos2)
     C = p * rl
-    F2 = _square(rl - p * s) * sin2 * sin2 + 4.0 * p * p * d * d * cos2
+    F2 = g * g * sin2 * sin2 + 4.0 * p * p * d * d * cos2
     return A, B, C, F2
-
-
-def _square(x):
-    if isinstance(x, np.ndarray):
-        return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
-    return x ** 2
 
 
 def wave_normal_coefficients(stix, theta):
@@ -87,10 +81,9 @@ def wave_normal_coefficients(stix, theta):
     algebraically, but a sum of non-negative terms, so double roots
     (e.g. vacuum) do not suffer the B^2 - 4AC cancellation.
     """
-    sin2 = math.sin(theta) ** 2
-    cos2 = math.cos(theta) ** 2
-    return WaveNormalCoefficients(
-        *_coefficients(stix.s, stix.d, stix.p, sin2, cos2), theta)
+    sin, cos = np.sin(theta), np.cos(theta)
+    coeffs = _coefficients(stix.s, stix.d, stix.p, sin * sin, cos * cos)
+    return WaveNormalCoefficients(*map(float, coeffs), theta)
 
 
 def f_squared_alternate(stix, theta):
@@ -103,55 +96,27 @@ def f_squared_alternate(stix, theta):
         + 4.0 * stix.p ** 2 * stix.d ** 2 * cos2
 
 
-def _classify(value, scale):
-    if abs(value) <= CUTOFF_RTOL * max(1.0, scale):
-        return "cutoff"
-    return "propagating" if value > 0.0 else "evanescent"
-
-
 def refractive_indices(coeffs):
-    """Solve A n^4 - B n^2 + C = 0 for n^2.
-
-    The quadratic is solved in the cancellation-free form (larger root
-    from the sign-matched half of B +/- F, the other as C over that
-    half).  Negative F^2 yields the conjugate complex pair, flagged
-    rather than raised.  |A| below RESONANCE_BRANCH_RTOL times the
-    coefficient scale is the resonance branch: the single finite root
-    C/B is returned.  Raises DegenerateQuartic if A and B both vanish.
-    """
-    A, B, C = coeffs.A, coeffs.B, coeffs.C
-    scale = abs(A) + abs(B) + abs(C)
-    a_tol = RESONANCE_BRANCH_RTOL * max(scale, 1e-300)
-    if abs(A) <= a_tol:
-        if abs(B) <= a_tol:
-            raise DegenerateQuartic(
-                f"A={A!r} and B={B!r} both negligible against scale {scale!r}"
-            )
-        root = C / B
-        return DispersionSolution(
-            (root,), (_classify(root, abs(root)),), resonance=True
-        )
-    F2 = coeffs.F_squared
-    if F2 < 0.0:
-        re = B / (2.0 * A)
+    """Solve A n^4 - B n^2 + C = 0 for n^2 as a 0-d call of
+    :func:`_solve_grid`, the scan's kernel.  Raises DegenerateQuartic
+    where the scan flags ``degenerate``."""
+    A, B, C, F2 = coeffs.A, coeffs.B, coeffs.C, coeffs.F_squared
+    plus, minus, *codes = _solve_grid(
+        *(np.asarray(v, dtype=float) for v in (A, B, C, F2)))
+    plus, minus = float(plus), float(minus)
+    class_plus, class_minus, flag = (_LABELS[code] for code in codes)
+    if flag == "degenerate":
+        scale = abs(A) + abs(B) + abs(C)
+        raise DegenerateQuartic(
+            f"A={A!r} and B={B!r} both negligible against scale {scale!r}")
+    if flag == "resonance":
+        return DispersionSolution((plus,), (class_plus,), resonance=True)
+    if flag == "complex":
         im = math.sqrt(-F2) / (2.0 * A)
         return DispersionSolution(
-            (complex(re, im), complex(re, -im)),
-            ("complex", "complex"),
-            complex_roots=True,
-        )
-    F = math.sqrt(F2)
-    q = 0.5 * (B + F) if B >= 0.0 else 0.5 * (B - F)
-    if q == 0.0:  # B == 0 and F == 0: double root at zero
-        roots = (0.0, 0.0)
-    else:
-        big = q / A
-        small = C / q
-        roots = (big, small) if B >= 0.0 else (small, big)
-    scale_r = max(abs(roots[0]), abs(roots[1]))
-    return DispersionSolution(
-        roots, tuple(_classify(r, scale_r) for r in roots)
-    )
+            (complex(plus, im), complex(minus, -im)), ("complex", "complex"),
+            complex_roots=True)
+    return DispersionSolution((plus, minus), (class_plus, class_minus))
 
 
 def resonance_angle(stix):
@@ -231,7 +196,9 @@ _CODE = {label: code for code, label in enumerate(_LABELS)}
 
 
 def _classify_codes(value, scale):
-    """Array form of :func:`_classify` (``max`` spelt as Python's)."""
+    """Class codes of real roots: cutoff where |value| is at most
+    CUTOFF_RTOL times max(1, scale), else propagating (> 0) or
+    evanescent."""
     cutoff = np.abs(value) <= CUTOFF_RTOL * np.where(scale > 1.0, scale, 1.0)
     return np.where(cutoff, _CODE["cutoff"],
                     np.where(value > 0.0, _CODE["propagating"],
@@ -239,12 +206,15 @@ def _classify_codes(value, scale):
 
 
 def _solve_grid(A, B, C, F2):
-    """Array form of :func:`refractive_indices` with masked branches.
+    """Solve A n^4 - B n^2 + C = 0 for n^2 at every point of arrays of
+    any shape (0-d included), branch by mask.
 
-    Returns (n2_plus, n2_minus, class_plus, class_minus, flag): each
-    point takes the branch, the roundings and the classification of the
-    scalar solve, and a complex pair carries its real parts.  The last
-    three are codes into ``_LABELS``.
+    Returns (n2_plus, n2_minus, class_plus, class_minus, flag), the last
+    three codes into ``_LABELS``.  Real roots are q/A and C/q, q the
+    sign-matched half of B +/- F (no cancellation).  F^2 < 0 gives a
+    complex pair, whose columns hold its real part B/2A.  |A| within
+    RESONANCE_BRANCH_RTOL of |A| + |B| + |C| is the resonance branch,
+    with the single root C/B, or degenerate (NaN roots) if |B| is too.
     """
     scale = np.abs(A) + np.abs(B) + np.abs(C)
     a_tol = RESONANCE_BRANCH_RTOL * np.where(1e-300 > scale, 1e-300, scale)
@@ -257,7 +227,7 @@ def _solve_grid(A, B, C, F2):
         F = np.sqrt(F2)
         upper = B >= 0.0
         q = np.where(upper, 0.5 * (B + F), 0.5 * (B - F))
-        zero = q == 0.0
+        zero = q == 0.0  # B == 0 and F == 0: double root at zero
         big = np.where(zero, 0.0, q / A)
         small = np.where(zero, 0.0, C / q)
         r0 = np.where(upper, big, small)
@@ -286,9 +256,8 @@ def dispersion_scan(plasma, omega_grid, theta_grid,
     Returns a dict of 1-D arrays keyed by the SCAN_HEADER names, in that
     order, with one entry per grid point in omega-major order.  The Stix
     parameters come from one :func:`stix_arrays` call over the omega
-    grid and the quadratic is solved with masked branches over the whole
-    grid; each point equals the scalar composition :func:`stix_parameters`
-    -> :func:`wave_normal_coefficients` -> :func:`refractive_indices`.
+    grid and the quadratic by one :func:`_solve_grid` call over the whole
+    grid, the kernel that :func:`refractive_indices` calls at one point.
     Points never abort the scan: cyclotron-resonant frequencies, complex
     pairs, the resonance branch and the degenerate case are flagged.  For
     a complex pair the n2 columns carry the (equal) real parts; the
@@ -301,13 +270,12 @@ def dispersion_scan(plasma, omega_grid, theta_grid,
     shape = (omegas.size, thetas.size)
     resonant = np.broadcast_to(
         near_cyclotron(plasma, omegas, resonance_rtol), omegas.shape)
-    sin2 = np.array([math.sin(t) ** 2 for t in thetas.tolist()])
-    cos2 = np.array([math.cos(t) ** 2 for t in thetas.tolist()])
-    with np.errstate(all="ignore"):  # inf/nan as the scalar chain gives
+    sin, cos = np.sin(thetas), np.cos(thetas)
+    with np.errstate(all="ignore"):  # inf and NaN pass through, flagged
         _, _, s, d, p = (np.where(resonant, math.nan, v)[:, None]
                          for v in stix_arrays(plasma, omegas))
         coeffs = [np.broadcast_to(c, shape)
-                  for c in _coefficients(s, d, p, sin2, cos2)]
+                  for c in _coefficients(s, d, p, sin * sin, cos * cos)]
     n2_plus, n2_minus, *codes = _solve_grid(*coeffs)
     resonant = np.broadcast_to(resonant[:, None], shape)
     marks = (_CODE[""], _CODE[""], _CODE["cyclotron_resonance"])

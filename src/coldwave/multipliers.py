@@ -394,8 +394,9 @@ class MixedMultiplierSpec:
         """Choose t and s_const from SPEC_SAMPLES points per axis of the
         domain's bounding box.  s_const = 1 + 2 max(need) keeps m K +
         s_const and 2 c y + s_const at 1 or more and b above
-        sqrt(-K) |c| at those points by construction; only c < 0 can
-        fail, through rounding."""
+        sqrt(-K) |c| at those points by construction.  t = 1 + mu max(y),
+        or the next double above mu max(y) where the 1 rounds away,
+        keeps c = mu y - t below 0 there."""
         x0, x1, y0, y1 = domain.bounding_box
         xs = np.linspace(x0, x1, SPEC_SAMPLES)
         ys = np.linspace(y0, y1, SPEC_SAMPLES)
@@ -403,7 +404,9 @@ class MixedMultiplierSpec:
         inside = domain.contains(X, Y)
         Xi, Yi = X[inside], Y[inside]
         K = canonical_type_function(Xi, Yi)
-        t = 1.0 + mu * max(0.0, float(Yi.max()))
+        top = mu * max(0.0, float(Yi.max()))
+        # 1 + top can round to top once top reaches 2^53
+        t = max(1.0 + top, math.nextafter(top, math.inf))
         c = mu * Yi - t
         m_mag = 0.5 * (mu + delta)
         need = np.maximum.reduce([
@@ -413,7 +416,6 @@ class MixedMultiplierSpec:
         ])
         s_const = 1.0 + 2.0 * float(need.max())
         spec = cls(mu, t, s_const, delta)
-        # t = 1 + mu max(y) is lost to rounding once mu max(y) passes 2^53
         if float(c.max()) >= 0.0:
             raise SpecInvalid("mu y - t must be negative on the domain")
         return spec

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,12 +67,12 @@ class TestWaveNormalCoefficients:
 
     def test_formulas_bit_for_bit(self, rng):
         # the scan's CSV bytes rest on this exact arithmetic: each product
-        # left to right and the square as Python's float power
+        # left to right and each square as x * x
         for _ in range(500):
             st = random_stix(rng)
             theta = rng.uniform(0.0, math.pi)
-            sin2 = math.sin(theta) ** 2
-            cos2 = math.cos(theta) ** 2
+            sin, cos = np.sin(theta), np.cos(theta)
+            sin2, cos2 = sin * sin, cos * cos
             s, d, p = float(st.s), float(st.d), float(st.p)
             rl = s * s - d * d
             c = dispersion.wave_normal_coefficients(
@@ -79,7 +80,8 @@ class TestWaveNormalCoefficients:
             assert c.A == s * sin2 + p * cos2
             assert c.B == rl * sin2 + p * s * (1.0 + cos2)
             assert c.C == p * rl
-            assert c.F_squared == ((rl - p * s) ** 2 * sin2 * sin2
+            g = rl - p * s
+            assert c.F_squared == (g * g * sin2 * sin2
                                    + 4.0 * p * p * d * d * cos2)
 
     def test_f_squared_nonnegative_for_real_stix(self, rng):
@@ -315,8 +317,8 @@ def three_species(n_e=1e19, frac_d=0.4, B0=2.0):
 
 
 def oracle_rows(pl, omegas, thetas):
-    """Scan rows from the scalar chain stix_parameters ->
-    wave_normal_coefficients -> refractive_indices, point by point."""
+    """Scan rows from the point-by-point chain stix_parameters ->
+    wave_normal_coefficients -> refractive_indices."""
     nan = math.nan
     rows = []
     for omega in omegas:
@@ -367,7 +369,12 @@ def cyclotron_frequencies(pl):
 
 
 class TestScanOracle:
-    """The columnar scan against the scalar chain, byte for byte."""
+    """The columnar scan against the point-by-point chain, byte for byte.
+
+    Both solve through the one kernel ``_solve_grid``, so this checks the
+    scan's layout, row order, broadcasting and flags, not a second
+    implementation of the solve: that is checked against hand-worked
+    cases and the algebraic properties below."""
 
     @pytest.mark.parametrize("name", ["hydrogen", "three_species"])
     def test_log_grid_with_cyclotron_rows(self, name, hydrogen):
@@ -414,35 +421,93 @@ class TestScanOracle:
                     assert abs(cols["F2"][k] - alt) <= 1e-14 * scale
                     k += 1
 
-    def test_masked_branches_match_scalar_solve(self):
-        # crafted coefficients reach every branch, the degenerate one too
-        cases = [(0.0, 0.0, 1.0, 0.0), (0.0, 2.0, 1.0, 4.0),
-                 (1.0, 0.0, 1.0, -4.0), (1.0, 2.0, 1.0, 0.0),
-                 (1.0, 0.0, 0.0, 0.0), (-1.0, -3.0, 2.0, 1.0),
-                 (2.0, 5.0, 1e-20, 25.0), (1e-13, 1.0, 1.0, 1.0),
-                 (1.0, -0.0, 0.0, -0.0), (1.0, math.nan, 1.0, 1.0)]
-        A, B, C, F2 = (np.array(c) for c in zip(*cases))
+    def test_masked_branches_match_hand_solutions(self):
+        # crafted (A, B, C, F2) reach every branch, the degenerate one
+        # too; F2 is taken as given, consistent with B^2 - 4AC or not
+        nan = math.nan
+        cases = [
+            # |A|, |B| <= 1e-12 |A|+|B|+|C|: no roots
+            ((0.0, 0.0, 1.0, 0.0), (nan, nan, "", "", "degenerate")),
+            # A = 0: single root C/B = 0.5
+            ((0.0, 2.0, 1.0, 4.0),
+             (0.5, nan, "propagating", "resonance", "resonance")),
+            # F2 < 0: real part B/2A = 0
+            ((1.0, 0.0, 1.0, -4.0),
+             (0.0, 0.0, "complex", "complex", "complex")),
+            # double root: q = (2 + 0)/2 = 1, q/A = C/q = 1
+            ((1.0, 2.0, 1.0, 0.0),
+             (1.0, 1.0, "propagating", "propagating", "")),
+            # B = F = 0, so q = 0: the double root at zero is a cutoff
+            ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, "cutoff", "cutoff", "")),
+            # B < 0: q = (-3 - 1)/2 = -2, C/q = -1 first, then q/A = 2
+            ((-1.0, -3.0, 2.0, 1.0),
+             (-1.0, 2.0, "evanescent", "propagating", "")),
+            # q = 5, q/A = 2.5; C/q = 2e-21 <= 1e-14 * 2.5 is a cutoff
+            ((2.0, 5.0, 1e-20, 25.0),
+             (2.5, 2e-21, "propagating", "cutoff", "")),
+            # |A| = 1e-13 <= 1e-12 * (2 + 1e-13): root C/B = 1
+            ((1e-13, 1.0, 1.0, 1.0),
+             (1.0, nan, "propagating", "resonance", "resonance")),
+            # -0.0 >= 0 and q = -0.0 == 0: the zero roots are +0.0
+            ((1.0, -0.0, 0.0, -0.0), (0.0, 0.0, "cutoff", "cutoff", "")),
+            # NaN B: not B >= 0, q = NaN, and NaN roots fall to evanescent
+            ((1.0, nan, 1.0, 1.0),
+             (nan, nan, "evanescent", "evanescent", "")),
+        ]
+        A, B, C, F2 = (np.array(c) for c in zip(*(c for c, _ in cases)))
         n2p, n2m, *codes = dispersion._solve_grid(A, B, C, F2)
         cp, cm, flag = (dispersion._LABELS[c] for c in codes)
-        for k, (a, b, c, f2) in enumerate(cases):
-            coeffs = dispersion.WaveNormalCoefficients(a, b, c, f2, 0.0)
-            try:
-                sol = dispersion.refractive_indices(coeffs)
-            except DegenerateQuartic:
-                expected = (math.nan, math.nan, "", "", "degenerate")
-            else:
-                if sol.resonance:
-                    expected = (sol.n_squared[0], math.nan,
-                                sol.classifications[0], "resonance",
-                                "resonance")
-                elif sol.complex_roots:
-                    expected = (sol.n_squared[0].real, sol.n_squared[1].real,
-                                "complex", "complex", "complex")
-                else:
-                    expected = sol.n_squared + sol.classifications + ("",)
+        for k, (_, expected) in enumerate(cases):
             got = (n2p[k], n2m[k], cp[k], cm[k], flag[k])
             assert list(map(cell_oracle, got)) \
                 == list(map(cell_oracle, expected)), (k, got, expected)
+
+
+# Finite coefficients whose squares and products neither overflow nor
+# lose precision to underflow; zeros reach the resonance branch.
+coefficient = st.floats(-1e100, 1e100).filter(
+    lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=coefficient, B=coefficient, C=coefficient)
+def test_roots_solve_the_quadratic(A, B, C):
+    F2 = B * B - 4.0 * A * C
+    coeffs = dispersion.WaveNormalCoefficients(A, B, C, F2, 0.0)
+    try:
+        sol = dispersion.refractive_indices(coeffs)
+    except DegenerateQuartic:
+        tol = dispersion.RESONANCE_BRANCH_RTOL * (abs(A) + abs(B) + abs(C))
+        assert abs(A) <= tol and abs(B) <= tol
+        return
+    eps = np.finfo(float).eps
+    roots = sol.n_squared
+    if sol.complex_roots:
+        assert F2 < 0.0
+        assert roots[0] == roots[1].conjugate()
+        assert roots[0].real == B / (2.0 * A)
+        assert abs(roots[0].imag) == pytest.approx(
+            math.sqrt(-F2) / abs(2.0 * A), rel=2 * eps)
+        return
+    assert all(type(r) is float for r in roots)
+    if sol.resonance:
+        (x,) = roots
+        assert abs(B * x - C) <= 2 * eps * abs(C)
+    else:
+        a, b, c = map(Fraction, (A, B, C))
+        for x in map(Fraction, roots):
+            # residual in exact arithmetic against the first-order
+            # rounding of the solve and of F2 = B*B - 4*A*C
+            size = abs(a) * x * x + abs(b * x) + abs(c)
+            assert abs(a * x * x - b * x + c) <= 8 * Fraction(eps) * size
+        product = roots[0] * roots[1]
+        assert abs(product - C / A) <= 4 * eps * abs(C / A)
+    biggest = max(1.0, *map(abs, roots))
+    for x, label in zip(roots, sol.classifications):
+        if abs(x) <= dispersion.CUTOFF_RTOL * biggest:
+            assert label == "cutoff"
+        else:
+            assert label == ("propagating" if x > 0.0 else "evanescent")
 
 
 SPECIES_KINDS = [("electron", 9.1093837015e-31, -1), ("proton",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -343,12 +344,16 @@ class TestMixedMultiplierSpec:
         assert (b * b + K * c * c > 0.0).all()
         assert (c < 0.0).all()
 
-    def test_auto_rejects_rounded_t(self):
-        # 1 + mu * 1e16 rounds to mu * 1e16, so c = mu y - t is 0 at y1
-        with pytest.raises(SpecInvalid, match="mu y - t must be negative"):
-            MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 1e16))
-        assert MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 1e15)).t \
-            == 1.0 + 1e15
+    @pytest.mark.parametrize("y1, mu, t", [
+        (1e15, 1.0, 1.0 + 1e15),
+        (1e16, 1.0, math.nextafter(1e16, math.inf)),
+        (1e15, 9.5, math.nextafter(9.5e15, math.inf)),
+    ], ids=["below_2_53", "past_2_53", "past_2_53_mu_9.5"])
+    def test_auto_keeps_t_above_mu_y(self, y1, mu, t):
+        # past 2^53, 1 + mu * y1 rounds to mu * y1 and t is the next double
+        spec = MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, y1), mu=mu)
+        assert spec.t == t
+        assert (spec.c(np.linspace(0.0, y1, SPEC_SAMPLES)) < 0.0).all()
 
     def test_matrix_shape(self):
         spec = MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 0.75))
