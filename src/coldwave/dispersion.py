@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rootscan
-from .errors import DegenerateQuartic
+from .errors import DegenerateQuartic, NumericalFailure
 from .plasma import (
     RESONANCE_RTOL,
     cyclotron_frequency,
@@ -99,12 +99,17 @@ def f_squared_alternate(stix, theta):
 def refractive_indices(coeffs):
     """Solve A n^4 - B n^2 + C = 0 for n^2 as a 0-d call of
     :func:`_solve_grid`, the scan's kernel.  Raises DegenerateQuartic
-    where the scan flags ``degenerate``."""
+    where the scan flags ``degenerate`` and NumericalFailure where it
+    flags ``non_finite``."""
     A, B, C, F2 = coeffs.A, coeffs.B, coeffs.C, coeffs.F_squared
     plus, minus, *codes = _solve_grid(
         *(np.asarray(v, dtype=float) for v in (A, B, C, F2)))
     plus, minus = float(plus), float(minus)
     class_plus, class_minus, flag = (_LABELS[code] for code in codes)
+    if flag == "non_finite":
+        raise NumericalFailure(
+            f"non-finite dispersion coefficients A={A!r}, B={B!r}, "
+            f"C={C!r}, F2={F2!r}")
     if flag == "degenerate":
         scale = abs(A) + abs(B) + abs(C)
         raise DegenerateQuartic(
@@ -190,8 +195,8 @@ def hybrid_resonances(plasma, omega_bracket):
 # Labels of the scan's class and flag columns.  The array solve works on
 # codes into this table; the columns hold the label objects themselves.
 _LABELS = np.array(["", "cutoff", "propagating", "evanescent", "complex",
-                    "resonance", "degenerate", "cyclotron_resonance"],
-                   dtype=object)
+                    "resonance", "degenerate", "cyclotron_resonance",
+                    "non_finite"], dtype=object)
 _CODE = {label: code for code, label in enumerate(_LABELS)}
 
 
@@ -215,14 +220,18 @@ def _solve_grid(A, B, C, F2):
     complex pair, whose columns hold its real part B/2A.  |A| within
     RESONANCE_BRANCH_RTOL of |A| + |B| + |C| is the resonance branch,
     with the single root C/B, or degenerate (NaN roots) if |B| is too.
+    A point with a non-finite A, B, C or F^2 (an overflowed Stix
+    parameter) is flagged non_finite, with NaN roots and empty classes.
     """
+    finite = np.isfinite(A) & np.isfinite(B) & np.isfinite(C) \
+        & np.isfinite(F2)
     scale = np.abs(A) + np.abs(B) + np.abs(C)
     a_tol = RESONANCE_BRANCH_RTOL * np.where(1e-300 > scale, 1e-300, scale)
-    on_branch = np.abs(A) <= a_tol
+    on_branch = finite & (np.abs(A) <= a_tol)
     degenerate = on_branch & (np.abs(B) <= a_tol)
     resonance = on_branch & ~degenerate
-    pair = ~on_branch & (F2 < 0.0)
-    real = ~on_branch & ~pair
+    pair = finite & ~on_branch & (F2 < 0.0)
+    real = finite & ~on_branch & ~pair
     with np.errstate(all="ignore"):
         F = np.sqrt(F2)
         upper = B >= 0.0
@@ -245,7 +254,8 @@ def _solve_grid(A, B, C, F2):
     class_minus = np.where(real, _classify_codes(r1, scale_r),
                            np.where(resonance, _CODE["resonance"], other))
     flag = np.where(degenerate, _CODE["degenerate"],
-                    np.where(resonance, _CODE["resonance"], other))
+                    np.where(resonance, _CODE["resonance"],
+                             np.where(finite, other, _CODE["non_finite"])))
     return n2_plus, n2_minus, class_plus, class_minus, flag
 
 

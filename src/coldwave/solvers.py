@@ -1,29 +1,41 @@
 """Sparse direct solvers for the degenerate model operator.
 
 Every grid solve factors one square sparse matrix M with SuperLU
-(``scipy.sparse.linalg.splu``) and estimates its 1-norm condition number
-kappa_1 = ||M||_1 * est(||M^-1||_1), where est is the Higham-Tisseur
-block 1-norm estimator (SIAM J. Matrix Anal. Appl. 21, 2000) run with a
-single, deterministic start vector (t = 1).  kappa_1 is a lower bound on
-cond_1(M); it is the reported ``condition_estimate`` and, for the
-closed-Dirichlet matrix across refinements, the ill-posedness
-diagnostic.
+(``scipy.sparse.linalg.splu``) through one routine, ``_factor``, and
+estimates its 1-norm condition number kappa_1 = ||M||_1 *
+est(||M^-1||_1), where est is the Higham-Tisseur block 1-norm estimator
+(SIAM J. Matrix Anal. Appl. 21, 2000) run with a single, deterministic
+start vector (t = 1).  kappa_1 is a lower bound on cond_1(M); it is the
+reported ``condition_estimate`` and, for the closed-Dirichlet matrix
+across refinements, the ill-posedness diagnostic.
 
-Closed Dirichlet: M is the square 5-point matrix of L_h on interior
-unknowns with u = 0 imposed as eliminated boundary values, factored with
-SuperLU's defaults (COLAMD ordering, partial pivoting).  Mixed problem:
-the min-norm solution of the wide first-order system A x = f with
-component constraints on G and its complement, by corrected seminormal
-equations (Bjorck, Numerical Methods for Least Squares Problems, SIAM
-1996, sec. 6.6): M = A A^T, symmetric positive definite, is factored
-once (MMD ordering on M + M^T, diagonal pivots), x = A^T M^-1 f, and one
-correction step x += A^T M^-1 (f - A x).  Its kappa_1 is about the
-square of the conditioning of A.  When the factor is exactly singular,
-when kappa_1 * eps >= 1, or when A has more rows than columns, LSMR
-(Fong & Saunders, SIAM J. Sci. Comput. 33, 2011) gives the min-norm
-least-squares solution instead.  ``diagnostics["method"]`` records
-which path ran ("splu" or "lsmr"), beside the sizes ``unknowns``,
-``nnz`` (of A), ``lu_nnz`` (of L + U) and the SuperLU ``ordering``.
+The factor is static first: MMD ordering on M + M^T with diagonal
+pivots (static pivoting as in SuperLU_DIST, Li & Demmel, SC 1998),
+about half the fill of COLAMD with partial pivoting on the Dirichlet
+matrix.  A probe decides whether it is kept: one refined solve of
+M x = 1 (Skeel, Math. Comp. 35, 1980) must have a normwise backward
+error ||M x - b||_inf / (||M||_inf ||x||_inf + ||b||_inf) at or below
+PROBE_BACKWARD_ERROR.  Otherwise, and when SuperLU finds the static
+factor exactly singular, M is refactored with COLAMD and partial
+pivoting.
+
+Closed Dirichlet: M = A, the square 5-point matrix of L_h on interior
+unknowns with u = 0 imposed as eliminated boundary values.  Mixed
+problem: the min-norm solution of the wide first-order system A x = f
+with component constraints on G and its complement, by corrected
+seminormal equations (Bjorck, Numerical Methods for Least Squares
+Problems, SIAM 1996, sec. 6.6) with M = A A^T; its kappa_1 is about the
+square of the conditioning of A.  Both take the same solve and one
+correction step, x = lift(M^-1 f), x += lift(M^-1 (f - A x)), with lift
+the identity for a square A and A^T for a wide one.  When the factor is
+exactly singular, when kappa_1 * eps >= 1, or when A has more rows than
+columns, LSMR (Fong & Saunders, SIAM J. Sci. Comput. 33, 2011) gives the
+min-norm least-squares solution instead.  ``diagnostics["method"]``
+records which path ran ("splu" or "lsmr"), beside the sizes
+``unknowns``, ``nnz`` (of A), ``lu_nnz`` (of L + U), the ``ordering`` of
+the factor ("MMD_AT_PLUS_A" for the kept static factor, "COLAMD" after
+a rejected probe) and the ``backward_error`` of the returned x on
+A x = f, whichever path ran.
 
 The factor's memory is estimated before any assembly from one fill
 model, lu_nnz ~ FILL_C * m**FILL_P in the order m of M, and a grid
@@ -46,19 +58,18 @@ from .typegeometry import canonical_type_function
 _EPS = np.finfo(float).eps
 _LSMR_TOL = 1e-12
 
-# SuperLU settings of the two factored matrices.  The square grid
-# operator is indefinite and keeps SuperLU's defaults, COLAMD with
-# partial pivoting (MMD_AT_PLUS_A with partial pivoting takes 8 s at
-# 129^2 against 0.07 s).  The symmetric positive definite A A^T of a
-# wide A is ordered on its symmetric pattern and pivots on the diagonal.
-_SPLU_SQUARE = {"permc_spec": "COLAMD"}
-_SPLU_NORMAL = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                "options": {"SymmetricMode": True}}
+# Largest normwise backward error of the probe's refined solve for
+# which the static (diagonal-pivot) factor is kept.
+PROBE_BACKWARD_ERROR = 1e-14
 
 # Fill model lu_nnz ~ FILL_C * m**FILL_P of both factored matrices, in
 # their order m, and the peak bytes of a solve per factor nonzero (L and
 # U values and indices, the matrices and the lattice arrays); fitted to
-# levels 65 to 513 of tools/bench_scale.py (BENCH_mixed_csne.json).
+# levels 65 to 513 of tools/bench_scale.py (BENCH_mixed_csne.json).  The
+# fit predates the static factor and is kept: it tracks the fill of the
+# COLAMD refactor that a rejected probe takes, about twice the static
+# fill (BENCH_one_factor.json), so that require_memory does not admit
+# grids whose refactor could not fit.
 FILL_C = 14.5
 FILL_P = 1.17
 BYTES_PER_FILL = 26.0
@@ -150,25 +161,63 @@ def require_memory(bc, nx, ny):
             "budget")
 
 
-def _factor(M, settings):
-    """SuperLU factor of a square sparse matrix with the ``splu``
-    keywords ``settings`` (``_SPLU_SQUARE`` or ``_SPLU_NORMAL``) and its
-    condition estimate kappa_1 = ||M||_1 * onenormest(M^-1, t=1).
+def _backward_error(M, x, b):
+    """Normwise backward error ||M x - b||_inf / (||M||_inf ||x||_inf +
+    ||b||_inf) of x for M x = b (0 when x and b are both zero)."""
+    scale = (float(abs(M).sum(axis=1).max()) * float(np.abs(x).max())
+             + float(np.abs(b).max()))
+    residual = float(np.abs(M @ x - b).max())
+    return residual / scale if scale > 0.0 else residual
 
-    Returns (None, inf) when SuperLU finds the factor exactly singular.
-    ``t=1`` keeps the estimate deterministic: larger t draws random
-    start vectors from the global numpy generator.
+
+def _splu(M, **settings):
+    """SuperLU factor of M with the ``splu`` keywords ``settings``, or
+    None when SuperLU finds it exactly singular."""
+    import scipy.sparse.linalg as spla
+
+    try:
+        return spla.splu(M, **settings)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None
+
+
+def _probe_accepts(M, lu):
+    """Whether one refined solve of M x = 1 through ``lu`` has a backward
+    error at or below PROBE_BACKWARD_ERROR."""
+    b = np.ones(M.shape[0])
+    with np.errstate(all="ignore"):   # a failed factor gives inf or NaN
+        x = lu.solve(b)
+        x += lu.solve(b - M @ x)
+        return _backward_error(M, x, b) <= PROBE_BACKWARD_ERROR
+
+
+def _factor(M):
+    """SuperLU factor of a square sparse matrix, its condition estimate
+    kappa_1 = ||M||_1 * onenormest(M^-1, t=1) and its ordering.
+
+    The static factor (``MMD_AT_PLUS_A``, diagonal pivots) is kept when
+    its probe accepts it; otherwise M is refactored with ``COLAMD`` and
+    partial pivoting.  Returns (None, inf, "COLAMD") when SuperLU finds
+    that factor exactly singular too.  ``t=1`` keeps the estimate
+    deterministic: larger t draws random start vectors from the global
+    numpy generator.
     """
     import scipy.sparse.linalg as spla
 
     M = M.tocsc()
     _check_finite("matrix", M.data)
-    try:
-        lu = spla.splu(M, **settings)
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        return None, np.inf
+    ordering = "MMD_AT_PLUS_A"
+    lu = _splu(M, permc_spec=ordering, diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
+    if lu is not None and not _probe_accepts(M, lu):
+        lu = None   # released before the refactor allocates its own
+    if lu is None:
+        ordering = "COLAMD"
+        lu = _splu(M, permc_spec=ordering)
+    if lu is None:
+        return None, np.inf, ordering
 
     def solve_t(v):
         return lu.solve(v, trans="T")
@@ -177,7 +226,7 @@ def _factor(M, settings):
                                   rmatvec=solve_t, rmatmat=solve_t,
                                   dtype=float)
     norm1 = float(abs(M).sum(axis=0).max())
-    return lu, norm1 * float(spla.onenormest(inverse, t=1))
+    return lu, norm1 * float(spla.onenormest(inverse, t=1)), ordering
 
 
 def _lsmr(A, rhs):
@@ -198,36 +247,34 @@ def _lsmr(A, rhs):
 def _min_norm_solve(A, rhs, sizes=None):
     """Min-norm least-squares solution of the sparse system A x = rhs.
 
-    The path follows A's shape: a square A is factored itself; a wide A
-    goes by corrected seminormal equations, one factor of N = A A^T,
-    x = A^T N^-1 rhs and one correction x += A^T N^-1 (rhs - A x); a
-    tall A goes to LSMR.  Falls back to LSMR on A too when the factor is
-    exactly singular or kappa_1 * eps >= 1.  Returns (x,
+    A square A is factored itself and a wide A by corrected seminormal
+    equations, through a factor of N = A A^T; both take one correction
+    step, x = lift(M^-1 rhs), x += lift(M^-1 (rhs - A x)), with lift the
+    identity or A^T.  A tall A goes to LSMR, and so does any A whose
+    factor is exactly singular or has kappa_1 * eps >= 1.  Returns (x,
     condition_estimate, rank, method): kappa_1 of the factored matrix (A
     or N), the full row count after a usable factor and None after the
     fallback.  A dict ``sizes`` receives the factor's ``lu_nnz`` (None
-    without a factor) and its SuperLU ``ordering`` (None for a tall A).
+    without a factor), its ``ordering`` (None for a tall A) and the
+    ``backward_error`` of x on A x = rhs.
     """
     m, n = A.shape
-    if m == n:
-        M, settings = A, _SPLU_SQUARE
-    elif m < n:
-        M, settings = A @ A.T, _SPLU_NORMAL
+    if m > n:
+        lu, cond, ordering = None, np.inf, None
     else:
-        M, settings = None, {}
-    lu, cond = _factor(M, settings) if M is not None else (None, np.inf)
-    if sizes is not None:
-        sizes["lu_nnz"] = None if lu is None else int(lu.nnz)
-        sizes["ordering"] = settings.get("permc_spec")
+        lu, cond, ordering = _factor(A if m == n else A @ A.T)
     if lu is None or cond * _EPS >= 1.0:
         x, rank, method = _lsmr(A, rhs), None, "lsmr"
-    elif m == n:
-        x, rank, method = lu.solve(rhs), m, "splu"
     else:
-        x = A.T @ lu.solve(rhs)
-        x += A.T @ lu.solve(rhs - A @ x)
+        lift = (lambda v: v) if m == n else (lambda v: A.T @ v)
+        x = lift(lu.solve(rhs))
+        x += lift(lu.solve(rhs - A @ x))
         rank, method = m, "splu"
     _check_finite("solution", x)
+    if sizes is not None:
+        sizes["lu_nnz"] = None if lu is None else int(lu.nnz)
+        sizes["ordering"] = ordering
+        sizes["backward_error"] = _backward_error(A, x, rhs)
     return x, cond, rank, method
 
 
@@ -380,6 +427,6 @@ def illposedness_diagnostic(problem, levels):
     for n in levels:
         grid = Grid2D(problem.domain, int(n), int(n))
         A, _ = assemble_dirichlet(grid, problem.kappa)
-        _, cond = _factor(A, _SPLU_SQUARE)
+        cond = _factor(A)[1]
         out.append((max(grid.hx, grid.hy), cond))
     return out

@@ -267,7 +267,8 @@ class TestSubcommands:
                 "l2_weighted", "h1_weighted"} <= set(info)
         assert info["method"] == "splu"
         assert info["unknowns"] == info["rank"] == 11 * 11
-        assert info["ordering"] == "COLAMD"
+        assert info["ordering"] == "MMD_AT_PLUS_A"
+        assert 0.0 <= info["backward_error"] <= 1e-14
         assert info["unknowns"] < info["nnz"] < info["lu_nnz"]
 
     def test_solve_mixed(self, mixed_json, tmp_path):
@@ -281,6 +282,7 @@ class TestSubcommands:
         assert info["residual_norm"] <= 1e-6 * info["forcing_norm"]
         assert info["method"] == "splu"
         assert info["ordering"] == "MMD_AT_PLUS_A"
+        assert 0.0 <= info["backward_error"] <= 1e-14
         assert info["rank"] < info["unknowns"] < info["nnz"] < info["lu_nnz"]
 
     def test_solve_mixed_inadmissible_exit(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coldwave import dispersion, output, plasma, rootscan
 from coldwave.errors import (BracketTooWide, CyclotronResonance,
-                             DegenerateQuartic)
+                             DegenerateQuartic, NumericalFailure)
 from test_config_output import assert_same_text, cell_oracle, csv_oracle
 
 E = 1.602176634e-19
@@ -298,6 +298,19 @@ class TestDispersionScan:
         assert cols["flag"].tolist() == ["cyclotron_resonance"] * 2
         assert np.isnan(cols["A"]).all()
 
+    @pytest.mark.parametrize("omega", [1e-170, 1e-100])
+    def test_non_finite_rows_flagged(self, omega, hydrogen):
+        # at 1e-170 A = -inf and B = NaN, at 1e-100 C = inf
+        cols = dispersion.dispersion_scan(hydrogen, [omega], [0.5])
+        coeffs = [cols[k][0] for k in ("A", "B", "C", "F2")]
+        assert not all(map(math.isfinite, coeffs))
+        assert np.isnan([cols["n2_plus"][0], cols["n2_minus"][0]]).all()
+        assert [cols[k][0] for k in ("class_plus", "class_minus", "flag")] \
+            == ["", "", "non_finite"]
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            dispersion.refractive_indices(
+                dispersion.WaveNormalCoefficients(*coeffs, 0.5))
+
     def test_row_count_and_order(self, hydrogen):
         omegas = [1e9, 2e9, 4e9]
         thetas = [0.0, 0.4]
@@ -450,9 +463,10 @@ class TestScanOracle:
              (1.0, nan, "propagating", "resonance", "resonance")),
             # -0.0 >= 0 and q = -0.0 == 0: the zero roots are +0.0
             ((1.0, -0.0, 0.0, -0.0), (0.0, 0.0, "cutoff", "cutoff", "")),
-            # NaN B: not B >= 0, q = NaN, and NaN roots fall to evanescent
-            ((1.0, nan, 1.0, 1.0),
-             (nan, nan, "evanescent", "evanescent", "")),
+            # a NaN or infinite coefficient: NaN roots, no class
+            ((1.0, nan, 1.0, 1.0), (nan, nan, "", "", "non_finite")),
+            ((-math.inf, 1.0, 1.0, 1.0), (nan, nan, "", "", "non_finite")),
+            ((0.0, 0.0, 1.0, math.inf), (nan, nan, "", "", "non_finite")),
         ]
         A, B, C, F2 = (np.array(c) for c in zip(*(c for c, _ in cases)))
         n2p, n2m, *codes = dispersion._solve_grid(A, B, C, F2)

@@ -9,7 +9,7 @@ from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import MixedMultiplierSpec
 from coldwave.operators import assemble_dirichlet, assemble_mixed
 from coldwave.quadrature import decompose_cells
-from coldwave.solvers import (_SPLU_SQUARE, ModelProblem, _factor,
+from coldwave.solvers import (ModelProblem, _factor,
                               _min_norm_solve, _segment_node_mask,
                               fill_estimate, illposedness_diagnostic,
                               require_memory, solve_closed_dirichlet,
@@ -103,6 +103,7 @@ def mixed_system(n):
 MIXED = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
 ORIGIN = Domain.rectangle(-1.05, 0.95, -1.02, 0.98)
 ELLIPTIC = Domain.rectangle(1.5, 2.5, -0.4, 0.4)
+HYPERBOLIC = Domain.rectangle(-2.0, -0.5, -1.0, 1.0)
 UNION = Domain(((1.2, 2.2, -0.4, 0.4), (2.2, 3.2, -0.4, 0.0)))
 
 
@@ -173,9 +174,9 @@ class TestSparsePath:
     def test_condition_estimate_brackets_cond1(self, dom, n):
         A, _ = assemble_dirichlet(Grid2D(dom, n, n), 0.5)
         cond1 = np.linalg.cond(A.toarray(), 1)
-        _, est = _factor(A, _SPLU_SQUARE)
+        est = _factor(A)[1]
         assert cond1 / 3.0 <= est <= cond1 * (1.0 + 1e-12)
-        assert _factor(A, _SPLU_SQUARE)[1] == est
+        assert _factor(A)[1] == est
 
     @pytest.mark.parametrize("column", [2, None])
     def test_singular_matrix_takes_lsmr(self, rng, column):
@@ -185,7 +186,7 @@ class TestSparsePath:
         M[:, 5] = M[:, column] if column is not None else 0.0
         A = sp.csr_array(M)
         b = rng.normal(size=12)
-        lu, cond = _factor(A, _SPLU_SQUARE)
+        lu, cond, _ = _factor(A)
         assert lu is None or cond * np.finfo(float).eps >= 1.0
         x, cond, rank, method = _min_norm_solve(A, b)
         assert (rank, method) == (None, "lsmr")
@@ -227,13 +228,16 @@ class TestSparsePath:
     @pytest.mark.parametrize("n", [17, 33, 65])
     def test_wide_system_matches_kkt_and_lstsq(self, n):
         A, rhs = mixed_system(n)
-        x, cond, rank, method = _min_norm_solve(A, rhs)
+        sizes = {}
+        x, cond, rank, method = _min_norm_solve(A, rhs, sizes)
         assert (rank, method) == (A.shape[0], "splu")
         oracles = [kkt_solve(A, rhs)]
         if n <= 33:   # dense lstsq at 65^2 is a 7938 x 8192 SVD
             oracles.append(np.linalg.lstsq(A.toarray(), rhs, rcond=None)[0])
         for x_ref in oracles:
             assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        assert sizes["ordering"] == "MMD_AT_PLUS_A"
+        assert sizes["backward_error"] <= 1e-14
 
     def test_correction_step_on_ill_conditioned_wide_system(self, rng):
         # cond(A) = 1e5: x = A^T (A A^T)^-1 b alone is off by 1.4e-7
@@ -242,8 +246,10 @@ class TestSparsePath:
         V = np.linalg.qr(rng.normal(size=(50, 30)))[0]
         M = (U * np.logspace(0.0, -5.0, 30)) @ V.T
         b = rng.normal(size=30)
-        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
+        sizes = {}
+        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b, sizes)
         assert (rank, method) == (30, "splu")
+        assert sizes["ordering"] == "MMD_AT_PLUS_A"
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
@@ -271,6 +277,88 @@ class TestSparsePath:
         wide = sp.csr_array(np.array([[1.0, 0.0, 3.0], [np.nan, 2.0, 0.0]]))
         with pytest.raises(FactorizationFailure):
             _min_norm_solve(wide, np.ones(2))
+
+
+def backward_error(A, x, b):
+    """||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf), densely."""
+    A = A.toarray()
+    return np.abs(A @ x - b).max() / (np.abs(A).sum(axis=1).max()
+                                      * np.abs(x).max() + np.abs(b).max())
+
+
+class TestOneFactor:
+    """The static factor, its probe and the COLAMD refactor."""
+
+    @pytest.mark.parametrize("n", [65, 97, 129, 193, 257])
+    def test_origin_keeps_static_factor(self, n):
+        f = lambda x, y: np.sin(np.pi * (x + 1.05) / 2.0) \
+            * np.sin(np.pi * (y + 1.02) / 2.0)
+        sol = solve_closed_dirichlet(ModelProblem(0.5, ORIGIN, forcing=f),
+                                     Grid2D(ORIGIN, n, n))
+        assert sol.diagnostics["method"] == "splu"
+        assert sol.diagnostics["ordering"] == "MMD_AT_PLUS_A"
+        assert sol.diagnostics["backward_error"] <= 1e-14
+
+    @pytest.mark.parametrize("n", [49, 97])
+    def test_hyperbolic_box_refactors_with_colamd(self, n):
+        # diagonal pivots leave a backward error of 4e-6 to 9e-5 here
+        g = Grid2D(HYPERBOLIC, n, n)
+        sol = solve_closed_dirichlet(
+            ModelProblem(0.5, HYPERBOLIC, forcing=lambda x, y: x * y + 1.0),
+            g)
+        assert sol.diagnostics["ordering"] == "COLAMD"
+        assert sol.diagnostics["backward_error"] <= 1e-14
+        A, _ = assemble_dirichlet(g, 0.5)
+        static = solvers._splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+        assert not solvers._probe_accepts(A.tocsc(), static)
+
+    def test_rejected_probe_refactors(self, monkeypatch):
+        A, _ = assemble_dirichlet(Grid2D(ORIGIN, 17, 17), 0.5)
+        b = np.cos(np.arange(A.shape[0]))
+        kept = {}
+        x_static = _min_norm_solve(A, b, kept)[0]
+        monkeypatch.setattr(solvers, "PROBE_BACKWARD_ERROR", 0.0)
+        refactored = {}
+        x, cond, rank, method = _min_norm_solve(A, b, refactored)
+        assert (kept["ordering"], refactored["ordering"]) \
+            == ("MMD_AT_PLUS_A", "COLAMD")
+        assert refactored["lu_nnz"] > kept["lu_nnz"]
+        assert (rank, method) == (A.shape[0], "splu")
+        assert np.abs(x - x_static).max() <= 1e-10 * np.abs(x).max()
+
+    def test_singular_static_factor_refactors(self, monkeypatch):
+        M = sp.csc_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        calls = []
+        real = solvers._splu
+
+        def static_singular(matrix, **settings):
+            calls.append(settings["permc_spec"])
+            return None if len(calls) == 1 else real(matrix, **settings)
+
+        monkeypatch.setattr(solvers, "_splu", static_singular)
+        lu, cond, ordering = _factor(M)
+        assert calls == ["MMD_AT_PLUS_A", "COLAMD"]
+        assert ordering == "COLAMD"
+        assert np.allclose(lu.solve(np.array([5.0, 11.0])), [1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 16), (15, 8)])
+    def test_backward_error_reported_for_every_path(self, rng, shape):
+        M = rng.normal(size=shape)
+        if shape[0] == shape[1]:
+            M[:, 5] = M[:, 2]   # singular: the LSMR path
+        A, b = sp.csr_array(M), rng.normal(size=shape[0])
+        sizes = {}
+        x = _min_norm_solve(A, b, sizes)[0]
+        assert sizes["backward_error"] == pytest.approx(
+            backward_error(A, x, b), rel=1e-12)
+
+    def test_zero_system_has_zero_backward_error(self):
+        A, _ = assemble_dirichlet(Grid2D(ORIGIN, 9, 9), 0.5)
+        sizes = {}
+        _min_norm_solve(A, np.zeros(A.shape[0]), sizes)
+        assert sizes["backward_error"] == 0.0
 
 
 class TestMemoryBudget:

@@ -9,10 +9,11 @@ box [-1.05,0.95]x[-1.02,0.98], kappa 0.5, ``sine_bump`` forcing) runs in
 a fresh interpreter that calls ``coldwave.cli.main`` once and reports
 the wall time of that call and its ``ru_maxrss``.  The run's
 ``--summary`` gives the sizes: unknowns, nnz of A, lu_nnz of the
-factor and the SuperLU ordering.  Beside them stand the fill model's
-estimate ``solvers.fill_estimate(m)`` for the order m of the factored
-matrix and the memory estimate that ``solvers.require_memory`` compares
-with the budget.  ``fit`` is the least-squares line of log lu_nnz
+factor and the SuperLU ordering, and the solve's backward error (null
+from a checkout whose summary has none).  Beside them stand the fill
+model's estimate ``solvers.fill_estimate(m)`` for the order m of the
+factored matrix and the memory estimate that ``solvers.require_memory``
+compares with the budget.  ``fit`` is the least-squares line of log lu_nnz
 against log m over every level of both commands, and ``bytes_per_fill``
 the largest peak RSS per factor nonzero at 257 and above, where the
 factor dominates: the sources of ``solvers.FILL_C``, ``FILL_P`` and
@@ -25,8 +26,9 @@ alternates, starting with the parent.  Every run's end-to-end metrics
 and command medians (``dispersion_s``, ``solve_s``, ...), and the
 quartiles of each over the runs of each side, are recorded under
 ``<W>_pairs``.  The level sweep measures the grid solves that only
-``bvp`` runs, so pairs of another workload are recorded alone.  The
-JSON goes to stdout.
+``bvp`` runs, so pairs of another workload are recorded alone; pairs of
+``bvp`` also run the sweep on PARENT's ``src``, under
+``parent_levels``.  The JSON goes to stdout.
 """
 
 import argparse
@@ -71,7 +73,7 @@ print(json.dumps({"exit": code, "wall_s": wall, "ru_maxrss_mb": rss / 1024}))
 """
 
 
-def run_level(command, n, workdir):
+def run_level(command, n, workdir, src):
     from coldwave import solvers
 
     problem = dict(COMMANDS[command], grid={"nx": n, "ny": n})
@@ -83,19 +85,32 @@ def run_level(command, n, workdir):
         [sys.executable, "-c", CHILD, "--quiet", "--out", os.devnull,
          command, "--problem", cfg, "--summary", summary],
         check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": SRC})
+        env={**os.environ, "PYTHONPATH": src})
     row = {"command": command, "n": n, **json.loads(out.stdout)}
     with open(summary, encoding="utf-8") as fh:
         info = json.load(fh)
     m = solvers.factor_order(problem["bc"]["type"], n, n)
     row.update({k: info[k] for k in ("method", "unknowns", "nnz", "lu_nnz",
                                      "ordering")})
+    row["backward_error"] = info.get("backward_error")
     row["order"] = m
     row["fill_estimate"] = solvers.fill_estimate(m)
     row["fill_ratio"] = row["fill_estimate"] / info["lu_nnz"]
     row["memory_estimate_mb"] = solvers.BYTES_PER_FILL * row[
         "fill_estimate"] / 1e6
     return row
+
+
+def sweep(src):
+    """Every level of every command, run with the coldwave of ``src``."""
+    rows = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for command in COMMANDS:
+            for n in LEVELS:
+                rows.append(run_level(command, n, workdir, src))
+                print(f"{src} {command} {n}: {rows[-1]['wall_s']:.2f} s, "
+                      f"{rows[-1]['ru_maxrss_mb']:.0f} MB", file=sys.stderr)
+    return rows
 
 
 def fit(rows):
@@ -158,15 +173,10 @@ def main(argv):
                           "python": platform.python_version(),
                           "numpy": np.__version__, "scipy": scipy.__version__}}
     if not args.pairs or args.workload == "bvp":
-        rows = []
-        with tempfile.TemporaryDirectory() as workdir:
-            for command in COMMANDS:
-                for n in LEVELS:
-                    rows.append(run_level(command, n, workdir))
-                    print(f"{command} {n}: {rows[-1]['wall_s']:.2f} s, "
-                          f"{rows[-1]['ru_maxrss_mb']:.0f} MB",
-                          file=sys.stderr)
+        rows = sweep(SRC)
         report.update(levels=rows, fit=fit(rows))
+        if args.pairs:
+            report["parent_levels"] = sweep(os.path.join(args.pairs[0], "src"))
     if args.pairs:
         report[f"{args.workload}_pairs"] = run_pairs(
             args.pairs[0], int(args.pairs[1]), args.workload, args.seed)
