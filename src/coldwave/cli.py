@@ -106,8 +106,7 @@ def cmd_typemap(args):
     x0, x1, z0, z1 = args.box
     xs, zs = np.linspace(x0, x1, args.nx), np.linspace(z0, z1, args.nz)
     X, Z = np.meshgrid(xs, zs, indexing="ij")
-    v11, v33 = (np.broadcast_to(np.real(k(X, Z)), X.shape).astype(float)
-                for k in (k11, k33))
+    v11, v33 = (np.real(k(X, Z)).astype(float) for k in (k11, k33))
     kinds = electrostatics.type_from_product(v11, v33)
     # NaN samples are skipped, as a running min() would skip them
     k33_min = np.min(v33, initial=np.inf, where=~np.isnan(v33))
@@ -292,34 +291,31 @@ def _positive(kind, limit=math.inf):
     return convert
 
 
+def _floats(text, sep, count, what, form):
+    """The ``count`` finite floats of a ``sep``-separated argument;
+    ``what`` and ``form`` name it and its form in the messages."""
+    try:
+        values = tuple(float(v) for v in text.split(sep))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {what}: {text!r}") from None
+    if len(values) != count:
+        raise argparse.ArgumentTypeError(f"must be {form}, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return values
+
+
 def _point(text):
     """argparse type of characteristics --start ('x,y') and layered
     --psi0 ('re,im'): two finite floats."""
-    try:
-        point = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid point: {text!r}") from None
-    if len(point) != 2:
-        raise argparse.ArgumentTypeError(
-            f"must be 'x,y', got {text!r}")
-    if not all(map(math.isfinite, point)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return point
+    return _floats(text, ",", 2, "point", "'x,y'")
 
 
 def _box(text):
     """argparse type of --box ('x0:x1:y0:y1'): four finite floats with
     x0 < x1 and y0 < y1."""
-    try:
-        box = tuple(float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid box: {text!r}") from None
-    if len(box) != 4:
-        raise argparse.ArgumentTypeError(
-            f"must be x0:x1:y0:y1, got {text!r}")
-    if not all(map(math.isfinite, box)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    box = _floats(text, ":", 4, "box", "x0:x1:y0:y1")
     if not (box[0] < box[1] and box[2] < box[3]):
         raise argparse.ArgumentTypeError(
             f"must have x0 < x1 and y0 < y1, got {text!r}")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import LayeredNotConverged, SingularCoefficient
 from .fields import Field1D
+from .quadrature import _corners
 
 TYPE_PRODUCT_TOL = 1e-14
 SONIC_TOL = 1e-12
@@ -22,9 +23,6 @@ NONVANISHING_SAMPLES = 257
 LAYERED_STEPS0 = 64
 LAYERED_RTOL = 1e-9
 LAYERED_MAX_HALVINGS = 14
-# integrate_layered: steps per block of array evaluations of K11, which
-# bounds the per-step tables the RK4 loop reads as Python numbers.
-LAYERED_BLOCK = 4096
 # singular_points_on_sonic_line: search cells per axis, Newton residual
 # tolerance and iteration limit.
 SONIC_SEARCH_CELLS = 64
@@ -59,9 +57,7 @@ def _require_nonvanishing(k11, x0, x1):
     vals = np.asarray(k11(np.linspace(x0, x1, NONVANISHING_SAMPLES)),
                       dtype=float)
     if np.any(vals == 0.0) or vals.min() < 0.0 < vals.max():
-        raise SingularCoefficient(
-            f"K11 vanishes on [{x0!r}, {x1!r}]"
-        )
+        raise SingularCoefficient(f"K11 vanishes on [{x0!r}, {x1!r}]")
 
 
 @dataclass(frozen=True)
@@ -93,30 +89,25 @@ def integrate_layered(problem, psi0, x0, x1):
     _require_nonvanishing(problem.K11, x0, x1)
     k11, i_s0 = problem.K11, 1j * problem.sigma0
 
+    def rate(x):
+        # psi' = c psi with c = -(K11' + i sigma0) / K11
+        return -(k11.dx(x) + i_s0) / k11(x)
+
     def run(n):
-        # psi' = g psi / f with f = K11 and g = -(K11' + i sigma0), both
-        # evaluated as arrays at x, x + h/2 and x + h of every step
+        # psi' = c psi is linear, so an RK4 step multiplies psi by
+        # 1 + h/6 (k1 + 2 k2 + 2 k3 + k4), the k's taken per unit psi
+        # from c at the step's ends and midpoint: psi is their product
         h = (x1 - x0) / n
         xs = np.linspace(x0, x1, n + 1)
+        c, mid = rate(xs), rate(xs[:-1] + 0.5 * h)
+        k = mid * (1.0 + 0.5 * h * c[:-1])              # k2
+        total = c[:-1] + 2.0 * k
+        k = mid * (1.0 + 0.5 * h * k)                   # k3
+        total += 2.0 * k + c[1:] * (1.0 + h * k)        # 2 k3 + k4
         psi = np.empty(n + 1, dtype=complex)
-        psi[0] = y = complex(psi0)
-        for start in range(0, n, LAYERED_BLOCK):
-            x = xs[start:min(start + LAYERED_BLOCK, n)]
-            tables = []
-            for at in (x, x + 0.5 * h, x + h):
-                tables.append(np.asarray(k11(at)).tolist())
-                tables.append([-(d + i_s0)
-                               for d in np.asarray(k11.dx(at)).tolist()])
-            block = []
-            for f0, g0, fm, gm, f1, g1 in zip(*tables):
-                k1 = g0 * y / f0
-                k2 = gm * (y + 0.5 * h * k1) / fm
-                k3 = gm * (y + 0.5 * h * k2) / fm
-                k4 = g1 * (y + h * k3) / f1
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                block.append(y)
-            psi[start + 1:start + 1 + len(block)] = block
-        return xs, psi
+        psi[0] = psi0
+        psi[1:] = 1.0 + h / 6.0 * total
+        return xs, np.cumprod(psi, out=psi)
 
     n = LAYERED_STEPS0
     end = run(n)[1][-1]
@@ -199,25 +190,24 @@ class SonicPointSearch:
 def singular_points_on_sonic_line(k11, box):
     """Points in the box where K11 = 0 and K11_z = 0 simultaneously.
 
-    Candidate cells come from sign changes of both functions on a
-    SONIC_SEARCH_CELLS-square grid; each is refined by damped 2D Newton
-    until both residuals drop below SONIC_RESIDUAL_TOL.  Duplicates
-    within half a cell are merged.
+    Candidate cells, in row-major order, are those of a
+    SONIC_SEARCH_CELLS-square lattice whose corners bracket zero in both
+    functions; each is refined by damped 2D Newton until both residuals
+    drop below SONIC_RESIDUAL_TOL.  Duplicates within half a cell merge.
     """
     x0, x1, z0, z1 = box
-    nx = nz = SONIC_SEARCH_CELLS
-    xs = np.linspace(x0, x1, nx + 1)
-    zs = np.linspace(z0, z1, nz + 1)
-    f = np.array([[k11(x, z) for z in zs] for x in xs], dtype=float)
-    g = np.array([[k11.dz(x, z) for z in zs] for x in xs], dtype=float)
-
-    fx_scale = max(abs(k11.dx(x, z)) for x in xs[:: max(1, nx // 8)]
-                   for z in zs[:: max(1, nz // 8)])
+    n = SONIC_SEARCH_CELLS
+    xs, zs = np.linspace(x0, x1, n + 1), np.linspace(z0, z1, n + 1)
+    X, Z = np.meshgrid(xs, zs, indexing="ij")
+    f, g = (np.asarray(fn(X, Z), dtype=float) for fn in (k11, k11.dz))
+    every = max(1, n // 8)
+    fx_scale = np.abs(k11.dx(X[::every, ::every], Z[::every, ::every])).max()
     if np.max(np.abs(g)) <= 1e-12 * max(1.0, fx_scale):
         return SonicPointSearch((), degenerate=True)
 
-    def straddles(block):
-        return block.min() <= 0.0 <= block.max()
+    def straddles(F):
+        return ((np.minimum.reduce(_corners(F)) <= 0.0)
+                & (np.maximum.reduce(_corners(F)) >= 0.0))
 
     def newton(x, z):
         h = 1e-6 * max(abs(x1 - x0), abs(z1 - z0))
@@ -251,22 +241,17 @@ def singular_points_on_sonic_line(k11, box):
         return None
 
     found = []
-    min_sep = 0.5 * min((x1 - x0) / nx, (z1 - z0) / nz)
-    for i in range(nx):
-        for j in range(nz):
-            fb = f[i:i + 2, j:j + 2]
-            gb = g[i:i + 2, j:j + 2]
-            if not (straddles(fb) and straddles(gb)):
-                continue
-            res = newton(0.5 * (xs[i] + xs[i + 1]), 0.5 * (zs[j] + zs[j + 1]))
-            if res is None:
-                continue
-            x, z = res
-            if not (x0 - min_sep <= x <= x1 + min_sep
-                    and z0 - min_sep <= z <= z1 + min_sep):
-                continue
-            if all(math.hypot(x - px, z - pz) > min_sep for px, pz in found):
-                found.append((x, z))
+    min_sep = 0.5 * min(x1 - x0, z1 - z0) / n
+    for i, j in np.argwhere(straddles(f) & straddles(g)):
+        res = newton(0.5 * (xs[i] + xs[i + 1]), 0.5 * (zs[j] + zs[j + 1]))
+        if res is None:
+            continue
+        x, z = res
+        if not (x0 - min_sep <= x <= x1 + min_sep
+                and z0 - min_sep <= z <= z1 + min_sep):
+            continue
+        if all(math.hypot(x - px, z - pz) > min_sep for px, pz in found):
+            found.append((x, z))
     found.sort()
     return SonicPointSearch(tuple(found))
 

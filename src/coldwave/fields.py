@@ -12,10 +12,24 @@ import numpy as np
 FD_STEP_FACTOR = 1e-6
 
 
-def _broadcast(value, x):
-    """An evaluator's value at x, a scalar result (a constant field's)
-    broadcast to the shape of an array x."""
-    return value if np.ndim(x) == 0 else np.broadcast_to(value, np.shape(x))
+def _broadcast(value, *at):
+    """An evaluator's value at the coordinates ``at``, a scalar result
+    (a constant field's) broadcast to their common array shape."""
+    shape = np.broadcast(*at).shape
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
+
+
+def _central(fn, scale, axis):
+    """O(h^2) central difference of fn in its argument ``axis``, step
+    h = FD_STEP_FACTOR * scale: the fallback for a missing derivative."""
+    h = FD_STEP_FACTOR * scale
+
+    def derivative(*at):
+        up, down = list(at), list(at)
+        up[axis], down[axis] = at[axis] + h, at[axis] - h
+        return (fn(*up) - fn(*down)) / (2.0 * h)
+
+    return derivative
 
 
 class Field1D:
@@ -26,18 +40,15 @@ class Field1D:
     as a constant field's, is broadcast to the array's shape."""
 
     def __init__(self, fn, dfdx=None, scale=1.0):
-        self._fn = fn
-        self._dfdx = dfdx
         self.scale = float(scale)
+        self._fn = fn
+        self._dfdx = dfdx or _central(fn, self.scale, 0)
 
     def __call__(self, x):
         return _broadcast(self._fn(x), x)
 
     def dx(self, x):
-        if self._dfdx is not None:
-            return _broadcast(self._dfdx(x), x)
-        h = FD_STEP_FACTOR * self.scale
-        return _broadcast((self._fn(x + h) - self._fn(x - h)) / (2.0 * h), x)
+        return _broadcast(self._dfdx(x), x)
 
     @classmethod
     def constant(cls, value):
@@ -45,28 +56,23 @@ class Field1D:
 
 
 class Field2D:
-    """Scalar function of (x, z) with partial-derivative evaluators."""
+    """Scalar function of (x, z) with partial-derivative evaluators,
+    elementwise as :class:`Field1D` (scalar results broadcast)."""
 
     def __init__(self, fn, dfdx=None, dfdz=None, scale=1.0):
-        self._fn = fn
-        self._dfdx = dfdx
-        self._dfdz = dfdz
         self.scale = float(scale)
+        self._fn = fn
+        self._dfdx = dfdx or _central(fn, self.scale, 0)
+        self._dfdz = dfdz or _central(fn, self.scale, 1)
 
     def __call__(self, x, z):
-        return self._fn(x, z)
+        return _broadcast(self._fn(x, z), x, z)
 
     def dx(self, x, z):
-        if self._dfdx is not None:
-            return self._dfdx(x, z)
-        h = FD_STEP_FACTOR * self.scale
-        return (self._fn(x + h, z) - self._fn(x - h, z)) / (2.0 * h)
+        return _broadcast(self._dfdx(x, z), x, z)
 
     def dz(self, x, z):
-        if self._dfdz is not None:
-            return self._dfdz(x, z)
-        h = FD_STEP_FACTOR * self.scale
-        return (self._fn(x, z + h) - self._fn(x, z - h)) / (2.0 * h)
+        return _broadcast(self._dfdz(x, z), x, z)
 
     @classmethod
     def constant(cls, value):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import E_CHARGE, EPSILON_0, M_ELECTRON, M_PROTON
-from .errors import CyclotronResonance, LengthMismatch, MissingElectrons
+from .errors import (CyclotronResonance, LengthMismatch, MissingElectrons,
+                     NumericalFailure)
 
 # Relative distance from a cyclotron frequency below which the cold model
 # is treated as broken down.
@@ -172,16 +173,6 @@ def near_cyclotron(plasma, omega, rtol=RESONANCE_RTOL):
     return near
 
 
-def _check_cyclotron(plasma, omega, rtol):
-    """Raise if omega is within rtol (relative) of any cyclotron frequency."""
-    for sp, Om, hit in _cyclotron_hits(plasma, omega, rtol):
-        if hit:
-            raise CyclotronResonance(
-                f"omega={omega!r} within {rtol} (relative) of cyclotron "
-                f"frequency {Om!r} of species {sp.name!r}"
-            )
-
-
 def stix_arrays(plasma, omega):
     """The Stix quintuple (R, L, s, d, p) at angular frequency omega.
 
@@ -204,17 +195,39 @@ def stix_arrays(plasma, omega):
     return R, L, 0.5 * (R + L), 0.5 * (R - L), p
 
 
+def _at_omega(plasma, omega, rtol, kind, names, compute):
+    """compute(w) on the 0-d array w = omega, as floats.  Raises
+    ValueError unless omega > 0, CyclotronResonance within rtol
+    (relative) of a cyclotron frequency, and NumericalFailure naming
+    omega and the first of ``names`` that is not finite (an overflow or
+    an underflowed omega^2)."""
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
+    for sp, Om, hit in _cyclotron_hits(plasma, omega, rtol):
+        if hit:
+            raise CyclotronResonance(
+                f"omega={omega!r} within {rtol} (relative) of cyclotron "
+                f"frequency {Om!r} of species {sp.name!r}")
+    with np.errstate(all="ignore"):
+        values = [float(v) for v in compute(np.asarray(omega, dtype=float))]
+    for name, value in zip(names, values):
+        if not np.isfinite(value):
+            raise NumericalFailure(
+                f"non-finite {kind} {name}={value!r} at omega={omega!r}")
+    return values
+
+
 def stix_parameters(plasma, omega, resonance_rtol=RESONANCE_RTOL):
     """Stix parameters of a plasma at angular frequency omega > 0.
 
-    Scalar form of :func:`stix_arrays`.  Raises CyclotronResonance if
+    A 0-d call of :func:`stix_arrays`.  Raises CyclotronResonance if
     omega sits within ``resonance_rtol`` of any species' cyclotron
-    frequency, where the cold model breaks down.
+    frequency, where the cold model breaks down, and NumericalFailure if
+    a parameter is not finite (omega^2 underflows at omega = 1e-170).
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    _check_cyclotron(plasma, omega, resonance_rtol)
-    return StixParameters(*stix_arrays(plasma, omega))
+    return StixParameters(*_at_omega(
+        plasma, omega, resonance_rtol, "Stix parameter", "RLsdp",
+        lambda w: stix_arrays(plasma, w)))
 
 
 def stix_approximate_RL(plasma, omega):
@@ -325,19 +338,19 @@ def lower_hybrid_coefficients(plasma, omega):
     zeta = xi + sum Pi^2 / omega^2 - 1
     mu   = sum Pi^2 Omega / (omega (Omega^2 - omega^2))
 
-    The operator is elliptic only where xi < 0.
+    The operator is elliptic only where xi < 0.  Computed on a 0-d
+    array; raises NumericalFailure if a coefficient is not finite.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    _check_cyclotron(plasma, omega, RESONANCE_RTOL)
-    xi = 1.0
-    pi2_sum = 0.0
-    mu = 0.0
-    for sp in plasma.species:
-        pi2 = plasma_frequency_squared(sp)
-        Om = cyclotron_frequency(sp, plasma.B0)
-        xi += pi2 / (Om * Om - omega * omega)
-        pi2_sum += pi2
-        mu += pi2 * Om / (omega * (Om * Om - omega * omega))
-    zeta = xi + pi2_sum / (omega * omega) - 1.0
-    return LowerHybridCoefficients(xi, zeta, mu)
+    def coefficients(w):
+        xi, pi2_sum, mu = 1.0, 0.0, 0.0
+        for sp in plasma.species:
+            pi2 = plasma_frequency_squared(sp)
+            Om = cyclotron_frequency(sp, plasma.B0)
+            xi += pi2 / (Om * Om - w * w)
+            pi2_sum += pi2
+            mu += pi2 * Om / (w * (Om * Om - w * w))
+        return xi, xi + pi2_sum / (w * w) - 1.0, mu
+
+    return LowerHybridCoefficients(*_at_omega(
+        plasma, omega, RESONANCE_RTOL, "lower-hybrid coefficient",
+        ("xi", "zeta", "mu"), coefficients))

@@ -63,15 +63,14 @@ _LSMR_TOL = 1e-12
 PROBE_BACKWARD_ERROR = 1e-14
 
 # Fill model lu_nnz ~ FILL_C * m**FILL_P of both factored matrices, in
-# their order m, and the peak bytes of a solve per factor nonzero (L and
-# U values and indices, the matrices and the lattice arrays); fitted to
-# levels 65 to 513 of tools/bench_scale.py (BENCH_mixed_csne.json).  The
-# fit predates the static factor and is kept: it tracks the fill of the
-# COLAMD refactor that a rejected probe takes, about twice the static
-# fill (BENCH_one_factor.json), so that require_memory does not admit
-# grids whose refactor could not fit.
-FILL_C = 14.5
-FILL_P = 1.17
+# their order m: an upper envelope of the COLAMD fill of the kappa = 0.5
+# Dirichlet matrix on the origin and all-hyperbolic boxes at levels 65 to
+# 257, the fill of the refactor that a rejected probe takes (about twice
+# the static fill), so that require_memory does not admit grids whose
+# refactor could not fit.  BYTES_PER_FILL, the peak bytes of a solve per
+# factor nonzero, is from tools/bench_scale.py (BENCH_mixed_csne.json).
+FILL_C = 13.7
+FILL_P = 1.2
 BYTES_PER_FILL = 26.0
 
 

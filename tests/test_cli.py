@@ -84,6 +84,14 @@ class TestStix:
                      "--omega", repr(om_e)])
         assert code == 2
 
+    def test_underflowing_omega_is_numerical_failure(self, hydrogen_json,
+                                                     capsys):
+        assert main(["stix", "--plasma", hydrogen_json,
+                     "--omega", "1e-170"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite Stix parameter p=-inf at "
+            "omega=1e-170\n")
+
     def test_missing_file_invalid(self):
         assert main(["--quiet", "stix", "--plasma", "/nonexistent.json",
                      "--omega", "1e9"]) == 1

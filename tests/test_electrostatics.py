@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from coldwave import electrostatics as es
 from coldwave import plasma
@@ -20,6 +21,40 @@ def smooth_nonvanishing_k11(rng):
         lambda x: base + a * x + b * np.sin(w * x),
         lambda x: a + b * w * np.cos(w * x),
     )
+
+
+def recurrence_layered(problem, psi0, x0, x1):
+    """Oracle for integrate_layered: the classical RK4 recurrence, one
+    step at a time from scalar K11 values, under the same step doubling
+    and acceptance test.  Returns (steps, psi) of the accepted level."""
+    k11, i_s0 = problem.K11, 1j * problem.sigma0
+
+    def run(n):
+        h = (x1 - x0) / n
+        y = complex(psi0)
+        psi = [y]
+        for x in np.linspace(x0, x1, n + 1)[:-1].tolist():
+            f0, fm, f1 = k11(x), k11(x + 0.5 * h), k11(x + h)
+            g0, gm, g1 = (-(k11.dx(t) + i_s0) for t in (x, x + 0.5 * h,
+                                                        x + h))
+            k1 = g0 * y / f0
+            k2 = gm * (y + 0.5 * h * k1) / fm
+            k3 = gm * (y + 0.5 * h * k2) / fm
+            k4 = g1 * (y + h * k3) / f1
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            psi.append(y)
+        return np.array(psi)
+
+    n = es.LAYERED_STEPS0
+    end = run(n)[-1]
+    for _ in range(es.LAYERED_MAX_HALVINGS):
+        n *= 2
+        psi = run(n)
+        ref = max(abs(psi[-1]), abs(psi0), 1e-300)
+        if abs(psi[-1] - end) <= es.LAYERED_RTOL * ref:
+            return n, psi
+        end = psi[-1]
+    raise AssertionError("oracle did not converge")
 
 
 class TestLayeredSigma0:
@@ -62,14 +97,30 @@ class TestIntegrateLayered:
                            match=r"change \S+ at 256 steps, tolerance 1e-09"):
             es.integrate_layered(prob, 1.0, 1e-4, 1.0)
 
-    def test_blocks_join_exactly(self, rng, monkeypatch):
-        prob = es.LayeredProblem(smooth_nonvanishing_k11(rng), 1.3,
-                                 (0.0, 1.0))
-        whole = es.integrate_layered(prob, 1.0 - 0.5j, 0.1, 0.9)
-        monkeypatch.setattr(es, "LAYERED_BLOCK", 5)
-        blocks = es.integrate_layered(prob, 1.0 - 0.5j, 0.1, 0.9)
-        assert blocks.steps == whole.steps > es.LAYERED_STEPS0
-        np.testing.assert_array_equal(blocks.psi, whole.psi)
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.2, 5.0), slope=st.floats(-0.9, 0.9),
+           sign=st.sampled_from([-1.0, 1.0]), sigma0=st.floats(-20.0, 20.0),
+           psi0=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+           ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)))
+    def test_product_matches_recurrence(self, a, slope, sign, sigma0, psi0,
+                                        ends):
+        # K11 = sign * a * (1 + slope x) stays >= 0.1 a in size on [0, 1]
+        k11 = Field1D(lambda x: sign * a * (1.0 + slope * x),
+                      lambda x: sign * a * slope)
+        prob = es.LayeredProblem(k11, sigma0, (0.0, 1.0))
+        sol = es.integrate_layered(prob, psi0, *ends)
+        steps, psi = recurrence_layered(prob, psi0, *ends)
+        assert sol.steps == steps
+        assert np.abs(sol.psi - psi).max() <= 1e-12 * np.abs(psi).max()
+
+    def test_resonant_closed_form(self):
+        # K11 = x: psi = psi0 (x0/x) exp(-i sigma0 ln(x/x0))
+        x0, sigma0 = 1e-2, 30.0
+        prob = es.LayeredProblem(Field1D(lambda x: x, lambda x: 1.0),
+                                 sigma0, (x0, 1.0))
+        sol = es.integrate_layered(prob, 1.0, x0, 1.0)
+        closed = x0 * np.exp(-1j * sigma0 * math.log(1.0 / x0))
+        assert abs(sol.end_value - closed) <= 1e-8 * abs(closed)
 
     def test_scalar_fields_broadcast(self):
         k11 = Field1D.constant(2.0)
@@ -79,6 +130,18 @@ class TestIntegrateLayered:
         np.testing.assert_array_equal(k11.dx(x), np.zeros(5))
         fd = Field1D(lambda t: t * t)
         np.testing.assert_array_equal(fd.dx(x), [fd.dx(t) for t in x])
+
+    def test_scalar_2d_fields_broadcast(self):
+        x, z = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(-1, 1, 3)
+        for k in (Field2D.constant(2.0), Field2D.affine_quadratic(0.5, 4.0),
+                  Field2D(lambda x, z: 3.0)):
+            for fn in (k, k.dx, k.dz):
+                values = fn(x, z)
+                assert values.shape == (5, 3)
+                np.testing.assert_array_equal(
+                    values, [[fn(p, q) for q in z.tolist()]
+                             for p in x.ravel().tolist()])
+            assert np.ndim(k(0.5, 0.25)) == 0
 
     def test_vanishing_leading_coefficient(self):
         with pytest.raises(SingularCoefficient):

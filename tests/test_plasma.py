@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from coldwave import plasma
-from coldwave.errors import CyclotronResonance, LengthMismatch, MissingElectrons
+from coldwave.errors import (CyclotronResonance, LengthMismatch,
+                             MissingElectrons, NumericalFailure)
 
 # Constants restated here so the expected values do not depend on the
 # package's own constants module.
@@ -126,6 +127,26 @@ class TestStixParameters:
             plasma.stix_parameters(hydrogen, omega)
         with pytest.raises(ValueError, match="omega must be > 0, got "):
             plasma.stix_approximate_RL(hydrogen, omega)
+
+    def test_non_finite_parameter_raises(self, hydrogen):
+        # omega^2 underflows to 0, so p = 1 - sum Pi^2/omega^2 is -inf
+        with pytest.raises(NumericalFailure, match=r"^non-finite Stix "
+                           r"parameter p=-inf at omega=1e-170$"):
+            plasma.stix_parameters(hydrogen, 1e-170)
+
+    @pytest.mark.parametrize("omega", [1e-100, 1e-10, 1.0, 1e12])
+    def test_finite_values_are_float_arithmetic(self, hydrogen, omega):
+        R = L = p = 1.0
+        for sp in hydrogen.species:
+            pi2 = sp.density * sp.charge * sp.charge / (EPS0 * sp.mass)
+            Om = abs(sp.charge * hydrogen.B0 / sp.mass)
+            R -= pi2 / (omega * (omega + sp.charge_sign * Om))
+            L -= pi2 / (omega * (omega - sp.charge_sign * Om))
+            p -= pi2 / (omega * omega)
+        st = plasma.stix_parameters(hydrogen, omega)
+        values = (st.R, st.L, st.s, st.d, st.p)
+        assert values == (R, L, 0.5 * (R + L), 0.5 * (R - L), p)
+        assert {type(v) for v in values} == {float}
 
     def test_array_kernel_matches_scalar_calls(self, rng):
         for _ in range(20):
@@ -336,6 +357,30 @@ class TestLowerHybridCoefficients:
                          for sp in state.species)
             expected = pi_sum / omega ** 2 - 1.0
             assert co.zeta - co.xi == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("state, message", [
+        ("hydrogen", "zeta=inf"), ("vacuum", "zeta=nan")])
+    def test_non_finite_coefficient_raises(self, request, state, message):
+        # omega^2 underflows to 0 in zeta = xi + sum Pi^2/omega^2 - 1
+        with pytest.raises(NumericalFailure, match=r"^non-finite "
+                           rf"lower-hybrid coefficient {message} at "
+                           r"omega=1e-170$"):
+            plasma.lower_hybrid_coefficients(
+                request.getfixturevalue(state), 1e-170)
+
+    @pytest.mark.parametrize("omega", [1e-100, 1.0, 1e10])
+    def test_finite_values_are_float_arithmetic(self, hydrogen, omega):
+        xi, pi2_sum, mu = 1.0, 0.0, 0.0
+        for sp in hydrogen.species:
+            pi2 = sp.density * sp.charge * sp.charge / (EPS0 * sp.mass)
+            Om = abs(sp.charge * hydrogen.B0 / sp.mass)
+            xi += pi2 / (Om * Om - omega * omega)
+            pi2_sum += pi2
+            mu += pi2 * Om / (omega * (Om * Om - omega * omega))
+        co = plasma.lower_hybrid_coefficients(hydrogen, omega)
+        assert (co.xi, co.zeta, co.mu) \
+            == (xi, xi + pi2_sum / (omega * omega) - 1.0, mu)
+        assert type(co.elliptic) is bool
 
     def test_elliptic_flag_brackets_lower_hybrid(self, hydrogen):
         from coldwave import dispersion

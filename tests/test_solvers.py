@@ -363,16 +363,28 @@ class TestOneFactor:
 
 class TestMemoryBudget:
     @pytest.mark.parametrize("n", [65, 129])
-    def test_fill_model_within_factor_two(self, n):
+    def test_fill_model_within_factor_two(self, n, monkeypatch):
         A, rhs = mixed_system(n)
         sizes = {}
         _min_norm_solve(A, rhs, sizes)
+        # the Dirichlet model is the envelope of the COLAMD refactor
+        monkeypatch.setattr(solvers, "PROBE_BACKWARD_ERROR", 0.0)
         D, _ = assemble_dirichlet(Grid2D(ORIGIN, n, n), 0.5)
         square = {}
         _min_norm_solve(D, np.ones(D.shape[0]), square)
         for bc, got in (("mixed", sizes), ("closed_dirichlet", square)):
             estimate = fill_estimate(solvers.factor_order(bc, n, n))
             assert 0.5 <= estimate / got["lu_nnz"] <= 2.0
+
+    @pytest.mark.parametrize("dom", [ORIGIN, HYPERBOLIC])
+    @pytest.mark.parametrize("n", [65, 97])
+    def test_fill_model_covers_colamd_refactor(self, dom, n):
+        import scipy.sparse.linalg as spla
+
+        A, _ = assemble_dirichlet(Grid2D(dom, n, n), 0.5)
+        lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
+        assert fill_estimate(
+            solvers.factor_order("closed_dirichlet", n, n)) >= lu.nnz
 
     def test_budget_capped_by_address_space_limit(self, monkeypatch):
         import resource

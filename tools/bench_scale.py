@@ -16,8 +16,9 @@ factored matrix and the memory estimate that ``solvers.require_memory``
 compares with the budget.  ``fit`` is the least-squares line of log lu_nnz
 against log m over every level of both commands, and ``bytes_per_fill``
 the largest peak RSS per factor nonzero at 257 and above, where the
-factor dominates: the sources of ``solvers.FILL_C``, ``FILL_P`` and
-``BYTES_PER_FILL``.
+factor dominates: the source of ``solvers.BYTES_PER_FILL``.  (The fill
+model ``FILL_C``/``FILL_P`` is an upper envelope of COLAMD fill, which
+these levels do not factor; see ``solvers``.)
 
 With ``--pairs PARENT N`` (N >= 2), ``perfbench/run.py --workload W``
 (``--workload``, default ``bvp``) runs N times in PARENT and in this

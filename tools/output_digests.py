@@ -22,7 +22,8 @@ printed there are compared as well.
 
 Every benchmark step succeeds, so the commands of ``FAILING`` run last,
 once, on fixed inputs: a non-finite or unparsable ``--box``, an
-unparsable ``--bracket`` and a NaN dispersion grid.  Each gives the line
+unparsable ``--bracket``, a NaN dispersion grid and a ``stix`` frequency
+whose square underflows.  Each gives the line
 of its output file and of its stderr, with ``-`` for the seed and
 ``errors`` for the workload, so that error text and exit codes are
 compared too.  ``COLUMNS`` is fixed at 80, since argparse wraps its
@@ -60,6 +61,8 @@ FAILING = {
                                      "abc:1"],
     "dispersion-nan-grid": ["dispersion", "--plasma", "{in}/plasma.json",
                             "--omegas", "1e8,nan", "--thetas", "0,1"],
+    "stix-omega-underflow": ["stix", "--plasma", "{in}/plasma.json",
+                             "--omega", "1e-170"],
 }
 FAILING_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
