@@ -89,25 +89,26 @@ def integrate_layered(problem, psi0, x0, x1):
     _require_nonvanishing(problem.K11, x0, x1)
     k11, i_s0 = problem.K11, 1j * problem.sigma0
 
-    def rate(x):
-        # psi' = c psi with c = -(K11' + i sigma0) / K11
-        return -(k11.dx(x) + i_s0) / k11(x)
-
     def run(n):
-        # psi' = c psi is linear, so an RK4 step multiplies psi by
-        # 1 + h/6 (k1 + 2 k2 + 2 k3 + k4), the k's taken per unit psi
-        # from c at the step's ends and midpoint: psi is their product
+        # psi' = c psi, c = -(K11' + i sigma0) / K11: an RK4 step multiplies
+        # psi by 1 + d, d = h/6 (k1 + 2 k2 + 2 k3 + k4) per unit psi.  Rounding
+        # 1 + d drops the same low bits of Re d at every step, so the product
+        # of rounded factors f is corrected by 1 + cumsum(exact loss / f)
         h = (x1 - x0) / n
         xs = np.linspace(x0, x1, n + 1)
-        c, mid = rate(xs), rate(xs[:-1] + 0.5 * h)
+        c, mid = (-(k11.dx(t) + i_s0) / k11(t)
+                  for t in (xs, xs[:-1] + 0.5 * h))
         k = mid * (1.0 + 0.5 * h * c[:-1])              # k2
-        total = c[:-1] + 2.0 * k
+        d = c[:-1] + 2.0 * k
         k = mid * (1.0 + 0.5 * h * k)                   # k3
-        total += 2.0 * k + c[1:] * (1.0 + h * k)        # 2 k3 + k4
+        d += 2.0 * k + c[1:] * (1.0 + h * k)            # 2 k3 + k4
+        d *= h / 6.0
         psi = np.empty(n + 1, dtype=complex)
-        psi[0] = psi0
-        psi[1:] = 1.0 + h / 6.0 * total
-        return xs, np.cumprod(psi, out=psi)
+        psi[0], psi[1:] = psi0, 1.0 + d
+        np.divide(d.real - (psi[1:].real - 1.0), psi[1:], out=d)
+        np.cumprod(psi, out=psi)
+        psi[1:] *= 1.0 + np.cumsum(d, out=d)
+        return xs, psi
 
     n = LAYERED_STEPS0
     end = run(n)[1][-1]

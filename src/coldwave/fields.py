@@ -94,8 +94,7 @@ class Field2D:
     def from_table(cls, xs, zs, values):
         """Bilinear interpolant of a sampled field (derivatives by the
         central-difference fallback, step scaled to the sample spacing)."""
-        xs = np.asarray(xs, dtype=float)
-        zs = np.asarray(zs, dtype=float)
+        xs, zs = np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.shape != (xs.size, zs.size):
             raise ValueError("table shape must be (len(xs), len(zs))")
