@@ -16,6 +16,7 @@ from .errors import DegenerateQuartic, NumericalFailure
 from .plasma import (
     RESONANCE_RTOL,
     cyclotron_frequency,
+    finite_stix_arrays,
     near_cyclotron,
     plasma_frequency_squared,
     stix_arrays,
@@ -139,8 +140,26 @@ def resonance_angle(stix):
 
 
 def _poles(plasma):
-    poles = (cyclotron_frequency(sp, plasma.B0) for sp in plasma.species)
-    return [Om for Om in poles if Om > 0.0]
+    return [Om for _, Om, _ in plasma.species_table if Om > 0.0]
+
+
+def _stix_roots(plasma, omega_bracket, rows):
+    """(omega, row) roots in the bracket of the Stix parameters picked by
+    ``rows`` from (R, L, s, d, p), sorted; one :func:`rootscan.scan_roots`
+    over the cyclotron-split bracket.  Each piece's samples are one
+    array call, which raises NumericalFailure as :func:`stix_parameters`
+    does where a Stix parameter is not finite; bisection calls
+    :func:`stix_arrays` on floats."""
+    a, b = omega_bracket
+    if not 0.0 < a < b:
+        raise ValueError("omega bracket must satisfy 0 < a < b")
+
+    def f(w):
+        if isinstance(w, np.ndarray):
+            return rows(*finite_stix_arrays(plasma, w))
+        return rows(*stix_arrays(plasma, w))
+
+    return rootscan.scan_roots(f, a, b, _poles(plasma))
 
 
 def cutoff_frequencies(plasma, omega_bracket):
@@ -150,17 +169,9 @@ def cutoff_frequencies(plasma, omega_bracket):
     The bracket is split around the cyclotron-frequency poles; raises
     BracketTooWide if that fails.
     """
-    a, b = omega_bracket
-    if not 0.0 < a < b:
-        raise ValueError("omega bracket must satisfy 0 < a < b")
-    poles = _poles(plasma)
-    found = []
-    for index, label in ((4, "P"), (0, "R"), (1, "L")):
-        fn = lambda w, index=index: stix_arrays(plasma, w)[index]
-        for w in rootscan.scan_roots(fn, a, b, poles):
-            found.append((w, label))
-    found.sort()
-    return found
+    found = _stix_roots(plasma, omega_bracket,
+                        lambda R, L, s, d, p: (p, R, L))
+    return sorted((w, "PRL"[row]) for w, row in found)
 
 
 @dataclass(frozen=True)
@@ -176,11 +187,8 @@ class HybridResonances:
 def hybrid_resonances(plasma, omega_bracket):
     """Hybrid resonance frequencies: sign-change roots of s in the
     bracket, pole-aware.  See :class:`HybridResonances`."""
-    a, b = omega_bracket
-    if not 0.0 < a < b:
-        raise ValueError("omega bracket must satisfy 0 < a < b")
-    roots = tuple(rootscan.scan_roots(lambda w: stix_arrays(plasma, w)[2],
-                                      a, b, _poles(plasma)))
+    roots = tuple(w for w, _ in _stix_roots(plasma, omega_bracket,
+                                            lambda R, L, s, d, p: (s,)))
     estimate = None
     electron_sp = plasma.electron_species()
     ions = plasma.ion_species()

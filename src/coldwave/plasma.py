@@ -64,15 +64,22 @@ class PlasmaState:
     """Species mix in a longitudinal background field B0 [T].
 
     An empty species list is the vacuum limit and is legal everywhere.
+    ``species_table`` holds (Pi^2, Omega, charge sign) of each species,
+    built once here for the Stix kernel and the cyclotron tests; it takes
+    no part in equality, hashing or repr.
     """
 
     species: tuple = ()
     B0: float = 0.0
+    species_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "species", tuple(self.species))
         if self.B0 < 0.0:
             raise ValueError("B0 must be >= 0")
+        object.__setattr__(self, "species_table", tuple(
+            (plasma_frequency_squared(sp), cyclotron_frequency(sp, self.B0),
+             sp.charge_sign) for sp in self.species))
 
     def electron_species(self):
         """First negatively charged species, or None."""
@@ -148,20 +155,17 @@ def plasma_frequency_squared(species):
     return species.density * q * q / (EPSILON_0 * species.mass)
 
 
-def _cyclotron_hit(species, B0, omega, rtol):
-    """(Omega, hit) of one species: its cyclotron frequency Omega, and
-    whether Omega > 0 and omega lies within rtol (relative) of it."""
-    Om = cyclotron_frequency(species, B0)
-    return Om, Om > 0.0 and abs(omega - Om) < rtol * Om
+def _near(omega, Om, rtol):
+    """Whether Om > 0 and omega lies within rtol (relative) of it."""
+    return Om > 0.0 and abs(omega - Om) < rtol * Om
 
 
 def _cyclotron_hits(plasma, omega, rtol):
     """(species, Omega, hit) for each species with Omega > 0, where hit
     is True where omega lies within rtol (relative) of Omega."""
-    for sp in plasma.species:
-        Om, hit = _cyclotron_hit(sp, plasma.B0, omega, rtol)
+    for sp, (_, Om, _) in zip(plasma.species, plasma.species_table):
         if Om > 0.0:
-            yield sp, Om, hit
+            yield sp, Om, _near(omega, Om, rtol)
 
 
 def near_cyclotron(plasma, omega, rtol=RESONANCE_RTOL):
@@ -180,27 +184,50 @@ def stix_arrays(plasma, omega):
     p = 1 - sum Pi^2/omega^2.  Plain arithmetic, so omega may be a float
     (float results) or an ndarray (arrays of its shape; with no species
     the results stay the scalar vacuum values).  Nothing is checked: see
-    :func:`stix_parameters` for the omega > 0 and cyclotron guards.
+    :func:`finite_stix_arrays` for the non-finite refusal and
+    :func:`stix_parameters` for the omega > 0 and cyclotron guards too.
     """
-    R = 1.0
-    L = 1.0
-    p = 1.0
-    for sp in plasma.species:
-        pi2 = plasma_frequency_squared(sp)
-        Om = cyclotron_frequency(sp, plasma.B0)
-        sgn = sp.charge_sign
+    w2 = omega * omega
+    R = L = p = 1.0
+    for pi2, Om, sgn in plasma.species_table:
         R -= pi2 / (omega * (omega + sgn * Om))
         L -= pi2 / (omega * (omega - sgn * Om))
-        p -= pi2 / (omega * omega)
+        p -= pi2 / w2
     return R, L, 0.5 * (R + L), 0.5 * (R - L), p
 
 
-def _at_omega(plasma, omega, rtol, kind, names, compute):
+def _require_finite(kind, names, compute, omega):
+    """compute(omega) with numpy's warnings silenced, omega a 0-d or 1-D
+    array.  Raises NumericalFailure naming the first omega, in order, at
+    which a value is not finite, and the first of ``names`` that is not
+    finite there (an overflow or an underflowed omega^2)."""
+    with np.errstate(all="ignore"):
+        values = compute(omega)
+    if not np.isfinite(np.array(values, dtype=float)).all():
+        table = np.reshape(np.broadcast_arrays(omega, *values),
+                           (len(names) + 1, -1))
+        bad = ~np.isfinite(table[1:])
+        i = bad.any(axis=0).argmax()
+        j = bad[:, i].argmax()
+        raise NumericalFailure(
+            f"non-finite {kind} {names[j]}={float(table[j + 1, i])!r} at "
+            f"omega={float(table[0, i])!r}")
+    return values
+
+
+def finite_stix_arrays(plasma, omega):
+    """:func:`stix_arrays` on a 0-d or 1-D array omega, raising
+    NumericalFailure where a parameter is not finite, with the message of
+    :func:`stix_parameters`.  Cyclotron frequencies are not checked."""
+    return _require_finite("Stix parameter", "RLsdp",
+                           lambda w: stix_arrays(plasma, w), omega)
+
+
+def _at_omega(plasma, omega, rtol, compute):
     """compute(w) on the 0-d array w = omega, as floats.  Raises
-    ValueError unless omega > 0, CyclotronResonance within rtol
-    (relative) of a cyclotron frequency, and NumericalFailure naming
-    omega and the first of ``names`` that is not finite (an overflow or
-    an underflowed omega^2)."""
+    ValueError unless omega > 0 and CyclotronResonance within rtol
+    (relative) of a cyclotron frequency; ``compute`` refuses non-finite
+    values (see :func:`_require_finite`)."""
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     for sp, Om, hit in _cyclotron_hits(plasma, omega, rtol):
@@ -208,26 +235,20 @@ def _at_omega(plasma, omega, rtol, kind, names, compute):
             raise CyclotronResonance(
                 f"omega={omega!r} within {rtol} (relative) of cyclotron "
                 f"frequency {Om!r} of species {sp.name!r}")
-    with np.errstate(all="ignore"):
-        values = [float(v) for v in compute(np.asarray(omega, dtype=float))]
-    for name, value in zip(names, values):
-        if not np.isfinite(value):
-            raise NumericalFailure(
-                f"non-finite {kind} {name}={value!r} at omega={omega!r}")
-    return values
+    return [float(v) for v in compute(np.asarray(omega, dtype=float))]
 
 
 def stix_parameters(plasma, omega, resonance_rtol=RESONANCE_RTOL):
     """Stix parameters of a plasma at angular frequency omega > 0.
 
-    A 0-d call of :func:`stix_arrays`.  Raises CyclotronResonance if
-    omega sits within ``resonance_rtol`` of any species' cyclotron
+    A 0-d call of :func:`finite_stix_arrays`.  Raises CyclotronResonance
+    if omega sits within ``resonance_rtol`` of any species' cyclotron
     frequency, where the cold model breaks down, and NumericalFailure if
     a parameter is not finite (omega^2 underflows at omega = 1e-170).
     """
     return StixParameters(*_at_omega(
-        plasma, omega, resonance_rtol, "Stix parameter", "RLsdp",
-        lambda w: stix_arrays(plasma, w)))
+        plasma, omega, resonance_rtol,
+        lambda w: finite_stix_arrays(plasma, w)))
 
 
 def stix_approximate_RL(plasma, omega):
@@ -293,8 +314,8 @@ def velocity_response(species, E, B0, omega):
     E = np.asarray(E, dtype=complex)
     q = species.charge
     m = species.mass
-    Om, hit = _cyclotron_hit(species, B0, omega, RESONANCE_RTOL)
-    if hit:
+    Om = cyclotron_frequency(species, B0)
+    if _near(omega, Om, RESONANCE_RTOL):
         raise CyclotronResonance(
             f"omega={omega!r} too close to cyclotron frequency {Om!r}"
         )
@@ -343,14 +364,13 @@ def lower_hybrid_coefficients(plasma, omega):
     """
     def coefficients(w):
         xi, pi2_sum, mu = 1.0, 0.0, 0.0
-        for sp in plasma.species:
-            pi2 = plasma_frequency_squared(sp)
-            Om = cyclotron_frequency(sp, plasma.B0)
+        for pi2, Om, _ in plasma.species_table:
             xi += pi2 / (Om * Om - w * w)
             pi2_sum += pi2
             mu += pi2 * Om / (w * (Om * Om - w * w))
         return xi, xi + pi2_sum / (w * w) - 1.0, mu
 
     return LowerHybridCoefficients(*_at_omega(
-        plasma, omega, RESONANCE_RTOL, "lower-hybrid coefficient",
-        ("xi", "zeta", "mu"), coefficients))
+        plasma, omega, RESONANCE_RTOL,
+        lambda w: _require_finite("lower-hybrid coefficient",
+                                  ("xi", "zeta", "mu"), coefficients, w)))

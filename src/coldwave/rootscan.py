@@ -3,8 +3,9 @@
 The Stix functions R, L, s have simple poles at the cyclotron
 frequencies, so derivative-based root finders are unsafe.  The scanner
 splits a bracket at the known pole locations (with small guard gaps),
-samples each pole-free piece on a geometric grid in one array call, and
-bisects every sign change with scalar calls.
+samples each pole-free piece on a geometric grid in one array call
+shared by every function scanned, and bisects every sign change with
+scalar calls.
 """
 
 import math
@@ -83,35 +84,46 @@ def split_at_poles(a, b, poles):
 
 
 def scan_roots(f, a, b, poles=()):
-    """All sign-change roots of f on [a, b], avoiding the given poles.
+    """All sign-change roots of the rows of f on [a, b], avoiding the
+    given poles.
 
-    Samples each pole-free piece on a geometric grid (a, b must be
-    positive) and bisects every bracketed sign change.  ``f`` must take
-    both a float and a 1-D array: each piece's samples are one call
-    f(xs) (a scalar result is broadcast to the samples), bisection calls
-    it on floats.  Returns roots in increasing order; tangent
-    (non-sign-changing) roots are not found.
+    ``f`` returns a tuple of k rows: k arrays (or scalars, broadcast)
+    when given a 1-D array, k floats when given a float.  Each pole-free
+    piece is sampled on a geometric grid (a, b must be positive) in one
+    call f(xs) that serves every row, and each sign change of row j is
+    bisected with float calls that read f(m)[j].  Returns the sorted
+    (root, row) pairs; roots of one row closer than ROOT_RTOL (relative)
+    are merged, and tangent (non-sign-changing) roots are not found.
     """
     if a <= 0.0:
         raise ValueError("bracket must be positive")
-    roots = []
+    found = []
+    last = {}
 
-    def add(r):
-        if not roots or abs(roots[-1] - r) > ROOT_RTOL * abs(r):
-            roots.append(r)
+    def add(r, j):
+        if j not in last or abs(last[j] - r) > ROOT_RTOL * abs(r):
+            last[j] = r
+            found.append((r, j))
 
     for lo, hi in split_at_poles(a, b, poles):
         ratio = hi / lo
         n = max(8, min(SCAN_SAMPLES, int(SCAN_SAMPLES * math.log(ratio)
                                          / math.log(b / a))))
+        # Python's power, not numpy's: they differ by an ulp, and the
+        # samples bracket the bisection
         xs = [lo * ratio ** (i / n) for i in range(n + 1)]
-        fs = np.broadcast_to(f(np.array(xs)), (n + 1,))
-        f0, f1 = fs[:-1], fs[1:]
-        for i in np.flatnonzero((f0 == 0.0) | (f0 * f1 < 0.0)).tolist():
-            if fs[i] == 0.0:
-                add(xs[i])
-            else:
-                add(bisect(f, xs[i], xs[i + 1]))
-        if fs[-1] == 0.0:
-            add(xs[-1])
-    return roots
+        rows = f(np.array(xs))
+        if not isinstance(rows, tuple):
+            raise TypeError("f must return a tuple of rows")
+        for j, row in enumerate(rows):
+            fs = np.broadcast_to(row, (n + 1,))
+            f0, f1 = fs[:-1], fs[1:]
+            for i in np.flatnonzero((f0 == 0.0) | (f0 * f1 < 0.0)).tolist():
+                if fs[i] == 0.0:
+                    add(xs[i], j)
+                else:
+                    add(bisect(lambda m, j=j: f(m)[j], xs[i], xs[i + 1]), j)
+            if fs[-1] == 0.0:
+                add(xs[-1], j)
+    found.sort()
+    return found

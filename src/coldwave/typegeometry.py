@@ -111,34 +111,43 @@ def trace_characteristic(start, branch, h, domain=None, max_steps=200000):
         raise StartNotHyperbolic(f"start {start!r} has x >= y^2")
 
     direction = -1.0 if y > 0.0 else 1.0
-    pts = [(x, y)]
+    if domain is not None:
+        x0, x1, y0, y1 = domain
+    h2, ball = h * h, 10.0 * h
+    sqrt, hypot = math.sqrt, math.hypot
+    xs, ys = [x], [y]
     termination = "step_limit"
     for _ in range(max_steps):
-        if math.hypot(x, y) < 10.0 * h:
+        if hypot(x, y) < ball:
             termination = "reached_origin_ball"
             break
         gap = y * y - x
-        if gap < h * h:
+        if gap < h2:
             termination = "reached_sonic"
             break
-        if domain is not None:
-            x0, x1, y0, y1 = domain
-            if not (x0 <= x <= x1 and y0 <= y <= y1):
-                termination = "reached_boundary"
-                break
+        if domain is not None and not (x0 <= x <= x1 and y0 <= y <= y1):
+            termination = "reached_boundary"
+            break
         # slopes branch sqrt(max(y^2 - x, 0)); the step shrinks while
-        # the sonic line is close
-        k1 = branch * math.sqrt(gap)
-        step = direction * min(h, 0.5 * gap / (abs(k1) + h))
+        # the sonic line is close.  The conditionals are max(v, 0.0) and
+        # min(h, z) with the builtins' operand order, so NaN and signed
+        # zeros pass as they would.
+        k1 = branch * sqrt(gap)
+        z = 0.5 * gap / (abs(k1) + h)
+        step = direction * (z if z < h else h)
         ym = y + 0.5 * step
-        k2 = branch * math.sqrt(max(ym * ym - (x + 0.5 * step * k1), 0.0))
-        k3 = branch * math.sqrt(max(ym * ym - (x + 0.5 * step * k2), 0.0))
+        v = ym * ym - (x + 0.5 * step * k1)
+        k2 = branch * sqrt(0.0 if 0.0 > v else v)
+        v = ym * ym - (x + 0.5 * step * k2)
+        k3 = branch * sqrt(0.0 if 0.0 > v else v)
         y_next = y + step
-        k4 = branch * math.sqrt(max(y_next * y_next - (x + step * k3), 0.0))
+        v = y_next * y_next - (x + step * k3)
+        k4 = branch * sqrt(0.0 if 0.0 > v else v)
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y = y_next
-        pts.append((x, y))
-    return CharacteristicPath(np.array(pts), branch, termination)
+        xs.append(x)
+        ys.append(y)
+    return CharacteristicPath(np.column_stack((xs, ys)), branch, termination)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestStix:
                                                      capsys):
         assert main(["stix", "--plasma", hydrogen_json,
                      "--omega", "1e-170"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite Stix parameter p=-inf at "
+            "omega=1e-170\n")
+
+    @pytest.mark.parametrize("command", ["cutoffs", "resonances"])
+    def test_underflowing_bracket_is_numerical_failure(
+            self, hydrogen_json, command, capsys):
+        # an escaping numpy warning would end in an internal error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--plasma", hydrogen_json,
+                         "--bracket", "1e-170:1e6"]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: non-finite Stix parameter p=-inf at "
             "omega=1e-170\n")

@@ -1,12 +1,13 @@
 import math
 import os
 import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coldwave import dispersion, output, plasma, rootscan
 from coldwave.errors import (BracketTooWide, CyclotronResonance,
@@ -267,10 +268,16 @@ class TestRootScan:
         assert pieces[0][1] < 2.0 < pieces[1][0]
 
     def test_scan_finds_all_roots(self):
-        roots = rootscan.scan_roots(np.sin, 1.0, 10.0)
-        assert len(roots) == 3
-        for r, e in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
-            assert r == pytest.approx(e, rel=1e-11)
+        found = rootscan.scan_roots(lambda x: (np.sin(x), np.cos(x)),
+                                    1.0, 10.0)
+        # cos vanishes at odd multiples of pi/2, sin at even ones
+        assert [row for _, row in found] == [1, 0, 1, 0, 1, 0]
+        for (r, _), k in zip(found, range(1, 7)):
+            assert r == pytest.approx(k * math.pi / 2, rel=1e-11)
+
+    def test_rows_must_be_a_tuple(self):
+        with pytest.raises(TypeError, match="tuple of rows"):
+            rootscan.scan_roots(np.sin, 1.0, 10.0)
 
 
 class TestDispersionScan:
@@ -557,15 +564,18 @@ class TestArraySampling:
 
         def f(w):
             calls.append(np.ndim(w))
-            return np.cos(np.log(w))
+            R, L, _, _, p = plasma.stix_arrays(hydrogen, w)
+            return p, R, L
 
         poles = cyclotron_frequencies(hydrogen)
         pieces = rootscan.split_at_poles(1e6, 1e14, poles)
         assert len(pieces) == 3
-        roots = rootscan.scan_roots(f, 1e6, 1e14, poles)
-        assert roots
-        # one array call per pole-free piece; every other call is a
-        # scalar bisection step
+        found = rootscan.scan_roots(f, 1e6, 1e14, poles)
+        assert {row for _, row in found} == {0, 1, 2}
+        assert sorted((w, "PRL"[row]) for w, row in found) \
+            == dispersion.cutoff_frequencies(hydrogen, (1e6, 1e14))
+        # one array call per pole-free piece serves all three rows; every
+        # other call is a scalar bisection step
         assert calls.count(1) == len(pieces)
         assert calls[:1] == [1]
         assert set(calls) == {0, 1}
@@ -580,8 +590,12 @@ class TestArraySampling:
 
         def scalar_only(f):
             # each sample its own scalar call, as a point-wise scan does
-            return lambda x: (np.array([f(v) for v in x.tolist()])
-                              if isinstance(x, np.ndarray) else f(x))
+            def rows(x):
+                if not isinstance(x, np.ndarray):
+                    return f(x)
+                return tuple(np.array(row) for row in
+                             zip(*[f(v) for v in x.tolist()]))
+            return rows
 
         scan = rootscan.scan_roots
         monkeypatch.setattr(
@@ -589,3 +603,81 @@ class TestArraySampling:
             lambda f, *args, **kw: scan(scalar_only(f), *args, **kw))
         assert dispersion.cutoff_frequencies(pl, bracket) == array_cut
         assert dispersion.hybrid_resonances(pl, bracket).roots == array_res
+
+
+def reference_scan_roots(f, a, b, poles=()):
+    """The one-function scan: one function per scan, its samples one
+    array call per pole-free piece, its roots a sorted list."""
+    if a <= 0.0:
+        raise ValueError("bracket must be positive")
+    roots = []
+
+    def add(r):
+        if not roots or abs(roots[-1] - r) > rootscan.ROOT_RTOL * abs(r):
+            roots.append(r)
+
+    for lo, hi in rootscan.split_at_poles(a, b, poles):
+        ratio = hi / lo
+        n = max(8, min(rootscan.SCAN_SAMPLES,
+                       int(rootscan.SCAN_SAMPLES * math.log(ratio)
+                           / math.log(b / a))))
+        xs = [lo * ratio ** (i / n) for i in range(n + 1)]
+        fs = np.broadcast_to(f(np.array(xs)), (n + 1,))
+        f0, f1 = fs[:-1], fs[1:]
+        for i in np.flatnonzero((f0 == 0.0) | (f0 * f1 < 0.0)).tolist():
+            if fs[i] == 0.0:
+                add(xs[i])
+            else:
+                add(rootscan.bisect(f, xs[i], xs[i + 1]))
+        if fs[-1] == 0.0:
+            add(xs[-1])
+    return roots
+
+
+def reference_stix(pl, w):
+    """R, L, s, d, p from the species functions, with no species table."""
+    R = L = p = 1.0
+    for sp in pl.species:
+        pi2 = plasma.plasma_frequency_squared(sp)
+        Om = plasma.cyclotron_frequency(sp, pl.B0)
+        R -= pi2 / (w * (w + sp.charge_sign * Om))
+        L -= pi2 / (w * (w - sp.charge_sign * Om))
+        p -= pi2 / (w * w)
+    return R, L, 0.5 * (R + L), 0.5 * (R - L), p
+
+
+def reference_roots(pl, bracket):
+    """Cutoffs and resonance roots from one reference scan per function."""
+    poles = [w for w in cyclotron_frequencies(pl) if w > 0.0]
+    cutoffs = sorted(
+        (w, label) for index, label in ((4, "P"), (0, "R"), (1, "L"))
+        for w in reference_scan_roots(
+            lambda w, index=index: reference_stix(pl, w)[index],
+            *bracket, poles))
+    return cutoffs, tuple(reference_scan_roots(
+        lambda w: reference_stix(pl, w)[2], *bracket, poles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pl=plasmas(), low=st.floats(3.0, 16.0), high=st.floats(3.0, 16.0))
+def test_row_scan_equals_reference(pl, low, high):
+    a, b = sorted((10.0 ** low, 10.0 ** high))
+    assume(a < b)
+    try:
+        expected = reference_roots(pl, (a, b))
+    except BracketTooWide:
+        with pytest.raises(BracketTooWide):
+            dispersion.cutoff_frequencies(pl, (a, b))
+        return
+    assert dispersion.cutoff_frequencies(pl, (a, b)) == expected[0]
+    assert dispersion.hybrid_resonances(pl, (a, b)).roots == expected[1]
+
+
+@pytest.mark.parametrize("scan", [dispersion.cutoff_frequencies,
+                                  dispersion.hybrid_resonances])
+def test_non_finite_samples_refused(hydrogen, scan):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"^non-finite Stix "
+                           r"parameter p=-inf at omega=1e-170$"):
+            scan(hydrogen, (1e-170, 1e6))

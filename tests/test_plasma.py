@@ -128,6 +128,18 @@ class TestStixParameters:
         with pytest.raises(ValueError, match="omega must be > 0, got "):
             plasma.stix_approximate_RL(hydrogen, omega)
 
+    def test_species_table_outside_equality(self, hydrogen):
+        assert hydrogen.species_table == tuple(
+            (plasma.plasma_frequency_squared(sp),
+             plasma.cyclotron_frequency(sp, hydrogen.B0), sp.charge_sign)
+            for sp in hydrogen.species)
+        twin = plasma.PlasmaState(list(hydrogen.species), hydrogen.B0)
+        object.__setattr__(twin, "species_table", ())
+        assert twin == hydrogen
+        assert hash(twin) == hash(hydrogen)
+        assert repr(twin) == repr(hydrogen)
+        assert "species_table" not in repr(hydrogen)
+
     def test_non_finite_parameter_raises(self, hydrogen):
         # omega^2 underflows to 0, so p = 1 - sum Pi^2/omega^2 is -inf
         with pytest.raises(NumericalFailure, match=r"^non-finite Stix "

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coldwave import plasma, typegeometry as tg
 from coldwave.errors import StartNotHyperbolic
@@ -14,6 +15,64 @@ def fit_parabola_coefficient(path):
     y = path.points[:, 1]
     w = y * y
     return float(np.sum(x * w) / np.sum(w * w))
+
+
+def reference_trace(start, branch, h, domain=None, max_steps=200000):
+    """trace_characteristic's RK4 loop as it was written first, with the
+    builtins min/max and a point list of tuples: (points, termination)."""
+    x, y = float(start[0]), float(start[1])
+    direction = -1.0 if y > 0.0 else 1.0
+    pts = [(x, y)]
+    termination = "step_limit"
+    for _ in range(max_steps):
+        if math.hypot(x, y) < 10.0 * h:
+            termination = "reached_origin_ball"
+            break
+        gap = y * y - x
+        if gap < h * h:
+            termination = "reached_sonic"
+            break
+        if domain is not None:
+            x0, x1, y0, y1 = domain
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
+                termination = "reached_boundary"
+                break
+        k1 = branch * math.sqrt(gap)
+        step = direction * min(h, 0.5 * gap / (abs(k1) + h))
+        ym = y + 0.5 * step
+        k2 = branch * math.sqrt(max(ym * ym - (x + 0.5 * step * k1), 0.0))
+        k3 = branch * math.sqrt(max(ym * ym - (x + 0.5 * step * k2), 0.0))
+        y_next = y + step
+        k4 = branch * math.sqrt(max(y_next * y_next - (x + step * k3), 0.0))
+        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y_next
+        pts.append((x, y))
+    return np.array(pts), termination
+
+
+coordinates = st.floats(-3.0, 3.0) | st.just(math.nan)
+
+
+@st.composite
+def boxes(draw):
+    x0, x1, y0, y1 = (draw(coordinates) for _ in range(4))
+    return (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(y=st.floats(-2.0, 2.0), gap=st.floats(1e-6, 4.0),
+       branch=st.sampled_from([1, -1]), h=st.floats(1e-4, 1e-2),
+       domain=st.none() | boxes(), max_steps=st.integers(0, 20000))
+def test_trace_equals_reference(y, gap, branch, h, domain, max_steps):
+    start = (y * y - gap, y)
+    assume(y * y - start[0] > 0.0)
+    path = tg.trace_characteristic(start, branch, h, domain, max_steps)
+    points, termination = reference_trace(start, branch, h, domain,
+                                          max_steps)
+    assert path.termination == termination
+    assert np.array_equal(path.points, points)
+    # bit for bit, signed zeros included
+    assert path.points.tobytes() == points.tobytes()
 
 
 class TestClassification:

@@ -20,14 +20,18 @@ What each step writes to stderr gives one more line, with
 text (empty text included), so that messages, notes and summaries
 printed there are compared as well.
 
-Every benchmark step succeeds, so the commands of ``FAILING`` run last,
-once, on fixed inputs: a non-finite or unparsable ``--box``, an
-unparsable ``--bracket``, a NaN dispersion grid and a ``stix`` frequency
-whose square underflows.  Each gives the line
-of its output file and of its stderr, with ``-`` for the seed and
-``errors`` for the workload, so that error text and exit codes are
-compared too.  ``COLUMNS`` is fixed at 80, since argparse wraps its
-usage text to the terminal width.
+Then the commands of ``FIXED`` and ``FAILING`` run once each, on fixed
+inputs.  ``FIXED`` holds successful paths that no benchmark step takes:
+a characteristic traced without ``--box``, ``cutoffs --format csv`` and
+``resonances`` of a single-ion plasma, which sets the lower-hybrid
+estimate.  Every benchmark step succeeds, so ``FAILING`` holds commands
+that must fail: a non-finite or unparsable ``--box``, an unparsable
+``--bracket``, a NaN dispersion grid, and a ``stix`` frequency and two
+``cutoffs``/``resonances`` brackets whose square underflows.  Each
+gives the line of its output file and of its stderr, with ``-`` for the
+seed and ``fixed`` or ``errors`` for the workload, so that error text
+and exit codes are compared too.  ``COLUMNS`` is fixed at 80, since
+argparse wraps its usage text to the terminal width.
 """
 
 import contextlib
@@ -46,7 +50,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import workloads  # noqa: E402
 from coldwave import cli  # noqa: E402
 
-# name -> argv of a command that must fail ({in} is the input directory)
+# name -> argv of a command that must succeed ({in} is the input
+# directory)
+FIXED = {
+    "characteristics-unboxed": ["characteristics", "--start=-0.1,0.9",
+                                "--branch", "1", "--step", "1e-3",
+                                "--max-steps", "20000"],
+    "cutoffs-csv": ["--format", "csv", "cutoffs", "--plasma",
+                    "{in}/plasma.json", "--bracket", "1e6:1e15"],
+    "resonances-single-ion": ["resonances", "--plasma", "{in}/plasma.json",
+                              "--bracket", "1e6:1e15"],
+}
+# name -> argv of a command that must fail
 FAILING = {
     "typemap-box-inf": ["typemap", "--fields", "{in}/fields.json",
                         "--box=0:inf:0:1", "--nx", "3", "--nz", "2"],
@@ -63,8 +78,13 @@ FAILING = {
                             "--omegas", "1e8,nan", "--thetas", "0,1"],
     "stix-omega-underflow": ["stix", "--plasma", "{in}/plasma.json",
                              "--omega", "1e-170"],
+    "cutoffs-bracket-underflow": ["cutoffs", "--plasma", "{in}/plasma.json",
+                                  "--bracket", "1e-170:1e6"],
+    "resonances-bracket-underflow": ["resonances", "--plasma",
+                                     "{in}/plasma.json", "--bracket",
+                                     "1e-170:1e6"],
 }
-FAILING_INPUTS = {
+FIXED_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
     "plasma.json": {"B0": 1.0, "species": [
         {"name": "electron", "density_m3": 1e19},
@@ -86,16 +106,16 @@ def _run(argv):
     return code, hashlib.sha256(err.getvalue().encode()).hexdigest()
 
 
-def failing_digests():
+def fixed_digests(commands):
     """(name, exit code, sha256) of the output and the stderr of every
-    command of FAILING."""
+    command of ``commands`` (FIXED or FAILING)."""
     with tempfile.TemporaryDirectory() as workdir:
-        for name, data in FAILING_INPUTS.items():
+        for name, data in FIXED_INPUTS.items():
             with open(os.path.join(workdir, name), "w",
                       encoding="utf-8") as fh:
                 json.dump(data, fh)
         rows = []
-        for name, argv in FAILING.items():
+        for name, argv in commands.items():
             out = os.path.join(workdir, f"{name}.out")
             code, err = _run(["--out", out]
                              + [a.replace("{in}", workdir) for a in argv])
@@ -126,8 +146,9 @@ def main(argv):
         for workload in workloads.WORKLOADS:
             for name, code, digest in digests(seed, workload):
                 print(seed, workload, name, code, digest, flush=True)
-    for name, code, digest in failing_digests():
-        print("-", "errors", name, code, digest, flush=True)
+    for workload, commands in (("fixed", FIXED), ("errors", FAILING)):
+        for name, code, digest in fixed_digests(commands):
+            print("-", workload, name, code, digest, flush=True)
     return 0
 
 
