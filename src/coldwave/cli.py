@@ -78,8 +78,10 @@ def cmd_cutoffs(args):
     found = dispersion.cutoff_frequencies(pl, bracket)
     if args.format == "csv":
         omegas = np.array([w for w, _ in found], dtype=float)
-        labels = np.array([which for _, which in found], dtype=object)
-        output.write_csv("omega,which", [(omegas, labels)], args.out)
+        codes = np.array(["PRL".index(which) for _, which in found],
+                         dtype=np.intp)
+        output.write_csv("omega,which",
+                         [(omegas, (np.array(list("PRL")), codes))], args.out)
     else:
         output.write_json(
             [{"omega": w, "which": which} for w, which in found], args.out)
@@ -113,8 +115,10 @@ def cmd_typemap(args):
     if k33_min <= 0.0:
         _note(args, f"warning: K33 reaches {k33_min:g} <= 0; the type map "
                     "assumes strictly positive K33")
-    output.write_csv("x,z,K11,K33,type", [
-        tuple(a.ravel() for a in (X, Z, v11, v33, kinds))], args.out)
+    output.write_csv("x,z,K11,K33,type", [(
+        (xs, np.repeat(np.arange(args.nx), args.nz)),
+        (zs, np.tile(np.arange(args.nz), args.nx)),
+        *(a.ravel() for a in (v11, v33, kinds)))], args.out)
     return EXIT_OK
 
 
@@ -124,7 +128,8 @@ def cmd_characteristics(args):
         max_steps=args.max_steps)
     n = len(path.points)
     output.write_csv("branch,step,x,y", [(
-        np.full(n, path.branch), np.arange(n), *path.points.T)], args.out)
+        (np.array([path.branch]), np.zeros(n, np.intp)), np.arange(n),
+        *path.points.T)], args.out)
     _note(args, f"termination: {path.termination} ({n} points)")
     return EXIT_OK
 
@@ -187,7 +192,7 @@ def _write_solution(args, header, grid, sol, arrays):
     run summary (to --summary, else a stderr note)."""
     i, j = np.nonzero(grid.inside)
     output.write_csv(header, [(
-        grid.xs[i], grid.ys[j], *(a[i, j] for a in arrays))], args.out)
+        (grid.xs, i), (grid.ys, j), *(a[i, j] for a in arrays))], args.out)
     summary = {"residual_norm": sol.residual_norm,
                "condition_estimate": sol.condition_estimate,
                "rank": sol.rank, **sol.norms, **sol.diagnostics}

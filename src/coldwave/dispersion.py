@@ -193,10 +193,14 @@ def hybrid_resonances(plasma, omega_bracket):
     electron_sp = plasma.electron_species()
     ions = plasma.ion_species()
     if electron_sp is not None and len(ions) == 1 and plasma.B0 > 0.0:
-        pi_e2 = plasma_frequency_squared(electron_sp)
-        pi_i2 = plasma_frequency_squared(ions[0])
+        pi_e, pi_i = (math.sqrt(plasma_frequency_squared(sp))
+                      for sp in (electron_sp, ions[0]))
         om_e = cyclotron_frequency(electron_sp, plasma.B0)
-        estimate = math.sqrt(pi_i2 / (1.0 + pi_e2 / (om_e * om_e)))
+        # Pi_i Omega_e / hypot(Omega_e, Pi_e) squares nothing, so an
+        # Omega_e whose square underflows still gives the estimate; an
+        # electron-free plasma (Pi_e = 0) gives Pi_i whatever Omega_e is
+        estimate = pi_i * om_e / math.hypot(om_e, pi_e) if pi_e > 0.0 \
+            else pi_i
     return HybridResonances(roots, estimate)
 
 
@@ -271,8 +275,14 @@ def dispersion_scan(plasma, omega_grid, theta_grid,
                     resonance_rtol=RESONANCE_RTOL):
     """Evaluate the dispersion relation over an (omega, theta) grid.
 
-    Returns a dict of 1-D arrays keyed by the SCAN_HEADER names, in that
-    order, with one entry per grid point in omega-major order.  The Stix
+    Returns a dict of CSV columns keyed by the SCAN_HEADER names, in that
+    order, with one row per grid point in omega-major order.  The columns
+    that repeat are dictionary-encoded (values, index) pairs, as
+    :func:`output.write_csv` takes them: omega and C (which does not
+    depend on theta) index the omega grid's entries, theta the theta
+    grid's, and the three label columns ``_LABELS``; row r of such a
+    column is values[index[r]].  A, B, F2 and the n2 columns are 1-D
+    arrays.  The Stix
     parameters come from one :func:`stix_arrays` call over the omega
     grid and the quadratic by one :func:`_solve_grid` call over the whole
     grid, the kernel that :func:`refractive_indices` calls at one point.
@@ -294,12 +304,15 @@ def dispersion_scan(plasma, omega_grid, theta_grid,
                          for v in stix_arrays(plasma, omegas))
         coeffs = [np.broadcast_to(c, shape)
                   for c in _coefficients(s, d, p, sin * sin, cos * cos)]
-    n2_plus, n2_minus, *codes = _solve_grid(*coeffs)
+    A, B, C, F2 = coeffs
+    n2_plus, n2_minus, *codes = _solve_grid(A, B, C, F2)
     resonant = np.broadcast_to(resonant[:, None], shape)
     marks = (_CODE[""], _CODE[""], _CODE["cyclotron_resonance"])
-    labels = [_LABELS[np.where(resonant, mark, code)]
+    labels = [(_LABELS, np.where(resonant, mark, code).ravel())
               for code, mark in zip(codes, marks)]
-    columns = (np.repeat(omegas, thetas.size), np.tile(thetas, omegas.size),
-               *coeffs, n2_plus, n2_minus, *labels)
-    return {name: np.ravel(col)
-            for name, col in zip(SCAN_HEADER.split(","), columns)}
+    row_omega = np.repeat(np.arange(omegas.size), thetas.size)
+    columns = ((omegas, row_omega),
+               (thetas, np.tile(np.arange(thetas.size), omegas.size)),
+               A.ravel(), B.ravel(), (C[:, 0], row_omega), F2.ravel(),
+               n2_plus.ravel(), n2_minus.ravel(), *labels)
+    return dict(zip(SCAN_HEADER.split(","), columns))

@@ -12,6 +12,15 @@ upcast to float64 first), an integer or bool cell its decimal digits
 cells; any other cell raises TypeError.  A str cell with no UTF-8
 encoding (a lone surrogate such as U+D800) raises UnicodeEncodeError.
 
+A column may also be dictionary-encoded: a pair (values, index) of 1-D
+arrays whose cell i is the cell of values[index[i]].  It has len(index)
+rows, values follows the dtype rule above, and index must hold integers
+in [0, len(values)); any other index raises ValueError.  Each slice
+formats the values from the least to the greatest index it reads once
+and copies their cells to its rows, so a column of few distinct values
+(a grid axis repeated or tiled over an outer product, a column of
+labels) costs a copy per row instead of a formatted cell.
+
 Every BLOCK_ROWS rows of a block are built as one (rows, width) uint8
 table and written in one piece: each row is "\n" and its cells joined
 by ",", every column filling a byte range wide enough for its longest
@@ -192,33 +201,64 @@ def _utf8(column):
     return np.frombuffer(data, np.uint8), lengths
 
 
+def _fill(field, values, text):
+    """Write the cells of 1-D values into field, a (len(values), width)
+    uint8 table view filled with _PAD; text is _utf8(values) for a str
+    column, else None."""
+    if text is not None:  # row i takes the next lengths[i] bytes of data
+        data, lengths = text
+        field[np.arange(field.shape[1]) < lengths[:, None]] = data
+    elif values.dtype.kind == "f":
+        with np.errstate(all="ignore"):  # a signaling NaN stays NaN
+            x = values.astype(np.float64)
+        _fill_float(field, x)
+    else:
+        _fill_int(field, values)
+
+
+def _pair(col):
+    """(values, index) of a CSV column; index is None for a 1-D array."""
+    return col if isinstance(col, tuple) else (col, None)
+
+
+def _rows(values, index):
+    return len(values if index is None else index)
+
+
 def _slice_bytes(columns):
-    """The UTF-8 rows of one slice of equal-length columns, each led by
-    a newline: a (m, width) uint8 table filled column by column, its
-    padding removed."""
-    m = len(columns[0])
-    texts = {j: _utf8(col) for j, col in enumerate(columns)
-             if col.dtype.kind in "UO"}
-    widths = [_FLOAT_WIDTH if col.dtype.kind == "f" else
-              texts[j][1].max(initial=0) if j in texts else _INT_WIDTH
-              for j, col in enumerate(columns)]
+    """The UTF-8 rows of one nonempty slice of equal-length columns, each
+    led by a newline: a (m, width) uint8 table filled column by column,
+    its padding removed.  A (values, index) column formats values[lo:hi],
+    the span its index reads, into a table of its own, and each row
+    copies its cell from there as one item."""
+    m = _rows(*_pair(columns[0]))
+    sources = []  # (values whose cells are formatted, index or None)
+    for values, index in map(_pair, columns):
+        if index is not None:
+            lo = index.min()
+            values, index = values[lo:index.max() + 1], index - lo
+        sources.append((values, index))
+    texts = [_utf8(values) if values.dtype.kind in "UO" else None
+             for values, _ in sources]
+    widths = [_FLOAT_WIDTH if values.dtype.kind == "f" else
+              _INT_WIDTH if text is None else text[1].max(initial=0)
+              for (values, _), text in zip(sources, texts)]
     starts = np.cumsum([1] + [w + 1 for w in widths])
     buf = bytearray(m * (starts[-1] - 1))
     table = np.frombuffer(buf, np.uint8).reshape(m, -1)
     table.fill(_PAD)
     table[:, 0] = ord("\n")
     table[:, starts[1:-1] - 1] = ord(",")
-    for j, col in enumerate(columns):
-        field = table[:, starts[j]:starts[j] + widths[j]]
-        if j in texts:  # row i takes the next lengths[i] bytes of data
-            data, lengths = texts[j]
-            field[np.arange(widths[j]) < lengths[:, None]] = data
-        elif col.dtype.kind == "f":
-            with np.errstate(all="ignore"):  # a signaling NaN stays NaN
-                x = col.astype(np.float64)
-            _fill_float(field, x)
+    for (values, index), text, start, width in zip(sources, texts, starts,
+                                                   widths):
+        field = table[:, start:start + width]
+        if index is None:
+            _fill(field, values, text)
         else:
-            _fill_int(field, col)
+            cells = np.full((len(values), width), _PAD, np.uint8)
+            _fill(cells, values, text)
+            cell = np.dtype(f"V{width}")
+            field.view(cell)[...] = cells.view(cell)[index]
     return buf.translate(None, bytes([_PAD]))
 
 
@@ -227,15 +267,27 @@ def _csv_pieces(header, blocks):
     with every row led by a newline, as UTF-8."""
     yield header.encode()
     for columns in blocks:
-        n = len(columns[0]) if columns else 0
-        if any(len(col) != n for col in columns):
+        sources = [_pair(col) for col in columns]
+        rows = [_rows(*source) for source in sources]
+        n = rows[0] if rows else 0
+        if any(k != n for k in rows):
             raise ValueError("CSV columns differ in length")
-        for col in columns:
-            if col.dtype.kind not in "fiubUO":
+        for values, index in sources:
+            if values.dtype.kind not in "fiubUO":
                 raise TypeError(
-                    f"cannot write a CSV column of dtype {col.dtype}")
+                    f"cannot write a CSV column of dtype {values.dtype}")
+            # numpy would wrap a negative index without a word
+            if index is not None and not (
+                    index.dtype.kind in "iu" and index.ndim == 1
+                    and (index.size == 0 or 0 <= index.min()
+                         and index.max() < len(values))):
+                raise ValueError("the index of a CSV column must be 1-D "
+                                 f"integers in [0, {len(values)})")
         for k in range(0, n, BLOCK_ROWS):
-            yield _slice_bytes([col[k:k + BLOCK_ROWS] for col in columns])
+            yield _slice_bytes([
+                values[k:k + BLOCK_ROWS] if index is None
+                else (values, index[k:k + BLOCK_ROWS])
+                for values, index in sources])
 
 
 def json_text(obj, indent=0):
@@ -293,7 +345,8 @@ def write_text(text, out=None):
 
 def write_csv(header, blocks, out=None):
     """Write the header line, then the rows of each block of columns in
-    turn (see the module docstring)."""
+    turn; a column is a 1-D array or a (values, index) pair (see the
+    module docstring)."""
     _write(_csv_pieces(header, blocks), out)
 
 

@@ -21,7 +21,7 @@ from coldwave.multipliers import (MultiplierSpec, random_interior_bump,
                                   verify_energy_inequality)
 from coldwave.plasma import cyclotron_frequency
 from coldwave.solvers import solve_closed_dirichlet
-from test_config_output import assert_same_text, csv_oracle
+from test_config_output import assert_same_text, csv_oracle, expanded
 
 SRC = os.path.dirname(os.path.dirname(cfg.__file__))
 
@@ -851,7 +851,7 @@ class TestDispersionCsv:
             cfg.parse_plasma(cfg.load_json(plasma_json)),
             cfg.parse_grid_spec(omegas),
             cfg.parse_grid_spec(thetas, angle=True))
-        oracle = csv_oracle(SCAN_HEADER, zip(*(col.tolist()
+        oracle = csv_oracle(SCAN_HEADER, zip(*(expanded(col).tolist()
                                               for col in columns.values())))
         text = out.read_bytes().decode()
         assert_same_text(text, oracle)

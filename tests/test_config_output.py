@@ -198,6 +198,15 @@ def csv_text(header, blocks):
     return buf.getvalue()
 
 
+def expanded(column):
+    """The 1-D array a CSV column stands for: values[index] for a
+    (values, index) pair, the column itself otherwise."""
+    if isinstance(column, tuple):
+        values, index = column
+        return values[index]
+    return column
+
+
 def columns_of(rows):
     """One block holding these rows: str cells in an object column,
     numbers in the dtype numpy gives them."""
@@ -237,6 +246,30 @@ def column_blocks(draw):
         pool = draw(st.lists(COLUMN_CELLS[dtype], min_size=1, max_size=5))
         block.append(np.array(pool, dtype=dtype)[order.integers(len(pool),
                                                                 size=n)])
+    return tuple(block)
+
+
+INDEX_DTYPES = st.sampled_from([np.intp, np.int8, np.uint16, np.uint64])
+
+
+@st.composite
+def encoded_blocks(draw):
+    """A block of 1-4 typed columns of one drawn length, each plain or a
+    (values, index) pair: values a drawn pool of up to 5 values, index a
+    seeded draw from it, sorted or not, of a drawn integer dtype."""
+    n = draw(BLOCK_LENGTHS)
+    order = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = []
+    for dtype in draw(st.lists(st.sampled_from(list(COLUMN_CELLS)),
+                               min_size=1, max_size=4)):
+        values = np.array(draw(st.lists(COLUMN_CELLS[dtype], min_size=1,
+                                        max_size=5)), dtype=dtype)
+        index = order.integers(len(values), size=n).astype(
+            draw(INDEX_DTYPES))
+        if draw(st.booleans()):  # a run of each value, as np.repeat gives
+            index.sort()
+        block.append((values, index) if draw(st.booleans())
+                     else values[index])
     return tuple(block)
 
 
@@ -288,6 +321,34 @@ class TestOutput:
         labels[at] = cell
         with pytest.raises(TypeError, match="only str"):
             csv_text("a,b", [(np.arange(labels.size), labels)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=st.lists(encoded_blocks(), max_size=3))
+    def test_encoded_column_is_its_expansion(self, blocks):
+        plain = [tuple(map(expanded, block)) for block in blocks]
+        assert_same_text(csv_text("h", blocks), csv_text("h", plain))
+
+    def test_encoded_column_edge_cases(self):
+        values = np.array([0.5, -2.0])
+        no_rows = np.array([], dtype=np.intp)
+        assert csv_text("a", [((values, no_rows),)]) == "a\n"
+        assert csv_text("a,b", [((values[:0], no_rows), no_rows)]) == "a,b\n"
+        one = np.zeros(output.BLOCK_ROWS + 1, dtype=np.intp)
+        assert csv_text("a,b", [((values[1:], one), one)]).split("\n") \
+            == ["a,b", *["-2.0000000000000000e+00,0"] * one.size, ""]
+
+    @pytest.mark.parametrize("index", [[-1], [0, 2], [2 ** 63], [0.0],
+                                       [True], [[0]]])
+    def test_encoded_column_index_out_of_range_raises(self, index):
+        with pytest.raises(ValueError, match="index"):
+            csv_text("a", [((np.array([1.0, 2.0]), np.array(index)),)])
+
+    @pytest.mark.parametrize("cell", [1.5, None, b"x"])
+    def test_encoded_object_column_takes_only_str(self, cell):
+        values = np.array(["x", cell], dtype=object)
+        index = np.arange(output.BLOCK_ROWS + 2) % 2
+        with pytest.raises(TypeError, match="only str"):
+            csv_text("a", [((values, index),)])
 
     def test_unwritable_columns_raise(self):
         with pytest.raises(TypeError, match="complex"):

@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coldwave import dispersion, output, plasma, rootscan
 from coldwave.errors import (BracketTooWide, CyclotronResonance,
                              DegenerateQuartic, NumericalFailure)
-from test_config_output import assert_same_text, cell_oracle, csv_oracle
+from test_config_output import (assert_same_text, cell_oracle, csv_oracle,
+                                expanded)
 
 E = 1.602176634e-19
 ME = 9.1093837015e-31
@@ -256,6 +257,27 @@ class TestHybridResonances:
         above = plasma.stix_parameters(hydrogen, root * 1.01)
         assert below.s * above.s < 0.0
 
+    def test_lower_hybrid_estimate_when_omega_e_squared_underflows(self):
+        # Omega_e ~ 1.5e-211, whose square underflows; the estimate
+        # Pi_i Omega_e / Pi_e is linear in B0 there
+        species = (plasma.electron(1e14), plasma.proton(1e14))
+        B0 = 8.713129219028573e-223
+        est, scaled = (dispersion.hybrid_resonances(
+            plasma.PlasmaState(species, b), (1e3, 1e4)).lower_hybrid_estimate
+            for b in (B0, B0 * 2.0 ** 600))
+        assert est == pytest.approx(scaled * 2.0 ** -600, rel=1e-14)
+        assert est == pytest.approx(3.5e-213, rel=0.03)
+
+    def test_lower_hybrid_estimate_at_zero_omega_e(self):
+        # q B0 underflows at B0 = 1e-320, so Omega_e = 0 with B0 > 0: the
+        # estimate is 0, or Pi_i when no electrons screen the ions
+        proton = plasma.proton(1e14)
+        pi_i = math.sqrt(plasma.plasma_frequency_squared(proton))
+        for n_e, expected in ((1e14, 0.0), (0.0, pi_i)):
+            pl = plasma.PlasmaState((plasma.electron(n_e), proton), 1e-320)
+            assert dispersion.hybrid_resonances(
+                pl, (1e3, 1e4)).lower_hybrid_estimate == expected
+
 
 class TestRootScan:
     def test_bracket_too_wide(self):
@@ -280,9 +302,15 @@ class TestRootScan:
             rootscan.scan_roots(np.sin, 1.0, 10.0)
 
 
+def flat_scan(pl, omegas, thetas):
+    """The scan's columns as the 1-D arrays they stand for."""
+    return {name: expanded(col) for name, col
+            in dispersion.dispersion_scan(pl, omegas, thetas).items()}
+
+
 class TestDispersionScan:
     def test_vacuum_rows(self, vacuum):
-        cols = dispersion.dispersion_scan(vacuum, [1e9, 2e9], [0.0, 0.5, 1.0])
+        cols = flat_scan(vacuum, [1e9, 2e9], [0.0, 0.5, 1.0])
         assert list(cols) == dispersion.SCAN_HEADER.split(",")
         assert all(len(c) == 6 for c in cols.values())
         assert cols["n2_plus"] == pytest.approx([1.0] * 6)
@@ -291,7 +319,7 @@ class TestDispersionScan:
 
     def test_matches_direct_composition(self, hydrogen):
         omega, theta = 5e9, 0.7
-        cols = dispersion.dispersion_scan(hydrogen, [omega], [theta])
+        cols = flat_scan(hydrogen, [omega], [theta])
         st = plasma.stix_parameters(hydrogen, omega)
         c = dispersion.wave_normal_coefficients(st, theta)
         sol = dispersion.refractive_indices(c)
@@ -300,7 +328,7 @@ class TestDispersionScan:
 
     def test_cyclotron_rows_flagged(self, hydrogen):
         om_e = plasma.cyclotron_frequency(plasma.electron(), hydrogen.B0)
-        cols = dispersion.dispersion_scan(hydrogen, [om_e], [0.0, 1.0])
+        cols = flat_scan(hydrogen, [om_e], [0.0, 1.0])
         assert len(cols["flag"]) == 2
         assert cols["flag"].tolist() == ["cyclotron_resonance"] * 2
         assert np.isnan(cols["A"]).all()
@@ -308,7 +336,7 @@ class TestDispersionScan:
     @pytest.mark.parametrize("omega", [1e-170, 1e-100])
     def test_non_finite_rows_flagged(self, omega, hydrogen):
         # at 1e-170 A = -inf and B = NaN, at 1e-100 C = inf
-        cols = dispersion.dispersion_scan(hydrogen, [omega], [0.5])
+        cols = flat_scan(hydrogen, [omega], [0.5])
         coeffs = [cols[k][0] for k in ("A", "B", "C", "F2")]
         assert not all(map(math.isfinite, coeffs))
         assert np.isnan([cols["n2_plus"][0], cols["n2_minus"][0]]).all()
@@ -321,10 +349,25 @@ class TestDispersionScan:
     def test_row_count_and_order(self, hydrogen):
         omegas = [1e9, 2e9, 4e9]
         thetas = [0.0, 0.4]
-        cols = dispersion.dispersion_scan(hydrogen, omegas, thetas)
+        cols = flat_scan(hydrogen, omegas, thetas)
         assert len(cols["omega"]) == 6
         assert cols["omega"].tolist() == [1e9, 1e9, 2e9, 2e9, 4e9, 4e9]
         assert cols["theta"].tolist() == thetas * 3
+
+    def test_repeating_columns_are_encoded(self, hydrogen):
+        # omega and C index the omega grid, theta the theta grid, the
+        # labels _LABELS; the other columns are one cell per row
+        cols = dispersion.dispersion_scan(hydrogen, [1e9, 2e9, 4e9],
+                                          [0.0, 0.4])
+        encoded = {"omega": [1e9, 2e9, 4e9], "theta": [0.0, 0.4],
+                   "C": flat_scan(hydrogen, [1e9, 2e9, 4e9],
+                                  [0.0])["C"].tolist()}
+        for name, values in encoded.items():
+            assert cols[name][0].tolist() == values
+        for name in ("class_plus", "class_minus", "flag"):
+            assert cols[name][0] is dispersion._LABELS
+        for name in ("A", "B", "F2", "n2_plus", "n2_minus"):
+            assert cols[name].shape == (6,)
 
 
 def three_species(n_e=1e19, frac_d=0.4, B0=2.0):
@@ -381,7 +424,7 @@ def assert_scan_matches_oracle(pl, omegas, thetas):
     expected = csv_oracle(dispersion.SCAN_HEADER,
                           oracle_rows(pl, omegas, thetas))
     assert_same_text(got.decode(), expected)
-    return cols
+    return {name: expanded(col) for name, col in cols.items()}
 
 
 def cyclotron_frequencies(pl):
@@ -426,7 +469,7 @@ class TestScanOracle:
         for pl in (hydrogen, three_species()):
             omegas = np.geomspace(1e6, 1e14, 97).tolist()
             thetas = np.linspace(0.0, math.pi / 2, 11).tolist()
-            cols = dispersion.dispersion_scan(pl, omegas, thetas)
+            cols = flat_scan(pl, omegas, thetas)
             k = 0
             for omega in omegas:
                 st = plasma.stix_parameters(pl, omega)
@@ -660,6 +703,9 @@ def reference_roots(pl, bracket):
 
 @settings(max_examples=60, deadline=None)
 @given(pl=plasmas(), low=st.floats(3.0, 16.0), high=st.floats(3.0, 16.0))
+# the square of this field's electron cyclotron frequency underflows
+@example(pl=plasma.PlasmaState((plasma.electron(1e14), plasma.proton(1e14)),
+                               8.713129219028573e-223), low=3.0, high=4.0)
 def test_row_scan_equals_reference(pl, low, high):
     a, b = sorted((10.0 ** low, 10.0 ** high))
     assume(a < b)

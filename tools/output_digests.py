@@ -24,13 +24,15 @@ Then the commands of ``FIXED`` and ``FAILING`` run once each, on fixed
 inputs.  ``FIXED`` holds successful paths that no benchmark step takes:
 a characteristic traced without ``--box``, ``cutoffs --format csv`` and
 ``resonances`` of a single-ion plasma, which sets the lower-hybrid
-estimate.  Every benchmark step succeeds, so ``FAILING`` holds commands
-that must fail: a non-finite or unparsable ``--box``, an unparsable
-``--bracket``, a NaN dispersion grid, and a ``stix`` frequency and two
-``cutoffs``/``resonances`` brackets whose square underflows.  Each
-gives the line of its output file and of its stderr, with ``-`` for the
-seed and ``fixed`` or ``errors`` for the workload, so that error text
-and exit codes are compared too.  ``COLUMNS`` is fixed at 80, since
+estimate, once at B0 = 1 T and once at a B0 so small that the square of
+the electron cyclotron frequency underflows.  Every benchmark step
+succeeds, so ``FAILING`` holds commands that must fail: a non-finite or
+unparsable ``--box``, an unparsable ``--bracket``, a NaN dispersion
+grid, and a ``stix`` frequency and two ``cutoffs``/``resonances``
+brackets whose square underflows.  Each gives the line of its output
+file and of its stderr, with ``-`` for the seed and ``fixed`` or
+``errors`` for the workload, so that error text and exit codes are
+compared too.  ``COLUMNS`` is fixed at 80, since
 argparse wraps its usage text to the terminal width.
 """
 
@@ -60,6 +62,9 @@ FIXED = {
                     "{in}/plasma.json", "--bracket", "1e6:1e15"],
     "resonances-single-ion": ["resonances", "--plasma", "{in}/plasma.json",
                               "--bracket", "1e6:1e15"],
+    "resonances-single-ion-tiny-b0": ["resonances", "--plasma",
+                                      "{in}/plasma-tiny-b0.json",
+                                      "--bracket", "1e3:1e4"],
 }
 # name -> argv of a command that must fail
 FAILING = {
@@ -89,6 +94,9 @@ FIXED_INPUTS = {
     "plasma.json": {"B0": 1.0, "species": [
         {"name": "electron", "density_m3": 1e19},
         {"name": "proton", "density_m3": 1e19}]},
+    "plasma-tiny-b0.json": {"B0": 8.713129219028573e-223, "species": [
+        {"name": "electron", "density_m3": 1e14},
+        {"name": "proton", "density_m3": 1e14}]},
 }
 
 
