@@ -175,15 +175,14 @@ def cmd_symbol_check(args):
 def cmd_layered(args):
     data = cfg.load_json(args.layered)
     f2d = cfg.parse_field(data.get("K11"))
-    k11 = Field1D(lambda x: np.real(f2d(x, 0.0)),
-                  lambda x: np.real(f2d.dx(x, 0.0)))
+    k11 = Field1D(lambda x: np.real(f2d(x, 0.0)))
     problem = electrostatics.LayeredProblem(
         k11, float(data.get("sigma0", 0.0)), tuple(data["x_range"]))
     sol = electrostatics.integrate_layered(problem, complex(*args.psi0),
                                            args.x0, args.x1)
     output.write_csv("x,psi_re,psi_im",
                      [(sol.xs, sol.psi.real, sol.psi.imag)], args.out)
-    _note(args, f"accepted at {sol.steps} steps")
+    _note(args, f"accepted at {sol.steps} cells")
     return EXIT_OK
 
 

@@ -19,10 +19,14 @@ TYPE_PRODUCT_TOL = 1e-14
 SONIC_TOL = 1e-12
 # Samples of K11 in _require_nonvanishing.
 NONVANISHING_SAMPLES = 257
-# integrate_layered: first-pass RK4 steps, acceptance tolerance, halvings.
-LAYERED_STEPS0 = 64
+# integrate_layered: first-pass cells, phase tolerance, cell limit, and
+# the 4-point Gauss-Legendre nodes and weights on [-1, 1].
+LAYERED_CELLS0 = 64
 LAYERED_RTOL = 1e-9
-LAYERED_MAX_HALVINGS = 14
+LAYERED_MAX_CELLS = 2 ** 20
+_GAUSS_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
+    3 / 7 + np.array([2.0, -2.0, -2.0, 2.0]) / 7 * math.sqrt(6 / 5))
+_GAUSS_WEIGHTS = 0.5 - np.array([1.0, -1.0, -1.0, 1.0]) * math.sqrt(30) / 36
 # singular_points_on_sonic_line: search cells per axis, Newton residual
 # tolerance and iteration limit.
 SONIC_SEARCH_CELLS = 64
@@ -74,55 +78,52 @@ class LayeredSolution:
 
 
 def integrate_layered(problem, psi0, x0, x1):
-    """Integrate K11 psi' + (K11' + i sigma0) psi = 0 from x0 to x1.
+    """Solve K11 psi' + (K11' + i sigma0) psi = 0 from x0 to x1.
 
-    Classical fixed-step RK4 with step halving until the endpoint value
-    changes by less than LAYERED_RTOL (relative).  Returns the solution
-    sampled at the accepted resolution.  Raises SingularCoefficient if
-    K11 vanishes on [x0, x1], and LayeredNotConverged if the endpoint
-    still changes after LAYERED_MAX_HALVINGS halvings; the closed form
-    is psi0 * K11(x0)/K11(x) * exp(-i sigma0 * integral dt/K11).
+    This is (K11 psi)' = -i sigma0 psi, so psi = psi0 K11(x0)/K11(x)
+    exp(-i sigma0 tau(x)) with tau = integral from x0 of dt/K11, summed by
+    4-point Gauss-Legendre over LAYERED_CELLS0 uniform cells.  Each pass
+    bisects every cell whose whole-cell and two half-cell estimates of
+    sigma0 tau differ by more than LAYERED_RTOL times the larger of its
+    share of [x0, x1] and of integral |1/K11|; psi is sampled on the cell
+    edges.  Raises SingularCoefficient if K11 vanishes on [x0, x1], and
+    LayeredNotConverged before the cells would pass LAYERED_MAX_CELLS or
+    when the rounding of sigma0 tau exceeds LAYERED_RTOL or is NaN.
     """
     lo, hi = problem.x_range
     if not (lo <= x0 < x1 <= hi):
         raise ValueError("[x0, x1] must lie inside the problem's x_range")
     _require_nonvanishing(problem.K11, x0, x1)
-    k11, i_s0 = problem.K11, 1j * problem.sigma0
+    k11, sigma0 = problem.K11, problem.sigma0
 
-    def run(n):
-        # psi' = c psi, c = -(K11' + i sigma0) / K11: an RK4 step multiplies
-        # psi by 1 + d, d = h/6 (k1 + 2 k2 + 2 k3 + k4) per unit psi.  Rounding
-        # 1 + d drops the same low bits of Re d at every step, so the product
-        # of rounded factors f is corrected by 1 + cumsum(exact loss / f)
-        h = (x1 - x0) / n
-        xs = np.linspace(x0, x1, n + 1)
-        c, mid = (-(k11.dx(t) + i_s0) / k11(t)
-                  for t in (xs, xs[:-1] + 0.5 * h))
-        k = mid * (1.0 + 0.5 * h * c[:-1])              # k2
-        d = c[:-1] + 2.0 * k
-        k = mid * (1.0 + 0.5 * h * k)                   # k3
-        d += 2.0 * k + c[1:] * (1.0 + h * k)            # 2 k3 + k4
-        d *= h / 6.0
-        psi = np.empty(n + 1, dtype=complex)
-        psi[0], psi[1:] = psi0, 1.0 + d
-        np.divide(d.real - (psi[1:].real - 1.0), psi[1:], out=d)
-        np.cumprod(psi, out=psi)
-        psi[1:] *= 1.0 + np.cumsum(d, out=d)
-        return xs, psi
+    def gauss(a, b):
+        half = 0.5 * (b - a)
+        t = (a + half)[:, None] + half[:, None] * _GAUSS_NODES
+        return half * ((1.0 / k11(t)) @ _GAUSS_WEIGHTS)
 
-    n = LAYERED_STEPS0
-    end = run(n)[1][-1]
-    for _ in range(LAYERED_MAX_HALVINGS):
-        n *= 2
-        xs, psi = run(n)
-        ref = max(abs(psi[-1]), abs(psi0), 1e-300)
-        change = abs(psi[-1] - end)
-        if change <= LAYERED_RTOL * ref:
-            return LayeredSolution(xs, psi, n)
-        end = psi[-1]
-    raise LayeredNotConverged(
-        f"layered RK4 did not converge (relative end-value change "
-        f"{change / ref:.3e} at {n} steps, tolerance {LAYERED_RTOL:g})")
+    xs = np.linspace(x0, x1, LAYERED_CELLS0 + 1)
+    while True:
+        a, b = xs[:-1], xs[1:]
+        mid = 0.5 * (a + b)
+        halves = gauss(a, mid) + gauss(mid, b)
+        share = np.maximum((b - a) / (x1 - x0),
+                           np.abs(halves) / np.abs(halves).sum())
+        change = abs(sigma0) * np.abs(halves - gauss(a, b)) / share
+        split = np.flatnonzero(change > LAYERED_RTOL)
+        # no pass can settle below the rounding of sigma0 tau, or on a NaN
+        floor = abs(sigma0) * np.abs(halves).sum() * np.finfo(float).eps
+        if (not floor <= LAYERED_RTOL
+                or halves.size + split.size > LAYERED_MAX_CELLS):
+            raise LayeredNotConverged(
+                f"layered quadrature did not converge (relative phase change "
+                f"{change.max():.3e}, rounding {floor:.3e} at {halves.size} "
+                f"cells, tolerance {LAYERED_RTOL:g})")
+        if split.size == 0:
+            break
+        xs = np.insert(xs, split + 1, mid[split])
+    k, tau = k11(xs), np.concatenate(([0.0], np.cumsum(halves)))
+    psi = psi0 * (k[0] / k * np.exp(-1j * sigma0 * tau))
+    return LayeredSolution(xs, psi, halves.size)
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ class SingularCoefficient(NumericalFailure):
 
 
 class LayeredNotConverged(NumericalFailure):
-    """The plane-layered RK4 endpoint still changes by more than its
-    tolerance after the last allowed step halving."""
+    """The plane-layered quadrature cannot meet its tolerance within the
+    allowed number of cells or above the rounding of its phase."""
 
 
 class StartNotHyperbolic(NumericalFailure):

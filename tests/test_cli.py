@@ -258,8 +258,8 @@ class TestSubcommands:
         assert code == 2
 
     def test_layered_unconverged_exit(self, tmp_path, monkeypatch, capsys):
-        # an end value still moving at the halving cap is not accepted
-        monkeypatch.setattr(electrostatics, "LAYERED_MAX_HALVINGS", 2)
+        # a quadrature still above tolerance at the cell cap is not accepted
+        monkeypatch.setattr(electrostatics, "LAYERED_MAX_CELLS", 100)
         layered = tmp_path / "layered.json"
         layered.write_text(json.dumps({
             "K11": {"kind": "affine_quadratic", "a": 1.0, "b": 1.0},
@@ -272,9 +272,34 @@ class TestSubcommands:
                      "--x1", "1"])
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
-        assert err.startswith("numerical failure: layered RK4 did not "
-                              "converge (relative end-value change ")
-        assert err.endswith(" at 256 steps, tolerance 1e-09)\n")
+        assert err.startswith("numerical failure: layered quadrature did "
+                              "not converge (relative phase change ")
+        assert err.endswith(" at 99 cells, tolerance 1e-09)\n")
+
+    def test_layered_piecewise_linear_table(self, tmp_path, capsys):
+        # a kinked K11: tau is a sum of ln(K(b)/K(a)) / K' over the pieces
+        xs, ks, sigma0 = [0.5, 0.9, 1.3, 2.0], [1.0, 0.3, 2.0, 0.8], 2.0
+        layered = tmp_path / "layered.json"
+        layered.write_text(json.dumps({
+            "K11": {"kind": "expression-table", "xs": xs, "zs": [-1.0, 1.0],
+                    "values": [[k, k] for k in ks]},
+            "sigma0": sigma0, "x_range": [0.5, 2.0]}))
+        out = tmp_path / "psi.csv"
+        code = main(["--out", str(out), "layered", "--layered",
+                     str(layered), "--psi0", "1,0", "--x0", "0.5",
+                     "--x1", "2.0"])
+        cells = len(out.read_text().splitlines()) - 2
+        assert code == 0
+        assert capsys.readouterr().err == f"accepted at {cells} cells\n"
+        x, re, im = np.loadtxt(out, delimiter=",", skiprows=1).T
+        k = np.interp(x, xs, ks)
+        piece = np.clip(np.searchsorted(xs, x) - 1, 0, 2)
+        slopes = np.diff(ks) / np.diff(xs)
+        tau_at = np.concatenate(([0.0], np.cumsum(np.log(
+            np.divide(ks[1:], ks[:-1])) / slopes)))
+        tau = tau_at[piece] + np.log(k / np.take(ks, piece)) / slopes[piece]
+        exact = ks[0] / k * np.exp(-1j * sigma0 * tau)
+        assert np.abs(re + 1j * im - exact).max() <= 1e-10
 
     def test_solve_and_summary(self, problem_json, tmp_path):
         out = tmp_path / "u.csv"

@@ -23,40 +23,6 @@ def smooth_nonvanishing_k11(rng):
     )
 
 
-def recurrence_layered(problem, psi0, x0, x1):
-    """Oracle for integrate_layered: the classical RK4 recurrence, one
-    step at a time from scalar K11 values, under the same step doubling
-    and acceptance test.  Returns (steps, psi) of the accepted level."""
-    k11, i_s0 = problem.K11, 1j * problem.sigma0
-
-    def run(n):
-        h = (x1 - x0) / n
-        y = complex(psi0)
-        psi = [y]
-        for x in np.linspace(x0, x1, n + 1)[:-1].tolist():
-            f0, fm, f1 = k11(x), k11(x + 0.5 * h), k11(x + h)
-            g0, gm, g1 = (-(k11.dx(t) + i_s0) for t in (x, x + 0.5 * h,
-                                                        x + h))
-            k1 = g0 * y / f0
-            k2 = gm * (y + 0.5 * h * k1) / fm
-            k3 = gm * (y + 0.5 * h * k2) / fm
-            k4 = g1 * (y + h * k3) / f1
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            psi.append(y)
-        return np.array(psi)
-
-    n = es.LAYERED_STEPS0
-    end = run(n)[-1]
-    for _ in range(es.LAYERED_MAX_HALVINGS):
-        n *= 2
-        psi = run(n)
-        ref = max(abs(psi[-1]), abs(psi0), 1e-300)
-        if abs(psi[-1] - end) <= es.LAYERED_RTOL * ref:
-            return n, psi
-        end = psi[-1]
-    raise AssertionError("oracle did not converge")
-
-
 class TestLayeredSigma0:
     def test_antisymmetric_cancels(self):
         t = TensorField2D(K13=Field2D.constant(1.0),
@@ -89,29 +55,81 @@ class TestIntegrateLayered:
         assert sol.end_value == pytest.approx(1.0, rel=1e-9)
 
     def test_unconverged_halving_raises(self, monkeypatch):
-        # psi oscillates as exp(-30 i ln x): 256 steps cannot resolve it
-        monkeypatch.setattr(es, "LAYERED_MAX_HALVINGS", 2)
-        prob = es.LayeredProblem(Field1D(lambda x: x, lambda x: 1.0), 30.0,
-                                 (1e-4, 1.0))
+        # psi oscillates as exp(-30 i ln x): the quadrature needs 129 cells
+        monkeypatch.setattr(es, "LAYERED_MAX_CELLS", 100)
+        prob = es.LayeredProblem(Field1D(lambda x: x), 30.0, (1e-4, 1.0))
         with pytest.raises(LayeredNotConverged,
-                           match=r"change \S+ at 256 steps, tolerance 1e-09"):
+                           match=r"at 99 cells, tolerance 1e-09\)$"):
             es.integrate_layered(prob, 1.0, 1e-4, 1.0)
+
+    def test_phase_below_rounding_raises(self):
+        # sigma0 tau ~ 1e9 carries ~1e-7 of rounding: 1e-9 is out of reach
+        prob = es.LayeredProblem(Field1D(lambda x: 1.5 + np.sin(50.0 * x)),
+                                 1e9, (0.0, 1.0))
+        with pytest.raises(LayeredNotConverged,
+                           match=r"rounding \S+e-07 at 64 cells"):
+            es.integrate_layered(prob, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("sigma0", [0.0, 3.0])
+    def test_nan_coefficient_raises(self, sigma0):
+        k11 = Field1D(lambda x: np.where(abs(x - 0.3) < 1e-3, np.nan, 2.0))
+        prob = es.LayeredProblem(k11, sigma0, (0.0, 1.0))
+        with pytest.raises(LayeredNotConverged, match="rounding nan"):
+            es.integrate_layered(prob, 1.0, 0.0, 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.2, 5.0), slope=st.floats(-0.9, 0.9),
            sign=st.sampled_from([-1.0, 1.0]), sigma0=st.floats(-20.0, 20.0),
            psi0=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
            ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)))
-    def test_product_matches_recurrence(self, a, slope, sign, sigma0, psi0,
-                                        ends):
-        # K11 = sign * a * (1 + slope x) stays >= 0.1 a in size on [0, 1]
-        k11 = Field1D(lambda x: sign * a * (1.0 + slope * x),
-                      lambda x: sign * a * slope)
+    def test_affine_closed_form(self, a, slope, sign, sigma0, psi0, ends):
+        # K11 = sign * a * (1 + slope x) stays >= 0.1 a in size on [0, 1];
+        # tau = ln(K(x)/K(x0)) / K', by log1p so that a tiny slope keeps
+        # its digits, and (x - x0) / K(x0) when K' = 0
+        k11 = Field1D(lambda x: sign * a * (1.0 + slope * x))
         prob = es.LayeredProblem(k11, sigma0, (0.0, 1.0))
         sol = es.integrate_layered(prob, psi0, *ends)
-        steps, psi = recurrence_layered(prob, psi0, *ends)
-        assert sol.steps == steps
-        assert np.abs(sol.psi - psi).max() <= 1e-12 * np.abs(psi).max()
+        k, dx = k11(sol.xs), sol.xs - ends[0]
+        if slope == 0.0:
+            tau = dx / k[0]
+        else:
+            tau = (np.log1p(slope * dx / (1.0 + slope * ends[0]))
+                   / (sign * a * slope))
+        exact = psi0 * k[0] / k * np.exp(-1j * sigma0 * tau)
+        assert np.all(np.abs(sol.psi - exact) <= 1e-10 * np.abs(exact))
+
+    @pytest.mark.parametrize("x0", [1e-4, 1e-6])
+    def test_resonant_graded(self, x0):
+        # K11 = x near its zero: psi = (x0/x) exp(-30 i ln(x/x0))
+        prob = es.LayeredProblem(Field1D(lambda x: x), 30.0, (x0, 1.0))
+        sol = es.integrate_layered(prob, 1.0, x0, 1.0)
+        closed = x0 * np.exp(-30j * math.log(1.0 / x0))
+        assert abs(sol.end_value - closed) <= 1e-10 * abs(closed)
+
+    def test_constant_exact_phase(self):
+        prob = es.LayeredProblem(Field1D.constant(-2.5), 7.0, (0.0, 3.0))
+        sol = es.integrate_layered(prob, 0.3 - 0.4j, 0.5, 2.75)
+        exact = (0.3 - 0.4j) * np.exp(-7j * (sol.xs - 0.5) / -2.5)
+        assert np.abs(sol.psi - exact).max() <= 1e-13
+
+    def test_ends_and_start_value_exact(self):
+        x0, x1, psi0 = 0.1, 0.7, -0.3 + 0.9j
+        prob = es.LayeredProblem(Field1D(lambda x: 1.5 + np.sin(9.0 * x)),
+                                 4.0, (0.0, 1.0))
+        sol = es.integrate_layered(prob, psi0, x0, x1)
+        assert sol.xs[0] == x0 and sol.xs[-1] == x1 and sol.psi[0] == psi0
+        assert sol.xs.shape == sol.psi.shape == (sol.steps + 1,)
+        assert np.all(np.diff(sol.xs) > 0.0)
+
+    def test_derivative_never_read(self):
+        def broken(x):
+            raise AssertionError("K11' read")
+
+        prob = es.LayeredProblem(Field1D(lambda x: 2.0 + x, broken), 1.5,
+                                 (0.0, 1.0))
+        sol = es.integrate_layered(prob, 1.0, 0.0, 1.0)
+        closed = 2.0 / 3.0 * np.exp(-1.5j * math.log(1.5))
+        assert abs(sol.end_value - closed) <= 1e-10
 
     def test_resonant_closed_form(self):
         # K11 = x: psi = psi0 (x0/x) exp(-i sigma0 ln(x/x0))

@@ -25,11 +25,13 @@ inputs.  ``FIXED`` holds successful paths that no benchmark step takes:
 a characteristic traced without ``--box``, ``cutoffs --format csv`` and
 ``resonances`` of a single-ion plasma, which sets the lower-hybrid
 estimate, once at B0 = 1 T and once at a B0 so small that the square of
-the electron cyclotron frequency underflows.  Every benchmark step
-succeeds, so ``FAILING`` holds commands that must fail: a non-finite or
-unparsable ``--box``, an unparsable ``--bracket``, a NaN dispersion
-grid, and a ``stix`` frequency and two ``cutoffs``/``resonances``
-brackets whose square underflows.  Each gives the line of its output
+the electron cyclotron frequency underflows, and ``layered`` with a
+piecewise-linear ``expression-table`` K11, whose kinks the quadrature
+must resolve.  Every benchmark step succeeds, so ``FAILING`` holds
+commands that must fail: a non-finite or unparsable ``--box``, an
+unparsable ``--bracket``, a NaN dispersion grid, and a ``stix``
+frequency and two ``cutoffs``/``resonances`` brackets whose square
+underflows.  Each gives the line of its output
 file and of its stderr, with ``-`` for the seed and ``fixed`` or
 ``errors`` for the workload, so that error text and exit codes are
 compared too.  ``COLUMNS`` is fixed at 80, since
@@ -65,6 +67,8 @@ FIXED = {
     "resonances-single-ion-tiny-b0": ["resonances", "--plasma",
                                       "{in}/plasma-tiny-b0.json",
                                       "--bracket", "1e3:1e4"],
+    "layered-table": ["layered", "--layered", "{in}/layered-table.json",
+                      "--psi0", "1,0", "--x0", "0.5", "--x1", "2.0"],
 }
 # name -> argv of a command that must fail
 FAILING = {
@@ -97,6 +101,11 @@ FIXED_INPUTS = {
     "plasma-tiny-b0.json": {"B0": 8.713129219028573e-223, "species": [
         {"name": "electron", "density_m3": 1e14},
         {"name": "proton", "density_m3": 1e14}]},
+    "layered-table.json": {"K11": {
+        "kind": "expression-table", "xs": [0.5, 0.9, 1.3, 2.0],
+        "zs": [-1.0, 1.0],
+        "values": [[1.0, 1.0], [0.3, 0.3], [2.0, 2.0], [0.8, 0.8]]},
+        "sigma0": 2.0, "x_range": [0.5, 2.0]},
 }
 
 
