@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coldwave import electrostatics as es
 from coldwave import plasma
@@ -82,19 +82,22 @@ class TestIntegrateLayered:
            sign=st.sampled_from([-1.0, 1.0]), sigma0=st.floats(-20.0, 20.0),
            psi0=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
            ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)))
+    @example(a=1.0, slope=5e-324, sign=-1.0, sigma0=1.0, psi0=1.0 + 0.0j,
+             ends=(0.0, 1.0))
     def test_affine_closed_form(self, a, slope, sign, sigma0, psi0, ends):
         # K11 = sign * a * (1 + slope x) stays >= 0.1 a in size on [0, 1];
-        # tau = ln(K(x)/K(x0)) / K', by log1p so that a tiny slope keeps
-        # its digits, and (x - x0) / K(x0) when K' = 0
+        # tau = ln(K(x)/K(x0)) / K' = (x - x0)/K(x0) * log1p(u)/u with
+        # u = K'(x - x0)/K(x0), whose ratio -> 1 as u -> 0: a slope whose
+        # product with x - x0 underflows (or is 0) keeps tau = (x - x0)/K(x0)
         k11 = Field1D(lambda x: sign * a * (1.0 + slope * x))
         prob = es.LayeredProblem(k11, sigma0, (0.0, 1.0))
         sol = es.integrate_layered(prob, psi0, *ends)
         k, dx = k11(sol.xs), sol.xs - ends[0]
-        if slope == 0.0:
-            tau = dx / k[0]
-        else:
-            tau = (np.log1p(slope * dx / (1.0 + slope * ends[0]))
-                   / (sign * a * slope))
+        u = slope * dx / (1.0 + slope * ends[0])
+        ratio = np.ones_like(u)
+        nz = u != 0.0
+        ratio[nz] = np.log1p(u[nz]) / u[nz]
+        tau = dx / k[0] * ratio
         exact = psi0 * k[0] / k * np.exp(-1j * sigma0 * tau)
         assert np.all(np.abs(sol.psi - exact) <= 1e-10 * np.abs(exact))
 
