@@ -39,8 +39,18 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
+def _load_plasma(path):
+    """The plasma configuration in the file ``path``; a ValueError
+    that refuses it names the file."""
+    data = cfg.load_json(path)
+    try:
+        return cfg.parse_plasma(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_stix(args):
-    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    pl = _load_plasma(args.plasma)
     st = plasma.stix_parameters(pl, args.omega, resonance_rtol=args.tol)
     output.write_json(
         {"R": st.R, "L": st.L, "s": st.s, "d": st.d, "p": st.p}, args.out)
@@ -48,7 +58,7 @@ def cmd_stix(args):
 
 
 def cmd_dispersion(args):
-    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    pl = _load_plasma(args.plasma)
     omegas = cfg.parse_grid_spec(args.omegas)
     thetas = cfg.parse_grid_spec(args.thetas, angle=True)
     if not omegas or not thetas:
@@ -73,7 +83,7 @@ def _scan_blocks(pl, omegas, thetas, tol):
 
 
 def cmd_cutoffs(args):
-    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    pl = _load_plasma(args.plasma)
     bracket = cfg.parse_bracket(args.bracket)
     found = dispersion.cutoff_frequencies(pl, bracket)
     if args.format == "csv":
@@ -89,7 +99,7 @@ def cmd_cutoffs(args):
 
 
 def cmd_resonances(args):
-    pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+    pl = _load_plasma(args.plasma)
     bracket = cfg.parse_bracket(args.bracket)
     res = dispersion.hybrid_resonances(pl, bracket)
     if args.format == "csv":
@@ -146,7 +156,7 @@ def cmd_origin_chars(args):
 
 def cmd_symbol_check(args):
     if args.plasma:
-        pl = cfg.parse_plasma(cfg.load_json(args.plasma))
+        pl = _load_plasma(args.plasma)
         if args.omega is None:
             raise ValueError("--omega is required with --plasma")
         K = plasma.dielectric_tensor(plasma.stix_parameters(pl, args.omega))

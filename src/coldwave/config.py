@@ -38,8 +38,20 @@ GRID_MIN = 8
 
 
 def load_json(path):
+    """A JSON file's contents.  Raises ValueError, naming the file and
+    the literal, at NaN, Infinity, -Infinity or a number that overflows
+    to inf (such as 1e999): every configured number must be finite."""
+    def refuse(literal):
+        raise ValueError(f"{path}: non-finite number {literal}")
+
+    def finite(literal):
+        value = float(literal)
+        if math.isinf(value):
+            refuse(literal)
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=refuse, parse_float=finite)
 
 
 def parse_plasma(data):
@@ -85,8 +97,11 @@ def validate_plasma(data):
             diags.append(f"species[{k}] ({name!r}): mass_kg must be > 0")
         if merged.get("charge_sign") not in (-1, 1):
             diags.append(f"species[{k}] ({name!r}): charge_sign must be -1 or 1")
-        if merged.get("Z", 1) < 1:
-            diags.append(f"species[{k}] ({name!r}): Z must be >= 1")
+        z = merged.get("Z", 1)
+        if not (isinstance(z, (int, float)) and z >= 1
+                and float(z).is_integer()):
+            diags.append(f"species[{k}] ({name!r}): Z must be a whole "
+                         "number >= 1")
         if merged.get("density_m3", 0.0) < 0.0:
             diags.append(f"species[{k}] ({name!r}): density_m3 must be >= 0")
     return diags

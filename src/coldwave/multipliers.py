@@ -14,6 +14,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
 from .errors import SpecInvalid
+from .grid import Grid2D
 from .operators import _d1, _d2, apply_L, gradient
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_signed)
@@ -397,12 +398,9 @@ class MixedMultiplierSpec:
         sqrt(-K) |c| at those points by construction.  t = 1 + mu max(y),
         or the next double above mu max(y) where the 1 rounds away,
         keeps c = mu y - t below 0 there."""
-        x0, x1, y0, y1 = domain.bounding_box
-        xs = np.linspace(x0, x1, SPEC_SAMPLES)
-        ys = np.linspace(y0, y1, SPEC_SAMPLES)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        inside = domain.contains(X, Y)
-        Xi, Yi = X[inside], Y[inside]
+        grid = Grid2D(domain, SPEC_SAMPLES, SPEC_SAMPLES)
+        X, Y = grid.meshgrid()
+        Xi, Yi = X[grid.inside], Y[grid.inside]
         K = canonical_type_function(Xi, Yi)
         top = mu * max(0.0, float(Yi.max()))
         # 1 + top can round to top once top reaches 2^53

@@ -9,7 +9,7 @@ uncut cells' centres, then the pieces' centroids), and every integral
 is one pass over each table.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +25,12 @@ def _corners(F):
 
 @dataclass(frozen=True)
 class SidePoints:
-    """Quadrature points on one side (sign = +-1) of K = 0.  The first
-    ``n_cells`` are the centres of uncut cells, where fields take their
-    corner averages; the rest are the centroids of cut-cell pieces,
-    where fields are interpolated bilinearly.  Point k lies in cell
-    (i[k], j[k]) at offsets (tx[k], ty[k]) in units of the cell sides
-    (1/2 at a centre), at (x[k], y[k]), with weight weight[k]."""
+    """Quadrature points on one side (sign = +-1) of K = 0: the centres
+    of its ``n_cells`` uncut cells, then the centroids of its cut-cell
+    pieces.  Point k lies in cell (i[k], j[k]) at offsets (tx[k], ty[k])
+    in units of the cell sides (1/2 at a centre), at (x[k], y[k]), with
+    weight weight[k].  Fields are read at every point, cell centres
+    included, by their bilinear interpolant."""
 
     sign: int
     n_cells: int
@@ -42,22 +42,15 @@ class SidePoints:
     y: np.ndarray
     weight: np.ndarray
 
-    def cells(self):
-        """The uncut cells' points alone."""
-        k = self.n_cells
-        return replace(self, i=self.i[:k], j=self.j[:k], tx=self.tx[:k],
-                       ty=self.ty[:k], x=self.x[:k], y=self.y[:k],
-                       weight=self.weight[:k])
-
-    def values(self, F, centred):
-        """A nodal field F at the points: at the uncut cells, ``centred``,
-        F's corner average per cell; at the pieces, F's bilinear values."""
-        c, p = slice(None, self.n_cells), slice(self.n_cells, None)
-        i, j, tx, ty = self.i[p], self.j[p], self.tx[p], self.ty[p]
-        return np.concatenate((
-            centred[self.i[c], self.j[c]],
-            (1 - tx) * (1 - ty) * F[i, j] + tx * (1 - ty) * F[i + 1, j]
-            + (1 - tx) * ty * F[i, j + 1] + tx * ty * F[i + 1, j + 1]))
+    def values(self, F):
+        """A nodal field F at the points, bilinearly.  A centre's weights
+        are exactly 1/4, so it reads F's corner average bit for bit,
+        barring underflow and overflow."""
+        f, ny = F.ravel(), F.shape[1]
+        k = self.i * ny + self.j
+        tx, ty = self.tx, self.ty
+        return ((1 - tx) * (1 - ty) * f[k] + tx * (1 - ty) * f[k + ny]
+                + (1 - tx) * ty * f[k + 1] + tx * ty * f[k + ny + 1])
 
 
 @dataclass(frozen=True)
@@ -167,14 +160,13 @@ def decompose_cells(grid):
 
 def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):
     """Per side of K = 0, one call of that side's integrand at that
-    side's quadrature points (uncut cells only unless ``with_pieces``)."""
+    side's points (the first ``n_cells``, uncut, unless ``with_pieces``)."""
     total = 0.0
-    centred = [0.25 * sum(_corners(F)) for F in fields]
     for pts, fn in zip(decomp.points, (fn_pos, fn_neg)):
-        if not with_pieces:
-            pts = pts.cells()
-        vals = [pts.values(F, C) for F, C in zip(fields, centred)]
-        total += float(np.sum(pts.weight * fn(pts.x, pts.y, *vals)))
+        n = None if with_pieces else pts.n_cells
+        vals = [pts.values(F)[:n] for F in fields]
+        total += float(np.sum(pts.weight[:n] * fn(pts.x[:n], pts.y[:n],
+                                                   *vals)))
     return total
 
 

@@ -28,14 +28,13 @@ Problems, SIAM 1996, sec. 6.6) with M = A A^T; its kappa_1 is about the
 square of the conditioning of A.  Both take the same solve and one
 correction step, x = lift(M^-1 f), x += lift(M^-1 (f - A x)), with lift
 the identity for a square A and A^T for a wide one.  When the factor is
-exactly singular, when kappa_1 * eps >= 1, or when A has more rows than
-columns, LSMR (Fong & Saunders, SIAM J. Sci. Comput. 33, 2011) gives the
-min-norm least-squares solution instead.  ``diagnostics["method"]``
-records which path ran ("splu" or "lsmr"), beside the sizes
-``unknowns``, ``nnz`` (of A), ``lu_nnz`` (of L + U), the ``ordering`` of
-the factor ("MMD_AT_PLUS_A" for the kept static factor, "COLAMD" after
-a rejected probe) and the ``backward_error`` of the returned x on
-A x = f, whichever path ran.
+exactly singular or when kappa_1 * eps >= 1, LSMR (Fong & Saunders, SIAM
+J. Sci. Comput. 33, 2011) gives the min-norm least-squares solution
+instead.  ``diagnostics["method"]`` records which path ran ("splu" or
+"lsmr"), beside the sizes ``unknowns``, ``nnz`` (of A), ``lu_nnz`` (of
+L + U), the ``ordering`` of the factor ("MMD_AT_PLUS_A" for the kept
+static factor, "COLAMD" after a rejected probe) and the
+``backward_error`` of the returned x on A x = f, whichever path ran.
 
 The factor's memory is estimated before any assembly from one fill
 model, lu_nnz ~ FILL_C * m**FILL_P in the order m of M, and a grid
@@ -249,19 +248,15 @@ def _min_norm_solve(A, rhs, sizes=None):
     A square A is factored itself and a wide A by corrected seminormal
     equations, through a factor of N = A A^T; both take one correction
     step, x = lift(M^-1 rhs), x += lift(M^-1 (rhs - A x)), with lift the
-    identity or A^T.  A tall A goes to LSMR, and so does any A whose
-    factor is exactly singular or has kappa_1 * eps >= 1.  Returns (x,
-    condition_estimate, rank, method): kappa_1 of the factored matrix (A
-    or N), the full row count after a usable factor and None after the
-    fallback.  A dict ``sizes`` receives the factor's ``lu_nnz`` (None
-    without a factor), its ``ordering`` (None for a tall A) and the
-    ``backward_error`` of x on A x = rhs.
+    identity or A^T.  Any A whose factor is exactly singular or has
+    kappa_1 * eps >= 1 goes to LSMR.  Returns (x, condition_estimate,
+    rank, method): kappa_1 of the factored matrix (A or N), the full row
+    count after a usable factor and None after the fallback.  A dict
+    ``sizes`` receives the factor's ``lu_nnz`` (None without a factor),
+    its ``ordering`` and the ``backward_error`` of x on A x = rhs.
     """
     m, n = A.shape
-    if m > n:
-        lu, cond, ordering = None, np.inf, None
-    else:
-        lu, cond, ordering = _factor(A if m == n else A @ A.T)
+    lu, cond, ordering = _factor(A if m == n else A @ A.T)
     if lu is None or cond * _EPS >= 1.0:
         x, rank, method = _lsmr(A, rhs), None, "lsmr"
     else:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StartNotHyperbolic
+from .fields import Field2D
 
 CLASSIFY_RTOL = 1e-10
 
@@ -21,13 +22,8 @@ def canonical_type_function(x, y):
     return x - y * y
 
 
-@dataclass(frozen=True)
-class TypeChangeField:
-    """Type-change function with its gradient evaluators."""
-
-    value: object       # callable (x, y) -> float
-    grad_x: object
-    grad_y: object
+class TypeChangeField(Field2D):
+    """Type-change function of (x, y) with its partial derivatives."""
 
     @classmethod
     def canonical(cls):
@@ -43,17 +39,13 @@ def canonical_case_classify(field, point):
     'not_on_sonic' when the field is nonzero there; on the sonic set,
     'keldysh_point' when the z-derivative vanishes too (degenerate
     tangency, weaker regularity expected) and 'tricomi_point' otherwise.
-    ``field`` needs value/grad evaluators (a :class:`TypeChangeField` or
-    a Field2D-like object with dx/dz).  The tolerance is CLASSIFY_RTOL
+    ``field`` is a Field2D, such as a :class:`TypeChangeField`, read as
+    ``field(x, y)``, ``.dx`` and ``.dz``.  The tolerance is CLASSIFY_RTOL
     scaled by the local gradient magnitude.
     """
     x, y = point
-    if hasattr(field, "grad_x"):
-        val = field.value(x, y)
-        gx, gy = field.grad_x(x, y), field.grad_y(x, y)
-    else:
-        val = field(x, y)
-        gx, gy = field.dx(x, y), field.dz(x, y)
+    val = field(x, y)
+    gx, gy = field.dx(x, y), field.dz(x, y)
     tol = CLASSIFY_RTOL * (1.0 + math.hypot(abs(gx), abs(gy)))
     if abs(val) > tol:
         return "not_on_sonic"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from collections import deque
 import subprocess
@@ -686,6 +687,75 @@ class TestInputChecks:
                      "--bracket", bracket]) == 1
         assert capsys.readouterr().err \
             == f"invalid input: bracket {bracket!r} must have numeric bounds\n"
+
+
+class TestNonFiniteConfig:
+    """NaN, Infinity and overflowing numbers in a configuration file are
+    refused when it is read (exit 1, no output), by every command."""
+
+    HYDROGEN = [{"name": "electron", "density_m3": 1e19},
+                {"name": "proton", "density_m3": 1e19}]
+    CASES = {
+        "typemap": ({"K11": {"kind": "constant", "value": math.nan}},
+                    ["typemap", "--fields", "{cfg}", "--box=0:1:0:1",
+                     "--nx", "3", "--nz", "2"], "NaN"),
+        "dispersion": ({"B0": math.nan, "species": HYDROGEN},
+                       ["dispersion", "--plasma", "{cfg}", "--omegas", "1e9",
+                        "--thetas", "0"], "NaN"),
+        "stix": ('{"B0": 1e999, "species": []}',
+                 ["stix", "--plasma", "{cfg}", "--omega", "1e9"], "1e999"),
+        "solve": ({"kappa": 0.5,
+                   "domain": {"rects": [[0.0, math.inf, 0.0, 1.0]]},
+                   "grid": {"nx": 9, "ny": 9}},
+                  ["solve", "--problem", "{cfg}"], "Infinity"),
+        "layered": ({"K11": {"kind": "constant", "value": 1.0},
+                     "sigma0": math.nan, "x_range": [0.0, 1.0]},
+                    ["layered", "--layered", "{cfg}", "--x0", "0", "--x1",
+                     "1"], "NaN"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_refused_before_any_output(self, command, tmp_path, capsys):
+        config, argv, literal = self.CASES[command]
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--out", str(out)] + [
+            str(path) if a == "{cfg}" else a for a in argv]) == 1
+        assert capsys.readouterr().err \
+            == f"invalid input: {path}: non-finite number {literal}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["-Infinity", "-1e400", "1E+309"])
+    def test_negative_and_uppercase_overflow(self, literal, tmp_path):
+        path = tmp_path / "fields.json"
+        path.write_text('{"K11": {"kind": "constant", "value": %s}}'
+                        % literal)
+        with pytest.raises(ValueError, match=f"non-finite number "
+                           f"{literal.replace('+', '[+]')}$"):
+            cfg.load_json(str(path))
+
+    def test_largest_finite_number_accepted(self, tmp_path):
+        path = tmp_path / "plasma.json"
+        path.write_text('{"B0": 1.7976931348623157e308, "x": -0.0}')
+        data = cfg.load_json(str(path))
+        assert data["B0"] == sys.float_info.max
+        assert math.copysign(1.0, data["x"]) == -1.0
+
+    def test_fractional_charge_number_refused(self, tmp_path, capsys):
+        path = tmp_path / "plasma.json"
+        path.write_text(json.dumps({"B0": 1.0, "species": [
+            {"name": "electron", "density_m3": 1e19},
+            {"name": "alpha", "mass_kg": 6.64e-27, "charge_sign": 1,
+             "Z": 2.7, "density_m3": 5e18}]}))
+        out = tmp_path / "stix.json"
+        assert main(["--out", str(out), "stix", "--plasma", str(path),
+                     "--omega", "1e9"]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: invalid plasma configuration: "
+            "species[1] ('alpha'): Z must be a whole number >= 1\n")
+        assert not out.exists()
 
 
 class TestUsageErrors:

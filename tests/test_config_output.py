@@ -47,6 +47,18 @@ class TestPlasmaConfig:
     def test_vacuum_valid(self):
         assert cfg.validate_plasma({"B0": 0.0, "species": []}) == []
 
+    @pytest.mark.parametrize("Z, valid", [
+        (1, True), (2, True), (2.0, True), (2.7, False), (0.5, False),
+        (0, False), (-1, False), (math.inf, False), (math.nan, False),
+        ("2", False)])
+    def test_charge_number_whole(self, Z, valid):
+        diags = cfg.validate_plasma({"B0": 1.0, "species": [
+            {"name": "electron", "density_m3": 1e19},
+            {"name": "ion", "mass_kg": 3.3e-27, "charge_sign": 1, "Z": Z,
+             "density_m3": 1e19}]})
+        assert diags == ([] if valid else [
+            "species[1] ('ion'): Z must be a whole number >= 1"])
+
 
 class TestProblemConfig:
     def base(self):

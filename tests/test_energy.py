@@ -185,9 +185,8 @@ def gram_reference(grid, kappa, spec):
             fields.append((u, *gradient(u, grid), apply_L(u, grid, kappa)))
     S = W = 0.0
     for pts in decompose_cells(grid).points:
-        u, ux, uy, lu = (np.array([pts.values(
-            F, 0.25 * (F[:-1, :-1] + F[1:, :-1] + F[:-1, 1:] + F[1:, 1:]))
-            for F in basis]) for basis in zip(*fields))
+        u, ux, uy, lu = (np.array([pts.values(F) for F in basis])
+                         for basis in zip(*fields))
         w = pts.weight
         mu = (-u + spec.b(pts.x, pts.y, pts.sign) * ux
               + spec.c(pts.y) * uy)

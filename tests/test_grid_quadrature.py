@@ -3,12 +3,13 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coldwave import operators as ops
 from coldwave.errors import DualNormSingular
 from coldwave.grid import Domain, Grid2D
-from coldwave.quadrature import (decompose_cells, integrate_signed,
-                                 weighted_norms)
+from coldwave.quadrature import (_corners, decompose_cells,
+                                 integrate_signed, weighted_norms)
 
 
 def _polygon_area_centroid(poly):
@@ -211,6 +212,22 @@ class TestDecomposition:
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), nx=st.integers(8, 24), ny=st.integers(8, 24))
+    def test_centre_values_are_corner_averages(self, data, nx, ny):
+        # the bilinear weights at a centre are exactly 1/4; magnitudes in
+        # [1e-300, 1e300] keep every quarter and partial sum clear of
+        # underflow and overflow, where the two orders could round apart
+        magnitude = st.floats(1e-300, 1e300)
+        F = data.draw(arrays(float, (nx, ny), elements=st.one_of(
+            magnitude, magnitude.map(lambda v: -v))))
+        g = Grid2D(Domain.rectangle(-0.3, 1.2, -0.9, 0.7), nx, ny)
+        average = 0.25 * sum(_corners(F))
+        for pts in decompose_cells(g).points:
+            k = slice(None, pts.n_cells)
+            got = pts.values(F)[k]
+            assert got.tobytes() == average[pts.i[k], pts.j[k]].tobytes()
 
     def test_cut_cells_follow_parabola(self, square):
         dec = decompose_cells(square)

@@ -193,14 +193,6 @@ class TestSparsePath:
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
-    def test_tall_system_takes_lsmr(self, rng):
-        M = rng.normal(size=(15, 8))
-        b = rng.normal(size=15)
-        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
-        assert (cond, rank, method) == (np.inf, None, "lsmr")
-        x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
-        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
-
     def test_lsmr_not_converged_raises(self, rng, monkeypatch):
         import scipy.sparse.linalg as spla
 
@@ -215,6 +207,25 @@ class TestSparsePath:
         M[:, 1] = M[:, 0]
         with pytest.raises(FactorizationFailure):
             _min_norm_solve(sp.csr_array(M), rng.normal(size=6))
+
+    @pytest.mark.parametrize("box", [(0.0, 1.0, 0.0, 0.75),
+                                     (-1.05, 0.95, -1.02, 0.98)])
+    @pytest.mark.parametrize("nx", [8, 9, 17])
+    @pytest.mark.parametrize("ny", [8, 9, 17])
+    def test_mixed_system_is_wide_for_every_G(self, box, nx, ny):
+        # unknowns - equations = boundary nodes - corners shared by a G
+        # segment and a non-G segment, at least 2 (nx + ny) - 8
+        grid = Grid2D(Domain.rectangle(*box), nx, ny)
+        names = ("bottom", "right", "top", "left")
+        for bits in range(16):
+            G = {name for k, name in enumerate(names) if bits >> k & 1}
+            A = assemble_mixed(grid, 0.5, _segment_node_mask(grid, G),
+                               _segment_node_mask(grid, set(names) - G))[0]
+            shared = sum((names[k] in G) != (names[k - 1] in G)
+                         for k in range(4))
+            rows, columns = A.shape
+            assert columns - rows == 2 * (nx + ny) - 4 - shared
+            assert rows < columns
 
     def test_wide_system_takes_kkt_factor(self, rng):
         M = rng.normal(size=(9, 16)) * (rng.random((9, 16)) < 0.4)

@@ -29,13 +29,17 @@ the electron cyclotron frequency underflows, and ``layered`` with a
 piecewise-linear ``expression-table`` K11, whose kinks the quadrature
 must resolve.  Every benchmark step succeeds, so ``FAILING`` holds
 commands that must fail: a non-finite or unparsable ``--box``, an
-unparsable ``--bracket``, a NaN dispersion grid, and a ``stix``
+unparsable ``--bracket``, a NaN dispersion grid, a ``stix``
 frequency and two ``cutoffs``/``resonances`` brackets whose square
-underflows.  Each gives the line of its output
+underflows, and configuration files holding a non-finite number (a NaN
+B0 for ``dispersion``, a NaN K11 for ``typemap`` and an ``Infinity``
+rectangle bound for ``solve``).  Each gives the line of its output
 file and of its stderr, with ``-`` for the seed and ``fixed`` or
 ``errors`` for the workload, so that error text and exit codes are
-compared too.  ``COLUMNS`` is fixed at 80, since
-argparse wraps its usage text to the terminal width.
+compared too.  In that stderr the temporary input directory reads
+``{in}``, so that a message naming an input file has one digest.
+``COLUMNS`` is fixed at 80, since argparse wraps its usage text to the
+terminal width.
 """
 
 import contextlib
@@ -92,6 +96,12 @@ FAILING = {
     "resonances-bracket-underflow": ["resonances", "--plasma",
                                      "{in}/plasma.json", "--bracket",
                                      "1e-170:1e6"],
+    "dispersion-nan-b0": ["dispersion", "--plasma", "{in}/plasma-nan-b0.json",
+                          "--omegas", "1e9", "--thetas", "0,1"],
+    "typemap-nan-k11": ["typemap", "--fields", "{in}/fields-nan-k11.json",
+                        "--box=0:1:0:1", "--nx", "3", "--nz", "2"],
+    "solve-infinite-bound": ["solve", "--problem",
+                             "{in}/problem-infinite-bound.json"],
 }
 FIXED_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
@@ -106,6 +116,15 @@ FIXED_INPUTS = {
         "zs": [-1.0, 1.0],
         "values": [[1.0, 1.0], [0.3, 0.3], [2.0, 2.0], [0.8, 0.8]]},
         "sigma0": 2.0, "x_range": [0.5, 2.0]},
+    # json.dump writes these as the NaN and Infinity literals
+    "plasma-nan-b0.json": {"B0": float("nan"), "species": [
+        {"name": "electron", "density_m3": 1e19},
+        {"name": "proton", "density_m3": 1e19}]},
+    "fields-nan-k11.json": {"K11": {"kind": "constant",
+                                    "value": float("nan")}},
+    "problem-infinite-bound.json": {
+        "kappa": 0.5, "domain": {"rects": [[0.0, float("inf"), 0.0, 1.0]]},
+        "grid": {"nx": 9, "ny": 9}},
 }
 
 
@@ -116,11 +135,15 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _run(argv):
-    """Exit code and stderr digest of one CLI call."""
+def _run(argv, indir=None):
+    """Exit code and stderr digest of one CLI call, with the input
+    directory ``indir`` (when given) written as ``{in}`` in stderr."""
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
-    return code, hashlib.sha256(err.getvalue().encode()).hexdigest()
+    text = err.getvalue()
+    if indir is not None:
+        text = text.replace(indir, "{in}")
+    return code, hashlib.sha256(text.encode()).hexdigest()
 
 
 def fixed_digests(commands):
@@ -135,7 +158,8 @@ def fixed_digests(commands):
         for name, argv in commands.items():
             out = os.path.join(workdir, f"{name}.out")
             code, err = _run(["--out", out]
-                             + [a.replace("{in}", workdir) for a in argv])
+                             + [a.replace("{in}", workdir) for a in argv],
+                             workdir)
             rows += [(f"{name}.out", code, _sha256(out)),
                      (f"stderr.{name}", code, err)]
         return rows
