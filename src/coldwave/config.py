@@ -40,7 +40,12 @@ GRID_MIN = 8
 def load_json(path):
     """A JSON file's contents.  Raises ValueError, naming the file and
     the literal, at NaN, Infinity, -Infinity or a number that overflows
-    to inf (such as 1e999): every configured number must be finite."""
+    to inf (such as 1e999): every configured number must be finite.
+
+    The file is parsed once without hooks and its numbers checked in one
+    walk; only when the walk finds one that may be non-finite is it
+    parsed again with a hook per literal, which names the first such
+    literal."""
     def refuse(literal):
         raise ValueError(f"{path}: non-finite number {literal}")
 
@@ -51,7 +56,32 @@ def load_json(path):
         return value
 
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=refuse, parse_float=finite)
+        text = fh.read()
+    data = json.loads(text)
+    if _all_finite(data):
+        return data
+    return json.loads(text, parse_constant=refuse, parse_float=finite)
+
+
+def _all_finite(value):
+    """False when the parsed JSON ``value`` holds a non-finite float.  A
+    list is checked by its sum, through which inf and NaN always
+    propagate; the rare sum of finite numbers that overflows reads as
+    non-finite too."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return True
+    try:
+        return math.isfinite(sum(value))
+    except (TypeError, OverflowError):   # not all numbers, or a huge int
+        return all(map(_all_finite, value))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float))
 
 
 def parse_plasma(data):
@@ -79,7 +109,7 @@ def validate_plasma(data):
     if not isinstance(data, dict):
         return ["plasma configuration must be a JSON object"]
     b0 = data.get("B0", 0.0)
-    if not isinstance(b0, (int, float)) or b0 < 0.0:
+    if not _is_number(b0) or b0 < 0.0:
         diags.append("B0 must be a number >= 0")
     species = data.get("species", [])
     if not isinstance(species, list):
@@ -89,20 +119,30 @@ def validate_plasma(data):
             diags.append(f"species[{k}] must be an object")
             continue
         name = entry.get("name", "")
+        if not isinstance(name, str):
+            diags.append(f"species[{k}]: name must be a string")
+            continue
         merged = dict(SPECIES_ALIASES.get(name, {}))
         merged.update(entry)
         if "mass_kg" not in merged:
             diags.append(f"species[{k}] ({name!r}): missing mass_kg")
+        elif not _is_number(merged["mass_kg"]):
+            diags.append(f"species[{k}] ({name!r}): mass_kg must be a "
+                         "number")
         elif not merged["mass_kg"] > 0.0:
             diags.append(f"species[{k}] ({name!r}): mass_kg must be > 0")
         if merged.get("charge_sign") not in (-1, 1):
             diags.append(f"species[{k}] ({name!r}): charge_sign must be -1 or 1")
         z = merged.get("Z", 1)
-        if not (isinstance(z, (int, float)) and z >= 1
+        if not (_is_number(z) and z >= 1
                 and float(z).is_integer()):
             diags.append(f"species[{k}] ({name!r}): Z must be a whole "
                          "number >= 1")
-        if merged.get("density_m3", 0.0) < 0.0:
+        density = merged.get("density_m3", 0.0)
+        if not _is_number(density):
+            diags.append(f"species[{k}] ({name!r}): density_m3 must be a "
+                         "number")
+        elif density < 0.0:
             diags.append(f"species[{k}] ({name!r}): density_m3 must be >= 0")
     return diags
 
@@ -198,8 +238,11 @@ def validate_problem(data):
     diags = []
     if not isinstance(data, dict):
         return ["problem configuration must be a JSON object"]
+    for key in ("domain", "grid", "bc", "forcing"):
+        if not isinstance(data.get(key, {}), dict):
+            return [f"{key} must be a JSON object"]
     kappa = data.get("kappa")
-    if not isinstance(kappa, (int, float)):
+    if not _is_number(kappa):
         diags.append("kappa must be a number")
     else:
         bc_type = data.get("bc", {}).get("type", "closed_dirichlet")
@@ -207,11 +250,15 @@ def validate_problem(data):
         if not 0.0 <= kappa <= hi:
             diags.append(f"kappa out of range [0, {hi:g}] for {bc_type}")
     rects = data.get("domain", {}).get("rects")
-    if not rects:
+    if not (rects and isinstance(rects, list)):
         diags.append("domain.rects must be a nonempty list")
+        rects = None
     else:
         for r in rects:
-            if len(r) != 4 or not (r[0] < r[1] and r[2] < r[3]):
+            if not (isinstance(r, list) and all(map(_is_number, r))):
+                diags.append(f"domain.rects: rectangle {r} must be a list "
+                             "of numbers")
+            elif len(r) != 4 or not (r[0] < r[1] and r[2] < r[3]):
                 diags.append(f"rectangle {r} must satisfy x0 < x1, y0 < y1")
     grid = data.get("grid", {})
     for key in ("nx", "ny"):
@@ -223,8 +270,12 @@ def validate_problem(data):
         diags.append("bc.type must be 'closed_dirichlet' or 'mixed'")
     if bc.get("type") == "mixed":
         valid = {"bottom", "right", "top", "left"}
-        for name in bc.get("G", ()):
-            if name not in valid:
+        G = bc.get("G", [])
+        if not isinstance(G, list):
+            diags.append("bc.G must be a list of segment names")
+            G = []
+        for name in G:
+            if not (isinstance(name, str) and name in valid):
                 diags.append(f"unknown boundary segment {name!r} in G")
         if rects and len(rects) != 1:
             diags.append("mixed problems need a single-rectangle domain")

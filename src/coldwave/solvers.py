@@ -4,10 +4,14 @@ Every grid solve factors one square sparse matrix M with SuperLU
 (``scipy.sparse.linalg.splu``) through one routine, ``_factor``, and
 estimates its 1-norm condition number kappa_1 = ||M||_1 *
 est(||M^-1||_1), where est is the Higham-Tisseur block 1-norm estimator
-(SIAM J. Matrix Anal. Appl. 21, 2000) run with a single, deterministic
-start vector (t = 1).  kappa_1 is a lower bound on cond_1(M); it is the
-reported ``condition_estimate`` and, for the closed-Dirichlet matrix
-across refinements, the ill-posedness diagnostic.
+(SIAM J. Matrix Anal. Appl. 21, 2000, Algorithm 2.4) run with a single,
+deterministic start vector (t = 1).  It runs as a direct loop of
+``lu.solve`` and ``lu.solve(trans="T")`` on the factor, step for step as
+``scipy.sparse.linalg.onenormest(t=1)`` runs it, so it gives the same
+number.  kappa_1 is a lower bound on cond_1(M); it is the reported
+``condition_estimate`` and, for the closed-Dirichlet matrix across
+refinements, the ill-posedness diagnostic.  ||M||_1 and the ||M||_inf of
+the probe come from one pass over |M|.
 
 The factor is static first: MMD ordering on M + M^T with diagonal
 pivots (static pivoting as in SuperLU_DIST, Li & Demmel, SC 1998),
@@ -27,9 +31,13 @@ seminormal equations (Bjorck, Numerical Methods for Least Squares
 Problems, SIAM 1996, sec. 6.6) with M = A A^T; its kappa_1 is about the
 square of the conditioning of A.  Both take the same solve and one
 correction step, x = lift(M^-1 f), x += lift(M^-1 (f - A x)), with lift
-the identity for a square A and A^T for a wide one.  When the factor is
-exactly singular or when kappa_1 * eps >= 1, LSMR (Fong & Saunders, SIAM
-J. Sci. Comput. 33, 2011) gives the min-norm least-squares solution
+the identity for a square A and A^T for a wide one.  On the static
+factor the solution's two solves and the probe's two are one
+two-column solve each; SuperLU solves each column of a batch as it
+would alone, so the batch changes no digit.  After a rejected probe the
+solution is solved on the refactor.  When the factor is exactly
+singular or when kappa_1 * eps >= 1, LSMR (Fong & Saunders, SIAM J.
+Sci. Comput. 33, 2011) gives the min-norm least-squares solution
 instead.  ``diagnostics["method"]`` records which path ran ("splu" or
 "lsmr"), beside the sizes ``unknowns``, ``nnz`` (of A), ``lu_nnz`` (of
 L + U), the ``ordering`` of the factor ("MMD_AT_PLUS_A" for the kept
@@ -159,11 +167,24 @@ def require_memory(bc, nx, ny):
             "budget")
 
 
-def _backward_error(M, x, b):
+def _matrix_norms(M):
+    """||M||_1 and ||M||_inf of a CSC matrix from one pass over |M.data|:
+    column sums by ``reduceat`` over the nonempty columns of ``indptr``
+    and row sums by ``bincount`` over ``indices``, in the order in which
+    scipy sums ``abs(M)`` along each axis, so both are its figures bit
+    for bit."""
+    a = np.abs(M.data)
+    nonempty = np.flatnonzero(np.diff(M.indptr))
+    cols = np.add.reduceat(a, M.indptr[nonempty])
+    rows = np.bincount(M.indices, weights=a, minlength=M.shape[0])
+    return float(cols.max(initial=0.0)), float(rows.max())
+
+
+def _backward_error(M, x, b, norm_inf):
     """Normwise backward error ||M x - b||_inf / (||M||_inf ||x||_inf +
-    ||b||_inf) of x for M x = b (0 when x and b are both zero)."""
-    scale = (float(abs(M).sum(axis=1).max()) * float(np.abs(x).max())
-             + float(np.abs(b).max()))
+    ||b||_inf) of x for M x = b, given ||M||_inf (0 when x and b are
+    both zero)."""
+    scale = norm_inf * float(np.abs(x).max()) + float(np.abs(b).max())
     residual = float(np.abs(M @ x - b).max())
     return residual / scale if scale > 0.0 else residual
 
@@ -181,50 +202,113 @@ def _splu(M, **settings):
         return None
 
 
-def _probe_accepts(M, lu):
-    """Whether one refined solve of M x = 1 through ``lu`` has a backward
-    error at or below PROBE_BACKWARD_ERROR."""
+def _refined_solves(lu, systems):
+    """Solutions of the systems (A, lift, b) through the factor ``lu`` of
+    M: x = lift(M^-1 b), then one correction step x += lift(M^-1 (b -
+    A x)), with lift None for the identity or the sparse matrix applied.
+    The right-hand sides of all systems go through one ``lu.solve`` per
+    step; SuperLU solves each column of a batch as it solves that column
+    alone, so every x is the one its system gives by itself.  A failed
+    or nearly singular factor gives inf or NaN silently: the probe
+    rejects such a factor, and a solution is checked before it is
+    used."""
+    if not systems:
+        return []
+
+    def lifted(lift, v):
+        return v if lift is None else lift @ v
+
+    with np.errstate(all="ignore"):
+        first = lu.solve(np.column_stack([b for _, _, b in systems]))
+        xs = [lifted(lift, first[:, k])
+              for k, (_, lift, _) in enumerate(systems)]
+        step = lu.solve(np.column_stack(
+            [b - A @ x for (A, _, b), x in zip(systems, xs)]))
+        for k, ((_, lift, _), x) in enumerate(zip(systems, xs)):
+            x += lifted(lift, step[:, k])
+    return xs
+
+
+def _probe_accepts(M, y, norm_inf):
+    """Whether y, the refined solve of M y = 1, has a backward error at or
+    below PROBE_BACKWARD_ERROR."""
     b = np.ones(M.shape[0])
-    with np.errstate(all="ignore"):   # a failed factor gives inf or NaN
-        x = lu.solve(b)
-        x += lu.solve(b - M @ x)
-        return _backward_error(M, x, b) <= PROBE_BACKWARD_ERROR
+    return _backward_error(M, y, b, norm_inf) <= PROBE_BACKWARD_ERROR
 
 
-def _factor(M):
+def _inverse_norm1(lu):
+    """Higham-Tisseur estimate of ||M^-1||_1 through the factor ``lu`` of
+    M: their Algorithm 2.4 with one column (t = 1) and at most five
+    iterations, step for step as ``scipy.sparse.linalg.onenormest(t=1)``
+    runs it (sums of |y| in blocks of 2**20 rows, the sign vector with
+    sign(0) = 1, ties of |z| broken by ``argsort``, the first of them
+    compared as Python's ``max`` compares), so the estimate is the same
+    number.  With t = 1 no random start vector is drawn."""
+    n = lu.shape[0]
+    x = np.ones((n, 1))
+    x /= float(n)
+    sign = np.zeros((n, 1))
+    est_old, best, j_max, k = 0, None, None, 1
+    while True:
+        y = lu.solve(x)
+        est = sum(np.sum(np.abs(y[j:j + 2 ** 20]), axis=0)[0]
+                  for j in range(0, n, 2 ** 20))
+        if k >= 2 and (est > est_old or k == 2):
+            best = j_max
+        if k >= 2 and est <= est_old:
+            break
+        est_old, sign_old = est, sign
+        if k > 5:
+            break
+        sign = y.copy()
+        sign[sign == 0] = 1
+        sign /= np.abs(sign)
+        if np.dot(sign[:, 0], sign_old[:, 0]) == n:
+            break
+        h = np.abs(lu.solve(sign, trans="T")[:, 0])
+        top = h[0] if np.isnan(h[0]) else np.nanmax(h)
+        if k >= 2 and top == h[best]:
+            break
+        j_max = np.argsort(h)[-1]
+        x = np.zeros((n, 1))
+        x[j_max] = 1.0
+        k += 1
+    return float(est_old)
+
+
+def _factor(M, systems=()):
     """SuperLU factor of a square sparse matrix, its condition estimate
-    kappa_1 = ||M||_1 * onenormest(M^-1, t=1) and its ordering.
+    kappa_1 = ||M||_1 * est(||M^-1||_1) (``_inverse_norm1``), its
+    ordering and the refined solutions of ``systems`` through it.
 
     The static factor (``MMD_AT_PLUS_A``, diagonal pivots) is kept when
-    its probe accepts it; otherwise M is refactored with ``COLAMD`` and
-    partial pivoting.  Returns (None, inf, "COLAMD") when SuperLU finds
-    that factor exactly singular too.  ``t=1`` keeps the estimate
-    deterministic: larger t draws random start vectors from the global
-    numpy generator.
+    its probe accepts it.  The probe's two solves also solve
+    ``systems``, a sequence of (A, lift, b) as in ``_refined_solves``:
+    one batch of right-hand sides per solve.  Otherwise M is refactored
+    with ``COLAMD`` and partial pivoting, and ``systems`` are solved on
+    that factor.  Returns (lu, kappa_1, ordering, xs), with one x in xs
+    per system, or (None, inf, "COLAMD", None) when SuperLU finds the
+    refactor exactly singular too.
     """
-    import scipy.sparse.linalg as spla
-
     M = M.tocsc()
     _check_finite("matrix", M.data)
+    M.sum_duplicates()   # as splu does in place, before |M| is summed
+    norm1, norm_inf = _matrix_norms(M)
+    probe = (M, None, np.ones(M.shape[0]))
     ordering = "MMD_AT_PLUS_A"
     lu = _splu(M, permc_spec=ordering, diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
-    if lu is not None and not _probe_accepts(M, lu):
-        lu = None   # released before the refactor allocates its own
+    if lu is not None:
+        y, *xs = _refined_solves(lu, [probe, *systems])
+        if not _probe_accepts(M, y, norm_inf):
+            lu = None   # released before the refactor allocates its own
     if lu is None:
         ordering = "COLAMD"
         lu = _splu(M, permc_spec=ordering)
-    if lu is None:
-        return None, np.inf, ordering
-
-    def solve_t(v):
-        return lu.solve(v, trans="T")
-
-    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, matmat=lu.solve,
-                                  rmatvec=solve_t, rmatmat=solve_t,
-                                  dtype=float)
-    norm1 = float(abs(M).sum(axis=0).max())
-    return lu, norm1 * float(spla.onenormest(inverse, t=1)), ordering
+        if lu is None:
+            return None, np.inf, ordering, None
+        xs = _refined_solves(lu, systems)
+    return lu, norm1 * _inverse_norm1(lu), ordering, xs
 
 
 def _lsmr(A, rhs):
@@ -248,27 +332,29 @@ def _min_norm_solve(A, rhs, sizes=None):
     A square A is factored itself and a wide A by corrected seminormal
     equations, through a factor of N = A A^T; both take one correction
     step, x = lift(M^-1 rhs), x += lift(M^-1 (rhs - A x)), with lift the
-    identity or A^T.  Any A whose factor is exactly singular or has
-    kappa_1 * eps >= 1 goes to LSMR.  Returns (x, condition_estimate,
-    rank, method): kappa_1 of the factored matrix (A or N), the full row
-    count after a usable factor and None after the fallback.  A dict
-    ``sizes`` receives the factor's ``lu_nnz`` (None without a factor),
-    its ``ordering`` and the ``backward_error`` of x on A x = rhs.
+    identity or A^T, in the same solves as the factor's probe.  Any A
+    whose factor is exactly singular or has kappa_1 * eps >= 1 goes to
+    LSMR.  Returns (x, condition_estimate, rank, method): kappa_1 of the
+    factored matrix (A or N), the full row count after a usable factor
+    and None after the fallback.  A dict ``sizes`` receives the factor's
+    ``lu_nnz`` (None without a factor), its ``ordering`` and the
+    ``backward_error`` of x on A x = rhs.
     """
     m, n = A.shape
-    lu, cond, ordering = _factor(A if m == n else A @ A.T)
+    lu, cond, ordering, xs = _factor(A if m == n else A @ A.T,
+                                     [(A, None if m == n else A.T, rhs)])
     if lu is None or cond * _EPS >= 1.0:
         x, rank, method = _lsmr(A, rhs), None, "lsmr"
     else:
-        lift = (lambda v: v) if m == n else (lambda v: A.T @ v)
-        x = lift(lu.solve(rhs))
-        x += lift(lu.solve(rhs - A @ x))
-        rank, method = m, "splu"
+        x, rank, method = xs[0], m, "splu"
     _check_finite("solution", x)
     if sizes is not None:
         sizes["lu_nnz"] = None if lu is None else int(lu.nnz)
         sizes["ordering"] = ordering
-        sizes["backward_error"] = _backward_error(A, x, rhs)
+        # ||A||_inf summed in A's own (CSR) order: the CSC sweep of
+        # _matrix_norms adds each row in another order
+        sizes["backward_error"] = _backward_error(
+            A, x, rhs, float(abs(A).sum(axis=1).max()))
     return x, cond, rank, method
 
 

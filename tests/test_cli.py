@@ -757,6 +757,78 @@ class TestNonFiniteConfig:
             "species[1] ('alpha'): Z must be a whole number >= 1\n")
         assert not out.exists()
 
+    def test_finite_numbers_whose_sum_overflows_accepted(self, tmp_path):
+        path = tmp_path / "fields.json"
+        path.write_text('{"values": [1.7e308, 1.7e308, -0.0], "n": 3}')
+        assert cfg.load_json(str(path)) \
+            == {"values": [1.7e308, 1.7e308, 0.0], "n": 3}
+
+    @pytest.mark.parametrize("where", ["top", "list", "nested"])
+    def test_non_finite_found_anywhere(self, where, tmp_path):
+        value = {"top": '{"a": "x", "b": NaN}',
+                 "list": '{"a": [1, 2.5, "x", NaN]}',
+                 "nested": '{"a": [[1.0, 2.0], [3.0, {"b": [-Infinity]}]]}'}
+        path = tmp_path / "config.json"
+        path.write_text(value[where])
+        with pytest.raises(ValueError, match="non-finite number"):
+            cfg.load_json(str(path))
+
+
+class TestWrongTypeConfig:
+    """A configured value of the wrong JSON type is refused by name (exit
+    1, no output), not met by an internal error."""
+
+    def test_string_density(self, tmp_path, capsys):
+        path = tmp_path / "plasma.json"
+        path.write_text(json.dumps({"B0": 1.0, "species": [
+            {"name": "electron", "density_m3": "1e19"}]}))
+        out = tmp_path / "stix.json"
+        assert main(["--out", str(out), "stix", "--plasma", str(path),
+                     "--omega", "1e9"]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: invalid plasma configuration: "
+            "species[0] ('electron'): density_m3 must be a number\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("species, message", [
+        ({"name": "ion", "mass_kg": "1e-27", "charge_sign": 1},
+         "species[0] ('ion'): mass_kg must be a number"),
+        ({"name": ["electron"]}, "species[0]: name must be a string"),
+    ])
+    def test_bad_species(self, species, message, tmp_path, capsys):
+        path = tmp_path / "plasma.json"
+        path.write_text(json.dumps({"B0": 1.0, "species": [species]}))
+        assert main(["stix", "--plasma", str(path), "--omega", "1e9"]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: invalid plasma configuration: "
+            f"{message}\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"domain": {"rects": [[0, "1", 0, 1]]}},
+         "domain.rects: rectangle [0, '1', 0, 1] must be a list of numbers"),
+        ({"domain": {"rects": [5]}},
+         "domain.rects: rectangle 5 must be a list of numbers"),
+        ({"domain": {"rects": 7}}, "domain.rects must be a nonempty list"),
+        ({"domain": 5}, "domain must be a JSON object"),
+        ({"bc": "mixed"}, "bc must be a JSON object"),
+        ({"forcing": ["zero"]}, "forcing must be a JSON object"),
+        ({"kappa": 0.0, "bc": {"type": "mixed", "G": "top"}},
+         "bc.G must be a list of segment names"),
+        ({"kappa": 0.0, "bc": {"type": "mixed", "G": [["top"]]}},
+         "unknown boundary segment ['top'] in G"),
+    ])
+    def test_bad_problem(self, change, message, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
+            "grid": {"nx": 9, "ny": 9}, **change}))
+        out = tmp_path / "u.csv"
+        assert main(["--out", str(out), "solve", "--problem",
+                     str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: invalid problem configuration: {message}\n")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     CHAR = ["characteristics", "--branch", "1", "--max-steps", "50"]

@@ -186,7 +186,7 @@ class TestSparsePath:
         M[:, 5] = M[:, column] if column is not None else 0.0
         A = sp.csr_array(M)
         b = rng.normal(size=12)
-        lu, cond, _ = _factor(A)
+        lu, cond, _, _ = _factor(A)
         assert lu is None or cond * np.finfo(float).eps >= 1.0
         x, cond, rank, method = _min_norm_solve(A, b)
         assert (rank, method) == (None, "lsmr")
@@ -320,10 +320,12 @@ class TestOneFactor:
         assert sol.diagnostics["ordering"] == "COLAMD"
         assert sol.diagnostics["backward_error"] <= 1e-14
         A, _ = assemble_dirichlet(g, 0.5)
-        static = solvers._splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        M = A.tocsc()
+        static = solvers._splu(M, permc_spec="MMD_AT_PLUS_A",
                                diag_pivot_thresh=0.0,
                                options={"SymmetricMode": True})
-        assert not solvers._probe_accepts(A.tocsc(), static)
+        y, = solvers._refined_solves(static, [(M, None, np.ones(A.shape[0]))])
+        assert not solvers._probe_accepts(M, y, solvers._matrix_norms(M)[1])
 
     def test_rejected_probe_refactors(self, monkeypatch):
         A, _ = assemble_dirichlet(Grid2D(ORIGIN, 17, 17), 0.5)
@@ -349,7 +351,7 @@ class TestOneFactor:
             return None if len(calls) == 1 else real(matrix, **settings)
 
         monkeypatch.setattr(solvers, "_splu", static_singular)
-        lu, cond, ordering = _factor(M)
+        lu, cond, ordering, _ = _factor(M)
         assert calls == ["MMD_AT_PLUS_A", "COLAMD"]
         assert ordering == "COLAMD"
         assert np.allclose(lu.solve(np.array([5.0, 11.0])), [1.0, 2.0])
@@ -370,6 +372,108 @@ class TestOneFactor:
         sizes = {}
         _min_norm_solve(A, np.zeros(A.shape[0]), sizes)
         assert sizes["backward_error"] == 0.0
+
+
+def onenormest_t1(lu):
+    """scipy's onenormest(t=1) of the inverse through the factor lu."""
+    import scipy.sparse.linalg as spla
+
+    def solve_t(v):
+        return lu.solve(v, trans="T")
+
+    inverse = spla.LinearOperator(lu.shape, matvec=lu.solve, matmat=lu.solve,
+                                  rmatvec=solve_t, rmatmat=solve_t,
+                                  dtype=float)
+    return float(spla.onenormest(inverse, t=1))
+
+
+def separate_solve(A, rhs):
+    """The solve with the probe and the solution in separate solves and
+    every norm from abs(M): the reference the batched solve must match
+    bit for bit.  Returns (x, condition_estimate, sizes)."""
+    m, n = A.shape
+    lift = (lambda v: v) if m == n else (lambda v: A.T @ v)
+    M = (A if m == n else A @ A.T).tocsc()
+    lu, _, ordering, _ = _factor(M)
+    x = lift(lu.solve(rhs))
+    x += lift(lu.solve(rhs - A @ x))
+    cond = float(abs(M).sum(axis=0).max()) * onenormest_t1(lu)
+    norm_inf = float(abs(A).sum(axis=1).max())
+    error = float(np.abs(A @ x - rhs).max()) / (
+        norm_inf * float(np.abs(x).max()) + float(np.abs(rhs).max()))
+    return x, cond, {"lu_nnz": int(lu.nnz), "ordering": ordering,
+                     "backward_error": error}
+
+
+class TestSolvePath:
+    """One pass per factor: the batched probe and solve, the direct
+    1-norm estimate and the one-sweep matrix norms reproduce the
+    separate computations bit for bit."""
+
+    @staticmethod
+    def matrices():
+        yield from (assemble_dirichlet(Grid2D(ORIGIN, n, n), 0.5)[0]
+                    for n in (13, 33, 49))
+        A = mixed_system(41)[0]
+        yield A @ A.T
+        yield sp.csr_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        yield sp.csr_array(np.array([[-0.25]]))
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_estimate_equals_onenormest(self, k):
+        M = list(self.matrices())[k]
+        lu = _factor(M)[0]
+        assert solvers._inverse_norm1(lu) == onenormest_t1(lu)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_estimate_equals_onenormest_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        M = sp.random_array((n, n), density=rng.uniform(0.05, 0.6),
+                            rng=rng, format="csc")
+        M = M + sp.diags_array(rng.choice([-1.0, 1.0], n)
+                               * 10.0 ** rng.uniform(-8.0, 0.0, n))
+        lu = _factor(M)[0]
+        assert solvers._inverse_norm1(lu) == onenormest_t1(lu)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_norms_equal_abs_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        M = sp.random_array((30, 20), density=0.15, rng=rng, format="csc")
+        for matrix in (M, *(list(self.matrices())[:4]),
+                       sp.csc_array((5, 5))):
+            matrix = matrix.tocsc()
+            assert solvers._matrix_norms(matrix) == (
+                float(abs(matrix).sum(axis=0).max()),
+                float(abs(matrix).sum(axis=1).max()))
+
+    @pytest.mark.parametrize("case", ["origin", "hyperbolic", "mixed"])
+    def test_batched_equals_separate(self, case):
+        if case == "mixed":
+            A, rhs = mixed_system(41)
+        else:
+            dom = ORIGIN if case == "origin" else HYPERBOLIC
+            A, _ = assemble_dirichlet(Grid2D(dom, 49, 49), 0.5)
+            rhs = np.cos(np.arange(A.shape[0]))
+        sizes = {}
+        x, cond, rank, method = _min_norm_solve(A, rhs, sizes)
+        x_ref, cond_ref, sizes_ref = separate_solve(A, rhs)
+        assert np.array_equal(x, x_ref)
+        assert cond == cond_ref
+        assert sizes == sizes_ref
+        assert sizes["ordering"] == ("COLAMD" if case == "hyperbolic"
+                                     else "MMD_AT_PLUS_A")
+
+    def test_batch_columns_equal_single_solves(self, rng):
+        A = mixed_system(33)[0]
+        M = (A @ A.T).tocsc()
+        lu = _factor(M)[0]
+        systems = [(M, None, np.ones(M.shape[0])),
+                   (A, A.T, rng.normal(size=M.shape[0])),
+                   (M, None, rng.normal(size=M.shape[0]))]
+        batched = solvers._refined_solves(lu, systems)
+        for system, x in zip(systems, batched):
+            assert np.array_equal(x, solvers._refined_solves(lu, [system])[0])
 
 
 class TestMemoryBudget:
