@@ -22,7 +22,6 @@ from . import config as cfg
 from . import dispersion, electrostatics, output, plasma, typegeometry
 from .errors import (EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_NUMERICAL,
                      EXIT_OK, ColdwaveError)
-from .fields import Field1D
 from .grid import Domain, Grid2D
 from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
                           bump_coefficients, bump_gram)
@@ -112,9 +111,7 @@ def cmd_resonances(args):
 
 
 def cmd_typemap(args):
-    data = cfg.load_json(args.fields)
-    k11 = cfg.parse_field(data.get("K11"))
-    k33 = cfg.parse_field(data.get("K33"), default=1.0)
+    k11, k33 = cfg.parse_fields(cfg.load_json(args.fields))
     x0, x1, z0, z1 = args.box
     xs, zs = np.linspace(x0, x1, args.nx), np.linspace(z0, z1, args.nz)
     X, Z = np.meshgrid(xs, zs, indexing="ij")
@@ -183,11 +180,7 @@ def cmd_symbol_check(args):
 
 
 def cmd_layered(args):
-    data = cfg.load_json(args.layered)
-    f2d = cfg.parse_field(data.get("K11"))
-    k11 = Field1D(lambda x: np.real(f2d(x, 0.0)))
-    problem = electrostatics.LayeredProblem(
-        k11, float(data.get("sigma0", 0.0)), tuple(data["x_range"]))
+    problem = cfg.parse_layered(cfg.load_json(args.layered))
     sol = electrostatics.integrate_layered(problem, complex(*args.psi0),
                                            args.x0, args.x1)
     output.write_csv("x,psi_re,psi_im",

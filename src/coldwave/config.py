@@ -17,6 +17,10 @@ Field definitions (type maps, layered runs):
             | {"kind": "expression-table", "xs": [...], "zs": [...],
                "values": [[...], ...]},
      "K33": {...}}   # optional, defaults to constant 1
+
+Layered run: {"K11": {...}, "sigma0": num, "x_range": [x0, x1]}.
+
+A JSON boolean is never taken as a number.
 """
 
 import json
@@ -25,7 +29,8 @@ import math
 import numpy as np
 
 from .constants import M_ELECTRON, M_PROTON
-from .fields import Field2D
+from .electrostatics import LayeredProblem
+from .fields import Field1D, Field2D
 from .grid import Domain
 from .plasma import PlasmaState, Species
 
@@ -81,7 +86,20 @@ def _all_finite(value):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float))
+    """Whether ``value`` is a JSON number; ``true`` and ``false`` are not,
+    though Python's bool is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value, depth=1):
+    """Whether ``value`` is a list of numbers (``depth`` 1) or a list of
+    such lists (``depth`` 2).  A list of plain ints and floats, as JSON
+    gives, is told by the set of its types, without a call per entry."""
+    if depth > 1:
+        return isinstance(value, list) and all(
+            _is_numbers(v, depth - 1) for v in value)
+    return isinstance(value, list) and (set(map(type, value)) <= {int, float}
+                                        or all(map(_is_number, value)))
 
 
 def parse_plasma(data):
@@ -131,7 +149,8 @@ def validate_plasma(data):
                          "number")
         elif not merged["mass_kg"] > 0.0:
             diags.append(f"species[{k}] ({name!r}): mass_kg must be > 0")
-        if merged.get("charge_sign") not in (-1, 1):
+        sign = merged.get("charge_sign")
+        if not (_is_number(sign) and sign in (-1, 1)):
             diags.append(f"species[{k}] ({name!r}): charge_sign must be -1 or 1")
         z = merged.get("Z", 1)
         if not (_is_number(z) and z >= 1
@@ -255,7 +274,7 @@ def validate_problem(data):
         rects = None
     else:
         for r in rects:
-            if not (isinstance(r, list) and all(map(_is_number, r))):
+            if not _is_numbers(r):
                 diags.append(f"domain.rects: rectangle {r} must be a list "
                              "of numbers")
             elif len(r) != 4 or not (r[0] < r[1] and r[2] < r[3]):
@@ -279,23 +298,73 @@ def validate_problem(data):
                 diags.append(f"unknown boundary segment {name!r} in G")
         if rects and len(rects) != 1:
             diags.append("mixed problems need a single-rectangle domain")
+    forcing = data.get("forcing", {})
+    params = forcing.get("params", {})
+    if not isinstance(params, dict):
+        diags.append("forcing.params must be a JSON object")
+    else:
+        diags += [f"forcing.params.{key} must be a number"
+                  for key in ("cx", "cy", "w")
+                  if key in params and not _is_number(params[key])]
+    diags += [f"forcing.{key} must be a list of lists of numbers"
+              for key in ("values", "values1", "values2")
+              if key in forcing and not _is_numbers(forcing[key], 2)]
     return diags
 
 
-def parse_field(entry, default=None):
-    """Field2D from a field-definition mapping."""
+def parse_field(entry, default=None, name="field"):
+    """Field2D from a field-definition mapping; ``name`` names the entry
+    (such as ``K11``) in the message of a ValueError that refuses it."""
     if entry is None:
         if default is None:
             raise ValueError("missing field definition")
         return Field2D.constant(default)
+    if not isinstance(entry, dict):
+        raise ValueError(f"{name} must be a JSON object")
+
+    def numbers(key, depth=0):
+        value = entry.get(key)
+        if not (_is_numbers(value, depth) if depth else _is_number(value)):
+            shape = ("a number", "a list of numbers",
+                     "a list of lists of numbers")[depth]
+            raise ValueError(f"{name}.{key} must be {shape}")
+        return value
+
     kind = entry.get("kind")
     if kind == "constant":
-        return Field2D.constant(float(entry["value"]))
+        return Field2D.constant(float(numbers("value")))
     if kind == "affine_quadratic":
-        return Field2D.affine_quadratic(float(entry["a"]), float(entry["b"]))
+        return Field2D.affine_quadratic(float(numbers("a")),
+                                        float(numbers("b")))
     if kind == "expression-table":
-        return Field2D.from_table(entry["xs"], entry["zs"], entry["values"])
+        return Field2D.from_table(numbers("xs", 1), numbers("zs", 1),
+                                  numbers("values", 2))
     raise ValueError(f"unknown field kind {kind!r}")
+
+
+def parse_fields(data):
+    """(K11, K33) Field2D pair from a field-definition file's mapping;
+    K33 defaults to the constant 1."""
+    if not isinstance(data, dict):
+        raise ValueError("field definitions must be a JSON object")
+    return (parse_field(data.get("K11"), name="K11"),
+            parse_field(data.get("K33"), default=1.0, name="K33"))
+
+
+def parse_layered(data):
+    """LayeredProblem from a layered-run mapping: the field ``K11``,
+    evaluated at z = 0, ``sigma0`` (default 0) and ``x_range`` [x0, x1]."""
+    if not isinstance(data, dict):
+        raise ValueError("layered configuration must be a JSON object")
+    f2d = parse_field(data.get("K11"), name="K11")
+    sigma0 = data.get("sigma0", 0.0)
+    if not _is_number(sigma0):
+        raise ValueError("sigma0 must be a number")
+    x_range = data.get("x_range")
+    if not (_is_numbers(x_range) and len(x_range) == 2):
+        raise ValueError("x_range must be a list of two numbers")
+    k11 = Field1D(lambda x: np.real(f2d(x, 0.0)))
+    return LayeredProblem(k11, float(sigma0), tuple(x_range))
 
 
 def parse_bracket(text):

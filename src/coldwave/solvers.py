@@ -11,7 +11,8 @@ deterministic start vector (t = 1).  It runs as a direct loop of
 number.  kappa_1 is a lower bound on cond_1(M); it is the reported
 ``condition_estimate`` and, for the closed-Dirichlet matrix across
 refinements, the ill-posedness diagnostic.  ||M||_1 and the ||M||_inf of
-the probe come from one pass over |M|.
+the probe come from one pass over |M|, which also finds a zero row or
+column: such an M is singular and is not factored.
 
 The factor is static first: MMD ordering on M + M^T with diagonal
 pivots (static pivoting as in SuperLU_DIST, Li & Demmel, SC 1998),
@@ -167,16 +168,24 @@ def require_memory(bc, nx, ny):
             "budget")
 
 
-def _matrix_norms(M):
-    """||M||_1 and ||M||_inf of a CSC matrix from one pass over |M.data|:
-    column sums by ``reduceat`` over the nonempty columns of ``indptr``
-    and row sums by ``bincount`` over ``indices``, in the order in which
-    scipy sums ``abs(M)`` along each axis, so both are its figures bit
-    for bit."""
+def _abs_sums(M):
+    """Column and row sums of |M| for a CSC matrix, from one pass over
+    |M.data|: column sums by ``reduceat`` over the nonempty columns of
+    ``indptr`` (0 in an empty column) and row sums by ``bincount`` over
+    ``indices``, in the order in which scipy sums ``abs(M)`` along each
+    axis, so both are its sums bit for bit."""
     a = np.abs(M.data)
     nonempty = np.flatnonzero(np.diff(M.indptr))
-    cols = np.add.reduceat(a, M.indptr[nonempty])
+    cols = np.zeros(M.shape[1])
+    cols[nonempty] = np.add.reduceat(a, M.indptr[nonempty])
     rows = np.bincount(M.indices, weights=a, minlength=M.shape[0])
+    return cols, rows
+
+
+def _matrix_norms(M):
+    """||M||_1 and ||M||_inf of a CSC matrix, as ``_factor`` takes them
+    from ``_abs_sums``."""
+    cols, rows = _abs_sums(M)
     return float(cols.max(initial=0.0)), float(rows.max())
 
 
@@ -288,12 +297,18 @@ def _factor(M, systems=()):
     with ``COLAMD`` and partial pivoting, and ``systems`` are solved on
     that factor.  Returns (lu, kappa_1, ordering, xs), with one x in xs
     per system, or (None, inf, "COLAMD", None) when SuperLU finds the
-    refactor exactly singular too.
+    refactor exactly singular too.  A matrix with a zero row or column
+    of |M| is singular and never reaches SuperLU, whose factorization
+    of it can raise an error that does not say "singular" or crash the
+    interpreter: it returns the same.
     """
     M = M.tocsc()
     _check_finite("matrix", M.data)
     M.sum_duplicates()   # as splu does in place, before |M| is summed
-    norm1, norm_inf = _matrix_norms(M)
+    cols, rows = _abs_sums(M)
+    if not (cols.all() and rows.all()):
+        return None, np.inf, "COLAMD", None
+    norm1, norm_inf = float(cols.max()), float(rows.max())
     probe = (M, None, np.ones(M.shape[0]))
     ordering = "MMD_AT_PLUS_A"
     lu = _splu(M, permc_spec=ordering, diag_pivot_thresh=0.0,
@@ -352,7 +367,7 @@ def _min_norm_solve(A, rhs, sizes=None):
         sizes["lu_nnz"] = None if lu is None else int(lu.nnz)
         sizes["ordering"] = ordering
         # ||A||_inf summed in A's own (CSR) order: the CSC sweep of
-        # _matrix_norms adds each row in another order
+        # _abs_sums adds each row in another order
         sizes["backward_error"] = _backward_error(
             A, x, rhs, float(abs(A).sum(axis=1).max()))
     return x, cond, rank, method

@@ -829,6 +829,80 @@ class TestWrongTypeConfig:
             f"invalid input: invalid problem configuration: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("plasma, message", [
+        ({"B0": True, "species": []}, "B0 must be a number >= 0"),
+        ({"B0": 1.0, "species": [
+            {"name": "ion", "mass_kg": True, "charge_sign": 1}]},
+         "species[0] ('ion'): mass_kg must be a number"),
+        ({"B0": 1.0, "species": [{"name": "proton", "charge_sign": True}]},
+         "species[0] ('proton'): charge_sign must be -1 or 1"),
+        ({"B0": 1.0, "species": [{"name": "proton", "Z": True}]},
+         "species[0] ('proton'): Z must be a whole number >= 1"),
+        ({"B0": 1.0, "species": [{"name": "electron", "density_m3": True}]},
+         "species[0] ('electron'): density_m3 must be a number"),
+    ])
+    def test_boolean_plasma_number(self, plasma, message, tmp_path, capsys):
+        path = tmp_path / "plasma.json"
+        path.write_text(json.dumps(plasma))
+        out = tmp_path / "stix.json"
+        assert main(["--out", str(out), "stix", "--plasma", str(path),
+                     "--omega", "1e9"]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: invalid plasma configuration: "
+            f"{message}\n")
+        assert not out.exists()
+
+    SOLVE = ["solve", "--problem", "{cfg}"]
+    TYPEMAP = ["typemap", "--fields", "{cfg}", "--box=0:1:0:1", "--nx", "3",
+               "--nz", "2"]
+    LAYERED = ["layered", "--layered", "{cfg}", "--x0", "0", "--x1", "1"]
+    PROBLEM = {"kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
+               "grid": {"nx": 9, "ny": 9}}
+    LAYER = {"K11": {"kind": "constant", "value": 1.0}, "sigma0": 0.0,
+             "x_range": [0.0, 1.0]}
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (SOLVE, {**PROBLEM, "kappa": True},
+         "invalid problem configuration: kappa must be a number"),
+        (SOLVE, {**PROBLEM, "domain": {"rects": [[0.0, True, 0.0, 1.0]]}},
+         "invalid problem configuration: domain.rects: rectangle "
+         "[0.0, True, 0.0, 1.0] must be a list of numbers"),
+        (SOLVE, {**PROBLEM, "forcing": {"kind": "gauss", "params": [1]}},
+         "invalid problem configuration: forcing.params must be a JSON "
+         "object"),
+        (SOLVE, {**PROBLEM, "forcing": {"kind": "gauss",
+                                        "params": {"w": "x"}}},
+         "invalid problem configuration: forcing.params.w must be a number"),
+        (SOLVE, {**PROBLEM, "forcing": {"kind": "samples",
+                                        "values": [[True] * 9] * 9}},
+         "invalid problem configuration: forcing.values must be a list of "
+         "lists of numbers"),
+        (TYPEMAP, {"K11": 5}, "K11 must be a JSON object"),
+        (TYPEMAP, [1, 2], "field definitions must be a JSON object"),
+        (TYPEMAP, {"K11": {"kind": "affine_quadratic", "a": [1], "b": 1}},
+         "K11.a must be a number"),
+        (TYPEMAP, {"K11": {"kind": "constant", "value": 1.0},
+                   "K33": {"kind": "expression-table", "xs": [0, True],
+                           "zs": [0, 1], "values": [[1, 1], [1, 1]]}},
+         "K33.xs must be a list of numbers"),
+        (LAYERED, {**LAYER, "K11": {"kind": "constant", "value": True}},
+         "K11.value must be a number"),
+        (LAYERED, {**LAYER, "sigma0": True}, "sigma0 must be a number"),
+        (LAYERED, {**LAYER, "sigma0": [1]}, "sigma0 must be a number"),
+        (LAYERED, {**LAYER, "x_range": 5},
+         "x_range must be a list of two numbers"),
+        (LAYERED, {**LAYER, "x_range": ["a", "b"]},
+         "x_range must be a list of two numbers"),
+    ])
+    def test_bad_entry(self, argv, config, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--out", str(out)] + [
+            str(path) if a == "{cfg}" else a for a in argv]) == 1
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     CHAR = ["characteristics", "--branch", "1", "--max-steps", "50"]

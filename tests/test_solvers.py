@@ -356,6 +356,28 @@ class TestOneFactor:
         assert ordering == "COLAMD"
         assert np.allclose(lu.solve(np.array([5.0, 11.0])), [1.0, 2.0])
 
+    @pytest.mark.parametrize("seed", [11, 37])
+    def test_empty_row_or_column_skips_superlu(self, seed, monkeypatch):
+        # SuperLU fails on these with an error that does not say
+        # "singular" (other seeds of this generator crash the interpreter)
+        rng = np.random.default_rng(seed)
+        n = rng.integers(5, 40)
+        A = sp.random_array((n, n), density=rng.uniform(0.05, 0.4), rng=rng,
+                            format="lil")
+        A.setdiag((rng.random(n) < rng.random()).astype(float))
+        k, m = rng.integers(0, 4), rng.integers(0, 5)
+        A[rng.choice(n, k, replace=False), :] = 0.0
+        A[:, rng.choice(n, m, replace=False)] = 0.0
+        calls = []
+        monkeypatch.setattr(solvers, "_splu",
+                            lambda M, **settings: calls.append(settings))
+        A = sp.csr_array(A)
+        assert _factor(A) == (None, np.inf, "COLAMD", None)
+        x, cond, rank, method = _min_norm_solve(A, np.ones(n))
+        assert (cond, rank, method) == (np.inf, None, "lsmr")
+        assert calls == []
+        assert np.all(np.isfinite(x))
+
     @pytest.mark.parametrize("shape", [(12, 12), (9, 16), (15, 8)])
     def test_backward_error_reported_for_every_path(self, rng, shape):
         M = rng.normal(size=shape)

@@ -1,4 +1,5 @@
-"""Time and size the grid solves from 65^2 to 513^2, and fit the fill model.
+"""Time and size the grid solves from 65^2 to 513^2, count their SuperLU
+work, and fit the fill model.
 
 Usage: python3 tools/bench_scale.py [--pairs PARENT_CHECKOUT N]
            [--workload W] [--seed S] > BENCH.json
@@ -6,19 +7,24 @@ Usage: python3 tools/bench_scale.py [--pairs PARENT_CHECKOUT N]
 Each level of ``solve-mixed`` (the acceptance-14 box [0,1]x[0,0.75],
 kappa 0, G = top,left, ``smooth2`` forcing) and of ``solve`` (the origin
 box [-1.05,0.95]x[-1.02,0.98], kappa 0.5, ``sine_bump`` forcing) runs in
-a fresh interpreter that calls ``coldwave.cli.main`` once and reports
-the wall time of that call and its ``ru_maxrss``.  The run's
-``--summary`` gives the sizes: unknowns, nnz of A, lu_nnz of the
-factor and the SuperLU ordering, and the solve's backward error (null
-from a checkout whose summary has none).  Beside them stand the fill
-model's estimate ``solvers.fill_estimate(m)`` for the order m of the
-factored matrix and the memory estimate that ``solvers.require_memory``
-compares with the budget.  ``fit`` is the least-squares line of log lu_nnz
-against log m over every level of both commands, and ``bytes_per_fill``
-the largest peak RSS per factor nonzero at 257 and above, where the
-factor dominates: the source of ``solvers.BYTES_PER_FILL``.  (The fill
-model ``FILL_C``/``FILL_P`` is an upper envelope of COLAMD fill, which
-these levels do not factor; see ``solvers``.)
+a fresh interpreter (``CHILD``) that calls ``coldwave.cli.main`` once
+with ``solvers._splu`` wrapped.  It reports the wall time of that call
+(``wall_s``, the first solve's scipy import included), its
+``ru_maxrss`` and its SuperLU work: ``factors``, the seconds inside
+``splu`` (``splu_s``, without that import), the ``solves`` on the
+factors, the ``columns`` they solve and how many solves are
+``transposed``.  The run's ``--summary`` gives the sizes: unknowns, nnz
+of A, lu_nnz of the factor and the SuperLU ordering, and the solve's
+backward error (null from a checkout whose summary has none).  Beside
+them stand the fill model's estimate ``solvers.fill_estimate(m)`` for
+the order m of the factored matrix and the memory estimate that
+``solvers.require_memory`` compares with the budget.  ``fit`` is the
+least-squares line of log lu_nnz against log m over every level of both
+commands, and ``bytes_per_fill`` the largest peak RSS per factor nonzero
+at 257 and above, where the factor dominates: the source of
+``solvers.BYTES_PER_FILL``.  (The fill model ``FILL_C``/``FILL_P`` is an
+upper envelope of COLAMD fill, which these levels do not factor; see
+``solvers``.)
 
 With ``--pairs PARENT N`` (N >= 2), ``perfbench/run.py --workload W``
 (``--workload``, default ``bvp``) runs N times in PARENT and in this
@@ -27,9 +33,15 @@ alternates, starting with the parent.  Every run's end-to-end metrics
 and command medians (``dispersion_s``, ``solve_s``, ...), and the
 quartiles of each over the runs of each side, are recorded under
 ``<W>_pairs``.  The level sweep measures the grid solves that only
-``bvp`` runs, so pairs of another workload are recorded alone; pairs of
-``bvp`` also run the sweep on PARENT's ``src``, under
-``parent_levels``.  The JSON goes to stdout.
+``bvp`` runs, so pairs of another workload are recorded alone.  Pairs
+of ``bvp`` also run the sweep on PARENT's ``src``, under
+``parent_levels``, and each ``bvp`` step (inputs from
+``perfbench/workloads.build`` at ``--seed``) once through ``CHILD`` on
+each side, under ``solve_calls``: its ``factors``, ``solves``,
+``columns``, ``transposed`` and ``solves_per_factor``.  The ``scale``
+record of earlier BENCH files (in-process solves at 257^2 and 513^2,
+best of 3) is retired: the sweep's rows carry the same ``splu_s`` and
+``wall_s`` at those levels.  The JSON goes to stdout.
 """
 
 import argparse
@@ -61,17 +73,54 @@ COMMANDS = {
 PAIR_SEED = 7
 PAIR_SECONDS = 8
 
-# Runs in the child: one CLI call, then its wall time and peak RSS.
 CHILD = """
 import json, resource, sys, time
 sys.dont_write_bytecode = True
+from coldwave import solvers
 from coldwave.cli import main
+work = dict.fromkeys(("factors", "splu_s", "solves", "columns",
+                      "transposed"), 0)
+splu = solvers._splu
+
+class Counted:
+    def __init__(self, lu):
+        self._lu = lu
+    def solve(self, b, trans="N"):
+        work["solves"] += 1
+        work["columns"] += 1 if b.ndim == 1 else b.shape[1]
+        work["transposed"] += trans != "N"
+        return self._lu.solve(b, trans=trans)
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+def counted(M, **settings):
+    import scipy.sparse.linalg  # imported before the clock starts
+    t0 = time.perf_counter()
+    lu = splu(M, **settings)
+    work["splu_s"] += time.perf_counter() - t0
+    work["factors"] += lu is not None
+    return None if lu is None else Counted(lu)
+
+solvers._splu = counted
 t0 = time.perf_counter()
 code = main(sys.argv[1:])
 wall = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"exit": code, "wall_s": wall, "ru_maxrss_mb": rss / 1024}))
+print(json.dumps({"exit": code, "wall_s": wall, "ru_maxrss_mb": rss / 1024,
+                  **work}))
 """
+
+
+def run_child(src, argv):
+    """The record of ``CHILD``: one CLI call ``argv``, run in a fresh
+    interpreter on the coldwave of ``src``, which must exit 0."""
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], check=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    record = json.loads(out.stdout)
+    if record["exit"] != 0:
+        raise RuntimeError(f"{argv} exited {record['exit']}: {out.stderr}")
+    return record
 
 
 def run_level(command, n, workdir, src):
@@ -82,12 +131,9 @@ def run_level(command, n, workdir, src):
     summary = os.path.join(workdir, "summary.json")
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump(problem, fh)
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, "--quiet", "--out", os.devnull,
-         command, "--problem", cfg, "--summary", summary],
-        check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src})
-    row = {"command": command, "n": n, **json.loads(out.stdout)}
+    row = {"command": command, "n": n, **run_child(src, [
+        "--quiet", "--out", os.devnull, command, "--problem", cfg,
+        "--summary", summary])}
     with open(summary, encoding="utf-8") as fh:
         info = json.load(fh)
     m = solvers.factor_order(problem["bc"]["type"], n, n)
@@ -123,6 +169,29 @@ def fit(rows):
     per_fill = max(r["ru_maxrss_mb"] * 1024 * 1024 / r["lu_nnz"]
                    for r in rows if r["n"] >= 257)
     return {"c": math.exp(logc), "p": p, "bytes_per_fill": per_fill}
+
+
+def solve_calls(parent, seed):
+    """SuperLU work of each ``bvp`` benchmark step (inputs from
+    ``perfbench/workloads.build`` at ``seed``), one fresh interpreter per
+    step and side."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    calls = {"parent": {}, "change": {}}
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "out")
+        os.mkdir(out)
+        for step in workloads.build("bvp", seed, workdir):
+            argv = [a.replace("{out}", out) for a in step.argv]
+            for side, src in (("parent", os.path.join(parent, "src")),
+                              ("change", SRC)):
+                record = run_child(src, argv)
+                work = {k: record[k] for k in ("factors", "solves",
+                                               "columns", "transposed")}
+                work["solves_per_factor"] = work["solves"] / work["factors"]
+                calls[side][step.group] = work
+    return calls
 
 
 def run_once(checkout, workload, seed):
@@ -178,6 +247,7 @@ def main(argv):
         report.update(levels=rows, fit=fit(rows))
         if args.pairs:
             report["parent_levels"] = sweep(os.path.join(args.pairs[0], "src"))
+            report["solve_calls"] = solve_calls(args.pairs[0], args.seed)
     if args.pairs:
         report[f"{args.workload}_pairs"] = run_pairs(
             args.pairs[0], int(args.pairs[1]), args.workload, args.seed)

@@ -33,7 +33,8 @@ unparsable ``--bracket``, a NaN dispersion grid, a ``stix``
 frequency and two ``cutoffs``/``resonances`` brackets whose square
 underflows, and configuration files holding a non-finite number (a NaN
 B0 for ``dispersion``, a NaN K11 for ``typemap`` and an ``Infinity``
-rectangle bound for ``solve``).  Each gives the line of its output
+rectangle bound for ``solve``) or a value of the wrong JSON type (a
+``true`` B0 for ``stix``, a number for the ``x_range`` of ``layered``).  Each gives the line of its output
 file and of its stderr, with ``-`` for the seed and ``fixed`` or
 ``errors`` for the workload, so that error text and exit codes are
 compared too.  In that stderr the temporary input directory reads
@@ -102,6 +103,11 @@ FAILING = {
                         "--box=0:1:0:1", "--nx", "3", "--nz", "2"],
     "solve-infinite-bound": ["solve", "--problem",
                              "{in}/problem-infinite-bound.json"],
+    "stix-bool-b0": ["stix", "--plasma", "{in}/plasma-bool-b0.json",
+                     "--omega", "1e9"],
+    "layered-x-range-number": ["layered", "--layered",
+                               "{in}/layered-x-range-number.json",
+                               "--x0", "0", "--x1", "1"],
 }
 FIXED_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
@@ -125,6 +131,12 @@ FIXED_INPUTS = {
     "problem-infinite-bound.json": {
         "kappa": 0.5, "domain": {"rects": [[0.0, float("inf"), 0.0, 1.0]]},
         "grid": {"nx": 9, "ny": 9}},
+    "plasma-bool-b0.json": {"B0": True, "species": [
+        {"name": "electron", "density_m3": 1e19},
+        {"name": "proton", "density_m3": 1e19}]},
+    "layered-x-range-number.json": {"K11": {"kind": "constant",
+                                            "value": 1.0},
+                                    "sigma0": 0.0, "x_range": 5},
 }
 
 
