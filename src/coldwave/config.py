@@ -45,7 +45,8 @@ GRID_MIN = 8
 def load_json(path):
     """A JSON file's contents.  Raises ValueError, naming the file and
     the literal, at NaN, Infinity, -Infinity or a number that overflows
-    to inf (such as 1e999): every configured number must be finite.
+    a double (such as 1e999, or an integer of 400 digits): every
+    configured number must be finite.
 
     The file is parsed once without hooks and its numbers checked in one
     walk; only when the walk finds one that may be non-finite is it
@@ -54,31 +55,36 @@ def load_json(path):
     def refuse(literal):
         raise ValueError(f"{path}: non-finite number {literal}")
 
-    def finite(literal):
-        value = float(literal)
-        if math.isinf(value):
-            refuse(literal)
-        return value
+    def finite(parse):
+        def hook(literal):
+            if math.isinf(float(literal)):
+                refuse(literal)
+            return parse(literal)
+        return hook
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     data = json.loads(text)
     if _all_finite(data):
         return data
-    return json.loads(text, parse_constant=refuse, parse_float=finite)
+    return json.loads(text, parse_constant=refuse, parse_float=finite(float),
+                      parse_int=finite(int))
 
 
 def _all_finite(value):
-    """False when the parsed JSON ``value`` holds a non-finite float.  A
-    list is checked by its sum, through which inf and NaN always
-    propagate; the rare sum of finite numbers that overflows reads as
-    non-finite too."""
+    """False when the parsed JSON ``value`` holds a non-finite float or
+    an int beyond the range of a double.  A list is checked by its sum,
+    through which inf and NaN always propagate; the rare sum of finite
+    numbers that overflows reads as non-finite too."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, dict):
         value = list(value.values())
     if not isinstance(value, list):
-        return True
+        try:
+            return not isinstance(value, int) or math.isfinite(value)
+        except OverflowError:   # an int that no double holds
+            return False
     try:
         return math.isfinite(sum(value))
     except (TypeError, OverflowError):   # not all numbers, or a huge int
@@ -86,20 +92,19 @@ def _all_finite(value):
 
 
 def _is_number(value):
-    """Whether ``value`` is a JSON number; ``true`` and ``false`` are not,
-    though Python's bool is an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether the parsed JSON ``value`` is a number: an int or a float,
+    and not ``true`` or ``false``, which Python parses to a bool."""
+    return type(value) in (int, float)
 
 
 def _is_numbers(value, depth=1):
-    """Whether ``value`` is a list of numbers (``depth`` 1) or a list of
-    such lists (``depth`` 2).  A list of plain ints and floats, as JSON
-    gives, is told by the set of its types, without a call per entry."""
+    """Whether the parsed JSON ``value`` is a list of numbers (``depth``
+    1) or a list of such lists (``depth`` 2), told as ``_is_number``
+    tells one number."""
     if depth > 1:
         return isinstance(value, list) and all(
             _is_numbers(v, depth - 1) for v in value)
-    return isinstance(value, list) and (set(map(type, value)) <= {int, float}
-                                        or all(map(_is_number, value)))
+    return isinstance(value, list) and set(map(type, value)) <= {int, float}
 
 
 def parse_plasma(data):

@@ -182,11 +182,15 @@ def _abs_sums(M):
     return cols, rows
 
 
+def _norms(cols, rows):
+    """||M||_1 and ||M||_inf from the column and row sums of |M|."""
+    return float(cols.max(initial=0.0)), float(rows.max(initial=0.0))
+
+
 def _matrix_norms(M):
-    """||M||_1 and ||M||_inf of a CSC matrix, as ``_factor`` takes them
-    from ``_abs_sums``."""
-    cols, rows = _abs_sums(M)
-    return float(cols.max(initial=0.0)), float(rows.max())
+    """||M||_1 and ||M||_inf of a CSC matrix, by the two steps that
+    ``_factor`` takes."""
+    return _norms(*_abs_sums(M))
 
 
 def _backward_error(M, x, b, norm_inf):
@@ -308,7 +312,7 @@ def _factor(M, systems=()):
     cols, rows = _abs_sums(M)
     if not (cols.all() and rows.all()):
         return None, np.inf, "COLAMD", None
-    norm1, norm_inf = float(cols.max()), float(rows.max())
+    norm1, norm_inf = _norms(cols, rows)
     probe = (M, None, np.ones(M.shape[0]))
     ordering = "MMD_AT_PLUS_A"
     lu = _splu(M, permc_spec=ordering, diag_pivot_thresh=0.0,

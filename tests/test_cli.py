@@ -743,6 +743,29 @@ class TestNonFiniteConfig:
         assert data["B0"] == sys.float_info.max
         assert math.copysign(1.0, data["x"]) == -1.0
 
+    @pytest.mark.parametrize("command", ["typemap", "stix", "layered"])
+    def test_integer_beyond_double_refused(self, command, tmp_path, capsys):
+        big = "1" + "0" * 400
+        config, argv = {
+            "typemap": ('{"K11": {"kind": "constant", "value": %s}}',
+                        ["typemap", "--fields", "{cfg}", "--box=0:1:0:1",
+                         "--nx", "3", "--nz", "2"]),
+            "stix": ('{"B0": %s, "species": []}',
+                     ["stix", "--plasma", "{cfg}", "--omega", "1e9"]),
+            "layered": ('{"K11": {"kind": "constant", "value": 1.0}, '
+                        '"x_range": [0, %s]}',
+                        ["layered", "--layered", "{cfg}", "--x0", "0",
+                         "--x1", "1"]),
+        }[command]
+        path = tmp_path / "config.json"
+        path.write_text(config % big)
+        out = tmp_path / "out"
+        assert main(["--out", str(out)] + [
+            str(path) if a == "{cfg}" else a for a in argv]) == 1
+        assert capsys.readouterr().err \
+            == f"invalid input: {path}: non-finite number {big}\n"
+        assert not out.exists()
+
     def test_fractional_charge_number_refused(self, tmp_path, capsys):
         path = tmp_path / "plasma.json"
         path.write_text(json.dumps({"B0": 1.0, "species": [
