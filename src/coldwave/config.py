@@ -1,26 +1,34 @@
 """JSON configuration ingestion and validation.
 
-Plasma configuration:
-    {"B0": <tesla>, "species": [{"name": str, "mass_kg": num,
-     "charge_sign": -1|1, "Z": int, "density_m3": num}, ...]}
-Species named "electron" or "proton" may omit mass/charge fields.
-
-Problem configuration:
-    {"kappa": num, "domain": {"rects": [[x0,x1,y0,y1], ...]},
-     "grid": {"nx": int, "ny": int},
-     "bc": {"type": "closed_dirichlet"} | {"type": "mixed", "G": [...]},
-     "forcing": {"kind": <expression id> | "samples" | "samples2", ...}}
-
-Field definitions (type maps, layered runs):
-    {"K11": {"kind": "affine_quadratic", "a": .., "b": ..}
-            | {"kind": "constant", "value": ..}
-            | {"kind": "expression-table", "xs": [...], "zs": [...],
-               "values": [[...], ...]},
-     "K33": {...}}   # optional, defaults to constant 1
-
-Layered run: {"K11": {...}, "sigma0": num, "x_range": [x0, x1]}.
-
+One reader per file kind reads each key once: it applies the key's
+default, checks its type and range and converts it.  The plasma and
+problem readers collect every refusal into one ValueError, ``invalid
+<kind> configuration: a; b``, raised before any object is built.
 A JSON boolean is never taken as a number.
+
+Plasma (``parse_plasma``; "electron" and "proton" default mass_kg and
+charge_sign from SPECIES_ALIASES):
+    {"B0": num >= 0 (default 0), "species": [{"name": str (default
+     "species"), "mass_kg": num > 0, "charge_sign": -1|1, "Z": whole num
+     >= 1 (default 1), "density_m3": num >= 0 (default 0)}, ...]}
+Problem (``parse_problem``):
+    {"kappa": num in [0, solvers.KAPPA_MAX[bc.type]],
+     "domain": {"rects": [[x0, x1, y0, y1], ...]},
+     "grid": {"nx": int >= 8 (default 33), "ny": the same},
+     "bc": {"type": "closed_dirichlet" (default) | "mixed" (one rect),
+            "G": [bottom|right|top|left, ...] (mixed; default [])},
+     "forcing": {"kind": one of FORCINGS[bc.type] (default its first,
+                 zero forcing), and the keys that kind reads}}
+    gauss reads "params": {"cx", "cy", "w" > 0}, by default the box
+    centre and width / 6; samples reads "values", samples2 "values1"
+    and "values2", each nx lists of ny numbers.
+Fields (``parse_fields``; ``parse_layered`` adds "sigma0": num (default
+0) and "x_range": [x0, x1] to K11):
+    {"K11": {"kind": "affine_quadratic", "a": num, "b": num}
+            | {"kind": "constant", "value": num}
+            | {"kind": "expression-table", "xs": [...], "zs": [...],
+               "values": [[...], ...]},   # xs, zs strictly increasing
+     "K33": {...}}   # optional, defaults to constant 1
 """
 
 import json
@@ -33,10 +41,11 @@ from .electrostatics import LayeredProblem
 from .fields import Field1D, Field2D
 from .grid import Domain
 from .plasma import PlasmaState, Species
+from .solvers import KAPPA_MAX, ModelProblem
 
 SPECIES_ALIASES = {
-    "electron": {"mass_kg": M_ELECTRON, "charge_sign": -1, "Z": 1},
-    "proton": {"mass_kg": M_PROTON, "charge_sign": +1, "Z": 1},
+    "electron": {"mass_kg": M_ELECTRON, "charge_sign": -1},
+    "proton": {"mass_kg": M_PROTON, "charge_sign": +1},
 }
 
 GRID_MIN = 8
@@ -107,214 +116,194 @@ def _is_numbers(value, depth=1):
     return isinstance(value, list) and set(map(type, value)) <= {int, float}
 
 
+def _refused(kind, *diags):
+    return ValueError(f"invalid {kind} configuration: " + "; ".join(diags))
+
+
 def parse_plasma(data):
     """PlasmaState from a plasma-configuration mapping."""
-    diags = validate_plasma(data)
-    if diags:
-        raise ValueError("invalid plasma configuration: " + "; ".join(diags))
-    species = []
-    for entry in data.get("species", []):
-        merged = dict(SPECIES_ALIASES.get(entry.get("name", ""), {}))
-        merged.update(entry)
-        species.append(Species(
-            name=merged.get("name", "species"),
-            mass=float(merged["mass_kg"]),
-            charge_sign=int(merged["charge_sign"]),
-            charge_number=int(merged.get("Z", 1)),
-            density=float(merged.get("density_m3", 0.0)),
-        ))
-    return PlasmaState(tuple(species), float(data.get("B0", 0.0)))
-
-
-def validate_plasma(data):
-    """Schema and range diagnostics for a plasma configuration."""
-    diags = []
     if not isinstance(data, dict):
-        return ["plasma configuration must be a JSON object"]
+        raise _refused("plasma", "plasma configuration must be a JSON object")
+    diags = []
     b0 = data.get("B0", 0.0)
-    if not _is_number(b0) or b0 < 0.0:
+    if not (_is_number(b0) and b0 >= 0.0):
         diags.append("B0 must be a number >= 0")
-    species = data.get("species", [])
-    if not isinstance(species, list):
-        return diags + ["species must be a list"]
-    for k, entry in enumerate(species):
+    entries = data.get("species", [])
+    if not isinstance(entries, list):
+        raise _refused("plasma", *diags, "species must be a list")
+    species = []
+    for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             diags.append(f"species[{k}] must be an object")
             continue
-        name = entry.get("name", "")
+        name = entry.get("name", "species")
         if not isinstance(name, str):
             diags.append(f"species[{k}]: name must be a string")
             continue
-        merged = dict(SPECIES_ALIASES.get(name, {}))
-        merged.update(entry)
-        if "mass_kg" not in merged:
-            diags.append(f"species[{k}] ({name!r}): missing mass_kg")
-        elif not _is_number(merged["mass_kg"]):
-            diags.append(f"species[{k}] ({name!r}): mass_kg must be a "
-                         "number")
-        elif not merged["mass_kg"] > 0.0:
-            diags.append(f"species[{k}] ({name!r}): mass_kg must be > 0")
-        sign = merged.get("charge_sign")
-        if not (_is_number(sign) and sign in (-1, 1)):
-            diags.append(f"species[{k}] ({name!r}): charge_sign must be -1 or 1")
-        z = merged.get("Z", 1)
-        if not (_is_number(z) and z >= 1
-                and float(z).is_integer()):
-            diags.append(f"species[{k}] ({name!r}): Z must be a whole "
-                         "number >= 1")
-        density = merged.get("density_m3", 0.0)
-        if not _is_number(density):
-            diags.append(f"species[{k}] ({name!r}): density_m3 must be a "
-                         "number")
-        elif density < 0.0:
-            diags.append(f"species[{k}] ({name!r}): density_m3 must be >= 0")
-    return diags
+        entry = {**SPECIES_ALIASES.get(name, {}), **entry}
+        mass, sign = entry.get("mass_kg"), entry.get("charge_sign")
+        z, density = entry.get("Z", 1), entry.get("density_m3", 0.0)
+        refusals = [text for refused, text in (
+            ("mass_kg" not in entry, "missing mass_kg"),
+            ("mass_kg" in entry and not _is_number(mass),
+             "mass_kg must be a number"),
+            (_is_number(mass) and not mass > 0.0, "mass_kg must be > 0"),
+            (not (_is_number(sign) and sign in (-1, 1)),
+             "charge_sign must be -1 or 1"),
+            (not (_is_number(z) and z >= 1 and float(z).is_integer()),
+             "Z must be a whole number >= 1"),
+            (not _is_number(density), "density_m3 must be a number"),
+            (_is_number(density) and density < 0.0,
+             "density_m3 must be >= 0"),
+        ) if refused]
+        diags += [f"species[{k}] ({name!r}): {text}" for text in refusals]
+        if not refusals:
+            species.append(Species(
+                name=name, mass=float(mass), charge_sign=int(sign),
+                charge_number=int(z), density=float(density)))
+    if diags:
+        raise _refused("plasma", *diags)
+    return PlasmaState(tuple(species), float(b0))
 
 
-def _box_normalized(domain):
+def _unit_box(domain, g):
+    """g(X, Y) of (x, y) scaled to the unit square by the domain's box."""
     x0, x1, y0, y1 = domain.bounding_box
-
-    def norm(x, y):
-        return (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
-
-    return norm
+    return lambda x, y: g((x - x0) / (x1 - x0), (y - y0) / (y1 - y0))
 
 
-def scalar_forcing(kind, domain, params=None):
-    """Vectorized forcing callable from an expression id."""
-    params = params or {}
-    if kind == "zero":
-        return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    if kind == "one":
-        return lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    if kind == "sine_bump":
-        norm = _box_normalized(domain)
-
-        def f(x, y):
-            X, Y = norm(x, y)
-            return np.sin(np.pi * X) * np.sin(np.pi * Y)
-
-        return f
-    if kind == "gauss":
-        x0, x1, y0, y1 = domain.bounding_box
-        cx = params.get("cx", 0.5 * (x0 + x1))
-        cy = params.get("cy", 0.5 * (y0 + y1))
-        w = params.get("w", (x1 - x0) / 6.0)
-
-        def f(x, y):
-            return np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * w * w))
-
-        return f
-    raise ValueError(f"unknown scalar forcing kind {kind!r}")
+def _gauss(domain, params):
+    x0, x1, y0, y1 = domain.bounding_box
+    cx = params.get("cx", 0.5 * (x0 + x1))
+    cy = params.get("cy", 0.5 * (y0 + y1))
+    w = params.get("w", (x1 - x0) / 6.0)
+    return lambda x, y: np.exp(
+        -((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * w * w))
 
 
-def vector_forcing(kind, domain, params=None):
-    """Pair of forcing callables for the mixed first-order system."""
-    if kind == "zero2":
-        z = scalar_forcing("zero", domain)
-        return z, z
-    if kind == "smooth2":
-        norm = _box_normalized(domain)
-
-        def f1(x, y):
-            X, Y = norm(x, y)
-            return np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
-
-        def f2(x, y):
-            X, Y = norm(x, y)
-            return np.cos(np.pi * X) * np.sin(np.pi * Y) + 0.3
-
-        return f1, f2
-    raise ValueError(f"unknown vector forcing kind {kind!r}")
+# Forcing kinds of each boundary condition: kind -> (the forcing keys it
+# reads, builder(domain, *their values) -> ModelProblem.forcing).  The
+# first kind of each, zero forcing (None), is the default.
+FORCINGS = {
+    "closed_dirichlet": {
+        "zero": ((), lambda domain: None),
+        "one": ((), lambda domain: lambda x, y: np.ones(np.shape(x))),
+        "sine_bump": ((), lambda domain: _unit_box(
+            domain, lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y))),
+        "gauss": (("params",), _gauss),
+        "samples": (("values",), lambda domain, values: values),
+    },
+    "mixed": {
+        "zero2": ((), lambda domain: (None, None)),
+        "smooth2": ((), lambda domain: (
+            _unit_box(domain, lambda X, Y: np.sin(np.pi * X)
+                      * np.cos(0.5 * np.pi * Y)),
+            _unit_box(domain, lambda X, Y: np.cos(np.pi * X)
+                      * np.sin(np.pi * Y) + 0.3))),
+        "samples2": (("values1", "values2"),
+                     lambda domain, values1, values2: (values1, values2)),
+    },
+}
 
 
 def parse_problem(data):
     """(ModelProblem, (nx, ny)) from a problem-configuration mapping."""
-    from .solvers import ModelProblem
-
-    diags = validate_problem(data)
-    if diags:
-        raise ValueError("invalid problem configuration: " + "; ".join(diags))
-    domain = Domain(tuple(tuple(r) for r in data["domain"]["rects"]))
-    bc = data.get("bc", {"type": "closed_dirichlet"})
-    grid = data.get("grid", {"nx": 33, "ny": 33})
-    forcing_cfg = data.get("forcing", {"kind": "zero"})
-    kind = forcing_cfg.get("kind", "zero")
-    if bc["type"] == "mixed":
-        if kind == "samples2":
-            forcing = (np.asarray(forcing_cfg["values1"], dtype=float),
-                       np.asarray(forcing_cfg["values2"], dtype=float))
-        else:
-            forcing = vector_forcing(kind, domain, forcing_cfg.get("params"))
-        problem = ModelProblem(float(data["kappa"]), domain, forcing=forcing,
-                               bc="mixed", G=tuple(bc.get("G", ())))
-    else:
-        if kind == "samples":
-            forcing = np.asarray(forcing_cfg["values"], dtype=float)
-        else:
-            forcing = scalar_forcing(kind, domain, forcing_cfg.get("params"))
-        problem = ModelProblem(float(data["kappa"]), domain, forcing=forcing)
-    return problem, (int(grid["nx"]), int(grid["ny"]))
-
-
-def validate_problem(data):
-    """Schema and range diagnostics for a problem configuration."""
-    diags = []
     if not isinstance(data, dict):
-        return ["problem configuration must be a JSON object"]
-    for key in ("domain", "grid", "bc", "forcing"):
-        if not isinstance(data.get(key, {}), dict):
-            return [f"{key} must be a JSON object"]
+        raise _refused("problem",
+                       "problem configuration must be a JSON object")
+    sections = {key: data.get(key, {})
+                for key in ("domain", "grid", "bc", "forcing")}
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise _refused("problem", f"{key} must be a JSON object")
+    diags = []
+    bc = sections["bc"].get("type", "closed_dirichlet")
+    hi = KAPPA_MAX.get(bc) if isinstance(bc, str) else None
     kappa = data.get("kappa")
     if not _is_number(kappa):
         diags.append("kappa must be a number")
-    else:
-        bc_type = data.get("bc", {}).get("type", "closed_dirichlet")
-        hi = 1.0 if bc_type == "mixed" else 2.0
-        if not 0.0 <= kappa <= hi:
-            diags.append(f"kappa out of range [0, {hi:g}] for {bc_type}")
-    rects = data.get("domain", {}).get("rects")
+    elif hi is not None and not 0.0 <= kappa <= hi:
+        diags.append(f"kappa out of range [0, {hi:g}] for {bc}")
+    rects = sections["domain"].get("rects")
     if not (rects and isinstance(rects, list)):
         diags.append("domain.rects must be a nonempty list")
-        rects = None
-    else:
-        for r in rects:
-            if not _is_numbers(r):
-                diags.append(f"domain.rects: rectangle {r} must be a list "
-                             "of numbers")
-            elif len(r) != 4 or not (r[0] < r[1] and r[2] < r[3]):
-                diags.append(f"rectangle {r} must satisfy x0 < x1, y0 < y1")
-    grid = data.get("grid", {})
-    for key in ("nx", "ny"):
-        n = grid.get(key, 33)
+        rects = []
+    for r in rects:
+        if not _is_numbers(r):
+            diags.append(f"domain.rects: rectangle {r} must be a list of "
+                         "numbers")
+        elif len(r) != 4 or not (r[0] < r[1] and r[2] < r[3]):
+            diags.append(f"rectangle {r} must satisfy x0 < x1, y0 < y1")
+    shape = tuple(sections["grid"].get(key, 33) for key in ("nx", "ny"))
+    for key, n in zip(("nx", "ny"), shape):
         if not isinstance(n, int) or n < GRID_MIN:
             diags.append(f"grid.{key} must be an integer >= {GRID_MIN}")
-    bc = data.get("bc", {"type": "closed_dirichlet"})
-    if bc.get("type") not in ("closed_dirichlet", "mixed"):
+            shape = None
+    G = sections["bc"].get("G", []) if bc == "mixed" else []
+    if hi is None:
         diags.append("bc.type must be 'closed_dirichlet' or 'mixed'")
-    if bc.get("type") == "mixed":
-        valid = {"bottom", "right", "top", "left"}
-        G = bc.get("G", [])
-        if not isinstance(G, list):
-            diags.append("bc.G must be a list of segment names")
-            G = []
-        for name in G:
-            if not (isinstance(name, str) and name in valid):
-                diags.append(f"unknown boundary segment {name!r} in G")
-        if rects and len(rects) != 1:
-            diags.append("mixed problems need a single-rectangle domain")
-    forcing = data.get("forcing", {})
-    params = forcing.get("params", {})
+    elif not isinstance(G, list):
+        diags.append("bc.G must be a list of segment names")
+    else:
+        diags += [f"unknown boundary segment {name!r} in G" for name in G
+                  if name not in ("bottom", "right", "top", "left")]
+    if bc == "mixed" and len(rects) > 1:
+        diags.append("mixed problems need a single-rectangle domain")
+    forcing = None if hi is None else _forcing(sections["forcing"], bc,
+                                               shape, diags)
+    if diags:
+        raise _refused("problem", *diags)
+    domain = Domain(tuple(map(tuple, rects)))
+    return ModelProblem(float(kappa), domain, forcing(domain), bc,
+                        tuple(G)), shape
+
+
+def _forcing(entry, bc, shape, diags):
+    """Builder domain -> ModelProblem.forcing of the forcing mapping
+    ``entry`` of a ``bc`` problem, or None after appending its refusals
+    to ``diags``; ``shape`` is the grid's (nx, ny), or None when the
+    grid is refused."""
+    kinds = FORCINGS[bc]
+    kind = entry.get("kind", next(iter(kinds)))
+    if not (isinstance(kind, str) and kind in kinds):
+        diags.append(f"forcing kind {kind!r} is not a {bc} kind "
+                     f"({', '.join(kinds)})")
+        return None
+    keys, build = kinds[kind]
+    count = len(diags)
+    values = [_params(entry.get(key, {}), diags) if key == "params"
+              else _samples(entry, key, shape, diags) for key in keys]
+    return None if len(diags) > count else (
+        lambda domain: build(domain, *values))
+
+
+def _params(params, diags):
+    """The gauss forcing's ``params``, after appending their refusals to
+    ``diags``."""
     if not isinstance(params, dict):
         diags.append("forcing.params must be a JSON object")
-    else:
-        diags += [f"forcing.params.{key} must be a number"
-                  for key in ("cx", "cy", "w")
-                  if key in params and not _is_number(params[key])]
-    diags += [f"forcing.{key} must be a list of lists of numbers"
-              for key in ("values", "values1", "values2")
-              if key in forcing and not _is_numbers(forcing[key], 2)]
-    return diags
+        return None
+    diags += [f"forcing.params.{name} must be a number"
+              for name in ("cx", "cy", "w")
+              if name in params and not _is_number(params[name])]
+    if _is_number(params.get("w")) and not params["w"] > 0.0:
+        diags.append("forcing.params.w must be > 0")
+    return params
+
+
+def _samples(entry, key, shape, diags):
+    """The nodal samples ``entry[key]`` as an array of ``shape``, or None
+    after appending their refusal to ``diags``."""
+    value = entry.get(key)
+    if key not in entry:
+        diags.append(f"missing forcing.{key}")
+    elif not _is_numbers(value, 2):
+        diags.append(f"forcing.{key} must be a list of lists of numbers")
+    elif shape is not None:   # else the grid is refused
+        if len(value) == shape[0] and set(map(len, value)) == {shape[1]}:
+            return np.asarray(value, dtype=float)
+        diags.append(f"forcing.{key} must have shape (nx, ny) = {shape}")
+    return None
 
 
 def parse_field(entry, default=None, name="field"):
@@ -342,8 +331,17 @@ def parse_field(entry, default=None, name="field"):
         return Field2D.affine_quadratic(float(numbers("a")),
                                         float(numbers("b")))
     if kind == "expression-table":
-        return Field2D.from_table(numbers("xs", 1), numbers("zs", 1),
-                                  numbers("values", 2))
+        xs, zs, values = numbers("xs", 1), numbers("zs", 1), numbers(
+            "values", 2)
+        for key, axis in (("xs", xs), ("zs", zs)):
+            if len(axis) < 2:
+                raise ValueError(f"{name}.{key} must have two entries or more")
+            if not all(a < b for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"{name}.{key} must be strictly increasing")
+        if len(values) != len(xs) or set(map(len, values)) != {len(zs)}:
+            raise ValueError(f"{name}.values must have shape (len(xs), "
+                             "len(zs))")
+        return Field2D.from_table(xs, zs, values)
     raise ValueError(f"unknown field kind {kind!r}")
 
 

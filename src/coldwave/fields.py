@@ -93,13 +93,12 @@ class Field2D:
     @classmethod
     def from_table(cls, xs, zs, values):
         """Bilinear interpolant of a sampled field (derivatives by the
-        central-difference fallback, step scaled to the sample spacing)."""
+        central-difference fallback, step scaled to the sample spacing).
+        ``xs`` and ``zs`` are strictly increasing, with two entries or
+        more, and ``values`` has shape (len(xs), len(zs)); the reader of
+        a field file (``config.parse_field``) checks this."""
         xs, zs = np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)
         values = np.asarray(values, dtype=float)
-        if values.shape != (xs.size, zs.size):
-            raise ValueError("table shape must be (len(xs), len(zs))")
-        if xs.size < 2 or zs.size < 2:
-            raise ValueError("table needs at least two samples per axis")
 
         def interp(x, z):
             i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)

@@ -81,6 +81,9 @@ FILL_C = 13.7
 FILL_P = 1.2
 BYTES_PER_FILL = 26.0
 
+# Largest drift kappa of each boundary condition; kappa lies in [0, max].
+KAPPA_MAX = {"closed_dirichlet": 2.0, "mixed": 1.0}
+
 
 @dataclass(frozen=True)
 class ModelProblem:
@@ -98,12 +101,11 @@ class ModelProblem:
     G: tuple = ()
 
     def __post_init__(self):
-        if self.bc not in ("closed_dirichlet", "mixed"):
+        if self.bc not in KAPPA_MAX:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.bc == "closed_dirichlet" and not 0.0 <= self.kappa <= 2.0:
-            raise ValueError("closed Dirichlet problem needs kappa in [0, 2]")
-        if self.bc == "mixed" and not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("mixed problem needs kappa in [0, 1]")
+        hi = KAPPA_MAX[self.bc]
+        if not 0.0 <= self.kappa <= hi:
+            raise ValueError(f"kappa out of range [0, {hi:g}] for {self.bc}")
         object.__setattr__(self, "G", tuple(self.G))
 
 

@@ -883,6 +883,11 @@ class TestWrongTypeConfig:
                "grid": {"nx": 9, "ny": 9}}
     LAYER = {"K11": {"kind": "constant", "value": 1.0}, "sigma0": 0.0,
              "x_range": [0.0, 1.0]}
+    MIXED = ["solve-mixed", "--problem", "{cfg}"]
+    MIXED_PROBLEM = {**PROBLEM, "kappa": 0.0,
+                     "bc": {"type": "mixed", "G": ["top", "left"]}}
+    TABLE = {"kind": "expression-table", "xs": [0.0, 1.0, 2.0],
+             "zs": [0.0, 1.0], "values": [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]}
 
     @pytest.mark.parametrize("argv, config, message", [
         (SOLVE, {**PROBLEM, "kappa": True},
@@ -916,6 +921,37 @@ class TestWrongTypeConfig:
          "x_range must be a list of two numbers"),
         (LAYERED, {**LAYER, "x_range": ["a", "b"]},
          "x_range must be a list of two numbers"),
+        (SOLVE, {**PROBLEM, "forcing": {"kind": "gauss",
+                                        "params": {"w": 0}}},
+         "invalid problem configuration: forcing.params.w must be > 0"),
+        (SOLVE, {**PROBLEM, "forcing": {"kind": "samples"}},
+         "invalid problem configuration: missing forcing.values"),
+        (MIXED, {**MIXED_PROBLEM, "forcing": {"kind": "samples2",
+                                              "values1": [[0.0] * 9] * 9}},
+         "invalid problem configuration: missing forcing.values2"),
+        (SOLVE, {**PROBLEM, "forcing": {
+            "kind": "samples", "values": [[0.0] * 9] * 8 + [[0.0] * 8]}},
+         "invalid problem configuration: forcing.values must have shape "
+         "(nx, ny) = (9, 9)"),
+        (MIXED, {**MIXED_PROBLEM, "forcing": {
+            "kind": "samples2", "values1": [[0.0] * 9] * 9,
+            "values2": [[0.0] * 8] * 9}},
+         "invalid problem configuration: forcing.values2 must have shape "
+         "(nx, ny) = (9, 9)"),
+        # refused before the memory check of a grid too large to solve
+        (SOLVE, {**PROBLEM, "grid": {"nx": 100000, "ny": 100000},
+                 "forcing": {"kind": "samples", "values": [[0.0] * 9] * 9}},
+         "invalid problem configuration: forcing.values must have shape "
+         "(nx, ny) = (100000, 100000)"),
+        (TYPEMAP, {"K11": {**TABLE, "xs": [1.0, 0.0, 2.0]}},
+         "K11.xs must be strictly increasing"),
+        (TYPEMAP, {"K11": {**TABLE, "xs": [0.0, 0.0, 2.0]}},
+         "K11.xs must be strictly increasing"),
+        (LAYERED, {**LAYER, "K11": {**TABLE, "zs": [1.0, 0.0]}},
+         "K11.zs must be strictly increasing"),
+        (TYPEMAP, {"K11": {**TABLE,
+                           "values": [[1.0, 1.0], [2.0], [3.0, 3.0]]}},
+         "K11.values must have shape (len(xs), len(zs))"),
     ])
     def test_bad_entry(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "config.json"

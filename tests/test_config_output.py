@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coldwave import config as cfg
 from coldwave import output
 from coldwave.grid import Domain
+from coldwave.solvers import KAPPA_MAX, ModelProblem
 
 
 class TestPlasmaConfig:
@@ -33,31 +35,47 @@ class TestPlasmaConfig:
         assert state.species[0].mass == 1e-30
 
     def test_custom_species_requires_fields(self):
-        diags = cfg.validate_plasma(
-            {"B0": 0.0, "species": [{"name": "dust", "density_m3": 1.0}]})
-        assert any("mass_kg" in d for d in diags)
-        assert any("charge_sign" in d for d in diags)
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid plasma configuration: species[0] ('dust'): missing "
+                "mass_kg; species[0] ('dust'): charge_sign must be -1 or 1")):
+            cfg.parse_plasma(
+                {"B0": 0.0, "species": [{"name": "dust", "density_m3": 1.0}]})
 
     def test_negative_density_diagnosed(self):
-        diags = cfg.validate_plasma(
-            {"B0": 0.0,
-             "species": [{"name": "electron", "density_m3": -1.0}]})
-        assert any("density" in d for d in diags)
+        with pytest.raises(ValueError, match=re.escape(
+                "species[0] ('electron'): density_m3 must be >= 0")):
+            cfg.parse_plasma(
+                {"B0": 0.0,
+                 "species": [{"name": "electron", "density_m3": -1.0}]})
 
     def test_vacuum_valid(self):
-        assert cfg.validate_plasma({"B0": 0.0, "species": []}) == []
+        state = cfg.parse_plasma({"B0": 0.0, "species": []})
+        assert state.species == () and state.B0 == 0.0
+
+    def test_defaults(self):
+        state = cfg.parse_plasma({"species": [
+            {"name": "ion", "mass_kg": 3.3e-27, "charge_sign": 1}]})
+        (ion,) = state.species
+        assert state.B0 == 0.0
+        assert (ion.charge_number, ion.density) == (1, 0.0)
+        assert cfg.parse_plasma({}).species == ()
 
     @pytest.mark.parametrize("Z, valid", [
         (1, True), (2, True), (2.0, True), (2.7, False), (0.5, False),
         (0, False), (-1, False), (math.inf, False), (math.nan, False),
         ("2", False)])
     def test_charge_number_whole(self, Z, valid):
-        diags = cfg.validate_plasma({"B0": 1.0, "species": [
+        data = {"B0": 1.0, "species": [
             {"name": "electron", "density_m3": 1e19},
             {"name": "ion", "mass_kg": 3.3e-27, "charge_sign": 1, "Z": Z,
-             "density_m3": 1e19}]})
-        assert diags == ([] if valid else [
-            "species[1] ('ion'): Z must be a whole number >= 1"])
+             "density_m3": 1e19}]}
+        if valid:
+            assert cfg.parse_plasma(data).species[1].charge_number == Z
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    "invalid plasma configuration: species[1] ('ion'): Z "
+                    "must be a whole number >= 1") + "$"):
+                cfg.parse_plasma(data)
 
 
 class TestProblemConfig:
@@ -76,27 +94,101 @@ class TestProblemConfig:
         assert (nx, ny) == (17, 17)
         assert prob.bc == "closed_dirichlet"
 
+    def refusal(self, data):
+        """The refusals of ``parse_problem`` on ``data``."""
+        with pytest.raises(ValueError) as info:
+            cfg.parse_problem(data)
+        prefix = "invalid problem configuration: "
+        assert str(info.value).startswith(prefix)
+        return str(info.value)[len(prefix):].split("; ")
+
     def test_kappa_out_of_range(self):
         bad = self.base()
         bad["kappa"] = 3.0
-        diags = cfg.validate_problem(bad)
-        assert any("kappa out of range" in d for d in diags)
+        assert self.refusal(bad) \
+            == ["kappa out of range [0, 2] for closed_dirichlet"]
 
     def test_mixed_kappa_tighter(self):
         bad = self.base()
         bad["kappa"] = 1.5
         bad["bc"] = {"type": "mixed", "G": ["top"]}
-        assert any("kappa" in d for d in cfg.validate_problem(bad))
+        bad["forcing"] = {"kind": "zero2"}
+        bad["domain"] = {"rects": [[0.0, 1.0, 0.0, 0.75]]}
+        assert self.refusal(bad) == ["kappa out of range [0, 1] for mixed"]
+
+    @pytest.mark.parametrize("bc", sorted(KAPPA_MAX))
+    def test_kappa_range_shared_with_model_problem(self, bc):
+        data = {**self.base(), "bc": {"type": bc}, "forcing": {}}
+        data["kappa"] = KAPPA_MAX[bc]
+        assert cfg.parse_problem(data)[0].kappa == KAPPA_MAX[bc]
+        data["kappa"] = KAPPA_MAX[bc] + 0.5
+        message = f"kappa out of range [0, {KAPPA_MAX[bc]:g}] for {bc}"
+        assert self.refusal(data) == [message]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelProblem(data["kappa"], Domain.rectangle(0, 1, 0, 1), bc=bc)
 
     def test_grid_minimum(self):
         bad = self.base()
         bad["grid"]["nx"] = 4
-        assert any("grid.nx" in d for d in cfg.validate_problem(bad))
+        assert self.refusal(bad) == ["grid.nx must be an integer >= 8"]
 
     def test_unknown_segment(self):
         bad = self.base()
         bad["bc"] = {"type": "mixed", "G": ["north"]}
-        assert any("north" in d for d in cfg.validate_problem(bad))
+        bad["kappa"] = 0.0
+        bad["forcing"] = {"kind": "zero2"}
+        assert self.refusal(bad) == ["unknown boundary segment 'north' in G"]
+
+    def test_every_refusal_listed(self):
+        bad = self.base()
+        bad.update(kappa="a", grid={"nx": 4, "ny": 3.5},
+                   forcing={"kind": "gauss", "params": {"cx": "c", "w": 0}})
+        assert self.refusal(bad) == [
+            "kappa must be a number", "grid.nx must be an integer >= 8",
+            "grid.ny must be an integer >= 8",
+            "forcing.params.cx must be a number",
+            "forcing.params.w must be > 0"]
+
+    def test_defaults(self):
+        prob, shape = cfg.parse_problem(
+            {"kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]}})
+        assert shape == (33, 33)
+        assert (prob.bc, prob.G) == ("closed_dirichlet", ())
+        assert prob.forcing is None
+        prob, shape = cfg.parse_problem(
+            {"kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
+             "grid": {"ny": 9}, "bc": {"type": "mixed"}})
+        assert shape == (33, 9) and (prob.bc, prob.G) == ("mixed", ())
+        assert prob.forcing == (None, None)
+
+    DIRICHLET_KINDS = "(zero, one, sine_bump, gauss, samples)"
+    MIXED_KINDS = "(zero2, smooth2, samples2)"
+
+    @pytest.mark.parametrize("bc, forcing, message", [
+        ("closed_dirichlet", {"kind": "nope"},
+         "forcing kind 'nope' is not a closed_dirichlet kind "
+         f"{DIRICHLET_KINDS}"),
+        ("closed_dirichlet", {"kind": ["zero"]},
+         "forcing kind ['zero'] is not a closed_dirichlet kind "
+         f"{DIRICHLET_KINDS}"),
+        ("closed_dirichlet", {"kind": "smooth2"},
+         "forcing kind 'smooth2' is not a closed_dirichlet kind "
+         f"{DIRICHLET_KINDS}"),
+        ("mixed", {"kind": "zero"},
+         f"forcing kind 'zero' is not a mixed kind {MIXED_KINDS}"),
+        ("mixed", {"kind": "samples2", "values1": [[0.0] * 9] * 9},
+         "missing forcing.values2"),
+    ])
+    def test_forcing_kind_refused(self, bc, forcing, message):
+        data = {**self.base(), "kappa": 0.0, "bc": {"type": bc},
+                "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
+                "grid": {"nx": 9, "ny": 9}, "forcing": forcing}
+        assert self.refusal(data) == [message]
+
+    def test_kind_reads_only_its_keys(self):
+        data = {**self.base(),
+                "forcing": {"kind": "one", "params": [1], "values": 5}}
+        assert cfg.parse_problem(data)[0].forcing(0.5, 0.5) == 1.0
 
     def test_samples_forcing(self):
         data = self.base()
@@ -152,24 +244,29 @@ class TestParsers:
 
 
 class TestForcingRegistry:
+    @staticmethod
+    def forcing(kind, rect=(0.0, 1.0, 0.0, 1.0), bc="closed_dirichlet"):
+        return cfg.parse_problem({
+            "kappa": 0.0, "domain": {"rects": [list(rect)]},
+            "bc": {"type": bc}, "forcing": {"kind": kind}})[0].forcing
+
     def test_scalar_kinds(self):
-        dom = Domain.rectangle(0, 1, 0, 1)
-        for kind in ("zero", "one", "sine_bump", "gauss"):
-            f = cfg.scalar_forcing(kind, dom)
+        assert self.forcing("zero") is None
+        for kind in ("one", "sine_bump", "gauss"):
+            f = self.forcing(kind)
             assert np.isfinite(f(np.array([0.5]), np.array([0.5]))).all()
 
     def test_sine_bump_vanishes_on_box(self):
-        dom = Domain.rectangle(-1, 1, -1, 1)
-        f = cfg.scalar_forcing("sine_bump", dom)
+        f = self.forcing("sine_bump", (-1.0, 1.0, -1.0, 1.0))
         assert f(np.array([-1.0]), np.array([0.3]))[0] == pytest.approx(0.0,
                                                                         abs=1e-15)
 
     def test_vector_kinds(self):
-        dom = Domain.rectangle(0, 1, 0, 1)
-        f1, f2 = cfg.vector_forcing("smooth2", dom)
+        f1, f2 = self.forcing("smooth2", bc="mixed")
         assert np.isfinite(f1(0.3, 0.4)) and np.isfinite(f2(0.3, 0.4))
-        with pytest.raises(ValueError):
-            cfg.vector_forcing("nope", dom)
+        with pytest.raises(ValueError,
+                           match="forcing kind 'nope' is not a mixed kind"):
+            self.forcing("nope", bc="mixed")
 
 
 def cell_oracle(value):

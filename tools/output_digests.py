@@ -34,10 +34,13 @@ frequency and two ``cutoffs``/``resonances`` brackets whose square
 underflows, and configuration files holding a non-finite number (a NaN
 B0 for ``dispersion``, a NaN K11 for ``typemap`` and an ``Infinity``
 rectangle bound for ``solve``) or a value of the wrong JSON type (a
-``true`` B0 for ``stix``, a number for the ``x_range`` of ``layered``).  Each gives the line of its output
-file and of its stderr, with ``-`` for the seed and ``fixed`` or
-``errors`` for the workload, so that error text and exit codes are
-compared too.  In that stderr the temporary input directory reads
+``true`` B0 for ``stix``, a number for the ``x_range`` of ``layered``),
+or a value out of its range (a ``gauss`` forcing of width 0 and a
+``samples`` forcing without ``values`` for ``solve``, an
+``expression-table`` K11 whose ``xs`` are not increasing for
+``typemap``).  Each gives the line of its output file and of its
+stderr, with ``-`` for the seed and ``fixed`` or ``errors`` for the
+workload, so that error text and exit codes are compared too.  In that stderr the temporary input directory reads
 ``{in}``, so that a message naming an input file has one digest.
 ``COLUMNS`` is fixed at 80, since argparse wraps its usage text to the
 terminal width.
@@ -108,6 +111,13 @@ FAILING = {
     "layered-x-range-number": ["layered", "--layered",
                                "{in}/layered-x-range-number.json",
                                "--x0", "0", "--x1", "1"],
+    "solve-gauss-zero-width": ["solve", "--problem",
+                               "{in}/problem-gauss-zero-width.json"],
+    "solve-samples-without-values": ["solve", "--problem",
+                                     "{in}/problem-samples-no-values.json"],
+    "typemap-unsorted-table": ["typemap", "--fields",
+                               "{in}/fields-unsorted-table.json",
+                               "--box=0:2:0:1", "--nx", "5", "--nz", "2"],
 }
 FIXED_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
@@ -137,6 +147,16 @@ FIXED_INPUTS = {
     "layered-x-range-number.json": {"K11": {"kind": "constant",
                                             "value": 1.0},
                                     "sigma0": 0.0, "x_range": 5},
+    "problem-gauss-zero-width.json": {
+        "kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
+        "grid": {"nx": 9, "ny": 9},
+        "forcing": {"kind": "gauss", "params": {"w": 0}}},
+    "problem-samples-no-values.json": {
+        "kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
+        "grid": {"nx": 9, "ny": 9}, "forcing": {"kind": "samples"}},
+    "fields-unsorted-table.json": {"K11": {
+        "kind": "expression-table", "xs": [1.0, 0.0, 2.0], "zs": [0.0, 1.0],
+        "values": [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]}},
 }
 
 
