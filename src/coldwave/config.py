@@ -12,7 +12,7 @@ charge_sign from SPECIES_ALIASES):
      "species"), "mass_kg": num > 0, "charge_sign": -1|1, "Z": whole num
      >= 1 (default 1), "density_m3": num >= 0 (default 0)}, ...]}
 Problem (``parse_problem``):
-    {"kappa": num in [0, solvers.KAPPA_MAX[bc.type]],
+    {"kappa": num in [0, operators.KAPPA_MAX[bc.type]],
      "domain": {"rects": [[x0, x1, y0, y1], ...]},
      "grid": {"nx": int >= 8 (default 33), "ny": the same},
      "bc": {"type": "closed_dirichlet" (default) | "mixed" (one rect),
@@ -23,7 +23,7 @@ Problem (``parse_problem``):
     centre and width / 6; samples reads "values", samples2 "values1"
     and "values2", each nx lists of ny numbers.
 Fields (``parse_fields``; ``parse_layered`` adds "sigma0": num (default
-0) and "x_range": [x0, x1] to K11):
+0) and "x_range": [x0, x1] to K11, which it evaluates at z = 0):
     {"K11": {"kind": "affine_quadratic", "a": num, "b": num}
             | {"kind": "constant", "value": num}
             | {"kind": "expression-table", "xs": [...], "zs": [...],
@@ -38,10 +38,11 @@ import numpy as np
 
 from .constants import M_ELECTRON, M_PROTON
 from .electrostatics import LayeredProblem
-from .fields import Field1D, Field2D
+from .fields import Field2D
 from .grid import Domain
+from .operators import KAPPA_MAX
 from .plasma import PlasmaState, Species
-from .solvers import KAPPA_MAX, ModelProblem
+from .solvers import ModelProblem
 
 SPECIES_ALIASES = {
     "electron": {"mass_kg": M_ELECTRON, "charge_sign": -1},
@@ -356,7 +357,8 @@ def parse_fields(data):
 
 def parse_layered(data):
     """LayeredProblem from a layered-run mapping: the field ``K11``,
-    evaluated at z = 0, ``sigma0`` (default 0) and ``x_range`` [x0, x1]."""
+    whose real part at z = 0 is the problem's K11 (an array for an
+    array x), ``sigma0`` (default 0) and ``x_range`` [x0, x1]."""
     if not isinstance(data, dict):
         raise ValueError("layered configuration must be a JSON object")
     f2d = parse_field(data.get("K11"), name="K11")
@@ -366,8 +368,8 @@ def parse_layered(data):
     x_range = data.get("x_range")
     if not (_is_numbers(x_range) and len(x_range) == 2):
         raise ValueError("x_range must be a list of two numbers")
-    k11 = Field1D(lambda x: np.real(f2d(x, 0.0)))
-    return LayeredProblem(k11, float(sigma0), tuple(x_range))
+    return LayeredProblem(lambda x: np.real(f2d(x, 0.0)), float(sigma0),
+                          tuple(x_range))
 
 
 def parse_bracket(text):

@@ -3,7 +3,11 @@
 Covers the plane-layered first-order ODE for psi = phi_x, the
 coefficients of the 2D potential equation, type classification from the
 K11*K33 product, sonic conditions, singular points of the sonic line,
-and the scaled local normal form near such a point.
+and the scaled local normal form near such a point (``NormalForm``,
+one object holding the local model and its scaled equation).  The
+plane-layered leading coefficient K11 is a plain callable of x, which
+``config.parse_layered`` builds from a ``Field2D`` at z = 0; only its
+values are read.
 """
 
 import math
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayeredNotConverged, SingularCoefficient
-from .fields import Field1D
 from .quadrature import _corners
 
 TYPE_PRODUCT_TOL = 1e-14
@@ -44,9 +47,10 @@ def layered_sigma0(k2, k3, tensor, x, z=0.0):
 @dataclass(frozen=True)
 class LayeredProblem:
     """Plane-layered medium: leading coefficient K11(x), constant
-    sigma0, and an interval on which K11 must not vanish."""
+    sigma0, and an interval on which K11 must not vanish.  K11 is a
+    callable that returns an array of x's shape for an array x."""
 
-    K11: Field1D
+    K11: object
     sigma0: float
     x_range: tuple
 
@@ -58,8 +62,12 @@ class LayeredProblem:
 
 
 def _require_nonvanishing(k11, x0, x1):
-    vals = np.asarray(k11(np.linspace(x0, x1, NONVANISHING_SAMPLES)),
-                      dtype=float)
+    xs = np.linspace(x0, x1, NONVANISHING_SAMPLES)
+    vals = k11(xs)
+    if np.shape(vals) != xs.shape:
+        raise ValueError("K11 must return an array of x's shape for an "
+                         "array x")
+    vals = np.asarray(vals, dtype=float)
     if np.any(vals == 0.0) or vals.min() < 0.0 < vals.max():
         raise SingularCoefficient(f"K11 vanishes on [{x0!r}, {x1!r}]")
 
@@ -259,9 +267,17 @@ def singular_points_on_sonic_line(k11, box):
 
 
 @dataclass(frozen=True)
-class NormalFormModel:
-    """Local model near a singular sonic point: K11 = x/a + z^2/b with
-    K33 = -eta0 < 0, plus the constant of the scaled equation."""
+class NormalForm:
+    """Local model near a singular sonic point, K11 = x/a + z^2/b with
+    K33 = -eta0 < 0, and its scaled equation.
+
+    In standard orientation the operator is
+        -(xt + A zt^2) d_xtxt + d_ztzt - d_xt,      xt = x/a,
+    and in flipped orientation (xt = -x/a)
+        (xt - A zt^2) d_xtxt + d_ztzt + d_xt,
+    whose highest-order part with A = 1 is the canonical model
+    (x - y^2) u_xx + u_yy.  In both, zt = z / (a sqrt(eta0)).
+    """
 
     a: float
     b: float
@@ -277,24 +293,20 @@ class NormalFormModel:
         if self.orientation not in ("standard", "flipped"):
             raise ValueError("orientation must be 'standard' or 'flipped'")
 
+    @property
+    def x_scale(self):
+        """xt = x / x_scale (sign included)."""
+        return self.a if self.orientation == "standard" else -self.a
 
-@dataclass(frozen=True)
-class NormalFormDescriptor:
-    """Scaled model equation near the singular sonic point.
+    @property
+    def z_scale(self):
+        """zt = z / z_scale."""
+        return self.a * math.sqrt(self.eta0)
 
-    In standard orientation the operator is
-        -(xt + A zt^2) d_xtxt + d_ztzt - d_xt,      xt = x/a,
-    and in flipped orientation (xt = -x/a)
-        (xt - A zt^2) d_xtxt + d_ztzt + d_xt,
-    whose highest-order part with A = 1 is the canonical model
-    (x - y^2) u_xx + u_yy.  In both, zt = z / (a sqrt(eta0)).
-    """
-
-    orientation: str
-    A_const: float
-    x_scale: float      # xt = x / x_scale (sign included)
-    z_scale: float      # zt = z / z_scale
-    drift: float        # coefficient of d_xt
+    @property
+    def drift(self):
+        """Coefficient of d_xt."""
+        return -1.0 if self.orientation == "standard" else 1.0
 
     def xx_coefficient(self, xt, zt):
         """Coefficient of the second xt-derivative in scaled coordinates."""
@@ -307,15 +319,3 @@ class NormalFormDescriptor:
 
     def from_scaled(self, xt, zt):
         return xt * self.x_scale, zt * self.z_scale
-
-
-def normal_form(model):
-    """Scaled-equation descriptor for the given local model."""
-    sign = 1.0 if model.orientation == "standard" else -1.0
-    return NormalFormDescriptor(
-        orientation=model.orientation,
-        A_const=model.A_const,
-        x_scale=sign * model.a,
-        z_scale=model.a * math.sqrt(model.eta0),
-        drift=-1.0 if model.orientation == "standard" else 1.0,
-    )

@@ -1,8 +1,13 @@
-"""Scalar-field evaluators with derivative support.
+"""Scalar fields of (x, z) with their partial derivatives.
 
-Analytic partial derivatives may be supplied; otherwise an O(h^2)
-central-difference fallback with step h = 1e-6 * scale is used.
-Evaluators are deterministic and may return complex values.
+``Field2D`` is the one field type: the dielectric-tensor entries, the
+sonic-line model x/a + z^2/b (which with a = 1, b = -1 is the
+type-change function x - y^2 of the model operator) and tabulated
+fields.  Analytic partial derivatives may be supplied; otherwise an
+O(h^2) central-difference fallback with step h = 1e-6 * scale is used.
+Evaluators are deterministic and may return complex values.  A field of
+one variable, such as the leading coefficient of the layered equation,
+is a plain callable.
 """
 
 from dataclasses import dataclass, field
@@ -32,32 +37,13 @@ def _central(fn, scale, axis):
     return derivative
 
 
-class Field1D:
-    """Scalar function of one variable with a derivative evaluator.
-
-    The field and its derivative take a float or an ndarray, evaluated
-    elementwise, and so must ``fn`` and ``dfdx``; a scalar result, such
-    as a constant field's, is broadcast to the array's shape."""
-
-    def __init__(self, fn, dfdx=None, scale=1.0):
-        self.scale = float(scale)
-        self._fn = fn
-        self._dfdx = dfdx or _central(fn, self.scale, 0)
-
-    def __call__(self, x):
-        return _broadcast(self._fn(x), x)
-
-    def dx(self, x):
-        return _broadcast(self._dfdx(x), x)
-
-    @classmethod
-    def constant(cls, value):
-        return cls(lambda x: value, lambda x: 0.0 * value)
-
-
 class Field2D:
-    """Scalar function of (x, z) with partial-derivative evaluators,
-    elementwise as :class:`Field1D` (scalar results broadcast)."""
+    """Scalar function of (x, z) with partial-derivative evaluators.
+
+    The field and its derivatives take floats or ndarrays, evaluated
+    elementwise, and so must ``fn``, ``dfdx`` and ``dfdz``; a scalar
+    result, such as a constant field's, is broadcast to the common shape
+    of the arguments."""
 
     def __init__(self, fn, dfdx=None, dfdz=None, scale=1.0):
         self.scale = float(scale)

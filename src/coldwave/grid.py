@@ -70,13 +70,19 @@ class Domain:
         return bool(self.contains(0.0, 0.0))
 
     @property
-    def contains_sonic_arc(self):
-        """Whether K = x - y^2 takes both signs on the domain, from its
-        exact extremes on each rectangle: max K = x1 - min y^2 (0 when
-        y0 <= 0 <= y1) and min K = x0 - max y^2."""
+    def type_range(self):
+        """(min K, max K) of K = x - y^2 over the domain, exact from each
+        rectangle: max K = x1 - min y^2 (0 when y0 <= 0 <= y1) and
+        min K = x0 - max y^2."""
+        k_min = min(x0 - max(y0 * y0, y1 * y1) for x0, _, y0, y1 in self.rects)
         k_max = max(x1 - (0.0 if y0 <= 0.0 <= y1 else min(y0 * y0, y1 * y1))
                     for _, x1, y0, y1 in self.rects)
-        k_min = min(x0 - max(y0 * y0, y1 * y1) for x0, _, y0, y1 in self.rects)
+        return k_min, k_max
+
+    @property
+    def contains_sonic_arc(self):
+        """Whether K = x - y^2 takes both signs on the domain."""
+        k_min, k_max = self.type_range
         return k_min < 0.0 < k_max
 
     def boundary_segments(self):

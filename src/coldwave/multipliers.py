@@ -2,20 +2,24 @@
 
 The a-b-c multiplier M u = a u + b u_x + c u_y pairs with L u to bound
 the weighted H1 seminorm from above: (Mu, Lu) >= delta ||u||^2 for
-compactly supported u.  Two coefficient regimes cover the drift range
-kappa in [0, 2]; a matrix multiplier with boundary sign conditions
-serves the mixed first-order problem.
+compactly supported u.  One ``MultiplierSpec`` carries the whole
+multiplier: it is built once from the drift kappa and the domain (the
+extremes of K = x - y^2 over it), and the checks on any grid of that
+domain read kappa from it.  Its two coefficient regimes, a property of
+kappa, cover the closed-Dirichlet drift range
+(``operators.KAPPA_MAX``).  A matrix multiplier with boundary sign
+conditions serves the mixed first-order problem.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
 from .errors import SpecInvalid
 from .grid import Grid2D
-from .operators import _d1, _d2, apply_L, gradient
+from .operators import KAPPA_MAX, _d1, _d2, apply_L, gradient
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_signed)
 from .typegeometry import canonical_type_function
@@ -34,17 +38,20 @@ BUMP_DEGREE = 3
 class MultiplierSpec:
     """Scalar multiplier coefficients (a = -1 throughout).
 
-    kappa_high (kappa in [1, 2]): b is the two-branch exponential
+    kappa_high (kappa >= 1): b is the two-branch exponential
     exp(2 delta K / Q1) on K > 0 and exp(6 delta K / Q2) on K < 0 with
     Q1 = exp(2 delta mu1), Q2 = exp(mu2) built from the extreme values
-    of K over the domain; c = 2 (2 delta - 1) y.
+    mu1 = max(max K, 0) and mu2 = min(min K, 0) of K over the domain;
+    c = 2 (2 delta - 1) y.
 
-    kappa_low (kappa in [0, 1)): b = -N K on K > 0 and +N K on K < 0
+    kappa_low (kappa < 1): b = -N K on K > 0 and +N K on K < 0
     (i.e. -N |K|), c = -4 N y, with N strictly inside
     ((1 + dt) / (3 - kappa), (1 - dt) / (kappa + 1)).
+
+    delta is the lower bound that the checks assert for
+    (Mu, Lu) / ||u||_{H1_0(K)}^2.
     """
 
-    regime: str
     kappa: float
     delta: float = 0.05
     delta_tilde: float = 0.05
@@ -54,8 +61,9 @@ class MultiplierSpec:
     warnings: tuple = ()
 
     @classmethod
-    def from_kappa(cls, kappa, grid, delta=0.05, delta_tilde=0.05, N=None):
-        """Build the regime's coefficients for the grid's domain.
+    def from_kappa(cls, kappa, domain, delta=0.05, delta_tilde=0.05, N=None):
+        """Build the regime's coefficients for ``domain``, whose exact
+        range of K (``Domain.type_range``) gives Q1 and Q2.
 
         The exponential-branch bounds b <= Q1 on K>0 and b > Q2 on K<0
         hold only for delta below exp(mu2)/6; with larger delta they are
@@ -63,28 +71,25 @@ class MultiplierSpec:
         energy check measures: ``bump_gram`` for ``energy-check``, or
         ``verify_energy_inequality`` for a single grid field).
         """
-        if not 0.0 <= kappa <= 2.0:
-            raise SpecInvalid(f"kappa={kappa!r} outside [0, 2]")
+        kappa_max = KAPPA_MAX["closed_dirichlet"]
+        if not 0.0 <= kappa <= kappa_max:
+            raise SpecInvalid(f"kappa={kappa!r} outside [0, {kappa_max:g}]")
         if not 0.0 < delta < 0.5:
             raise SpecInvalid(f"delta={delta!r} outside (0, 0.5)")
         if not delta_tilde > 0.0:
             raise SpecInvalid(f"delta_tilde={delta_tilde!r} must be positive")
-        K = grid.type_values()[grid.inside]
-        kpos = K[K > 0.0]
-        kneg = K[K < 0.0]
         if kappa >= 1.0:
-            mu1 = float(kpos.max()) if kpos.size else 0.0
-            mu2 = float(kneg.min()) if kneg.size else 0.0
-            Q1 = math.exp(2.0 * delta * mu1)
-            Q2 = math.exp(mu2)
+            k_min, k_max = domain.type_range
+            Q1 = math.exp(2.0 * delta * max(k_max, 0.0))
+            Q2 = math.exp(min(k_min, 0.0))
             warnings = []
-            if kneg.size and 6.0 * delta >= Q2:
+            if k_min < 0.0 and 6.0 * delta >= Q2:
                 warnings.append(
                     f"exponential branch bound b > Q2 fails for delta="
                     f"{delta!r} (needs delta < exp(mu2)/6 = {Q2 / 6.0!r})"
                 )
-            return cls("kappa_high", kappa, delta, delta_tilde,
-                       Q1=Q1, Q2=Q2, warnings=tuple(warnings))
+            return cls(kappa, delta, delta_tilde, Q1=Q1, Q2=Q2,
+                       warnings=tuple(warnings))
         lo = (1.0 + delta_tilde) / (3.0 - kappa)
         hi = (1.0 - delta_tilde) / (kappa + 1.0)
         if not lo < hi:
@@ -98,7 +103,13 @@ class MultiplierSpec:
             raise SpecInvalid(
                 f"N={N!r} outside admissible interval ({lo!r}, {hi!r})"
             )
-        return cls("kappa_low", kappa, delta, delta_tilde, N=N)
+        return cls(kappa, delta, delta_tilde, N=N)
+
+    @property
+    def regime(self):
+        """The coefficient regime: "kappa_high" for kappa >= 1, else
+        "kappa_low"."""
+        return "kappa_high" if self.kappa >= 1.0 else "kappa_low"
 
     def b(self, x, y, sign):
         """Branch of b on the side of the sonic curve given by sign."""
@@ -113,11 +124,6 @@ class MultiplierSpec:
         if self.regime == "kappa_high":
             return 2.0 * (2.0 * self.delta - 1.0) * y
         return -4.0 * self.N * y
-
-    @property
-    def ratio_bound(self):
-        """Lower bound asserted for (Mu, Lu) / ||u||_{H1_0(K)}^2."""
-        return self.delta
 
 
 @dataclass(frozen=True)
@@ -137,29 +143,22 @@ class EnergyReport:
         return self.ratio is not None and self.ratio >= self.bound
 
 
-def _check_regime(spec, kappa):
-    if spec.regime == "kappa_high" and not 1.0 <= kappa <= 2.0:
-        raise SpecInvalid(f"kappa={kappa!r} outside [1, 2] for kappa_high")
-    if spec.regime == "kappa_low" and not 0.0 <= kappa < 1.0:
-        raise SpecInvalid(f"kappa={kappa!r} outside [0, 1) for kappa_low")
-
-
-def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
-    """Quadrature check of (Mu, Lu) >= delta ||u||_{H1_0(K)}^2.
+def verify_energy_inequality(u, spec, grid, decomp=None):
+    """Quadrature check of (Mu, Lu) >= delta ||u||_{H1_0(K)}^2, with L
+    of drift ``spec.kappa``.
 
     ``u`` must vanish on the boundary nodes (discrete compact support).
     The pairing integral splits cells along the sonic curve because b
-    switches branch there.  The reported bound is ``spec.ratio_bound``.
+    switches branch there.  The reported bound is ``spec.delta``.
     """
     u = np.asarray(u, dtype=float)
-    _check_regime(spec, kappa)
     boundary_max = float(np.abs(u[grid.boundary]).max()) if grid.boundary.any() else 0.0
     if boundary_max != 0.0:
         raise ValueError("u must vanish on boundary nodes")
     if decomp is None:
         decomp = decompose_cells(grid)
     ux, uy = gradient(u, grid)
-    Lu = apply_L(u, grid, kappa)
+    Lu = apply_L(u, grid, spec.kappa)
 
     def pairing(sign):
         def fn(x, y, uv, uxv, uyv, luv):
@@ -172,7 +171,7 @@ def verify_energy_inequality(u, kappa, spec, grid, decomp=None):
     # the square of the seminorm that weighted_norms reports, bit for bit
     rhs = np.sqrt(integrate_h1_density(decomp, ux, uy)) ** 2
     ratio = lhs / rhs if rhs > 0.0 else None
-    return EnergyReport(lhs, rhs, ratio, bound=spec.ratio_bound,
+    return EnergyReport(lhs, rhs, ratio, bound=spec.delta,
                         warnings=spec.warnings)
 
 
@@ -269,8 +268,9 @@ def _shared_row_sum(C, diag, terms):
     return total
 
 
-def bump_gram(grid, kappa, spec):
-    """S and W of ``BumpGram`` on a rectangle grid in one quadrature pass.
+def bump_gram(grid, spec):
+    """S and W of ``BumpGram`` on a rectangle grid in one quadrature pass,
+    for L of drift ``spec.kappa``.
 
     Every basis field, its stencil derivatives and L of it are sums of
     products p(x) q(y) of 1-D tables (K = x - y^2 enters as x p'' q -
@@ -286,7 +286,6 @@ def bump_gram(grid, kappa, spec):
     """
     if not grid.inside.all():
         raise ValueError("bump_gram needs a rectangle domain")
-    _check_regime(spec, kappa)
     sides = decompose_cells(grid).points
     x0, x1, y0, y1 = grid.domain.bounding_box
     p, p1, p2 = _bump_tables(grid.xs, x0, x1, grid.hx)
@@ -334,7 +333,7 @@ def bump_gram(grid, kappa, spec):
 
     # L u = (x p'' + kappa p') q - p'' (y^2 q) + p q'' and M u = -u +
     # b u_x + c u_y; each term of S pairs a factor of M u with one of L u
-    lu = ((xpdxx + kappa * pdx, qy), (-pdxx, yyq), (px, qdyy))
+    lu = ((xpdxx + spec.kappa * pdx, qy), (-pdxx, yyq), (px, qdyy))
     mu = ((lambda s: -s.weight, px, qy),
           (lambda s: s.weight * spec.b(s.x, s.y, s.sign), pdx, qy),
           (lambda s: s.weight * spec.c(s.y), px, qdy))

@@ -8,6 +8,9 @@ drift coefficient kappa for 2 - kappa.
 
 import numpy as np
 
+# Largest drift kappa of each boundary condition; kappa lies in [0, max].
+KAPPA_MAX = {"closed_dirichlet": 2.0, "mixed": 1.0}
+
 
 def _d1(u, h, axis):
     """First derivative, centered inside, 3-point one-sided at the ends."""

@@ -58,7 +58,7 @@ from .errors import (FactorizationFailure, GridTooLarge,
                      InadmissibleBoundary, InsufficientLevels)
 from .grid import Grid2D
 from .multipliers import boundary_admissible
-from .operators import assemble_dirichlet, assemble_mixed
+from .operators import KAPPA_MAX, assemble_dirichlet, assemble_mixed
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_uncut, weighted_norms)
 from .typegeometry import canonical_type_function
@@ -80,9 +80,6 @@ PROBE_BACKWARD_ERROR = 1e-14
 FILL_C = 13.7
 FILL_P = 1.2
 BYTES_PER_FILL = 26.0
-
-# Largest drift kappa of each boundary condition; kappa lies in [0, max].
-KAPPA_MAX = {"closed_dirichlet": 2.0, "mixed": 1.0}
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StartNotHyperbolic
-from .fields import Field2D
 
 CLASSIFY_RTOL = 1e-10
 
@@ -22,26 +21,16 @@ def canonical_type_function(x, y):
     return x - y * y
 
 
-class TypeChangeField(Field2D):
-    """Type-change function of (x, y) with its partial derivatives."""
-
-    @classmethod
-    def canonical(cls):
-        """The model instance x - y^2 (vanishes on the parabola x=y^2)."""
-        return cls(canonical_type_function,
-                   lambda x, y: 1.0,
-                   lambda x, y: -2.0 * y)
-
-
 def canonical_case_classify(field, point):
     """Classify a point against the sonic set of a type-change field.
 
     'not_on_sonic' when the field is nonzero there; on the sonic set,
     'keldysh_point' when the z-derivative vanishes too (degenerate
     tangency, weaker regularity expected) and 'tricomi_point' otherwise.
-    ``field`` is a Field2D, such as a :class:`TypeChangeField`, read as
-    ``field(x, y)``, ``.dx`` and ``.dz``.  The tolerance is CLASSIFY_RTOL
-    scaled by the local gradient magnitude.
+    ``field`` is a Field2D, read as ``field(x, y)``, ``.dx`` and ``.dz``;
+    the model's own x - y^2 is ``Field2D.affine_quadratic(1.0, -1.0)``.
+    The tolerance is CLASSIFY_RTOL scaled by the local gradient
+    magnitude.
     """
     x, y = point
     val = field(x, y)

@@ -16,12 +16,11 @@ from coldwave import config as cfg
 from coldwave import dispersion, electrostatics, errors, output, typegeometry
 from coldwave.cli import KMAX_LIMIT, build_parser, main
 from coldwave.dispersion import SCAN_HEADER, dispersion_scan
-from coldwave.fields import Field1D
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import (MultiplierSpec, random_interior_bump,
                                   verify_energy_inequality)
 from coldwave.plasma import cyclotron_frequency
-from coldwave.solvers import solve_closed_dirichlet
+from coldwave.solvers import ModelProblem, solve_closed_dirichlet
 from test_config_output import assert_same_text, csv_oracle, expanded
 
 SRC = os.path.dirname(os.path.dirname(cfg.__file__))
@@ -229,6 +228,26 @@ class TestSubcommands:
         records = json.loads(out.read_text())
         assert len(records) == 20
         assert all(r["pass"] for r in records)
+
+    def test_symbol_check_plasma_honours_tol(self, hydrogen_json, tmp_path,
+                                             capsys):
+        # 1e-6 from the proton cyclotron frequency: outside the default
+        # guard of 1e-9, inside --tol 1e-3, where stix refuses it too
+        pl = cfg.parse_plasma(cfg.load_json(hydrogen_json))
+        omega = repr(cyclotron_frequency(pl.species[1], 1.0) * (1 + 1e-6))
+        assert main(["--out", str(tmp_path / "a.json"), "symbol-check",
+                     "--trials", "3", "--plasma", hydrogen_json,
+                     "--omega", omega]) == 0
+        capsys.readouterr()
+        errs = []
+        for argv in (["stix"], ["symbol-check", "--trials", "3"]):
+            out = tmp_path / "b.json"
+            assert main(["--tol", "1e-3", "--out", str(out), *argv,
+                         "--plasma", hydrogen_json, "--omega", omega]) == 2
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("numerical failure: ")
 
     def test_layered(self, tmp_path):
         layered = tmp_path / "layered.json"
@@ -471,21 +490,47 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         domain = Domain.rectangle(-0.5, 1.0, -0.8, 0.6)
         grids = [Grid2D(domain, 17, 17), Grid2D(domain, 33, 33)]
-        specs = [MultiplierSpec.from_kappa(0.5, g) for g in grids]
+        spec = MultiplierSpec.from_kappa(0.5, domain)
         rng = np.random.default_rng(7)
         pairs = []
         for _ in range(4):
             bump = random_interior_bump(domain, rng)
             pair = []
-            for g, spec in zip(grids, specs):
+            for g in grids:
                 u = g.evaluate(bump)
                 u[g.boundary] = 0.0
-                pair.append(verify_energy_inequality(u, 0.5, spec, g).ratio)
+                pair.append(verify_energy_inequality(u, spec, g).ratio)
             pairs.append(pair)
         np.testing.assert_allclose(report["ratios"],
                                    [min(p) for p in pairs], rtol=1e-12)
         assert report["max_two_resolution_gap"] == pytest.approx(
             max(abs(a - b) for a, b in pairs), rel=1e-10)
+
+    @pytest.mark.parametrize("box", ["-1:1:-1:1", "0:1:-0.3:0.7"])
+    def test_energy_check_builds_one_spec_from_the_box(self, box, tmp_path,
+                                                       monkeypatch):
+        # one multiplier for both grids, from kappa and the box's exact
+        # range of K, whether or not the lattice holds its extremes
+        built = []
+        real = MultiplierSpec.from_kappa.__func__
+
+        def counted(cls, kappa, domain, **kwargs):
+            built.append(domain)
+            return real(cls, kappa, domain, **kwargs)
+
+        monkeypatch.setattr(MultiplierSpec, "from_kappa",
+                            classmethod(counted))
+        out = tmp_path / "energy.json"
+        assert main(["--out", str(out), "--seed", "3", "energy-check",
+                     "--kappa", "1.5", "--trials", "3", "--nx", "17",
+                     "--box=" + box]) == 0
+        domain = Domain.rectangle(*map(float, box.split(":")))
+        assert built == [domain]
+        spec = real(MultiplierSpec, 1.5, domain)
+        alphas = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 4, 4))
+        ratios = np.minimum(*(cli.bump_gram(Grid2D(domain, n, n), spec)
+                              .ratios(alphas) for n in (17, 33)))
+        assert json.loads(out.read_text())["ratios"] == ratios.tolist()
 
     def test_energy_check_span_undefined_on_coarse_grid(self, tmp_path):
         # on 5 x 5 nodes some bump vanishes at every node: W is singular
@@ -552,8 +597,8 @@ class TestSubcommands:
 
 class TestConsoleScript:
     def _run(self, *argv):
-        env = dict(os.environ, PYTHONPATH=SRC, COLDWAVE_THREADS="1")
-        return subprocess.run([sys.executable, "-m", "coldwave._main", *argv],
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "coldwave.cli", *argv],
                               env=env, capture_output=True, text=True)
 
     def test_entry_point_with_thread_cap(self, vacuum_json, tmp_path):
@@ -1110,6 +1155,43 @@ class TestSolutionCsv:
         assert out.read_bytes() == csv_oracle("x,y,u", rows).encode()
 
 
+class TestSampleForcings:
+    """Nodal samples of a forcing, given as ``samples``/``samples2``
+    arrays, solve as the forcing itself does."""
+
+    @staticmethod
+    def _outputs(path, command, tmp_path, tag):
+        out, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        assert main(["--quiet", "--out", str(out), command, "--problem",
+                     str(path), "--summary", str(summary)]) == 0
+        return out.read_bytes(), summary.read_bytes()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("solve", ("values",)), ("solve-mixed", ("values1", "values2"))])
+    def test_samples_solve_as_their_forcing(self, problem_json, mixed_json,
+                                            command, keys, tmp_path):
+        path = problem_json if command == "solve" else mixed_json
+        data = json.loads(open(path).read())
+        problem, (nx, ny) = cfg.parse_problem(data)
+        grid = Grid2D(problem.domain, nx, ny)
+        forcings = (problem.forcing,) if len(keys) == 1 else problem.forcing
+        data["forcing"] = {"kind": "samples" if len(keys) == 1
+                           else "samples2"}
+        for key, fn in zip(keys, forcings):
+            data["forcing"][key] = grid.evaluate(fn).tolist()
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(data))
+        assert (self._outputs(samples, command, tmp_path, "samples")
+                == self._outputs(path, command, tmp_path, "fn"))
+
+    def test_wrong_shape_names_both_shapes(self):
+        domain = Domain.rectangle(0.0, 1.0, 0.0, 1.0)
+        problem = ModelProblem(0.5, domain, np.zeros((5, 7)))
+        with pytest.raises(ValueError, match=r"shape \(5, 7\), grid needs "
+                                             r"\(9, 9\)"):
+            solve_closed_dirichlet(problem, Grid2D(domain, 9, 9))
+
+
 class TestDispersionCsv:
     """The dispersion CSV, written a block of omegas at a time with the
     repeated omega/theta/C cells formatted once, equals the CSV of one
@@ -1246,9 +1328,8 @@ class TestCsvOracles:
                      str(path), "--psi0", "1,0.5", "--x0", "0.5",
                      "--x1", "1.5"]) == 0
         f2d = cfg.parse_field(spec["K11"])
-        k11 = Field1D(lambda x: np.real(f2d(x, 0.0)),
-                      lambda x: np.real(f2d.dx(x, 0.0)))
-        problem = electrostatics.LayeredProblem(k11, 0.7, (0.5, 1.5))
+        problem = electrostatics.LayeredProblem(
+            lambda x: np.real(f2d(x, 0.0)), 0.7, (0.5, 1.5))
         sol = electrostatics.integrate_layered(problem, 1 + 0.5j, 0.5, 1.5)
         rows = [(x, p.real, p.imag) for x, p in zip(sol.xs, sol.psi)]
         assert all(im != 0.0 for _, _, im in rows[1:])

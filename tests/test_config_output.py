@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from coldwave import config as cfg
 from coldwave import output
 from coldwave.grid import Domain
-from coldwave.solvers import KAPPA_MAX, ModelProblem
+from coldwave.operators import KAPPA_MAX
+from coldwave.solvers import ModelProblem
 
 
 class TestPlasmaConfig:

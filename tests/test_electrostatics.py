@@ -5,10 +5,11 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given, settings, strategies as st
 
+from coldwave import config as cfg
 from coldwave import electrostatics as es
 from coldwave import plasma
 from coldwave.errors import LayeredNotConverged, SingularCoefficient
-from coldwave.fields import Field1D, Field2D, TensorField2D
+from coldwave.fields import Field2D, TensorField2D
 
 
 def smooth_nonvanishing_k11(rng):
@@ -17,10 +18,7 @@ def smooth_nonvanishing_k11(rng):
     a = rng.uniform(-0.5, 0.5)
     b = rng.uniform(-0.5, 0.5)
     w = rng.uniform(1.0, 4.0)
-    return Field1D(
-        lambda x: base + a * x + b * np.sin(w * x),
-        lambda x: a + b * w * np.cos(w * x),
-    )
+    return lambda x: base + a * x + b * np.sin(w * x)
 
 
 class TestLayeredSigma0:
@@ -44,35 +42,35 @@ class TestLayeredSigma0:
 
 class TestIntegrateLayered:
     def test_constant_coefficient(self):
-        prob = es.LayeredProblem(Field1D.constant(2.0), 0.0, (0.0, 1.0))
+        prob = es.LayeredProblem(lambda x: np.full(np.shape(x), 2.0), 0.0,
+                                 (0.0, 1.0))
         sol = es.integrate_layered(prob, 1.0 + 0.5j, 0.0, 1.0)
         assert np.allclose(sol.psi, 1.0 + 0.5j)
 
     def test_affine(self):
-        prob = es.LayeredProblem(
-            Field1D(lambda x: 1.0 + x, lambda x: 1.0), 0.0, (0.0, 1.0))
+        prob = es.LayeredProblem(lambda x: 1.0 + x, 0.0, (0.0, 1.0))
         sol = es.integrate_layered(prob, 2.0, 0.0, 1.0)
         assert sol.end_value == pytest.approx(1.0, rel=1e-9)
 
     def test_unconverged_halving_raises(self, monkeypatch):
         # psi oscillates as exp(-30 i ln x): the quadrature needs 129 cells
         monkeypatch.setattr(es, "LAYERED_MAX_CELLS", 100)
-        prob = es.LayeredProblem(Field1D(lambda x: x), 30.0, (1e-4, 1.0))
+        prob = es.LayeredProblem(lambda x: x, 30.0, (1e-4, 1.0))
         with pytest.raises(LayeredNotConverged,
                            match=r"at 99 cells, tolerance 1e-09\)$"):
             es.integrate_layered(prob, 1.0, 1e-4, 1.0)
 
     def test_phase_below_rounding_raises(self):
         # sigma0 tau ~ 1e9 carries ~1e-7 of rounding: 1e-9 is out of reach
-        prob = es.LayeredProblem(Field1D(lambda x: 1.5 + np.sin(50.0 * x)),
-                                 1e9, (0.0, 1.0))
+        prob = es.LayeredProblem(lambda x: 1.5 + np.sin(50.0 * x), 1e9,
+                                 (0.0, 1.0))
         with pytest.raises(LayeredNotConverged,
                            match=r"rounding \S+e-07 at 64 cells"):
             es.integrate_layered(prob, 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("sigma0", [0.0, 3.0])
     def test_nan_coefficient_raises(self, sigma0):
-        k11 = Field1D(lambda x: np.where(abs(x - 0.3) < 1e-3, np.nan, 2.0))
+        k11 = lambda x: np.where(abs(x - 0.3) < 1e-3, np.nan, 2.0)
         prob = es.LayeredProblem(k11, sigma0, (0.0, 1.0))
         with pytest.raises(LayeredNotConverged, match="rounding nan"):
             es.integrate_layered(prob, 1.0, 0.0, 1.0)
@@ -89,7 +87,7 @@ class TestIntegrateLayered:
         # tau = ln(K(x)/K(x0)) / K' = (x - x0)/K(x0) * log1p(u)/u with
         # u = K'(x - x0)/K(x0), whose ratio -> 1 as u -> 0: a slope whose
         # product with x - x0 underflows (or is 0) keeps tau = (x - x0)/K(x0)
-        k11 = Field1D(lambda x: sign * a * (1.0 + slope * x))
+        k11 = lambda x: sign * a * (1.0 + slope * x)
         prob = es.LayeredProblem(k11, sigma0, (0.0, 1.0))
         sol = es.integrate_layered(prob, psi0, *ends)
         k, dx = k11(sol.xs), sol.xs - ends[0]
@@ -104,32 +102,39 @@ class TestIntegrateLayered:
     @pytest.mark.parametrize("x0", [1e-4, 1e-6])
     def test_resonant_graded(self, x0):
         # K11 = x near its zero: psi = (x0/x) exp(-30 i ln(x/x0))
-        prob = es.LayeredProblem(Field1D(lambda x: x), 30.0, (x0, 1.0))
+        prob = es.LayeredProblem(lambda x: x, 30.0, (x0, 1.0))
         sol = es.integrate_layered(prob, 1.0, x0, 1.0)
         closed = x0 * np.exp(-30j * math.log(1.0 / x0))
         assert abs(sol.end_value - closed) <= 1e-10 * abs(closed)
 
     def test_constant_exact_phase(self):
-        prob = es.LayeredProblem(Field1D.constant(-2.5), 7.0, (0.0, 3.0))
+        prob = es.LayeredProblem(lambda x: np.full(np.shape(x), -2.5), 7.0,
+                                 (0.0, 3.0))
         sol = es.integrate_layered(prob, 0.3 - 0.4j, 0.5, 2.75)
         exact = (0.3 - 0.4j) * np.exp(-7j * (sol.xs - 0.5) / -2.5)
         assert np.abs(sol.psi - exact).max() <= 1e-13
 
     def test_ends_and_start_value_exact(self):
         x0, x1, psi0 = 0.1, 0.7, -0.3 + 0.9j
-        prob = es.LayeredProblem(Field1D(lambda x: 1.5 + np.sin(9.0 * x)),
-                                 4.0, (0.0, 1.0))
+        prob = es.LayeredProblem(lambda x: 1.5 + np.sin(9.0 * x), 4.0,
+                                 (0.0, 1.0))
         sol = es.integrate_layered(prob, psi0, x0, x1)
         assert sol.xs[0] == x0 and sol.xs[-1] == x1 and sol.psi[0] == psi0
         assert sol.xs.shape == sol.psi.shape == (sol.steps + 1,)
         assert np.all(np.diff(sol.xs) > 0.0)
 
     def test_derivative_never_read(self):
-        def broken(x):
-            raise AssertionError("K11' read")
+        class ValuesOnly:
+            """K11 = 2 + x, refusing to give any attribute, such as a
+            derivative, beside its values."""
 
-        prob = es.LayeredProblem(Field1D(lambda x: 2.0 + x, broken), 1.5,
-                                 (0.0, 1.0))
+            def __call__(self, x):
+                return 2.0 + x
+
+            def __getattr__(self, name):
+                raise AssertionError(f"K11.{name} read")
+
+        prob = es.LayeredProblem(ValuesOnly(), 1.5, (0.0, 1.0))
         sol = es.integrate_layered(prob, 1.0, 0.0, 1.0)
         closed = 2.0 / 3.0 * np.exp(-1.5j * math.log(1.5))
         assert abs(sol.end_value - closed) <= 1e-10
@@ -137,20 +142,23 @@ class TestIntegrateLayered:
     def test_resonant_closed_form(self):
         # K11 = x: psi = psi0 (x0/x) exp(-i sigma0 ln(x/x0))
         x0, sigma0 = 1e-2, 30.0
-        prob = es.LayeredProblem(Field1D(lambda x: x, lambda x: 1.0),
-                                 sigma0, (x0, 1.0))
+        prob = es.LayeredProblem(lambda x: x, sigma0, (x0, 1.0))
         sol = es.integrate_layered(prob, 1.0, x0, 1.0)
         closed = x0 * np.exp(-1j * sigma0 * math.log(1.0 / x0))
         assert abs(sol.end_value - closed) <= 1e-8 * abs(closed)
 
     def test_scalar_fields_broadcast(self):
-        k11 = Field1D.constant(2.0)
-        x = np.linspace(0.0, 1.0, 5)
-        assert k11(0.5) == 2.0 and k11.dx(0.5) == 0.0
-        np.testing.assert_array_equal(k11(x), np.full(5, 2.0))
-        np.testing.assert_array_equal(k11.dx(x), np.zeros(5))
-        fd = Field1D(lambda t: t * t)
-        np.testing.assert_array_equal(fd.dx(x), [fd.dx(t) for t in x])
+        # the layered K11 of a constant field is a float at a float x
+        # and an array of x's shape at an array x
+        k11 = cfg.parse_layered({"K11": {"kind": "constant", "value": 2.0},
+                                 "x_range": [0.0, 1.0]}).K11
+        assert np.ndim(k11(0.5)) == 0 and k11(0.5) == 2.0
+        for x in (np.linspace(0.0, 1.0, 5), np.ones((3, 4))):
+            np.testing.assert_array_equal(k11(x), np.full(x.shape, 2.0))
+
+    def test_scalar_valued_k11_refused(self):
+        with pytest.raises(ValueError, match="array of x's shape"):
+            es.LayeredProblem(lambda x: 2.0, 1.0, (0.0, 1.0))
 
     def test_scalar_2d_fields_broadcast(self):
         x, z = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(-1, 1, 3)
@@ -166,8 +174,7 @@ class TestIntegrateLayered:
 
     def test_vanishing_leading_coefficient(self):
         with pytest.raises(SingularCoefficient):
-            es.LayeredProblem(Field1D(lambda x: x, lambda x: 1.0),
-                              0.0, (-0.5, 0.5))
+            es.LayeredProblem(lambda x: x, 0.0, (-0.5, 0.5))
 
     def test_closed_form_oracle(self, rng):
         # psi = psi0 K(x0)/K(x) exp(-i sigma0 int dt/K), integral by quad
@@ -283,24 +290,21 @@ class TestSingularPoints:
 
 class TestNormalForm:
     def test_standard_form(self):
-        d = es.normal_form(es.NormalFormModel(2.0, 1.0, 4.0, A_const=1.0))
+        d = es.NormalForm(2.0, 1.0, 4.0, A_const=1.0)
         assert d.drift == -1.0
         assert d.xx_coefficient(0.5, 0.3) == pytest.approx(-(0.5 + 0.09))
         assert d.to_scaled(2.0, 8.0) == pytest.approx((1.0, 2.0))
 
     def test_flipped_is_canonical_model(self):
-        d = es.normal_form(es.NormalFormModel(1.0, 1.0, 1.0, A_const=1.0,
-                                              orientation="flipped"))
+        d = es.NormalForm(1.0, 1.0, 1.0, A_const=1.0, orientation="flipped")
         for x, y in ((0.3, 0.5), (-1.0, 0.2), (2.0, -1.0)):
             assert d.xx_coefficient(x, y) == pytest.approx(x - y * y)
         assert d.drift == 1.0
 
     def test_roundtrip(self, rng):
         for orientation in ("standard", "flipped"):
-            m = es.NormalFormModel(rng.uniform(0.5, 2.0), 1.0,
-                                   rng.uniform(0.5, 2.0),
-                                   orientation=orientation)
-            d = es.normal_form(m)
+            d = es.NormalForm(rng.uniform(0.5, 2.0), 1.0,
+                              rng.uniform(0.5, 2.0), orientation=orientation)
             for _ in range(10):
                 x, z = rng.uniform(-3, 3, 2)
                 xt, zt = d.to_scaled(x, z)
@@ -310,6 +314,6 @@ class TestNormalForm:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            es.NormalFormModel(0.0, 1.0, 1.0)
+            es.NormalForm(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            es.NormalFormModel(1.0, 1.0, -1.0)
+            es.NormalForm(1.0, 1.0, -1.0)

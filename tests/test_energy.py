@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from coldwave.multipliers import (SPEC_SAMPLES, BoundaryReport, BumpGram,
                                   boundary_admissible, bump_gram,
                                   random_interior_bump,
                                   verify_energy_inequality)
-from coldwave.operators import apply_L, gradient
+from coldwave.operators import KAPPA_MAX, apply_L, gradient
 from coldwave.quadrature import decompose_cells, weighted_norms
 from coldwave.typegeometry import canonical_type_function
 
@@ -33,34 +34,43 @@ def grid_bump(grid, fn):
 
 class TestMultiplierSpec:
     def test_regime_selection(self, unit_square):
-        g = Grid2D(unit_square, 33, 33)
-        assert MultiplierSpec.from_kappa(1.5, g).regime == "kappa_high"
-        assert MultiplierSpec.from_kappa(0.5, g).regime == "kappa_low"
+        assert MultiplierSpec.from_kappa(1.5, unit_square).regime == \
+            "kappa_high"
+        assert MultiplierSpec.from_kappa(0.5, unit_square).regime == \
+            "kappa_low"
+
+    def test_regime_is_a_property_of_kappa(self):
+        assert "regime" not in {f.name for f in dataclasses.fields(
+            MultiplierSpec)}
+        for kappa, regime in ((0.0, "kappa_low"), (0.999, "kappa_low"),
+                              (1.0, "kappa_high"), (2.0, "kappa_high")):
+            assert MultiplierSpec(kappa).regime == regime
 
     def test_kappa_low_default_N_is_midpoint(self, unit_square):
-        g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(0.5, g)
+        spec = MultiplierSpec.from_kappa(0.5, unit_square)
         lo = 1.05 / 2.5
         hi = 0.95 / 1.5
         assert spec.N == pytest.approx(0.5 * (lo + hi))
 
     def test_kappa_low_N_range_enforced(self, unit_square):
-        g = Grid2D(unit_square, 33, 33)
         with pytest.raises(SpecInvalid):
-            MultiplierSpec.from_kappa(0.5, g, N=0.99)
+            MultiplierSpec.from_kappa(0.5, unit_square, N=0.99)
         with pytest.raises(SpecInvalid):
-            MultiplierSpec.from_kappa(0.95, g)  # interval empty at 0.05
+            # interval empty at 0.05
+            MultiplierSpec.from_kappa(0.95, unit_square)
 
     def test_invalid_parameters(self, unit_square):
-        g = Grid2D(unit_square, 33, 33)
+        # kappa spans the closed-Dirichlet range, [0, 2]
+        top = KAPPA_MAX["closed_dirichlet"]
+        assert MultiplierSpec.from_kappa(top, unit_square).kappa == top
+        for kappa in (2.5, math.nextafter(top, 3.0), -1e-300):
+            with pytest.raises(SpecInvalid, match=r"outside \[0, 2\]"):
+                MultiplierSpec.from_kappa(kappa, unit_square)
         with pytest.raises(SpecInvalid):
-            MultiplierSpec.from_kappa(2.5, g)
-        with pytest.raises(SpecInvalid):
-            MultiplierSpec.from_kappa(1.0, g, delta=0.0)
+            MultiplierSpec.from_kappa(1.0, unit_square, delta=0.0)
 
     def test_exponential_branch_values(self, unit_square):
-        g = Grid2D(unit_square, 65, 65)
-        spec = MultiplierSpec.from_kappa(1.0, g, delta=0.01)
+        spec = MultiplierSpec.from_kappa(1.0, unit_square, delta=0.01)
         # continuous across the cut, different branches away from it
         assert spec.b(0.0, 0.0, +1) == pytest.approx(1.0)
         assert spec.b(0.0, 0.0, -1) == pytest.approx(1.0)
@@ -68,14 +78,23 @@ class TestMultiplierSpec:
         assert spec.b(-1.0, 1.0, -1) > spec.Q2  # delta small enough here
         assert spec.warnings == ()
 
+    @pytest.mark.parametrize("rects, q_exponents", [
+        ([(0.0, 1.0, -0.3, 0.7)], (1.0, -(0.7 * 0.7))),
+        ([(1.5, 2.5, -0.4, 0.4)], (2.5, 0.0)),      # K > 0: Q2 = 1
+        ([(-3.0, -2.0, 0.5, 1.0)], (0.0, -4.0)),    # K < 0: Q1 = 1
+        ([(-1.0, 0.0, 0.5, 1.0), (1.0, 2.0, 1.0, 2.0)], (1.0, -3.0))])
+    def test_Q_from_the_exact_range_of_K(self, rects, q_exponents):
+        spec = MultiplierSpec.from_kappa(1.5, Domain(tuple(rects)),
+                                         delta=0.05)
+        assert spec.Q1 == math.exp(2.0 * 0.05 * q_exponents[0])
+        assert spec.Q2 == math.exp(q_exponents[1])
+
     def test_large_delta_warns_not_raises(self, unit_square):
-        g = Grid2D(unit_square, 65, 65)
-        spec = MultiplierSpec.from_kappa(1.0, g, delta=0.05)
+        spec = MultiplierSpec.from_kappa(1.0, unit_square, delta=0.05)
         assert spec.warnings  # exponential bound fails on [-1,1]^2
 
     def test_kappa_low_b_vanishes_on_cut(self, unit_square):
-        g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(0.0, g)
+        spec = MultiplierSpec.from_kappa(0.0, unit_square)
         assert spec.b(0.25, 0.5, +1) == 0.0
         assert spec.b(0.25, 0.5, -1) == 0.0
 
@@ -83,59 +102,53 @@ class TestMultiplierSpec:
 class TestVerifyEnergyInequality:
     def test_zero_field_flagged(self, unit_square):
         g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.0, g)
-        rep = verify_energy_inequality(np.zeros((33, 33)), 1.0, spec, g)
+        spec = MultiplierSpec.from_kappa(1.0, unit_square)
+        rep = verify_energy_inequality(np.zeros((33, 33)), spec, g)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.ratio is None
         assert not rep.satisfied
 
     def test_boundary_support_rejected(self, unit_square):
         g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.0, g)
+        spec = MultiplierSpec.from_kappa(1.0, unit_square)
         with pytest.raises(ValueError):
-            verify_energy_inequality(np.ones((33, 33)), 1.0, spec, g)
-
-    def test_regime_kappa_mismatch(self, unit_square):
-        g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.5, g)
-        with pytest.raises(SpecInvalid):
-            verify_energy_inequality(np.zeros((33, 33)), 0.5, spec, g)
+            verify_energy_inequality(np.ones((33, 33)), spec, g)
 
     def test_polynomial_bump_kappa_one(self, unit_square):
         # two-resolution quadrature comparison certifies the ratio bound
         ratios = []
+        spec = MultiplierSpec.from_kappa(1.0, unit_square, delta=0.05)
         for n in (65, 129):
             g = Grid2D(unit_square, n, n)
-            spec = MultiplierSpec.from_kappa(1.0, g, delta=0.05)
             u = grid_bump(g, lambda X, Y: (1 - X ** 2) ** 2 * (1 - Y ** 2) ** 2)
-            rep = verify_energy_inequality(u, 1.0, spec, g)
+            rep = verify_energy_inequality(u, spec, g)
             ratios.append(rep.ratio)
         assert min(ratios) >= 0.05 * 0.9
         assert abs(ratios[0] - ratios[1]) < 0.1 * min(ratios)
 
     def test_polynomial_bump_kappa_half(self, unit_square):
         g = Grid2D(unit_square, 65, 65)
-        spec = MultiplierSpec.from_kappa(0.5, g)
+        spec = MultiplierSpec.from_kappa(0.5, unit_square)
         u = grid_bump(g, lambda X, Y: (1 - X ** 2) ** 2 * (1 - Y ** 2) ** 2)
-        rep = verify_energy_inequality(u, 0.5, spec, g)
+        rep = verify_energy_inequality(u, spec, g)
         assert rep.ratio > 0.0
 
     def test_random_bumps_clear_bound(self, unit_square):
         g = Grid2D(unit_square, 65, 65)
         rng = np.random.default_rng(11)
         for kappa in (0.0, 1.0, 2.0):
-            spec = MultiplierSpec.from_kappa(kappa, g)
+            spec = MultiplierSpec.from_kappa(kappa, unit_square)
             for _ in range(5):
                 u = grid_bump(g, random_interior_bump(unit_square, rng))
-                rep = verify_energy_inequality(u, kappa, spec, g)
-                assert rep.ratio >= spec.ratio_bound * 0.9
+                rep = verify_energy_inequality(u, spec, g)
+                assert rep.ratio >= spec.delta * 0.9
 
     def test_rhs_is_square_of_reported_seminorm(self, unit_square):
         g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.5, g)
+        spec = MultiplierSpec.from_kappa(1.5, unit_square)
         u = grid_bump(g, random_interior_bump(unit_square,
                                               np.random.default_rng(3)))
-        rep = verify_energy_inequality(u, 1.5, spec, g)
+        rep = verify_energy_inequality(u, spec, g)
         norms = weighted_norms(u, g, include_dual=False)
         assert rep.rhs == norms.h1_weighted ** 2
 
@@ -156,18 +169,18 @@ class TestVerifyEnergyInequality:
                 monkeypatch.setattr(module, name, counted)
         g = Grid2D(unit_square, 17, 17)
         dec = decompose_cells(g)
-        spec = MultiplierSpec.from_kappa(1.5, g)
+        spec = MultiplierSpec.from_kappa(1.5, unit_square)
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = grid_bump(g, random_interior_bump(unit_square, rng))
-            verify_energy_inequality(u, 1.5, spec, g, decomp=dec)
+            verify_energy_inequality(u, spec, g, decomp=dec)
         assert calls == {"gradient": 20, "integrate_signed": 40}
 
 
 KAPPAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
-def gram_reference(grid, kappa, spec):
+def gram_reference(grid, spec):
     """S and W of bump_gram summed point by point: every basis field,
     its gradient and L of it on the lattice, valued at every quadrature
     point as verify_energy_inequality values them, with no 1-D rows
@@ -182,7 +195,8 @@ def gram_reference(grid, kappa, spec):
         for j in range(d):
             u = (1.0 - X ** 2) ** 2 * (1.0 - Y ** 2) ** 2 * X ** i * Y ** j
             u[grid.boundary] = 0.0
-            fields.append((u, *gradient(u, grid), apply_L(u, grid, kappa)))
+            fields.append((u, *gradient(u, grid),
+                           apply_L(u, grid, spec.kappa)))
     S = W = 0.0
     for pts in decompose_cells(grid).points:
         u, ux, uy, lu = (np.array([pts.values(F) for F in basis])
@@ -197,9 +211,9 @@ def gram_reference(grid, kappa, spec):
 
 
 def assert_gram_matches_reference(grid, kappa):
-    spec = MultiplierSpec.from_kappa(kappa, grid)
-    gram = bump_gram(grid, kappa, spec)
-    for got, want in zip((gram.S, gram.W), gram_reference(grid, kappa, spec)):
+    spec = MultiplierSpec.from_kappa(kappa, grid.domain)
+    gram = bump_gram(grid, spec)
+    for got, want in zip((gram.S, gram.W), gram_reference(grid, spec)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -233,20 +247,20 @@ class TestBumpGram:
         domain = Domain.rectangle(*box)
         g = Grid2D(domain, n, n)
         dec = decompose_cells(g)
-        spec = MultiplierSpec.from_kappa(kappa, g)
+        spec = MultiplierSpec.from_kappa(kappa, domain)
         rng = np.random.default_rng(19)
         expected = [verify_energy_inequality(
             grid_bump(g, random_interior_bump(domain, rng)),
-            kappa, spec, g, decomp=dec).ratio for _ in range(8)]
+            spec, g, decomp=dec).ratio for _ in range(8)]
         alphas = np.random.default_rng(19).uniform(-1.0, 1.0, (8, 4, 4))
-        got = bump_gram(g, kappa, spec).ratios(alphas)
+        got = bump_gram(g, spec).ratios(alphas)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_span_minimum_is_the_minimizer_ratio(self, unit_square, kappa):
         g = Grid2D(unit_square, 65, 65)
-        spec = MultiplierSpec.from_kappa(kappa, g)
-        gram = bump_gram(g, kappa, spec)
+        spec = MultiplierSpec.from_kappa(kappa, unit_square)
+        gram = bump_gram(g, spec)
         span_min, alpha = gram.span_minimum()
         assert np.abs(alpha).max() == 1.0 == alpha.max()
         trials = gram.ratios(
@@ -254,14 +268,14 @@ class TestBumpGram:
         assert span_min <= trials.min()
         u = grid_bump(g, lambda X, Y: (1 - X ** 2) ** 2 * (1 - Y ** 2) ** 2
                       * polyval2d(X, Y, alpha.reshape(4, 4)))
-        rep = verify_energy_inequality(u, kappa, spec, g)
+        rep = verify_energy_inequality(u, spec, g)
         assert rep.ratio == pytest.approx(span_min, rel=1e-10)
 
     def test_minimizer_sign_convention(self, unit_square):
         # flipping basis signs flips the minimizer's entries alike; the
         # reported coefficients keep their largest entry at +1 either way
         g = Grid2D(unit_square, 33, 33)
-        gram = bump_gram(g, 0.5, MultiplierSpec.from_kappa(0.5, g))
+        gram = bump_gram(g, MultiplierSpec.from_kappa(0.5, unit_square))
         span_min, alpha = gram.span_minimum()
         rng = np.random.default_rng(2)
         for _ in range(8):
@@ -277,9 +291,9 @@ class TestBumpGram:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_span_minimum_clears_bound(self, unit_square, n, kappa):
         g = Grid2D(unit_square, n, n)
-        spec = MultiplierSpec.from_kappa(kappa, g)
-        span_min, _ = bump_gram(g, kappa, spec).span_minimum()
-        assert span_min >= spec.ratio_bound
+        spec = MultiplierSpec.from_kappa(kappa, unit_square)
+        span_min, _ = bump_gram(g, spec).span_minimum()
+        assert span_min >= spec.delta
 
     def test_build_memory_is_blocked(self, unit_square):
         # the (points x 16) matrices of a 129^2 grid held at once peak
@@ -287,11 +301,11 @@ class TestBumpGram:
         # coefficients and (rows x 16) products, and the peak, below
         # 2 MB, is the cell decomposition's
         g = Grid2D(unit_square, 129, 129)
-        spec = MultiplierSpec.from_kappa(1.5, g)
-        bump_gram(g, 1.5, spec)
+        spec = MultiplierSpec.from_kappa(1.5, unit_square)
+        bump_gram(g, spec)
         tracemalloc.start()
         try:
-            bump_gram(g, 1.5, spec)
+            bump_gram(g, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,7 +315,7 @@ class TestBumpGram:
         dom = Domain(((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.5)))
         g = Grid2D(dom, 21, 11)
         with pytest.raises(ValueError):
-            bump_gram(g, 1.0, MultiplierSpec.from_kappa(1.0, g))
+            bump_gram(g, MultiplierSpec.from_kappa(1.0, dom))
 
 
 class TestMixedMultiplierSpec:

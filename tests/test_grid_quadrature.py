@@ -94,6 +94,16 @@ class TestGrid:
         assert not elliptic.contains_origin
         assert not elliptic.contains_sonic_arc
 
+    def test_type_range_is_exact(self):
+        assert Domain.rectangle(-1, 1, -1, 1).type_range == (-2.0, 1.0)
+        box = Domain.rectangle(0, 1, -0.3, 0.7)
+        assert box.type_range == (-(0.7 * 0.7), 1.0)
+        # K peaks at y = 0, which no node of a 65-node lattice holds
+        assert Grid2D(box, 65, 65).type_values().max() < 1.0
+        assert Domain.rectangle(1, 2, 0.5, 1.0).type_range == (0.0, 1.75)
+        assert Domain(((-2.0, -1.0, 0.0, 1.0),
+                       (1.0, 2.0, 0.5, 1.0))).type_range == (-3.0, 1.75)
+
     def test_sonic_arc_between_samples(self):
         # K(1e-5, 0) > 0, but no node of a 101 x 101 sample has K > 0
         assert Domain.rectangle(-1, 1e-5, -0.5, 1.0).contains_sonic_arc

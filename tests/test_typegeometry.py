@@ -77,7 +77,7 @@ def test_trace_equals_reference(y, gap, branch, h, domain, max_steps):
 
 class TestClassification:
     def test_canonical_cases(self):
-        f = tg.TypeChangeField.canonical()
+        f = Field2D.affine_quadratic(1.0, -1.0)
         assert tg.canonical_case_classify(f, (0.0, 0.0)) == "keldysh_point"
         assert tg.canonical_case_classify(f, (1.0, 1.0)) == "tricomi_point"
         assert tg.canonical_case_classify(f, (5.0, 0.0)) == "not_on_sonic"
@@ -88,7 +88,7 @@ class TestClassification:
         assert tg.canonical_case_classify(f, (0.25, 0.5)) == "tricomi_point"
 
     def test_keldysh_only_at_origin(self, rng):
-        f = tg.TypeChangeField.canonical()
+        f = Field2D.affine_quadratic(1.0, -1.0)
         for y in rng.uniform(-1.0, 1.0, 50):
             if abs(y) < 1e-4:
                 continue

@@ -25,23 +25,27 @@ inputs.  ``FIXED`` holds successful paths that no benchmark step takes:
 a characteristic traced without ``--box``, ``cutoffs --format csv`` and
 ``resonances`` of a single-ion plasma, which sets the lower-hybrid
 estimate, once at B0 = 1 T and once at a B0 so small that the square of
-the electron cyclotron frequency underflows, and ``layered`` with a
+the electron cyclotron frequency underflows, ``layered`` with a
 piecewise-linear ``expression-table`` K11, whose kinks the quadrature
-must resolve.  Every benchmark step succeeds, so ``FAILING`` holds
+must resolve, and ``energy-check`` at kappa 1.5 on a 64-node lattice,
+which misses the extremes of K = x - y^2 that the multiplier's Q1 and
+Q2 come from.  Every benchmark step succeeds, so ``FAILING`` holds
 commands that must fail: a non-finite or unparsable ``--box``, an
-unparsable ``--bracket``, a NaN dispersion grid, a ``stix``
-frequency and two ``cutoffs``/``resonances`` brackets whose square
-underflows, and configuration files holding a non-finite number (a NaN
-B0 for ``dispersion``, a NaN K11 for ``typemap`` and an ``Infinity``
-rectangle bound for ``solve``) or a value of the wrong JSON type (a
-``true`` B0 for ``stix``, a number for the ``x_range`` of ``layered``),
-or a value out of its range (a ``gauss`` forcing of width 0 and a
-``samples`` forcing without ``values`` for ``solve``, an
+unparsable ``--bracket``, a NaN dispersion grid, a ``stix`` frequency
+and two ``cutoffs``/``resonances`` brackets whose square underflows,
+``symbol-check`` of a plasma 1e-6 from its proton cyclotron frequency
+under ``--tol 1e-3``, and configuration files holding a non-finite
+number (a NaN B0 for ``dispersion``, a NaN K11 for ``typemap`` and an
+``Infinity`` rectangle bound for ``solve``) or a value of the wrong JSON
+type (a ``true`` B0 for ``stix``, a number for the ``x_range`` of
+``layered``), or a value out of its range (a ``gauss`` forcing of width
+0 and a ``samples`` forcing without ``values`` for ``solve``, an
 ``expression-table`` K11 whose ``xs`` are not increasing for
 ``typemap``).  Each gives the line of its output file and of its
 stderr, with ``-`` for the seed and ``fixed`` or ``errors`` for the
-workload, so that error text and exit codes are compared too.  In that stderr the temporary input directory reads
-``{in}``, so that a message naming an input file has one digest.
+workload, so that error text and exit codes are compared too.  In that
+stderr the temporary input directory reads ``{in}``, so that a message
+naming an input file has one digest.
 ``COLUMNS`` is fixed at 80, since argparse wraps its usage text to the
 terminal width.
 """
@@ -77,6 +81,8 @@ FIXED = {
                                       "--bracket", "1e3:1e4"],
     "layered-table": ["layered", "--layered", "{in}/layered-table.json",
                       "--psi0", "1,0", "--x0", "0.5", "--x1", "2.0"],
+    "energy-check-even-lattice": ["--seed", "3", "energy-check", "--kappa",
+                                  "1.5", "--nx", "64", "--trials", "20"],
 }
 # name -> argv of a command that must fail
 FAILING = {
@@ -95,6 +101,10 @@ FAILING = {
                             "--omegas", "1e8,nan", "--thetas", "0,1"],
     "stix-omega-underflow": ["stix", "--plasma", "{in}/plasma.json",
                              "--omega", "1e-170"],
+    # omega = (1 + 1e-6) times the proton cyclotron frequency at 1 T
+    "symbol-check-tol": ["--tol", "1e-3", "symbol-check", "--trials", "3",
+                         "--plasma", "{in}/plasma.json",
+                         "--omega", "95788427.34776792"],
     "cutoffs-bracket-underflow": ["cutoffs", "--plasma", "{in}/plasma.json",
                                   "--bracket", "1e-170:1e6"],
     "resonances-bracket-underflow": ["resonances", "--plasma",
