@@ -158,6 +158,8 @@ def cmd_symbol_check(args):
             raise ValueError("--omega is required with --plasma")
         K = plasma.dielectric_tensor(plasma.stix_parameters(
             pl, args.omega, resonance_rtol=args.tol))
+    elif args.omega is not None:
+        raise ValueError("--omega requires --plasma")
     else:
         K = plasma.dielectric_tensor(plasma.StixParameters.vacuum())
     rng = np.random.default_rng(args.seed)
@@ -222,8 +224,7 @@ def cmd_solve_mixed(args):
     if problem.bc != "mixed":
         raise ValueError("solve-mixed expects a mixed problem")
     require_memory(problem.bc, nx, ny)
-    spec = MixedMultiplierSpec.auto(problem.domain, mu=args.mu,
-                                    delta=args.mdelta)
+    spec = MixedMultiplierSpec(problem.domain, mu=args.mu, delta=args.mdelta)
     grid = Grid2D(problem.domain, nx, ny)
     sol = solve_mixed(problem, grid, spec)
     return _write_solution(args, "x,y,u1,u2", grid, sol, sol.values)
@@ -234,8 +235,8 @@ def cmd_energy_check(args):
     domain = Domain.rectangle(*args.box)
     rng = np.random.default_rng(args.seed)
     grids = [Grid2D(domain, nx, nx), Grid2D(domain, 2 * nx - 1, 2 * nx - 1)]
-    spec = MultiplierSpec.from_kappa(kappa, domain, delta=delta,
-                                     delta_tilde=args.delta_tilde)
+    spec = MultiplierSpec(kappa, domain, delta=delta,
+                          delta_tilde=args.delta_tilde)
     grams = [bump_gram(g, spec) for g in grids]
     bound = delta * args.bound_factor
     alphas = bump_coefficients(rng, args.trials)

@@ -19,6 +19,7 @@ from .plasma import (
     finite_stix_arrays,
     near_cyclotron,
     plasma_frequency_squared,
+    require_omega,
     stix_arrays,
 )
 
@@ -293,8 +294,7 @@ def dispersion_scan(plasma, omega_grid, theta_grid,
     """
     omegas = np.asarray(omega_grid, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
-    if not (omegas > 0.0).all():
-        raise ValueError("omega must be > 0")
+    require_omega(omegas)
     shape = (omegas.size, thetas.size)
     resonant = np.broadcast_to(
         near_cyclotron(plasma, omegas, resonance_rtol), omegas.shape)

@@ -12,20 +12,20 @@ conditions serves the mixed first-order problem.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
 from .errors import SpecInvalid
-from .grid import Grid2D
+from .grid import Domain, Grid2D
 from .operators import KAPPA_MAX, _d1, _d2, apply_L, gradient
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_signed)
 from .typegeometry import canonical_type_function
 
 SIGN_TOL = 1e-12
-# Lattice points per axis from which MixedMultiplierSpec.auto sizes s_const.
+# Lattice points per axis from which MixedMultiplierSpec sizes t and s_const.
 SPEC_SAMPLES = 101
 # Midpoint samples per boundary segment in boundary_admissible.
 BOUNDARY_SAMPLES = 256
@@ -36,41 +36,37 @@ BUMP_DEGREE = 3
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """Scalar multiplier coefficients (a = -1 throughout).
+    """Scalar multiplier coefficients (a = -1 throughout) for L of drift
+    ``kappa`` on ``domain``, checked and derived when built.
 
     kappa_high (kappa >= 1): b is the two-branch exponential
     exp(2 delta K / Q1) on K > 0 and exp(6 delta K / Q2) on K < 0 with
     Q1 = exp(2 delta mu1), Q2 = exp(mu2) built from the extreme values
-    mu1 = max(max K, 0) and mu2 = min(min K, 0) of K over the domain;
-    c = 2 (2 delta - 1) y.
+    mu1 = max(max K, 0) and mu2 = min(min K, 0) of K over the domain
+    (exact, ``Domain.type_range``); c = 2 (2 delta - 1) y.  b <= Q1 on
+    K > 0 and b > Q2 on K < 0 need delta < exp(mu2)/6; ``warnings`` says
+    when that fails (``bump_gram`` measures the integral bound itself).
 
     kappa_low (kappa < 1): b = -N K on K > 0 and +N K on K < 0
     (i.e. -N |K|), c = -4 N y, with N strictly inside
-    ((1 + dt) / (3 - kappa), (1 - dt) / (kappa + 1)).
+    ((1 + dt) / (3 - kappa), (1 - dt) / (kappa + 1)), by default its
+    midpoint; Q1 and Q2 stay None.
 
     delta is the lower bound that the checks assert for
     (Mu, Lu) / ||u||_{H1_0(K)}^2.
     """
 
     kappa: float
+    domain: Domain
     delta: float = 0.05
     delta_tilde: float = 0.05
-    N: float = 0.0
-    Q1: float = 1.0
-    Q2: float = 1.0
-    warnings: tuple = ()
+    N: float | None = None
+    Q1: float | None = field(init=False, default=None)
+    Q2: float | None = field(init=False, default=None)
+    warnings: tuple = field(init=False, default=())
 
-    @classmethod
-    def from_kappa(cls, kappa, domain, delta=0.05, delta_tilde=0.05, N=None):
-        """Build the regime's coefficients for ``domain``, whose exact
-        range of K (``Domain.type_range``) gives Q1 and Q2.
-
-        The exponential-branch bounds b <= Q1 on K>0 and b > Q2 on K<0
-        hold only for delta below exp(mu2)/6; with larger delta they are
-        reported as warnings (the integral bound itself is what the
-        energy check measures: ``bump_gram`` for ``energy-check``, or
-        ``verify_energy_inequality`` for a single grid field).
-        """
+    def __post_init__(self):
+        kappa, delta, delta_tilde = self.kappa, self.delta, self.delta_tilde
         kappa_max = KAPPA_MAX["closed_dirichlet"]
         if not 0.0 <= kappa <= kappa_max:
             raise SpecInvalid(f"kappa={kappa!r} outside [0, {kappa_max:g}]")
@@ -78,18 +74,25 @@ class MultiplierSpec:
             raise SpecInvalid(f"delta={delta!r} outside (0, 0.5)")
         if not delta_tilde > 0.0:
             raise SpecInvalid(f"delta_tilde={delta_tilde!r} must be positive")
-        if kappa >= 1.0:
-            k_min, k_max = domain.type_range
-            Q1 = math.exp(2.0 * delta * max(k_max, 0.0))
+        if self.regime == "kappa_high":
+            k_min, k_max = self.domain.type_range
+            try:
+                Q1 = math.exp(2.0 * delta * max(k_max, 0.0))
+            except OverflowError:
+                Q1 = math.inf
             Q2 = math.exp(min(k_min, 0.0))
-            warnings = []
+            if Q1 == math.inf or Q2 == 0.0:
+                q = "Q1 is not finite" if Q1 == math.inf else "Q2 is not > 0"
+                raise SpecInvalid(f"{q} for K in [{k_min!r}, {k_max!r}]")
+            warnings = ()
             if k_min < 0.0 and 6.0 * delta >= Q2:
-                warnings.append(
+                warnings = (
                     f"exponential branch bound b > Q2 fails for delta="
-                    f"{delta!r} (needs delta < exp(mu2)/6 = {Q2 / 6.0!r})"
-                )
-            return cls(kappa, delta, delta_tilde, Q1=Q1, Q2=Q2,
-                       warnings=tuple(warnings))
+                    f"{delta!r} (needs delta < exp(mu2)/6 = {Q2 / 6.0!r})",)
+            for name, value in zip(("Q1", "Q2", "warnings"),
+                                   (Q1, Q2, warnings)):
+                object.__setattr__(self, name, value)
+            return
         lo = (1.0 + delta_tilde) / (3.0 - kappa)
         hi = (1.0 - delta_tilde) / (kappa + 1.0)
         if not lo < hi:
@@ -97,13 +100,12 @@ class MultiplierSpec:
                 f"admissible N interval empty for kappa={kappa!r}, "
                 f"delta_tilde={delta_tilde!r}"
             )
-        if N is None:
-            N = 0.5 * (lo + hi)
-        elif not lo < N < hi:
+        if self.N is None:
+            object.__setattr__(self, "N", 0.5 * (lo + hi))
+        elif not lo < self.N < hi:
             raise SpecInvalid(
-                f"N={N!r} outside admissible interval ({lo!r}, {hi!r})"
+                f"N={self.N!r} outside admissible interval ({lo!r}, {hi!r})"
             )
-        return cls(kappa, delta, delta_tilde, N=N)
 
     @property
     def regime(self):
@@ -126,6 +128,13 @@ class MultiplierSpec:
         return -4.0 * self.N * y
 
 
+def require_domain(grid, spec):
+    """Raise ValueError unless ``grid`` lies on ``spec.domain``."""
+    if grid.domain != spec.domain:
+        raise ValueError(f"grid domain {grid.domain.rects} is not the "
+                         f"multiplier's domain {spec.domain.rects}")
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Result of one energy-inequality evaluation: the multiplier
@@ -135,22 +144,18 @@ class EnergyReport:
     lhs: float
     rhs: float
     ratio: float | None
-    bound: float
-    warnings: tuple = ()
-
-    @property
-    def satisfied(self):
-        return self.ratio is not None and self.ratio >= self.bound
 
 
 def verify_energy_inequality(u, spec, grid, decomp=None):
     """Quadrature check of (Mu, Lu) >= delta ||u||_{H1_0(K)}^2, with L
-    of drift ``spec.kappa``.
+    of drift ``spec.kappa``, on a grid of ``spec.domain``.
 
     ``u`` must vanish on the boundary nodes (discrete compact support).
     The pairing integral splits cells along the sonic curve because b
-    switches branch there.  The reported bound is ``spec.delta``.
+    switches branch there.  The bound to compare the ratio with is
+    ``spec.delta``.
     """
+    require_domain(grid, spec)
     u = np.asarray(u, dtype=float)
     boundary_max = float(np.abs(u[grid.boundary]).max()) if grid.boundary.any() else 0.0
     if boundary_max != 0.0:
@@ -171,8 +176,7 @@ def verify_energy_inequality(u, spec, grid, decomp=None):
     # the square of the seminorm that weighted_norms reports, bit for bit
     rhs = np.sqrt(integrate_h1_density(decomp, ux, uy)) ** 2
     ratio = lhs / rhs if rhs > 0.0 else None
-    return EnergyReport(lhs, rhs, ratio, bound=spec.delta,
-                        warnings=spec.warnings)
+    return EnergyReport(lhs, rhs, ratio)
 
 
 def bump_coefficients(rng, trials):
@@ -269,8 +273,8 @@ def _shared_row_sum(C, diag, terms):
 
 
 def bump_gram(grid, spec):
-    """S and W of ``BumpGram`` on a rectangle grid in one quadrature pass,
-    for L of drift ``spec.kappa``.
+    """S and W of ``BumpGram`` on a rectangle grid of ``spec.domain`` in
+    one quadrature pass, for L of drift ``spec.kappa``.
 
     Every basis field, its stencil derivatives and L of it are sums of
     products p(x) q(y) of 1-D tables (K = x - y^2 enters as x p'' q -
@@ -284,6 +288,7 @@ def bump_gram(grid, spec):
     (``_shared_row_sum``): its cost grows as cells x basis, not as
     points x basis^2.
     """
+    require_domain(grid, spec)
     if not grid.inside.all():
         raise ValueError("bump_gram needs a rectangle domain")
     sides = decompose_cells(grid).points
@@ -347,28 +352,51 @@ def bump_gram(grid, spec):
 
 @dataclass(frozen=True)
 class MixedMultiplierSpec:
-    """Matrix multiplier M = [[b, c], [-K c, b]] for the mixed problem.
+    """Matrix multiplier M = [[b, c], [-K c, b]] for the mixed problem
+    on ``domain``, checked and derived when built.
 
     b = m K + s_const with m = (mu + delta)/2 on K > 0 and
-    (mu - delta)/2 on K < 0; c = mu y - t with t chosen so c < 0 on the
-    domain; s_const large enough that m K + s_const, 2 c y + s_const,
-    and b^2 + K c^2 stay positive (see ``auto``).
+    (mu - delta)/2 on K < 0; c = mu y - t.  At SPEC_SAMPLES points per
+    axis of the bounding box, t = 1 + mu max(y) (or the next double above
+    mu max(y)) keeps c < 0, and s_const = 1 + 2 max(need) keeps
+    m K + s_const and 2 c y + s_const >= 1 and b > sqrt(-K) |c|.
     """
 
-    mu: float
-    t: float
-    s_const: float
+    domain: Domain
+    mu: float = 1.0
     delta: float = 0.05
+    t: float = field(init=False)
+    s_const: float = field(init=False)
 
     def __post_init__(self):
-        if not self.mu > 0.0:
+        mu, delta = self.mu, self.delta
+        if not mu > 0.0:
             raise SpecInvalid("mu must be positive")
-        if not self.t > 0.0:
-            raise SpecInvalid("t must be positive")
-        if not self.s_const > 0.0:
-            raise SpecInvalid("s_const must be positive")
-        if not 0.0 < self.delta < self.mu:
+        if not 0.0 < delta < mu:
             raise SpecInvalid("delta must be in (0, mu)")
+        with np.errstate(all="ignore"):
+            grid = Grid2D(self.domain, SPEC_SAMPLES, SPEC_SAMPLES)
+            X, Y = grid.meshgrid()
+            Xi, Yi = X[grid.inside], Y[grid.inside]
+            K = canonical_type_function(Xi, Yi)
+            top = mu * max(0.0, float(Yi.max()))
+            # 1 + top can round to top once top reaches 2^53
+            t = max(1.0 + top, math.nextafter(top, math.inf))
+            c = mu * Yi - t
+            m_mag = 0.5 * (mu + delta)
+            need = np.maximum.reduce([
+                np.abs(m_mag * K),
+                2.0 * np.abs(c * Yi),
+                np.abs(m_mag * K) + np.sqrt(np.maximum(-K, 0.0)) * np.abs(c),
+            ])
+            s_const = 1.0 + 2.0 * float(need.max())
+        for name, value in (("t", t), ("s_const", s_const)):
+            if not math.isfinite(value):
+                raise SpecInvalid(f"{name}={value!r} is not finite for "
+                                  f"mu={mu!r} on {self.domain.rects}")
+            object.__setattr__(self, name, value)
+        if float(c.max()) >= 0.0:
+            raise SpecInvalid("mu y - t must be negative on the domain")
 
     def m(self, sign):
         return 0.5 * (self.mu + self.delta) if sign > 0 \
@@ -389,34 +417,6 @@ class MixedMultiplierSpec:
         c = self.c(y)
         return np.array([[b, c], [-K * c, b]])
 
-    @classmethod
-    def auto(cls, domain, mu=1.0, delta=0.05):
-        """Choose t and s_const from SPEC_SAMPLES points per axis of the
-        domain's bounding box.  s_const = 1 + 2 max(need) keeps m K +
-        s_const and 2 c y + s_const at 1 or more and b above
-        sqrt(-K) |c| at those points by construction.  t = 1 + mu max(y),
-        or the next double above mu max(y) where the 1 rounds away,
-        keeps c = mu y - t below 0 there."""
-        grid = Grid2D(domain, SPEC_SAMPLES, SPEC_SAMPLES)
-        X, Y = grid.meshgrid()
-        Xi, Yi = X[grid.inside], Y[grid.inside]
-        K = canonical_type_function(Xi, Yi)
-        top = mu * max(0.0, float(Yi.max()))
-        # 1 + top can round to top once top reaches 2^53
-        t = max(1.0 + top, math.nextafter(top, math.inf))
-        c = mu * Yi - t
-        m_mag = 0.5 * (mu + delta)
-        need = np.maximum.reduce([
-            np.abs(m_mag * K),
-            2.0 * np.abs(c * Yi),
-            np.abs(m_mag * K) + np.sqrt(np.maximum(-K, 0.0)) * np.abs(c),
-        ])
-        s_const = 1.0 + 2.0 * float(need.max())
-        spec = cls(mu, t, s_const, delta)
-        if float(c.max()) >= 0.0:
-            raise SpecInvalid("mu y - t must be negative on the domain")
-        return spec
-
 
 @dataclass(frozen=True)
 class SegmentReport:
@@ -436,9 +436,9 @@ class BoundaryReport:
     admissible: bool
 
 
-def boundary_admissible(domain, G, spec, orientation=1):
-    """Check the mixed problem's boundary sign conditions per segment,
-    sampled at BOUNDARY_SAMPLES midpoints of each.
+def boundary_admissible(G, spec, orientation=1):
+    """Check the mixed problem's boundary sign conditions per segment of
+    ``spec.domain``, sampled at BOUNDARY_SAMPLES midpoints of each.
 
     On segments in G the requirement is b dy - c dx <= 0; elsewhere
     K (b dy - c dx) >= 0, both to within SIGN_TOL.  ``orientation`` = -1
@@ -448,7 +448,7 @@ def boundary_admissible(domain, G, spec, orientation=1):
     n = BOUNDARY_SAMPLES
     ts = (np.arange(n) + 0.5) / n
     reports = []
-    for seg in domain.boundary_segments():
+    for seg in spec.domain.boundary_segments():
         dx, dy = seg.delta
         dx, dy = orientation * dx / n, orientation * dy / n
         x = seg.start[0] + ts * (seg.end[0] - seg.start[0])

@@ -223,13 +223,20 @@ def finite_stix_arrays(plasma, omega):
                            lambda w: stix_arrays(plasma, w), omega)
 
 
+def require_omega(omega):
+    """Raise ValueError naming the first entry of omega not finite and > 0."""
+    for w in np.ravel(omega).tolist():
+        if not 0.0 < w < np.inf:
+            need = "finite" if w == np.inf else "> 0"
+            raise ValueError(f"omega must be {need}, got {w}")
+
+
 def _at_omega(plasma, omega, rtol, compute):
     """compute(w) on the 0-d array w = omega, as floats.  Raises
-    ValueError unless omega > 0 and CyclotronResonance within rtol
-    (relative) of a cyclotron frequency; ``compute`` refuses non-finite
-    values (see :func:`_require_finite`)."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    ValueError unless omega is finite and > 0 and CyclotronResonance
+    within rtol (relative) of a cyclotron frequency; ``compute`` refuses
+    non-finite values (see :func:`_require_finite`)."""
+    require_omega(omega)
     for sp, Om, hit in _cyclotron_hits(plasma, omega, rtol):
         if hit:
             raise CyclotronResonance(
@@ -265,8 +272,7 @@ def stix_approximate_RL(plasma, omega):
     that sign).  Requires an electron species; with no ions both values
     are exactly 1.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    require_omega(omega)
     el = plasma.electron_species()
     if el is None:
         raise MissingElectrons("approximate R/L needs an electron species")
@@ -309,8 +315,7 @@ def velocity_response(species, E, B0, omega):
     Raises CyclotronResonance when omega lies within RESONANCE_RTOL
     (relative) of Omega.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    require_omega(omega)
     E = np.asarray(E, dtype=complex)
     q = species.charge
     m = species.mass
@@ -345,8 +350,7 @@ def displacement(E, j, omega):
     Consistency: with velocities from :func:`velocity_response` and
     current from :func:`plasma_current`, this equals eps0 K E.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    require_omega(omega)
     E = np.asarray(E, dtype=complex)
     j = np.asarray(j, dtype=complex)
     return EPSILON_0 * E + (1j / omega) * j

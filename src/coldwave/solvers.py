@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from .errors import (FactorizationFailure, GridTooLarge,
                      InadmissibleBoundary, InsufficientLevels)
 from .grid import Grid2D
-from .multipliers import boundary_admissible
+from .multipliers import boundary_admissible, require_domain
 from .operators import KAPPA_MAX, assemble_dirichlet, assemble_mixed
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_uncut, weighted_norms)
@@ -184,12 +184,6 @@ def _abs_sums(M):
 def _norms(cols, rows):
     """||M||_1 and ||M||_inf from the column and row sums of |M|."""
     return float(cols.max(initial=0.0)), float(rows.max(initial=0.0))
-
-
-def _matrix_norms(M):
-    """||M||_1 and ||M||_inf of a CSC matrix, by the two steps that
-    ``_factor`` takes."""
-    return _norms(*_abs_sums(M))
 
 
 def _backward_error(M, x, b, norm_inf):
@@ -439,15 +433,16 @@ def _segment_node_mask(grid, segment_names):
 def solve_mixed(problem, grid, spec):
     """Min-norm least squares for the first-order mixed system.
 
-    Imposes u1 = 0 on G and u2 = 0 on the complementary boundary, after
-    checking the multiplier's boundary sign conditions (raises
-    InadmissibleBoundary when they fail).  The integrability proviso
+    Imposes u1 = 0 on G and u2 = 0 on the complementary boundary after
+    checking the sign conditions of ``spec``, a multiplier of
+    ``grid.domain`` (InadmissibleBoundary when they fail).  The proviso
     int |K^(-1) M^T f|^2 is sampled over uncut cells and reported in
     ``diagnostics`` together with the excluded cut-cell area.
     """
     if problem.bc != "mixed":
         raise ValueError("problem.bc must be 'mixed'")
-    report = boundary_admissible(problem.domain, problem.G, spec)
+    require_domain(grid, spec)
+    report = boundary_admissible(problem.G, spec)
     if not report.admissible:
         bad = [r.name for r in report.segments if not r.admissible]
         raise InadmissibleBoundary(
@@ -511,9 +506,9 @@ def illposedness_diagnostic(problem, levels):
 
     Returns [(h, condition_estimate)] in the given level order; at
     least three levels are required, and every level passes
-    ``require_memory`` before the first is assembled.  On
-    origin-containing domains the estimates are expected to grow faster
-    than on purely elliptic ones.
+    ``require_memory`` before the first is assembled.  The estimates
+    are reported per level and are not expected to be monotone (on an
+    origin box they fall from 129 to 257 nodes per axis).
     """
     if problem.bc != "closed_dirichlet":
         raise ValueError("problem.bc must be 'closed_dirichlet'")

@@ -246,7 +246,7 @@ def test_11_energy_inequality():
     max_gap = 0.0
     for kappa in (0.0, 0.5, 1.0, 1.5, 2.0):
         rng = np.random.default_rng(42)
-        spec = MultiplierSpec.from_kappa(kappa, domain, delta=delta)
+        spec = MultiplierSpec(kappa, domain, delta=delta)
         for _ in range(100):
             bump = random_interior_bump(domain, rng)
             pair = []
@@ -318,10 +318,10 @@ def test_13_illposedness_signature():
 
 def test_14_mixed_problem_plumbing():
     dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-    spec = MixedMultiplierSpec.auto(dom)
+    spec = MixedMultiplierSpec(dom)
     G = ("top", "left")
-    admissible = boundary_admissible(dom, G, spec).admissible
-    flipped = boundary_admissible(dom, G, spec, orientation=-1).admissible
+    admissible = boundary_admissible(G, spec).admissible
+    flipped = boundary_admissible(G, spec, orientation=-1).admissible
     f1 = lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * np.pi * y)
     f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
     prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed", G=G)

@@ -110,13 +110,14 @@ class TestStix:
                      "--omega", "1e9"]) == 1
 
     @pytest.mark.parametrize("command", ["stix", "symbol-check"])
-    @pytest.mark.parametrize("omega", ["nan", "-nan", "0", "-1e9"])
+    @pytest.mark.parametrize("omega", ["nan", "-nan", "0", "-1e9", "inf"])
     def test_omega_must_be_positive(self, hydrogen_json, command, omega,
                                     capsys):
+        need = "finite" if omega == "inf" else "> 0"
         assert main([command, "--plasma", hydrogen_json,
                      "--omega=" + omega]) == 1
         assert capsys.readouterr().err.startswith(
-            "invalid input: omega must be > 0, got ")
+            f"invalid input: omega must be {need}, got ")
 
 
 class TestSubcommands:
@@ -490,7 +491,7 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         domain = Domain.rectangle(-0.5, 1.0, -0.8, 0.6)
         grids = [Grid2D(domain, 17, 17), Grid2D(domain, 33, 33)]
-        spec = MultiplierSpec.from_kappa(0.5, domain)
+        spec = MultiplierSpec(0.5, domain)
         rng = np.random.default_rng(7)
         pairs = []
         for _ in range(4):
@@ -512,21 +513,20 @@ class TestSubcommands:
         # one multiplier for both grids, from kappa and the box's exact
         # range of K, whether or not the lattice holds its extremes
         built = []
-        real = MultiplierSpec.from_kappa.__func__
+        real = MultiplierSpec.__post_init__
 
-        def counted(cls, kappa, domain, **kwargs):
-            built.append(domain)
-            return real(cls, kappa, domain, **kwargs)
+        def counted(spec):
+            built.append(spec.domain)
+            real(spec)
 
-        monkeypatch.setattr(MultiplierSpec, "from_kappa",
-                            classmethod(counted))
+        monkeypatch.setattr(MultiplierSpec, "__post_init__", counted)
         out = tmp_path / "energy.json"
         assert main(["--out", str(out), "--seed", "3", "energy-check",
                      "--kappa", "1.5", "--trials", "3", "--nx", "17",
                      "--box=" + box]) == 0
         domain = Domain.rectangle(*map(float, box.split(":")))
         assert built == [domain]
-        spec = real(MultiplierSpec, 1.5, domain)
+        spec = MultiplierSpec(1.5, domain)
         alphas = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 4, 4))
         ratios = np.minimum(*(cli.bump_gram(Grid2D(domain, n, n), spec)
                               .ratios(alphas) for n in (17, 33)))
@@ -715,6 +715,47 @@ class TestInputChecks:
                      mixed_json, "--levels", "9,13,17"]) == 1
         assert capsys.readouterr().err \
             == "invalid input: problem.bc must be 'closed_dirichlet'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("box, message", [
+        ("0:1e300:0:1", "Q1 is not finite for K in [-1.0, 1e+300]"),
+        ("-1000:1:-1:1", "Q2 is not > 0 for K in [-1001.0, 1.0]")])
+    def test_energy_check_multiplier_out_of_range(self, box, message,
+                                                  tmp_path, capsys):
+        # exp(2 delta max K) overflowed to an internal error, and exp(min K)
+        # underflowed to 0 with a RuntimeWarning and a pass
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), "energy-check", "--kappa", "1.5",
+                         "--box=" + box, "--nx", "9", "--trials", "2"]) == 1
+        assert capsys.readouterr().err \
+            == f"invalid configuration: {message}\n"
+        assert not out.exists()
+
+    def test_solve_mixed_multiplier_overflow(self, tmp_path, capsys):
+        problem = tmp_path / "mixed.json"
+        problem.write_text(json.dumps({
+            "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
+            "grid": {"nx": 9, "ny": 9},
+            "bc": {"type": "mixed", "G": ["top", "left"]}}))
+        out = tmp_path / "mixed.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), "solve-mixed", "--problem",
+                         str(problem), "--mu", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "invalid configuration: s_const=nan is not finite for "
+            "mu=1e+308 on ((-1.0, 1.0, -1.0, 1.0),)\n")
+        assert not out.exists()
+
+    def test_symbol_check_omega_needs_plasma(self, tmp_path, capsys):
+        # the frequency was ignored and the vacuum check ran
+        out = tmp_path / "sym.json"
+        assert main(["--out", str(out), "symbol-check", "--omega", "1e9",
+                     "--trials", "2"]) == 1
+        assert capsys.readouterr().err \
+            == "invalid input: --omega requires --plasma\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, bracket", [

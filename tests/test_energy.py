@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ def grid_bump(grid, fn):
 
 class TestMultiplierSpec:
     def test_regime_selection(self, unit_square):
-        assert MultiplierSpec.from_kappa(1.5, unit_square).regime == \
+        assert MultiplierSpec(1.5, unit_square).regime == \
             "kappa_high"
-        assert MultiplierSpec.from_kappa(0.5, unit_square).regime == \
+        assert MultiplierSpec(0.5, unit_square).regime == \
             "kappa_low"
 
     def test_regime_is_a_property_of_kappa(self):
@@ -44,33 +45,35 @@ class TestMultiplierSpec:
             MultiplierSpec)}
         for kappa, regime in ((0.0, "kappa_low"), (0.999, "kappa_low"),
                               (1.0, "kappa_high"), (2.0, "kappa_high")):
-            assert MultiplierSpec(kappa).regime == regime
+            # a small delta_tilde keeps N's interval open at 0.999
+            assert MultiplierSpec(kappa, Domain.rectangle(-1, 1, -1, 1),
+                                  delta_tilde=1e-4).regime == regime
 
     def test_kappa_low_default_N_is_midpoint(self, unit_square):
-        spec = MultiplierSpec.from_kappa(0.5, unit_square)
+        spec = MultiplierSpec(0.5, unit_square)
         lo = 1.05 / 2.5
         hi = 0.95 / 1.5
         assert spec.N == pytest.approx(0.5 * (lo + hi))
 
     def test_kappa_low_N_range_enforced(self, unit_square):
         with pytest.raises(SpecInvalid):
-            MultiplierSpec.from_kappa(0.5, unit_square, N=0.99)
+            MultiplierSpec(0.5, unit_square, N=0.99)
         with pytest.raises(SpecInvalid):
             # interval empty at 0.05
-            MultiplierSpec.from_kappa(0.95, unit_square)
+            MultiplierSpec(0.95, unit_square)
 
     def test_invalid_parameters(self, unit_square):
         # kappa spans the closed-Dirichlet range, [0, 2]
         top = KAPPA_MAX["closed_dirichlet"]
-        assert MultiplierSpec.from_kappa(top, unit_square).kappa == top
+        assert MultiplierSpec(top, unit_square).kappa == top
         for kappa in (2.5, math.nextafter(top, 3.0), -1e-300):
             with pytest.raises(SpecInvalid, match=r"outside \[0, 2\]"):
-                MultiplierSpec.from_kappa(kappa, unit_square)
+                MultiplierSpec(kappa, unit_square)
         with pytest.raises(SpecInvalid):
-            MultiplierSpec.from_kappa(1.0, unit_square, delta=0.0)
+            MultiplierSpec(1.0, unit_square, delta=0.0)
 
     def test_exponential_branch_values(self, unit_square):
-        spec = MultiplierSpec.from_kappa(1.0, unit_square, delta=0.01)
+        spec = MultiplierSpec(1.0, unit_square, delta=0.01)
         # continuous across the cut, different branches away from it
         assert spec.b(0.0, 0.0, +1) == pytest.approx(1.0)
         assert spec.b(0.0, 0.0, -1) == pytest.approx(1.0)
@@ -84,40 +87,102 @@ class TestMultiplierSpec:
         ([(-3.0, -2.0, 0.5, 1.0)], (0.0, -4.0)),    # K < 0: Q1 = 1
         ([(-1.0, 0.0, 0.5, 1.0), (1.0, 2.0, 1.0, 2.0)], (1.0, -3.0))])
     def test_Q_from_the_exact_range_of_K(self, rects, q_exponents):
-        spec = MultiplierSpec.from_kappa(1.5, Domain(tuple(rects)),
-                                         delta=0.05)
+        spec = MultiplierSpec(1.5, Domain(tuple(rects)), delta=0.05)
         assert spec.Q1 == math.exp(2.0 * 0.05 * q_exponents[0])
         assert spec.Q2 == math.exp(q_exponents[1])
 
     def test_large_delta_warns_not_raises(self, unit_square):
-        spec = MultiplierSpec.from_kappa(1.0, unit_square, delta=0.05)
+        spec = MultiplierSpec(1.0, unit_square, delta=0.05)
         assert spec.warnings  # exponential bound fails on [-1,1]^2
 
     def test_kappa_low_b_vanishes_on_cut(self, unit_square):
-        spec = MultiplierSpec.from_kappa(0.0, unit_square)
+        spec = MultiplierSpec(0.0, unit_square)
         assert spec.b(0.25, 0.5, +1) == 0.0
         assert spec.b(0.25, 0.5, -1) == 0.0
+
+    @pytest.mark.parametrize("box, message", [
+        ((0.0, 1e300, 0.0, 1.0), "Q1 is not finite for K in [-1.0, 1e+300]"),
+        ((-1000.0, 1.0, -1.0, 1.0), "Q2 is not > 0 for K in [-1001.0, 1.0]")])
+    def test_Q_out_of_range_refused(self, box, message):
+        # exp(2 delta max K) overflows and exp(min K) underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecInvalid) as err:
+                MultiplierSpec(1.5, Domain.rectangle(*box))
+        assert str(err.value) == message
+
+    def test_settable_values(self):
+        # the derived values are not constructor parameters
+        assert [f.name for f in dataclasses.fields(MultiplierSpec)
+                if f.init] == ["kappa", "domain", "delta", "delta_tilde",
+                               "N"]
+        assert [f.name for f in dataclasses.fields(MixedMultiplierSpec)
+                if f.init] == ["domain", "mu", "delta"]
+        with pytest.raises(TypeError):
+            MultiplierSpec(1.5, Domain.rectangle(0, 1, 0, 1), Q1=1.0)
+
+
+# box sides of moderate and of huge extent, where exp(K) and mu y^2 overflow
+SPEC_BOX = st.lists(st.one_of(st.floats(-10.0, 10.0),
+                              st.floats(-1e300, 1e300)),
+                    min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def built_or_refused(make):
+    """make() with every warning raised as an error; None when it raises
+    SpecInvalid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return make()
+        except SpecInvalid:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=SPEC_BOX, ys=SPEC_BOX, kappa=st.floats(-0.1, 2.1),
+       delta=st.floats(-0.01, 0.51), delta_tilde=st.floats(-0.01, 0.5),
+       mu=st.one_of(st.floats(1e-3, 10.0), st.floats()),
+       frac=st.floats(-0.1, 1.1))
+def test_spec_in_range_or_refused(xs, ys, kappa, delta, delta_tilde, mu,
+                                  frac):
+    # either constructor builds a spec whose parameters lie in range and
+    # whose derived values are finite and positive, or raises SpecInvalid:
+    # never OverflowError, never a RuntimeWarning
+    dom = Domain.rectangle(*xs, *ys)
+    spec = built_or_refused(lambda: MultiplierSpec(
+        kappa, dom, delta=delta, delta_tilde=delta_tilde))
+    if spec is not None:
+        assert 0.0 <= spec.kappa <= KAPPA_MAX["closed_dirichlet"]
+        assert 0.0 < spec.delta < 0.5 and spec.delta_tilde > 0.0
+        derived = ((spec.Q1, spec.Q2) if spec.regime == "kappa_high"
+                   else (spec.N,))
+        assert all(0.0 < v < math.inf for v in derived)
+    mixed = built_or_refused(
+        lambda: MixedMultiplierSpec(dom, mu=mu, delta=mu * frac))
+    if mixed is not None:
+        assert 0.0 < mixed.delta < mixed.mu
+        assert 0.0 < mixed.t < math.inf and 0.0 < mixed.s_const < math.inf
 
 
 class TestVerifyEnergyInequality:
     def test_zero_field_flagged(self, unit_square):
         g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.0, unit_square)
+        spec = MultiplierSpec(1.0, unit_square)
         rep = verify_energy_inequality(np.zeros((33, 33)), spec, g)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.ratio is None
-        assert not rep.satisfied
 
     def test_boundary_support_rejected(self, unit_square):
         g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.0, unit_square)
+        spec = MultiplierSpec(1.0, unit_square)
         with pytest.raises(ValueError):
             verify_energy_inequality(np.ones((33, 33)), spec, g)
 
     def test_polynomial_bump_kappa_one(self, unit_square):
         # two-resolution quadrature comparison certifies the ratio bound
         ratios = []
-        spec = MultiplierSpec.from_kappa(1.0, unit_square, delta=0.05)
+        spec = MultiplierSpec(1.0, unit_square, delta=0.05)
         for n in (65, 129):
             g = Grid2D(unit_square, n, n)
             u = grid_bump(g, lambda X, Y: (1 - X ** 2) ** 2 * (1 - Y ** 2) ** 2)
@@ -128,7 +193,7 @@ class TestVerifyEnergyInequality:
 
     def test_polynomial_bump_kappa_half(self, unit_square):
         g = Grid2D(unit_square, 65, 65)
-        spec = MultiplierSpec.from_kappa(0.5, unit_square)
+        spec = MultiplierSpec(0.5, unit_square)
         u = grid_bump(g, lambda X, Y: (1 - X ** 2) ** 2 * (1 - Y ** 2) ** 2)
         rep = verify_energy_inequality(u, spec, g)
         assert rep.ratio > 0.0
@@ -137,7 +202,7 @@ class TestVerifyEnergyInequality:
         g = Grid2D(unit_square, 65, 65)
         rng = np.random.default_rng(11)
         for kappa in (0.0, 1.0, 2.0):
-            spec = MultiplierSpec.from_kappa(kappa, unit_square)
+            spec = MultiplierSpec(kappa, unit_square)
             for _ in range(5):
                 u = grid_bump(g, random_interior_bump(unit_square, rng))
                 rep = verify_energy_inequality(u, spec, g)
@@ -145,7 +210,7 @@ class TestVerifyEnergyInequality:
 
     def test_rhs_is_square_of_reported_seminorm(self, unit_square):
         g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec.from_kappa(1.5, unit_square)
+        spec = MultiplierSpec(1.5, unit_square)
         u = grid_bump(g, random_interior_bump(unit_square,
                                               np.random.default_rng(3)))
         rep = verify_energy_inequality(u, spec, g)
@@ -169,7 +234,7 @@ class TestVerifyEnergyInequality:
                 monkeypatch.setattr(module, name, counted)
         g = Grid2D(unit_square, 17, 17)
         dec = decompose_cells(g)
-        spec = MultiplierSpec.from_kappa(1.5, unit_square)
+        spec = MultiplierSpec(1.5, unit_square)
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = grid_bump(g, random_interior_bump(unit_square, rng))
@@ -211,7 +276,7 @@ def gram_reference(grid, spec):
 
 
 def assert_gram_matches_reference(grid, kappa):
-    spec = MultiplierSpec.from_kappa(kappa, grid.domain)
+    spec = MultiplierSpec(kappa, grid.domain)
     gram = bump_gram(grid, spec)
     for got, want in zip((gram.S, gram.W), gram_reference(grid, spec)):
         assert got.shape == want.shape
@@ -247,7 +312,7 @@ class TestBumpGram:
         domain = Domain.rectangle(*box)
         g = Grid2D(domain, n, n)
         dec = decompose_cells(g)
-        spec = MultiplierSpec.from_kappa(kappa, domain)
+        spec = MultiplierSpec(kappa, domain)
         rng = np.random.default_rng(19)
         expected = [verify_energy_inequality(
             grid_bump(g, random_interior_bump(domain, rng)),
@@ -259,7 +324,7 @@ class TestBumpGram:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_span_minimum_is_the_minimizer_ratio(self, unit_square, kappa):
         g = Grid2D(unit_square, 65, 65)
-        spec = MultiplierSpec.from_kappa(kappa, unit_square)
+        spec = MultiplierSpec(kappa, unit_square)
         gram = bump_gram(g, spec)
         span_min, alpha = gram.span_minimum()
         assert np.abs(alpha).max() == 1.0 == alpha.max()
@@ -275,7 +340,7 @@ class TestBumpGram:
         # flipping basis signs flips the minimizer's entries alike; the
         # reported coefficients keep their largest entry at +1 either way
         g = Grid2D(unit_square, 33, 33)
-        gram = bump_gram(g, MultiplierSpec.from_kappa(0.5, unit_square))
+        gram = bump_gram(g, MultiplierSpec(0.5, unit_square))
         span_min, alpha = gram.span_minimum()
         rng = np.random.default_rng(2)
         for _ in range(8):
@@ -291,7 +356,7 @@ class TestBumpGram:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_span_minimum_clears_bound(self, unit_square, n, kappa):
         g = Grid2D(unit_square, n, n)
-        spec = MultiplierSpec.from_kappa(kappa, unit_square)
+        spec = MultiplierSpec(kappa, unit_square)
         span_min, _ = bump_gram(g, spec).span_minimum()
         assert span_min >= spec.delta
 
@@ -301,7 +366,7 @@ class TestBumpGram:
         # coefficients and (rows x 16) products, and the peak, below
         # 2 MB, is the cell decomposition's
         g = Grid2D(unit_square, 129, 129)
-        spec = MultiplierSpec.from_kappa(1.5, unit_square)
+        spec = MultiplierSpec(1.5, unit_square)
         bump_gram(g, spec)
         tracemalloc.start()
         try:
@@ -311,17 +376,27 @@ class TestBumpGram:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_domain_mismatch_refused(self, unit_square):
+        # a spec from [0, 1]^2 on a [-1, 1]^2 grid: its Q1 and Q2 are not
+        # this domain's, so both checks refuse it
+        spec = MultiplierSpec(1.5, Domain.rectangle(0, 1, 0, 1))
+        g = Grid2D(unit_square, 17, 17)
+        with pytest.raises(ValueError, match="not the multiplier's domain"):
+            bump_gram(g, spec)
+        with pytest.raises(ValueError, match="not the multiplier's domain"):
+            verify_energy_inequality(np.zeros((17, 17)), spec, g)
+
     def test_rectangle_only(self):
         dom = Domain(((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.5)))
         g = Grid2D(dom, 21, 11)
         with pytest.raises(ValueError):
-            bump_gram(g, MultiplierSpec.from_kappa(1.0, dom))
+            bump_gram(g, MultiplierSpec(1.0, dom))
 
 
 class TestMixedMultiplierSpec:
     def test_auto_positivity(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-        spec = MixedMultiplierSpec.auto(dom)
+        spec = MixedMultiplierSpec(dom)
         xs = np.linspace(0, 1, 41)
         ys = np.linspace(0, 0.75, 41)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -344,7 +419,7 @@ class TestMixedMultiplierSpec:
         # three quantities there; mu y1 < 2^53 keeps c < 0 as well
         (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
         dom = Domain.rectangle(x0, x1, y0, y1)
-        spec = MixedMultiplierSpec.auto(dom, mu=mu, delta=mu * frac)
+        spec = MixedMultiplierSpec(dom, mu=mu, delta=mu * frac)
         X, Y = np.meshgrid(np.linspace(x0, x1, SPEC_SAMPLES),
                            np.linspace(y0, y1, SPEC_SAMPLES), indexing="ij")
         inside = dom.contains(X, Y)
@@ -364,67 +439,81 @@ class TestMixedMultiplierSpec:
     ], ids=["below_2_53", "past_2_53", "past_2_53_mu_9.5"])
     def test_auto_keeps_t_above_mu_y(self, y1, mu, t):
         # past 2^53, 1 + mu * y1 rounds to mu * y1 and t is the next double
-        spec = MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, y1), mu=mu)
+        spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, y1), mu=mu)
         assert spec.t == t
         assert (spec.c(np.linspace(0.0, y1, SPEC_SAMPLES)) < 0.0).all()
 
     def test_matrix_shape(self):
-        spec = MixedMultiplierSpec.auto(Domain.rectangle(0, 1, 0, 0.75))
+        spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, 0.75))
         M = spec.matrix(0.5, 0.25)
         K = 0.5 - 0.25 ** 2
         assert M[0, 0] == M[1, 1]
         assert M[1, 0] == pytest.approx(-K * M[0, 1])
 
     def test_invalid(self):
+        dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
         with pytest.raises(SpecInvalid):
-            MixedMultiplierSpec(mu=-1.0, t=1.0, s_const=1.0)
+            MixedMultiplierSpec(dom, mu=-1.0)
         with pytest.raises(SpecInvalid):
-            MixedMultiplierSpec(mu=1.0, t=1.0, s_const=1.0, delta=2.0)
+            MixedMultiplierSpec(dom, mu=1.0, delta=2.0)
 
-    @pytest.mark.parametrize("name", ["mu", "t", "s_const", "delta"])
+    @pytest.mark.parametrize("box, message", [
+        ((-1.0, 1.0, -1.0, 1.0),
+         "s_const=nan is not finite for mu=1e+308 on "
+         "((-1.0, 1.0, -1.0, 1.0),)"),
+        ((0.0, 1.0, 0.0, 10.0),
+         "t=inf is not finite for mu=1e+308 on ((0.0, 1.0, 0.0, 10.0),)")])
+    def test_overflow_refused_by_name(self, box, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecInvalid) as err:
+                MixedMultiplierSpec(Domain.rectangle(*box), mu=1e308)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["mu", "delta"])
     def test_nan_rejected(self, name):
-        values = {"mu": 1.0, "t": 1.0, "s_const": 1.0, "delta": 0.05,
-                  name: float("nan")}
+        values = {"mu": 1.0, "delta": 0.05, name: float("nan")}
         with pytest.raises(SpecInvalid):
-            MixedMultiplierSpec(**values)
+            MixedMultiplierSpec(Domain.rectangle(0.0, 1.0, 0.0, 0.75),
+                                **values)
 
 
 class TestBoundaryAdmissible:
     def test_first_quadrant_box(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-        spec = MixedMultiplierSpec.auto(dom)
-        report = boundary_admissible(dom, ("top", "left"), spec)
+        spec = MixedMultiplierSpec(dom)
+        report = boundary_admissible(("top", "left"), spec)
         assert isinstance(report, BoundaryReport)
         assert report.admissible
 
     def test_conormal_lens_box(self):
         # corners on the sonic curve: x-range [y0^2, y1^2]
         dom = Domain.rectangle(0.25, 1.0, 0.5, 1.0)
-        spec = MixedMultiplierSpec.auto(dom)
-        report = boundary_admissible(dom, (), spec)
+        spec = MixedMultiplierSpec(dom)
+        report = boundary_admissible((), spec)
         assert report.admissible
         assert all(not seg.in_G for seg in report.segments)
 
     def test_orientation_flip_fails(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-        spec = MixedMultiplierSpec.auto(dom)
-        assert boundary_admissible(dom, ("top", "left"), spec).admissible
-        flipped = boundary_admissible(dom, ("top", "left"), spec,
+        spec = MixedMultiplierSpec(dom)
+        assert boundary_admissible(("top", "left"), spec).admissible
+        flipped = boundary_admissible(("top", "left"), spec,
                                       orientation=-1)
         assert not flipped.admissible
 
     def test_orientation_covariance(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-        spec = MixedMultiplierSpec.auto(dom)
-        fwd = boundary_admissible(dom, ("top",), spec)
-        rev = boundary_admissible(dom, ("top",), spec, orientation=-1)
+        spec = MixedMultiplierSpec(dom)
+        fwd = boundary_admissible(("top",), spec)
+        rev = boundary_admissible(("top",), spec, orientation=-1)
         for a, b in zip(fwd.segments, rev.segments):
             assert a.min_value == pytest.approx(-b.max_value, rel=1e-12)
             assert a.max_value == pytest.approx(-b.min_value, rel=1e-12)
 
     def test_bad_G_inadmissible(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-        spec = MixedMultiplierSpec.auto(dom)
+        spec = MixedMultiplierSpec(dom)
         # bottom has b dy - c dx = -c dx > 0, so it cannot sit in G
-        report = boundary_admissible(dom, ("bottom",), spec)
+        report = boundary_admissible(("bottom",), spec)
         assert not report.admissible

@@ -1,7 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from coldwave import plasma
+from coldwave.dispersion import dispersion_scan
 from coldwave.errors import (CyclotronResonance, LengthMismatch,
                              MissingElectrons, NumericalFailure)
 
@@ -121,12 +125,24 @@ class TestStixParameters:
             plasma.stix_parameters(state, -1.0)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"),
-                                       -float("nan"), np.float64("nan")])
+                                       -float("nan"), np.float64("nan"),
+                                       float("inf")])
     def test_omega_must_be_positive(self, hydrogen, omega):
-        with pytest.raises(ValueError, match="omega must be > 0, got "):
-            plasma.stix_parameters(hydrogen, omega)
-        with pytest.raises(ValueError, match="omega must be > 0, got "):
-            plasma.stix_approximate_RL(hydrogen, omega)
+        # one check everywhere, before any arithmetic: no RuntimeWarning
+        need = "finite" if omega == math.inf else "> 0"
+        for call in (
+                lambda: plasma.stix_parameters(hydrogen, omega),
+                lambda: plasma.stix_approximate_RL(hydrogen, omega),
+                lambda: plasma.velocity_response(hydrogen.species[0],
+                                                 [1.0, 0.0, 0.0], 1.0, omega),
+                lambda: plasma.displacement([1.0, 0.0, 0.0], np.zeros(3),
+                                            omega),
+                lambda: dispersion_scan(hydrogen, [1e9, omega], [0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match=f"omega must be {need}, got "):
+                    call()
 
     def test_species_table_outside_equality(self, hydrogen):
         assert hydrogen.species_table == tuple(

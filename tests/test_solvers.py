@@ -147,7 +147,7 @@ class TestSparsePath:
 
     def test_mixed_matches_min_norm_lstsq(self):
         dom = MIXED
-        spec = MixedMultiplierSpec.auto(dom)
+        spec = MixedMultiplierSpec(dom)
         f1 = lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * np.pi * y)
         f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
         prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed",
@@ -325,7 +325,8 @@ class TestOneFactor:
                                diag_pivot_thresh=0.0,
                                options={"SymmetricMode": True})
         y, = solvers._refined_solves(static, [(M, None, np.ones(A.shape[0]))])
-        assert not solvers._probe_accepts(M, y, solvers._matrix_norms(M)[1])
+        norm_inf = solvers._norms(*solvers._abs_sums(M))[1]
+        assert not solvers._probe_accepts(M, y, norm_inf)
 
     def test_rejected_probe_refactors(self, monkeypatch):
         A, _ = assemble_dirichlet(Grid2D(ORIGIN, 17, 17), 0.5)
@@ -465,7 +466,7 @@ class TestSolvePath:
         for matrix in (M, *(list(self.matrices())[:4]),
                        sp.csc_array((5, 5))):
             matrix = matrix.tocsc()
-            assert solvers._matrix_norms(matrix) == (
+            assert solvers._norms(*solvers._abs_sums(matrix)) == (
                 float(abs(matrix).sum(axis=0).max()),
                 float(abs(matrix).sum(axis=1).max()))
 
@@ -607,7 +608,7 @@ class TestMixed:
     @pytest.fixture
     def setup(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
-        spec = MixedMultiplierSpec.auto(dom)
+        spec = MixedMultiplierSpec(dom)
         f1 = lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * np.pi * y)
         f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
         prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed",
@@ -646,10 +647,17 @@ class TestMixed:
         with pytest.raises(InadmissibleBoundary):
             solve_mixed(bad, Grid2D(dom, 17, 17), spec)
 
+    def test_domain_mismatch_refused(self, setup):
+        # the spec's t and s_const, and its boundary, are its own domain's
+        _, spec, prob = setup
+        g = Grid2D(Domain.rectangle(0.0, 1.0, 0.0, 1.0), 17, 17)
+        with pytest.raises(ValueError, match="not the multiplier's domain"):
+            solve_mixed(prob, g, spec)
+
     def test_conormal_runs_and_reports(self):
         # lens-like box with corners on the sonic curve admits G = empty
         dom = Domain.rectangle(0.25, 1.0, 0.5, 1.0)
-        spec = MixedMultiplierSpec.auto(dom)
+        spec = MixedMultiplierSpec(dom)
         f1 = lambda x, y: np.sin(np.pi * x) * y
         f2 = lambda x, y: np.cos(np.pi * y) * x
         prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed", G=())

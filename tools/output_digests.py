@@ -41,7 +41,12 @@ type (a ``true`` B0 for ``stix``, a number for the ``x_range`` of
 ``layered``), or a value out of its range (a ``gauss`` forcing of width
 0 and a ``samples`` forcing without ``values`` for ``solve``, an
 ``expression-table`` K11 whose ``xs`` are not increasing for
-``typemap``).  Each gives the line of its output file and of its
+``typemap``), ``energy-check`` at kappa 1.5 on boxes where the
+multiplier's Q1 = exp(2 delta max K) overflows (``--box=0:1e300:0:1``)
+and Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``),
+``solve-mixed --mu 1e308`` on [-1, 1]^2, where the multiplier's s_const
+is not finite, ``stix --omega inf``, and ``symbol-check --omega``
+without ``--plasma``.  Each gives the line of its output file and of its
 stderr, with ``-`` for the seed and ``fixed`` or ``errors`` for the
 workload, so that error text and exit codes are compared too.  In that
 stderr the temporary input directory reads ``{in}``, so that a message
@@ -128,6 +133,19 @@ FAILING = {
     "typemap-unsorted-table": ["typemap", "--fields",
                                "{in}/fields-unsorted-table.json",
                                "--box=0:2:0:1", "--nx", "5", "--nz", "2"],
+    "energy-check-q1-overflow": ["energy-check", "--kappa", "1.5",
+                                 "--box=0:1e300:0:1", "--nx", "9",
+                                 "--trials", "2"],
+    "energy-check-q2-underflow": ["energy-check", "--kappa", "1.5",
+                                  "--box=-1000:1:-1:1", "--nx", "9",
+                                  "--trials", "2"],
+    "solve-mixed-mu-overflow": ["solve-mixed", "--problem",
+                                "{in}/problem-mixed-square.json",
+                                "--mu", "1e308"],
+    "stix-omega-inf": ["stix", "--plasma", "{in}/plasma.json",
+                       "--omega", "inf"],
+    "symbol-check-omega-without-plasma": ["symbol-check", "--omega", "1e9",
+                                          "--trials", "2"],
 }
 FIXED_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
@@ -167,6 +185,10 @@ FIXED_INPUTS = {
     "fields-unsorted-table.json": {"K11": {
         "kind": "expression-table", "xs": [1.0, 0.0, 2.0], "zs": [0.0, 1.0],
         "values": [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]}},
+    "problem-mixed-square.json": {
+        "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
+        "grid": {"nx": 9, "ny": 9}, "bc": {"type": "mixed",
+                                           "G": ["top", "left"]}},
 }
 
 
