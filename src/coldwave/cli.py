@@ -58,16 +58,9 @@ def cmd_stix(args):
 
 def cmd_dispersion(args):
     pl = _load_plasma(args.plasma)
-    omegas = cfg.parse_grid_spec(args.omegas)
-    thetas = cfg.parse_grid_spec(args.thetas, angle=True)
-    if not omegas or not thetas:
-        raise ValueError("omega and theta grids must be nonempty")
-    if not all(0.0 < w < np.inf for w in omegas):
-        raise ValueError("omega grid values must be finite and positive")
-    if not np.isfinite(thetas).all():
-        raise ValueError("theta grid values must be finite")
     output.write_csv(dispersion.SCAN_HEADER,
-                     _scan_blocks(pl, omegas, thetas, args.tol), args.out)
+                     _scan_blocks(pl, args.omegas, args.thetas, args.tol),
+                     args.out)
     return EXIT_OK
 
 
@@ -83,8 +76,7 @@ def _scan_blocks(pl, omegas, thetas, tol):
 
 def cmd_cutoffs(args):
     pl = _load_plasma(args.plasma)
-    bracket = cfg.parse_bracket(args.bracket)
-    found = dispersion.cutoff_frequencies(pl, bracket)
+    found = dispersion.cutoff_frequencies(pl, args.bracket)
     if args.format == "csv":
         omegas = np.array([w for w, _ in found], dtype=float)
         codes = np.array(["PRL".index(which) for _, which in found],
@@ -99,8 +91,7 @@ def cmd_cutoffs(args):
 
 def cmd_resonances(args):
     pl = _load_plasma(args.plasma)
-    bracket = cfg.parse_bracket(args.bracket)
-    res = dispersion.hybrid_resonances(pl, bracket)
+    res = dispersion.hybrid_resonances(pl, args.bracket)
     if args.format == "csv":
         output.write_csv("omega", [(np.array(res.roots, float),)], args.out)
     else:
@@ -314,6 +305,65 @@ def _floats(text, sep, count, what, form):
     return values
 
 
+def _bracket(text):
+    """argparse type of cutoffs and resonances --bracket ('low:high'):
+    two finite floats with 0 < low < high."""
+    lo, hi = _floats(text, ":", 2, "bracket", "'low:high'")
+    if not 0.0 < lo < hi:
+        raise argparse.ArgumentTypeError(
+            f"must have 0 < low < high, got {text!r}")
+    return lo, hi
+
+
+def _angle(token):
+    """An angle in radians from '1.2', '1.2rad' or '60deg'."""
+    token = token.strip()
+    if token.endswith("deg"):
+        return math.radians(float(token[:-3]))
+    return float(token.removesuffix("rad"))
+
+
+def _grid(what, value=float, positive=False):
+    """argparse type of a grid, 'a,b,c' (each entry read by ``value``) or
+    'start:stop:count[:lin|:log]' (np.linspace, or np.geomspace of
+    positive endpoints): its float64 values, each finite (and > 0 with
+    ``positive``); ``what`` names it in the messages."""
+    def convert(text):
+        parts = text.split(":")
+        log = parts[3:] == ["log"]
+        if len(parts) not in (1, 3, 4) or parts[3:] not in ([], ["lin"],
+                                                            ["log"]):
+            raise argparse.ArgumentTypeError(
+                f"must be 'a,b,c' or start:stop:count[:log], got {text!r}")
+        try:   # a count numpy cannot allocate raises ValueError too
+            if len(parts) == 1:
+                values = np.array([value(t) for t in text.split(",")])
+            else:   # stop - start overflows where np.linspace would
+                start, stop, count = (value(parts[0]), value(parts[1]),
+                                      int(parts[2]))
+                values = np.array([start, stop, stop - start])
+            if not np.isfinite(values).all():
+                raise argparse.ArgumentTypeError(
+                    f"must be finite, got {text!r}")
+            if len(parts) > 1:
+                if count < 1:
+                    raise argparse.ArgumentTypeError(
+                        f"count must be >= 1, got {text!r}")
+                if log and not (start > 0.0 and stop > 0.0):
+                    raise argparse.ArgumentTypeError(
+                        f"log spacing needs positive endpoints, got {text!r}")
+                values = (np.geomspace if log else np.linspace)(
+                    start, stop, count)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {what}: {text!r}") from None
+        if positive and not (values > 0.0).all():
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return values
+    return convert
+
+
 def _point(text):
     """argparse type of characteristics --start ('x,y') and layered
     --psi0 ('re,im'): two finite floats."""
@@ -378,18 +428,21 @@ def build_parser():
 
     p = sub.add_parser("dispersion", help="dispersion scan to CSV")
     p.add_argument("--plasma", required=True)
-    p.add_argument("--omegas", required=True,
+    p.add_argument("--omegas", type=_grid("omega grid", positive=True),
+                   required=True,
                    help="'a,b,c' or start:stop:count[:log]")
-    p.add_argument("--thetas", required=True,
+    p.add_argument("--thetas", type=_grid("theta grid", _angle),
+                   required=True,
                    help="angles; accepts 90deg / 1.57rad forms")
 
     p = sub.add_parser("cutoffs", help="cutoff frequencies in a bracket")
     p.add_argument("--plasma", required=True)
-    p.add_argument("--bracket", required=True, help="'low:high' in rad/s")
+    p.add_argument("--bracket", type=_bracket, required=True,
+                   help="'low:high' in rad/s")
 
     p = sub.add_parser("resonances", help="hybrid resonances in a bracket")
     p.add_argument("--plasma", required=True)
-    p.add_argument("--bracket", required=True)
+    p.add_argument("--bracket", type=_bracket, required=True)
 
     p = sub.add_parser("typemap", help="elliptic/hyperbolic type map to CSV")
     p.add_argument("--fields", required=True, help="field-definition JSON")
@@ -474,10 +527,9 @@ _COMMANDS = {
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # usage error (EXIT_INVALID) or --help (0)
         return exc.code
-    try:
-        return _COMMANDS[args.subcommand](args)
     except ColdwaveError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -247,7 +247,7 @@ def parse_problem(data):
         diags.append("bc.G must be a list of segment names")
     else:
         diags += [f"unknown boundary segment {name!r} in G" for name in G
-                  if name not in ("bottom", "right", "top", "left")]
+                  if name not in Domain.SEGMENTS]
     if bc == "mixed" and len(rects) > 1:
         diags.append("mixed problems need a single-rectangle domain")
     forcing = None if hi is None else _forcing(sections["forcing"], bc,
@@ -371,51 +371,3 @@ def parse_layered(data):
     return LayeredProblem(lambda x: np.real(f2d(x, 0.0)), float(sigma0),
                           tuple(x_range))
 
-
-def parse_bracket(text):
-    """'W0:W1' -> (W0, W1), finite with 0 < W0 < W1."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"bracket {text!r} must be 'low:high'")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"bracket {text!r} must have numeric bounds") from None
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket {text!r} must satisfy 0 < low < high")
-    if hi == math.inf:
-        raise ValueError(f"bracket {text!r} must have finite bounds")
-    return lo, hi
-
-
-def parse_angle(text):
-    """Angle in radians from '1.2', '1.2rad', or '60deg'."""
-    text = str(text).strip()
-    if text.endswith("deg"):
-        return math.radians(float(text[:-3]))
-    if text.endswith("rad"):
-        return float(text[:-3])
-    return float(text)
-
-
-def parse_grid_spec(text, angle=False):
-    """Grid values from 'a,b,c' or 'start:stop:count[:log]'."""
-    conv = parse_angle if angle else float
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"range {text!r} must be start:stop:count[:log]")
-        start, stop = conv(parts[0]), conv(parts[1])
-        count = int(parts[2])
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        spacing = parts[3] if len(parts) == 4 else "lin"
-        if spacing == "log":
-            if start <= 0.0 or stop <= 0.0:
-                raise ValueError("log spacing needs positive endpoints")
-            return list(np.geomspace(start, stop, count))
-        if spacing != "lin":
-            raise ValueError(f"unknown spacing {spacing!r}")
-        return list(np.linspace(start, stop, count))
-    return [conv(tok) for tok in text.split(",") if tok.strip()]

@@ -31,6 +31,8 @@ class Domain:
     """Axis-aligned rectangle or union of rectangles."""
 
     rects: tuple
+    # the boundary segments of a single rectangle, counterclockwise
+    SEGMENTS = ("bottom", "right", "top", "left")
 
     def __post_init__(self):
         rects = tuple(tuple(float(v) for v in r) for r in self.rects)
@@ -87,19 +89,16 @@ class Domain:
 
     def boundary_segments(self):
         """The four counterclockwise edges of a single-rectangle domain,
-        named bottom/right/top/left."""
+        named as in SEGMENTS."""
         if len(self.rects) != 1:
             raise ValueError(
                 "boundary segments are only defined for single-rectangle "
                 "domains"
             )
         x0, x1, y0, y1 = self.rects[0]
-        return [
-            BoundarySegment("bottom", (x0, y0), (x1, y0)),
-            BoundarySegment("right", (x1, y0), (x1, y1)),
-            BoundarySegment("top", (x1, y1), (x0, y1)),
-            BoundarySegment("left", (x0, y1), (x0, y0)),
-        ]
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
+        return [BoundarySegment(name, *corners[k:k + 2])
+                for k, name in enumerate(self.SEGMENTS)]
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,17 @@ class Grid2D:
         object.__setattr__(self, "inside", inside)
         object.__setattr__(self, "interior", interior)
         object.__setattr__(self, "boundary", inside & ~interior)
+
+    def segment_mask(self, names):
+        """Boundary-node mask of the segments ``names`` of a single-rectangle
+        domain; corners belong to both adjacent segments."""
+        self.domain.boundary_segments()   # refuses a union of rectangles
+        edges = {"bottom": np.s_[:, 0], "right": np.s_[-1, :],
+                 "top": np.s_[:, -1], "left": np.s_[0, :]}
+        mask = np.zeros((self.nx, self.ny), dtype=bool)
+        for name in names:
+            mask[edges[name]] = True
+        return mask & self.boundary
 
     def meshgrid(self):
         return np.meshgrid(self.xs, self.ys, indexing="ij")

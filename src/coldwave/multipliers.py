@@ -80,9 +80,13 @@ class MultiplierSpec:
                 Q1 = math.exp(2.0 * delta * max(k_max, 0.0))
             except OverflowError:
                 Q1 = math.inf
-            Q2 = math.exp(min(k_min, 0.0))
-            if Q1 == math.inf or Q2 == 0.0:
-                q = "Q1 is not finite" if Q1 == math.inf else "Q2 is not > 0"
+            mu2 = min(k_min, 0.0)
+            Q2 = math.exp(mu2)
+            q = ("Q1 is not finite" if Q1 == math.inf
+                 else "Q2 is not > 0" if Q2 == 0.0
+                 else "6 delta mu2 / Q2 is not finite"
+                 if math.isinf(6.0 * delta * mu2 / Q2) else None)
+            if q:
                 raise SpecInvalid(f"{q} for K in [{k_min!r}, {k_max!r}]")
             warnings = ()
             if k_min < 0.0 and 6.0 * delta >= Q2:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 from .errors import (FactorizationFailure, GridTooLarge,
                      InadmissibleBoundary, InsufficientLevels)
-from .grid import Grid2D
+from .grid import Domain, Grid2D
 from .multipliers import boundary_admissible, require_domain
 from .operators import KAPPA_MAX, assemble_dirichlet, assemble_mixed
 from .quadrature import (decompose_cells, integrate_h1_density,
@@ -412,24 +412,6 @@ def solve_closed_dirichlet(problem, grid):
     )
 
 
-def _segment_node_mask(grid, segment_names):
-    """Boundary-node mask of the union of named segments (single-rect
-    domains; corners belong to both adjacent segments)."""
-    mask = np.zeros((grid.nx, grid.ny), dtype=bool)
-    for seg in grid.domain.boundary_segments():
-        if seg.name not in segment_names:
-            continue
-        if seg.name == "bottom":
-            mask[:, 0] = True
-        elif seg.name == "top":
-            mask[:, -1] = True
-        elif seg.name == "left":
-            mask[0, :] = True
-        elif seg.name == "right":
-            mask[-1, :] = True
-    return mask & grid.boundary
-
-
 def solve_mixed(problem, grid, spec):
     """Min-norm least squares for the first-order mixed system.
 
@@ -448,9 +430,8 @@ def solve_mixed(problem, grid, spec):
         raise InadmissibleBoundary(
             f"boundary sign conditions fail on segments {bad}"
         )
-    g_mask = _segment_node_mask(grid, set(problem.G))
-    all_names = {s.name for s in grid.domain.boundary_segments()}
-    offg_mask = _segment_node_mask(grid, all_names - set(problem.G))
+    g_mask = grid.segment_mask(problem.G)
+    offg_mask = grid.segment_mask(set(Domain.SEGMENTS) - set(problem.G))
     A, idx1, idx2 = assemble_mixed(grid, problem.kappa, g_mask, offg_mask)
 
     f1_fn, f2_fn = problem.forcing

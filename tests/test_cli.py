@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldwave import cli
 from coldwave import config as cfg
@@ -719,11 +720,14 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("box, message", [
         ("0:1e300:0:1", "Q1 is not finite for K in [-1.0, 1e+300]"),
-        ("-1000:1:-1:1", "Q2 is not > 0 for K in [-1001.0, 1.0]")])
+        ("-1000:1:-1:1", "Q2 is not > 0 for K in [-1001.0, 1.0]"),
+        ("-740:1:-1:1",
+         "6 delta mu2 / Q2 is not finite for K in [-741.0, 1.0]")])
     def test_energy_check_multiplier_out_of_range(self, box, message,
                                                   tmp_path, capsys):
         # exp(2 delta max K) overflowed to an internal error, and exp(min K)
-        # underflowed to 0 with a RuntimeWarning and a pass
+        # underflowed to 0, or to a subnormal Q2 that overflows 6 delta K /
+        # Q2, with a RuntimeWarning and a pass
         out = tmp_path / "e.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -760,19 +764,24 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("command, bracket", [
         ("cutoffs", "1:inf"), ("resonances", "1e6:inf")])
-    def test_infinite_bracket(self, hydrogen_json, command, bracket, capsys):
-        assert main([command, "--plasma", hydrogen_json,
+    def test_infinite_bracket(self, hydrogen_json, command, bracket,
+                              tmp_path, capsys):
+        out = tmp_path / "roots.json"
+        assert main(["--out", str(out), command, "--plasma", hydrogen_json,
                      "--bracket", bracket]) == 1
-        assert capsys.readouterr().err \
-            == f"invalid input: bracket {bracket!r} must have finite bounds\n"
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --bracket: must be finite, got {bracket!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bracket", ["abc:1", "1:2e"])
     def test_bracket_bound_not_a_number(self, hydrogen_json, bracket,
-                                        capsys):
-        assert main(["cutoffs", "--plasma", hydrogen_json,
+                                        tmp_path, capsys):
+        out = tmp_path / "roots.json"
+        assert main(["--out", str(out), "cutoffs", "--plasma", hydrogen_json,
                      "--bracket", bracket]) == 1
-        assert capsys.readouterr().err \
-            == f"invalid input: bracket {bracket!r} must have numeric bounds\n"
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --bracket: invalid bracket: {bracket!r}\n")
+        assert not out.exists()
 
 
 class TestNonFiniteConfig:
@@ -1145,6 +1154,126 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: coldwave stix")
 
 
+class TestFlagTypes:
+    """--omegas, --thetas and --bracket are read and checked by their
+    argparse types when the command line is parsed: a refused value
+    exits 1 with a usage error naming the flag, before the plasma file
+    is read and before any output is written."""
+
+    @pytest.mark.parametrize("plasma", ["hydrogen", "missing"])
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["cutoffs", "--bracket", "5:1"], "--bracket",
+         "must have 0 < low < high, got '5:1'"),
+        (["resonances", "--bracket", "0:1e6"], "--bracket",
+         "must have 0 < low < high, got '0:1e6'"),
+        (["cutoffs", "--bracket", "1e6"], "--bracket",
+         "must be 'low:high', got '1e6'"),
+        (["resonances", "--bracket=nan:1e6"], "--bracket",
+         "must be finite, got 'nan:1e6'"),
+        (["dispersion", "--omegas", "1e9", "--thetas", "90degs"], "--thetas",
+         "invalid theta grid: '90degs'"),
+        (["dispersion", "--omegas", "1e9", "--thetas", "0:1deg:1.5"],
+         "--thetas", "invalid theta grid: '0:1deg:1.5'"),
+        (["dispersion", "--omegas", "1e9:2e9:3.5", "--thetas", "0"],
+         "--omegas", "invalid omega grid: '1e9:2e9:3.5'"),
+        (["dispersion", "--omegas", "1e9:2e9:0", "--thetas", "0"],
+         "--omegas", "count must be >= 1, got '1e9:2e9:0'"),
+        (["dispersion", "--omegas", "1e9:2e9", "--thetas", "0"], "--omegas",
+         "must be 'a,b,c' or start:stop:count[:log], got '1e9:2e9'"),
+        (["dispersion", "--omegas", "1e9:2e9:3:cubic", "--thetas", "0"],
+         "--omegas",
+         "must be 'a,b,c' or start:stop:count[:log], got '1e9:2e9:3:cubic'"),
+        (["dispersion", "--omegas", "1e9", "--thetas", "0:1:3:log"],
+         "--thetas", "log spacing needs positive endpoints, got '0:1:3:log'"),
+        (["dispersion", "--omegas", "1e9,,2e9", "--thetas", "0"], "--omegas",
+         "invalid omega grid: '1e9,,2e9'"),
+        (["dispersion", "--omegas", "1e9", "--thetas", "0,,1"], "--thetas",
+         "invalid theta grid: '0,,1'"),
+        (["dispersion", "--omegas=", "--thetas", "0"], "--omegas",
+         "invalid omega grid: ''"),
+        (["dispersion", "--omegas", "0,1e9", "--thetas", "0"], "--omegas",
+         "must be positive, got '0,1e9'"),
+        (["dispersion", "--omegas=-1e9:1e9:3", "--thetas", "0"], "--omegas",
+         "must be positive, got '-1e9:1e9:3'"),
+        (["dispersion", "--omegas", "1e9", "--thetas=-1e308:1e308:3"],
+         "--thetas", "must be finite, got '-1e308:1e308:3'"),
+        (["dispersion", "--omegas", "1:2:100000000000000000000",
+          "--thetas", "0"], "--omegas",
+         "invalid omega grid: '1:2:100000000000000000000'"),
+    ], ids=["bracket-reversed", "bracket-zero", "bracket-one-bound",
+            "bracket-nan", "angle-not-a-number",
+            "angle-range-count-not-an-int",
+            "grid-spec-count-not-an-int", "grid-spec-count-zero",
+            "grid-spec-two-parts", "grid-spec-spacing", "grid-spec-log-zero",
+            "omegas-empty-token", "thetas-empty-token", "omegas-empty",
+            "omegas-not-positive", "omegas-range-not-positive",
+            "thetas-range-overflow", "omegas-count-beyond-array-size"])
+    def test_refused_before_any_output(self, argv, flag, message, plasma,
+                                       hydrogen_json, tmp_path, capsys):
+        path = hydrogen_json if plasma == "hydrogen" else str(
+            tmp_path / "missing.json")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), argv[0], "--plasma", path,
+                     *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: coldwave {argv[0]}")
+        assert err.endswith(f"error: argument {flag}: {message}\n")
+        assert not out.exists()
+
+    @staticmethod
+    def parsed(flag, text):
+        """The value of dispersion or cutoffs ``flag`` read from ``text``."""
+        command = ["cutoffs"] if flag == "--bracket" else [
+            "dispersion", "--omegas=1", "--thetas=0"]
+        args = build_parser().parse_args(
+            [*command, "--plasma", "p.json", f"{flag}={text}"])
+        return getattr(args, flag[2:])
+
+    @pytest.mark.parametrize("flag, text, value", [
+        ("--bracket", "1e8:1e9", (1e8, 1e9)),
+        ("--thetas", "90deg", [math.radians(90.0)]),
+        ("--thetas", "1.5708rad", [1.5708]),
+        ("--thetas", "0.5", [0.5]),
+        ("--thetas", "0deg,90deg", [0.0, math.radians(90.0)]),
+        ("--thetas", "0:90deg:3", np.linspace(0.0, math.radians(90.0), 3)),
+        ("--omegas", "1,2,3", [1.0, 2.0, 3.0]),
+        ("--omegas", "0.5:1:5:lin", [0.5, 0.625, 0.75, 0.875, 1.0]),
+        ("--omegas", "1:100:3:log", np.geomspace(1.0, 100.0, 3)),
+    ])
+    def test_accepted_values(self, flag, text, value):
+        got = self.parsed(flag, text)
+        if flag == "--bracket":
+            assert got == value
+        else:
+            assert got.dtype == np.float64
+            assert got.tolist() == list(value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=20))
+    def test_list_is_its_floats(self, values):
+        got = self.parsed("--thetas", ",".join(map(repr, values)))
+        assert got.tobytes() == np.array(values).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(bounds=st.lists(st.floats(-1e300, 1e300), min_size=2,
+                           max_size=2),
+           count=st.integers(1, 200))
+    def test_range_is_linspace(self, bounds, count):
+        a, b = bounds
+        got = self.parsed("--thetas", f"{a!r}:{b!r}:{count}")
+        assert got.tobytes() == np.linspace(a, b, count).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(bounds=st.lists(st.floats(5e-324, 1e308), min_size=2,
+                           max_size=2),
+           count=st.integers(1, 200))
+    def test_log_range_is_geomspace(self, bounds, count):
+        a, b = bounds
+        got = self.parsed("--omegas", f"{a!r}:{b!r}:{count}:log")
+        assert got.tobytes() == np.geomspace(a, b, count).tobytes()
+
+
 class TestParserReuse:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
@@ -1238,19 +1367,32 @@ class TestDispersionCsv:
     repeated omega/theta/C cells formatted once, equals the CSV of one
     full scan byte for byte."""
 
-    @pytest.mark.parametrize("omegas,thetas", [
+    HALF_PI = "1.5707963267948966"
+
+    @pytest.mark.parametrize("omegas,thetas,omega_grid,theta_grid", [
         # n_theta divides BLOCK_ROWS; 150 omegas are not whole blocks
-        ("1e6:1e14:150:log", "0:1.5707963267948966:64"),
+        ("1e6:1e14:150:log", f"0:{HALF_PI}:64",
+         np.geomspace(1e6, 1e14, 150), np.linspace(0.0, math.pi / 2, 64)),
         # n_theta does not divide BLOCK_ROWS
-        ("1e6:1e14:97:log", "0:1.5707963267948966:100"),
+        ("1e6:1e14:97:log", f"0:{HALF_PI}:100",
+         np.geomspace(1e6, 1e14, 97), np.linspace(0.0, math.pi / 2, 100)),
         # n_theta > BLOCK_ROWS: one omega per block
-        ("1e6:1e14:3:log", f"0:1.5:{output.BLOCK_ROWS + 7}"),
-        ("1e6", "0:1.5707963267948966:100"),
-        ("1e9,2e9", "0,15deg,45deg,90deg"),
-    ])
+        ("1e6:1e14:3:log", f"0:1.5:{output.BLOCK_ROWS + 7}",
+         np.geomspace(1e6, 1e14, 3),
+         np.linspace(0.0, 1.5, output.BLOCK_ROWS + 7)),
+        ("1e6", f"0:{HALF_PI}:100",
+         np.array([1e6]), np.linspace(0.0, math.pi / 2, 100)),
+        ("1e9,2e9", "0,15deg,45deg,90deg", np.array([1e9, 2e9]),
+         np.radians([0.0, 15.0, 45.0, 90.0])),
+    ], ids=["1e6:1e14:150:log-0:1.5707963267948966:64",
+            "1e6:1e14:97:log-0:1.5707963267948966:100",
+            f"1e6:1e14:3:log-0:1.5:{output.BLOCK_ROWS + 7}",
+            "1e6-0:1.5707963267948966:100",
+            "1e9,2e9-0,15deg,45deg,90deg"])
     def test_matches_full_scan(self, hydrogen_json, tmp_path, omegas,
-                               thetas):
-        self._check(hydrogen_json, tmp_path, omegas, thetas)
+                               thetas, omega_grid, theta_grid):
+        self._check(hydrogen_json, tmp_path, omegas, thetas, omega_grid,
+                    theta_grid)
 
     def test_cyclotron_rows(self, hydrogen_json, tmp_path):
         pl = cfg.parse_plasma(cfg.load_json(hydrogen_json))
@@ -1258,22 +1400,25 @@ class TestDispersionCsv:
                         + [cyclotron_frequency(sp, pl.B0)
                            for sp in pl.species])
         text = self._check(hydrogen_json, tmp_path,
-                           ",".join(map(repr, omegas)), "0:90deg:100")
+                           ",".join(map(repr, omegas)), "0:90deg:100",
+                           omegas, np.linspace(0.0, math.pi / 2, 100))
         flagged = [line for line in text.splitlines()
                    if line.endswith(",cyclotron_resonance")]
         assert len(flagged) == 2 * 100
         assert all(",nan," in line for line in flagged)
 
     @staticmethod
-    def _check(plasma_json, tmp_path, omegas, thetas):
+    def _check(plasma_json, tmp_path, omegas, thetas, omega_grid,
+               theta_grid):
+        """The CSV of ``--omegas omegas --thetas thetas`` against the scan
+        of the grids they stand for."""
         out = tmp_path / "scan.csv"
         assert main(["--out", str(out), "dispersion", "--plasma",
                      plasma_json, "--omegas", omegas,
                      "--thetas", thetas]) == 0
         columns = dispersion_scan(
-            cfg.parse_plasma(cfg.load_json(plasma_json)),
-            cfg.parse_grid_spec(omegas),
-            cfg.parse_grid_spec(thetas, angle=True))
+            cfg.parse_plasma(cfg.load_json(plasma_json)), omega_grid,
+            theta_grid)
         oracle = csv_oracle(SCAN_HEADER, zip(*(expanded(col).tolist()
                                               for col in columns.values())))
         text = out.read_bytes().decode()
@@ -1315,8 +1460,9 @@ class TestNonFiniteGrids:
         assert main(["--out", str(out), "dispersion", "--plasma",
                      hydrogen_json, "--omegas=" + omegas,
                      "--thetas=" + thetas]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"invalid input: {grid} grid values must be finite")
+        text = omegas if grid == "omega" else thetas
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --{grid}s: must be finite, got {text!r}\n")
         assert not out.exists()
 
     def test_scan_rejects_nan_omega(self, hydrogen):

@@ -223,27 +223,6 @@ class TestFieldConfig:
             cfg.parse_field({"kind": "mystery"})
 
 
-class TestParsers:
-    def test_bracket(self):
-        assert cfg.parse_bracket("1e8:1e9") == (1e8, 1e9)
-        with pytest.raises(ValueError):
-            cfg.parse_bracket("5:1")
-
-    def test_angle(self):
-        assert cfg.parse_angle("90deg") == pytest.approx(math.pi / 2)
-        assert cfg.parse_angle("1.5708rad") == pytest.approx(1.5708)
-        assert cfg.parse_angle("0.5") == 0.5
-
-    def test_grid_spec(self):
-        assert cfg.parse_grid_spec("1,2,3") == [1.0, 2.0, 3.0]
-        lin = cfg.parse_grid_spec("0:1:5")
-        assert lin == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-        log = cfg.parse_grid_spec("1:100:3:log")
-        assert log == pytest.approx([1.0, 10.0, 100.0])
-        angles = cfg.parse_grid_spec("0deg,90deg", angle=True)
-        assert angles == pytest.approx([0.0, math.pi / 2])
-
-
 class TestForcingRegistry:
     @staticmethod
     def forcing(kind, rect=(0.0, 1.0, 0.0, 1.0), bc="closed_dirichlet"):
@@ -436,7 +415,13 @@ class TestOutput:
     @given(blocks=st.lists(encoded_blocks(), max_size=3))
     def test_encoded_column_is_its_expansion(self, blocks):
         plain = [tuple(map(expanded, block)) for block in blocks]
-        assert_same_text(csv_text("h", blocks), csv_text("h", plain))
+        try:
+            expected = csv_text("h", plain)
+        except UnicodeEncodeError:   # a lone surrogate has no UTF-8 bytes
+            with pytest.raises(UnicodeEncodeError):
+                csv_text("h", blocks)
+            return
+        assert_same_text(csv_text("h", blocks), expected)
 
     def test_encoded_column_edge_cases(self):
         values = np.array([0.5, -2.0])

@@ -102,9 +102,12 @@ class TestMultiplierSpec:
 
     @pytest.mark.parametrize("box, message", [
         ((0.0, 1e300, 0.0, 1.0), "Q1 is not finite for K in [-1.0, 1e+300]"),
-        ((-1000.0, 1.0, -1.0, 1.0), "Q2 is not > 0 for K in [-1001.0, 1.0]")])
+        ((-1000.0, 1.0, -1.0, 1.0), "Q2 is not > 0 for K in [-1001.0, 1.0]"),
+        ((-740.0, 1.0, -1.0, 1.0),
+         "6 delta mu2 / Q2 is not finite for K in [-741.0, 1.0]")])
     def test_Q_out_of_range_refused(self, box, message):
-        # exp(2 delta max K) overflows and exp(min K) underflows to 0
+        # exp(2 delta max K) overflows, exp(min K) underflows to 0, and a
+        # subnormal exp(min K) overflows the exponent 6 delta K / Q2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpecInvalid) as err:

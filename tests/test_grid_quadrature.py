@@ -135,6 +135,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Domain(((0, 1, 0, 1), (1, 2, 0, 1))).boundary_segments()
 
+    def test_segment_mask_is_its_lattice_edges(self):
+        g = Grid2D(Domain.rectangle(0, 2, 0, 1), 5, 4)
+        edges = {"bottom": (slice(None), 0), "right": (-1, slice(None)),
+                 "top": (slice(None), -1), "left": (0, slice(None))}
+        assert set(edges) == set(Domain.SEGMENTS)
+        for name, edge in edges.items():
+            want = np.zeros((5, 4), dtype=bool)
+            want[edge] = True
+            assert np.array_equal(g.segment_mask({name}), want)
+        assert np.array_equal(g.segment_mask(Domain.SEGMENTS), g.boundary)
+        assert not g.segment_mask(()).any()
+        union = Domain(((0, 1, 0, 1), (1, 2, 0, 1)))
+        with pytest.raises(ValueError):
+            Grid2D(union, 5, 4).segment_mask({"top"})
+
 
 class TestApplyL:
     def test_constant_field(self, square):

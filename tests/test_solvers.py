@@ -10,7 +10,7 @@ from coldwave.multipliers import MixedMultiplierSpec
 from coldwave.operators import assemble_dirichlet, assemble_mixed
 from coldwave.quadrature import decompose_cells
 from coldwave.solvers import (ModelProblem, _factor,
-                              _min_norm_solve, _segment_node_mask,
+                              _min_norm_solve,
                               fill_estimate, illposedness_diagnostic,
                               require_memory, solve_closed_dirichlet,
                               solve_mixed)
@@ -91,8 +91,8 @@ def mixed_system(n):
     """A and a smooth right-hand side of the acceptance-14 problem
     (kappa 0, G = top, left) on an n x n grid."""
     g = Grid2D(MIXED, n, n)
-    A, _, _ = assemble_mixed(g, 0.0, _segment_node_mask(g, {"top", "left"}),
-                             _segment_node_mask(g, {"bottom", "right"}))
+    A, _, _ = assemble_mixed(g, 0.0, g.segment_mask({"top", "left"}),
+                             g.segment_mask({"bottom", "right"}))
     X, Y = (v[g.interior] for v in g.meshgrid())
     rhs = np.empty(A.shape[0])
     rhs[0::2] = np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
@@ -126,9 +126,8 @@ class TestSparsePath:
     def test_mixed_assembly_matches_dense(self, kappa, G):
         dom = Domain.rectangle(-0.5, 1.0, -0.75, 0.75)
         g = Grid2D(dom, 13, 11)
-        g_mask = _segment_node_mask(g, set(G))
-        off = _segment_node_mask(g, {"bottom", "top", "left", "right"}
-                                 - set(G))
+        g_mask = g.segment_mask(G)
+        off = g.segment_mask(set(Domain.SEGMENTS) - set(G))
         A, idx1, idx2 = assemble_mixed(g, kappa, g_mask, off)
         assert sp.issparse(A)
         assert np.array_equal(A.toarray(), dense_mixed(g, kappa, idx1, idx2))
@@ -155,8 +154,8 @@ class TestSparsePath:
         g = Grid2D(dom, 17, 17)
         sol = solve_mixed(prob, g, spec)
         A, idx1, idx2 = assemble_mixed(
-            g, 0.0, _segment_node_mask(g, {"top", "left"}),
-            _segment_node_mask(g, {"bottom", "right"}))
+            g, 0.0, g.segment_mask({"top", "left"}),
+            g.segment_mask({"bottom", "right"}))
         rhs = np.empty(A.shape[0])
         rhs[0::2] = g.evaluate(f1)[g.interior]
         rhs[1::2] = g.evaluate(f2)[g.interior]
@@ -216,11 +215,11 @@ class TestSparsePath:
         # unknowns - equations = boundary nodes - corners shared by a G
         # segment and a non-G segment, at least 2 (nx + ny) - 8
         grid = Grid2D(Domain.rectangle(*box), nx, ny)
-        names = ("bottom", "right", "top", "left")
+        names = Domain.SEGMENTS
         for bits in range(16):
             G = {name for k, name in enumerate(names) if bits >> k & 1}
-            A = assemble_mixed(grid, 0.5, _segment_node_mask(grid, G),
-                               _segment_node_mask(grid, set(names) - G))[0]
+            A = assemble_mixed(grid, 0.5, grid.segment_mask(G),
+                               grid.segment_mask(set(names) - G))[0]
             shared = sum((names[k] in G) != (names[k - 1] in G)
                          for k in range(4))
             rows, columns = A.shape

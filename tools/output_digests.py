@@ -31,8 +31,9 @@ must resolve, and ``energy-check`` at kappa 1.5 on a 64-node lattice,
 which misses the extremes of K = x - y^2 that the multiplier's Q1 and
 Q2 come from.  Every benchmark step succeeds, so ``FAILING`` holds
 commands that must fail: a non-finite or unparsable ``--box``, an
-unparsable ``--bracket``, a NaN dispersion grid, a ``stix`` frequency
-and two ``cutoffs``/``resonances`` brackets whose square underflows,
+unparsable or reversed ``--bracket``, dispersion grids holding a NaN, a
+frequency of 0 or an empty entry, a ``stix`` frequency and two
+``cutoffs``/``resonances`` brackets whose square underflows,
 ``symbol-check`` of a plasma 1e-6 from its proton cyclotron frequency
 under ``--tol 1e-3``, and configuration files holding a non-finite
 number (a NaN B0 for ``dispersion``, a NaN K11 for ``typemap`` and an
@@ -42,8 +43,9 @@ type (a ``true`` B0 for ``stix``, a number for the ``x_range`` of
 0 and a ``samples`` forcing without ``values`` for ``solve``, an
 ``expression-table`` K11 whose ``xs`` are not increasing for
 ``typemap``), ``energy-check`` at kappa 1.5 on boxes where the
-multiplier's Q1 = exp(2 delta max K) overflows (``--box=0:1e300:0:1``)
-and Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``),
+multiplier's Q1 = exp(2 delta max K) overflows (``--box=0:1e300:0:1``),
+Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``) and Q2 is so
+small that 6 delta min K / Q2 overflows (``--box=-740:1:-1:1``),
 ``solve-mixed --mu 1e308`` on [-1, 1]^2, where the multiplier's s_const
 is not finite, ``stix --omega inf``, and ``symbol-check --omega``
 without ``--plasma``.  Each gives the line of its output file and of its
@@ -104,6 +106,14 @@ FAILING = {
                                      "abc:1"],
     "dispersion-nan-grid": ["dispersion", "--plasma", "{in}/plasma.json",
                             "--omegas", "1e8,nan", "--thetas", "0,1"],
+    "dispersion-omega-not-positive": ["dispersion", "--plasma",
+                                      "{in}/plasma.json", "--omegas", "0,1e9",
+                                      "--thetas", "0,1"],
+    "dispersion-grid-empty-token": ["dispersion", "--plasma",
+                                    "{in}/plasma.json", "--omegas",
+                                    "1e9,,2e9", "--thetas", "0,1"],
+    "cutoffs-bracket-reversed": ["cutoffs", "--plasma", "{in}/plasma.json",
+                                 "--bracket", "5:1"],
     "stix-omega-underflow": ["stix", "--plasma", "{in}/plasma.json",
                              "--omega", "1e-170"],
     # omega = (1 + 1e-6) times the proton cyclotron frequency at 1 T
@@ -138,6 +148,9 @@ FAILING = {
                                  "--trials", "2"],
     "energy-check-q2-underflow": ["energy-check", "--kappa", "1.5",
                                   "--box=-1000:1:-1:1", "--nx", "9",
+                                  "--trials", "2"],
+    "energy-check-q2-subnormal": ["energy-check", "--kappa", "1.5",
+                                  "--box=-740:1:-1:1", "--nx", "9",
                                   "--trials", "2"],
     "solve-mixed-mu-overflow": ["solve-mixed", "--problem",
                                 "{in}/problem-mixed-square.json",
