@@ -421,6 +421,14 @@ class MixedMultiplierSpec:
         c = self.c(y)
         return np.array([[b, c], [-K * c, b]])
 
+    def proviso_density(self, x, y, f1, f2):
+        """|diag(1/|K|, 1) M^T (f1, f2)|^2 at points: the integrand of the
+        mixed problem's proviso int |K^(-1) M^T f|^2."""
+        (m11, m12), (m21, m22) = self.matrix(x, y)
+        w1 = (m11 * f1 + m21 * f2) / np.abs(canonical_type_function(x, y))
+        w2 = m12 * f1 + m22 * f2
+        return w1 * w1 + w2 * w2
+
 
 @dataclass(frozen=True)
 class SegmentReport:

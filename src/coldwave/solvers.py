@@ -4,15 +4,15 @@ Every grid solve factors one square sparse matrix M with SuperLU
 (``scipy.sparse.linalg.splu``) through one routine, ``_factor``, and
 estimates its 1-norm condition number kappa_1 = ||M||_1 *
 est(||M^-1||_1), where est is the Higham-Tisseur block 1-norm estimator
-(SIAM J. Matrix Anal. Appl. 21, 2000, Algorithm 2.4) run with a single,
-deterministic start vector (t = 1).  It runs as a direct loop of
-``lu.solve`` and ``lu.solve(trans="T")`` on the factor, step for step as
-``scipy.sparse.linalg.onenormest(t=1)`` runs it, so it gives the same
-number.  kappa_1 is a lower bound on cond_1(M); it is the reported
-``condition_estimate`` and, for the closed-Dirichlet matrix across
-refinements, the ill-posedness diagnostic.  ||M||_1 and the ||M||_inf of
-the probe come from one pass over |M|, which also finds a zero row or
-column: such an M is singular and is not factored.
+(SIAM J. Matrix Anal. Appl. 21, 2000, Algorithm 2.4):
+``scipy.sparse.linalg.onenormest(t=1)`` of M^-1, applied through the
+factor by ``lu.solve`` and ``lu.solve(trans="T")``.  With one column
+(t = 1) no random start vector is drawn.  kappa_1 is a lower bound on
+cond_1(M); it is the reported ``condition_estimate`` and, for the
+closed-Dirichlet matrix across refinements, the ill-posedness
+diagnostic.  ||M||_1 and the ||M||_inf of the probe come from one pass
+over |M|, which also finds a zero row or column: such an M is singular
+and is not factored.
 
 The factor is static first: MMD ordering on M + M^T with diagonal
 pivots (static pivoting as in SuperLU_DIST, Li & Demmel, SC 1998),
@@ -61,7 +61,6 @@ from .multipliers import boundary_admissible, require_domain
 from .operators import KAPPA_MAX, assemble_dirichlet, assemble_mixed
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_uncut, weighted_norms)
-from .typegeometry import canonical_type_function
 
 _EPS = np.finfo(float).eps
 _LSMR_TOL = 1e-12
@@ -181,11 +180,6 @@ def _abs_sums(M):
     return cols, rows
 
 
-def _norms(cols, rows):
-    """||M||_1 and ||M||_inf from the column and row sums of |M|."""
-    return float(cols.max(initial=0.0)), float(rows.max(initial=0.0))
-
-
 def _backward_error(M, x, b, norm_inf):
     """Normwise backward error ||M x - b||_inf / (||M||_inf ||x||_inf +
     ||b||_inf) of x for M x = b, given ||M||_inf (0 when x and b are
@@ -235,57 +229,24 @@ def _refined_solves(lu, systems):
     return xs
 
 
-def _probe_accepts(M, y, norm_inf):
-    """Whether y, the refined solve of M y = 1, has a backward error at or
-    below PROBE_BACKWARD_ERROR."""
-    b = np.ones(M.shape[0])
-    return _backward_error(M, y, b, norm_inf) <= PROBE_BACKWARD_ERROR
+def _inverse(lu):
+    """M^-1 as a LinearOperator through the factor ``lu`` of M: its
+    products are solves with the factor and its adjoint's are solves
+    with the transposed factor."""
+    import scipy.sparse.linalg as spla
 
+    def solve_t(v):
+        return lu.solve(v, trans="T")
 
-def _inverse_norm1(lu):
-    """Higham-Tisseur estimate of ||M^-1||_1 through the factor ``lu`` of
-    M: their Algorithm 2.4 with one column (t = 1) and at most five
-    iterations, step for step as ``scipy.sparse.linalg.onenormest(t=1)``
-    runs it (sums of |y| in blocks of 2**20 rows, the sign vector with
-    sign(0) = 1, ties of |z| broken by ``argsort``, the first of them
-    compared as Python's ``max`` compares), so the estimate is the same
-    number.  With t = 1 no random start vector is drawn."""
-    n = lu.shape[0]
-    x = np.ones((n, 1))
-    x /= float(n)
-    sign = np.zeros((n, 1))
-    est_old, best, j_max, k = 0, None, None, 1
-    while True:
-        y = lu.solve(x)
-        est = sum(np.sum(np.abs(y[j:j + 2 ** 20]), axis=0)[0]
-                  for j in range(0, n, 2 ** 20))
-        if k >= 2 and (est > est_old or k == 2):
-            best = j_max
-        if k >= 2 and est <= est_old:
-            break
-        est_old, sign_old = est, sign
-        if k > 5:
-            break
-        sign = y.copy()
-        sign[sign == 0] = 1
-        sign /= np.abs(sign)
-        if np.dot(sign[:, 0], sign_old[:, 0]) == n:
-            break
-        h = np.abs(lu.solve(sign, trans="T")[:, 0])
-        top = h[0] if np.isnan(h[0]) else np.nanmax(h)
-        if k >= 2 and top == h[best]:
-            break
-        j_max = np.argsort(h)[-1]
-        x = np.zeros((n, 1))
-        x[j_max] = 1.0
-        k += 1
-    return float(est_old)
+    return spla.LinearOperator(lu.shape, matvec=lu.solve, matmat=lu.solve,
+                               rmatvec=solve_t, rmatmat=solve_t,
+                               dtype=float)
 
 
 def _factor(M, systems=()):
     """SuperLU factor of a square sparse matrix, its condition estimate
-    kappa_1 = ||M||_1 * est(||M^-1||_1) (``_inverse_norm1``), its
-    ordering and the refined solutions of ``systems`` through it.
+    kappa_1 = ||M||_1 * est(||M^-1||_1) (``onenormest`` of ``_inverse``),
+    its ordering and the refined solutions of ``systems`` through it.
 
     The static factor (``MMD_AT_PLUS_A``, diagonal pivots) is kept when
     its probe accepts it.  The probe's two solves also solve
@@ -299,20 +260,25 @@ def _factor(M, systems=()):
     of it can raise an error that does not say "singular" or crash the
     interpreter: it returns the same.
     """
+    import scipy.sparse.linalg as spla
+
     M = M.tocsc()
     _check_finite("matrix", M.data)
     M.sum_duplicates()   # as splu does in place, before |M| is summed
     cols, rows = _abs_sums(M)
     if not (cols.all() and rows.all()):
         return None, np.inf, "COLAMD", None
-    norm1, norm_inf = _norms(cols, rows)
-    probe = (M, None, np.ones(M.shape[0]))
+    norm1 = float(cols.max(initial=0.0))
+    norm_inf = float(rows.max(initial=0.0))
+    ones = np.ones(M.shape[0])
+    probe = (M, None, ones)
     ordering = "MMD_AT_PLUS_A"
     lu = _splu(M, permc_spec=ordering, diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
     if lu is not None:
         y, *xs = _refined_solves(lu, [probe, *systems])
-        if not _probe_accepts(M, y, norm_inf):
+        if not (_backward_error(M, y, ones, norm_inf)
+                <= PROBE_BACKWARD_ERROR):   # a NaN error rejects too
             lu = None   # released before the refactor allocates its own
     if lu is None:
         ordering = "COLAMD"
@@ -320,7 +286,7 @@ def _factor(M, systems=()):
         if lu is None:
             return None, np.inf, ordering, None
         xs = _refined_solves(lu, systems)
-    return lu, norm1 * _inverse_norm1(lu), ordering, xs
+    return lu, norm1 * float(spla.onenormest(_inverse(lu), t=1)), ordering, xs
 
 
 def _lsmr(A, rhs):
@@ -456,15 +422,7 @@ def solve_mixed(problem, grid, spec):
 
     hk = np.sqrt(max(integrate_h1_density(decomp, u1, u2), 0.0))
 
-    def proviso_density(x_, y_, a, b):
-        K = canonical_type_function(x_, y_)
-        babs = spec.b(x_, y_)
-        c = spec.c(y_)
-        w1 = (babs * a - K * c * b) / np.abs(K)
-        w2 = c * a + babs * b
-        return w1 * w1 + w2 * w2
-
-    proviso = integrate_uncut(decomp, proviso_density, (f1, f2))
+    proviso = integrate_uncut(decomp, spec.proviso_density, (f1, f2))
 
     return DiscreteSolution(
         values=(u1, u2),

@@ -684,7 +684,9 @@ class TestFailureTable:
         (MemoryError("7.9 GiB"),
          (2, "numerical failure: out of memory: 7.9 GiB\n")),
         (ValueError("bad value"), (1, "invalid input: bad value\n")),
-        (KeyError("x_range"), (1, "invalid input: 'x_range'\n")),
+        # no reader indexes a mapping with a user's key: a KeyError is a bug
+        (KeyError("x_range"),
+         (2, "internal error: KeyError: 'x_range'\n")),
         (OSError("no such file"), (1, "invalid input: no such file\n")),
         (TypeError("unsupported\noperand"),
          (2, "internal error: TypeError: unsupported operand\n")),

@@ -453,6 +453,17 @@ class TestMixedMultiplierSpec:
         assert M[0, 0] == M[1, 1]
         assert M[1, 0] == pytest.approx(-K * M[0, 1])
 
+    def test_proviso_density_is_weighted_transpose(self, rng):
+        # M^T f with its entries written out
+        spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, 0.75))
+        x, y = rng.uniform(0.0, 1.0, 1000), rng.uniform(0.0, 0.75, 1000)
+        f1, f2 = rng.normal(size=(2, 1000))
+        K, b, c = canonical_type_function(x, y), spec.b(x, y), spec.c(y)
+        w1 = (b * f1 - K * c * f2) / np.abs(K)
+        w2 = c * f1 + b * f2
+        assert np.array_equal(spec.proviso_density(x, y, f1, f2),
+                              w1 * w1 + w2 * w2)
+
     def test_invalid(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
         with pytest.raises(SpecInvalid):

@@ -324,8 +324,9 @@ class TestOneFactor:
                                diag_pivot_thresh=0.0,
                                options={"SymmetricMode": True})
         y, = solvers._refined_solves(static, [(M, None, np.ones(A.shape[0]))])
-        norm_inf = solvers._norms(*solvers._abs_sums(M))[1]
-        assert not solvers._probe_accepts(M, y, norm_inf)
+        norm_inf = float(solvers._abs_sums(M)[1].max())
+        assert solvers._backward_error(M, y, np.ones(A.shape[0]), norm_inf) \
+            > solvers.PROBE_BACKWARD_ERROR
 
     def test_rejected_probe_refactors(self, monkeypatch):
         A, _ = assemble_dirichlet(Grid2D(ORIGIN, 17, 17), 0.5)
@@ -340,6 +341,23 @@ class TestOneFactor:
         assert refactored["lu_nnz"] > kept["lu_nnz"]
         assert (rank, method) == (A.shape[0], "splu")
         assert np.abs(x - x_static).max() <= 1e-10 * np.abs(x).max()
+
+    def test_nan_probe_refactors(self, monkeypatch):
+        A, _ = assemble_dirichlet(Grid2D(ORIGIN, 17, 17), 0.5)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "PROBE_BACKWARD_ERROR", -np.inf)
+            _, cond_colamd, ordering, _ = _factor(A)
+        assert ordering == "COLAMD"
+        real, errors = solvers._backward_error, []
+
+        def nan_first(*args):
+            errors.append(real(*args) if errors else np.nan)
+            return errors[-1]
+
+        monkeypatch.setattr(solvers, "_backward_error", nan_first)
+        _, cond, ordering, _ = _factor(A)
+        assert len(errors) == 1 and np.isnan(errors[0])
+        assert (ordering, cond) == ("COLAMD", cond_colamd)
 
     def test_singular_static_factor_refactors(self, monkeypatch):
         M = sp.csc_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -428,9 +446,9 @@ def separate_solve(A, rhs):
 
 
 class TestSolvePath:
-    """One pass per factor: the batched probe and solve, the direct
-    1-norm estimate and the one-sweep matrix norms reproduce the
-    separate computations bit for bit."""
+    """One pass per factor: the batched probe and solve, the 1-norm
+    estimate through the factor and the one-sweep matrix norms
+    reproduce the separate computations bit for bit."""
 
     @staticmethod
     def matrices():
@@ -443,9 +461,9 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("k", range(6))
     def test_estimate_equals_onenormest(self, k):
-        M = list(self.matrices())[k]
-        lu = _factor(M)[0]
-        assert solvers._inverse_norm1(lu) == onenormest_t1(lu)
+        M = list(self.matrices())[k].tocsc()
+        lu, cond, _, _ = _factor(M)
+        assert cond == float(abs(M).sum(axis=0).max()) * onenormest_t1(lu)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_estimate_equals_onenormest_random(self, seed):
@@ -455,8 +473,8 @@ class TestSolvePath:
                             rng=rng, format="csc")
         M = M + sp.diags_array(rng.choice([-1.0, 1.0], n)
                                * 10.0 ** rng.uniform(-8.0, 0.0, n))
-        lu = _factor(M)[0]
-        assert solvers._inverse_norm1(lu) == onenormest_t1(lu)
+        lu, cond, _, _ = _factor(M)
+        assert cond == float(abs(M).sum(axis=0).max()) * onenormest_t1(lu)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_norms_equal_abs_sums(self, seed):
@@ -465,9 +483,9 @@ class TestSolvePath:
         for matrix in (M, *(list(self.matrices())[:4]),
                        sp.csc_array((5, 5))):
             matrix = matrix.tocsc()
-            assert solvers._norms(*solvers._abs_sums(matrix)) == (
-                float(abs(matrix).sum(axis=0).max()),
-                float(abs(matrix).sum(axis=1).max()))
+            cols, rows = solvers._abs_sums(matrix)
+            assert (cols.max(initial=0.0), rows.max(initial=0.0)) == (
+                abs(matrix).sum(axis=0).max(), abs(matrix).sum(axis=1).max())
 
     @pytest.mark.parametrize("case", ["origin", "hyperbolic", "mixed"])
     def test_batched_equals_separate(self, case):

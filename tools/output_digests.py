@@ -29,7 +29,10 @@ the electron cyclotron frequency underflows, ``layered`` with a
 piecewise-linear ``expression-table`` K11, whose kinks the quadrature
 must resolve, and ``energy-check`` at kappa 1.5 on a 64-node lattice,
 which misses the extremes of K = x - y^2 that the multiplier's Q1 and
-Q2 come from.  Every benchmark step succeeds, so ``FAILING`` holds
+Q2 come from, and ``solve`` and ``illposedness`` (levels 13, 33, 49) on
+the all-hyperbolic box [-2, -0.5] x [-1, 1] at kappa 0.5, whose factor
+the probe rejects, so that kappa_1 of a COLAMD refactor is compared
+too.  Every benchmark step succeeds, so ``FAILING`` holds
 commands that must fail: a non-finite or unparsable ``--box``, an
 unparsable or reversed ``--bracket``, dispersion grids holding a NaN, a
 frequency of 0 or an empty entry, a ``stix`` frequency and two
@@ -90,6 +93,11 @@ FIXED = {
                       "--psi0", "1,0", "--x0", "0.5", "--x1", "2.0"],
     "energy-check-even-lattice": ["--seed", "3", "energy-check", "--kappa",
                                   "1.5", "--nx", "64", "--trials", "20"],
+    "solve-hyperbolic": ["solve", "--problem",
+                         "{in}/problem-hyperbolic.json"],
+    "illposedness-hyperbolic": ["illposedness", "--problem",
+                                "{in}/problem-hyperbolic.json",
+                                "--levels", "13,33,49"],
 }
 # name -> argv of a command that must fail
 FAILING = {
@@ -198,6 +206,10 @@ FIXED_INPUTS = {
     "fields-unsorted-table.json": {"K11": {
         "kind": "expression-table", "xs": [1.0, 0.0, 2.0], "zs": [0.0, 1.0],
         "values": [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]}},
+    # all hyperbolic: the probe rejects the static factor at 49 nodes
+    "problem-hyperbolic.json": {
+        "kappa": 0.5, "domain": {"rects": [[-2.0, -0.5, -1.0, 1.0]]},
+        "grid": {"nx": 49, "ny": 49}, "forcing": {"kind": "one"}},
     "problem-mixed-square.json": {
         "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
         "grid": {"nx": 9, "ny": 9}, "bc": {"type": "mixed",
