@@ -25,8 +25,8 @@ from .errors import (EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_NUMERICAL,
 from .grid import Domain, Grid2D
 from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
                           bump_coefficients, bump_gram)
-from .solvers import (illposedness_diagnostic, require_memory,
-                      solve_closed_dirichlet, solve_mixed)
+from .solvers import (illposedness_diagnostic, solve_closed_dirichlet,
+                      solve_mixed)
 
 # Largest symbol-check --kmax: |k|^6, and 64 |k|^6 for the doubled k,
 # stay far below the float range.
@@ -183,12 +183,12 @@ def cmd_layered(args):
     return EXIT_OK
 
 
-def _write_solution(args, header, grid, sol, arrays):
-    """Solution CSV, one row per inside node in row-major order, and the
-    run summary (to --summary, else a stderr note)."""
-    i, j = np.nonzero(grid.inside)
-    output.write_csv(header, [(
-        (grid.xs, i), (grid.ys, j), *(a[i, j] for a in arrays))], args.out)
+def _write_solution(args, header, sol, arrays):
+    """Solution CSV, one row per inside node of ``sol.grid`` in row-major
+    order, and the run summary (to --summary, else a stderr note)."""
+    i, j = np.nonzero(sol.grid.inside)
+    output.write_csv(header, [((sol.grid.xs, i), (sol.grid.ys, j),
+                               *(a[i, j] for a in arrays))], args.out)
     summary = {"residual_norm": sol.residual_norm,
                "condition_estimate": sol.condition_estimate,
                "rank": sol.rank, **sol.norms, **sol.diagnostics}
@@ -201,24 +201,15 @@ def _write_solution(args, header, grid, sol, arrays):
 
 def cmd_solve(args):
     problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
-    if problem.bc != "closed_dirichlet":
-        raise ValueError("solve expects a closed_dirichlet problem; "
-                         "use solve-mixed")
-    require_memory(problem.bc, nx, ny)
-    grid = Grid2D(problem.domain, nx, ny)
-    sol = solve_closed_dirichlet(problem, grid)
-    return _write_solution(args, "x,y,u", grid, sol, [sol.values])
+    sol = solve_closed_dirichlet(problem, nx, ny)
+    return _write_solution(args, "x,y,u", sol, [sol.values])
 
 
 def cmd_solve_mixed(args):
     problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
-    if problem.bc != "mixed":
-        raise ValueError("solve-mixed expects a mixed problem")
-    require_memory(problem.bc, nx, ny)
     spec = MixedMultiplierSpec(problem.domain, mu=args.mu, delta=args.mdelta)
-    grid = Grid2D(problem.domain, nx, ny)
-    sol = solve_mixed(problem, grid, spec)
-    return _write_solution(args, "x,y,u1,u2", grid, sol, sol.values)
+    sol = solve_mixed(problem, nx, ny, spec)
+    return _write_solution(args, "x,y,u1,u2", sol, sol.values)
 
 
 def cmd_energy_check(args):

@@ -36,18 +36,15 @@ import math
 
 import numpy as np
 
-from .constants import M_ELECTRON, M_PROTON
 from .electrostatics import LayeredProblem
 from .fields import Field2D
 from .grid import Domain
 from .operators import KAPPA_MAX
-from .plasma import PlasmaState, Species
+from .plasma import PlasmaState, Species, electron, proton
 from .solvers import ModelProblem
 
-SPECIES_ALIASES = {
-    "electron": {"mass_kg": M_ELECTRON, "charge_sign": -1},
-    "proton": {"mass_kg": M_PROTON, "charge_sign": +1},
-}
+SPECIES_ALIASES = {s.name: {"mass_kg": s.mass, "charge_sign": s.charge_sign}
+                   for s in (electron(), proton())}
 
 GRID_MIN = 8
 

@@ -399,8 +399,6 @@ class MixedMultiplierSpec:
                 raise SpecInvalid(f"{name}={value!r} is not finite for "
                                   f"mu={mu!r} on {self.domain.rects}")
             object.__setattr__(self, name, value)
-        if float(c.max()) >= 0.0:
-            raise SpecInvalid("mu y - t must be negative on the domain")
 
     def m(self, sign):
         return 0.5 * (self.mu + self.delta) if sign > 0 \

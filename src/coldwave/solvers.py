@@ -45,10 +45,10 @@ L + U), the ``ordering`` of the factor ("MMD_AT_PLUS_A" for the kept
 static factor, "COLAMD" after a rejected probe) and the
 ``backward_error`` of the returned x on A x = f, whichever path ran.
 
-The factor's memory is estimated before any assembly from one fill
-model, lu_nnz ~ FILL_C * m**FILL_P in the order m of M, and a grid
-whose estimate exceeds the machine's memory (physical memory, capped by
-RLIMIT_AS when that is set) raises GridTooLarge.
+Every solve builds its grids from the problem through ``_grids``,
+which first refuses the other boundary condition and raises
+GridTooLarge where the fill model lu_nnz ~ FILL_C * m**FILL_P, in the
+order m of M, exceeds the memory (physical, capped by RLIMIT_AS).
 """
 
 import numpy as np
@@ -109,13 +109,14 @@ class ModelProblem:
 class DiscreteSolution:
     """Grid solution with residual, conditioning, and weighted norms.
 
-    ``values`` is the scalar nodal field, or the (u1, u2) pair for the
-    mixed problem; constrained/outside nodes carry the imposed zeros.
+    ``values`` is the scalar nodal field on ``grid``, or the (u1, u2) pair
+    for the mixed problem; constrained/outside nodes carry the imposed zeros.
     ``rank`` is the number of equations after a nonsingular factor and
     None after the LSMR fallback; ``diagnostics["method"]`` names the
     path ("splu" or "lsmr").
     """
 
+    grid: Grid2D
     values: object
     residual_norm: float
     condition_estimate: float
@@ -164,6 +165,17 @@ def require_memory(bc, nx, ny):
             f"grid nx={nx}, ny={ny} needs an estimated {need / 1e6:.0f} MB "
             f"for its sparse factor, above the {budget / 1e6:.0f} MB memory "
             "budget")
+
+
+def _grids(problem, bc, shapes):
+    """Grids of ``problem.domain``, one per (nx, ny) of ``shapes``, each
+    built when taken; first ``problem.bc`` must be ``bc`` (ValueError) and
+    every shape must pass ``require_memory`` (GridTooLarge)."""
+    if problem.bc != bc:
+        raise ValueError(f"problem.bc must be {bc!r}")
+    for nx, ny in shapes:
+        require_memory(bc, nx, ny)
+    return (Grid2D(problem.domain, nx, ny) for nx, ny in shapes)
 
 
 def _abs_sums(M):
@@ -304,7 +316,7 @@ def _lsmr(A, rhs):
     return x
 
 
-def _min_norm_solve(A, rhs, sizes=None):
+def _min_norm_solve(A, rhs):
     """Min-norm least-squares solution of the sparse system A x = rhs.
 
     A square A is factored itself and a wide A by corrected seminormal
@@ -312,11 +324,11 @@ def _min_norm_solve(A, rhs, sizes=None):
     step, x = lift(M^-1 rhs), x += lift(M^-1 (rhs - A x)), with lift the
     identity or A^T, in the same solves as the factor's probe.  Any A
     whose factor is exactly singular or has kappa_1 * eps >= 1 goes to
-    LSMR.  Returns (x, condition_estimate, rank, method): kappa_1 of the
-    factored matrix (A or N), the full row count after a usable factor
-    and None after the fallback.  A dict ``sizes`` receives the factor's
-    ``lu_nnz`` (None without a factor), its ``ordering`` and the
-    ``backward_error`` of x on A x = rhs.
+    LSMR.  Returns (x, condition_estimate, rank, method, sizes): kappa_1
+    of the factored matrix (A or N), the full row count after a usable
+    factor and None after the fallback, and the ``unknowns`` and ``nnz``
+    of A, the factor's ``lu_nnz`` (None without a factor), its
+    ``ordering`` and the ``backward_error`` of x on A x = rhs.
     """
     m, n = A.shape
     lu, cond, ordering, xs = _factor(A if m == n else A @ A.T,
@@ -326,14 +338,13 @@ def _min_norm_solve(A, rhs, sizes=None):
     else:
         x, rank, method = xs[0], m, "splu"
     _check_finite("solution", x)
-    if sizes is not None:
-        sizes["lu_nnz"] = None if lu is None else int(lu.nnz)
-        sizes["ordering"] = ordering
-        # ||A||_inf summed in A's own (CSR) order: the CSC sweep of
-        # _abs_sums adds each row in another order
-        sizes["backward_error"] = _backward_error(
-            A, x, rhs, float(abs(A).sum(axis=1).max()))
-    return x, cond, rank, method
+    # ||A||_inf summed in A's own (CSR) order: the CSC sweep of
+    # _abs_sums adds each row in another order
+    norm_inf = float(abs(A).sum(axis=1).max())
+    return x, cond, rank, method, {
+        "unknowns": n, "nnz": A.nnz,
+        "lu_nnz": None if lu is None else int(lu.nnz), "ordering": ordering,
+        "backward_error": _backward_error(A, x, rhs, norm_inf)}
 
 
 def _forcing_values(forcing, grid):
@@ -350,24 +361,26 @@ def _forcing_values(forcing, grid):
     return arr
 
 
-def solve_closed_dirichlet(problem, grid):
-    """Solve L_h u = f with u = 0 on the boundary.
+def solve_closed_dirichlet(problem, nx, ny):
+    """Solve L_h u = f with u = 0 on the boundary, on the nx x ny grid
+    of ``problem.domain``, which ``_grids`` checks and builds.
 
     The system is square on the interior unknowns; ill conditioning is
     expected (and reported) on domains meeting the sonic curve, and a
     singular factor falls back to the min-norm least-squares solution.
     No uniqueness is implied by the returned solution.
     """
+    grid, = _grids(problem, "closed_dirichlet", [(nx, ny)])
     A, idx = assemble_dirichlet(grid, problem.kappa)
     f = _forcing_values(problem.forcing, grid)[grid.interior]
-    sizes = {"unknowns": A.shape[1], "nnz": A.nnz}
-    x, cond, rank, method = _min_norm_solve(A, f, sizes)
+    x, cond, rank, method, sizes = _min_norm_solve(A, f)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - f))
     values = np.zeros((grid.nx, grid.ny))
     values[grid.interior] = x
     norms = weighted_norms(values, grid, include_dual=False)
     return DiscreteSolution(
+        grid=grid,
         values=values,
         residual_norm=residual,
         condition_estimate=cond,
@@ -378,17 +391,17 @@ def solve_closed_dirichlet(problem, grid):
     )
 
 
-def solve_mixed(problem, grid, spec):
-    """Min-norm least squares for the first-order mixed system.
+def solve_mixed(problem, nx, ny, spec):
+    """Min-norm least squares for the first-order mixed system, on the
+    nx x ny grid of ``problem.domain``, which ``_grids`` checks and builds.
 
     Imposes u1 = 0 on G and u2 = 0 on the complementary boundary after
     checking the sign conditions of ``spec``, a multiplier of
-    ``grid.domain`` (InadmissibleBoundary when they fail).  The proviso
+    ``problem.domain`` (InadmissibleBoundary when they fail).  The proviso
     int |K^(-1) M^T f|^2 is sampled over uncut cells and reported in
     ``diagnostics`` together with the excluded cut-cell area.
     """
-    if problem.bc != "mixed":
-        raise ValueError("problem.bc must be 'mixed'")
+    grid, = _grids(problem, "mixed", [(nx, ny)])
     require_domain(grid, spec)
     report = boundary_admissible(problem.G, spec)
     if not report.admissible:
@@ -408,8 +421,7 @@ def solve_mixed(problem, grid, spec):
     rhs[0::2] = f1[ii, jj]
     rhs[1::2] = f2[ii, jj]
 
-    sizes = {"unknowns": A.shape[1], "nnz": A.nnz}
-    x, cond, rank, method = _min_norm_solve(A, rhs, sizes)
+    x, cond, rank, method, sizes = _min_norm_solve(A, rhs)
     scale = np.sqrt(grid.hx * grid.hy)
     residual = scale * float(np.linalg.norm(A @ x - rhs))
 
@@ -425,6 +437,7 @@ def solve_mixed(problem, grid, spec):
     proviso = integrate_uncut(decomp, spec.proviso_density, (f1, f2))
 
     return DiscreteSolution(
+        grid=grid,
         values=(u1, u2),
         residual_norm=residual,
         condition_estimate=cond,
@@ -444,20 +457,16 @@ def illposedness_diagnostic(problem, levels):
     kappa_1 is inf where the factor is exactly singular.
 
     Returns [(h, condition_estimate)] in the given level order; at
-    least three levels are required, and every level passes
-    ``require_memory`` before the first is assembled.  The estimates
-    are reported per level and are not expected to be monotone (on an
-    origin box they fall from 129 to 257 nodes per axis).
+    least three levels are required, and ``_grids`` checks every level
+    before the first is built.  The estimates are reported per level
+    and are not expected to be monotone (on an origin box they fall
+    from 129 to 257 nodes per axis).
     """
-    if problem.bc != "closed_dirichlet":
-        raise ValueError("problem.bc must be 'closed_dirichlet'")
     if len(levels) < 3:
         raise InsufficientLevels("need at least 3 refinement levels")
-    for n in levels:
-        require_memory("closed_dirichlet", int(n), int(n))
     out = []
-    for n in levels:
-        grid = Grid2D(problem.domain, int(n), int(n))
+    for grid in _grids(problem, "closed_dirichlet",
+                       [(int(n), int(n)) for n in levels]):
         A, _ = assemble_dirichlet(grid, problem.kappa)
         cond = _factor(A)[1]
         out.append((max(grid.hx, grid.hy), cond))

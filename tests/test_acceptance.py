@@ -281,8 +281,8 @@ def test_12_manufactured_elliptic_convergence():
     prob = ModelProblem(kappa, dom, forcing=f_fn)
     errs = []
     for n in (17, 33, 65):
-        g = Grid2D(dom, n, n)
-        sol = solve_closed_dirichlet(prob, g)
+        sol = solve_closed_dirichlet(prob, n, n)
+        g = sol.grid
         X, Y = g.meshgrid()
         errs.append(float(np.sqrt(
             g.hx * g.hy * np.sum((sol.values - u_fn(X, Y)) ** 2))))
@@ -325,7 +325,7 @@ def test_14_mixed_problem_plumbing():
     f1 = lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * np.pi * y)
     f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
     prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed", G=G)
-    sol = solve_mixed(prob, Grid2D(dom, 65, 65), spec)
+    sol = solve_mixed(prob, 65, 65, spec)
     ratio = sol.residual_norm / sol.diagnostics["forcing_norm"]
     report(14, admissible and not flipped and ratio < 1e-6,
            f"kappa=0 first-quadrant box: admissible={admissible}, "

@@ -711,14 +711,20 @@ class TestInputChecks:
             "must be positive\n")
         assert not out.exists()
 
-    def test_illposedness_refuses_mixed_problem(self, mixed_json, tmp_path,
-                                                capsys):
-        out = tmp_path / "ill.json"
-        assert main(["--out", str(out), "illposedness", "--problem",
-                     mixed_json, "--levels", "9,13,17"]) == 1
-        assert capsys.readouterr().err \
-            == "invalid input: problem.bc must be 'closed_dirichlet'\n"
-        assert not out.exists()
+    def test_illposedness_refuses_mixed_problem(self, problem_json,
+                                                mixed_json, tmp_path, capsys):
+        # solve and solve-mixed refuse the other problem as illposedness
+        # does, with the message of the solver that refuses it
+        out = tmp_path / "out"
+        for argv, bc in (
+                (["illposedness", "--problem", mixed_json,
+                  "--levels", "9,13,17"], "closed_dirichlet"),
+                (["solve", "--problem", mixed_json], "closed_dirichlet"),
+                (["solve-mixed", "--problem", problem_json], "mixed")):
+            assert main(["--out", str(out), *argv]) == 1
+            assert capsys.readouterr().err \
+                == f"invalid input: problem.bc must be {bc!r}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("box, message", [
         ("0:1e300:0:1", "Q1 is not finite for K in [-1.0, 1e+300]"),
@@ -1319,8 +1325,8 @@ class TestSolutionCsv:
         assert main(["--quiet", "--out", str(out), "solve", "--problem",
                      str(path)]) == 0
         problem, (nx, ny) = cfg.parse_problem(cfg.load_json(str(path)))
-        grid = Grid2D(problem.domain, nx, ny)
-        u = solve_closed_dirichlet(problem, grid).values
+        sol = solve_closed_dirichlet(problem, nx, ny)
+        grid, u = sol.grid, sol.values
         assert not grid.inside.all()
         rows = [(grid.xs[i], grid.ys[j], u[i, j])
                 for i in range(nx) for j in range(ny) if grid.inside[i, j]]
@@ -1361,7 +1367,7 @@ class TestSampleForcings:
         problem = ModelProblem(0.5, domain, np.zeros((5, 7)))
         with pytest.raises(ValueError, match=r"shape \(5, 7\), grid needs "
                                              r"\(9, 9\)"):
-            solve_closed_dirichlet(problem, Grid2D(domain, 9, 9))
+            solve_closed_dirichlet(problem, 9, 9)
 
 
 class TestDispersionCsv:

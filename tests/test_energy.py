@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
 from coldwave import multipliers
@@ -434,6 +434,26 @@ class TestMixedMultiplierSpec:
         assert (b > np.sqrt(np.maximum(-K, 0.0)) * np.abs(c)).all()
         assert (b * b + K * c * c > 0.0).all()
         assert (c < 0.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(-1e15, 1e15), min_size=2, max_size=2,
+                       unique=True),
+           ys=st.lists(st.floats(-1e17, 1e17), min_size=2, max_size=2,
+                       unique=True),
+           mu=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           frac=st.floats(1e-3, 0.999))
+    @example(xs=[0.0, 1.0], ys=[0.0, 1e16], mu=1.0, frac=0.05)
+    def test_c_negative_by_construction(self, xs, ys, mu, frac):
+        # t >= nextafter(top) > top = mu max(0, max y) >= mu y at every
+        # lattice point; on [0, 1] x [0, 1e16], 1 + top == top, and only
+        # the nextafter term keeps c < 0
+        (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
+        dom = Domain.rectangle(x0, x1, y0, y1)
+        spec = built_or_refused(
+            lambda: MixedMultiplierSpec(dom, mu=mu, delta=mu * frac))
+        assume(spec is not None)
+        Y = Grid2D(dom, SPEC_SAMPLES, SPEC_SAMPLES).meshgrid()[1]
+        assert (spec.c(Y) < 0.0).all()
 
     @pytest.mark.parametrize("y1, mu, t", [
         (1e15, 1.0, 1.0 + 1e15),

@@ -134,9 +134,9 @@ class TestSparsePath:
 
     @pytest.mark.parametrize("dom", [ORIGIN, ELLIPTIC])
     def test_dirichlet_matches_dense_solve(self, dom):
-        g = Grid2D(dom, 17, 17)
         f = lambda x, y: np.exp(-x ** 2 - y ** 2) + x
-        sol = solve_closed_dirichlet(ModelProblem(0.5, dom, forcing=f), g)
+        sol = solve_closed_dirichlet(ModelProblem(0.5, dom, forcing=f), 17, 17)
+        g = sol.grid
         A, _ = assemble_dirichlet(g, 0.5)
         x = np.linalg.solve(A.toarray(), g.evaluate(f)[g.interior])
         assert np.abs(sol.values[g.interior] - x).max() \
@@ -151,8 +151,8 @@ class TestSparsePath:
         f2 = lambda x, y: np.cos(np.pi * x) * np.sin(np.pi * y) + 0.3
         prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed",
                             G=("top", "left"))
-        g = Grid2D(dom, 17, 17)
-        sol = solve_mixed(prob, g, spec)
+        sol = solve_mixed(prob, 17, 17, spec)
+        g = sol.grid
         A, idx1, idx2 = assemble_mixed(
             g, 0.0, g.segment_mask({"top", "left"}),
             g.segment_mask({"bottom", "right"}))
@@ -187,7 +187,7 @@ class TestSparsePath:
         b = rng.normal(size=12)
         lu, cond, _, _ = _factor(A)
         assert lu is None or cond * np.finfo(float).eps >= 1.0
-        x, cond, rank, method = _min_norm_solve(A, b)
+        x, cond, rank, method, _ = _min_norm_solve(A, b)
         assert (rank, method) == (None, "lsmr")
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
@@ -230,7 +230,7 @@ class TestSparsePath:
         M = rng.normal(size=(9, 16)) * (rng.random((9, 16)) < 0.4)
         M[np.arange(9), np.arange(9)] += 4.0   # full row rank
         b = rng.normal(size=9)
-        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
+        x, cond, rank, method, _ = _min_norm_solve(sp.csr_array(M), b)
         assert (rank, method) == (9, "splu")
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
@@ -238,8 +238,7 @@ class TestSparsePath:
     @pytest.mark.parametrize("n", [17, 33, 65])
     def test_wide_system_matches_kkt_and_lstsq(self, n):
         A, rhs = mixed_system(n)
-        sizes = {}
-        x, cond, rank, method = _min_norm_solve(A, rhs, sizes)
+        x, cond, rank, method, sizes = _min_norm_solve(A, rhs)
         assert (rank, method) == (A.shape[0], "splu")
         oracles = [kkt_solve(A, rhs)]
         if n <= 33:   # dense lstsq at 65^2 is a 7938 x 8192 SVD
@@ -256,8 +255,7 @@ class TestSparsePath:
         V = np.linalg.qr(rng.normal(size=(50, 30)))[0]
         M = (U * np.logspace(0.0, -5.0, 30)) @ V.T
         b = rng.normal(size=30)
-        sizes = {}
-        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b, sizes)
+        x, cond, rank, method, sizes = _min_norm_solve(sp.csr_array(M), b)
         assert (rank, method) == (30, "splu")
         assert sizes["ordering"] == "MMD_AT_PLUS_A"
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
@@ -268,15 +266,14 @@ class TestSparsePath:
         M[np.arange(9), np.arange(9)] += 4.0
         M[8] = M[3]   # duplicated row: A A^T is singular
         b = rng.normal(size=9)
-        x, cond, rank, method = _min_norm_solve(sp.csr_array(M), b)
+        x, cond, rank, method, _ = _min_norm_solve(sp.csr_array(M), b)
         assert (rank, method) == (None, "lsmr")
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
     def test_normal_factor_fills_less_than_kkt(self):
         A, rhs = mixed_system(129)
-        sizes = {}
-        _min_norm_solve(A, rhs, sizes)
+        sizes = _min_norm_solve(A, rhs)[4]
         assert sizes["ordering"] == "MMD_AT_PLUS_A"
         assert sizes["lu_nnz"] < 0.5 * kkt_factor(A).nnz
 
@@ -304,7 +301,7 @@ class TestOneFactor:
         f = lambda x, y: np.sin(np.pi * (x + 1.05) / 2.0) \
             * np.sin(np.pi * (y + 1.02) / 2.0)
         sol = solve_closed_dirichlet(ModelProblem(0.5, ORIGIN, forcing=f),
-                                     Grid2D(ORIGIN, n, n))
+                                     n, n)
         assert sol.diagnostics["method"] == "splu"
         assert sol.diagnostics["ordering"] == "MMD_AT_PLUS_A"
         assert sol.diagnostics["backward_error"] <= 1e-14
@@ -312,13 +309,12 @@ class TestOneFactor:
     @pytest.mark.parametrize("n", [49, 97])
     def test_hyperbolic_box_refactors_with_colamd(self, n):
         # diagonal pivots leave a backward error of 4e-6 to 9e-5 here
-        g = Grid2D(HYPERBOLIC, n, n)
         sol = solve_closed_dirichlet(
             ModelProblem(0.5, HYPERBOLIC, forcing=lambda x, y: x * y + 1.0),
-            g)
+            n, n)
         assert sol.diagnostics["ordering"] == "COLAMD"
         assert sol.diagnostics["backward_error"] <= 1e-14
-        A, _ = assemble_dirichlet(g, 0.5)
+        A, _ = assemble_dirichlet(sol.grid, 0.5)
         M = A.tocsc()
         static = solvers._splu(M, permc_spec="MMD_AT_PLUS_A",
                                diag_pivot_thresh=0.0,
@@ -331,11 +327,9 @@ class TestOneFactor:
     def test_rejected_probe_refactors(self, monkeypatch):
         A, _ = assemble_dirichlet(Grid2D(ORIGIN, 17, 17), 0.5)
         b = np.cos(np.arange(A.shape[0]))
-        kept = {}
-        x_static = _min_norm_solve(A, b, kept)[0]
+        x_static, _, _, _, kept = _min_norm_solve(A, b)
         monkeypatch.setattr(solvers, "PROBE_BACKWARD_ERROR", 0.0)
-        refactored = {}
-        x, cond, rank, method = _min_norm_solve(A, b, refactored)
+        x, cond, rank, method, refactored = _min_norm_solve(A, b)
         assert (kept["ordering"], refactored["ordering"]) \
             == ("MMD_AT_PLUS_A", "COLAMD")
         assert refactored["lu_nnz"] > kept["lu_nnz"]
@@ -391,7 +385,7 @@ class TestOneFactor:
                             lambda M, **settings: calls.append(settings))
         A = sp.csr_array(A)
         assert _factor(A) == (None, np.inf, "COLAMD", None)
-        x, cond, rank, method = _min_norm_solve(A, np.ones(n))
+        x, cond, rank, method, _ = _min_norm_solve(A, np.ones(n))
         assert (cond, rank, method) == (np.inf, None, "lsmr")
         assert calls == []
         assert np.all(np.isfinite(x))
@@ -402,15 +396,13 @@ class TestOneFactor:
         if shape[0] == shape[1]:
             M[:, 5] = M[:, 2]   # singular: the LSMR path
         A, b = sp.csr_array(M), rng.normal(size=shape[0])
-        sizes = {}
-        x = _min_norm_solve(A, b, sizes)[0]
+        x, _, _, _, sizes = _min_norm_solve(A, b)
         assert sizes["backward_error"] == pytest.approx(
             backward_error(A, x, b), rel=1e-12)
 
     def test_zero_system_has_zero_backward_error(self):
         A, _ = assemble_dirichlet(Grid2D(ORIGIN, 9, 9), 0.5)
-        sizes = {}
-        _min_norm_solve(A, np.zeros(A.shape[0]), sizes)
+        sizes = _min_norm_solve(A, np.zeros(A.shape[0]))[4]
         assert sizes["backward_error"] == 0.0
 
 
@@ -441,8 +433,8 @@ def separate_solve(A, rhs):
     norm_inf = float(abs(A).sum(axis=1).max())
     error = float(np.abs(A @ x - rhs).max()) / (
         norm_inf * float(np.abs(x).max()) + float(np.abs(rhs).max()))
-    return x, cond, {"lu_nnz": int(lu.nnz), "ordering": ordering,
-                     "backward_error": error}
+    return x, cond, {"unknowns": n, "nnz": A.nnz, "lu_nnz": int(lu.nnz),
+                     "ordering": ordering, "backward_error": error}
 
 
 class TestSolvePath:
@@ -495,8 +487,7 @@ class TestSolvePath:
             dom = ORIGIN if case == "origin" else HYPERBOLIC
             A, _ = assemble_dirichlet(Grid2D(dom, 49, 49), 0.5)
             rhs = np.cos(np.arange(A.shape[0]))
-        sizes = {}
-        x, cond, rank, method = _min_norm_solve(A, rhs, sizes)
+        x, cond, rank, method, sizes = _min_norm_solve(A, rhs)
         x_ref, cond_ref, sizes_ref = separate_solve(A, rhs)
         assert np.array_equal(x, x_ref)
         assert cond == cond_ref
@@ -520,13 +511,11 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("n", [65, 129])
     def test_fill_model_within_factor_two(self, n, monkeypatch):
         A, rhs = mixed_system(n)
-        sizes = {}
-        _min_norm_solve(A, rhs, sizes)
+        sizes = _min_norm_solve(A, rhs)[4]
         # the Dirichlet model is the envelope of the COLAMD refactor
         monkeypatch.setattr(solvers, "PROBE_BACKWARD_ERROR", 0.0)
         D, _ = assemble_dirichlet(Grid2D(ORIGIN, n, n), 0.5)
-        square = {}
-        _min_norm_solve(D, np.ones(D.shape[0]), square)
+        square = _min_norm_solve(D, np.ones(D.shape[0]))[4]
         for bc, got in (("mixed", sizes), ("closed_dirichlet", square)):
             estimate = fill_estimate(solvers.factor_order(bc, n, n))
             assert 0.5 <= estimate / got["lu_nnz"] <= 2.0
@@ -561,6 +550,32 @@ class TestMemoryBudget:
         assert assembled == []
 
 
+class TestEntryChecks:
+    """Each grid solve checks its problem's boundary condition and the
+    memory of its factor before it builds a grid."""
+
+    def test_dirichlet_solve_refuses_mixed_problem(self):
+        # solved as Dirichlet, a mixed problem gave a zero solution
+        prob = ModelProblem(0.0, MIXED, bc="mixed", G=("top", "left"))
+        with pytest.raises(ValueError,
+                           match="problem.bc must be 'closed_dirichlet'"):
+            solve_closed_dirichlet(prob, 17, 17)
+
+    @pytest.mark.parametrize("bc", ["closed_dirichlet", "mixed"])
+    def test_oversized_grid_refused_before_grid(self, bc, monkeypatch):
+        spec = MixedMultiplierSpec(MIXED)
+        solve = {"closed_dirichlet": solve_closed_dirichlet,
+                 "mixed": lambda *args: solve_mixed(*args, spec)}[bc]
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(solvers, "_memory_budget", lambda: 1)
+        monkeypatch.setattr(solvers, "Grid2D", no_grid)
+        with pytest.raises(GridTooLarge, match="nx=17, ny=13"):
+            solve(ModelProblem(0.0, MIXED, bc=bc), 17, 13)
+
+
 class TestModelProblem:
     def test_kappa_range(self):
         dom = Domain.rectangle(-1, 1, -1, 1)
@@ -573,17 +588,15 @@ class TestModelProblem:
 class TestClosedDirichlet:
     def test_zero_forcing_zero_solution(self):
         dom = Domain.rectangle(-1, 1, -1, 1)
-        g = Grid2D(dom, 17, 17)
-        sol = solve_closed_dirichlet(ModelProblem(0.5, dom), g)
+        sol = solve_closed_dirichlet(ModelProblem(0.5, dom), 17, 17)
         assert np.abs(sol.values).max() == 0.0
         assert sol.residual_norm == 0.0
 
     def test_boundary_values_exact_zero(self):
         dom = Domain.rectangle(1.5, 2.5, -0.4, 0.4)
         _, f = manufactured_forcing(0.5)
-        g = Grid2D(dom, 17, 17)
-        sol = solve_closed_dirichlet(ModelProblem(0.5, dom, forcing=f), g)
-        assert np.abs(sol.values[g.boundary]).max() == 0.0
+        sol = solve_closed_dirichlet(ModelProblem(0.5, dom, forcing=f), 17, 17)
+        assert np.abs(sol.values[sol.grid.boundary]).max() == 0.0
 
     def test_manufactured_convergence(self):
         kappa = 0.5
@@ -592,8 +605,8 @@ class TestClosedDirichlet:
         prob = ModelProblem(kappa, dom, forcing=f)
         errs = []
         for n in (9, 17, 33):
-            g = Grid2D(dom, n, n)
-            sol = solve_closed_dirichlet(prob, g)
+            sol = solve_closed_dirichlet(prob, n, n)
+            g = sol.grid
             X, Y = g.meshgrid()
             errs.append(np.sqrt(g.hx * g.hy
                                 * np.sum((sol.values - ustar(X, Y)) ** 2)))
@@ -602,20 +615,18 @@ class TestClosedDirichlet:
 
     def test_union_domain_solve(self):
         dom = Domain(((1.2, 2.2, -0.4, 0.4), (2.2, 3.2, -0.4, 0.0)))
-        g = Grid2D(dom, 21, 9)
         prob = ModelProblem(0.5, dom,
                             forcing=lambda x, y: np.sin(x) * np.cos(y))
-        sol = solve_closed_dirichlet(prob, g)
+        sol = solve_closed_dirichlet(prob, 21, 9)
         assert np.isfinite(sol.values).all()
-        assert np.abs(sol.values[~g.interior]).max() == 0.0
+        assert np.abs(sol.values[~sol.grid.interior]).max() == 0.0
         assert sol.residual_norm <= 1e-10
 
     def test_degenerate_domain_reports_condition(self):
         dom = Domain.rectangle(-1, 1, -1, 1)
-        g = Grid2D(dom, 17, 17)
         prob = ModelProblem(0.5, dom,
                             forcing=lambda x, y: np.exp(-x ** 2 - y ** 2))
-        sol = solve_closed_dirichlet(prob, g)
+        sol = solve_closed_dirichlet(prob, 17, 17)
         assert np.isfinite(sol.condition_estimate)
         assert sol.condition_estimate > 1.0
         assert "l2_weighted" in sol.norms and "h1_weighted" in sol.norms
@@ -637,18 +648,17 @@ class TestMixed:
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         prob = ModelProblem(0.0, dom, forcing=(zero, zero), bc="mixed",
                             G=("top", "left"))
-        sol = solve_mixed(prob, Grid2D(dom, 17, 17), spec)
+        sol = solve_mixed(prob, 17, 17, spec)
         u1, u2 = sol.values
         assert np.abs(u1).max() == 0.0 and np.abs(u2).max() == 0.0
         assert sol.residual_norm == 0.0
 
     def test_smooth_forcing_small_residual(self, setup):
-        dom, spec, prob = setup
-        sol = solve_mixed(prob, Grid2D(dom, 33, 33), spec)
+        _, spec, prob = setup
+        sol = solve_mixed(prob, 33, 33, spec)
         fn = sol.diagnostics["forcing_norm"]
         assert sol.residual_norm <= 1e-6 * fn
         u1, u2 = sol.values
-        g = Grid2D(dom, 33, 33)
         # constraints honored exactly
         assert np.abs(u1[:, -1]).max() == 0.0  # top in G
         assert np.abs(u1[0, :]).max() == 0.0   # left in G
@@ -662,14 +672,14 @@ class TestMixed:
         bad = ModelProblem(0.0, dom, forcing=(zero, zero), bc="mixed",
                            G=("bottom",))
         with pytest.raises(InadmissibleBoundary):
-            solve_mixed(bad, Grid2D(dom, 17, 17), spec)
+            solve_mixed(bad, 17, 17, spec)
 
     def test_domain_mismatch_refused(self, setup):
         # the spec's t and s_const, and its boundary, are its own domain's
-        _, spec, prob = setup
-        g = Grid2D(Domain.rectangle(0.0, 1.0, 0.0, 1.0), 17, 17)
+        _, _, prob = setup
+        spec = MixedMultiplierSpec(Domain.rectangle(0.0, 1.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="not the multiplier's domain"):
-            solve_mixed(prob, g, spec)
+            solve_mixed(prob, 17, 17, spec)
 
     def test_conormal_runs_and_reports(self):
         # lens-like box with corners on the sonic curve admits G = empty
@@ -678,27 +688,26 @@ class TestMixed:
         f1 = lambda x, y: np.sin(np.pi * x) * y
         f2 = lambda x, y: np.cos(np.pi * y) * x
         prob = ModelProblem(0.0, dom, forcing=(f1, f2), bc="mixed", G=())
-        sol = solve_mixed(prob, Grid2D(dom, 17, 17), spec)
+        sol = solve_mixed(prob, 17, 17, spec)
         assert "integrability_sampled" in sol.diagnostics
         assert sol.residual_norm < 1e-8
 
     def test_kappa_zero_matches_statement(self, setup):
-        dom, spec, prob = setup
+        _, spec, prob = setup
         assert prob.kappa == 0.0
-        sol = solve_mixed(prob, Grid2D(dom, 17, 17), spec)
+        sol = solve_mixed(prob, 17, 17, spec)
         assert sol.rank > 0
 
     def test_acceptance_14_problem_at_129(self, setup):
-        dom, spec, prob = setup
-        sol = solve_mixed(prob, Grid2D(dom, 129, 129), spec)
+        _, spec, prob = setup
+        sol = solve_mixed(prob, 129, 129, spec)
         assert sol.residual_norm < 1e-6 * sol.diagnostics["forcing_norm"]
         assert sol.diagnostics["method"] == "splu"
 
     def test_excluded_measure_is_cut_area(self, setup):
-        dom, spec, prob = setup
-        grid = Grid2D(dom, 17, 17)
-        sol = solve_mixed(prob, grid, spec)
-        cut_area = decompose_cells(grid).cut_area
+        _, spec, prob = setup
+        sol = solve_mixed(prob, 17, 17, spec)
+        cut_area = decompose_cells(sol.grid).cut_area
         assert cut_area > 0.0
         assert sol.diagnostics["excluded_measure"] == cut_area
 

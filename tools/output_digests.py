@@ -50,8 +50,11 @@ multiplier's Q1 = exp(2 delta max K) overflows (``--box=0:1e300:0:1``),
 Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``) and Q2 is so
 small that 6 delta min K / Q2 overflows (``--box=-740:1:-1:1``),
 ``solve-mixed --mu 1e308`` on [-1, 1]^2, where the multiplier's s_const
-is not finite, ``stix --omega inf``, and ``symbol-check --omega``
-without ``--plasma``.  Each gives the line of its output file and of its
+is not finite, ``solve`` of a mixed problem and ``solve-mixed`` of a
+closed Dirichlet one, ``solve`` and ``solve-mixed`` on grids of
+100001 x 100001 nodes, whose factor no machine's memory holds,
+``stix --omega inf``, and ``symbol-check --omega`` without
+``--plasma``.  Each gives the line of its output file and of its
 stderr, with ``-`` for the seed and ``fixed`` or ``errors`` for the
 workload, so that error text and exit codes are compared too.  In that
 stderr the temporary input directory reads ``{in}``, so that a message
@@ -163,6 +166,13 @@ FAILING = {
     "solve-mixed-mu-overflow": ["solve-mixed", "--problem",
                                 "{in}/problem-mixed-square.json",
                                 "--mu", "1e308"],
+    "solve-mixed-problem": ["solve", "--problem",
+                            "{in}/problem-mixed-square.json"],
+    "solve-mixed-dirichlet-problem": ["solve-mixed", "--problem",
+                                      "{in}/problem-hyperbolic.json"],
+    "solve-oversized": ["solve", "--problem", "{in}/problem-oversized.json"],
+    "solve-mixed-oversized": ["solve-mixed", "--problem",
+                              "{in}/problem-mixed-oversized.json"],
     "stix-omega-inf": ["stix", "--plasma", "{in}/plasma.json",
                        "--omega", "inf"],
     "symbol-check-omega-without-plasma": ["symbol-check", "--omega", "1e9",
@@ -214,6 +224,14 @@ FIXED_INPUTS = {
         "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
         "grid": {"nx": 9, "ny": 9}, "bc": {"type": "mixed",
                                            "G": ["top", "left"]}},
+    # estimated factors of about 3.6e8 MB (solve) and 8.2e8 MB (mixed)
+    "problem-oversized.json": {
+        "kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
+        "grid": {"nx": 100001, "ny": 100001}},
+    "problem-mixed-oversized.json": {
+        "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
+        "grid": {"nx": 100001, "ny": 100001},
+        "bc": {"type": "mixed", "G": ["top", "left"]}},
 }
 
 
