@@ -2,6 +2,8 @@
 
 Node (i, j) sits at (xs[i], ys[j]); masks partition nodes into interior
 (all four lattice neighbors inside the domain), boundary, and outside.
+A grid evaluates the type function K = x - y^2 at its nodes once, when
+built, and the operators read it from there.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +105,8 @@ class Domain:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform lattice over a domain's bounding box with node masks."""
+    """Uniform lattice over a domain's bounding box with node masks and
+    K = x - y^2 at every node."""
 
     domain: Domain
     nx: int
@@ -115,6 +118,7 @@ class Grid2D:
     inside: np.ndarray = field(init=False, repr=False)
     interior: np.ndarray = field(init=False, repr=False)
     boundary: np.ndarray = field(init=False, repr=False)
+    K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
@@ -136,6 +140,7 @@ class Grid2D:
         object.__setattr__(self, "inside", inside)
         object.__setattr__(self, "interior", interior)
         object.__setattr__(self, "boundary", inside & ~interior)
+        object.__setattr__(self, "K", canonical_type_function(X, Y))
 
     def segment_mask(self, names):
         """Boundary-node mask of the segments ``names`` of a single-rectangle
@@ -150,11 +155,6 @@ class Grid2D:
 
     def meshgrid(self):
         return np.meshgrid(self.xs, self.ys, indexing="ij")
-
-    def type_values(self):
-        """x - y^2 at every node."""
-        X, Y = self.meshgrid()
-        return canonical_type_function(X, Y)
 
     def evaluate(self, fn):
         """Evaluate a callable (x, y) -> value on the full lattice."""

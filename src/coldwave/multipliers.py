@@ -9,6 +9,11 @@ domain read kappa from it.  Its two coefficient regimes, a property of
 kappa, cover the closed-Dirichlet drift range
 (``operators.KAPPA_MAX``).  A matrix multiplier with boundary sign
 conditions serves the mixed first-order problem.
+
+The coefficients take K, not the point: ``boundary_admissible``
+evaluates K once per segment's samples, and every other caller reads
+it from a grid (``Grid2D.K``) or from quadrature points
+(``SidePoints.K``).
 """
 
 import math
@@ -117,9 +122,9 @@ class MultiplierSpec:
         "kappa_low"."""
         return "kappa_high" if self.kappa >= 1.0 else "kappa_low"
 
-    def b(self, x, y, sign):
-        """Branch of b on the side of the sonic curve given by sign."""
-        K = canonical_type_function(x, y)
+    def b(self, K, sign):
+        """Branch of b at type values K on the side of the sonic curve
+        given by sign."""
         if self.regime == "kappa_high":
             if sign > 0:
                 return np.exp(2.0 * self.delta * K / self.Q1)
@@ -170,8 +175,8 @@ def verify_energy_inequality(u, spec, grid, decomp=None):
     Lu = apply_L(u, grid, spec.kappa)
 
     def pairing(sign):
-        def fn(x, y, uv, uxv, uyv, luv):
-            return (-uv + spec.b(x, y, sign) * uxv
+        def fn(K, x, y, uv, uxv, uyv, luv):
+            return (-uv + spec.b(K, sign) * uxv
                     + spec.c(y) * uyv) * luv
         return fn
 
@@ -344,11 +349,11 @@ def bump_gram(grid, spec):
     # b u_x + c u_y; each term of S pairs a factor of M u with one of L u
     lu = ((xpdxx + spec.kappa * pdx, qy), (-pdxx, yyq), (px, qdyy))
     mu = ((lambda s: -s.weight, px, qy),
-          (lambda s: s.weight * spec.b(s.x, s.y, s.sign), pdx, qy),
+          (lambda s: s.weight * spec.b(s.K, s.sign), pdx, qy),
           (lambda s: s.weight * spec.c(s.y), px, qdy))
     S = gram([(fn, [(a, la, b, lb) for la, lb in lu]) for fn, a, b in mu])
     W = gram([
-        (lambda s: s.weight * np.abs(canonical_type_function(s.x, s.y)),
+        (lambda s: s.weight * np.abs(s.K),
          [(pdx, pdx, qy, qy)]),
         (lambda s: s.weight, [(px, px, qdy, qdy)])])
     return BumpGram(S, W)
@@ -380,9 +385,8 @@ class MixedMultiplierSpec:
             raise SpecInvalid("delta must be in (0, mu)")
         with np.errstate(all="ignore"):
             grid = Grid2D(self.domain, SPEC_SAMPLES, SPEC_SAMPLES)
-            X, Y = grid.meshgrid()
-            Xi, Yi = X[grid.inside], Y[grid.inside]
-            K = canonical_type_function(Xi, Yi)
+            Yi = grid.meshgrid()[1][grid.inside]
+            K = grid.K[grid.inside]
             top = mu * max(0.0, float(Yi.max()))
             # 1 + top can round to top once top reaches 2^53
             t = max(1.0 + top, math.nextafter(top, math.inf))
@@ -404,26 +408,27 @@ class MixedMultiplierSpec:
         return 0.5 * (self.mu + self.delta) if sign > 0 \
             else 0.5 * (self.mu - self.delta)
 
-    def b(self, x, y):
-        K = canonical_type_function(x, y)
+    def b(self, K):
+        """b at type values K."""
         m = np.where(K >= 0.0, self.m(+1), self.m(-1))
         return m * K + self.s_const
 
     def c(self, y):
         return self.mu * y - self.t
 
-    def matrix(self, x, y):
-        """The 2x2 multiplier matrix at a point."""
-        K = canonical_type_function(x, y)
-        b = self.b(x, y)
+    def matrix(self, K, y):
+        """The 2x2 multiplier matrix at a point of type value K and
+        ordinate y."""
+        b = self.b(K)
         c = self.c(y)
         return np.array([[b, c], [-K * c, b]])
 
-    def proviso_density(self, x, y, f1, f2):
-        """|diag(1/|K|, 1) M^T (f1, f2)|^2 at points: the integrand of the
-        mixed problem's proviso int |K^(-1) M^T f|^2."""
-        (m11, m12), (m21, m22) = self.matrix(x, y)
-        w1 = (m11 * f1 + m21 * f2) / np.abs(canonical_type_function(x, y))
+    def proviso_density(self, K, y, f1, f2):
+        """|diag(1/|K|, 1) M^T (f1, f2)|^2 at points of type values K and
+        ordinates y: the integrand of the mixed problem's proviso
+        int |K^(-1) M^T f|^2."""
+        (m11, m12), (m21, m22) = self.matrix(K, y)
+        w1 = (m11 * f1 + m21 * f2) / np.abs(K)
         w2 = m12 * f1 + m22 * f2
         return w1 * w1 + w2 * w2
 
@@ -463,13 +468,14 @@ def boundary_admissible(G, spec, orientation=1):
         dx, dy = orientation * dx / n, orientation * dy / n
         x = seg.start[0] + ts * (seg.end[0] - seg.start[0])
         y = seg.start[1] + ts * (seg.end[1] - seg.start[1])
-        q = spec.b(x, y) * dy - spec.c(y) * dx
+        K = canonical_type_function(x, y)
+        q = spec.b(K) * dy - spec.c(y) * dx
         in_g = seg.name in G
         if in_g:
             vals = q
             ok = bool(vals.max() <= SIGN_TOL)
         else:
-            vals = canonical_type_function(x, y) * q
+            vals = K * q
             ok = bool(vals.min() >= -SIGN_TOL)
         reports.append(SegmentReport(seg.name, in_g, float(vals.min()),
                                      float(vals.max()), ok))

@@ -3,7 +3,8 @@
 Second-order centered stencils at interior lattice points; one-sided
 second-order stencils on the lattice edges so that full-lattice
 applications stay exact for quadratic fields.  The adjoint swaps the
-drift coefficient kappa for 2 - kappa.
+drift coefficient kappa for 2 - kappa.  The coefficient x - y^2 is read
+from the grid (``Grid2D.K``).
 """
 
 import numpy as np
@@ -40,8 +41,7 @@ def gradient(u, grid):
 
 def apply_L(u, grid, kappa):
     """Apply L to a full-lattice field; returns a full-lattice field."""
-    K = grid.type_values()
-    return K * _d2(u, grid.hx, 0) + _d2(u, grid.hy, 1) \
+    return grid.K * _d2(u, grid.hx, 0) + _d2(u, grid.hy, 1) \
         + kappa * _d1(u, grid.hx, 0)
 
 
@@ -64,11 +64,10 @@ def assemble_dirichlet(grid, kappa):
     ii, jj = np.nonzero(interior)
     n = ii.size
     idx[ii, jj] = np.arange(n)
-    K = grid.type_values()
     hx2 = grid.hx * grid.hx
     hy2 = grid.hy * grid.hy
     rows = np.arange(n)
-    Kc = K[ii, jj]
+    Kc = grid.K[ii, jj]
     triplets = [(rows, rows, -2.0 * Kc / hx2 - 2.0 / hy2)]
     for di, dj, coeff in (
         (1, 0, Kc / hx2 + kappa / (2.0 * grid.hx)),
@@ -116,7 +115,7 @@ def assemble_mixed(grid, kappa, g_mask, offg_mask):
 
     ii, jj = np.nonzero(interior)
     n_int = ii.size
-    K = grid.type_values()[ii, jj]
+    K = grid.K[ii, jj]
     r1 = 2 * np.arange(n_int)
     r2 = r1 + 1
     triplets = []

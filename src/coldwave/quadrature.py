@@ -5,8 +5,10 @@ Integrands may take different branches on the two sides of K = x - y^2
 curve are split into polygonal pieces by linear interpolation of K along
 the cell edges, and each piece is integrated at its own centroid.
 ``decompose_cells`` returns one point table per side of K = 0 (the
-uncut cells' centres, then the pieces' centroids), and every integral
-is one pass over each table.
+uncut cells' centres, then the pieces' centroids) that carries the
+exact K at every point, evaluated there once; every integral is one
+pass over each table.  An integrand is called as
+fn(K, x, y, *field_values) and reads K from its argument.
 """
 
 from dataclasses import dataclass
@@ -28,9 +30,9 @@ class SidePoints:
     """Quadrature points on one side (sign = +-1) of K = 0: the centres
     of its ``n_cells`` uncut cells, then the centroids of its cut-cell
     pieces.  Point k lies in cell (i[k], j[k]) at offsets (tx[k], ty[k])
-    in units of the cell sides (1/2 at a centre), at (x[k], y[k]), with
-    weight weight[k].  Fields are read at every point, cell centres
-    included, by their bilinear interpolant."""
+    in units of the cell sides (1/2 at a centre), at (x[k], y[k]), where
+    K = x - y^2 is K[k], with weight weight[k].  Fields are read at every
+    point, cell centres included, by their bilinear interpolant."""
 
     sign: int
     n_cells: int
@@ -40,6 +42,7 @@ class SidePoints:
     ty: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    K: np.ndarray
     weight: np.ndarray
 
     def values(self, F):
@@ -133,9 +136,10 @@ def _split_cut_cells(grid, K, cut):
 
 def decompose_cells(grid):
     """Classify every domain cell (all four corners inside) against the
-    sign of K = x - y^2, split the straddling ones, and tabulate each
-    side's quadrature points."""
-    K = grid.type_values()
+    sign of K = x - y^2 (the grid's nodal K), split the straddling
+    ones, and tabulate each side's quadrature points with the exact K
+    at each."""
+    K = grid.K
     cell_inside = np.logical_and.reduce(_corners(grid.inside))
     cmin = np.minimum.reduce(_corners(K))
     cmax = np.maximum.reduce(_corners(K))
@@ -148,13 +152,15 @@ def decompose_cells(grid):
     for sign, uncut, (pi, pj, pa, px, py) in zip(
             (1, -1), (pos, cell_inside & ~cut & ~pos),
             _split_cut_cells(grid, K, cut)):
-        i, j = np.nonzero(uncut)
-        half = np.full(i.size, 0.5)
-        cells = (i, j, half, half, xc[i], yc[j], np.full(i.size, cell_area))
+        ci, cj = np.nonzero(uncut)
+        half = np.full(ci.size, 0.5)
+        cells = (ci, cj, half, half, xc[ci], yc[cj],
+                 np.full(ci.size, cell_area))
         pieces = (pi, pj, (px - grid.xs[pi]) / grid.hx,
                   (py - grid.ys[pj]) / grid.hy, px, py, pa)
-        sides.append(SidePoints(sign, i.size, *map(
-            np.concatenate, zip(cells, pieces))))
+        i, j, tx, ty, x, y, weight = map(np.concatenate, zip(cells, pieces))
+        sides.append(SidePoints(sign, ci.size, i, j, tx, ty, x, y,
+                                canonical_type_function(x, y), weight))
     return CellDecomposition(tuple(sides), cut, cell_area)
 
 
@@ -165,13 +171,13 @@ def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):
     for pts, fn in zip(decomp.points, (fn_pos, fn_neg)):
         n = None if with_pieces else pts.n_cells
         vals = [pts.values(F)[:n] for F in fields]
-        total += float(np.sum(pts.weight[:n] * fn(pts.x[:n], pts.y[:n],
-                                                   *vals)))
+        total += float(np.sum(pts.weight[:n] * fn(pts.K[:n], pts.x[:n],
+                                                   pts.y[:n], *vals)))
     return total
 
 
 def integrate_uncut(decomp, fn, fields=()):
-    """Midpoint integral of an integrand (x, y, *field_values) over the
+    """Midpoint integral of an integrand (K, x, y, *field_values) over the
     uncut cells only (cells straddling K = 0 are skipped)."""
     return _integrate(decomp, fn, fn, fields, with_pieces=False)
 
@@ -179,16 +185,16 @@ def integrate_uncut(decomp, fn, fields=()):
 def integrate_signed(decomp, fn_pos, fn_neg, fields=()):
     """Integrate a sign-branched integrand over the decomposed cells.
 
-    ``fn_pos``/``fn_neg`` are callables (x, y, *field_values) that are
-    always called with arrays; ``fields`` are nodal arrays interpolated
-    bilinearly to evaluation points (cell centers for uncut cells, piece
-    centroids for cut ones).
+    ``fn_pos``/``fn_neg`` are callables (K, x, y, *field_values) that
+    are always called with arrays, K = x - y^2 read from the points;
+    ``fields`` are nodal arrays interpolated bilinearly to evaluation
+    points (cell centers for uncut cells, piece centroids for cut ones).
     """
     return _integrate(decomp, fn_pos, fn_neg, fields, with_pieces=True)
 
 
-def _h1_density(x, y, a, b):
-    return np.abs(canonical_type_function(x, y)) * a * a + b * b
+def _h1_density(K, x, y, a, b):
+    return np.abs(K) * a * a + b * b
 
 
 def integrate_h1_density(decomp, a, b):
@@ -220,8 +226,8 @@ def weighted_norms(u, grid, include_dual=True):
     decomp = decompose_cells(grid)
     ux, uy = gradient(u, grid)
 
-    def absk_u2(x, y, uv):
-        return np.abs(canonical_type_function(x, y)) * uv * uv
+    def absk_u2(K, x, y, uv):
+        return np.abs(K) * uv * uv
 
     l2sq = integrate_signed(decomp, absk_u2, absk_u2, (u,))
     h1sq = integrate_h1_density(decomp, ux, uy)
@@ -235,8 +241,8 @@ def weighted_norms(u, grid, include_dual=True):
             raise DualNormSingular(f"field is supported on cell ({i}, {j}) "
                                    "straddling the sonic curve")
 
-        def inv_absk_u2(x, y, uv):
-            return uv * uv / np.abs(canonical_type_function(x, y))
+        def inv_absk_u2(K, x, y, uv):
+            return uv * uv / np.abs(K)
 
         dual = np.sqrt(max(integrate_uncut(decomp, inv_absk_u2, (u,)), 0.0))
     return WeightedNorms(

@@ -9,6 +9,7 @@ scalar calls.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -83,6 +84,15 @@ def split_at_poles(a, b, poles):
     return pieces
 
 
+def _geometric_samples(lo, ratio, n):
+    """lo * ratio ** (i / n) for i = 0..n as one array: libm's pow of
+    each correctly rounded i / n, as Python's float power takes it, not
+    numpy's (they differ by an ulp, and the samples bracket the
+    bisection)."""
+    t = (np.arange(n + 1) / n).tolist()
+    return lo * np.fromiter(map(math.pow, repeat(ratio), t), float, n + 1)
+
+
 def scan_roots(f, a, b, poles=()):
     """All sign-change roots of the rows of f on [a, b], avoiding the
     given poles.
@@ -109,10 +119,9 @@ def scan_roots(f, a, b, poles=()):
         ratio = hi / lo
         n = max(8, min(SCAN_SAMPLES, int(SCAN_SAMPLES * math.log(ratio)
                                          / math.log(b / a))))
-        # Python's power, not numpy's: they differ by an ulp, and the
-        # samples bracket the bisection
-        xs = [lo * ratio ** (i / n) for i in range(n + 1)]
-        rows = f(np.array(xs))
+        samples = _geometric_samples(lo, ratio, n)
+        rows = f(samples)
+        xs = samples.tolist()
         if not isinstance(rows, tuple):
             raise TypeError("f must return a tuple of rows")
         for j, row in enumerate(rows):

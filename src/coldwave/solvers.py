@@ -274,7 +274,7 @@ def _factor(M, systems=()):
     """
     import scipy.sparse.linalg as spla
 
-    M = M.tocsc()
+    M = M.tocsc(copy=True)   # a copy even when M is CSC: the caller's stays
     _check_finite("matrix", M.data)
     M.sum_duplicates()   # as splu does in place, before |M| is summed
     cols, rows = _abs_sums(M)
@@ -339,8 +339,9 @@ def _min_norm_solve(A, rhs):
         x, rank, method = xs[0], m, "splu"
     _check_finite("solution", x)
     # ||A||_inf summed in A's own (CSR) order: the CSC sweep of
-    # _abs_sums adds each row in another order
-    norm_inf = float(abs(A).sum(axis=1).max())
+    # _abs_sums adds each row in another order.  abs sums duplicates in
+    # place, so it takes a copy and the caller's A stays as it is
+    norm_inf = float(abs(A.copy()).sum(axis=1).max())
     return x, cond, rank, method, {
         "unknowns": n, "nnz": A.nnz,
         "lu_nnz": None if lu is None else int(lu.nnz), "ordering": ordering,
@@ -434,7 +435,9 @@ def solve_mixed(problem, nx, ny, spec):
 
     hk = np.sqrt(max(integrate_h1_density(decomp, u1, u2), 0.0))
 
-    proviso = integrate_uncut(decomp, spec.proviso_density, (f1, f2))
+    proviso = integrate_uncut(
+        decomp, lambda K, x, y, f1, f2: spec.proviso_density(K, y, f1, f2),
+        (f1, f2))
 
     return DiscreteSolution(
         grid=grid,

@@ -301,6 +301,19 @@ class TestRootScan:
         with pytest.raises(TypeError, match="tuple of rows"):
             rootscan.scan_roots(np.sin, 1.0, 10.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.floats(5e-324, 1e300), min_size=2, max_size=2,
+                         unique=True),
+           n=st.integers(8, rootscan.SCAN_SAMPLES))
+    def test_samples_equal_python_power(self, ends, n):
+        # the samples of a piece, bit for bit as Python's ** gives them
+        lo, hi = sorted(ends)
+        ratio = hi / lo
+        assume(math.isfinite(ratio))
+        expected = [lo * ratio ** (i / n) for i in range(n + 1)]
+        got = rootscan._geometric_samples(lo, ratio, n)
+        assert got.tobytes() == np.array(expected).tobytes()
+
 
 def flat_scan(pl, omegas, thetas):
     """The scan's columns as the 1-D arrays they stand for."""

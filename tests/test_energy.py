@@ -75,10 +75,11 @@ class TestMultiplierSpec:
     def test_exponential_branch_values(self, unit_square):
         spec = MultiplierSpec(1.0, unit_square, delta=0.01)
         # continuous across the cut, different branches away from it
-        assert spec.b(0.0, 0.0, +1) == pytest.approx(1.0)
-        assert spec.b(0.0, 0.0, -1) == pytest.approx(1.0)
-        assert spec.b(1.0, 0.0, +1) <= spec.Q1
-        assert spec.b(-1.0, 1.0, -1) > spec.Q2  # delta small enough here
+        K = canonical_type_function
+        assert spec.b(K(0.0, 0.0), +1) == pytest.approx(1.0)
+        assert spec.b(K(0.0, 0.0), -1) == pytest.approx(1.0)
+        assert spec.b(K(1.0, 0.0), +1) <= spec.Q1
+        assert spec.b(K(-1.0, 1.0), -1) > spec.Q2  # delta small enough here
         assert spec.warnings == ()
 
     @pytest.mark.parametrize("rects, q_exponents", [
@@ -97,8 +98,9 @@ class TestMultiplierSpec:
 
     def test_kappa_low_b_vanishes_on_cut(self, unit_square):
         spec = MultiplierSpec(0.0, unit_square)
-        assert spec.b(0.25, 0.5, +1) == 0.0
-        assert spec.b(0.25, 0.5, -1) == 0.0
+        K = canonical_type_function(0.25, 0.5)
+        assert spec.b(K, +1) == 0.0
+        assert spec.b(K, -1) == 0.0
 
     @pytest.mark.parametrize("box, message", [
         ((0.0, 1e300, 0.0, 1.0), "Q1 is not finite for K in [-1.0, 1e+300]"),
@@ -270,9 +272,9 @@ def gram_reference(grid, spec):
         u, ux, uy, lu = (np.array([pts.values(F) for F in basis])
                          for basis in zip(*fields))
         w = pts.weight
-        mu = (-u + spec.b(pts.x, pts.y, pts.sign) * ux
-              + spec.c(pts.y) * uy)
-        absk = np.abs(canonical_type_function(pts.x, pts.y))
+        K = canonical_type_function(pts.x, pts.y)
+        mu = -u + spec.b(K, pts.sign) * ux + spec.c(pts.y) * uy
+        absk = np.abs(K)
         S = S + (w * mu) @ lu.T
         W = W + (w * absk * ux) @ ux.T + (w * uy) @ uy.T
     return S, W
@@ -404,7 +406,7 @@ class TestMixedMultiplierSpec:
         ys = np.linspace(0, 0.75, 41)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         K = X - Y ** 2
-        b = spec.b(X, Y)
+        b = spec.b(K)
         c = spec.c(Y)
         assert (b > 0).all()
         assert (2 * c * Y + spec.s_const > 0).all()
@@ -428,7 +430,7 @@ class TestMixedMultiplierSpec:
         inside = dom.contains(X, Y)
         X, Y = X[inside], Y[inside]
         K = X - Y * Y
-        b, c = spec.b(X, Y), spec.c(Y)
+        b, c = spec.b(K), spec.c(Y)
         assert (b >= 1.0).all()
         assert (2.0 * c * Y + spec.s_const >= 1.0).all()
         assert (b > np.sqrt(np.maximum(-K, 0.0)) * np.abs(c)).all()
@@ -468,8 +470,8 @@ class TestMixedMultiplierSpec:
 
     def test_matrix_shape(self):
         spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, 0.75))
-        M = spec.matrix(0.5, 0.25)
         K = 0.5 - 0.25 ** 2
+        M = spec.matrix(K, 0.25)
         assert M[0, 0] == M[1, 1]
         assert M[1, 0] == pytest.approx(-K * M[0, 1])
 
@@ -478,10 +480,11 @@ class TestMixedMultiplierSpec:
         spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, 0.75))
         x, y = rng.uniform(0.0, 1.0, 1000), rng.uniform(0.0, 0.75, 1000)
         f1, f2 = rng.normal(size=(2, 1000))
-        K, b, c = canonical_type_function(x, y), spec.b(x, y), spec.c(y)
+        K = canonical_type_function(x, y)
+        b, c = spec.b(K), spec.c(y)
         w1 = (b * f1 - K * c * f2) / np.abs(K)
         w2 = c * f1 + b * f2
-        assert np.array_equal(spec.proviso_density(x, y, f1, f2),
+        assert np.array_equal(spec.proviso_density(K, y, f1, f2),
                               w1 * w1 + w2 * w2)
 
     def test_invalid(self):

@@ -1,3 +1,7 @@
+import ast
+import collections
+import json
+import pathlib
 import sys
 
 import numpy as np
@@ -5,11 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coldwave
 from coldwave import operators as ops
+from coldwave.cli import main
 from coldwave.errors import DualNormSingular
 from coldwave.grid import Domain, Grid2D
+from coldwave.multipliers import MultiplierSpec, bump_gram
 from coldwave.quadrature import (_corners, decompose_cells,
                                  integrate_signed, weighted_norms)
+from coldwave.typegeometry import canonical_type_function
 
 
 def _polygon_area_centroid(poly):
@@ -52,7 +60,7 @@ def _split_cell(corners, values):
 
 def split_cells_one_by_one(grid, cut):
     """The cut-cell pieces of ``decompose_cells``, one cell at a time."""
-    K = grid.type_values()
+    K = grid.K
     xs, ys = grid.xs, grid.ys
     rows = []
     for i, j in zip(*np.nonzero(cut)):
@@ -99,7 +107,7 @@ class TestGrid:
         box = Domain.rectangle(0, 1, -0.3, 0.7)
         assert box.type_range == (-(0.7 * 0.7), 1.0)
         # K peaks at y = 0, which no node of a 65-node lattice holds
-        assert Grid2D(box, 65, 65).type_values().max() < 1.0
+        assert Grid2D(box, 65, 65).K.max() < 1.0
         assert Domain.rectangle(1, 2, 0.5, 1.0).type_range == (0.0, 1.75)
         assert Domain(((-2.0, -1.0, 0.0, 1.0),
                        (1.0, 2.0, 0.5, 1.0))).type_range == (-3.0, 1.75)
@@ -203,7 +211,7 @@ class TestApplyL:
 class TestDecomposition:
     def test_area_conserved(self, square):
         dec = decompose_cells(square)
-        one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+        one = lambda K, x, y: np.ones_like(np.asarray(x, dtype=float))
         assert integrate_signed(dec, one, one) == pytest.approx(4.0, rel=1e-12)
 
     def test_positive_area_converges(self):
@@ -212,8 +220,8 @@ class TestDecomposition:
         for n in (33, 65, 129):
             g = Grid2D(Domain.rectangle(-1, 1, -1, 1), n, n)
             dec = decompose_cells(g)
-            one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-            zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+            one = lambda K, x, y: np.ones_like(np.asarray(x, dtype=float))
+            zero = lambda K, x, y: np.zeros_like(np.asarray(x, dtype=float))
             vals.append(integrate_signed(dec, one, zero))
         errs = [abs(v - 4.0 / 3.0) for v in vals]
         assert errs[0] > errs[1] > errs[2]
@@ -278,7 +286,7 @@ class TestDecomposition:
         dec = decompose_cells(g)
         assert dec.cut_mask.any()
         X, Y = g.meshgrid()
-        f = lambda x, y, v: v
+        f = lambda K, x, y, v: v
         got = integrate_signed(dec, f, f, (a + b * X + c * Y,))
         area = (x1 - x0) * (y1 - y0)
         exact = area * (a + b * 0.5 * (x0 + x1) + c * 0.5 * (y0 + y1))
@@ -294,8 +302,8 @@ class TestDecomposition:
         g = square
         X, Y = g.meshgrid()
         u = np.sin(3.0 * X) * np.cos(2.0 * Y) + X * X
-        fp = lambda x, y, v: v * v + x
-        fm = lambda x, y, v: np.exp(v) - y
+        fp = lambda K, x, y, v: v * v + x
+        fm = lambda K, x, y, v: np.exp(v) - y
         K = X - Y * Y
         dec = decompose_cells(g)
         ref = 0.0
@@ -308,8 +316,9 @@ class TestDecomposition:
                     fn = fm
                 else:   # straddles K = 0: its pieces follow
                     continue
-                ref += dec.cell_area * fn(0.5 * (g.xs[i] + g.xs[i + 1]),
-                                          0.5 * (g.ys[j] + g.ys[j + 1]),
+                x = 0.5 * (g.xs[i] + g.xs[i + 1])
+                y = 0.5 * (g.ys[j] + g.ys[j + 1])
+                ref += dec.cell_area * fn(x - y * y, x, y,
                                           0.25 * u[i:i + 2, j:j + 2].sum())
         for pts in dec.points:
             k = slice(pts.n_cells, None)
@@ -319,7 +328,8 @@ class TestDecomposition:
                 v = ((1 - tx) * (1 - ty) * u[i, j]
                      + tx * (1 - ty) * u[i + 1, j]
                      + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
-                ref += area * (fp if pts.sign > 0 else fm)(x, y, v)
+                ref += area * (fp if pts.sign > 0 else fm)(x - y * y, x, y,
+                                                           v)
         got = integrate_signed(dec, fp, fm, (u,))
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -365,3 +375,88 @@ class TestWeightedNorms:
         wn = weighted_norms(u, g)
         assert wn.l2_dual_weighted > 0.0
         assert wn.excluded_measure > 0.0
+
+
+class TestOneEvaluationOfK:
+    @pytest.mark.parametrize("rects, nx, ny", [
+        (((-1.0, 1.0, -1.0, 1.0),), 33, 33),
+        (((-1.05, 0.95, -1.02, 0.98),), 49, 41),
+        (((0.0, 1.0, 0.0, 0.75),), 17, 29),
+        (((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.5)), 41, 21)])
+    def test_grid_and_points_carry_exact_K(self, rects, nx, ny):
+        g = Grid2D(Domain(rects), nx, ny)
+        assert g.K.tobytes() == canonical_type_function(
+            *g.meshgrid()).tobytes()
+        for pts in decompose_cells(g).points:
+            assert pts.K.tobytes() == canonical_type_function(
+                pts.x, pts.y).tobytes()
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The calling function of every evaluation of K, with a check
+        that no point set is evaluated twice."""
+        callers, point_sets = [], set()
+
+        def counted(x, y):
+            callers.append(sys._getframe(1).f_code.co_name)
+            points = np.stack(np.broadcast_arrays(x, y)).tobytes()
+            assert points not in point_sets
+            point_sets.add(points)
+            return canonical_type_function(x, y)
+
+        for module in ("grid", "quadrature", "multipliers"):
+            monkeypatch.setattr(f"coldwave.{module}.canonical_type_function",
+                                counted)
+        return callers
+
+    @pytest.mark.parametrize("command, kappa, bc, forcing, expected", [
+        ("solve", 0.5, {"type": "closed_dirichlet"}, "one",
+         {"__post_init__": 1, "decompose_cells": 2}),
+        ("solve-mixed", 0.0, {"type": "mixed", "G": ["top", "left"]},
+         "smooth2", {"__post_init__": 2, "boundary_admissible": 4,
+                     "decompose_cells": 2})])
+    def test_once_per_point_set_in_a_solve(self, command, kappa, bc, forcing,
+                                           expected, evaluations, tmp_path):
+        # the problem's grid (and the mixed multiplier's sample lattice)
+        # once each, every quadrature side once and every boundary
+        # segment's samples once
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "kappa": kappa, "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
+            "grid": {"nx": 17, "ny": 17}, "bc": bc,
+            "forcing": {"kind": forcing}}))
+        assert main(["--quiet", "--out", str(tmp_path / "u.csv"), command,
+                     "--problem", str(problem)]) == 0
+        assert collections.Counter(evaluations) == expected
+
+    def test_once_per_point_set_in_bump_gram(self, evaluations):
+        domain = Domain.rectangle(-1.0, 1.0, -1.0, 1.0)
+        g = Grid2D(domain, 17, 17)
+        spec = MultiplierSpec(1.5, domain)
+        evaluations.clear()
+        bump_gram(g, spec)
+        assert evaluations == ["decompose_cells", "decompose_cells"]
+
+    def test_evaluation_sites(self):
+        # every use of the name outside imports, by innermost enclosing
+        # function: the definition and the three evaluation sites
+        name = "canonical_type_function"
+        sites = collections.Counter()
+
+        def visit(node, path, scope):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == name:
+                    sites[path.name, "def"] += 1
+                scope = node.name
+            if name in (getattr(node, "id", None),
+                        getattr(node, "attr", None)):
+                sites[path.name, scope] += 1
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, scope)
+
+        for path in pathlib.Path(coldwave.__file__).parent.glob("*.py"):
+            visit(ast.parse(path.read_text()), path, None)
+        assert sites == {("typegeometry.py", "def"): 1,
+                         ("grid.py", "__post_init__"): 1,
+                         ("quadrature.py", "decompose_cells"): 1,
+                         ("multipliers.py", "boundary_admissible"): 1}
