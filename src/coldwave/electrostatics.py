@@ -2,12 +2,13 @@
 
 Covers the plane-layered first-order ODE for psi = phi_x, the
 coefficients of the 2D potential equation, type classification from the
-K11*K33 product, sonic conditions, singular points of the sonic line,
-and the scaled local normal form near such a point (``NormalForm``,
-one object holding the local model and its scaled equation).  The
-plane-layered leading coefficient K11 is a plain callable of x, which
-``config.parse_layered`` builds from a ``Field2D`` at z = 0; only its
-values are read.
+K11*K33 product, the singular points of the sonic line K11 = 0 (its
+Keldysh points by ``typegeometry.canonical_case_classify``, refined by
+SciPy's root finder), and the scaled local normal form near such a
+point (``NormalForm``, one object holding the local model and its
+scaled equation).  The plane-layered leading coefficient K11 is a plain
+callable of x, which ``config.parse_layered`` builds from a ``Field2D``
+at z = 0; only its values are read.
 """
 
 import math
@@ -17,11 +18,17 @@ import numpy as np
 
 from .errors import LayeredNotConverged, SingularCoefficient
 from .quadrature import _corners
+from .typegeometry import canonical_case_classify
 
 TYPE_PRODUCT_TOL = 1e-14
-SONIC_TOL = 1e-12
-# Samples of K11 in _require_nonvanishing.
+# _require_nonvanishing: samples of K11, golden-section steps (each
+# shrinks a bracket by 0.618, and 0.618^80 < 2e-17 takes it to the
+# spacing of doubles) and the rounding level of |K11| in units of
+# eps max|K11|.
 NONVANISHING_SAMPLES = 257
+NONVANISHING_GOLDEN_STEPS = 80
+NONVANISHING_ROUNDING = 64
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # integrate_layered: first-pass cells, phase tolerance, cell limit, and
 # the 4-point Gauss-Legendre nodes and weights on [-1, 1].
 LAYERED_CELLS0 = 64
@@ -30,18 +37,8 @@ LAYERED_MAX_CELLS = 2 ** 20
 _GAUSS_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(
     3 / 7 + np.array([2.0, -2.0, -2.0, 2.0]) / 7 * math.sqrt(6 / 5))
 _GAUSS_WEIGHTS = 0.5 - np.array([1.0, -1.0, -1.0, 1.0]) * math.sqrt(30) / 36
-# singular_points_on_sonic_line: search cells per axis, Newton residual
-# tolerance and iteration limit.
+# singular_points_on_sonic_line: search cells per axis.
 SONIC_SEARCH_CELLS = 64
-SONIC_RESIDUAL_TOL = 1e-8
-SONIC_MAX_NEWTON = 50
-
-
-def layered_sigma0(k2, k3, tensor, x, z=0.0):
-    """First-order coefficient sigma0 = k3 (K13+K31) + k2 (K12+K21) of
-    the plane-layered equation, evaluated at x (layering axis)."""
-    return (k3 * (tensor.K13(x, z) + tensor.K31(x, z))
-            + k2 * (tensor.K12(x, z) + tensor.K21(x, z)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,12 @@ class LayeredProblem:
 
 
 def _require_nonvanishing(k11, x0, x1):
+    """Raise SingularCoefficient if K11 vanishes on [x0, x1]: a sample
+    is 0, two samples differ in sign, or |K11| falls to rounding level
+    (NONVANISHING_ROUNDING eps max|K11|) at the minimum that a
+    golden-section search finds next to a local minimum of the sampled
+    |K11|, end samples included, where K11 may touch 0 between
+    samples."""
     xs = np.linspace(x0, x1, NONVANISHING_SAMPLES)
     vals = k11(xs)
     if np.shape(vals) != xs.shape:
@@ -70,6 +73,20 @@ def _require_nonvanishing(k11, x0, x1):
     vals = np.asarray(vals, dtype=float)
     if np.any(vals == 0.0) or vals.min() < 0.0 < vals.max():
         raise SingularCoefficient(f"K11 vanishes on [{x0!r}, {x1!r}]")
+    a = np.abs(vals)
+    ends = np.concatenate(([np.inf], a, [np.inf]))
+    k = np.flatnonzero((a < ends[:-2]) & (a <= ends[2:]))
+    if k.size == 0:
+        return
+    lo, hi = xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, xs.size - 1)]
+    for _ in range(NONVANISHING_GOLDEN_STEPS):
+        c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f = np.abs(np.asarray(k11(np.concatenate((c, d))), dtype=float))
+        left = f[:k.size] < f[k.size:]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    low = np.abs(np.asarray(k11(0.5 * (lo + hi)), dtype=float)).min()
+    if low <= NONVANISHING_ROUNDING * np.finfo(float).eps * a.max():
+        raise SingularCoefficient(f"K11 touches 0 on [{x0!r}, {x1!r}]")
 
 
 @dataclass(frozen=True)
@@ -174,37 +191,32 @@ def type_from_product(K11, K33):
     return kind if kind.ndim else str(kind)
 
 
-def sonic_condition(K, eta, theta):
-    """Which sonic alternative holds: 'sonic_K' if K = 0,
-    'sonic_angle' if K sin^2(theta) + eta cos^2(theta) = 0, else 'none'
-    (zero meaning within SONIC_TOL)."""
-    if abs(K) <= SONIC_TOL:
-        return "sonic_K"
-    value = K * math.sin(theta) ** 2 + eta * math.cos(theta) ** 2
-    if abs(value) <= SONIC_TOL:
-        return "sonic_angle"
-    return "none"
-
-
 @dataclass(frozen=True)
 class SonicPointSearch:
-    """Singular points of the sonic line K11 = 0 (where additionally
-    K11_z = 0).  ``degenerate`` marks plane-layered fields whose
-    z-derivative vanishes identically: there the tangency condition
-    holds along entire sonic lines and no discrete list is meaningful."""
+    """Singular points of the sonic line K11 = 0: the Keldysh points,
+    where K11_z = 0 as well, by ``typegeometry.canonical_case_classify``.
+    ``degenerate`` marks plane-layered fields whose z-derivative
+    vanishes identically: there the tangency condition holds along
+    entire sonic lines and no discrete list is meaningful."""
 
     points: tuple
     degenerate: bool = False
 
 
 def singular_points_on_sonic_line(k11, box):
-    """Points in the box where K11 = 0 and K11_z = 0 simultaneously.
+    """Keldysh points of K11 in the box: points where K11 = 0 and
+    K11_z = 0, as ``typegeometry.canonical_case_classify`` decides.
 
     Candidate cells, in row-major order, are those of a
     SONIC_SEARCH_CELLS-square lattice whose corners bracket zero in both
-    functions; each is refined by damped 2D Newton until both residuals
-    drop below SONIC_RESIDUAL_TOL.  Duplicates within half a cell merge.
+    functions; each is refined by ``scipy.optimize.root`` on
+    (K11, K11_z) from the cell centre, and the root is kept exactly when
+    ``canonical_case_classify`` calls it a ``keldysh_point``.  Duplicates
+    within half a cell merge.
     """
+    # imported here: the cli imports this module for every command
+    from scipy.optimize import root
+
     x0, x1, z0, z1 = box
     n = SONIC_SEARCH_CELLS
     xs, zs = np.linspace(x0, x1, n + 1), np.linspace(z0, z1, n + 1)
@@ -219,44 +231,16 @@ def singular_points_on_sonic_line(k11, box):
         return ((np.minimum.reduce(_corners(F)) <= 0.0)
                 & (np.maximum.reduce(_corners(F)) >= 0.0))
 
-    def newton(x, z):
-        h = 1e-6 * max(abs(x1 - x0), abs(z1 - z0))
-        for _ in range(SONIC_MAX_NEWTON):
-            F = np.array([k11(x, z), k11.dz(x, z)])
-            if (abs(F[0]) < SONIC_RESIDUAL_TOL
-                    and abs(F[1]) < SONIC_RESIDUAL_TOL):
-                return x, z
-            J = np.array([
-                [k11.dx(x, z), k11.dz(x, z)],
-                [(k11.dz(x + h, z) - k11.dz(x - h, z)) / (2 * h),
-                 (k11.dz(x, z + h) - k11.dz(x, z - h)) / (2 * h)],
-            ])
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError:
-                return None
-            t = 1.0
-            norm0 = np.abs(F).max()
-            while t > 1e-6:
-                xn, zn = x - t * step[0], z - t * step[1]
-                if max(abs(k11(xn, zn)), abs(k11.dz(xn, zn))) < norm0:
-                    x, z = xn, zn
-                    break
-                t *= 0.5
-            else:
-                return None
-        F = np.array([k11(x, z), k11.dz(x, z)])
-        if abs(F[0]) < SONIC_RESIDUAL_TOL and abs(F[1]) < SONIC_RESIDUAL_TOL:
-            return x, z
-        return None
-
     found = []
     min_sep = 0.5 * min(x1 - x0, z1 - z0) / n
     for i, j in np.argwhere(straddles(f) & straddles(g)):
-        res = newton(0.5 * (xs[i] + xs[i + 1]), 0.5 * (zs[j] + zs[j + 1]))
-        if res is None:
+        # the Jacobian's difference step, sqrt(eps) |x|, is by default
+        # below the noise of a central-difference K11_z (Field2D's) near 0
+        x, z = root(lambda p: [k11(*p), k11.dz(*p)],
+                    [0.5 * (xs[i] + xs[i + 1]), 0.5 * (zs[j] + zs[j + 1])],
+                    options={"eps": 1e-8}).x
+        if canonical_case_classify(k11, (x, z)) != "keldysh_point":
             continue
-        x, z = res
         if not (x0 - min_sep <= x <= x1 + min_sep
                 and z0 - min_sep <= z <= z1 + min_sep):
             continue

@@ -67,11 +67,6 @@ class StartNotHyperbolic(NumericalFailure):
     region."""
 
 
-class DualNormSingular(NumericalFailure):
-    """Dual-weighted norm requested for a field supported on cells that
-    straddle the sonic curve."""
-
-
 class SpecInvalid(InvalidConfiguration):
     """Multiplier specification violates its admissibility constraints."""
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DualNormSingular
 from .operators import gradient
 from .typegeometry import canonical_type_function
 
@@ -205,23 +204,16 @@ def integrate_h1_density(decomp, a, b):
 
 @dataclass(frozen=True)
 class WeightedNorms:
-    """Weighted norms of a grid field: L2(|K|), dual L2(1/|K|), and the
-    H1_0(K) seminorm.  The dual norm is None unless requested; cut-cell
-    area excluded from it is reported."""
+    """Weighted norms of a grid field: L2(|K|) and the H1_0(K)
+    seminorm."""
 
     l2_weighted: float
     h1_weighted: float
-    l2_dual_weighted: float | None = None
-    excluded_measure: float = 0.0
 
 
-def weighted_norms(u, grid, include_dual=True):
-    """Quadrature of (int |K| u^2)^1/2, (int 1/|K| u^2)^1/2, and
-    (int |K| u_x^2 + u_y^2)^1/2 with K = x - y^2.
-
-    The dual norm skips cells straddling K = 0 (their total area is
-    reported) and raises DualNormSingular if u is supported there.
-    """
+def weighted_norms(u, grid):
+    """Quadrature of (int |K| u^2)^1/2 and (int |K| u_x^2 + u_y^2)^1/2
+    with K = x - y^2."""
     u = np.asarray(u, dtype=float)
     decomp = decompose_cells(grid)
     ux, uy = gradient(u, grid)
@@ -231,23 +223,7 @@ def weighted_norms(u, grid, include_dual=True):
 
     l2sq = integrate_signed(decomp, absk_u2, absk_u2, (u,))
     h1sq = integrate_h1_density(decomp, ux, uy)
-    dual = None
-    if include_dual:
-        A = np.abs(u)
-        supported = decomp.cut_mask & (np.maximum.reduce(_corners(A))
-                                       > 1e-12 * max(float(A.max()), 1e-300))
-        if supported.any():
-            i, j = np.argwhere(supported)[0]
-            raise DualNormSingular(f"field is supported on cell ({i}, {j}) "
-                                   "straddling the sonic curve")
-
-        def inv_absk_u2(K, x, y, uv):
-            return uv * uv / np.abs(K)
-
-        dual = np.sqrt(max(integrate_uncut(decomp, inv_absk_u2, (u,)), 0.0))
     return WeightedNorms(
         l2_weighted=np.sqrt(max(l2sq, 0.0)),
         h1_weighted=np.sqrt(max(h1sq, 0.0)),
-        l2_dual_weighted=dual,
-        excluded_measure=decomp.cut_area if include_dual else 0.0,
     )

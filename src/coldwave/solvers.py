@@ -379,7 +379,7 @@ def solve_closed_dirichlet(problem, nx, ny):
     residual = scale * float(np.linalg.norm(A @ x - f))
     values = np.zeros((grid.nx, grid.ny))
     values[grid.interior] = x
-    norms = weighted_norms(values, grid, include_dual=False)
+    norms = weighted_norms(values, grid)
     return DiscreteSolution(
         grid=grid,
         values=values,

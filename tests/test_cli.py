@@ -557,6 +557,28 @@ class TestSubcommands:
             env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "0 []"
 
+    def test_benchmark_scan_and_energy_load_no_scipy(self):
+        # importing scipy.optimize alone takes the resident set from
+        # about 27 to 76 MB, far above the benchmark's peak_rss_mb bound
+        code = """
+import os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import workloads
+from coldwave.cli import main
+with tempfile.TemporaryDirectory() as wd:
+    out = os.path.join(wd, "out")
+    os.mkdir(out)
+    codes = [main([a.replace("{out}", out) for a in step.argv])
+             for w in ("scan", "energy") for step in workloads.build(w, 1, wd)]
+print(set(codes),
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        out = subprocess.run([sys.executable, "-B", "-c", code],
+                             cwd=os.path.dirname(SRC), check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "{0} []"
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_energy_check_trials_positive(self, trials, capsys):
         assert main(["energy-check", "--kappa", "1.0",
@@ -633,7 +655,6 @@ FAILURE_TABLE = {
     "FactorizationFailure": (2, "numerical failure"),
     "StartNotHyperbolic": (2, "numerical failure"),
     "LayeredNotConverged": (2, "numerical failure"),
-    "DualNormSingular": (2, "numerical failure"),
     "GridTooLarge": (2, "numerical failure"),
     "InadmissibleBoundary": (3, "check failed"),
     "SpecInvalid": (1, "invalid configuration"),

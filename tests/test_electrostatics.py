@@ -10,6 +10,7 @@ from coldwave import electrostatics as es
 from coldwave import plasma
 from coldwave.errors import LayeredNotConverged, SingularCoefficient
 from coldwave.fields import Field2D, TensorField2D
+from coldwave.typegeometry import canonical_case_classify
 
 
 def smooth_nonvanishing_k11(rng):
@@ -19,25 +20,6 @@ def smooth_nonvanishing_k11(rng):
     b = rng.uniform(-0.5, 0.5)
     w = rng.uniform(1.0, 4.0)
     return lambda x: base + a * x + b * np.sin(w * x)
-
-
-class TestLayeredSigma0:
-    def test_antisymmetric_cancels(self):
-        t = TensorField2D(K13=Field2D.constant(1.0),
-                          K31=Field2D.constant(-1.0),
-                          K12=Field2D.constant(2.0),
-                          K21=Field2D.constant(-2.0))
-        assert es.layered_sigma0(1.3, 2.7, t, 0.5) == 0.0
-
-    def test_zero_wavenumbers(self):
-        t = TensorField2D(K13=Field2D.constant(3.0),
-                          K31=Field2D.constant(4.0))
-        assert es.layered_sigma0(0.0, 0.0, t, 0.0) == 0.0
-
-    def test_direct_substitution(self):
-        t = TensorField2D(K13=Field2D.constant(1.0),
-                          K31=Field2D.constant(1.0))
-        assert es.layered_sigma0(0.0, 2.0, t, 0.0) == pytest.approx(4.0)
 
 
 class TestIntegrateLayered:
@@ -176,6 +158,29 @@ class TestIntegrateLayered:
         with pytest.raises(SingularCoefficient):
             es.LayeredProblem(lambda x: x, 0.0, (-0.5, 0.5))
 
+    def test_touching_zero_between_samples(self):
+        # 1 + sin 9x touches 0 at pi/6, between two of the 257 samples
+        with pytest.raises(SingularCoefficient, match="touches 0"):
+            es.LayeredProblem(lambda x: 1.0 + np.sin(9.0 * x), 0.0,
+                              (0.1, 0.7))
+        es.LayeredProblem(lambda x: 1.0001 + np.sin(9.0 * x), 0.0,
+                          (0.1, 0.7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x0=st.floats(-5.0, 5.0), width=st.floats(0.01, 5.0),
+           t=st.floats(0.0, 1.0), c=st.floats(1e-3, 1e3),
+           sign=st.sampled_from([-1.0, 1.0]), delta=st.floats(1e-9, 1.0))
+    def test_double_zero_refused(self, x0, width, t, c, sign, delta):
+        # c (x - x*)^2 vanishes at x* wherever it falls between the
+        # samples; lifted by delta it vanishes nowhere
+        x1 = x0 + width
+        xs = x0 + t * width
+        with pytest.raises(SingularCoefficient):
+            es.LayeredProblem(lambda x: sign * c * (x - xs) ** 2, 0.0,
+                              (x0, x1))
+        es.LayeredProblem(lambda x: sign * (c * (x - xs) ** 2 + delta), 0.0,
+                          (x0, x1))
+
     def test_closed_form_oracle(self, rng):
         # psi = psi0 K(x0)/K(x) exp(-i sigma0 int dt/K), integral by quad
         for _ in range(100):
@@ -252,21 +257,19 @@ class TestTypeFromProduct:
             assert b == flip[a]
 
 
-class TestSonicCondition:
-    def test_k_zero(self):
-        assert es.sonic_condition(0.0, 5.0, 1.0) == "sonic_K"
-
-    def test_angle_branch(self):
-        assert es.sonic_condition(1.0, -1.0, math.pi / 4) == "sonic_angle"
-
-    def test_positive_definite(self):
-        assert es.sonic_condition(1.0, 1.0, 0.7) == "none"
+def keldysh_points(k11, box):
+    """The sonic-point search of k11 in the box, each of its points
+    checked to classify as a Keldysh point."""
+    res = es.singular_points_on_sonic_line(k11, box)
+    assert all(canonical_case_classify(k11, p) == "keldysh_point"
+               for p in res.points)
+    return res
 
 
 class TestSingularPoints:
     def test_local_model_origin(self):
         k = Field2D.affine_quadratic(1.0, 1.0)
-        res = es.singular_points_on_sonic_line(k, (-1, 1, -1, 1))
+        res = keldysh_points(k, (-1, 1, -1, 1))
         assert not res.degenerate
         assert len(res.points) == 1
         x, z = res.points[0]
@@ -276,16 +279,79 @@ class TestSingularPoints:
         k = Field2D(lambda x, z: (x - 1.0) / 2.0 + (z - 3.0) ** 2,
                     lambda x, z: 0.5,
                     lambda x, z: 2.0 * (z - 3.0))
-        res = es.singular_points_on_sonic_line(k, (0, 2, 2, 4))
+        res = keldysh_points(k, (0, 2, 2, 4))
         assert len(res.points) == 1
         x, z = res.points[0]
         assert (x, z) == pytest.approx((1.0, 3.0), abs=1e-7)
 
     def test_plane_layered_degenerate(self):
         k = Field2D(lambda x, z: x, lambda x, z: 1.0, lambda x, z: 0.0)
-        res = es.singular_points_on_sonic_line(k, (-1, 1, -1, 1))
+        res = keldysh_points(k, (-1, 1, -1, 1))
         assert res.degenerate
         assert res.points == ()
+
+    def test_transversal_crossing_has_no_point(self):
+        k = Field2D(lambda x, z: x - z / 2, lambda x, z: 1.0,
+                    lambda x, z: -0.5)
+        res = keldysh_points(k, (-1, 1, -1, 1))
+        assert not res.degenerate
+        assert res.points == ()
+
+    @pytest.mark.parametrize("exact", [True, False],
+                             ids=["analytic", "central-difference"])
+    def test_two_tangencies(self, exact):
+        # K11_z = -cos 3z vanishes at z = +/- pi/6, where x = +/- 1/3
+        def fn(x, z):
+            return x - np.sin(3.0 * z) / 3.0
+
+        k = (Field2D(fn, lambda x, z: 1.0, lambda x, z: -np.cos(3.0 * z))
+             if exact else Field2D(fn))
+        res = keldysh_points(k, (-1, 1, -1, 1))
+        np.testing.assert_allclose(
+            res.points, [(-1 / 3, -math.pi / 6), (1 / 3, math.pi / 6)],
+            rtol=0, atol=1e-7)
+
+    def test_quartic_tangency(self):
+        # K11_z vanishes to third order: a residual test stops short of
+        # the point, at a z that classifies as a Tricomi point
+        k = Field2D(lambda x, z: x - 0.1 - (z - 0.2) ** 4,
+                    lambda x, z: 1.0, lambda x, z: -4.0 * (z - 0.2) ** 3)
+        res = keldysh_points(k, (-1, 1, -1, 1))
+        np.testing.assert_allclose(res.points, [(0.1, 0.2)], rtol=0,
+                                   atol=1e-7)
+
+    def test_critical_curve_off_the_sonic_line(self):
+        # K11_z = 0 also on x = z^2, where K11 = -1e-4 and the root
+        # finder stalls: those candidates are no Keldysh points
+        k = Field2D(lambda x, z: (x - z * z) ** 2 - 1e-4,
+                    lambda x, z: 2.0 * (x - z * z),
+                    lambda x, z: -4.0 * z * (x - z * z))
+        res = keldysh_points(k, (-1, 1, -1, 1))
+        np.testing.assert_allclose(res.points, [(-0.01, 0.0), (0.01, 0.0)],
+                                   rtol=0, atol=1e-7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(xc=st.floats(-10.0, 10.0), zc=st.floats(-10.0, 10.0),
+           a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0),
+           signs=st.tuples(st.sampled_from([-1.0, 1.0]),
+                           st.sampled_from([-1.0, 1.0])),
+           sides=st.tuples(*[st.floats(0.1, 1.0)] * 4),
+           exact=st.booleans())
+    def test_translated_scaled_models(self, xc, zc, a, b, signs, sides,
+                                      exact):
+        # (x - xc)/a + (z - zc)^2/b with |a|, |b| in [0.1, 10] has one
+        # Keldysh point, (xc, zc), wherever it lies in the box
+        a, b = signs[0] * 10.0 ** a, signs[1] * 10.0 ** b
+
+        def fn(x, z):
+            return (x - xc) / a + (z - zc) ** 2 / b
+
+        k = (Field2D(fn, lambda x, z: 1.0 / a, lambda x, z: 2 * (z - zc) / b)
+             if exact else Field2D(fn))
+        box = (xc - sides[0], xc + sides[1], zc - sides[2], zc + sides[3])
+        res = keldysh_points(k, box)
+        assert len(res.points) == 1
+        assert res.points[0] == pytest.approx((xc, zc), abs=1e-7)
 
 
 class TestNormalForm:

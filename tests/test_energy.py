@@ -219,7 +219,7 @@ class TestVerifyEnergyInequality:
         u = grid_bump(g, random_interior_bump(unit_square,
                                               np.random.default_rng(3)))
         rep = verify_energy_inequality(u, spec, g)
-        norms = weighted_norms(u, g, include_dual=False)
+        norms = weighted_norms(u, g)
         assert rep.rhs == norms.h1_weighted ** 2
 
     def test_one_gradient_two_integrals_per_call(self, unit_square,

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 import coldwave
 from coldwave import operators as ops
 from coldwave.cli import main
-from coldwave.errors import DualNormSingular
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import MultiplierSpec, bump_gram
 from coldwave.quadrature import (_corners, decompose_cells,
@@ -338,43 +337,21 @@ class TestWeightedNorms:
     def test_zero_field(self, square):
         wn = weighted_norms(np.zeros((33, 33)), square)
         assert (wn.l2_weighted, wn.h1_weighted) == (0.0, 0.0)
-        assert wn.l2_dual_weighted == 0.0
 
     def test_unit_field_on_elliptic_box(self):
         g = Grid2D(Domain.rectangle(1, 2, 0, 1), 513, 513)
         wn = weighted_norms(np.ones((513, 513)), g)
         assert wn.l2_weighted ** 2 == pytest.approx(7.0 / 6.0, abs=1e-6)
         assert wn.h1_weighted == 0.0
-        assert wn.excluded_measure == 0.0
 
     def test_homogeneity(self, square):
         rng = np.random.default_rng(3)
         u = np.zeros((33, 33))
         u[2:-2, 2:-2] = rng.normal(size=(29, 29))
-        a = weighted_norms(u, square, include_dual=False)
-        b = weighted_norms(2.0 * u, square, include_dual=False)
+        a = weighted_norms(u, square)
+        b = weighted_norms(2.0 * u, square)
         assert b.l2_weighted == pytest.approx(2.0 * a.l2_weighted, rel=1e-12)
         assert b.h1_weighted == pytest.approx(2.0 * a.h1_weighted, rel=1e-12)
-
-    def test_dual_norm_raises_on_sonic_support(self, square):
-        u = np.ones((33, 33))
-        with pytest.raises(DualNormSingular, match=r"cell \(16, 12\)"):
-            weighted_norms(u, square)
-
-    def test_dual_norm_names_first_supported_cell(self, square):
-        # the first cut cell in row-major order on which u is nonzero
-        X, Y = square.meshgrid()
-        u = np.where((Y > 0.3) & (X > 0.2), 1.0, 0.0)
-        with pytest.raises(DualNormSingular, match=r"cell \(19, 22\)"):
-            weighted_norms(u, square)
-
-    def test_dual_norm_away_from_sonic(self):
-        g = Grid2D(Domain.rectangle(-1, 1, -1, 1), 65, 65)
-        X, Y = g.meshgrid()
-        u = np.where(X < -0.5, 1.0, 0.0)  # supported well inside K < 0
-        wn = weighted_norms(u, g)
-        assert wn.l2_dual_weighted > 0.0
-        assert wn.excluded_measure > 0.0
 
 
 class TestOneEvaluationOfK:

@@ -53,12 +53,13 @@ small that 6 delta min K / Q2 overflows (``--box=-740:1:-1:1``),
 is not finite, ``solve`` of a mixed problem and ``solve-mixed`` of a
 closed Dirichlet one, ``solve`` and ``solve-mixed`` on grids of
 100001 x 100001 nodes, whose factor no machine's memory holds,
-``stix --omega inf``, and ``symbol-check --omega`` without
-``--plasma``.  Each gives the line of its output file and of its
-stderr, with ``-`` for the seed and ``fixed`` or ``errors`` for the
-workload, so that error text and exit codes are compared too.  In that
-stderr the temporary input directory reads ``{in}``, so that a message
-naming an input file has one digest.
+``stix --omega inf``, ``symbol-check --omega`` without ``--plasma``,
+and ``layered`` of a piecewise-linear K11 that touches 0 between the
+samples of the nonvanishing check.  Each gives the line of its output
+file and of its stderr, with ``-`` for the seed and ``fixed`` or
+``errors`` for the workload, so that error text and exit codes are
+compared too.  In that stderr the temporary input directory reads
+``{in}``, so that a message naming an input file has one digest.
 ``COLUMNS`` is fixed at 80, since argparse wraps its usage text to the
 terminal width.
 """
@@ -177,6 +178,9 @@ FAILING = {
                        "--omega", "inf"],
     "symbol-check-omega-without-plasma": ["symbol-check", "--omega", "1e9",
                                           "--trials", "2"],
+    "layered-touching-zero": ["layered", "--layered",
+                              "{in}/layered-touching-zero.json",
+                              "--x0", "0.1", "--x1", "0.7"],
 }
 FIXED_INPUTS = {
     "fields.json": {"K11": {"kind": "affine_quadratic", "a": 1.0, "b": -1.0}},
@@ -228,6 +232,11 @@ FIXED_INPUTS = {
     "problem-oversized.json": {
         "kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
         "grid": {"nx": 100001, "ny": 100001}},
+    # K11 touches 0 at x = 0.35, between two of the check's samples
+    "layered-touching-zero.json": {"K11": {
+        "kind": "expression-table", "xs": [0.1, 0.35, 0.7],
+        "zs": [-1.0, 1.0], "values": [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]},
+        "x_range": [0.1, 0.7]},
     "problem-mixed-oversized.json": {
         "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
         "grid": {"nx": 100001, "ny": 100001},
