@@ -111,14 +111,14 @@ def integrate_layered(problem, psi0, x0, x1):
     bisects every cell whose whole-cell and two half-cell estimates of
     sigma0 tau differ by more than LAYERED_RTOL times the larger of its
     share of [x0, x1] and of integral |1/K11|; psi is sampled on the cell
-    edges.  Raises SingularCoefficient if K11 vanishes on [x0, x1], and
+    edges.  [x0, x1] must lie inside ``problem.x_range``, on which the
+    problem checked when built that K11 does not vanish.  Raises
     LayeredNotConverged before the cells would pass LAYERED_MAX_CELLS or
     when the rounding of sigma0 tau exceeds LAYERED_RTOL or is NaN.
     """
     lo, hi = problem.x_range
     if not (lo <= x0 < x1 <= hi):
         raise ValueError("[x0, x1] must lie inside the problem's x_range")
-    _require_nonvanishing(problem.K11, x0, x1)
     k11, sigma0 = problem.K11, problem.sigma0
 
     def gauss(a, b):

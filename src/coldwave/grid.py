@@ -15,6 +15,14 @@ from .typegeometry import canonical_type_function
 _TOL = 1e-12
 
 
+def box_type_range(x0, x1, y0, y1):
+    """(min K, max K) of K = x - y^2 over the closed box [x0, x1] x
+    [y0, y1], a side when x0 == x1 or y0 == y1: min K = x0 - max y^2 and
+    max K = x1 - min y^2 (0 when y0 <= 0 <= y1)."""
+    return (x0 - max(y0 * y0, y1 * y1),
+            x1 - (0.0 if y0 <= 0.0 <= y1 else min(y0 * y0, y1 * y1)))
+
+
 @dataclass(frozen=True)
 class BoundarySegment:
     """Oriented straight boundary piece (counterclockwise traversal)."""
@@ -76,12 +84,9 @@ class Domain:
     @property
     def type_range(self):
         """(min K, max K) of K = x - y^2 over the domain, exact from each
-        rectangle: max K = x1 - min y^2 (0 when y0 <= 0 <= y1) and
-        min K = x0 - max y^2."""
-        k_min = min(x0 - max(y0 * y0, y1 * y1) for x0, _, y0, y1 in self.rects)
-        k_max = max(x1 - (0.0 if y0 <= 0.0 <= y1 else min(y0 * y0, y1 * y1))
-                    for _, x1, y0, y1 in self.rects)
-        return k_min, k_max
+        rectangle (``box_type_range``)."""
+        ranges = [box_type_range(*r) for r in self.rects]
+        return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
 
     @property
     def contains_sonic_arc(self):

@@ -10,10 +10,10 @@ kappa, cover the closed-Dirichlet drift range
 (``operators.KAPPA_MAX``).  A matrix multiplier with boundary sign
 conditions serves the mixed first-order problem.
 
-The coefficients take K, not the point: ``boundary_admissible``
-evaluates K once per segment's samples, and every other caller reads
-it from a grid (``Grid2D.K``) or from quadrature points
-(``SidePoints.K``).
+The coefficients take K, not the point: callers read it from a grid
+(``Grid2D.K``) or from quadrature points (``SidePoints.K``); the mixed
+multiplier and the boundary sign test read K's extremes over the box
+and its sides in closed form (``grid.box_type_range``).
 """
 
 import math
@@ -23,17 +23,12 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
 from .errors import SpecInvalid
-from .grid import Domain, Grid2D
+from .grid import Domain, box_type_range
 from .operators import KAPPA_MAX, _d1, _d2, apply_L, gradient
 from .quadrature import (decompose_cells, integrate_h1_density,
                          integrate_signed)
-from .typegeometry import canonical_type_function
 
 SIGN_TOL = 1e-12
-# Lattice points per axis from which MixedMultiplierSpec sizes t and s_const.
-SPEC_SAMPLES = 101
-# Midpoint samples per boundary segment in boundary_admissible.
-BOUNDARY_SAMPLES = 256
 
 # Polynomial degree per axis of the random bumps and of the Gram basis.
 BUMP_DEGREE = 3
@@ -365,10 +360,13 @@ class MixedMultiplierSpec:
     on ``domain``, checked and derived when built.
 
     b = m K + s_const with m = (mu + delta)/2 on K > 0 and
-    (mu - delta)/2 on K < 0; c = mu y - t.  At SPEC_SAMPLES points per
-    axis of the bounding box, t = 1 + mu max(y) (or the next double above
-    mu max(y)) keeps c < 0, and s_const = 1 + 2 max(need) keeps
-    m K + s_const and 2 c y + s_const >= 1 and b > sqrt(-K) |c|.
+    (mu - delta)/2 on K < 0; c = mu y - t.  On the bounding box [x0, x1]
+    x [y0, y1], where K spans [K_min, K_max] (``Domain.type_range``),
+    t = 1 + mu max(y1, 0) (or the next double above mu max(y1, 0)) keeps
+    c < 0 and |c| <= c_max = t - mu y0, and s_const = 1 + 2 max(2 c_max
+    max(-y0, y1), (mu + delta)/2 max(-K_min, K_max) + sqrt(max(-K_min,
+    0)) c_max) keeps m K + s_const and 2 c y + s_const >= 1 and
+    b > sqrt(-K) |c| at every point of the box.
     """
 
     domain: Domain
@@ -383,21 +381,16 @@ class MixedMultiplierSpec:
             raise SpecInvalid("mu must be positive")
         if not 0.0 < delta < mu:
             raise SpecInvalid("delta must be in (0, mu)")
-        with np.errstate(all="ignore"):
-            grid = Grid2D(self.domain, SPEC_SAMPLES, SPEC_SAMPLES)
-            Yi = grid.meshgrid()[1][grid.inside]
-            K = grid.K[grid.inside]
-            top = mu * max(0.0, float(Yi.max()))
-            # 1 + top can round to top once top reaches 2^53
-            t = max(1.0 + top, math.nextafter(top, math.inf))
-            c = mu * Yi - t
-            m_mag = 0.5 * (mu + delta)
-            need = np.maximum.reduce([
-                np.abs(m_mag * K),
-                2.0 * np.abs(c * Yi),
-                np.abs(m_mag * K) + np.sqrt(np.maximum(-K, 0.0)) * np.abs(c),
-            ])
-            s_const = 1.0 + 2.0 * float(need.max())
+        _, _, y0, y1 = self.domain.bounding_box
+        k_min, k_max = self.domain.type_range
+        top = mu * max(0.0, y1)
+        # 1 + top can round to top once top reaches 2^53
+        t = max(1.0 + top, math.nextafter(top, math.inf))
+        c_max = t - mu * y0
+        s_const = 1.0 + 2.0 * max(
+            2.0 * c_max * max(-y0, y1),
+            0.5 * (mu + delta) * max(-k_min, k_max)
+            + math.sqrt(max(-k_min, 0.0)) * c_max)
         for name, value in (("t", t), ("s_const", s_const)):
             if not math.isfinite(value):
                 raise SpecInvalid(f"{name}={value!r} is not finite for "
@@ -435,8 +428,8 @@ class MixedMultiplierSpec:
 
 @dataclass(frozen=True)
 class SegmentReport:
-    """Sign check of one boundary segment: the quantity b dy - c dx on
-    G, or K (b dy - c dx) off G, sampled along the segment."""
+    """Sign check of one boundary segment: the extremes of b dy - c dx on
+    G, or of K (b dy - c dx) off G, with (dx, dy) its unit tangent."""
 
     name: str
     in_G: bool
@@ -453,30 +446,26 @@ class BoundaryReport:
 
 def boundary_admissible(G, spec, orientation=1):
     """Check the mixed problem's boundary sign conditions per segment of
-    ``spec.domain``, sampled at BOUNDARY_SAMPLES midpoints of each.
+    ``spec.domain``, with (dx, dy) the segment's unit tangent.
 
     On segments in G the requirement is b dy - c dx <= 0; elsewhere
     K (b dy - c dx) >= 0, both to within SIGN_TOL.  ``orientation`` = -1
-    traverses the boundary clockwise (flipping every sign).
+    traverses the boundary clockwise (flipping every sign).  Along a
+    segment (y fixed, or dx = 0) both are monotone in K, as s_const >
+    2 m |K| makes b and K b increasing: their extremes are at the
+    segment's two extremes of K (``grid.box_type_range``).
     """
     G = set(G)
-    n = BOUNDARY_SAMPLES
-    ts = (np.arange(n) + 0.5) / n
     reports = []
     for seg in spec.domain.boundary_segments():
+        (xa, ya), (xb, yb) = seg.start, seg.end
+        K = np.array(box_type_range(*sorted((xa, xb)), *sorted((ya, yb))))
         dx, dy = seg.delta
-        dx, dy = orientation * dx / n, orientation * dy / n
-        x = seg.start[0] + ts * (seg.end[0] - seg.start[0])
-        y = seg.start[1] + ts * (seg.end[1] - seg.start[1])
-        K = canonical_type_function(x, y)
-        q = spec.b(K) * dy - spec.c(y) * dx
+        length = orientation * math.hypot(dx, dy)
+        q = spec.b(K) * (dy / length) - spec.c(ya) * (dx / length)
         in_g = seg.name in G
-        if in_g:
-            vals = q
-            ok = bool(vals.max() <= SIGN_TOL)
-        else:
-            vals = K * q
-            ok = bool(vals.min() >= -SIGN_TOL)
+        vals = q if in_g else K * q
+        ok = vals.max() <= SIGN_TOL if in_g else vals.min() >= -SIGN_TOL
         reports.append(SegmentReport(seg.name, in_g, float(vals.min()),
-                                     float(vals.max()), ok))
+                                     float(vals.max()), bool(ok)))
     return BoundaryReport(tuple(reports), all(r.admissible for r in reports))

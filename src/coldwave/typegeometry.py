@@ -30,13 +30,13 @@ def canonical_case_classify(field, point):
     ``field`` is a Field2D, read as ``field(x, y)``, ``.dx`` and ``.dz``;
     the model's own x - y^2 is ``Field2D.affine_quadratic(1.0, -1.0)``.
     The tolerance is CLASSIFY_RTOL scaled by the local gradient
-    magnitude.
+    magnitude.  A point where the field is NaN is 'not_on_sonic'.
     """
     x, y = point
     val = field(x, y)
     gx, gy = field.dx(x, y), field.dz(x, y)
     tol = CLASSIFY_RTOL * (1.0 + math.hypot(abs(gx), abs(gy)))
-    if abs(val) > tol:
+    if not abs(val) <= tol:
         return "not_on_sonic"
     if abs(gy) <= tol:
         return "keldysh_point"

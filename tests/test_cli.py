@@ -268,6 +268,24 @@ class TestSubcommands:
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, rel=1e-9)
 
+    def test_layered_checks_nonvanishing_once(self, tmp_path, monkeypatch):
+        # LayeredProblem checks its x_range when built, and integrate_layered
+        # runs only inside it
+        calls = []
+        check = electrostatics._require_nonvanishing
+        monkeypatch.setattr(electrostatics, "_require_nonvanishing",
+                            lambda *a: calls.append(a[1:]) or check(*a))
+        layered = tmp_path / "layered.json"
+        layered.write_text(json.dumps({
+            "K11": {"kind": "affine_quadratic", "a": 1.0, "b": 1.0},
+            "sigma0": 2.0, "x_range": [0.5, 2.0]}))
+        for x0, x1 in (("0.5", "2.0"), ("1.0", "1.5")):
+            calls.clear()
+            assert main(["--quiet", "--out", str(tmp_path / "psi.csv"),
+                         "layered", "--layered", str(layered), "--psi0",
+                         "1,0", "--x0", x0, "--x1", x1]) == 0
+            assert calls == [(0.5, 2.0)]
+
     def test_layered_singular_exit(self, tmp_path):
         layered = tmp_path / "layered.json"
         layered.write_text(json.dumps({
@@ -778,7 +796,7 @@ class TestInputChecks:
             assert main(["--out", str(out), "solve-mixed", "--problem",
                          str(problem), "--mu", "1e308"]) == 1
         assert capsys.readouterr().err == (
-            "invalid configuration: s_const=nan is not finite for "
+            "invalid configuration: s_const=inf is not finite for "
             "mu=1e+308 on ((-1.0, 1.0, -1.0, 1.0),)\n")
         assert not out.exists()
 

@@ -11,7 +11,7 @@ from numpy.polynomial.polynomial import polyval2d
 from coldwave import multipliers
 from coldwave.errors import SpecInvalid
 from coldwave.grid import Domain, Grid2D
-from coldwave.multipliers import (SPEC_SAMPLES, BoundaryReport, BumpGram,
+from coldwave.multipliers import (SIGN_TOL, BoundaryReport, BumpGram,
                                   MixedMultiplierSpec, MultiplierSpec,
                                   boundary_admissible, bump_gram,
                                   random_interior_bump,
@@ -398,6 +398,17 @@ class TestBumpGram:
             bump_gram(g, MultiplierSpec(1.0, dom))
 
 
+def box_points(x0, x1, y0, y1, seed, n=64):
+    """The four corners of [x0, x1] x [y0, y1] and n random points of it,
+    as x and y arrays."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate(([x0, x1, x1, x0],
+                        np.clip(x0 + (x1 - x0) * rng.random(n), x0, x1)))
+    y = np.concatenate(([y0, y0, y1, y1],
+                        np.clip(y0 + (y1 - y0) * rng.random(n), y0, y1)))
+    return x, y
+
+
 class TestMixedMultiplierSpec:
     def test_auto_positivity(self):
         dom = Domain.rectangle(0.0, 1.0, 0.0, 0.75)
@@ -414,21 +425,24 @@ class TestMixedMultiplierSpec:
         assert (c < 0).all()
 
     @settings(max_examples=300, deadline=None)
-    @given(xs=st.lists(st.floats(-1e15, 1e15), min_size=2, max_size=2,
-                       unique=True),
-           ys=st.lists(st.floats(-1e15, 1e15), min_size=2, max_size=2,
-                       unique=True),
-           mu=st.floats(1e-3, 8.0), frac=st.floats(1e-3, 0.999))
-    def test_auto_positive_by_construction(self, xs, ys, mu, frac):
-        # s_const = 1 + 2 max(need) over auto's sample lattice bounds the
-        # three quantities there; mu y1 < 2^53 keeps c < 0 as well
+    @given(xs=st.lists(st.one_of(st.floats(-100.0, 100.0),
+                                 st.floats(-1e15, 1e15)),
+                       min_size=2, max_size=2, unique=True),
+           ys=st.lists(st.one_of(st.floats(-1.0, 1.0),
+                                 st.floats(-1e15, 1e15)),
+                       min_size=2, max_size=2, unique=True),
+           mu=st.floats(1e-3, 8.0), frac=st.floats(1e-3, 0.999),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # a small mu and a thin strip leave b > sqrt(-K) |c| to the last term
+    # of s_const
+    @example(xs=[-100.0, 0.0], ys=[0.0, 0.01], mu=1e-3, frac=0.05, seed=0)
+    def test_auto_positive_by_construction(self, xs, ys, mu, frac, seed):
+        # s_const bounds the three quantities over the whole box, from
+        # K's exact range; mu y1 < 2^53 keeps c < 0 as well
         (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
-        dom = Domain.rectangle(x0, x1, y0, y1)
-        spec = MixedMultiplierSpec(dom, mu=mu, delta=mu * frac)
-        X, Y = np.meshgrid(np.linspace(x0, x1, SPEC_SAMPLES),
-                           np.linspace(y0, y1, SPEC_SAMPLES), indexing="ij")
-        inside = dom.contains(X, Y)
-        X, Y = X[inside], Y[inside]
+        spec = MixedMultiplierSpec(Domain.rectangle(x0, x1, y0, y1), mu=mu,
+                                   delta=mu * frac)
+        X, Y = box_points(x0, x1, y0, y1, seed)
         K = X - Y * Y
         b, c = spec.b(K), spec.c(Y)
         assert (b >= 1.0).all()
@@ -443,19 +457,18 @@ class TestMixedMultiplierSpec:
            ys=st.lists(st.floats(-1e17, 1e17), min_size=2, max_size=2,
                        unique=True),
            mu=st.floats(0.0, exclude_min=True, allow_infinity=False),
-           frac=st.floats(1e-3, 0.999))
-    @example(xs=[0.0, 1.0], ys=[0.0, 1e16], mu=1.0, frac=0.05)
-    def test_c_negative_by_construction(self, xs, ys, mu, frac):
-        # t >= nextafter(top) > top = mu max(0, max y) >= mu y at every
-        # lattice point; on [0, 1] x [0, 1e16], 1 + top == top, and only
-        # the nextafter term keeps c < 0
+           frac=st.floats(1e-3, 0.999), seed=st.integers(0, 2 ** 32 - 1))
+    @example(xs=[0.0, 1.0], ys=[0.0, 1e16], mu=1.0, frac=0.05, seed=0)
+    def test_c_negative_by_construction(self, xs, ys, mu, frac, seed):
+        # t >= nextafter(top) > top = mu max(0, y1) >= mu y at every point
+        # of the box; on [0, 1] x [0, 1e16], 1 + top == top, and only the
+        # nextafter term keeps c < 0
         (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
         dom = Domain.rectangle(x0, x1, y0, y1)
         spec = built_or_refused(
             lambda: MixedMultiplierSpec(dom, mu=mu, delta=mu * frac))
         assume(spec is not None)
-        Y = Grid2D(dom, SPEC_SAMPLES, SPEC_SAMPLES).meshgrid()[1]
-        assert (spec.c(Y) < 0.0).all()
+        assert (spec.c(box_points(x0, x1, y0, y1, seed)[1]) < 0.0).all()
 
     @pytest.mark.parametrize("y1, mu, t", [
         (1e15, 1.0, 1.0 + 1e15),
@@ -466,7 +479,8 @@ class TestMixedMultiplierSpec:
         # past 2^53, 1 + mu * y1 rounds to mu * y1 and t is the next double
         spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, y1), mu=mu)
         assert spec.t == t
-        assert (spec.c(np.linspace(0.0, y1, SPEC_SAMPLES)) < 0.0).all()
+        # c increases with y, so its largest value on the box is at y1
+        assert spec.c(y1) < 0.0
 
     def test_matrix_shape(self):
         spec = MixedMultiplierSpec(Domain.rectangle(0, 1, 0, 0.75))
@@ -496,7 +510,7 @@ class TestMixedMultiplierSpec:
 
     @pytest.mark.parametrize("box, message", [
         ((-1.0, 1.0, -1.0, 1.0),
-         "s_const=nan is not finite for mu=1e+308 on "
+         "s_const=inf is not finite for mu=1e+308 on "
          "((-1.0, 1.0, -1.0, 1.0),)"),
         ((0.0, 1.0, 0.0, 10.0),
          "t=inf is not finite for mu=1e+308 on ((0.0, 1.0, 0.0, 10.0),)")])
@@ -554,3 +568,41 @@ class TestBoundaryAdmissible:
         # bottom has b dy - c dx = -c dx > 0, so it cannot sit in G
         report = boundary_admissible(("bottom",), spec)
         assert not report.admissible
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=st.lists(st.integers(-32, 32), min_size=2, max_size=2,
+                       unique=True),
+           ys=st.lists(st.integers(-32, 32), min_size=2, max_size=2,
+                       unique=True),
+           mu=st.floats(0.1, 4.0), frac=st.floats(1e-3, 0.999))
+    def test_verdict_equals_dense_reference(self, xs, ys, mu, frac):
+        # corners on multiples of 1/16 put K at multiples of 1/256, so no
+        # verdict rests on a value within SIGN_TOL of 0, and 4096
+        # midpoints per side see every sign that the side's values take
+        (x0, x1), (y0, y1) = (sorted(v / 16.0 for v in xs),
+                              sorted(v / 16.0 for v in ys))
+        spec = MixedMultiplierSpec(Domain.rectangle(x0, x1, y0, y1), mu=mu,
+                                   delta=mu * frac)
+        ts = (np.arange(4096) + 0.5) / 4096
+        for orientation in (1, -1):
+            for k in range(16):
+                G = [name for bit, name in enumerate(Domain.SEGMENTS)
+                     if k >> bit & 1]
+                report = boundary_admissible(G, spec, orientation)
+                for seg, rep in zip(spec.domain.boundary_segments(),
+                                    report.segments):
+                    (xa, ya), (xb, yb) = seg.start, seg.end
+                    x, y = xa + ts * (xb - xa), ya + ts * (yb - ya)
+                    K = x - y * y
+                    length = orientation * math.hypot(xb - xa, yb - ya)
+                    q = (spec.b(K) * (yb - ya) - spec.c(y) * (xb - xa)) \
+                        / length
+                    ok = (q.max() <= SIGN_TOL if seg.name in G
+                          else (K * q).min() >= -SIGN_TOL)
+                    assert rep.admissible == ok, (seg.name, G, orientation)
+                    # the exact extremes bound the midpoints' values
+                    vals = q if seg.name in G else K * q
+                    assert rep.min_value <= vals.min() + 1e-12 * abs(
+                        vals.min())
+                    assert rep.max_value >= vals.max() - 1e-12 * abs(
+                        vals.max())

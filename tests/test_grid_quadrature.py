@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import coldwave
 from coldwave import operators as ops
 from coldwave.cli import main
-from coldwave.grid import Domain, Grid2D
+from coldwave.grid import Domain, Grid2D, box_type_range
 from coldwave.multipliers import MultiplierSpec, bump_gram
 from coldwave.quadrature import (_corners, decompose_cells,
                                  integrate_signed, weighted_norms)
@@ -110,6 +110,31 @@ class TestGrid:
         assert Domain.rectangle(1, 2, 0.5, 1.0).type_range == (0.0, 1.75)
         assert Domain(((-2.0, -1.0, 0.0, 1.0),
                        (1.0, 2.0, 0.5, 1.0))).type_range == (-3.0, 1.75)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2),
+           ys=st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2),
+           shape=st.sampled_from(["box", "horizontal", "vertical"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_box_type_range_bounds_and_is_attained(self, xs, ys, shape,
+                                                   seed):
+        # a side is a box with x0 == x1 or y0 == y1; K is bounded at
+        # random points, and each extreme is K at a corner or at y = 0
+        (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
+        if shape == "horizontal":
+            y1 = y0
+        elif shape == "vertical":
+            x1 = x0
+        lo, hi = box_type_range(x0, x1, y0, y1)
+        rng = np.random.default_rng(seed)
+        x = np.clip(x0 + (x1 - x0) * rng.random(256), x0, x1)
+        y = np.clip(y0 + (y1 - y0) * rng.random(256), y0, y1)
+        K = canonical_type_function(x, y)
+        assert (lo <= K).all() and (K <= hi).all()
+        cx = [x0, x1, x1, x0] + ([x0, x1] if y0 <= 0.0 <= y1 else [])
+        cy = [y0, y0, y1, y1] + ([0.0, 0.0] if y0 <= 0.0 <= y1 else [])
+        K = canonical_type_function(np.array(cx), np.array(cy))
+        assert (lo, hi) == (K.min(), K.max())
 
     def test_sonic_arc_between_samples(self):
         # K(1e-5, 0) > 0, but no node of a 101 x 101 sample has K > 0
@@ -381,7 +406,7 @@ class TestOneEvaluationOfK:
             point_sets.add(points)
             return canonical_type_function(x, y)
 
-        for module in ("grid", "quadrature", "multipliers"):
+        for module in ("grid", "quadrature"):
             monkeypatch.setattr(f"coldwave.{module}.canonical_type_function",
                                 counted)
         return callers
@@ -390,13 +415,12 @@ class TestOneEvaluationOfK:
         ("solve", 0.5, {"type": "closed_dirichlet"}, "one",
          {"__post_init__": 1, "decompose_cells": 2}),
         ("solve-mixed", 0.0, {"type": "mixed", "G": ["top", "left"]},
-         "smooth2", {"__post_init__": 2, "boundary_admissible": 4,
-                     "decompose_cells": 2})])
+         "smooth2", {"__post_init__": 1, "decompose_cells": 2})])
     def test_once_per_point_set_in_a_solve(self, command, kappa, bc, forcing,
                                            expected, evaluations, tmp_path):
-        # the problem's grid (and the mixed multiplier's sample lattice)
-        # once each, every quadrature side once and every boundary
-        # segment's samples once
+        # the problem's grid once and every quadrature side once; the
+        # mixed multiplier and its boundary test read K's range in closed
+        # form
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps({
             "kappa": kappa, "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
@@ -416,7 +440,7 @@ class TestOneEvaluationOfK:
 
     def test_evaluation_sites(self):
         # every use of the name outside imports, by innermost enclosing
-        # function: the definition and the three evaluation sites
+        # function: the definition and the two evaluation sites
         name = "canonical_type_function"
         sites = collections.Counter()
 
@@ -435,5 +459,4 @@ class TestOneEvaluationOfK:
             visit(ast.parse(path.read_text()), path, None)
         assert sites == {("typegeometry.py", "def"): 1,
                          ("grid.py", "__post_init__"): 1,
-                         ("quadrature.py", "decompose_cells"): 1,
-                         ("multipliers.py", "boundary_admissible"): 1}
+                         ("quadrature.py", "decompose_cells"): 1}

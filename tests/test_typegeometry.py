@@ -87,6 +87,16 @@ class TestClassification:
                     lambda x, z: -2.0 * z)
         assert tg.canonical_case_classify(f, (0.25, 0.5)) == "tricomi_point"
 
+    @pytest.mark.parametrize("field, point", [
+        (Field2D.affine_quadratic(1.0, -1.0), (math.nan, 0.0)),
+        (Field2D.affine_quadratic(1.0, -1.0), (0.0, math.nan)),
+        (Field2D.affine_quadratic(1.0, -1.0), (math.nan, math.nan)),
+        (Field2D.constant(math.nan), (0.0, 0.0))],
+        ids=["x-nan", "y-nan", "both-nan", "nan-field"])
+    def test_nan_is_on_no_sonic_set(self, field, point):
+        # abs(nan) > tol is False: a NaN point was a Keldysh or Tricomi one
+        assert tg.canonical_case_classify(field, point) == "not_on_sonic"
+
     def test_keldysh_only_at_origin(self, rng):
         f = Field2D.affine_quadratic(1.0, -1.0)
         for y in rng.uniform(-1.0, 1.0, 50):

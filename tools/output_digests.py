@@ -32,9 +32,10 @@ which misses the extremes of K = x - y^2 that the multiplier's Q1 and
 Q2 come from, and ``solve`` and ``illposedness`` (levels 13, 33, 49) on
 the all-hyperbolic box [-2, -0.5] x [-1, 1] at kappa 0.5, whose factor
 the probe rejects, so that kappa_1 of a COLAMD refactor is compared
-too.  Every benchmark step succeeds, so ``FAILING`` holds
-commands that must fail: a non-finite or unparsable ``--box``, an
-unparsable or reversed ``--bracket``, dispersion grids holding a NaN, a
+too, and ``solve-mixed`` with G empty on the box [0.25, 1] x [0.5, 1],
+whose corners lie on K = 0.  Every benchmark step succeeds, so
+``FAILING`` holds commands that must fail: a non-finite or unparsable
+``--box``, an unparsable or reversed ``--bracket``, dispersion grids holding a NaN, a
 frequency of 0 or an empty entry, a ``stix`` frequency and two
 ``cutoffs``/``resonances`` brackets whose square underflows,
 ``symbol-check`` of a plasma 1e-6 from its proton cyclotron frequency
@@ -50,9 +51,11 @@ multiplier's Q1 = exp(2 delta max K) overflows (``--box=0:1e300:0:1``),
 Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``) and Q2 is so
 small that 6 delta min K / Q2 overflows (``--box=-740:1:-1:1``),
 ``solve-mixed --mu 1e308`` on [-1, 1]^2, where the multiplier's s_const
-is not finite, ``solve`` of a mixed problem and ``solve-mixed`` of a
-closed Dirichlet one, ``solve`` and ``solve-mixed`` on grids of
-100001 x 100001 nodes, whose factor no machine's memory holds,
+is not finite, ``solve-mixed`` with G = bottom on the benchmark's box
+[0, 1] x [0, 0.75], where the boundary sign conditions fail,
+``solve`` of a mixed problem and ``solve-mixed`` of a closed Dirichlet
+one, ``solve`` and ``solve-mixed`` on grids of 100001 x 100001 nodes,
+whose factor no machine's memory holds,
 ``stix --omega inf``, ``symbol-check --omega`` without ``--plasma``,
 and ``layered`` of a piecewise-linear K11 that touches 0 between the
 samples of the nonvanishing check.  Each gives the line of its output
@@ -102,6 +105,8 @@ FIXED = {
     "illposedness-hyperbolic": ["illposedness", "--problem",
                                 "{in}/problem-hyperbolic.json",
                                 "--levels", "13,33,49"],
+    "solve-mixed-lens": ["solve-mixed", "--problem",
+                         "{in}/problem-mixed-lens.json"],
 }
 # name -> argv of a command that must fail
 FAILING = {
@@ -167,6 +172,8 @@ FAILING = {
     "solve-mixed-mu-overflow": ["solve-mixed", "--problem",
                                 "{in}/problem-mixed-square.json",
                                 "--mu", "1e308"],
+    "solve-mixed-inadmissible": ["solve-mixed", "--problem",
+                                 "{in}/problem-mixed-bottom.json"],
     "solve-mixed-problem": ["solve", "--problem",
                             "{in}/problem-mixed-square.json"],
     "solve-mixed-dirichlet-problem": ["solve-mixed", "--problem",
@@ -224,6 +231,14 @@ FIXED_INPUTS = {
     "problem-hyperbolic.json": {
         "kappa": 0.5, "domain": {"rects": [[-2.0, -0.5, -1.0, 1.0]]},
         "grid": {"nx": 49, "ny": 49}, "forcing": {"kind": "one"}},
+    "problem-mixed-lens.json": {
+        "kappa": 0.0, "domain": {"rects": [[0.25, 1.0, 0.5, 1.0]]},
+        "grid": {"nx": 17, "ny": 17}, "bc": {"type": "mixed", "G": []},
+        "forcing": {"kind": "smooth2"}},
+    "problem-mixed-bottom.json": {
+        "kappa": 0.0, "domain": {"rects": [[0.0, 1.0, 0.0, 0.75]]},
+        "grid": {"nx": 9, "ny": 9}, "bc": {"type": "mixed",
+                                           "G": ["bottom"]}},
     "problem-mixed-square.json": {
         "kappa": 0.0, "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
         "grid": {"nx": 9, "ny": 9}, "bc": {"type": "mixed",
