@@ -9,6 +9,9 @@ Exit codes: 0 success; 1 a usage error, invalid input or an
 InvalidConfiguration; 2 a NumericalFailure, out of memory or an internal
 error; 3 a CheckFailed, or a failed symbol-check or energy-check.  The
 kind of a toolkit error (``errors``) sets its stderr prefix and code.
+
+Importing this module loads numpy, ``config``, ``output`` and ``errors``
+only: each command imports the numerical modules it runs when called.
 """
 
 import argparse
@@ -19,14 +22,9 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from . import dispersion, electrostatics, output, plasma, typegeometry
+from . import output
 from .errors import (EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_NUMERICAL,
                      EXIT_OK, ColdwaveError)
-from .grid import Domain, Grid2D
-from .multipliers import (BUMP_DEGREE, MixedMultiplierSpec, MultiplierSpec,
-                          bump_coefficients, bump_gram)
-from .solvers import (illposedness_diagnostic, solve_closed_dirichlet,
-                      solve_mixed)
 
 # Largest symbol-check --kmax: |k|^6, and 64 |k|^6 for the doubled k,
 # stay far below the float range.
@@ -49,6 +47,8 @@ def _load_plasma(path):
 
 
 def cmd_stix(args):
+    from . import plasma
+
     pl = _load_plasma(args.plasma)
     st = plasma.stix_parameters(pl, args.omega, resonance_rtol=args.tol)
     output.write_json(
@@ -57,6 +57,8 @@ def cmd_stix(args):
 
 
 def cmd_dispersion(args):
+    from . import dispersion
+
     pl = _load_plasma(args.plasma)
     output.write_csv(dispersion.SCAN_HEADER,
                      _scan_blocks(pl, args.omegas, args.thetas, args.tol),
@@ -68,6 +70,8 @@ def _scan_blocks(pl, omegas, thetas, tol):
     """Column blocks of the dispersion scan, computed about BLOCK_ROWS
     rows (whole omegas) at a time; the scan is elementwise, so each block
     equals the same rows of one full scan."""
+    from . import dispersion
+
     step = max(1, output.BLOCK_ROWS // len(thetas))
     for k in range(0, len(omegas), step):
         yield tuple(dispersion.dispersion_scan(
@@ -75,6 +79,8 @@ def _scan_blocks(pl, omegas, thetas, tol):
 
 
 def cmd_cutoffs(args):
+    from . import dispersion
+
     pl = _load_plasma(args.plasma)
     found = dispersion.cutoff_frequencies(pl, args.bracket)
     if args.format == "csv":
@@ -90,6 +96,8 @@ def cmd_cutoffs(args):
 
 
 def cmd_resonances(args):
+    from . import dispersion
+
     pl = _load_plasma(args.plasma)
     res = dispersion.hybrid_resonances(pl, args.bracket)
     if args.format == "csv":
@@ -102,6 +110,8 @@ def cmd_resonances(args):
 
 
 def cmd_typemap(args):
+    from . import electrostatics
+
     k11, k33 = cfg.parse_fields(cfg.load_json(args.fields))
     x0, x1, z0, z1 = args.box
     xs, zs = np.linspace(x0, x1, args.nx), np.linspace(z0, z1, args.nz)
@@ -121,6 +131,8 @@ def cmd_typemap(args):
 
 
 def cmd_characteristics(args):
+    from . import typegeometry
+
     path = typegeometry.trace_characteristic(
         args.start, args.branch, args.step, domain=args.box,
         max_steps=args.max_steps)
@@ -133,6 +145,8 @@ def cmd_characteristics(args):
 
 
 def cmd_origin_chars(args):
+    from . import typegeometry
+
     oc = typegeometry.origin_characteristics()
     output.write_json({
         "coefficients": list(oc.polynomial),
@@ -143,6 +157,8 @@ def cmd_origin_chars(args):
 
 
 def cmd_symbol_check(args):
+    from . import plasma, typegeometry
+
     if args.plasma:
         pl = _load_plasma(args.plasma)
         if args.omega is None:
@@ -174,6 +190,8 @@ def cmd_symbol_check(args):
 
 
 def cmd_layered(args):
+    from . import electrostatics
+
     problem = cfg.parse_layered(cfg.load_json(args.layered))
     sol = electrostatics.integrate_layered(problem, complex(*args.psi0),
                                            args.x0, args.x1)
@@ -200,12 +218,17 @@ def _write_solution(args, header, sol, arrays):
 
 
 def cmd_solve(args):
+    from .solvers import solve_closed_dirichlet
+
     problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
     sol = solve_closed_dirichlet(problem, nx, ny)
     return _write_solution(args, "x,y,u", sol, [sol.values])
 
 
 def cmd_solve_mixed(args):
+    from .multipliers import MixedMultiplierSpec
+    from .solvers import solve_mixed
+
     problem, (nx, ny) = cfg.parse_problem(cfg.load_json(args.problem))
     spec = MixedMultiplierSpec(problem.domain, mu=args.mu, delta=args.mdelta)
     sol = solve_mixed(problem, nx, ny, spec)
@@ -213,6 +236,10 @@ def cmd_solve_mixed(args):
 
 
 def cmd_energy_check(args):
+    from .grid import Domain, Grid2D
+    from .multipliers import (BUMP_DEGREE, MultiplierSpec, bump_coefficients,
+                              bump_gram)
+
     kappa, delta, nx = args.kappa, args.delta, args.nx
     domain = Domain.rectangle(*args.box)
     rng = np.random.default_rng(args.seed)
@@ -244,6 +271,8 @@ def cmd_energy_check(args):
 
 
 def cmd_illposedness(args):
+    from .solvers import illposedness_diagnostic
+
     problem, _ = cfg.parse_problem(cfg.load_json(args.problem))
     diag = illposedness_diagnostic(problem, args.levels)
     output.write_json([{"h": h, "cond": c} for h, c in diag], args.out)

@@ -4,7 +4,9 @@ One reader per file kind reads each key once: it applies the key's
 default, checks its type and range and converts it.  The plasma and
 problem readers collect every refusal into one ValueError, ``invalid
 <kind> configuration: a; b``, raised before any object is built.
-A JSON boolean is never taken as a number.
+A JSON boolean is never taken as a number.  Each reader imports the
+module of the type it builds when called, so importing this module
+loads none of the numerical modules.
 
 Plasma (``parse_plasma``; "electron" and "proton" default mass_kg and
 charge_sign from SPECIES_ALIASES):
@@ -36,15 +38,10 @@ import math
 
 import numpy as np
 
-from .electrostatics import LayeredProblem
-from .fields import Field2D
-from .grid import Domain
-from .operators import KAPPA_MAX
-from .plasma import PlasmaState, Species, electron, proton
-from .solvers import ModelProblem
+from .constants import M_ELECTRON, M_PROTON
 
-SPECIES_ALIASES = {s.name: {"mass_kg": s.mass, "charge_sign": s.charge_sign}
-                   for s in (electron(), proton())}
+SPECIES_ALIASES = {"electron": {"mass_kg": M_ELECTRON, "charge_sign": -1},
+                   "proton": {"mass_kg": M_PROTON, "charge_sign": 1}}
 
 GRID_MIN = 8
 
@@ -120,6 +117,8 @@ def _refused(kind, *diags):
 
 def parse_plasma(data):
     """PlasmaState from a plasma-configuration mapping."""
+    from .plasma import PlasmaState, Species
+
     if not isinstance(data, dict):
         raise _refused("plasma", "plasma configuration must be a JSON object")
     diags = []
@@ -206,6 +205,10 @@ FORCINGS = {
 
 def parse_problem(data):
     """(ModelProblem, (nx, ny)) from a problem-configuration mapping."""
+    from .grid import Domain
+    from .operators import KAPPA_MAX
+    from .solvers import ModelProblem
+
     if not isinstance(data, dict):
         raise _refused("problem",
                        "problem configuration must be a JSON object")
@@ -307,6 +310,8 @@ def _samples(entry, key, shape, diags):
 def parse_field(entry, default=None, name="field"):
     """Field2D from a field-definition mapping; ``name`` names the entry
     (such as ``K11``) in the message of a ValueError that refuses it."""
+    from .fields import Field2D
+
     if entry is None:
         if default is None:
             raise ValueError("missing field definition")
@@ -356,6 +361,8 @@ def parse_layered(data):
     """LayeredProblem from a layered-run mapping: the field ``K11``,
     whose real part at z = 0 is the problem's K11 (an array for an
     array x), ``sigma0`` (default 0) and ``x_range`` [x0, x1]."""
+    from .electrostatics import LayeredProblem
+
     if not isinstance(data, dict):
         raise ValueError("layered configuration must be a JSON object")
     f2d = parse_field(data.get("K11"), name="K11")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayeredNotConverged, SingularCoefficient
-from .quadrature import _corners
+from .grid import _corners
 from .typegeometry import canonical_case_classify
 
 TYPE_PRODUCT_TOL = 1e-14
@@ -111,14 +111,19 @@ def integrate_layered(problem, psi0, x0, x1):
     bisects every cell whose whole-cell and two half-cell estimates of
     sigma0 tau differ by more than LAYERED_RTOL times the larger of its
     share of [x0, x1] and of integral |1/K11|; psi is sampled on the cell
-    edges.  [x0, x1] must lie inside ``problem.x_range``, on which the
-    problem checked when built that K11 does not vanish.  Raises
+    edges.  x0 < x1 must hold and [x0, x1] must lie inside
+    ``problem.x_range``, on which the problem checked when built that K11
+    does not vanish; a ValueError names the condition that fails.  Raises
     LayeredNotConverged before the cells would pass LAYERED_MAX_CELLS or
     when the rounding of sigma0 tau exceeds LAYERED_RTOL or is NaN.
     """
     lo, hi = problem.x_range
-    if not (lo <= x0 < x1 <= hi):
-        raise ValueError("[x0, x1] must lie inside the problem's x_range")
+    where = f"x0={x0!r}, x1={x1!r}, x_range=[{lo!r}, {hi!r}]"
+    if not x0 < x1:
+        raise ValueError(f"x0 must be below x1 ({where})")
+    if not lo <= x0 < x1 <= hi:
+        raise ValueError(f"[x0, x1] must lie inside the problem's x_range "
+                         f"({where})")
     k11, sigma0 = problem.K11, problem.sigma0
 
     def gauss(a, b):
@@ -214,7 +219,8 @@ def singular_points_on_sonic_line(k11, box):
     ``canonical_case_classify`` calls it a ``keldysh_point``.  Duplicates
     within half a cell merge.
     """
-    # imported here: the cli imports this module for every command
+    # imported here: typemap and layered import this module and need no
+    # SciPy
     from scipy.optimize import root
 
     x0, x1, z0, z1 = box

@@ -23,6 +23,11 @@ def box_type_range(x0, x1, y0, y1):
             x1 - (0.0 if y0 <= 0.0 <= y1 else min(y0 * y0, y1 * y1)))
 
 
+def _corners(F):
+    """Nodal values at the four corners of every cell."""
+    return F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]
+
+
 @dataclass(frozen=True)
 class BoundarySegment:
     """Oriented straight boundary piece (counterclockwise traversal)."""

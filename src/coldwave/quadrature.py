@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _corners
 from .operators import gradient
 from .typegeometry import canonical_type_function
-
-
-def _corners(F):
-    """Nodal values at the four corners of every cell."""
-    return F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from coldwave import dispersion, electrostatics, errors, output, typegeometry
 from coldwave.cli import KMAX_LIMIT, build_parser, main
 from coldwave.dispersion import SCAN_HEADER, dispersion_scan
 from coldwave.grid import Domain, Grid2D
-from coldwave.multipliers import (MultiplierSpec, random_interior_bump,
+from coldwave.multipliers import (MultiplierSpec, bump_gram,
+                                  random_interior_bump,
                                   verify_energy_inequality)
 from coldwave.plasma import cyclotron_frequency
 from coldwave.solvers import ModelProblem, solve_closed_dirichlet
@@ -286,6 +287,26 @@ class TestSubcommands:
                          "1,0", "--x0", x0, "--x1", x1]) == 0
             assert calls == [(0.5, 2.0)]
 
+    @pytest.mark.parametrize("x0, x1, message", [
+        ("1.5", "0.6", "x0 must be below x1 (x0=1.5, x1=0.6, "
+                       "x_range=[0.5, 2.0])"),
+        ("0.6", "0.6", "x0 must be below x1 (x0=0.6, x1=0.6, "
+                       "x_range=[0.5, 2.0])"),
+        ("0.1", "0.6", "[x0, x1] must lie inside the problem's x_range "
+                       "(x0=0.1, x1=0.6, x_range=[0.5, 2.0])"),
+        ("0.6", "2.5", "[x0, x1] must lie inside the problem's x_range "
+                       "(x0=0.6, x1=2.5, x_range=[0.5, 2.0])"),
+    ], ids=["descending", "equal", "below-range", "above-range"])
+    def test_layered_refusal_names_its_condition(self, tmp_path, capsys, x0,
+                                                 x1, message):
+        layered = tmp_path / "layered.json"
+        layered.write_text(json.dumps({
+            "K11": {"kind": "affine_quadratic", "a": 1.0, "b": 1.0},
+            "sigma0": 2.0, "x_range": [0.5, 2.0]}))
+        assert main(["layered", "--layered", str(layered), "--x0", x0,
+                     "--x1", x1]) == 1
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
     def test_layered_singular_exit(self, tmp_path):
         layered = tmp_path / "layered.json"
         layered.write_text(json.dumps({
@@ -384,12 +405,12 @@ class TestSubcommands:
 
     def test_out_of_memory_is_numerical_failure(self, mixed_json,
                                                 monkeypatch, capsys):
-        import coldwave.cli
+        import coldwave.solvers
 
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.9 GiB")
 
-        monkeypatch.setattr(coldwave.cli, "solve_mixed", no_memory)
+        monkeypatch.setattr(coldwave.solvers, "solve_mixed", no_memory)
         assert main(["--quiet", "solve-mixed", "--problem", mixed_json]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "out of memory" in err
@@ -471,6 +492,80 @@ class TestSubcommands:
                              env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
 
+    @staticmethod
+    def _coldwave_modules(argv=None):
+        """The coldwave modules loaded, in a fresh interpreter that
+        compiles them from source, by importing the cli and then running
+        ``main(argv)`` (after an assertion that it exits 0)."""
+        code = "import sys; from coldwave.cli import main; "
+        if argv is not None:
+            code += f"assert main({argv!r}) == 0; "
+        code += ("print(' '.join(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'coldwave')))")
+        out = subprocess.run([sys.executable, "-B", "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        return set(out.stdout.split())
+
+    def test_cli_import_loads_front_end_only(self):
+        # constants: SPECIES_ALIASES, which config builds at import
+        assert self._coldwave_modules() == {
+            "coldwave", "coldwave.cli", "coldwave.config",
+            "coldwave.constants", "coldwave.errors", "coldwave.output"}
+
+    # command -> (its input files by name, its arguments, in which
+    # "{name}" stands for the path of that file, and the modules it must
+    # not load)
+    COMMAND_MODULES = {
+        "stix": (
+            {"plasma": {"B0": 1.0, "species": [
+                {"name": "electron", "density_m3": 1e19},
+                {"name": "proton", "density_m3": 1e19}]}},
+            ["--plasma", "{plasma}", "--omega", "1e9"],
+            "grid operators quadrature multipliers solvers electrostatics"),
+        "dispersion": (
+            {"plasma": {"B0": 1.0, "species": [
+                {"name": "electron", "density_m3": 1e19}]}},
+            ["--plasma", "{plasma}", "--omegas", "1e9,2e9", "--thetas",
+             "0,1"],
+            "grid operators quadrature multipliers solvers electrostatics"),
+        "typemap": (
+            {"fields": {"K11": {"kind": "affine_quadratic", "a": 1.0,
+                                "b": -1.0}}},
+            ["--fields", "{fields}", "--box=0:1:0:1", "--nx", "3", "--nz",
+             "3"],
+            "quadrature operators multipliers solvers"),
+        "layered": (
+            {"layered": {"K11": {"kind": "affine_quadratic", "a": 1.0,
+                                 "b": 1.0},
+                         "sigma0": 2.0, "x_range": [0.5, 2.0]}},
+            ["--layered", "{layered}", "--x0", "0.6", "--x1", "1.5"],
+            "quadrature operators multipliers solvers"),
+        "energy-check": (
+            {}, ["--kappa", "1.5", "--trials", "2", "--nx", "9"],
+            "solvers plasma dispersion electrostatics"),
+        "solve": (
+            {"problem": {"kappa": 0.5,
+                         "domain": {"rects": [[-1.0, 1.0, -1.0, 1.0]]},
+                         "grid": {"nx": 9, "ny": 9},
+                         "forcing": {"kind": "one"}}},
+            ["--problem", "{problem}"],
+            "plasma dispersion rootscan electrostatics fields"),
+    }
+
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        files, argv, unloaded = self.COMMAND_MODULES[command]
+        paths = {}
+        for name, data in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            paths[name] = str(path)
+        loaded = self._coldwave_modules(
+            ["--quiet", "--out", str(tmp_path / "out"), command,
+             *(a.format(**paths) for a in argv)])
+        assert not loaded & {f"coldwave.{m}" for m in unloaded.split()}
+
     def test_oversized_grid_refusal_loads_no_scipy(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({
@@ -547,7 +642,7 @@ class TestSubcommands:
         assert built == [domain]
         spec = MultiplierSpec(1.5, domain)
         alphas = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 4, 4))
-        ratios = np.minimum(*(cli.bump_gram(Grid2D(domain, n, n), spec)
+        ratios = np.minimum(*(bump_gram(Grid2D(domain, n, n), spec)
                               .ratios(alphas) for n in (17, 33)))
         assert json.loads(out.read_text())["ratios"] == ratios.tolist()
 

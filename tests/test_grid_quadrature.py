@@ -12,10 +12,10 @@ from hypothesis.extra.numpy import arrays
 import coldwave
 from coldwave import operators as ops
 from coldwave.cli import main
-from coldwave.grid import Domain, Grid2D, box_type_range
+from coldwave.grid import Domain, Grid2D, _corners, box_type_range
 from coldwave.multipliers import MultiplierSpec, bump_gram
-from coldwave.quadrature import (_corners, decompose_cells,
-                                 integrate_signed, weighted_norms)
+from coldwave.quadrature import (decompose_cells, integrate_signed,
+                                 weighted_norms)
 from coldwave.typegeometry import canonical_type_function
 
 
