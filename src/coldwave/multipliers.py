@@ -11,7 +11,8 @@ kappa, cover the closed-Dirichlet drift range
 conditions serves the mixed first-order problem.
 
 The coefficients take K, not the point: callers read it from a grid
-(``Grid2D.K``) or from quadrature points (``SidePoints.K``); the mixed
+(``Grid2D.K``), from the cell centres (``CellDecomposition.K_centres``)
+or from quadrature points (``SidePoints.K``); the mixed
 multiplier and the boundary sign test read K's extremes over the box
 and its sides in closed form (``grid.box_type_range``).
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .errors import SpecInvalid
+from .errors import NumericalFailure, SpecInvalid
 from .grid import Domain, box_type_range
 from .operators import KAPPA_MAX, _d1, _d2, apply_L, gradient
 from .quadrature import (decompose_cells, integrate_h1_density,
@@ -244,35 +245,35 @@ class BumpGram:
 def _bump_tables(coords, lo, hi, h):
     """1-D bump factors (1 - X^2)^2 X^i on the lattice coordinates, zero
     on the two end nodes (the boundary ring), with their _d1 and _d2
-    stencils; each is (nodes, BUMP_DEGREE + 1)."""
-    X = ((2.0 * coords - (lo + hi)) / (hi - lo))[:, None]
-    p = (1.0 - X ** 2) ** 2 * X ** np.arange(BUMP_DEGREE + 1)
-    p[[0, -1]] = 0.0
-    return p, _d1(p, h, 0), _d2(p, h, 0)
+    stencils; each is (BUMP_DEGREE + 1, nodes)."""
+    X = (2.0 * coords - (lo + hi)) / (hi - lo)
+    p = (1.0 - X ** 2) ** 2 * X ** np.arange(BUMP_DEGREE + 1)[:, None]
+    p[:, [0, -1]] = 0.0
+    return p, _d1(p, h, 1), _d2(p, h, 1)
 
 
 def _outer(p, q):
-    """Row-wise outer products: column q.shape[1] i + j holds
-    p[:, i] q[:, j]."""
-    return (p[:, :, None] * q[:, None, :]).reshape(len(p), -1)
+    """Outer products along the rows: row q.shape[0] i + j holds
+    p[i] q[j]."""
+    return (p[:, None, :] * q[None, :, :]).reshape(-1, p.shape[1])
 
 
 def _shared_row_sum(C, diag, terms):
     """sum_p c_p (a_p (x) b_p)(e_p (x) f_p)^T over a point set, summed
     over the terms (a, e, b, f) of x row tables a, e and y row tables
-    b, f: X^T [[C, 0], [0, diag(diag)]] Y with X = a (x) e and
-    Y = b (x) f row by row, entry [(i, k), (j, l)] in place of
-    [(i, j), (k, l)].  The first m x rows and n y rows, C of shape
-    (m, n), are shared: C[r, s] sums the coefficients of the points on
+    b, f, each (basis, rows): X [[C, 0], [0, diag(diag)]] Y^T with
+    X = a (x) e and Y = b (x) f row by row, entry [(i, k), (j, l)] in
+    place of [(i, j), (k, l)].  The first m x rows and n y rows, C of
+    shape (m, n), are shared: C[r, s] is the coefficient of the point on
     x row r and y row s.  Each later x row pairs with the y row as far
-    down, both serving one point whose coefficient is its entry of
+    along, both serving one point whose coefficient is its entry of
     ``diag``."""
     m, n = C.shape
     total = 0.0
     for a, e, b, f in terms:
         X, Y = _outer(a, e), _outer(b, f)
-        total = (total + X[:m].T @ (C @ Y[:n])
-                 + X[m:].T @ (diag[:, None] * Y[n:]))
+        total = (total + X[:, :m] @ (C @ Y[:, :n].T)
+                 + X[:, m:] @ (Y[:, n:] * diag).T)
     return total
 
 
@@ -286,56 +287,68 @@ def bump_gram(grid, spec):
     product are products of 1-D interpolations.  Every uncut cell's
     centre takes the x row of its cell column and the y row of its cell
     row; each cut-cell piece has a row of its own.  So each term
-    sum_p c_p (a (x) b)(e (x) f)^T of S and W is X^T (C Y) with C the
-    (cell columns x cell rows) matrix of the term's coefficients c_p
-    (-w, w b, w c, w |K| or w) summed per cell, diagonal in the pieces
+    sum_p c_p (a (x) b)(e (x) f)^T of S and W is X C Y^T with C the
+    (cell columns x cell rows) lattice of the term's coefficients c_p
+    (-w, w b, w c, w |K| or w) at the centres of the uncut cells, read
+    from the decomposition's lattice view, and diagonal in the pieces
     (``_shared_row_sum``): its cost grows as cells x basis, not as
-    points x basis^2.
+    points x basis^2.  No per-point table of the uncut cells is built.
+
+    Raises NumericalFailure when S or W has an entry that is not finite
+    (a box so small that h^2 underflows, or so large that the sums
+    overflow).
     """
     require_domain(grid, spec)
     if not grid.inside.all():
         raise ValueError("bump_gram needs a rectangle domain")
-    sides = decompose_cells(grid).points
+    with np.errstate(all="ignore"):
+        S, W = _bump_gram(grid, spec)
+    if not (np.isfinite(S).all() and np.isfinite(W).all()):
+        x0, x1, y0, y1 = grid.domain.bounding_box
+        raise NumericalFailure(
+            f"bump Gram is not finite on the {grid.nx} x {grid.ny} grid "
+            f"of the box [{x0!r}, {x1!r}] x [{y0!r}, {y1!r}]")
+    return BumpGram(S, W)
+
+
+def _bump_gram(grid, spec):
+    """The S and W of ``bump_gram``, unchecked."""
+    dec = decompose_cells(grid)
+    pieces = dec.pieces
     x0, x1, y0, y1 = grid.domain.bounding_box
     p, p1, p2 = _bump_tables(grid.xs, x0, x1, grid.hx)
     q, q1, q2 = _bump_tables(grid.ys, y0, y1, grid.hy)
-    xtab = np.hstack((p, p1, p2, grid.xs[:, None] * p2))
-    ytab = np.hstack((q, q1, q2, (grid.ys * grid.ys)[:, None] * q))
-    mx, my = grid.nx - 1, grid.ny - 1
+    xtab = np.vstack((p, p1, p2, grid.xs * p2))
+    ytab = np.vstack((q, q1, q2, (grid.ys * grid.ys) * q))
 
-    def split(values):
-        """One array per side -> (the uncut cells' entries, the pieces'
-        entries), side by side."""
-        return (np.concatenate([v[:pts.n_cells]
-                                for v, pts in zip(values, sides)]),
-                np.concatenate([v[pts.n_cells:]
-                                for v, pts in zip(values, sides)]))
-
-    ci, pi = split([pts.i for pts in sides])
-    cj, pj = split([pts.j for pts in sides])
-    cell = ci * my + cj
-
-    def rows(tab, cols, k, t):
+    def rows(tab, k, t):
         """tab at each cell column's (row's) centre, then at each
         piece, split into its four 1-D tables."""
+        cols = tab.shape[1] - 1
         k = np.concatenate((np.arange(cols), k))
-        t = np.concatenate((np.full(cols, 0.5), t))[:, None]
-        return np.hsplit((1.0 - t) * tab[k] + t * tab[k + 1], 4)
+        t = np.concatenate((np.full(cols, 0.5), t))
+        return np.vsplit((1.0 - t) * tab[:, k] + t * tab[:, k + 1], 4)
 
-    px, pdx, pdxx, xpdxx = rows(xtab, mx, pi,
-                                split([pts.tx for pts in sides])[1])
-    qy, qdy, qdyy, yyq = rows(ytab, my, pj,
-                              split([pts.ty for pts in sides])[1])
+    pi, pj, ptx, pty = (np.concatenate([getattr(s, name) for s in pieces])
+                        for name in ("i", "j", "tx", "ty"))
+    px, pdx, pdxx, xpdxx = rows(xtab, pi, ptx)
+    qy, qdy, qdyy, yyq = rows(ytab, pj, pty)
+    pos, neg = dec.uncut
     d = BUMP_DEGREE + 1
 
     def gram(parts):
         """Sum of _shared_row_sum over (coefficient, terms) parts, the
-        coefficient summed per uncut cell and kept per piece; permuted
-        from [(i, k), (j, l)] to [(i, j), (k, l)]."""
+        coefficient fn(w, K, y, sign) taken on the centre lattice where
+        its side is uncut (0 on cut cells) and per piece; permuted from
+        [(i, k), (j, l)] to [(i, j), (k, l)]."""
         G = 0.0
         for fn, terms in parts:
-            C, diag = split([fn(pts) for pts in sides])
-            C = np.bincount(cell, C, minlength=mx * my).reshape(mx, my)
+            # + 0.0 makes a -0.0 coefficient +0.0, as a sum from 0.0 does
+            C = np.where(pos, fn(dec.cell_area, dec.K_centres, dec.yc, 1),
+                         np.where(neg, fn(dec.cell_area, dec.K_centres,
+                                          dec.yc, -1), 0.0)) + 0.0
+            diag = np.concatenate([fn(s.weight, s.K, s.y, s.sign)
+                                   for s in pieces])
             G = G + _shared_row_sum(C, diag, terms)
         return G.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d,
                                                                    d * d)
@@ -343,15 +356,14 @@ def bump_gram(grid, spec):
     # L u = (x p'' + kappa p') q - p'' (y^2 q) + p q'' and M u = -u +
     # b u_x + c u_y; each term of S pairs a factor of M u with one of L u
     lu = ((xpdxx + spec.kappa * pdx, qy), (-pdxx, yyq), (px, qdyy))
-    mu = ((lambda s: -s.weight, px, qy),
-          (lambda s: s.weight * spec.b(s.K, s.sign), pdx, qy),
-          (lambda s: s.weight * spec.c(s.y), px, qdy))
+    mu = ((lambda w, K, y, sign: -w, px, qy),
+          (lambda w, K, y, sign: w * spec.b(K, sign), pdx, qy),
+          (lambda w, K, y, sign: w * spec.c(y), px, qdy))
     S = gram([(fn, [(a, la, b, lb) for la, lb in lu]) for fn, a, b in mu])
     W = gram([
-        (lambda s: s.weight * np.abs(s.K),
-         [(pdx, pdx, qy, qy)]),
-        (lambda s: s.weight, [(px, px, qdy, qdy)])])
-    return BumpGram(S, W)
+        (lambda w, K, y, sign: w * np.abs(K), [(pdx, pdx, qy, qy)]),
+        (lambda w, K, y, sign: w, [(px, px, qdy, qdy)])])
+    return S, W
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,19 @@ Integrands may take different branches on the two sides of K = x - y^2
 (the energy-inequality multipliers do); cells whose corners straddle the
 curve are split into polygonal pieces by linear interpolation of K along
 the cell edges, and each piece is integrated at its own centroid.
-``decompose_cells`` returns one point table per side of K = 0 (the
-uncut cells' centres, then the pieces' centroids) that carries the
-exact K at every point, evaluated there once; every integral is one
-pass over each table.  An integrand is called as
-fn(K, x, y, *field_values) and reads K from its argument.
+``decompose_cells`` evaluates the exact K once on each of two point
+sets, the cell centres (an (mx, my) lattice) and the pieces of both
+sides, and gives two views of one decomposition: the lattice view (each
+side's uncut-cell mask over the centres, and its pieces), which the
+bump Gram reads, and one point table per side of K = 0 (the uncut
+cells' centres, then the pieces' centroids), built from the lattice
+view when an integral first asks for it; every integral is one pass
+over each table.  An integrand is called as fn(K, x, y,
+*field_values) and reads K from its argument.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +59,38 @@ class SidePoints:
 @dataclass(frozen=True)
 class CellDecomposition:
     """Domain cells (all four corners inside) split along K = 0.
-    ``points`` holds the quadrature points of the (K >= 0, K <= 0)
-    sides, each a ``SidePoints``: that side's uncut cells in row-major
-    order, then its cut-cell pieces; ``cut_mask`` marks the cells that
-    straddle K = 0."""
 
-    points: tuple
+    The lattice view: ``K_centres`` is K = x - y^2 at every cell centre
+    (xc[i], yc[j]), an (mx, my) array; per side (K >= 0, K <= 0)
+    ``uncut`` masks that side's uncut cells on it and ``pieces`` is a
+    ``SidePoints`` of that side's cut-cell pieces alone (``n_cells`` 0,
+    in row-major cell order).  ``cut_mask`` marks the cells that
+    straddle K = 0.  The point view, ``points``, is built from the
+    lattice view when first read."""
+
+    uncut: tuple
+    pieces: tuple
+    xc: np.ndarray
+    yc: np.ndarray
+    K_centres: np.ndarray
     cut_mask: np.ndarray
     cell_area: float
+
+    @cached_property
+    def points(self):
+        """The quadrature points of the (K >= 0, K <= 0) sides, each a
+        ``SidePoints``: that side's uncut cells in row-major order, then
+        its cut-cell pieces."""
+        sides = []
+        for uncut, p in zip(self.uncut, self.pieces):
+            ci, cj = np.nonzero(uncut)
+            half = np.full(ci.size, 0.5)
+            cells = (ci, cj, half, half, self.xc[ci], self.yc[cj],
+                     self.K_centres[ci, cj], np.full(ci.size, self.cell_area))
+            pieces = (p.i, p.j, p.tx, p.ty, p.x, p.y, p.K, p.weight)
+            sides.append(SidePoints(p.sign, ci.size,
+                                    *map(np.concatenate, zip(cells, pieces))))
+        return tuple(sides)
 
     @property
     def cut_area(self):
@@ -75,32 +104,32 @@ _CCW_DJ = np.array([0, 0, 1, 1])
 
 
 def _shoelace(vx, vy, keep):
-    """Per row, the polygon whose vertices are the kept entries of
-    (vx, vy) in order: its signed shoelace area, the centroid sums
-    sum (x + x') c and sum (y + y') c over its edge cross products c,
-    and its vertex count.  Sums run left to right over the real
-    vertices only, as numpy's sum over one short polygon does."""
-    order = np.argsort(~keep, axis=1, kind="stable")
-    x = np.take_along_axis(vx, order, axis=1)
-    y = np.take_along_axis(vy, order, axis=1)
-    m = keep.sum(axis=1)
-    area = sx = sy = np.zeros(m.size)
-    rows = np.arange(m.size)
-    for r in range(keep.shape[1]):
-        real = r < m
-        nxt = np.where(r + 1 < m, r + 1, 0)
-        xr, yr = x[:, r], y[:, r]
-        xn, yn = x[rows, nxt], y[rows, nxt]
-        cross = xr * yn - xn * yr
-        area = np.where(real, area + cross, area)
-        sx = np.where(real, sx + (xr + xn) * cross, sx)
-        sy = np.where(real, sy + (yr + yn) * cross, sy)
-    return 0.5 * area, sx, sy, m
+    """Per polygon along the last axis, the one whose vertices are the
+    kept entries of (vx, vy) in order: its signed shoelace area, the
+    centroid sums sum (x + x') c and sum (y + y') c over its edge cross
+    products c, and its vertex count.  Each sum runs left to right over
+    the real vertices, with 0.0 at the unused ones after them, as
+    numpy's sum over one short polygon does (at most 6 of the 8
+    candidates are kept, so a 0.0 always ends the sum, as 0.0 began
+    it)."""
+    order = np.argsort(~keep, axis=-1, kind="stable")
+    x = np.take_along_axis(vx, order, axis=-1)
+    y = np.take_along_axis(vy, order, axis=-1)
+    m = keep.sum(axis=-1, keepdims=True)
+    r = np.arange(keep.shape[-1])
+    nxt = np.where(r + 1 < m, r + 1, 0)
+    xn = np.take_along_axis(x, nxt, axis=-1)
+    yn = np.take_along_axis(y, nxt, axis=-1)
+    cross = x * yn - xn * y
+    area, sx, sy = (
+        np.add.accumulate(np.where(r < m, term, 0.0), axis=-1)[..., -1]
+        for term in (cross, (x + xn) * cross, (y + yn) * cross))
+    return 0.5 * area, sx, sy, m[..., 0]
 
 
 def _split_cut_cells(grid, K, cut):
     """Split every cut cell along the zero set of K interpolated
-    linearly on its edges, all cells in one array pass.
+    linearly on its edges, all cells and both sides in one array pass.
 
     Each side's polygon takes, in counterclockwise order, every corner
     on that side (K = 0 counts for both) and every strict sign change
@@ -118,22 +147,25 @@ def _split_cut_cells(grid, K, cut):
     # candidate vertices: corner k, then the crossing on edge k
     vx = np.stack((px, px + t * (px1 - px)), axis=2).reshape(n, 8)
     vy = np.stack((py, py + t * (py1 - py)), axis=2).reshape(n, 8)
+    keep = np.stack([np.stack((on_side, change), axis=2).reshape(n, 8)
+                     for on_side in (f >= 0.0, f <= 0.0)])
+    shape = keep.shape
+    area, sx, sy, m = _shoelace(np.broadcast_to(vx, shape),
+                                np.broadcast_to(vy, shape), keep)
     sides = []
-    for on_side in (f >= 0.0, f <= 0.0):
-        keep = np.stack((on_side, change), axis=2).reshape(n, 8)
-        area, sx, sy, m = _shoelace(vx, vy, keep)
-        v = (m >= 3) & (area != 0.0)
-        area6 = 6.0 * area[v]
-        sides.append((ci[v], cj[v], np.abs(area[v]), sx[v] / area6,
-                      sy[v] / area6))
+    for a, cx, cy, k in zip(area, sx, sy, m):
+        v = (k >= 3) & (a != 0.0)
+        area6 = 6.0 * a[v]
+        sides.append((ci[v], cj[v], np.abs(a[v]), cx[v] / area6,
+                      cy[v] / area6))
     return sides
 
 
 def decompose_cells(grid):
     """Classify every domain cell (all four corners inside) against the
     sign of K = x - y^2 (the grid's nodal K), split the straddling
-    ones, and tabulate each side's quadrature points with the exact K
-    at each."""
+    ones, and evaluate the exact K at every cell centre and every
+    piece."""
     K = grid.K
     cell_inside = np.logical_and.reduce(_corners(grid.inside))
     cmin = np.minimum.reduce(_corners(K))
@@ -142,21 +174,19 @@ def decompose_cells(grid):
     pos = cell_inside & ~cut & (cmin >= 0.0)
     xc = 0.5 * (grid.xs[:-1] + grid.xs[1:])
     yc = 0.5 * (grid.ys[:-1] + grid.ys[1:])
-    cell_area = grid.hx * grid.hy
-    sides = []
-    for sign, uncut, (pi, pj, pa, px, py) in zip(
-            (1, -1), (pos, cell_inside & ~cut & ~pos),
-            _split_cut_cells(grid, K, cut)):
-        ci, cj = np.nonzero(uncut)
-        half = np.full(ci.size, 0.5)
-        cells = (ci, cj, half, half, xc[ci], yc[cj],
-                 np.full(ci.size, cell_area))
-        pieces = (pi, pj, (px - grid.xs[pi]) / grid.hx,
-                  (py - grid.ys[pj]) / grid.hy, px, py, pa)
-        i, j, tx, ty, x, y, weight = map(np.concatenate, zip(cells, pieces))
-        sides.append(SidePoints(sign, ci.size, i, j, tx, ty, x, y,
-                                canonical_type_function(x, y), weight))
-    return CellDecomposition(tuple(sides), cut, cell_area)
+    sides = _split_cut_cells(grid, K, cut)
+    # K on the centre lattice, then at the pieces of both sides at once
+    px, py = (np.concatenate([s[k] for s in sides]) for k in (3, 4))
+    K_centres, K_pieces = map(canonical_type_function, (xc[:, None], px),
+                              (yc, py))
+    n_pos = sides[0][0].size
+    pieces = tuple(
+        SidePoints(sign, 0, pi, pj, (x - grid.xs[pi]) / grid.hx,
+                   (y - grid.ys[pj]) / grid.hy, x, y, k, a)
+        for sign, (pi, pj, a, x, y), k in zip(
+            (1, -1), sides, np.split(K_pieces, [n_pos])))
+    return CellDecomposition((pos, cell_inside & ~cut & ~pos), pieces,
+                             xc, yc, K_centres, cut, grid.hx * grid.hy)
 
 
 def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):

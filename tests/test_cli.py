@@ -879,6 +879,27 @@ class TestInputChecks:
             == f"invalid configuration: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("box, shown", [
+        ("0:1e-300:0:1e-300", "[0.0, 1e-300] x [0.0, 1e-300]"),
+        ("0:1e-160:0:1e-160", "[0.0, 1e-160] x [0.0, 1e-160]"),
+        ("-1e150:1e150:-1e150:1e150",
+         "[-1e+150, 1e+150] x [-1e+150, 1e+150]")])
+    def test_energy_check_gram_not_finite(self, box, shown, tmp_path,
+                                          capsys):
+        # h^2 underflows (1e-300) or the Gram's sums overflow (1e-160,
+        # and the centroid sums of the cut cells at 1e150): the NaN
+        # ratios were reported as a failed inequality, with
+        # RuntimeWarnings, and exit 3
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), "energy-check", "--kappa", "0.5",
+                         "--box=" + box, "--nx", "9", "--trials", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: bump Gram is not finite on the 9 x 9 grid "
+            f"of the box {shown}\n")
+        assert not out.exists()
+
     def test_solve_mixed_multiplier_overflow(self, tmp_path, capsys):
         problem = tmp_path / "mixed.json"
         problem.write_text(json.dumps({

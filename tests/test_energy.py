@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
-from coldwave import multipliers
+from coldwave import multipliers, quadrature
 from coldwave.errors import SpecInvalid
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import (SIGN_TOL, BoundaryReport, BumpGram,
@@ -380,6 +380,21 @@ class TestBumpGram:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_no_point_table_of_uncut_cells(self, unit_square, monkeypatch):
+        # the Gram reads the uncut cells on the centre lattice; only the
+        # pieces are tabulated point by point
+        def refused(self):
+            raise AssertionError("point tables built")
+
+        monkeypatch.setattr(quadrature.CellDecomposition, "points",
+                            property(refused))
+        g = Grid2D(unit_square, 33, 33)
+        spec = MultiplierSpec(1.5, unit_square)
+        dec = decompose_cells(g)
+        assert all(p.n_cells == 0 for p in dec.pieces)
+        assert sum(p.x.size for p in dec.pieces) <= 2 * dec.cut_mask.sum()
+        assert bump_gram(g, spec).S.shape == (16, 16)
 
     def test_domain_mismatch_refused(self, unit_square):
         # a spec from [0, 1]^2 on a [-1, 1]^2 grid: its Q1 and Q2 are not

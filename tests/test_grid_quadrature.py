@@ -270,6 +270,48 @@ class TestDecomposition:
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("box", [
+        (-1.0, 1.0, -1.0, 1.0), (1.5, 2.5, -0.4, 0.4), (-3.0, -2.0, -0.5, 0.5),
+        (-0.3, 1.2, -0.9, 0.7)])
+    @pytest.mark.parametrize("nx, ny", [(33, 33), (16, 16), (33, 21),
+                                        (17, 40), (64, 65)])
+    def test_points_built_from_lattice_view(self, box, nx, ny):
+        # the point tables, built on first read from the centre lattice
+        # and the pieces, equal one built point by point: the uncut
+        # cells' centres in row-major order, then the pieces of the cell
+        # loop, with K evaluated at every point
+        g = Grid2D(Domain.rectangle(*box), nx, ny)
+        dec = decompose_cells(g)
+        assert "points" not in vars(dec)
+        cmin = np.minimum.reduce(_corners(g.K))
+        cmax = np.maximum.reduce(_corners(g.K))
+        cut = (cmin < 0.0) & (cmax > 0.0)
+        i, j, sign, area, x, y = split_cells_one_by_one(g, cut)
+        for pts, uncut, s in zip(dec.points, (~cut & (cmin >= 0.0),
+                                              ~cut & (cmin < 0.0)), (1, -1)):
+            ci, cj = np.nonzero(uncut)
+            xc = np.array([0.5 * (g.xs[k] + g.xs[k + 1]) for k in ci])
+            yc = np.array([0.5 * (g.ys[k] + g.ys[k + 1]) for k in cj])
+            side = sign == s
+            px, py = x[side], y[side]
+            expected = (
+                np.concatenate((ci, i[side])), np.concatenate((cj, j[side])),
+                np.concatenate((np.full(ci.size, 0.5),
+                                (px - g.xs[i[side]]) / g.hx)),
+                np.concatenate((np.full(ci.size, 0.5),
+                                (py - g.ys[j[side]]) / g.hy)),
+                np.concatenate((xc, px)), np.concatenate((yc, py)),
+                canonical_type_function(np.concatenate((xc, px)),
+                                        np.concatenate((yc, py))),
+                np.concatenate((np.full(ci.size, g.hx * g.hy), area[side])))
+            got = (pts.i, pts.j, pts.tx, pts.ty, pts.x, pts.y, pts.K,
+                   pts.weight)
+            assert (pts.sign, pts.n_cells) == (s, ci.size)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+        assert dec.points is dec.points
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), nx=st.integers(8, 24), ny=st.integers(8, 24))
     def test_centre_values_are_corner_averages(self, data, nx, ny):

@@ -27,10 +27,13 @@ a characteristic traced without ``--box``, ``cutoffs --format csv`` and
 estimate, once at B0 = 1 T and once at a B0 so small that the square of
 the electron cyclotron frequency underflows, ``layered`` with a
 piecewise-linear ``expression-table`` K11, whose kinks the quadrature
-must resolve, and ``energy-check`` at kappa 1.5 on a 64-node lattice,
+must resolve, ``energy-check`` at kappa 1.5 on a 64-node lattice,
 which misses the extremes of K = x - y^2 that the multiplier's Q1 and
-Q2 come from, and ``solve`` and ``illposedness`` (levels 13, 33, 49) on
-the all-hyperbolic box [-2, -0.5] x [-1, 1] at kappa 0.5, whose factor
+Q2 come from, ``energy-check`` at kappa 0.5 and 1.5 on the boxes
+[1.5, 2.5] x [-0.4, 0.4] (all K > 0) and [-3, -2] x [-0.5, 0.5] (all
+K < 0), where one side of K = 0 has no cells and no pieces, and
+``solve`` and ``illposedness`` (levels 13, 33, 49) on the
+all-hyperbolic box [-2, -0.5] x [-1, 1] at kappa 0.5, whose factor
 the probe rejects, so that kappa_1 of a COLAMD refactor is compared
 too, and ``solve-mixed`` with G empty on the box [0.25, 1] x [0.5, 1],
 whose corners lie on K = 0.  Every benchmark step succeeds, so
@@ -50,6 +53,8 @@ type (a ``true`` B0 for ``stix``, a number for the ``x_range`` of
 multiplier's Q1 = exp(2 delta max K) overflows (``--box=0:1e300:0:1``),
 Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``) and Q2 is so
 small that 6 delta min K / Q2 overflows (``--box=-740:1:-1:1``),
+``energy-check`` at kappa 0.5 on ``--box=0:1e-300:0:1e-300``, where the
+square of the grid step underflows and the bump Gram is not finite,
 ``solve-mixed --mu 1e308`` on [-1, 1]^2, where the multiplier's s_const
 is not finite, ``solve-mixed`` with G = bottom on the benchmark's box
 [0, 1] x [0, 0.75], where the boundary sign conditions fail,
@@ -100,6 +105,13 @@ FIXED = {
                       "--psi0", "1,0", "--x0", "0.5", "--x1", "2.0"],
     "energy-check-even-lattice": ["--seed", "3", "energy-check", "--kappa",
                                   "1.5", "--nx", "64", "--trials", "20"],
+    # all K > 0 and all K < 0: one side has no cells and no pieces
+    **{f"energy-check-{side}-{kappa}": [
+        "--seed", "3", "energy-check", "--kappa", kappa, "--nx", "17",
+        "--trials", "20", f"--box={box}"]
+       for side, box in (("elliptic", "1.5:2.5:-0.4:0.4"),
+                         ("hyperbolic", "-3:-2:-0.5:0.5"))
+       for kappa in ("0.5", "1.5")},
     "solve-hyperbolic": ["solve", "--problem",
                          "{in}/problem-hyperbolic.json"],
     "illposedness-hyperbolic": ["illposedness", "--problem",
@@ -169,6 +181,9 @@ FAILING = {
     "energy-check-q2-subnormal": ["energy-check", "--kappa", "1.5",
                                   "--box=-740:1:-1:1", "--nx", "9",
                                   "--trials", "2"],
+    "energy-check-gram-underflow": ["energy-check", "--kappa", "0.5",
+                                    "--box=0:1e-300:0:1e-300", "--nx", "9",
+                                    "--trials", "3"],
     "solve-mixed-mu-overflow": ["solve-mixed", "--problem",
                                 "{in}/problem-mixed-square.json",
                                 "--mu", "1e308"],
