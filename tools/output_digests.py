@@ -55,6 +55,10 @@ Q2 = exp(min K) underflows to 0 (``--box=-1000:1:-1:1``) and Q2 is so
 small that 6 delta min K / Q2 overflows (``--box=-740:1:-1:1``),
 ``energy-check`` at kappa 0.5 on ``--box=0:1e-300:0:1e-300``, where the
 square of the grid step underflows and the bump Gram is not finite,
+``solve`` on the box [-1e150, 1e150]^2, where the quadrature's sums
+overflow and the weighted norms are not finite, ``solve`` and
+``illposedness`` on the box [0, 1e-300]^2, where the square of the grid
+step underflows,
 ``solve-mixed --mu 1e308`` on [-1, 1]^2, where the multiplier's s_const
 is not finite, ``solve-mixed`` with G = bottom on the benchmark's box
 [0, 1] x [0, 0.75], where the boundary sign conditions fail,
@@ -184,6 +188,13 @@ FAILING = {
     "energy-check-gram-underflow": ["energy-check", "--kappa", "0.5",
                                     "--box=0:1e-300:0:1e-300", "--nx", "9",
                                     "--trials", "3"],
+    "solve-norms-overflow": ["solve", "--problem",
+                             "{in}/problem-huge-box.json"],
+    "solve-step-underflow": ["solve", "--problem",
+                             "{in}/problem-tiny-box.json"],
+    "illposedness-step-underflow": ["illposedness", "--problem",
+                                    "{in}/problem-tiny-box.json",
+                                    "--levels", "9,13,17"],
     "solve-mixed-mu-overflow": ["solve-mixed", "--problem",
                                 "{in}/problem-mixed-square.json",
                                 "--mu", "1e308"],
@@ -262,6 +273,12 @@ FIXED_INPUTS = {
     "problem-oversized.json": {
         "kappa": 0.5, "domain": {"rects": [[0.0, 1.0, 0.0, 1.0]]},
         "grid": {"nx": 100001, "ny": 100001}},
+    "problem-huge-box.json": {
+        "kappa": 0.5, "domain": {"rects": [[-1e150, 1e150, -1e150, 1e150]]},
+        "grid": {"nx": 9, "ny": 9}, "forcing": {"kind": "one"}},
+    "problem-tiny-box.json": {
+        "kappa": 0.5, "domain": {"rects": [[0.0, 1e-300, 0.0, 1e-300]]},
+        "grid": {"nx": 9, "ny": 9}, "forcing": {"kind": "one"}},
     # K11 touches 0 at x = 0.35, between two of the check's samples
     "layered-touching-zero.json": {"K11": {
         "kind": "expression-table", "xs": [0.1, 0.35, 0.7],
